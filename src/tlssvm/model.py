@@ -31,7 +31,9 @@ class TrainedModel:
 
     `duals` and `task_vector_snapshot` capture the shared factor as of the
     final shared-step; `factors` are the final mode factors, whose task
-    vectors enter the coherence weights at prediction time.
+    vectors enter the coherence weights at prediction time. The stacked
+    training inputs, the dual-weighted task vectors and the task-vector
+    table that every prediction needs are derived once, at construction.
     """
 
     grid: TaskGrid
@@ -77,6 +79,15 @@ class TrainedModel:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("model contains non-finite values")
             arr.flags.writeable = False
+        tid = np.repeat(np.arange(T), [b.shape[0] for b in blocks])
+        derived = {
+            "_train_X": np.concatenate(blocks, axis=0),
+            "_weighted_duals": duals[:, None] * snap[tid],
+            "_u_table": task_vector_table(self.factors),
+        }
+        for name, arr in derived.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "duals", duals)
         object.__setattr__(self, "task_vector_snapshot", snap)
         object.__setattr__(self, "biases", biases)
@@ -101,17 +112,10 @@ class TrainedModel:
     def n_features(self) -> int:
         return self.train_inputs[0].shape[1]
 
-    def _train_task_ids(self) -> np.ndarray:
-        sizes = [b.shape[0] for b in self.train_inputs]
-        return np.repeat(np.arange(self.grid.n_tasks), sizes)
-
     def _dual_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        train_X = np.concatenate(self.train_inputs, axis=0)
-        cross = gram(self.kernel, train_X, X)
-        weighted = self.duals[:, None] * self.task_vector_snapshot[self._train_task_ids()]
-        projection = cross.T @ weighted
-        u_table = task_vector_table(self.factors)
-        return np.sum(projection * u_table[task_ids], axis=1) + self.biases[task_ids]
+        cross = gram(self.kernel, self._train_X, X)
+        projection = cross.T @ self._weighted_duals
+        return np.sum(projection * self._u_table[task_ids], axis=1) + self.biases[task_ids]
 
     def _primal_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
         if self.explicit is None:
@@ -119,14 +123,11 @@ class TrainedModel:
                 "no explicit shared matrix is available for this kernel; use the dual form"
             )
         projection = X @ self.explicit
-        u_table = task_vector_table(self.factors)
-        return np.sum(projection * u_table[task_ids], axis=1) + self.biases[task_ids]
+        return np.sum(projection * self._u_table[task_ids], axis=1) + self.biases[task_ids]
 
     def predict_rows(self, multi_indices, X) -> np.ndarray:
         """Dual-form predictions for rows of X, each addressed to its own task."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DataError(f"expected n x {self.n_features} inputs, got shape {X.shape}")
+        X = _finite_inputs(X, 2, self.n_features)
         task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices])
         return self._dual_rows(task_ids, X)
 
@@ -149,6 +150,17 @@ class TrainedModel:
         return out
 
 
+def _finite_inputs(x, ndim: int, n_features: int) -> np.ndarray:
+    """Query inputs as a float array: one row (ndim 1) or a matrix of rows (ndim 2)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.shape[-1] != n_features:
+        expected = f"a length-{n_features} input" if ndim == 1 else f"n x {n_features} inputs"
+        raise DataError(f"expected {expected}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("inputs contain NaN or infinite values")
+    return x
+
+
 def predict_primal(model: TrainedModel, idx, x) -> float:
     """Feature-map prediction: project phi(x) onto the explicit shared matrix."""
     if model.explicit is None:
@@ -157,16 +169,14 @@ def predict_primal(model: TrainedModel, idx, x) -> float:
         )
     t = linearize(model.grid, idx)
     u_t = task_vector(model.factors, idx)
-    phi = feature_map(model.kernel, x)
+    phi = feature_map(model.kernel, _finite_inputs(x, 1, model.n_features))
     return float((model.explicit @ u_t) @ phi + model.biases[t - 1])
 
 
 def predict_dual(model: TrainedModel, idx, x) -> float:
     """Kernel prediction: dual coefficients times kernel values times task coherence."""
     t = linearize(model.grid, idx)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.n_features:
-        raise DataError(f"expected a length-{model.n_features} input, got shape {x.shape}")
+    x = _finite_inputs(x, 1, model.n_features)
     return float(model._dual_rows(np.array([t - 1]), x[None, :])[0])
 
 

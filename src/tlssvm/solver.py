@@ -1,11 +1,20 @@
-"""Alternating dual solver for the tensorized multitask LSSVM.
+"""Alternating solver for the tensorized multitask LSSVM.
 
 The model couples T tasks through a CP-factorized weight tensor: a shared
 factor common to all tasks and one T_n x K factor per task-grid mode. Each
 outer iteration solves the shared-factor subproblem, then sweeps every row
 of every mode factor; all subproblems are equality-constrained quadratics
-solved exactly through their dual linear systems, so the training
-objective is non-increasing across block steps.
+solved exactly, so the training objective is non-increasing across block
+steps.
+
+Every block step is the saddle-point system of `linsys` with a system
+matrix Q = Phi Phi^T whenever the step has a finite feature matrix Phi:
+the reduced features Z of a mode-row step (K columns), and for kernels with
+a finite feature map the shared-step features u_t(j) kron phi(x_j) (d_h K
+columns). Such a step hands Q to `linsys.solve_dual_system` as a
+FeatureGram, which solves it as a centered ridge in the primal weights
+when Phi has no more columns than rows, and otherwise, like every RBF
+shared step, by the dense LU.
 
 Rows within a mode touch disjoint task sets; they are solved sequentially
 here (deterministically), with the reduced features recomputed once per
@@ -22,7 +31,7 @@ import numpy as np
 from .data import MtlDataset
 from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, gram
-from .linsys import solve_dual_system
+from .linsys import FeatureGram, solve_dual_system
 from .taskgrid import (
     ModeFactors,
     SharedFactor,
@@ -201,22 +210,27 @@ def solve_shared_step(
 ) -> SharedStepResult:
     """Exactly minimize over the shared factor, biases, and residuals.
 
-    Solves the (T+m)-dimensional dual system with the coherence-weighted
-    Gram matrix; the updated shared factor is returned in dual form (plus
+    With a finite feature map the system matrix is Phi Phi^T for the m x dK
+    features Phi_j = u_t(j) kron x_j (the linear kernel's map is the
+    identity), solved through the smaller of its two forms. Other kernels
+    solve the (T+m)-dimensional dual system with the coherence-weighted
+    Gram matrix. The updated shared factor is returned in dual form (plus
     the explicit matrix whenever the kernel has a finite feature map).
     """
     data.require_nonempty_tasks()
-    G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
-    Q = coherence_weighted_gram(data, factors, kernel, gram_matrix=G)
     y = data.stacked_targets()
-    biases, duals, residual = solve_dual_system(data.task_sizes, Q, y, C, jitter)
-    constraint = float(np.max(np.abs(_block_sums(duals, data.task_sizes))))
-
     u_table = task_vector_table(factors)
+    task_vectors = u_table[data.sample_task_ids()]
     explicit = None
     if kernel.has_feature_map:
-        weighted = duals[:, None] * u_table[data.sample_task_ids()]
-        explicit = data.stacked_inputs().T @ weighted
+        X = data.stacked_inputs()
+        Phi = (task_vectors[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+        biases, duals, residual = solve_dual_system(data.task_sizes, FeatureGram(Phi), y, C, jitter)
+        explicit = X.T @ (duals[:, None] * task_vectors)
+    else:
+        Q = coherence_weighted_gram(data, factors, kernel, gram_matrix=gram_matrix)
+        biases, duals, residual = solve_dual_system(data.task_sizes, Q, y, C, jitter)
+    constraint = float(np.max(np.abs(_block_sums(duals, data.task_sizes))))
     shared = SharedFactor(duals, u_table, data, explicit)
     return SharedStepResult(shared, biases, residual, constraint)
 
@@ -285,8 +299,9 @@ def solve_mode_row_step(
     """Exactly minimize over one mode-factor row and its co-sliced biases.
 
     Only the tasks whose mode index equals `row` take part; the system
-    matrix is the Gram of their reduced features. The optimal row is the
-    dual-weighted sum of those features.
+    matrix is the Gram of their reduced features Z, solved through the
+    smaller of its two forms (a K x K ridge unless K exceeds the sample
+    count). The optimal row is the dual-weighted sum of those features.
     """
     data.require_nonempty_tasks()
     grid = data.grid
@@ -302,11 +317,9 @@ def solve_mode_row_step(
             f"mode {mode} row {row}: all reduced features are zero, the row "
             "subproblem is degenerate (row would vanish and biases reduce to task means)"
         )
-    Q = Z @ Z.T
-    Q = 0.5 * (Q + Q.T)
     y_sel = data.stacked_targets()[sel]
     block_sizes = [sizes[t - 1] for t in tasks]
-    biases, duals, residual = solve_dual_system(block_sizes, Q, y_sel, C, jitter)
+    biases, duals, residual = solve_dual_system(block_sizes, FeatureGram(Z), y_sel, C, jitter)
     constraint = float(np.max(np.abs(_block_sums(duals, block_sizes))))
     return ModeRowResult(Z.T @ duals, biases, duals, tasks, residual, constraint)
 
@@ -383,7 +396,8 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
     tid = data.sample_task_ids()
     m = data.n_samples
 
-    G = gram(kernel, data.stacked_inputs())
+    # Only kernels without a feature map solve through the m x m Gram.
+    G = None if kernel.has_feature_map else gram(kernel, data.stacked_inputs())
     factor_mats = [f.copy() for f in init_factors(grid, config.K, config.seed).factors]
     biases = np.zeros(grid.n_tasks)
     shared = None
@@ -417,7 +431,10 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
         prev_mats = [f.copy() for f in factor_mats]
 
         factors_now = ModeFactors(tuple(factor_mats))
-        step = solve_shared_step(data, factors_now, kernel, config.C, config.jitter, gram_matrix=G)
+        try:
+            step = solve_shared_step(data, factors_now, kernel, config.C, config.jitter, gram_matrix=G)
+        except SolverError as exc:
+            raise SolverError(f"iteration {it}, shared step: {exc}") from exc
         shared = step.shared
         biases = step.biases.copy()
         max_sys = max(max_sys, step.system_residual)
@@ -430,7 +447,10 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
             factors_now = ModeFactors(tuple(factor_mats))
             z = reduced_features(data, shared, factors_now, kernel, mode, projection=projection)
             for row in range(1, grid.mode_sizes[mode - 1] + 1):
-                result = solve_mode_row_step(data, z, mode, row, config.C, config.jitter)
+                try:
+                    result = solve_mode_row_step(data, z, mode, row, config.C, config.jitter)
+                except SolverError as exc:
+                    raise SolverError(f"iteration {it}, mode {mode}/row {row}: {exc}") from exc
                 factor_mats[mode - 1][row - 1, :] = result.row_values
                 biases[result.tasks - 1] = result.biases
                 max_sys = max(max_sys, result.system_residual)

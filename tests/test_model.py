@@ -7,10 +7,16 @@ import pytest
 
 from tlssvm.data import SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation
-from tlssvm.kernels import KernelSpec
+from tlssvm.kernels import KernelSpec, gram
 from tlssvm.model import TrainedModel, load_model, predict_dual, predict_primal, save_model
 from tlssvm.solver import FitConfig, fit
-from tlssvm.taskgrid import ModeFactors, TaskGrid, coslice_tasks, delinearize
+from tlssvm.taskgrid import (
+    ModeFactors,
+    TaskGrid,
+    coslice_tasks,
+    delinearize,
+    task_vector_table,
+)
 
 LINEAR = KernelSpec("linear")
 
@@ -100,6 +106,46 @@ class TestPredictDual:
         model, _, _ = fitted_model()
         with pytest.raises(DataError, match="length-4"):
             predict_dual(model, (1, 1), np.zeros(3))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_prediction_entry_point_raises(self, bad):
+        model, _, _ = fitted_model()
+        x = np.zeros(4)
+        x[2] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            predict_dual(model, (1, 2), x)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            predict_primal(model, (1, 2), x)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            model.predict_rows([(1, 1), (2, 2)], np.vstack([np.zeros(4), x]))
+
+    def test_rbf_dual_raises(self):
+        model, _, _ = fitted_model(kernel=KernelSpec("rbf", gamma=0.4))
+        with pytest.raises(DataError, match="NaN or infinite"):
+            predict_dual(model, (2, 1), np.array([0.0, np.nan, 0.0, 0.0]))
+
+
+class TestPrecomputedDualTerms:
+    @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("rbf", gamma=0.4)])
+    def test_predictions_bit_identical_to_per_call_assembly(self, kernel):
+        model, _, test = fitted_model(kernel=kernel, seed=2, snr=5.0)
+        # the per-call assembly the model used before caching these terms
+        train_X = np.concatenate(model.train_inputs, axis=0)
+        tid = np.repeat(np.arange(model.grid.n_tasks), [b.shape[0] for b in model.train_inputs])
+        weighted = model.duals[:, None] * model.task_vector_snapshot[tid]
+        projection = gram(kernel, train_X, test.stacked_inputs()).T @ weighted
+        query = test.sample_task_ids()
+        expected = (
+            np.sum(projection * task_vector_table(model.factors)[query], axis=1)
+            + model.biases[query]
+        )
+        np.testing.assert_array_equal(np.concatenate(model.predict_dataset(test)), expected)
+        for j in (0, 7, 19):
+            idx = delinearize(model.grid, int(query[j]) + 1)
+            one = predict_dual(model, idx, test.stacked_inputs()[j])
+            assert one == float(model._dual_rows(query[j : j + 1], test.stacked_inputs()[j : j + 1])[0])
 
 
 class TestFormsAgree:

@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from tlssvm import linsys, solver
 from tlssvm.baseline import fit_single
 from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic
 from tlssvm.errors import ConfigError, SolverError
 from tlssvm.kernels import KernelSpec, gram, kernel_eval
-from tlssvm.linsys import RESIDUAL_RTOL, block_constraint_matrix, solve_dual_system
+from tlssvm.linsys import (
+    RESIDUAL_RTOL,
+    FeatureGram,
+    block_constraint_matrix,
+    solve_dual_system,
+    solve_feature_system,
+)
 from tlssvm.solver import (
     FitConfig,
     coherence_weighted_gram,
@@ -106,6 +113,128 @@ class TestSolveDualSystem:
         assert np.all(np.isfinite(biases)) and np.all(np.isfinite(duals))
 
 
+def assert_same_solution(got, expected, rtol=1e-9):
+    """Biases and duals agree to rtol of the larger of 1 and the oracle's largest entry.
+
+    The dense LU's own forward error grows about like C * eps (3e-9 relative
+    at C=1e6 on 75 samples, against a 40-digit reference), so the agreement
+    is measured on the solution's scale.
+    """
+    scale = max(1.0, float(np.max(np.abs(expected[0]))), float(np.max(np.abs(expected[1]))))
+    for part_got, part_expected in zip(got[:2], expected[:2]):
+        assert np.max(np.abs(part_got - part_expected)) <= rtol * scale
+
+
+class TestSolveFeatureSystem:
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
+    def test_uneven_blocks_match_dense_oracle(self, C, jitter):
+        rng = np.random.default_rng(40)
+        sizes = [1, 6, 3, 9]
+        Phi = rng.normal(size=(sum(sizes), 3))
+        y = rng.normal(size=sum(sizes))
+        got = solve_feature_system(sizes, Phi, y, C, jitter)
+        assert_same_solution(got, solve_dual_system(sizes, Phi @ Phi.T, y, C, jitter))
+        assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
+
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    def test_more_features_than_samples(self, C):
+        rng = np.random.default_rng(41)
+        sizes = [2, 3]
+        Phi = rng.normal(size=(5, 8))
+        y = rng.normal(size=5)
+        expected = solve_dual_system(sizes, Phi @ Phi.T, y, C)
+        assert_same_solution(solve_feature_system(sizes, Phi, y, C), expected)
+        assert_same_solution(solve_dual_system(sizes, FeatureGram(Phi), y, C), expected)
+
+    @pytest.mark.parametrize("C", [1.0, 1e3, 1e6])
+    def test_duplicated_samples(self, C):
+        rng = np.random.default_rng(42)
+        base = rng.normal(size=(4, 3))
+        # rows repeat within a block and across blocks; targets differ on repeats
+        Phi = base[[0, 0, 1, 2, 1, 1, 3, 0, 3]]
+        sizes = [3, 4, 2]
+        y = rng.normal(size=9)
+        got = solve_feature_system(sizes, Phi, y, C)
+        assert_same_solution(got, solve_dual_system(sizes, Phi @ Phi.T, y, C))
+
+    def test_residual_is_that_of_the_saddle_system(self):
+        rng = np.random.default_rng(43)
+        sizes = [4, 2, 5]
+        T, m = len(sizes), sum(sizes)
+        Phi = rng.normal(size=(m, 3))
+        y = rng.normal(size=m)
+        C, jitter = 50.0, 1e-4
+        biases, duals, residual = solve_feature_system(sizes, Phi, y, C, jitter)
+        A = block_constraint_matrix(sizes)
+        M = np.block([[np.zeros((T, T)), A.T], [A, Phi @ Phi.T + (1 / C + jitter) * np.eye(m)]])
+        explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
+        assert residual == pytest.approx(explicit, abs=1e-13)
+
+    def test_exact_against_high_precision_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(44)
+        sizes = [3, 7, 5]
+        T, m = len(sizes), sum(sizes)
+        Phi = rng.normal(size=(m, 4))
+        y = rng.normal(size=m)
+        C = 1e6
+        with mpmath.workdps(40):
+            P = mpmath.matrix(Phi.tolist())
+            A = block_constraint_matrix(sizes)
+            M = mpmath.zeros(T + m)
+            Q = P * P.T
+            for i in range(m):
+                for t in range(T):
+                    M[T + i, t] = M[t, T + i] = A[i, t]
+                for j in range(m):
+                    M[T + i, T + j] = Q[i, j] + (mpmath.mpf(1) / C if i == j else 0)
+            exact = mpmath.lu_solve(M, mpmath.matrix([0] * T + y.tolist()))
+            expected = np.array([float(v) for v in exact])
+        biases, duals, _ = solve_feature_system(sizes, Phi, y, C)
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(np.concatenate([biases, duals]) - expected)) <= 1e-12 * scale
+
+    def test_zero_targets_give_zero_solution(self):
+        Phi = np.random.default_rng(45).normal(size=(6, 2))
+        biases, duals, residual = solve_feature_system([2, 4], Phi, np.zeros(6), 10.0)
+        np.testing.assert_array_equal(biases, 0.0)
+        np.testing.assert_array_equal(duals, 0.0)
+        assert residual == 0.0
+
+    def test_shape_and_value_validation(self):
+        Phi = np.ones((4, 2))
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_feature_system([2, 2], Phi, np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="C must be positive"):
+            solve_feature_system([2, 2], Phi, np.zeros(4), 0.0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            solve_feature_system([4, 0], Phi, np.zeros(4), 1.0)
+
+    def test_feature_gram_selects_form_by_shape(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        calls = []
+
+        def recording(*args):
+            calls.append(args[1].shape)
+            return solve_feature_system(*args)
+
+        monkeypatch.setattr(linsys, "solve_feature_system", recording)
+        tall, wide = rng.normal(size=(6, 6)), rng.normal(size=(6, 7))
+        got = solve_dual_system([3, 3], FeatureGram(tall), np.arange(6.0), 2.0)
+        assert calls == [(6, 6)]
+        assert_same_solution(got, solve_feature_system([3, 3], tall, np.arange(6.0), 2.0), rtol=0)
+        solve_dual_system([3, 3], FeatureGram(wide), np.arange(6.0), 2.0)
+        assert calls == [(6, 6)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_features_raise_solver_error(self):
+        Phi = np.ones((4, 2))
+        Phi[1, 0] = np.inf
+        with pytest.raises(SolverError, match="jitter"):
+            solve_feature_system([2, 2], Phi, np.ones(4), 1.0)
+
+
 class TestInitFactors:
     def test_deterministic_and_unit_columns(self):
         grid = TaskGrid((3, 4))
@@ -169,6 +298,31 @@ class TestSharedStep:
             L_oracle, b_oracle = shared_step_normal_equations(data, factors, C)
             assert np.max(np.abs(step.shared.explicit - L_oracle)) < 1e-6
             assert np.max(np.abs(step.biases - b_oracle)) < 1e-6
+
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    def test_primal_path_matches_dense_dual_system(self, C):
+        rng = np.random.default_rng(16)
+        sizes = (2, 7, 4, 5, 3, 6)
+        data = MtlDataset(
+            TaskGrid((2, 3)),
+            tuple(rng.normal(size=(n, 3)) for n in sizes),
+            tuple(rng.normal(size=n) for n in sizes),
+        )
+        factors = init_factors(data.grid, 2, seed=4)
+        step = solve_shared_step(data, factors, LINEAR, C)
+        Q = coherence_weighted_gram(data, factors, LINEAR)
+        expected = solve_dual_system(data.task_sizes, Q, data.stacked_targets(), C)
+        assert_same_solution((step.biases, step.shared.duals), expected)
+
+    def test_more_features_than_samples_uses_dense_path(self, monkeypatch):
+        # d*K = 12 features against 8 samples
+        data = random_dataset(17, mode_sizes=(2, 2), d=4, m_t=2)
+        factors = init_factors(data.grid, 3, seed=5)
+        monkeypatch.setattr(linsys, "solve_feature_system", None)
+        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        L_oracle, b_oracle = shared_step_normal_equations(data, factors, 10.0)
+        assert np.max(np.abs(step.shared.explicit - L_oracle)) < 1e-6
+        assert np.max(np.abs(step.biases - b_oracle)) < 1e-6
 
     def test_zero_targets(self):
         data = random_dataset(5, mode_sizes=(2,), d=3, m_t=4)
@@ -280,6 +434,30 @@ class TestModeRowStep:
                 assert sub_objective(result.row_values, new_biases) <= sub_objective(
                     old_row, biases
                 ) * (1 + 1e-12)
+
+    def test_rank_above_sample_count_falls_back_to_dense(self, monkeypatch):
+        # row 1 of mode 1 sees tasks (1,1) and (1,2): 2 + 2 samples, K = 6
+        data = random_dataset(14, mode_sizes=(2, 2), d=3, m_t=2)
+        z = np.random.default_rng(14).normal(size=(data.n_samples, 6))
+        monkeypatch.setattr(linsys, "solve_feature_system", None)
+        result = solve_mode_row_step(data, z, mode=1, row=1, C=10.0)
+        sel = np.array([0, 1, 4, 5])  # tasks 1 and 3 in linear order
+        Z = z[sel]
+        biases, duals, _ = solve_dual_system([2, 2], Z @ Z.T, data.stacked_targets()[sel], 10.0)
+        np.testing.assert_allclose(result.biases, biases, atol=1e-12)
+        np.testing.assert_allclose(result.duals, duals, atol=1e-12)
+
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    def test_primal_row_solve_matches_dense_oracle(self, C):
+        data = random_dataset(15, mode_sizes=(3, 2), d=3, m_t=6)
+        z = np.random.default_rng(15).normal(size=(data.n_samples, 2))
+        result = solve_mode_row_step(data, z, mode=2, row=2, C=C)
+        sel = np.concatenate(
+            [np.arange(data.task_offsets()[t - 1], data.task_offsets()[t - 1] + 6) for t in result.tasks]
+        )
+        Z = z[sel]
+        expected = solve_dual_system([6, 6, 6], Z @ Z.T, data.stacked_targets()[sel], C)
+        assert_same_solution((result.biases, result.duals), expected)
 
     def test_stationarity_row_is_dual_weighted_sum(self):
         data = random_dataset(12, mode_sizes=(2, 2), d=3, m_t=4)
@@ -397,6 +575,57 @@ class TestFit:
         objs = [e.objective for e in state.trace]
         for a, b in zip(objs, objs[1:]):
             assert b <= a * (1 + 1e-8)
+
+    def test_large_cost_linear_fit_meets_residual_bound(self):
+        data = snr10_dataset()
+        state = fit(data, FitConfig(K=2, C=1e5, kernel=LINEAR, max_iters=10, tol=1e-8, seed=0))
+        y = data.stacked_targets()
+        assert state.max_system_residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverError,
+        reason="at C=1e6 the row-step duals C*e reach 2e7 and the saddle residual of "
+        "their double-precision values, about eps*||Q||*||alpha||, exceeds the absolute "
+        "bound RESIDUAL_RTOL*(1+||y||); the dense LU fails here as well",
+    )
+    def test_cost_1e6_linear_fit_meets_residual_bound(self):
+        data = snr10_dataset()
+        state = fit(data, FitConfig(K=2, C=1e6, kernel=LINEAR, max_iters=10, tol=1e-8, seed=0))
+        y = data.stacked_targets()
+        assert state.max_system_residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
+
+    def test_linear_fit_builds_no_gram(self, monkeypatch):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("the linear fit assembled a Gram matrix")
+
+        monkeypatch.setattr(solver, "gram", no_gram)
+        state = fit(snr10_dataset(), FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=3, seed=0))
+        assert state.iterations == 3
+
+    def test_solver_error_names_iteration_and_row_step(self):
+        grid = TaskGrid((2,))
+        rng = np.random.default_rng(0)
+        data = MtlDataset(
+            grid, (rng.normal(size=(4, 2)), rng.normal(size=(4, 2))), (np.zeros(4), np.zeros(4))
+        )
+        with pytest.raises(SolverError, match=r"^iteration 1, mode 1/row 1: .*degenerate"):
+            fit(data, FitConfig(K=1, C=10.0, kernel=LINEAR, max_iters=5, tol=1e-3, seed=0))
+
+    def test_solver_error_names_iteration_and_shared_step(self, monkeypatch):
+        calls = []
+        real_step = solver.solve_shared_step
+
+        def fail_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SolverError("dual system solve residual too large; increase jitter")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_shared_step", fail_third)
+        cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=10, tol=1e-12, seed=0)
+        with pytest.raises(SolverError, match=r"^iteration 3, shared step: .*jitter"):
+            fit(snr10_dataset(), cfg)
 
     def test_all_zero_targets_surface_solver_error(self):
         grid = TaskGrid((2,))
