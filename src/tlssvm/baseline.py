@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MtlDataset
+from .errors import DataError
 from .kernels import KernelSpec, gram
 from .linsys import solve_dual_system
-from .taskgrid import TaskGrid
+from .taskgrid import TaskGrid, linearize
 
 __all__ = ["SingleTaskLssvm", "LssvmModel", "fit_single", "fit_independent", "predict_single"]
 
@@ -81,23 +82,21 @@ class LssvmModel:
         return self.tasks[0].inputs.shape[1]
 
     def predict_rows(self, multi_indices, X) -> np.ndarray:
-        """Predictions for rows of X, each addressed to its own task."""
-        from .taskgrid import linearize
-
+        """Predictions for rows of X, each addressed to its own task; one Gram per task."""
         X = np.asarray(X, dtype=float)
+        task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices], dtype=int)
+        if X.ndim != 2 or task_ids.shape[0] != X.shape[0]:
+            raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
         out = np.empty(X.shape[0])
-        for i, idx in enumerate(multi_indices):
-            t = linearize(self.grid, idx)
-            task = self.tasks[t - 1]
-            k = gram(self.kernel, task.inputs, X[i : i + 1])[:, 0]
-            out[i] = task.duals @ k + task.bias
+        for t in np.unique(task_ids):
+            rows = np.flatnonzero(task_ids == t)
+            task = self.tasks[t]
+            out[rows] = task.duals @ gram(self.kernel, task.inputs, X[rows]) + task.bias
         return out
 
     def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
         """Per-task prediction blocks for a dataset on the same grid."""
         if data.grid != self.grid:
-            from .errors import DataError
-
             raise DataError(
                 f"dataset grid {data.grid.mode_sizes} does not match model grid {self.grid.mode_sizes}"
             )

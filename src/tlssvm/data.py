@@ -43,22 +43,32 @@ class MtlDataset:
         dims = set()
         inputs, targets = [], []
         for t, (X, y) in enumerate(zip(self.inputs, self.targets), start=1):
-            # copied so freezing never flips a caller array's writeable flag
-            X = np.array(X, dtype=float)
-            y = np.array(y, dtype=float)
+            X = np.asarray(X, dtype=float)
+            y = np.asarray(y, dtype=float)
             if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
                 raise ValueError(f"task {t}: inputs must be m_t x d with matching targets")
             if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
                 raise ValueError(f"task {t}: non-finite sample values")
-            X.flags.writeable = False
-            y.flags.writeable = False
             dims.add(X.shape[1])
             inputs.append(X)
             targets.append(y)
         if len(dims) != 1:
             raise ValueError(f"tasks disagree on feature dimension: {sorted(dims)}")
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "targets", tuple(targets))
+        # The stacked arrays are copies, built once and read-only, so freezing
+        # never flips a caller array's writeable flag; the task blocks are
+        # views of them.
+        sizes = [X.shape[0] for X in inputs]
+        stacked = {
+            "_stacked_inputs": np.concatenate(inputs, axis=0),
+            "_stacked_targets": np.concatenate(targets),
+            "_sample_task_ids": np.repeat(np.arange(len(sizes)), sizes),
+        }
+        for name, arr in stacked.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        ends = np.cumsum(sizes)[:-1]
+        object.__setattr__(self, "inputs", tuple(np.split(self._stacked_inputs, ends)))
+        object.__setattr__(self, "targets", tuple(np.split(self._stacked_targets, ends)))
 
     @property
     def n_features(self) -> int:
@@ -73,14 +83,16 @@ class MtlDataset:
         return sum(self.task_sizes)
 
     def stacked_inputs(self) -> np.ndarray:
-        return np.concatenate(self.inputs, axis=0)
+        """m x d inputs in global sample order (read-only, shared by every call)."""
+        return self._stacked_inputs
 
     def stacked_targets(self) -> np.ndarray:
-        return np.concatenate(self.targets, axis=0)
+        """Targets in global sample order (read-only, shared by every call)."""
+        return self._stacked_targets
 
     def sample_task_ids(self) -> np.ndarray:
-        """0-based task index of every sample in global order."""
-        return np.repeat(np.arange(self.grid.n_tasks), self.task_sizes)
+        """0-based task index of every sample in global order (read-only)."""
+        return self._sample_task_ids
 
     def task_offsets(self) -> np.ndarray:
         """Start of each task's block in the global sample order."""

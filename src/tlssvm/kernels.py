@@ -92,14 +92,18 @@ def gram(spec: KernelSpec, X, X_other=None) -> np.ndarray:
         raise ValueError("sample matrices must be 2-D")
     if X.shape[1] != Xo.shape[1]:
         raise ValueError(f"feature dimensions differ: {X.shape[1]} vs {Xo.shape[1]}")
-    if spec.family == "linear":
-        G = X @ Xo.T
-    else:
-        sq = (X * X).sum(axis=1)[:, None] + (Xo * Xo).sum(axis=1)[None, :] - 2.0 * (X @ Xo.T)
-        np.maximum(sq, 0.0, out=sq)
-        G = np.exp(-spec.gamma * sq)
+    G = X @ Xo.T
+    if spec.family == "rbf":
+        # ||x||^2 + ||x'||^2 - 2 <x, x'>, then the exponential, all in G's buffer
+        G *= -2.0
+        G += (X * X).sum(axis=1)[:, None]
+        G += (Xo * Xo).sum(axis=1)[None, :]
+        np.maximum(G, 0.0, out=G)
+        G *= -spec.gamma
+        np.exp(G, out=G)
     if symmetric:
-        G = 0.5 * (G + G.T)
+        G += G.T
+        G *= 0.5
     return G
 
 

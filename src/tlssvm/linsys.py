@@ -8,29 +8,34 @@ all reduce to the same symmetric indefinite saddle-point system
 with A the block-of-ones constraint matrix pairing samples to tasks.
 `solve_dual_system` is the entry point. Q is either a dense m x m matrix
 or a `FeatureGram`, Q = Phi Phi^T held as its m x p feature matrix Phi,
-and the system is solved in one of two forms:
+and the system is solved in one of two forms, both by Cholesky:
 
-* Dense: the (T+m) x (T+m) matrix is assembled and LU-factored; one step
-  of iterative refinement is applied if the residual misses the acceptance
-  bound. Used for a dense Q (kernels without a finite feature map, the
-  single-task baseline) and for a FeatureGram with more columns than rows.
+* Dense with a Schur complement, for a dense Q (kernels without a finite
+  feature map, the single-task baseline) and for a FeatureGram with more
+  columns than rows. H = Q + (1/C + jitter) I is positive definite for a
+  PSD Q, and its Cholesky factor gives H^-1 y and H^-1 A in one triangular
+  solve. The biases come from the T x T Schur complement A^T H^-1 A, also
+  Cholesky-factored, and the duals from alpha = H^-1 (y - A b) (the
+  classic LS-SVM solve, Suykens & Vandewalle 1999). A failed factorization
+  flags a Q that is not PSD. One refinement step, reusing both factors,
+  follows when the residual misses the acceptance bound.
 * Centered ridge (`solve_feature_system`), for a FeatureGram with p <= m.
-  Centering Phi and y per block eliminates the biases (the classic LS-SVM
-  bias elimination, Suykens & Vandewalle 1999), which leaves a p x p ridge
-  system in the primal weights w, solved by Cholesky. Biases and duals
-  are recovered from w, and the residual is that of the saddle system
-  above, evaluated without forming Q.
+  Centering Phi and y per block eliminates the biases, which leaves a
+  p x p ridge system in the primal weights w, solved by Cholesky. Biases
+  and duals are recovered from w. One refinement step always follows.
 
-Both report the residual of the saddle system and raise SolverError when
-it exceeds RESIDUAL_RTOL * (1 + ||y||).
+Both evaluate the residual of the saddle system above with the original
+Q (never with a factor), and raise SolverError when it exceeds
+RESIDUAL_RTOL * (1 + ||y||).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import SolverError
 
@@ -52,33 +57,72 @@ class FeatureGram:
         object.__setattr__(self, "features", features)
 
 
-def block_constraint_matrix(block_sizes) -> np.ndarray:
-    """m x T block-diagonal matrix of ones columns (one column per task)."""
-    m = int(sum(block_sizes))
-    A = np.zeros((m, len(block_sizes)))
-    start = 0
-    for j, size in enumerate(block_sizes):
-        A[start : start + size, j] = 1.0
-        start += size
-    return A
+class _Blocks:
+    """Validated block structure of a saddle system: samples stacked block by block."""
+
+    def __init__(self, block_sizes, m: int, C: float, jitter: float) -> None:
+        sizes = np.array(block_sizes, dtype=np.intp)
+        if sizes.sum() != m:
+            raise ValueError(f"inconsistent system shapes: blocks {sizes.sum()}, y {m}")
+        if not C > 0:
+            raise ValueError(f"C must be positive, got {C}")
+        if jitter < 0:
+            raise ValueError(f"jitter must be nonnegative, got {jitter}")
+        if (sizes < 1).any():
+            raise ValueError(f"every block needs at least one sample, got sizes {sizes.tolist()}")
+        self.sizes = sizes
+        self.starts = sizes.cumsum() - sizes
+        self.of = np.arange(sizes.shape[0]).repeat(sizes)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-block sums along the sample axis (A^T values)."""
+        return np.add.reduceat(values, self.starts, axis=0)
 
 
-def _check_system(block_sizes, m: int, C: float, jitter: float) -> None:
-    if sum(block_sizes) != m:
-        raise ValueError(f"inconsistent system shapes: blocks {sum(block_sizes)}, y {m}")
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be nonnegative, got {jitter}")
+def _cholesky(H: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of H, in H's memory when H is Fortran-ordered."""
+    factor, info = dpotrf(H, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise SolverError(
+            f"{what} is not positive definite (dpotrf info {info}); increase jitter or adjust C"
+        )
+    return factor
 
 
-def _check_residual(residual: float, y: np.ndarray, *solution) -> None:
-    bound = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(y)))
-    if not all(np.all(np.isfinite(part)) for part in solution) or not residual <= bound:
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a factor from `_cholesky`; rhs is scratch and may be overwritten."""
+    solution, info = dpotrs(factor, rhs, lower=1, overwrite_b=1)
+    if info != 0:
+        raise SolverError(f"triangular solve failed (dpotrs info {info})")
+    return solution
+
+
+def _refined(blocks: _Blocks, y, inv_c: float, apply_q, solve, biases, duals, always: bool):
+    """Residual of the saddle system at (biases, duals), one refinement step, and the check.
+
+    `apply_q(v)` is Q v for the original Q and `solve(g, h)` solves the
+    saddle system for the right-hand side [g; h] with the form's factors.
+    The step is taken always, or only when the residual misses the bound.
+    """
+    bound = RESIDUAL_RTOL * (1.0 + math.sqrt(y @ y))
+
+    def saddle_residual(b: np.ndarray, alpha: np.ndarray):
+        top = blocks.sums(alpha)
+        bottom = b[blocks.of] + apply_q(alpha) + inv_c * alpha - y
+        return top, bottom, math.sqrt(top @ top + bottom @ bottom)
+
+    top, bottom, residual = saddle_residual(biases, duals)
+    if always or residual > bound:
+        db, dduals = solve(-top, -bottom)
+        biases, duals = biases + db, duals + dduals
+        _, _, residual = saddle_residual(biases, duals)
+    finite = np.isfinite(biases).all() and np.isfinite(duals).all()
+    if not finite or not residual <= bound:
         raise SolverError(
             f"dual system solve residual {residual:.3e} exceeds {bound:.3e}; "
             "increase jitter or adjust C"
         )
+    return biases, duals, residual
 
 
 def solve_dual_system(
@@ -88,11 +132,12 @@ def solve_dual_system(
 
     A FeatureGram whose Phi has no more columns than rows goes to
     :func:`solve_feature_system`, whose p x p factor is then the smaller
-    one; any other Q is solved by the dense LU. Returns (biases,
-    coefficients, residual_norm) where biases has one entry per block and
-    coefficients one per sample. Raises SolverError if the system is
-    singular or the residual exceeds RESIDUAL_RTOL * (1 + ||y||) even after
-    refinement.
+    one; any other Q is solved in the dense form with a Schur complement.
+    Returns (biases, coefficients, residual_norm) where biases has one
+    entry per block and coefficients one per sample. Raises SolverError if
+    Q + I/C is not positive definite or the residual exceeds
+    RESIDUAL_RTOL * (1 + ||y||) even after refinement, and ValueError on
+    inconsistent shapes, an empty block, C <= 0 or jitter < 0.
     """
     if isinstance(Q, FeatureGram):
         Phi = Q.features
@@ -100,36 +145,36 @@ def solve_dual_system(
             return solve_feature_system(block_sizes, Phi, y, C, jitter)
         Q = Phi @ Phi.T
         Q = 0.5 * (Q + Q.T)
-    block_sizes = [int(s) for s in block_sizes]
     y = np.asarray(y, dtype=float)
+    Q = np.asarray(Q, dtype=float)
     m = y.shape[0]
-    n_blocks = len(block_sizes)
     if Q.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
-    _check_system(block_sizes, m, C, jitter)
+    blocks = _Blocks(block_sizes, m, C, jitter)
+    inv_c = 1.0 / C + jitter
 
-    A = block_constraint_matrix(block_sizes)
-    M = np.zeros((n_blocks + m, n_blocks + m))
-    M[:n_blocks, n_blocks:] = A.T
-    M[n_blocks:, :n_blocks] = A
-    M[n_blocks:, n_blocks:] = Q + (1.0 / C + jitter) * np.eye(m)
-    rhs = np.concatenate([np.zeros(n_blocks), y])
+    H = np.array(Q, order="C")  # a copy: the residual needs Q itself
+    H.reshape(-1)[:: m + 1] += inv_c
+    # H.T is Fortran-ordered, so LAPACK factors it in place; its lower
+    # triangle is H's upper one, the same for a symmetric Q.
+    factor = _cholesky(H.T, "Q + I/C")
+    rhs = np.zeros((m, 1 + blocks.sizes.shape[0]), order="F")
+    rhs[:, 0] = y
+    rhs[np.arange(m), 1 + blocks.of] = 1.0  # columns 1.. hold A
+    first = _cho_solve(factor, rhs)
+    Hinv_A = first[:, 1:]
+    schur = _cholesky(blocks.sums(Hinv_A), "Schur complement A^T H^-1 A")
 
-    try:
-        factors = lu_factor(M)
-        sol = lu_solve(factors, rhs)
-    except (LinAlgError, ValueError) as exc:
-        raise SolverError(
-            f"dual system is singular ({exc}); increase jitter or adjust C"
-        ) from exc
+    def from_hinv(g: np.ndarray, Hinv_h: np.ndarray):
+        b = _cho_solve(schur, blocks.sums(Hinv_h) - g)
+        return b, Hinv_h - Hinv_A @ b
 
-    bound = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(y)))
-    residual = float(np.linalg.norm(M @ sol - rhs))
-    if residual > bound:
-        sol = sol + lu_solve(factors, rhs - M @ sol)
-        residual = float(np.linalg.norm(M @ sol - rhs))
-    _check_residual(residual, y, sol)
-    return sol[:n_blocks], sol[n_blocks:], residual
+    biases, duals = from_hinv(np.zeros(blocks.sizes.shape[0]), first[:, 0])
+    return _refined(
+        blocks, y, inv_c, lambda v: Q @ v,
+        lambda g, h: from_hinv(g, _cho_solve(factor, h)),
+        biases, duals, always=False,
+    )
 
 
 def solve_feature_system(block_sizes, Phi: np.ndarray, y: np.ndarray, C: float, jitter: float = 0.0):
@@ -150,53 +195,33 @@ def solve_feature_system(block_sizes, Phi: np.ndarray, y: np.ndarray, C: float, 
     the factor. Exact for every p, but cheaper than the dense form only
     while p stays below the sample count.
     """
-    sizes = np.array([int(s) for s in block_sizes])
     y = np.asarray(y, dtype=float)
     Phi = np.asarray(Phi, dtype=float)
     m = y.shape[0]
     if Phi.ndim != 2 or Phi.shape[0] != m:
         raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
-    _check_system(sizes, m, C, jitter)
-    if np.any(sizes < 1):
-        raise ValueError(f"every block needs at least one sample, got sizes {sizes.tolist()}")
-
+    blocks = _Blocks(block_sizes, m, C, jitter)
+    sizes = blocks.sizes
     inv_c = 1.0 / C + jitter
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    block_of = np.repeat(np.arange(sizes.shape[0]), sizes)
 
     def block_means(values: np.ndarray) -> np.ndarray:
-        sums = np.add.reduceat(values, starts, axis=0)
-        return sums / sizes.reshape((-1,) + (1,) * (values.ndim - 1))
+        return blocks.sums(values) / sizes.reshape((-1,) + (1,) * (values.ndim - 1))
 
     Phi_bar = block_means(Phi)
-    Phi_c = Phi - Phi_bar[block_of]
+    Phi_c = Phi - Phi_bar[blocks.of]
     H = Phi_c.T @ Phi_c
     H[np.diag_indices_from(H)] += inv_c
     # Non-finite entries fail the factorization or the final finiteness check.
-    try:
-        factor = cho_factor(H, lower=True, check_finite=False)
-    except (LinAlgError, ValueError) as exc:
-        raise SolverError(
-            f"feature system is not positive definite ({exc}); increase jitter or adjust C"
-        ) from exc
+    factor = _cholesky(H, "feature system")
 
     def solve(g: np.ndarray, h: np.ndarray):
-        h_c = h - block_means(h)[block_of]
-        w = cho_solve(factor, Phi_c.T @ h_c + inv_c * (Phi_bar.T @ g), check_finite=False)
+        h_c = h - block_means(h)[blocks.of]
+        w = _cho_solve(factor, Phi_c.T @ h_c + inv_c * (Phi_bar.T @ g))
         fitted = Phi @ w
         b = block_means(h - fitted) - inv_c * g / sizes
-        return b, (h - b[block_of] - fitted) / inv_c
-
-    def saddle_residual(b: np.ndarray, alpha: np.ndarray):
-        top = np.add.reduceat(alpha, starts)
-        bottom = b[block_of] + Phi @ (Phi.T @ alpha) + inv_c * alpha - y
-        return top, bottom
+        return b, (h - b[blocks.of] - fitted) / inv_c
 
     biases, duals = solve(np.zeros(sizes.shape[0]), y)
-    top, bottom = saddle_residual(biases, duals)
-    db, dduals = solve(-top, -bottom)
-    biases, duals = biases + db, duals + dduals
-    top, bottom = saddle_residual(biases, duals)
-    residual = float(np.sqrt(top @ top + bottom @ bottom))
-    _check_residual(residual, y, biases, duals)
-    return biases, duals, residual
+    return _refined(
+        blocks, y, inv_c, lambda v: Phi @ (Phi.T @ v), solve, biases, duals, always=True
+    )

@@ -13,8 +13,9 @@ the reduced features Z of a mode-row step (K columns), and for kernels with
 a finite feature map the shared-step features u_t(j) kron phi(x_j) (d_h K
 columns). Such a step hands Q to `linsys.solve_dual_system` as a
 FeatureGram, which solves it as a centered ridge in the primal weights
-when Phi has no more columns than rows, and otherwise, like every RBF
-shared step, by the dense LU.
+when Phi has no more columns than rows. RBF shared steps hand it the dense
+coherence-weighted Gram, solved by Cholesky with a T x T Schur complement
+for the biases.
 
 Rows within a mode touch disjoint task sets; they are solved sequentially
 here (deterministically), with the reduced features recomputed once per
@@ -183,8 +184,11 @@ def coherence_weighted_gram(
     u_table = task_vector_table(factors)
     coherence = u_table @ u_table.T
     coherence = 0.5 * (coherence + coherence.T)
-    tid = data.sample_task_ids()
-    return coherence[np.ix_(tid, tid)] * G
+    # samples are stacked task by task, so the coherence expands block by block
+    sizes = data.task_sizes
+    Q = np.repeat(np.repeat(coherence, sizes, axis=0), sizes, axis=1)
+    Q *= G
+    return Q
 
 
 def _block_sums(values: np.ndarray, block_sizes) -> np.ndarray:
@@ -252,11 +256,15 @@ def shared_projection(
     query_inputs = np.asarray(query_inputs, dtype=float)
     if shared.explicit is not None:
         return query_inputs @ shared.explicit
-    train: MtlDataset = shared.train_data
     if cross_gram is None:
-        cross_gram = gram(kernel, train.stacked_inputs(), query_inputs)
-    weighted = shared.duals[:, None] * shared.task_vector_snapshot[train.sample_task_ids()]
-    return cross_gram.T @ weighted
+        cross_gram = gram(kernel, shared.train_data.stacked_inputs(), query_inputs)
+    return cross_gram.T @ _weighted_duals(shared)
+
+
+def _weighted_duals(shared: SharedFactor) -> np.ndarray:
+    """m x K dual weights W: each training sample's dual times its task vector snapshot."""
+    tid = shared.train_data.sample_task_ids()
+    return shared.duals[:, None] * shared.task_vector_snapshot[tid]
 
 
 def reduced_features(
@@ -324,18 +332,27 @@ def solve_mode_row_step(
     return ModeRowResult(Z.T @ duals, biases, duals, tasks, residual, constraint)
 
 
-def _shared_penalty(shared: SharedFactor, kernel: KernelSpec, gram_matrix: np.ndarray | None) -> float:
-    """Squared Frobenius norm of the shared factor, tr(L L^T)."""
+def _shared_penalty(shared: SharedFactor, train_projection: np.ndarray) -> float:
+    """Squared Frobenius norm of the shared factor, tr(L L^T).
+
+    Without the explicit matrix this is tr(W^T G W) for the weighted duals
+    W, read off the training inputs' shared projection G W.
+    """
     if shared.explicit is not None:
         return float(np.sum(shared.explicit**2))
-    train: MtlDataset = shared.train_data
-    G = gram(kernel, train.stacked_inputs()) if gram_matrix is None else gram_matrix
-    weighted = shared.duals[:, None] * shared.task_vector_snapshot[train.sample_task_ids()]
-    return float(np.sum(weighted * (G @ weighted)))
+    return float(np.sum(_weighted_duals(shared) * train_projection))
 
 
 def _predictions(projection, u_table, biases, tid) -> np.ndarray:
     return np.sum(projection * u_table[tid], axis=1) + biases[tid]
+
+
+def _objective(y, yhat, C: float, pen_shared: float, factor_mats) -> tuple[float, float]:
+    """Training objective for predictions yhat, and the residual sum of squares."""
+    residuals = y - yhat
+    sse = float(residuals @ residuals)
+    pen_modes = sum(float(np.sum(f**2)) for f in factor_mats)
+    return 0.5 * C * sse + 0.5 * pen_shared + 0.5 * pen_modes, sse
 
 
 def evaluate_objective(
@@ -353,20 +370,23 @@ def evaluate_objective(
     first shared-step). Residuals use the current mode factors against the
     shared factor's stored representation.
     """
-    y = data.stacked_targets()
     tid = data.sample_task_ids()
     biases = np.asarray(biases, dtype=float)
     if shared is None:
         yhat = biases[tid]
         pen_shared = 0.0
     else:
-        cross = gram_matrix if shared.train_data is data else None
-        projection = shared_projection(shared, kernel, data.stacked_inputs(), cross)
+        on_train = shared.train_data is data
+        projection = shared_projection(
+            shared, kernel, data.stacked_inputs(), gram_matrix if on_train else None
+        )
+        if on_train:
+            pen_shared = _shared_penalty(shared, projection)
+        else:
+            train = shared.train_data.stacked_inputs()
+            pen_shared = _shared_penalty(shared, shared_projection(shared, kernel, train, gram_matrix))
         yhat = _predictions(projection, task_vector_table(factors), biases, tid)
-        pen_shared = _shared_penalty(shared, kernel, gram_matrix)
-    residuals = y - yhat
-    pen_modes = sum(float(np.sum(f**2)) for f in factors.factors)
-    return 0.5 * C * float(residuals @ residuals) + 0.5 * pen_shared + 0.5 * pen_modes
+    return _objective(data.stacked_targets(), yhat, C, pen_shared, factors.factors)[0]
 
 
 def _factor_change(new_mats, old_mats) -> float:
@@ -408,19 +428,13 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
     max_con = 0.0
 
     def record(iteration: int, step: str, projection, pen_shared: float) -> None:
-        factors_now = ModeFactors(tuple(factor_mats))
         if projection is None:
             yhat = biases[tid]
         else:
-            yhat = _predictions(projection, task_vector_table(factors_now), biases, tid)
-        residuals = y - yhat
-        obj = (
-            0.5 * config.C * float(residuals @ residuals)
-            + 0.5 * pen_shared
-            + 0.5 * sum(float(np.sum(f**2)) for f in factor_mats)
-        )
-        rmse = math.sqrt(float(residuals @ residuals) / m)
-        trace.append(TraceEntry(iteration, step, obj, rmse, None))
+            u_table = task_vector_table(ModeFactors(tuple(factor_mats)))
+            yhat = _predictions(projection, u_table, biases, tid)
+        obj, sse = _objective(y, yhat, config.C, pen_shared, factor_mats)
+        trace.append(TraceEntry(iteration, step, obj, math.sqrt(sse / m), None))
 
     record(0, "init", None, 0.0)
 
@@ -440,7 +454,7 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
         max_sys = max(max_sys, step.system_residual)
         max_con = max(max_con, step.constraint_residual)
         projection = shared_projection(shared, kernel, data.stacked_inputs(), G)
-        pen_shared = _shared_penalty(shared, kernel, G)
+        pen_shared = _shared_penalty(shared, projection)
         record(it, "shared", projection, pen_shared)
 
         for mode in range(1, grid.n_modes + 1):

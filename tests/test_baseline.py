@@ -8,7 +8,7 @@ from tlssvm.data import MtlDataset
 from tlssvm.errors import DataError
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.model import load_model, save_model
-from tlssvm.taskgrid import TaskGrid
+from tlssvm.taskgrid import TaskGrid, linearize
 
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.5)
@@ -110,6 +110,26 @@ class TestFitIndependent:
         out = model.predict_rows([(1, 1), (2, 2)], x)
         assert out[0] == pytest.approx(predict_single(model.tasks[0], x[0]), abs=1e-12)
         assert out[1] == pytest.approx(predict_single(model.tasks[3], x[1]), abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF])
+    def test_predict_rows_equals_per_row_loop(self, kernel):
+        data = grid_dataset(3)
+        model = fit_independent(data, 10.0, kernel)
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(25, 3))
+        idx = [(1 + int(a), 1 + int(b)) for a, b in rng.integers(0, 2, size=(25, 2))]
+        expected = np.empty(25)
+        for i, multi in enumerate(idx):
+            task = model.tasks[linearize(model.grid, multi) - 1]
+            k = gram(kernel, task.inputs, X[i : i + 1])[:, 0]
+            expected[i] = task.duals @ k + task.bias
+        got = model.predict_rows(idx, X)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_predict_rows_count_mismatch(self):
+        model = fit_independent(grid_dataset(2), 10.0, LINEAR)
+        with pytest.raises(DataError, match="task indices"):
+            model.predict_rows([(1, 1)], np.ones((2, 3)))
 
     def test_grid_mismatch(self):
         model = fit_independent(grid_dataset(), 1.0, LINEAR)

@@ -43,6 +43,22 @@ class TestMtlDataset:
         np.testing.assert_array_equal(data.stacked_targets(), [1, 2, 3, 4, 5])
         np.testing.assert_array_equal(data.stacked_inputs()[3], [10.0, 11.0])
 
+    def test_stacked_arrays_are_cached_and_read_only(self):
+        X = np.arange(6.0).reshape(3, 2)
+        y = np.array([1.0, 2.0, 3.0])
+        data = MtlDataset(TaskGrid((2,)), (X, np.ones((0, 2))), (y, np.ones(0)))
+        for getter in (data.stacked_inputs, data.stacked_targets, data.sample_task_ids):
+            arr = getter()
+            assert getter() is arr
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        for block in (*data.inputs, *data.targets):
+            assert not block.flags.writeable
+        # the caller's arrays are copied, never frozen
+        assert X.flags.writeable and y.flags.writeable
+        X[0, 0] = 99.0
+        assert data.stacked_inputs()[0, 0] == 0.0
+
     def test_empty_task_flagged(self):
         grid = TaskGrid((2,))
         data = MtlDataset(grid, (np.ones((0, 2)), np.ones((2, 2))), (np.ones(0), np.ones(2)))

@@ -102,6 +102,21 @@ class TestGram:
         np.testing.assert_array_equal(G, G.T)
         np.linalg.cholesky(G + 1e-10 * np.eye(12))
 
+    @pytest.mark.parametrize("gamma", [1e-3, 0.4, 1.0])
+    def test_rbf_matches_textbook_formula(self, gamma):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(40, 5))
+        X[7] = X[3]  # a duplicate sample: distance zero
+        Y = np.vstack([rng.normal(size=(25, 5)), X[:2]])
+        spec = KernelSpec("rbf", gamma=gamma)
+
+        def textbook(A, B):
+            return np.exp(-gamma * ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
+
+        for G, expected in ((gram(spec, X, Y), textbook(X, Y)), (gram(spec, X), textbook(X, X))):
+            assert np.max(np.abs(G - expected)) <= 1e-14
+            assert np.all((G >= 0.0) & (G <= 1.0))
+
     def test_shape_error(self):
         with pytest.raises(ValueError):
             gram(KernelSpec("linear"), np.ones((3, 2)), np.ones((3, 4)))

@@ -13,10 +13,10 @@ from tlssvm.kernels import KernelSpec, gram, kernel_eval
 from tlssvm.linsys import (
     RESIDUAL_RTOL,
     FeatureGram,
-    block_constraint_matrix,
     solve_dual_system,
     solve_feature_system,
 )
+from tlssvm.model import TrainedModel
 from tlssvm.solver import (
     FitConfig,
     coherence_weighted_gram,
@@ -36,7 +36,7 @@ from tlssvm.taskgrid import (
     task_vector,
     task_vector_table,
 )
-from conftest import random_dataset
+from conftest import block_constraint_matrix, random_dataset, saddle_oracle
 
 LINEAR = KernelSpec("linear")
 
@@ -70,6 +70,14 @@ def shared_step_normal_equations(data, factors, C):
     return sol[: d * K].reshape((d, K), order="F"), sol[d * K :]
 
 
+def dense_psd(kind: str, m: int, rng) -> np.ndarray:
+    """A full-rank M M^T, or an RBF Gram whose spectrum decays to rounding level."""
+    if kind == "full":
+        M = rng.normal(size=(m, m))
+        return M @ M.T
+    return gram(KernelSpec("rbf", gamma=0.05), rng.normal(size=(m, 3)))
+
+
 class TestSolveDualSystem:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(0)
@@ -87,6 +95,43 @@ class TestSolveDualSystem:
             np.testing.assert_allclose(biases, expected[:T], atol=1e-9)
             np.testing.assert_allclose(duals, expected[T:], atol=1e-9)
             assert residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
+
+    @pytest.mark.parametrize("kind", ["full", "rbf"])
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
+    def test_uneven_blocks_match_dense_oracle(self, kind, C, jitter):
+        rng = np.random.default_rng(0)
+        sizes = [1, 6, 3, 9]
+        for trial in range(3):
+            Q = dense_psd(kind, sum(sizes), rng)
+            y = rng.normal(size=sum(sizes))
+            got = solve_dual_system(sizes, Q, y, C, jitter)
+            assert_same_solution(got, saddle_oracle(sizes, Q, y, C, jitter))
+            assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
+
+    def test_residual_is_that_of_the_saddle_system(self):
+        rng = np.random.default_rng(3)
+        sizes = [4, 2, 5]
+        T, m = len(sizes), sum(sizes)
+        Q = dense_psd("rbf", m, rng)
+        y = rng.normal(size=m)
+        C, jitter = 50.0, 1e-4
+        biases, duals, residual = solve_dual_system(sizes, Q, y, C, jitter)
+        A = block_constraint_matrix(sizes)
+        M = np.block([[np.zeros((T, T)), A.T], [A, Q + (1 / C + jitter) * np.eye(m)]])
+        explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
+        assert residual == pytest.approx(explicit, abs=1e-13)
+
+    def test_indefinite_q_raises_solver_error(self):
+        rng = np.random.default_rng(4)
+        U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        Q = U @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2, -4.0]) @ U.T
+        with pytest.raises(SolverError, match="not positive definite.*jitter"):
+            solve_dual_system([2, 4], Q, rng.normal(size=6), 1.0)
+
+    def test_empty_block_raises_value_error(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            solve_dual_system([3, 0], np.eye(3), np.ones(3), 1.0)
 
     def test_zero_targets_give_zero_solution(self):
         Q = np.eye(4)
@@ -575,6 +620,31 @@ class TestFit:
         objs = [e.objective for e in state.trace]
         for a, b in zip(objs, objs[1:]):
             assert b <= a * (1 + 1e-8)
+
+    def test_rbf_fit_predicts_like_assembled_lu_reference(self, monkeypatch):
+        data = snr10_dataset()
+        kernel = KernelSpec("rbf", gamma=0.2)
+        cfg = FitConfig(K=2, C=10.0, kernel=kernel, max_iters=6, tol=1e-12, seed=0)
+        state = fit(data, cfg)
+        objs = [e.objective for e in state.trace]
+        for a, b in zip(objs, objs[1:]):
+            assert b <= a * (1 + 1e-12)
+
+        dense_solves = []
+
+        def lu_reference(block_sizes, Q, y, C, jitter=0.0):
+            if isinstance(Q, FeatureGram):
+                return solve_dual_system(block_sizes, Q, y, C, jitter)
+            dense_solves.append(Q.shape)
+            biases, duals = saddle_oracle(block_sizes, Q, y, C, jitter)
+            return biases, duals, 0.0
+
+        monkeypatch.setattr(solver, "solve_dual_system", lu_reference)
+        reference = fit(data, cfg)
+        assert len(dense_solves) == state.iterations == 6
+        got = np.concatenate(TrainedModel.from_fit(data, state, kernel).predict_dataset(data))
+        expected = np.concatenate(TrainedModel.from_fit(data, reference, kernel).predict_dataset(data))
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
 
     def test_large_cost_linear_fit_meets_residual_bound(self):
         data = snr10_dataset()
