@@ -13,6 +13,7 @@ from .taskgrid import ModeFactors, TaskGrid, task_vector_table
 
 __all__ = [
     "MtlDataset",
+    "ModeLayout",
     "SyntheticSpec",
     "SyntheticTruth",
     "generate_synthetic",
@@ -20,6 +21,43 @@ __all__ = [
     "load_csv",
     "kfold_split",
 ]
+
+
+@dataclass(frozen=True)
+class ModeLayout:
+    """The samples of one mode's row subproblems, laid out row by row.
+
+    `tasks` (1-based ids) run row by row, ascending within a row, and
+    `samples` are the global sample indices in that task order, with
+    `block_sizes` the tasks' sample counts. Row r owns
+    tasks[(r-1)*per_row : r*per_row] and samples[row_starts[r-1] : row_starts[r]].
+    """
+
+    tasks: np.ndarray
+    samples: np.ndarray
+    block_sizes: np.ndarray
+    row_starts: np.ndarray
+    per_row: int
+
+    @classmethod
+    def of(cls, grid: TaskGrid, sample_task_ids: np.ndarray, task_sizes, mode: int) -> "ModeLayout":
+        row_of_task = grid.mode_indices[:, mode - 1]
+        row_of_sample = row_of_task[sample_task_ids]
+        # samples are stacked task by task, so a stable sort by row keeps
+        # tasks ascending, and each task's samples in order, within a row
+        tasks = np.argsort(row_of_task, kind="stable")
+        samples = np.argsort(row_of_sample, kind="stable")
+        counts = np.bincount(row_of_sample, minlength=grid.mode_sizes[mode - 1])
+        row_starts = np.concatenate([[0], np.cumsum(counts)])
+        block_sizes = np.asarray(task_sizes, dtype=np.intp)[tasks]
+        tasks += 1
+        for arr in (tasks, samples, block_sizes, row_starts):
+            arr.flags.writeable = False
+        return cls(tasks, samples, block_sizes, row_starts, grid.n_tasks // grid.mode_sizes[mode - 1])
+
+    @property
+    def n_rows(self) -> int:
+        return self.row_starts.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -57,18 +95,25 @@ class MtlDataset:
         # The stacked arrays are copies, built once and read-only, so freezing
         # never flips a caller array's writeable flag; the task blocks are
         # views of them.
-        sizes = [X.shape[0] for X in inputs]
+        sizes = tuple(X.shape[0] for X in inputs)
+        ends = np.cumsum(sizes)
         stacked = {
             "_stacked_inputs": np.concatenate(inputs, axis=0),
             "_stacked_targets": np.concatenate(targets),
             "_sample_task_ids": np.repeat(np.arange(len(sizes)), sizes),
+            "_task_offsets": ends - sizes,
         }
         for name, arr in stacked.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        ends = np.cumsum(sizes)[:-1]
-        object.__setattr__(self, "inputs", tuple(np.split(self._stacked_inputs, ends)))
-        object.__setattr__(self, "targets", tuple(np.split(self._stacked_targets, ends)))
+        object.__setattr__(self, "_task_sizes", sizes)
+        layouts = tuple(
+            ModeLayout.of(self.grid, self._sample_task_ids, sizes, mode)
+            for mode in range(1, self.grid.n_modes + 1)
+        )
+        object.__setattr__(self, "_mode_layouts", layouts)
+        object.__setattr__(self, "inputs", tuple(np.split(self._stacked_inputs, ends[:-1])))
+        object.__setattr__(self, "targets", tuple(np.split(self._stacked_targets, ends[:-1])))
 
     @property
     def n_features(self) -> int:
@@ -76,11 +121,11 @@ class MtlDataset:
 
     @property
     def task_sizes(self) -> tuple[int, ...]:
-        return tuple(X.shape[0] for X in self.inputs)
+        return self._task_sizes
 
     @property
     def n_samples(self) -> int:
-        return sum(self.task_sizes)
+        return self._stacked_targets.shape[0]
 
     def stacked_inputs(self) -> np.ndarray:
         """m x d inputs in global sample order (read-only, shared by every call)."""
@@ -95,8 +140,12 @@ class MtlDataset:
         return self._sample_task_ids
 
     def task_offsets(self) -> np.ndarray:
-        """Start of each task's block in the global sample order."""
-        return np.concatenate([[0], np.cumsum(self.task_sizes)[:-1]])
+        """Start of each task's block in the global sample order (read-only)."""
+        return self._task_offsets
+
+    def mode_layout(self, mode: int) -> ModeLayout:
+        """Sample layout of the 1-based mode's row subproblems (built at construction)."""
+        return self._mode_layouts[self.grid._check_mode(mode) - 1]
 
     def require_nonempty_tasks(self) -> None:
         empty = [t + 1 for t, m in enumerate(self.task_sizes) if m == 0]

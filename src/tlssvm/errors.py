@@ -3,6 +3,8 @@
 The CLI maps these onto exit codes (config -> 2, data -> 3, solver -> 4).
 """
 
+from __future__ import annotations
+
 
 class ConfigError(ValueError):
     """Invalid configuration, CLI usage, or experiment spec."""
@@ -13,7 +15,15 @@ class DataError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A linear subproblem could not be solved to the required accuracy."""
+    """A linear subproblem could not be solved to the required accuracy.
+
+    `group` is the 0-based index of the independent subsystem that failed
+    (the lowest one, when several did), or None when no subsystem is named.
+    """
+
+    def __init__(self, message: str = "", group: int | None = None) -> None:
+        super().__init__(message)
+        self.group = group
 
 
 class UnsupportedOperation(RuntimeError):

@@ -128,7 +128,9 @@ class TrainedModel:
     def predict_rows(self, multi_indices, X) -> np.ndarray:
         """Dual-form predictions for rows of X, each addressed to its own task."""
         X = _finite_inputs(X, 2, self.n_features)
-        task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices])
+        task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices], dtype=int)
+        if task_ids.shape[0] != X.shape[0]:
+            raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
         return self._dual_rows(task_ids, X)
 
     def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:

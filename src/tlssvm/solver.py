@@ -17,9 +17,15 @@ when Phi has no more columns than rows. RBF shared steps hand it the dense
 coherence-weighted Gram, solved by Cholesky with a T x T Schur complement
 for the biases.
 
-Rows within a mode touch disjoint task sets; they are solved sequentially
-here (deterministically), with the reduced features recomputed once per
-mode sweep.
+Rows within a mode touch disjoint task sets, and their reduced features
+are computed once per mode sweep, so the T_n row subproblems of a mode are
+one block-diagonal system: `solve_mode_row_step` hands all of them to the
+solver in a single call, as a FeatureGram of Z whose groups are the rows.
+Each row is still factored and checked on its own, so a mode with many
+rows costs what the rows would cost one by one, less the per-call
+overhead. The sample order of each mode (`data.ModeLayout`) is built with
+the dataset. `fit` then applies the rows in order and records one trace
+entry per row, exactly as if they had been solved one by one.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import MtlDataset
+from .data import ModeLayout, MtlDataset
 from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, gram
 from .linsys import FeatureGram, solve_dual_system
@@ -37,8 +43,8 @@ from .taskgrid import (
     ModeFactors,
     SharedFactor,
     TaskGrid,
-    coslice_tasks,
     exclusion_table,
+    row_product_table,
     task_vector_table,
 )
 
@@ -288,6 +294,8 @@ def reduced_features(
 
 @dataclass(frozen=True)
 class ModeRowResult:
+    """One row of a mode step; `system_residual` is the mode solve's largest row residual."""
+
     row_values: np.ndarray
     biases: np.ndarray
     duals: np.ndarray
@@ -296,40 +304,85 @@ class ModeRowResult:
     constraint_residual: float
 
 
-def solve_mode_row_step(
-    data: MtlDataset,
-    z: np.ndarray,
-    mode: int,
-    row: int,
-    C: float,
-    jitter: float = 0.0,
-) -> ModeRowResult:
-    """Exactly minimize over one mode-factor row and its co-sliced biases.
+@dataclass(frozen=True)
+class ModeStepResult:
+    """All rows of one mode, solved together; `row(r)` is row r's result.
 
-    Only the tasks whose mode index equals `row` take part; the system
-    matrix is the Gram of their reduced features Z, solved through the
-    smaller of its two forms (a K x K ridge unless K exceeds the sample
-    count). The optimal row is the dual-weighted sum of those features.
+    Arrays follow the layout's order: `row_values` is T_n x K, `biases`
+    has one entry per task, `duals` one per sample. `system_residual` is
+    the largest row residual, each row having met its own bound.
+    """
+
+    layout: ModeLayout
+    row_values: np.ndarray
+    biases: np.ndarray
+    duals: np.ndarray
+    system_residual: float
+    constraint_residuals: np.ndarray
+
+    def row(self, r: int) -> ModeRowResult:
+        """Result of row r (1-based) as a single-row step."""
+        lay = self.layout
+        tasks = slice((r - 1) * lay.per_row, r * lay.per_row)
+        return ModeRowResult(
+            self.row_values[r - 1],
+            self.biases[tasks],
+            self.duals[lay.row_starts[r - 1] : lay.row_starts[r]],
+            lay.tasks[tasks],
+            self.system_residual,
+            float(self.constraint_residuals[r - 1]),
+        )
+
+
+def solve_mode_row_step(
+    data: MtlDataset, z: np.ndarray, mode: int, C: float, jitter: float = 0.0
+) -> ModeStepResult:
+    """Exactly minimize over every row of one mode factor and all biases.
+
+    Row r's subproblem involves only the tasks whose mode index equals r;
+    its system matrix is the Gram of their reduced features Z_r. The rows
+    are independent, so they go to the solver as one FeatureGram of Z with
+    one group per row, each row solved through the smaller of its two
+    forms (a K x K ridge unless K exceeds the row's sample count). Each
+    row's optimum is the dual-weighted sum of its features. A SolverError
+    names the lowest failing row, in its message and as its `group`
+    (row - 1).
     """
     data.require_nonempty_tasks()
-    grid = data.grid
-    tasks = coslice_tasks(grid, mode, row)
-    offsets = data.task_offsets()
-    sizes = data.task_sizes
-    sel = np.concatenate(
-        [np.arange(offsets[t - 1], offsets[t - 1] + sizes[t - 1]) for t in tasks]
-    )
-    Z = np.asarray(z, dtype=float)[sel]
-    if not np.any(Z):
-        raise SolverError(
-            f"mode {mode} row {row}: all reduced features are zero, the row "
-            "subproblem is degenerate (row would vanish and biases reduce to task means)"
+    layout = data.mode_layout(mode)
+    Z = np.asarray(z, dtype=float)[layout.samples]
+    rows = layout.n_rows
+    row_starts = layout.row_starts[:-1]
+    y = data.stacked_targets()[layout.samples]
+    # A row with all-zero features still solves (its ridge block is I/C), so
+    # the error raised is that of the lowest failing row, degenerate or not.
+    nonzero = np.logical_or.reduceat(np.any(Z != 0, axis=1), row_starts)
+    degenerate = int(np.argmin(nonzero)) if not nonzero.all() else rows
+    try:
+        biases, duals, residual = solve_dual_system(
+            layout.block_sizes, FeatureGram(Z, (layout.per_row,) * rows), y, C, jitter
         )
-    y_sel = data.stacked_targets()[sel]
-    block_sizes = [sizes[t - 1] for t in tasks]
-    biases, duals, residual = solve_dual_system(block_sizes, FeatureGram(Z), y_sel, C, jitter)
-    constraint = float(np.max(np.abs(_block_sums(duals, block_sizes))))
-    return ModeRowResult(Z.T @ duals, biases, duals, tasks, residual, constraint)
+    except SolverError as exc:
+        if exc.group is None:
+            raise SolverError(f"mode {mode}: {exc}") from exc
+        if exc.group < degenerate:
+            raise SolverError(f"mode {mode} row {exc.group + 1}: {exc}", exc.group) from exc
+        # otherwise a lower row is degenerate, which is raised next
+    if degenerate < rows:
+        raise SolverError(
+            f"mode {mode} row {degenerate + 1}: all reduced features are zero, the row "
+            "subproblem is degenerate (row would vanish and biases reduce to task means)",
+            degenerate,
+        )
+    task_sums = np.abs(_block_sums(duals, layout.block_sizes)).reshape(rows, layout.per_row)
+    return ModeStepResult(
+        layout,
+        np.add.reduceat(Z * duals[:, None], row_starts, axis=0),
+        biases,
+        duals,
+        residual,
+        task_sums.max(axis=1),
+    )
 
 
 def _shared_penalty(shared: SharedFactor, train_projection: np.ndarray) -> float:
@@ -431,7 +484,7 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
         if projection is None:
             yhat = biases[tid]
         else:
-            u_table = task_vector_table(ModeFactors(tuple(factor_mats)))
+            u_table = row_product_table(factor_mats, grid.mode_indices)
             yhat = _predictions(projection, u_table, biases, tid)
         obj, sse = _objective(y, yhat, config.C, pen_shared, factor_mats)
         trace.append(TraceEntry(iteration, step, obj, math.sqrt(sse / m), None))
@@ -460,14 +513,16 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
         for mode in range(1, grid.n_modes + 1):
             factors_now = ModeFactors(tuple(factor_mats))
             z = reduced_features(data, shared, factors_now, kernel, mode, projection=projection)
-            for row in range(1, grid.mode_sizes[mode - 1] + 1):
-                try:
-                    result = solve_mode_row_step(data, z, mode, row, config.C, config.jitter)
-                except SolverError as exc:
-                    raise SolverError(f"iteration {it}, mode {mode}/row {row}: {exc}") from exc
+            try:
+                step_rows = solve_mode_row_step(data, z, mode, config.C, config.jitter)
+            except SolverError as exc:
+                where = f"mode {mode}" if exc.group is None else f"mode {mode}/row {exc.group + 1}"
+                raise SolverError(f"iteration {it}, {where}: {exc}") from exc
+            max_sys = max(max_sys, step_rows.system_residual)
+            for row in range(1, step_rows.layout.n_rows + 1):
+                result = step_rows.row(row)
                 factor_mats[mode - 1][row - 1, :] = result.row_values
                 biases[result.tasks - 1] = result.biases
-                max_sys = max(max_sys, result.system_residual)
                 max_con = max(max_con, result.constraint_residual)
                 record(it, f"mode{mode}/row{row}", projection, pen_shared)
 

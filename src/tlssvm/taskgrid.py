@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +22,8 @@ __all__ = [
     "linearize",
     "delinearize",
     "task_vector",
-    "task_vector_excluding",
     "task_vector_table",
+    "row_product_table",
     "exclusion_table",
     "coslice_tasks",
 ]
@@ -49,6 +50,14 @@ class TaskGrid:
     @property
     def n_tasks(self) -> int:
         return math.prod(self.mode_sizes)
+
+    @cached_property
+    def mode_indices(self) -> np.ndarray:
+        """(T, N) read-only table: 0-based mode indices of every task in linear order."""
+        unraveled = np.unravel_index(np.arange(self.n_tasks), self.mode_sizes, order="F")
+        table = np.stack(unraveled, axis=1)
+        table.flags.writeable = False
+        return table
 
     def _check_multi_index(self, idx) -> tuple[int, ...]:
         idx = tuple(int(i) for i in idx)
@@ -95,12 +104,6 @@ def delinearize(grid: TaskGrid, t: int) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def _all_mode_indices(grid: TaskGrid) -> np.ndarray:
-    """(T, N) array: 0-based mode indices of every task in linear order."""
-    unraveled = np.unravel_index(np.arange(grid.n_tasks), grid.mode_sizes, order="F")
-    return np.stack(unraveled, axis=1)
-
-
 @dataclass(frozen=True)
 class ModeFactors:
     """One factor matrix per mode; the n-th has shape T_n x K."""
@@ -128,16 +131,9 @@ class ModeFactors:
     def rank(self) -> int:
         return self.factors[0].shape[1]
 
-    @property
+    @cached_property
     def grid(self) -> TaskGrid:
         return TaskGrid(tuple(f.shape[0] for f in self.factors))
-
-    def with_updated_row(self, mode: int, row: int, values: np.ndarray) -> "ModeFactors":
-        """Copy of the factors with row `row` of mode `mode` replaced (1-based)."""
-        mode = self.grid._check_mode(mode)
-        mats = [f.copy() for f in self.factors]
-        mats[mode - 1][row - 1, :] = values
-        return ModeFactors(tuple(mats))
 
 
 def task_vector(factors: ModeFactors, idx) -> np.ndarray:
@@ -149,41 +145,30 @@ def task_vector(factors: ModeFactors, idx) -> np.ndarray:
     return out
 
 
-def task_vector_excluding(factors: ModeFactors, idx, skip_mode: int) -> np.ndarray:
-    """Like :func:`task_vector` but omitting one mode from the product.
+def row_product_table(mats, mode_indices: np.ndarray, skip_mode: int | None = None) -> np.ndarray:
+    """(T, K) matrix whose row t-1 multiplies, mode by mode, the factor rows of task t.
 
-    With a single mode the product is empty and the all-ones vector is returned.
+    `mats` are the T_n x K factor matrices, `mode_indices` the grid's
+    table; the 1-based `skip_mode`, if given, is left out of the product.
     """
-    grid = factors.grid
-    idx = grid._check_multi_index(idx)
-    skip_mode = grid._check_mode(skip_mode)
-    out = np.ones(factors.rank)
-    for n, (f, i) in enumerate(zip(factors.factors, idx), start=1):
-        if n != skip_mode:
-            out = out * f[i - 1, :]
+    skip = -1 if skip_mode is None else skip_mode - 1
+    out = np.ones((mode_indices.shape[0], mats[0].shape[1]))
+    for n, f in enumerate(mats):
+        if n != skip:
+            out *= f[mode_indices[:, n], :]
     return out
 
 
 def task_vector_table(factors: ModeFactors) -> np.ndarray:
     """(T, K) matrix whose row t-1 is the task vector of linear task t."""
-    grid = factors.grid
-    modes = _all_mode_indices(grid)
-    out = np.ones((grid.n_tasks, factors.rank))
-    for n, f in enumerate(factors.factors):
-        out *= f[modes[:, n], :]
-    return out
+    return row_product_table(factors.factors, factors.grid.mode_indices)
 
 
 def exclusion_table(factors: ModeFactors, skip_mode: int) -> np.ndarray:
     """(T, K) matrix of per-task exclusion products for one mode."""
     grid = factors.grid
     skip_mode = grid._check_mode(skip_mode)
-    modes = _all_mode_indices(grid)
-    out = np.ones((grid.n_tasks, factors.rank))
-    for n, f in enumerate(factors.factors):
-        if n != skip_mode - 1:
-            out *= f[modes[:, n], :]
-    return out
+    return row_product_table(factors.factors, grid.mode_indices, skip_mode)
 
 
 def coslice_tasks(grid: TaskGrid, mode: int, row: int) -> np.ndarray:
@@ -197,8 +182,7 @@ def coslice_tasks(grid: TaskGrid, mode: int, row: int) -> np.ndarray:
     size = grid.mode_sizes[mode - 1]
     if not 1 <= row <= size:
         raise IndexError(f"row {row} out of range [1, {size}] in mode {mode}")
-    modes = _all_mode_indices(grid)
-    return np.flatnonzero(modes[:, mode - 1] == row - 1) + 1
+    return np.flatnonzero(grid.mode_indices[:, mode - 1] == row - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -248,7 +232,3 @@ class SharedFactor:
     @property
     def rank(self) -> int:
         return self.task_vector_snapshot.shape[1]
-
-    def without_explicit(self) -> "SharedFactor":
-        """Copy restricted to the dual representation (used in path cross-checks)."""
-        return SharedFactor(self.duals, self.task_vector_snapshot, self.train_data, None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tlssvm import MtlDataset, TaskGrid
+from tlssvm.taskgrid import ModeFactors, SharedFactor
 
 
 def block_constraint_matrix(block_sizes) -> np.ndarray:
@@ -24,6 +25,34 @@ def saddle_oracle(block_sizes, Q, y, C, jitter=0.0):
     full = np.block([[np.zeros((T, T)), A.T], [A, Q + (1.0 / C + jitter) * np.eye(m)]])
     sol = np.linalg.solve(full, np.concatenate([np.zeros(T), y]))
     return sol[:T], sol[T:]
+
+
+def with_updated_row(factors: ModeFactors, mode: int, row: int, values) -> ModeFactors:
+    """Copy of the factors with row `row` of mode `mode` replaced (1-based)."""
+    mode = factors.grid._check_mode(mode)
+    mats = [f.copy() for f in factors.factors]
+    mats[mode - 1][row - 1, :] = values
+    return ModeFactors(tuple(mats))
+
+
+def task_vector_excluding(factors: ModeFactors, idx, skip_mode: int) -> np.ndarray:
+    """Task vector of one multi-index with one mode left out of the product.
+
+    With a single mode the product is empty and the all-ones vector is returned.
+    """
+    grid = factors.grid
+    idx = grid._check_multi_index(idx)
+    skip_mode = grid._check_mode(skip_mode)
+    out = np.ones(factors.rank)
+    for n, (f, i) in enumerate(zip(factors.factors, idx), start=1):
+        if n != skip_mode:
+            out = out * f[i - 1, :]
+    return out
+
+
+def without_explicit(shared: SharedFactor) -> SharedFactor:
+    """Copy of a shared factor restricted to its dual representation."""
+    return SharedFactor(shared.duals, shared.task_vector_snapshot, shared.train_data, None)
 
 
 def random_dataset(seed: int, mode_sizes=(2, 2), d: int = 3, m_t: int = 5) -> MtlDataset:

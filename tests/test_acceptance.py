@@ -132,7 +132,7 @@ def test_criterion_02_subproblem_oracles(capsys):
     )
     z = np.array([[0.8], [-0.3], [0.1], [0.2]])
     C = 4.0
-    row = solve_mode_row_step(data, z, mode=1, row=1, C=C)
+    row = solve_mode_row_step(data, z, mode=1, C=C).row(1)
     M = np.array(
         [
             [0.0, 1.0, 1.0],

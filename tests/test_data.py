@@ -12,7 +12,7 @@ from tlssvm.data import (
     save_csv,
 )
 from tlssvm.errors import ConfigError, DataError
-from tlssvm.taskgrid import TaskGrid, delinearize, task_vector
+from tlssvm.taskgrid import TaskGrid, coslice_tasks, delinearize, task_vector
 
 
 class TestMtlDataset:
@@ -58,6 +58,50 @@ class TestMtlDataset:
         assert X.flags.writeable and y.flags.writeable
         X[0, 0] = 99.0
         assert data.stacked_inputs()[0, 0] == 0.0
+
+    def test_task_bookkeeping_is_cached_and_read_only(self):
+        X = np.arange(12.0).reshape(6, 2)
+        data = MtlDataset(
+            TaskGrid((3,)), (X[:1], np.ones((0, 2)), X[1:]), (np.ones(1), np.ones(0), np.ones(5))
+        )
+        assert data.task_sizes == (1, 0, 5)
+        assert data.task_sizes is data.task_sizes
+        offsets = data.task_offsets()
+        np.testing.assert_array_equal(offsets, [0, 1, 1])
+        assert data.task_offsets() is offsets
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0] = 1
+        assert data.n_samples == 6
+
+    def test_mode_layouts_are_built_once_and_read_only(self):
+        rng = np.random.default_rng(3)
+        grid = TaskGrid((2, 3))
+        sizes = [2, 1, 3, 1, 2, 4]
+        data = MtlDataset(
+            grid, tuple(rng.normal(size=(n, 2)) for n in sizes), tuple(np.ones(n) for n in sizes)
+        )
+        offsets = data.task_offsets()
+        for mode in (1, 2):
+            layout = data.mode_layout(mode)
+            assert data.mode_layout(mode) is layout
+            assert layout.n_rows == grid.mode_sizes[mode - 1]
+            assert layout.per_row == 6 // layout.n_rows
+            for r in range(1, layout.n_rows + 1):
+                tasks = coslice_tasks(grid, mode, r)
+                own = slice((r - 1) * layout.per_row, r * layout.per_row)
+                np.testing.assert_array_equal(layout.tasks[own], tasks)
+                np.testing.assert_array_equal(layout.block_sizes[own], [sizes[t - 1] for t in tasks])
+                samples = np.concatenate(
+                    [np.arange(offsets[t - 1], offsets[t - 1] + sizes[t - 1]) for t in tasks]
+                )
+                np.testing.assert_array_equal(
+                    layout.samples[layout.row_starts[r - 1] : layout.row_starts[r]], samples
+                )
+            for arr in (layout.tasks, layout.samples, layout.block_sizes, layout.row_starts):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+        with pytest.raises(IndexError):
+            data.mode_layout(3)
 
     def test_empty_task_flagged(self):
         grid = TaskGrid((2,))

@@ -167,6 +167,13 @@ class TestFormsAgree:
         for i, (idx, x) in enumerate(zip(indices, X)):
             assert rows[i] == pytest.approx(predict_dual(model, idx, x), abs=1e-12)
 
+    @pytest.mark.parametrize("n_indices, n_rows", [(1, 4), (3, 2)])
+    def test_predict_rows_needs_one_index_per_row(self, n_indices, n_rows):
+        model, _, test = fitted_model(seed=4)
+        indices = [delinearize(model.grid, 1 + i % 4) for i in range(n_indices)]
+        with pytest.raises(DataError, match=f"{n_indices} task indices"):
+            model.predict_rows(indices, test.stacked_inputs()[:n_rows])
+
     def test_predict_dataset_matches_rows(self):
         model, _, test = fitted_model(seed=5)
         blocks = model.predict_dataset(test)

@@ -32,11 +32,12 @@ from tlssvm.taskgrid import (
     ModeFactors,
     SharedFactor,
     TaskGrid,
+    coslice_tasks,
     delinearize,
     task_vector,
     task_vector_table,
 )
-from conftest import block_constraint_matrix, random_dataset, saddle_oracle
+from conftest import block_constraint_matrix, random_dataset, saddle_oracle, without_explicit
 
 LINEAR = KernelSpec("linear")
 
@@ -416,7 +417,7 @@ class TestReducedFeatures:
         step = solve_shared_step(data, factors, LINEAR, 50.0)
         z_explicit = reduced_features(data, step.shared, factors, LINEAR, mode=2)
         z_dual = reduced_features(
-            data, step.shared.without_explicit(), factors, LINEAR, mode=2
+            data, without_explicit(step.shared), factors, LINEAR, mode=2
         )
         assert np.max(np.abs(z_explicit - z_dual)) < 1e-10
 
@@ -432,7 +433,7 @@ class TestModeRowStep:
         )
         z = np.array([[0.8], [-0.3], [0.1], [0.2]])
         C = 4.0
-        result = solve_mode_row_step(data, z, mode=1, row=1, C=C)
+        result = solve_mode_row_step(data, z, mode=1, C=C).row(1)
         M = np.array(
             [
                 [0.0, 1.0, 1.0],
@@ -449,7 +450,7 @@ class TestModeRowStep:
     def test_all_zero_features_degenerate(self, tiny_dataset):
         z = np.zeros((tiny_dataset.n_samples, 2))
         with pytest.raises(SolverError, match="degenerate"):
-            solve_mode_row_step(tiny_dataset, z, mode=1, row=1, C=1.0)
+            solve_mode_row_step(tiny_dataset, z, mode=1, C=1.0).row(1)
 
     def test_row_subproblem_objective_decreases(self):
         data = random_dataset(11, mode_sizes=(2, 3), d=4, m_t=6)
@@ -460,7 +461,7 @@ class TestModeRowStep:
         for mode in (1, 2):
             z = reduced_features(data, step.shared, factors, LINEAR, mode)
             for row in range(1, data.grid.mode_sizes[mode - 1] + 1):
-                result = solve_mode_row_step(data, z, mode, row, C)
+                result = solve_mode_row_step(data, z, mode, C).row(row)
 
                 def sub_objective(u_row, b_of_task):
                     total = 0.5 * float(u_row @ u_row)
@@ -485,7 +486,7 @@ class TestModeRowStep:
         data = random_dataset(14, mode_sizes=(2, 2), d=3, m_t=2)
         z = np.random.default_rng(14).normal(size=(data.n_samples, 6))
         monkeypatch.setattr(linsys, "solve_feature_system", None)
-        result = solve_mode_row_step(data, z, mode=1, row=1, C=10.0)
+        result = solve_mode_row_step(data, z, mode=1, C=10.0).row(1)
         sel = np.array([0, 1, 4, 5])  # tasks 1 and 3 in linear order
         Z = z[sel]
         biases, duals, _ = solve_dual_system([2, 2], Z @ Z.T, data.stacked_targets()[sel], 10.0)
@@ -496,7 +497,7 @@ class TestModeRowStep:
     def test_primal_row_solve_matches_dense_oracle(self, C):
         data = random_dataset(15, mode_sizes=(3, 2), d=3, m_t=6)
         z = np.random.default_rng(15).normal(size=(data.n_samples, 2))
-        result = solve_mode_row_step(data, z, mode=2, row=2, C=C)
+        result = solve_mode_row_step(data, z, mode=2, C=C).row(2)
         sel = np.concatenate(
             [np.arange(data.task_offsets()[t - 1], data.task_offsets()[t - 1] + 6) for t in result.tasks]
         )
@@ -509,7 +510,7 @@ class TestModeRowStep:
         factors = init_factors(data.grid, 2, 1)
         step = solve_shared_step(data, factors, LINEAR, 10.0)
         z = reduced_features(data, step.shared, factors, LINEAR, 1)
-        result = solve_mode_row_step(data, z, 1, 2, 10.0)
+        result = solve_mode_row_step(data, z, 1, 10.0).row(2)
         sel = np.concatenate(
             [
                 np.arange(data.task_offsets()[t - 1], data.task_offsets()[t - 1] + 4)
@@ -517,6 +518,288 @@ class TestModeRowStep:
             ]
         )
         np.testing.assert_allclose(result.row_values, z[sel].T @ result.duals, atol=1e-12)
+
+
+def uneven_dataset(seed: int, mode_sizes, d: int = 3, max_size: int = 7) -> MtlDataset:
+    """Random dataset whose tasks hold 1..max_size samples each."""
+    grid = TaskGrid(tuple(mode_sizes))
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, max_size + 1, size=grid.n_tasks)
+    return MtlDataset(
+        grid,
+        tuple(rng.normal(size=(n, d)) for n in sizes),
+        tuple(rng.normal(size=n) for n in sizes),
+    )
+
+
+def row_oracle(data, z, mode, row, C):
+    """One row's subproblem as its own assembled saddle system: (biases, duals, tasks, Z)."""
+    tasks = coslice_tasks(data.grid, mode, row)
+    offsets, sizes = data.task_offsets(), data.task_sizes
+    sel = np.concatenate([np.arange(offsets[t - 1], offsets[t - 1] + sizes[t - 1]) for t in tasks])
+    Z = z[sel]
+    block_sizes = [sizes[t - 1] for t in tasks]
+    biases, duals = saddle_oracle(block_sizes, Z @ Z.T, data.stacked_targets()[sel], C)
+    return biases, duals, tasks, Z
+
+
+def assert_rows_match_oracle(data, z, mode, C):
+    step = solve_mode_row_step(data, z, mode, C)
+    for row in range(1, data.grid.mode_sizes[mode - 1] + 1):
+        got = step.row(row)
+        biases, duals, tasks, Z = row_oracle(data, z, mode, row, C)
+        np.testing.assert_array_equal(got.tasks, tasks)
+        assert_same_solution((got.biases, got.duals), (biases, duals))
+        # |Z^T (a - a')| <= max_k sum_j |Z_jk| * max_j |a_j - a'_j|
+        scale = max(1.0, float(np.max(np.abs(biases))), float(np.max(np.abs(duals))))
+        bound = 1e-9 * scale * max(1.0, float(np.abs(Z).sum(axis=0).max()))
+        assert np.max(np.abs(got.row_values - Z.T @ duals)) <= bound
+
+
+class TestBatchedModeStep:
+    @pytest.mark.parametrize(
+        "mode_sizes, modes, K",
+        [((4,), (1,), 2), ((3, 2), (1, 2), 2), ((2, 3, 2), (1, 2, 3), 3), ((12, 2), (1,), 3)],
+    )
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    def test_every_row_matches_its_assembled_oracle(self, mode_sizes, modes, K, C):
+        data = uneven_dataset(60 + len(mode_sizes), mode_sizes)
+        z = np.random.default_rng(61).normal(size=(data.n_samples, K))
+        for mode in modes:
+            assert_rows_match_oracle(data, z, mode, C)
+
+    def test_large_rows_exact_against_high_precision_reference(self):
+        # Mode 2 of the 12 x 2 grid has two rows of 12 tasks (up to 84 samples).
+        # At C=1e6 their assembled saddle matrices have condition numbers near
+        # 1e8, and np.linalg.solve on them is off by up to 3e-9 of the solution
+        # scale, so the reference here is a 40-digit solve.
+        mpmath = pytest.importorskip("mpmath")
+        data = uneven_dataset(62, (12, 2))
+        z = np.random.default_rng(61).normal(size=(data.n_samples, 3))
+        C = 1e6
+        step = solve_mode_row_step(data, z, 2, C)
+        for row in (1, 2):
+            got = step.row(row)
+            _, _, tasks, Z = row_oracle(data, z, 2, row, C)
+            sizes = [data.task_sizes[t - 1] for t in tasks]
+            y = np.concatenate([data.targets[t - 1] for t in tasks])
+            T, m = len(sizes), sum(sizes)
+            A = block_constraint_matrix(sizes)
+            with mpmath.workdps(40):
+                Zm = mpmath.matrix(Z.tolist())
+                Q = Zm * Zm.T
+                M = mpmath.zeros(T + m)
+                for i in range(m):
+                    for t in range(T):
+                        M[T + i, t] = M[t, T + i] = A[i, t]
+                    for j in range(m):
+                        M[T + i, T + j] = Q[i, j] + (mpmath.mpf(1) / C if i == j else 0)
+                exact = mpmath.lu_solve(M, mpmath.matrix([0] * T + y.tolist()))
+                expected = np.array([float(v) for v in exact])
+            scale = float(np.max(np.abs(expected)))
+            assert np.max(np.abs(np.concatenate([got.biases, got.duals]) - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    def test_rank_above_row_sample_counts_uses_dense_form(self, monkeypatch, C):
+        # every row sees at most 3 * 2 samples against K = 8
+        data = uneven_dataset(62, (2, 3), max_size=2)
+        z = np.random.default_rng(62).normal(size=(data.n_samples, 8))
+        monkeypatch.setattr(linsys, "solve_feature_system", None)
+        for mode in (1, 2):
+            assert_rows_match_oracle(data, z, mode, C)
+
+    def test_one_solve_per_mode_with_one_group_per_row(self, monkeypatch):
+        data = uneven_dataset(63, (3, 4))
+        z = np.random.default_rng(63).normal(size=(data.n_samples, 2))
+        calls = []
+
+        def recording(block_sizes, Q, y, C, jitter=0.0):
+            calls.append((len(block_sizes), Q.features.shape, Q.groups))
+            return solve_dual_system(block_sizes, Q, y, C, jitter)
+
+        monkeypatch.setattr(solver, "solve_dual_system", recording)
+        solve_mode_row_step(data, z, 2, 10.0)
+        assert calls == [(12, (data.n_samples, 2), (3, 3, 3, 3))]
+
+    def test_residual_is_the_worst_row_residual(self):
+        data = uneven_dataset(64, (3, 2))
+        z = np.random.default_rng(64).normal(size=(data.n_samples, 2))
+        C = 50.0
+        step = solve_mode_row_step(data, z, 1, C)
+        worst = 0.0
+        for row in (1, 2, 3):
+            got = step.row(row)
+            tasks = got.tasks
+            sizes = [data.task_sizes[t - 1] for t in tasks]
+            _, _, _, Z = row_oracle(data, z, 1, row, C)
+            y = np.concatenate([data.targets[t - 1] for t in tasks])
+            T, m = len(sizes), sum(sizes)
+            A = block_constraint_matrix(sizes)
+            M = np.block([[np.zeros((T, T)), A.T], [A, Z @ Z.T + np.eye(m) / C]])
+            r = M @ np.concatenate([got.biases, got.duals]) - np.concatenate([np.zeros(T), y])
+            worst = max(worst, float(np.linalg.norm(r)))
+            assert got.system_residual == step.system_residual
+            assert got.constraint_residual == pytest.approx(np.max(np.abs(A.T @ got.duals)), abs=1e-12)
+        assert step.system_residual == pytest.approx(worst, abs=1e-13)
+
+    def test_degenerate_error_names_lowest_zero_row(self):
+        data = uneven_dataset(65, (3, 2))
+        layout = data.mode_layout(1)
+        z = np.random.default_rng(65).normal(size=(data.n_samples, 2))
+        z[layout.samples[layout.row_starts[1] :]] = 0.0  # rows 2 and 3
+        with pytest.raises(SolverError, match=r"^mode 1 row 2: .*degenerate") as info:
+            solve_mode_row_step(data, z, 1, 10.0)
+        assert info.value.group == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("K", [2, 8])  # the ridge form, then the dense one
+    def test_non_finite_error_names_lowest_failing_row(self, K):
+        data = uneven_dataset(66, (3, 2), max_size=3 if K == 8 else 7)
+        layout = data.mode_layout(1)
+        z = np.random.default_rng(66).normal(size=(data.n_samples, K))
+        z[layout.samples[layout.row_starts[1] :], 0] = np.inf  # rows 2 and 3
+        with pytest.raises(SolverError, match=r"^mode 1 row 2: .*jitter") as info:
+            solve_mode_row_step(data, z, 1, 10.0)
+        assert info.value.group == 1
+
+    def test_fit_names_the_failing_row(self, monkeypatch):
+        def fail_row_two(block_sizes, Q, y, C, jitter=0.0):
+            if isinstance(Q, FeatureGram) and Q.groups is not None:
+                raise SolverError("residual too large; increase jitter", group=1)
+            return solve_dual_system(block_sizes, Q, y, C, jitter)
+
+        monkeypatch.setattr(solver, "solve_dual_system", fail_row_two)
+        cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=3, seed=0)
+        with pytest.raises(SolverError, match=r"^iteration 1, mode 1/row 2: mode 1 row 2: .*jitter"):
+            fit(snr10_dataset(), cfg)
+
+    @pytest.mark.parametrize("C", [1.0, 1e3])
+    def test_each_row_takes_its_own_form(self, monkeypatch, C):
+        # K = 8: rows of mode 1 hold 6 to 11 samples, so two take the dense form
+        data = uneven_dataset(67, (6, 2))
+        z = np.random.default_rng(67).normal(size=(data.n_samples, 8))
+        counts = np.diff(data.mode_layout(1).row_starts)
+        assert (counts < 8).sum() == 2
+        ridge_groups = []
+
+        def recording(block_sizes, Phi, y, C, jitter=0.0, groups=None):
+            ridge_groups.append(len(groups))
+            return solve_feature_system(block_sizes, Phi, y, C, jitter, groups)
+
+        monkeypatch.setattr(linsys, "solve_feature_system", recording)
+        assert_rows_match_oracle(data, z, 1, C)
+        assert ridge_groups == [4]
+
+    def test_factors_are_per_row(self, monkeypatch):
+        # 60 rows of K = 3, one task each: per row a 3 x 3 ridge factor, or for
+        # rows under 3 samples a dense one of at most 2 x 2; never one of the mode
+        data = uneven_dataset(68, (60,))
+        z = np.random.default_rng(68).normal(size=(data.n_samples, 3))
+        shapes = []
+        real = linsys._cholesky
+
+        def recording(H, what, group=0):
+            shapes.append(H.shape)
+            return real(H, what, group)
+
+        monkeypatch.setattr(linsys, "_cholesky", recording)
+        step = solve_mode_row_step(data, z, 1, 10.0)
+        assert len(shapes) >= 60
+        assert max(s[0] for s in shapes) <= 3
+        assert step.row_values.shape == (60, 3)
+
+
+def two_group_system(rng, block_sizes, width):
+    """Features for groups of two blocks each; group 1's targets are 1e4 times larger."""
+    sizes = np.array(block_sizes)
+    m = int(sizes.sum())
+    group_of = np.repeat(np.arange(len(sizes) // 2), sizes.reshape(-1, 2).sum(axis=1))
+    Phi = rng.normal(size=(m, width))
+    y = rng.normal(size=m) * np.where(group_of == 0, 1e4, 1.0)
+    return Phi, y, group_of
+
+
+def block_diagonal_gram(Phi, group_of):
+    Q = np.zeros((Phi.shape[0], Phi.shape[0]))
+    for g in np.unique(group_of):
+        own = group_of == g
+        Q[np.ix_(own, own)] = Phi[own] @ Phi[own].T
+    return Q
+
+
+class TestGroupedSystems:
+    def test_each_group_meets_its_own_bound(self):
+        rng = np.random.default_rng(70)
+        block_sizes = [3, 4, 2, 5]
+        Phi, y, group_of = two_group_system(rng, block_sizes, 2)
+        C = 1.0
+        biases, duals, _ = solve_dual_system(block_sizes, FeatureGram(Phi, (2, 2)), y, C)
+        duals = duals + 1e-8 * (group_of == 1)  # group 1 (0-based) misses its own bound
+        apply_q = lambda v: block_diagonal_gram(Phi, group_of) @ v  # noqa: E731
+        no_step = lambda g, h: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
+        m = len(y)
+        pooled = linsys._Blocks(block_sizes, m, C, 0.0)
+        _, _, residual = linsys._refined(pooled, y, 1 / C, apply_q, no_step, biases, duals, False)
+        own_bound = RESIDUAL_RTOL * (1 + np.linalg.norm(y[group_of == 1]))
+        assert own_bound < residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
+        grouped = linsys._Blocks(block_sizes, m, C, 0.0, (2, 2))
+        with pytest.raises(SolverError, match="residual .* exceeds") as info:
+            linsys._refined(grouped, y, 1 / C, apply_q, no_step, biases, duals, False)
+        assert info.value.group == 1
+
+    def test_row_missing_its_bound_is_named(self, monkeypatch):
+        # grid (2, 2): mode 2's two rows are the two groups; tasks 3 and 4 form row 2
+        rng = np.random.default_rng(71)
+        data = uneven_dataset(71, (2, 2))
+        z = rng.normal(size=(data.n_samples, 2))
+        real_cholesky, real_solve = linsys._cholesky, linsys._cho_solve
+        second_row = []
+
+        def recording(H, what, group=0):
+            factor = real_cholesky(H, what, group)
+            if group == 1:
+                second_row.append(factor)
+            return factor
+
+        def perturbed(factor, rhs):
+            out = real_solve(factor, rhs)
+            if any(factor is f for f in second_row):
+                out += 1e-4  # the weights of row 2
+            return out
+
+        monkeypatch.setattr(linsys, "_cholesky", recording)
+        monkeypatch.setattr(linsys, "_cho_solve", perturbed)
+        with pytest.raises(SolverError, match=r"^mode 2 row 2: .*exceeds") as info:
+            solve_mode_row_step(data, z, 2, 1.0)
+        assert info.value.group == 1
+
+    @pytest.mark.parametrize(
+        "block_sizes, width", [([3, 4, 2, 5, 1, 3], 2), ([1, 2, 3, 4, 1, 1], 4)]
+    )  # every group ridge, then groups 0 and 2 dense
+    def test_grouped_matches_block_diagonal_dense_solve(self, block_sizes, width):
+        rng = np.random.default_rng(72)
+        Phi, y, group_of = two_group_system(rng, block_sizes, width)
+        grouped = solve_dual_system(block_sizes, FeatureGram(Phi, (2, 2, 2)), y, 10.0)
+        expected = solve_dual_system(block_sizes, block_diagonal_gram(Phi, group_of), y, 10.0)
+        assert_same_solution(grouped, expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lowest_failing_group_is_named_across_forms(self):
+        # groups 1 and 2 (0-based) fail; group 1 takes the dense form, group 2 the ridge one
+        rng = np.random.default_rng(73)
+        block_sizes = [4, 4, 1, 1, 3, 3]
+        Phi, y, group_of = two_group_system(rng, block_sizes, 3)
+        Phi[group_of >= 1, 0] = np.inf
+        with pytest.raises(SolverError, match="jitter") as info:
+            solve_dual_system(block_sizes, FeatureGram(Phi, (2, 2, 2)), y, 1.0)
+        assert info.value.group == 1
+
+    def test_group_validation(self):
+        Phi = np.ones((4, 2))
+        with pytest.raises(ValueError, match="positive"):
+            FeatureGram(Phi, (2, 0))
+        with pytest.raises(ValueError, match="groups hold 2 blocks"):
+            solve_dual_system([1, 1, 2], FeatureGram(Phi, (1, 1)), np.ones(4), 1.0)
 
 
 class TestEvaluateObjective:
@@ -533,7 +816,7 @@ class TestEvaluateObjective:
         step = solve_shared_step(data, factors, LINEAR, 10.0)
         J_explicit = evaluate_objective(data, step.shared, factors, step.biases, 10.0, LINEAR)
         J_dual = evaluate_objective(
-            data, step.shared.without_explicit(), factors, step.biases, 10.0, LINEAR
+            data, without_explicit(step.shared), factors, step.biases, 10.0, LINEAR
         )
         assert abs(J_explicit - J_dual) < 1e-9 * max(1.0, abs(J_explicit))
 

@@ -14,9 +14,9 @@ from tlssvm.taskgrid import (
     exclusion_table,
     linearize,
     task_vector,
-    task_vector_excluding,
     task_vector_table,
 )
+from conftest import task_vector_excluding, with_updated_row, without_explicit
 
 
 def enumerate_multi_indices(sizes):
@@ -121,7 +121,7 @@ class TestModeFactors:
 
     def test_with_updated_row(self):
         f = ModeFactors((np.zeros((2, 2)), np.zeros((3, 2))))
-        g = f.with_updated_row(2, 3, np.array([1.0, 2.0]))
+        g = with_updated_row(f, 2, 3, np.array([1.0, 2.0]))
         assert np.array_equal(g.factors[1][2], [1.0, 2.0])
         assert np.array_equal(f.factors[1][2], [0.0, 0.0])
 
@@ -172,7 +172,7 @@ class TestTaskVector:
         f = ModeFactors(tuple(rng.normal(size=(s, 2)) for s in sizes))
         grid = f.grid
         c = 3.5
-        scaled = f.with_updated_row(2, 1, c * f.factors[1][0])
+        scaled = with_updated_row(f, 2, 1, c * f.factors[1][0])
         affected = set(coslice_tasks(grid, 2, 1).tolist())
         for t in range(1, grid.n_tasks + 1):
             idx = delinearize(grid, t)
@@ -203,6 +203,21 @@ class TestTables:
                 np.testing.assert_array_equal(
                     table[t - 1], task_vector_excluding(f, delinearize(f.grid, t), n)
                 )
+
+
+class TestModeIndexTable:
+    def test_one_read_only_table_per_grid(self):
+        grid = TaskGrid((2, 3))
+        table = grid.mode_indices
+        assert table.shape == (6, 2)
+        for t in range(1, 7):
+            assert tuple(table[t - 1] + 1) == delinearize(grid, t)
+        assert grid.mode_indices is table
+        factors = ModeFactors((np.ones((2, 1)), np.ones((3, 1))))
+        assert factors.grid is factors.grid
+        np.testing.assert_array_equal(factors.grid.mode_indices, table)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
 
 
 class TestCoslice:
@@ -255,4 +270,4 @@ class TestSharedFactor:
             explicit=np.ones((3, 2)),
         )
         assert sf.rank == 2
-        assert sf.without_explicit().explicit is None
+        assert without_explicit(sf).explicit is None
