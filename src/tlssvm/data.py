@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .taskgrid import ModeFactors, TaskGrid, task_vector_table
+from .taskgrid import ModeFactors, TaskGrid, linearize, task_vector_table
 
 __all__ = [
     "MtlDataset",
@@ -295,9 +295,12 @@ def save_csv(data: MtlDataset, path) -> None:
 
 
 def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDataset:
-    """Read a dataset back; samples keep file order within each task."""
-    from .taskgrid import linearize
+    """Read a dataset back; samples keep file order within each task.
 
+    Task indices read as Python's int() reads them and every other cell as
+    float() does. A bad line raises DataError naming the first bad line in
+    file order.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -311,37 +314,54 @@ def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDatase
         expected = _header(grid, d)
         if header != expected:
             raise DataError(f"{path}: bad header {header[:6]}..., expected t_1..t_{n_modes},x_1..x_{d},y")
+        rows = list(reader)
 
-        xs = [[] for _ in range(grid.n_tasks)]
-        ys = [[] for _ in range(grid.n_tasks)]
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise DataError(f"{path}:{lineno}: expected {len(expected)} columns, got {len(row)}")
-            try:
-                idx = [int(v) for v in row[:n_modes]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer task index {row[:n_modes]}") from None
-            try:
-                t = linearize(grid, idx)
-            except IndexError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            try:
-                values = [float(v) for v in row[n_modes:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric cell") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            xs[t - 1].append(values[:-1])
-            ys[t - 1].append(values[-1])
+    # The cells convert in one call per kind (numpy converts strings with
+    # int() and float()), and the checks run on whole columns. A file that
+    # fails one is checked again line by line by the same rules, which
+    # raises at its first bad line.
+    width, sizes = len(expected), np.array(grid.mode_sizes)
+    valid = all(len(row) == width for row in rows)
+    try:
+        idx = np.array([row[:n_modes] for row in rows], dtype=np.int64).reshape(-1, n_modes)
+        values = np.array([row[n_modes:] for row in rows], dtype=float).reshape(-1, d + 1)
+        valid = valid and ((idx >= 1) & (idx <= sizes)).all() and np.isfinite(values).all()
+    except (ValueError, OverflowError):
+        valid = False
+    if not valid:
+        for lineno, row in enumerate(rows, start=2):
+            _check_line(path, lineno, row, grid, width)
 
-    inputs = tuple(
-        np.asarray(block, dtype=float).reshape(len(block), d) for block in xs
-    )
-    targets = tuple(np.asarray(block, dtype=float) for block in ys)
-    data = MtlDataset(grid, inputs, targets)
+    strides = np.concatenate([[1], np.cumprod(sizes[:-1])])
+    task = (idx - 1) @ strides  # 0-based linear task ids
+    order = np.argsort(task, kind="stable")
+    ends = np.cumsum(np.bincount(task, minlength=grid.n_tasks))[:-1]
+    values = values[order]
+    data = MtlDataset(grid, tuple(np.split(values[:, :-1], ends)), tuple(np.split(values[:, -1], ends)))
     if not allow_empty_tasks:
         data.require_nonempty_tasks()
     return data
+
+
+def _check_line(path, lineno: int, row: list[str], grid: TaskGrid, width: int) -> None:
+    """Raise the DataError for one CSV line that fails a check."""
+    n_modes = grid.n_modes
+    if len(row) != width:
+        raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+    try:
+        idx = [int(v) for v in row[:n_modes]]
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-integer task index {row[:n_modes]}") from None
+    try:
+        linearize(grid, idx)
+    except IndexError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+    try:
+        values = [float(v) for v in row[n_modes:]]
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-numeric cell") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DataError(f"{path}:{lineno}: non-finite value")
 
 
 def kfold_split(data: MtlDataset, folds: int, seed: int) -> list[tuple[MtlDataset, MtlDataset]]:

@@ -37,14 +37,19 @@ group, else the dense form on its m_g x m_g block. Every group's residual
 is checked against its own bound RESIDUAL_RTOL * (1 + ||y_g||), and the
 reported residual is the largest group residual. A SolverError carries
 the 0-based index of the lowest failing group in its `group` attribute.
+
+LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
+factorization rather than with this module: only training solves systems,
+and importing scipy takes longer than the rest of the package together, so
+prediction, evaluation and CSV or model IO run without ever loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import SolverError
 
@@ -117,11 +122,20 @@ class _Blocks:
         ]
 
 
+@cache
+def _lapack():
+    """LAPACK's (dpotrf, dpotrs), imported on the first call (see the module docstring)."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    return dpotrf, dpotrs
+
+
 def _cholesky(H: np.ndarray, what: str, group: int = 0) -> np.ndarray:
     """Lower Cholesky factor of H, in H's memory when H is Fortran-ordered.
 
     A failed factorization raises SolverError for `group`.
     """
+    dpotrf, _ = _lapack()
     factor, info = dpotrf(H, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise SolverError(
@@ -133,6 +147,7 @@ def _cholesky(H: np.ndarray, what: str, group: int = 0) -> np.ndarray:
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with a factor from `_cholesky`; rhs is scratch and may be overwritten."""
+    _, dpotrs = _lapack()
     solution, info = dpotrs(factor, rhs, lower=1, overwrite_b=1)
     if info != 0:
         raise SolverError(f"triangular solve failed (dpotrs info {info})")

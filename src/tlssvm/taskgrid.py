@@ -12,8 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .data import MtlDataset
 
 __all__ = [
     "TaskGrid",
@@ -197,23 +201,27 @@ class SharedFactor:
 
     duals: np.ndarray
     task_vector_snapshot: np.ndarray
-    train_data: object
+    train_data: MtlDataset
     explicit: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        from .data import MtlDataset  # data imports this module
+
+        if not isinstance(self.train_data, MtlDataset):
+            raise TypeError(f"train_data must be an MtlDataset, got {type(self.train_data).__name__}")
         duals = np.array(self.duals, dtype=float)
         snap = np.array(self.task_vector_snapshot, dtype=float)
         if duals.ndim != 1 or not np.all(np.isfinite(duals)):
             raise ValueError("dual coefficients must be a finite vector")
         if snap.ndim != 2 or not np.all(np.isfinite(snap)):
             raise ValueError("task-vector snapshot must be a finite T x K matrix")
-        n_train = getattr(self.train_data, "n_samples", None)
-        if n_train is not None and n_train != duals.shape[0]:
+        n_train = self.train_data.n_samples
+        if n_train != duals.shape[0]:
             raise ValueError(
                 f"{duals.shape[0]} dual coefficients for {n_train} training samples"
             )
-        n_tasks = getattr(getattr(self.train_data, "grid", None), "n_tasks", None)
-        if n_tasks is not None and snap.shape[0] != n_tasks:
+        n_tasks = self.train_data.grid.n_tasks
+        if snap.shape[0] != n_tasks:
             raise ValueError(f"snapshot has {snap.shape[0]} rows for {n_tasks} tasks")
         explicit = self.explicit
         if explicit is not None:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
 from tlssvm import MtlDataset, TaskGrid
-from tlssvm.taskgrid import ModeFactors, SharedFactor
+from tlssvm.errors import DataError
+from tlssvm.taskgrid import ModeFactors, SharedFactor, linearize
 
 
 def block_constraint_matrix(block_sizes) -> np.ndarray:
@@ -62,6 +66,47 @@ def random_dataset(seed: int, mode_sizes=(2, 2), d: int = 3, m_t: int = 5) -> Mt
     inputs = tuple(rng.normal(size=(m_t, d)) for _ in range(grid.n_tasks))
     targets = tuple(rng.normal(size=m_t) for _ in range(grid.n_tasks))
     return MtlDataset(grid, inputs, targets)
+
+
+def load_csv_by_rows(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDataset:
+    """Reference for `data.load_csv`: checks and converts one line at a time.
+
+    The header check is left to `load_csv`; every line after it must be
+    rejected with the same message, and every accepted file must give the
+    same arrays, bit for bit.
+    """
+    n_modes = grid.n_modes
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        d = width - n_modes - 1
+        xs = [[] for _ in range(grid.n_tasks)]
+        ys = [[] for _ in range(grid.n_tasks)]
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            try:
+                idx = [int(v) for v in row[:n_modes]]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-integer task index {row[:n_modes]}") from None
+            try:
+                t = linearize(grid, idx)
+            except IndexError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            try:
+                values = [float(v) for v in row[n_modes:]]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric cell") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DataError(f"{path}:{lineno}: non-finite value")
+            xs[t - 1].append(values[:-1])
+            ys[t - 1].append(values[-1])
+    inputs = tuple(np.asarray(block, dtype=float).reshape(len(block), d) for block in xs)
+    targets = tuple(np.asarray(block, dtype=float) for block in ys)
+    data = MtlDataset(grid, inputs, targets)
+    if not allow_empty_tasks:
+        data.require_nonempty_tasks()
+    return data
 
 
 @pytest.fixture

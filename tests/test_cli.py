@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,3 +439,36 @@ class TestUsage:
             ]
         )
         assert code == 2
+
+
+COLD_START = """
+import sys
+import tlssvm
+from tlssvm import cli
+from tlssvm.data import load_csv
+from tlssvm.model import load_model
+
+train_csv, test_csv, model_path, out_dir = sys.argv[1:]
+grid = tlssvm.TaskGrid((2, 2))
+test = load_csv(test_csv, grid)
+load_model(model_path).predict_dataset(test)
+for command in ("predict", "evaluate"):
+    assert cli.main([command, "--model", model_path, "--data", test_csv, "--out-dir", out_dir]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+config = tlssvm.FitConfig(K=2, C=100.0, kernel=tlssvm.KernelSpec("linear"), max_iters=3)
+tlssvm.fit(load_csv(train_csv, grid), config)
+assert "scipy.linalg" in sys.modules
+"""
+
+
+class TestColdStart:
+    def test_only_training_loads_scipy(self, pipeline, tmp_path):
+        # a fresh interpreter: this one has imported scipy long ago
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        args = [pipeline["train_csv"], pipeline["test_csv"], pipeline["model"], str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from tlssvm.data import (
 )
 from tlssvm.errors import ConfigError, DataError
 from tlssvm.taskgrid import TaskGrid, coslice_tasks, delinearize, task_vector
+from conftest import load_csv_by_rows
 
 
 class TestMtlDataset:
@@ -193,17 +196,49 @@ class TestGenerateSynthetic:
         assert not np.array_equal(a.inputs[0], b.inputs[0])
 
 
+def assert_same_bits(a, b) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_same_data(a: MtlDataset, b: MtlDataset) -> None:
+    assert a.grid == b.grid and a.task_sizes == b.task_sizes
+    for x, y in zip(a.inputs + a.targets, b.inputs + b.targets):
+        assert_same_bits(x, y)
+
+
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):
         spec = SyntheticSpec(d=3, mode_sizes=(2, 2), k_true=2, train_per_task=4, test_per_task=2, snr=2.0, seed=5)
         train, _, _ = generate_synthetic(spec)
-        path = tmp_path / "train.csv"
-        save_csv(train, path)
-        loaded = load_csv(path, train.grid)
-        for a, b in zip(train.inputs, loaded.inputs):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(train.targets, loaded.targets):
-            np.testing.assert_array_equal(a, b)
+        # subnormals, the extreme normal doubles, 17 significant digits, a signed zero
+        extreme = MtlDataset(
+            TaskGrid((2,)),
+            (
+                np.array([[5e-324, -2.225073858507201e-308], [1e308, -1.7976931348623157e308]]),
+                np.array([[0.30000000000000004, 1 / 3], [-0.0, 2.2250738585072014e-308]]),
+            ),
+            (np.array([1.2345678901234567e-300, 9007199254740991.0]), np.array([-0.0, 0.1])),
+        )
+        for data in (train, extreme):
+            path = tmp_path / "train.csv"
+            save_csv(data, path)
+            assert_same_data(load_csv(path, data.grid), data)
+
+    def test_accepted_cell_syntax(self, tmp_path):
+        # cells read as Python's float() and int() read them
+        cells = {" 1.5": 1.5, "1_0": 10.0, "+1": 1.0, ".5": 0.5, "1.": 1.0, "-0": -0.0,
+                 "\u0661\u0662": 12.0, "1e-320": 1e-320}
+        path = tmp_path / "d.csv"
+        lines = ["t_1,x_1,y"] + [f" 1,{c},{c}" for c in cells] + ["+2,0,0", "\u0662,1_0,-0"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data = load_csv(path, TaskGrid((2,)))
+        expected = np.array(list(cells.values()))
+        assert_same_bits(data.inputs[0], expected.reshape(-1, 1))
+        assert_same_bits(data.targets[0], expected)
+        assert_same_bits(data.inputs[1], [[0.0], [10.0]])
+        assert_same_bits(data.targets[1], [0.0, -0.0])
 
     def test_two_task_file(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -225,6 +260,38 @@ class TestCsv:
         np.testing.assert_array_equal(data.targets[0], [20.0, 40.0])
         np.testing.assert_array_equal(data.targets[1], [10.0, 30.0])
 
+    def test_matches_line_by_line_reference(self, tmp_path):
+        grid = TaskGrid((2, 3))
+        path = tmp_path / "d.csv"
+        bad_cells = ["zero", "", "nan", "-inf", "1e400", "0x1"]
+        bad_indices = ["0", "3", "4", "1.0", "-1", "99999999999999999999"]
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(0, 40))
+            idx = np.stack([rng.integers(1, 3, n), rng.integers(1, 4, n)], axis=1)
+            values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+            lines = [[str(i) for i in row] + [repr(float(v)) for v in vals] for row, vals in zip(idx, values)]
+            # seeds 0-3 write valid files, the others break up to three random lines
+            for _ in range(int(rng.integers(0, 4)) if seed > 3 and n else 0):
+                line = lines[int(rng.integers(n))]
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    line[int(rng.integers(2, 5))] = str(rng.choice(bad_cells))
+                elif kind == 1:
+                    line[int(rng.integers(2))] = str(rng.choice(bad_indices))
+                else:
+                    line.pop()
+            path.write_text("\n".join(["t_1,t_2,x_1,x_2,y"] + [",".join(l) for l in lines]) + "\n")
+            for allow_empty in (False, True):
+                try:
+                    expected = load_csv_by_rows(path, grid, allow_empty)
+                except DataError as exc:
+                    with pytest.raises(DataError) as got:
+                        load_csv(path, grid, allow_empty)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert_same_data(load_csv(path, grid, allow_empty), expected)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("t_1,f_1,y\n1,0.0,0.0\n")
@@ -233,15 +300,48 @@ class TestCsv:
 
     def test_task_index_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("t_1,x_1,y\n1,0.0,0.0\n4,0.0,0.0\n")
-        with pytest.raises(DataError, match=r"d\.csv:3"):
-            load_csv(path, TaskGrid((3,)))
+        for index in ("4", "0"):
+            path.write_text(f"t_1,x_1,y\n1,0.0,0.0\n{index},0.0,0.0\n")
+            message = f"d.csv:3: index {index} out of range [1, 3] in mode 1 of grid (3,)"
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_csv(path, TaskGrid((3,)))
+
+    def test_non_integer_task_index_names_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("t_1,x_1,y\n1.0,0.0,0.0\n")
+        with pytest.raises(DataError, match=re.escape("d.csv:2: non-integer task index ['1.0']")):
+            load_csv(path, TaskGrid((2,)))
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("t_1,x_1,y\n1,zero,0.0\n")
-        with pytest.raises(DataError, match=":2"):
-            load_csv(path, TaskGrid((2,)))
+        for line in ("1,zero,0.0", "1,,0.0", "1,0.0,"):
+            path.write_text(f"t_1,x_1,y\n{line}\n")
+            with pytest.raises(DataError, match=re.escape("d.csv:2: non-numeric cell")):
+                load_csv(path, TaskGrid((2,)))
+
+    def test_non_finite_cell_names_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        for line in ("1,nan,0.0", "1,inf,0.0", "1,0.0,-inf", "1,1e400,0.0"):
+            path.write_text(f"t_1,x_1,y\n1,0.0,0.0\n{line}\n")
+            with pytest.raises(DataError, match=re.escape("d.csv:3: non-finite value")):
+                load_csv(path, TaskGrid((2,)))
+
+    def test_lowest_failing_line_wins(self, tmp_path):
+        path = tmp_path / "d.csv"
+        # one bad line per check, each with the message it raises when first
+        bad = [
+            ("1,0.0", "expected 3 columns, got 2"),
+            ("1.0,0.0,0.0", "non-integer task index ['1.0']"),
+            ("3,0.0,0.0", "index 3 out of range [1, 2] in mode 1 of grid (2,)"),
+            ("1,zero,0.0", "non-numeric cell"),
+            ("1,nan,0.0", "non-finite value"),
+            ("1.0,zero,nan", "non-integer task index ['1.0']"),
+        ]
+        for shift in range(len(bad)):
+            order = bad[shift:] + bad[:shift]
+            path.write_text("\n".join(["t_1,x_1,y", "2,0.0,0.0"] + [line for line, _ in order]) + "\n")
+            with pytest.raises(DataError, match=re.escape(f"d.csv:3: {order[0][1]}")):
+                load_csv(path, TaskGrid((2,)))
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -256,6 +356,11 @@ class TestCsv:
             load_csv(path, TaskGrid((2,)))
         data = load_csv(path, TaskGrid((2,)), allow_empty_tasks=True)
         assert data.task_sizes == (1, 0)
+        path.write_text("t_1,x_1,x_2,y\n")
+        with pytest.raises(DataError, match=re.escape("tasks without samples: [1, 2]")):
+            load_csv(path, TaskGrid((2,)))
+        data = load_csv(path, TaskGrid((2,)), allow_empty_tasks=True)
+        assert data.task_sizes == (0, 0) and data.n_features == 2
 
 
 class TestKfold:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,12 @@ class TestCoslice:
 
 
 class TestSharedFactor:
+    def test_training_data_must_be_a_dataset(self, tiny_dataset):
+        n = tiny_dataset.n_samples
+        for other in (None, tiny_dataset.stacked_inputs(), SimpleNamespace(n_samples=n, grid=tiny_dataset.grid)):
+            with pytest.raises(TypeError, match="MtlDataset"):
+                SharedFactor(np.zeros(n), np.zeros((4, 2)), other)
+
     def test_dual_count_must_match_training_data(self, tiny_dataset):
         with pytest.raises(ValueError, match="dual"):
             SharedFactor(np.zeros(3), np.zeros((4, 2)), tiny_dataset)
