@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .baseline import fit_independent
 from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, DataError, SolverError
@@ -26,6 +28,7 @@ from .metrics import evaluate_predictions
 from .model import TrainedModel, load_model, save_model
 from .solver import FitConfig, fit
 from .taskgrid import TaskGrid, delinearize
+from .textio import csv_line, csv_rows, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -41,12 +44,6 @@ def _load_json_config(path: str) -> dict:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return payload
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _parse_grid(text: str) -> TaskGrid:
@@ -88,7 +85,7 @@ def cmd_generate(args) -> int:
     out = _out_dir(args)
     save_csv(train, os.path.join(out, "train.csv"))
     save_csv(test, os.path.join(out, "test.csv"))
-    _write_json(
+    write_json(
         os.path.join(out, "truth.json"),
         {
             "spec": spec.to_config(),
@@ -105,19 +102,16 @@ def cmd_generate(args) -> int:
 
 
 def _write_trace(path: str, trace) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "step", "objective", "train_rmse", "factor_change"])
-        for entry in trace:
-            writer.writerow(
-                [
-                    entry.iteration,
-                    entry.step,
-                    repr(entry.objective),
-                    repr(entry.train_rmse),
-                    "" if entry.factor_change is None else repr(entry.factor_change),
-                ]
+    lines = [csv_line(["iteration", "step", "objective", "train_rmse", "factor_change"])]
+    for entry in trace:
+        change = "" if entry.factor_change is None else repr(entry.factor_change)
+        lines.append(
+            csv_line(
+                [entry.iteration, entry.step, repr(entry.objective), repr(entry.train_rmse), change]
             )
+        )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
 
 
 def cmd_train(args) -> int:
@@ -160,17 +154,18 @@ def cmd_predict(args) -> int:
     blocks = model.predict_dataset(data)
     out = _out_dir(args)
     path = os.path.join(out, "predictions.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+    lines = [
+        csv_line(
             [f"t_{n}" for n in range(1, model.grid.n_modes + 1)]
             + [f"x_{j}" for j in range(1, data.n_features + 1)]
             + ["y_hat"]
         )
-        for t, block in enumerate(blocks, start=1):
-            idx = delinearize(model.grid, t)
-            for x_row, value in zip(data.inputs[t - 1], block):
-                writer.writerow([*idx, *(repr(float(v)) for v in x_row), repr(float(value))])
+    ]
+    for t, block in enumerate(blocks, start=1):
+        rows = np.column_stack((data.inputs[t - 1], block))
+        lines.append(csv_rows(delinearize(model.grid, t), rows))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
     print(f"wrote {path} ({data.n_samples} predictions)")
     return 0
 
@@ -194,7 +189,7 @@ def cmd_evaluate(args) -> int:
                 f"{report.correlation:12.6f}"
             )
     out = _out_dir(args)
-    _write_json(
+    write_json(
         os.path.join(out, "evaluation.json"),
         {
             "models": [
@@ -215,7 +210,7 @@ def cmd_cv(args) -> int:
     data = load_csv(args.train, _parse_grid(args.grid))
     result = run_cv(data, args.method, plan, seed=args.seed)
     out = _out_dir(args)
-    _write_json(os.path.join(out, "cv.json"), result.to_dict())
+    write_json(os.path.join(out, "cv.json"), result.to_dict())
     best = result.best
     print(
         f"best cell for {args.method}: rank={best.rank} cost={best.cost} gamma={best.gamma} "
@@ -247,8 +242,8 @@ def cmd_benchmark(args) -> int:
     for run in result.runs:
         snr_index = result.snrs.index(run.snr)
         name = f"run_s{snr_index}_r{run.rep}_{run.method}.json"
-        _write_json(os.path.join(runs_dir, name), run.to_dict())
-    _write_json(os.path.join(out, "benchmark.json"), result.to_dict())
+        write_json(os.path.join(runs_dir, name), run.to_dict())
+    write_json(os.path.join(out, "benchmark.json"), result.to_dict())
     summary_path = os.path.join(out, "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .taskgrid import ModeFactors, TaskGrid, linearize, task_vector_table
+from .taskgrid import ModeFactors, TaskGrid, delinearize, linearize, task_vector_table
+from .textio import csv_line, csv_rows
 
 __all__ = [
     "MtlDataset",
@@ -281,17 +282,12 @@ def save_csv(data: MtlDataset, path) -> None:
     Floats are written with shortest round-trip repr, so load(save(data))
     reproduces the values exactly.
     """
-    from .taskgrid import delinearize
-
+    lines = [csv_line(_header(data.grid, data.n_features))]
+    for t in range(data.grid.n_tasks):
+        rows = np.column_stack((data.inputs[t], data.targets[t]))
+        lines.append(csv_rows(delinearize(data.grid, t + 1), rows))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_header(data.grid, data.n_features))
-        for t in range(data.grid.n_tasks):
-            idx = delinearize(data.grid, t + 1)
-            for row_x, row_y in zip(data.inputs[t], data.targets[t]):
-                writer.writerow(
-                    list(idx) + [repr(float(v)) for v in row_x] + [repr(float(row_y))]
-                )
+        fh.write("".join(lines))
 
 
 def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDataset:

@@ -39,11 +39,6 @@ class KernelSpec:
     def has_feature_map(self) -> bool:
         return self.family == "linear"
 
-    def feature_dim(self, n_features: int) -> int:
-        if not self.has_feature_map:
-            raise UnsupportedOperation(f"{self.family} kernel has no finite feature map")
-        return n_features
-
     def to_config(self) -> dict:
         out = {"family": self.family}
         if self.gamma is not None:

@@ -2,9 +2,14 @@
 
 Predictions come in two algebraically equivalent forms. The primal form
 needs the explicit shared matrix and therefore a kernel with a finite
-feature map; the dual form contracts kernel evaluations against the stored
-dual coefficients and works for every kernel. Models embed their training
-inputs so a saved file is self-contained.
+feature map; it costs O(dK) per row. The dual form contracts kernel
+evaluations against the stored dual coefficients, costs O(md) per row and
+works for every kernel. Batch prediction (`predict_dataset`,
+`predict_rows`) takes the primal form whenever the model carries the
+explicit matrix, and the dual form otherwise. `predict_primal` and
+`predict_dual` always take their own form, so the two stay an independent
+check on each other. Models embed their training inputs so a saved file is
+self-contained.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .data import MtlDataset
 from .errors import DataError, UnsupportedOperation
 from .kernels import KernelSpec, feature_map, gram
 from .taskgrid import ModeFactors, TaskGrid, linearize, task_vector, task_vector_table
+from .textio import write_json
 
 __all__ = ["TrainedModel", "predict_primal", "predict_dual", "save_model", "load_model"]
 
@@ -31,9 +37,11 @@ class TrainedModel:
 
     `duals` and `task_vector_snapshot` capture the shared factor as of the
     final shared-step; `factors` are the final mode factors, whose task
-    vectors enter the coherence weights at prediction time. The stacked
-    training inputs, the dual-weighted task vectors and the task-vector
-    table that every prediction needs are derived once, at construction.
+    vectors enter the coherence weights at prediction time. `explicit`, the
+    d x K shared matrix, exists for kernels with a finite feature map and
+    serves batch prediction. The stacked training inputs, the dual-weighted
+    task vectors and the task-vector table that every prediction needs are
+    derived once, at construction.
     """
 
     grid: TaskGrid
@@ -118,23 +126,25 @@ class TrainedModel:
         return np.sum(projection * self._u_table[task_ids], axis=1) + self.biases[task_ids]
 
     def _primal_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if self.explicit is None:
-            raise UnsupportedOperation(
-                "no explicit shared matrix is available for this kernel; use the dual form"
-            )
         projection = X @ self.explicit
         return np.sum(projection * self._u_table[task_ids], axis=1) + self.biases[task_ids]
 
+    def _rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Batch predictions: primal form when the explicit matrix exists, else dual."""
+        if self.explicit is None:
+            return self._dual_rows(task_ids, X)
+        return self._primal_rows(task_ids, X)
+
     def predict_rows(self, multi_indices, X) -> np.ndarray:
-        """Dual-form predictions for rows of X, each addressed to its own task."""
+        """Predictions for rows of X, each addressed to its own task."""
         X = _finite_inputs(X, 2, self.n_features)
         task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices], dtype=int)
         if task_ids.shape[0] != X.shape[0]:
             raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
-        return self._dual_rows(task_ids, X)
+        return self._rows(task_ids, X)
 
     def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
-        """Per-task prediction blocks for a dataset on the same grid."""
+        """Per-task prediction blocks for a dataset on the same grid, in the batch form."""
         if data.grid != self.grid:
             raise DataError(
                 f"dataset grid {data.grid.mode_sizes} does not match model grid {self.grid.mode_sizes}"
@@ -143,7 +153,7 @@ class TrainedModel:
             raise DataError(
                 f"dataset has {data.n_features} features, model expects {self.n_features}"
             )
-        flat = self._dual_rows(data.sample_task_ids(), data.stacked_inputs())
+        flat = self._rows(data.sample_task_ids(), data.stacked_inputs())
         out = []
         start = 0
         for m in data.task_sizes:
@@ -164,7 +174,10 @@ def _finite_inputs(x, ndim: int, n_features: int) -> np.ndarray:
 
 
 def predict_primal(model: TrainedModel, idx, x) -> float:
-    """Feature-map prediction: project phi(x) onto the explicit shared matrix."""
+    """Feature-map prediction: project phi(x) onto the explicit shared matrix.
+
+    Always the primal form, computed per call from the feature map.
+    """
     if model.explicit is None:
         raise UnsupportedOperation(
             f"{model.kernel.family} kernel admits no explicit feature map; use predict_dual"
@@ -176,7 +189,11 @@ def predict_primal(model: TrainedModel, idx, x) -> float:
 
 
 def predict_dual(model: TrainedModel, idx, x) -> float:
-    """Kernel prediction: dual coefficients times kernel values times task coherence."""
+    """Kernel prediction: dual coefficients times kernel values times task coherence.
+
+    Always the dual form, for every kernel; it is the independent check on
+    the primal batch form of linear models.
+    """
     t = linearize(model.grid, idx)
     x = _finite_inputs(x, 1, model.n_features)
     return float(model._dual_rows(np.array([t - 1]), x[None, :])[0])
@@ -213,10 +230,8 @@ def _model_payload(model) -> dict:
 
 
 def save_model(model, path) -> None:
-    """Write a versioned, self-contained JSON model file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_model_payload(model), fh, indent=2)
-        fh.write("\n")
+    """Write a versioned, self-contained JSON model file (indent=2 JSON)."""
+    write_json(path, _model_payload(model))
 
 
 def _block(payload, d: int) -> np.ndarray:

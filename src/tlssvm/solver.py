@@ -58,7 +58,6 @@ __all__ = [
     "shared_projection",
     "reduced_features",
     "solve_mode_row_step",
-    "evaluate_objective",
     "fit",
 ]
 
@@ -406,40 +405,6 @@ def _objective(y, yhat, C: float, pen_shared: float, factor_mats) -> tuple[float
     sse = float(residuals @ residuals)
     pen_modes = sum(float(np.sum(f**2)) for f in factor_mats)
     return 0.5 * C * sse + 0.5 * pen_shared + 0.5 * pen_modes, sse
-
-
-def evaluate_objective(
-    data: MtlDataset,
-    shared: SharedFactor | None,
-    factors: ModeFactors,
-    biases: np.ndarray,
-    C: float,
-    kernel: KernelSpec,
-    gram_matrix: np.ndarray | None = None,
-) -> float:
-    """Training objective: C/2 * sum of squared residuals plus the factor penalties.
-
-    `shared=None` stands for a zero shared factor (the state before the
-    first shared-step). Residuals use the current mode factors against the
-    shared factor's stored representation.
-    """
-    tid = data.sample_task_ids()
-    biases = np.asarray(biases, dtype=float)
-    if shared is None:
-        yhat = biases[tid]
-        pen_shared = 0.0
-    else:
-        on_train = shared.train_data is data
-        projection = shared_projection(
-            shared, kernel, data.stacked_inputs(), gram_matrix if on_train else None
-        )
-        if on_train:
-            pen_shared = _shared_penalty(shared, projection)
-        else:
-            train = shared.train_data.stacked_inputs()
-            pen_shared = _shared_penalty(shared, shared_projection(shared, kernel, train, gram_matrix))
-        yhat = _predictions(projection, task_vector_table(factors), biases, tid)
-    return _objective(data.stacked_targets(), yhat, C, pen_shared, factors.factors)[0]
 
 
 def _factor_change(new_mats, old_mats) -> float:

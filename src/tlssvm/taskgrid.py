@@ -29,7 +29,6 @@ __all__ = [
     "task_vector_table",
     "row_product_table",
     "exclusion_table",
-    "coslice_tasks",
 ]
 
 
@@ -173,20 +172,6 @@ def exclusion_table(factors: ModeFactors, skip_mode: int) -> np.ndarray:
     grid = factors.grid
     skip_mode = grid._check_mode(skip_mode)
     return row_product_table(factors.factors, grid.mode_indices, skip_mode)
-
-
-def coslice_tasks(grid: TaskGrid, mode: int, row: int) -> np.ndarray:
-    """Linear ids (ascending, 1-based) of all tasks whose mode index equals `row`.
-
-    Over row = 1..T_n these sets partition {1, ..., T}; each has
-    prod_{l != n} T_l elements.
-    """
-    mode = grid._check_mode(mode)
-    row = int(row)
-    size = grid.mode_sizes[mode - 1]
-    if not 1 <= row <= size:
-        raise IndexError(f"row {row} out of range [1, {size}] in mode {mode}")
-    return np.flatnonzero(grid.mode_indices[:, mode - 1] == row - 1) + 1
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from tlssvm import MtlDataset, TaskGrid
-from tlssvm.errors import DataError
-from tlssvm.taskgrid import ModeFactors, SharedFactor, linearize
+from tlssvm.errors import DataError, UnsupportedOperation
+from tlssvm.kernels import KernelSpec
+from tlssvm.solver import _objective, _predictions, _shared_penalty, shared_projection
+from tlssvm.taskgrid import ModeFactors, SharedFactor, linearize, task_vector_table
 
 
 def block_constraint_matrix(block_sizes) -> np.ndarray:
@@ -57,6 +59,61 @@ def task_vector_excluding(factors: ModeFactors, idx, skip_mode: int) -> np.ndarr
 def without_explicit(shared: SharedFactor) -> SharedFactor:
     """Copy of a shared factor restricted to its dual representation."""
     return SharedFactor(shared.duals, shared.task_vector_snapshot, shared.train_data, None)
+
+
+def coslice_tasks(grid: TaskGrid, mode: int, row: int) -> np.ndarray:
+    """Linear ids (ascending, 1-based) of all tasks whose mode index equals `row`.
+
+    Over row = 1..T_n these sets partition {1, ..., T}; each has
+    prod_{l != n} T_l elements.
+    """
+    mode = grid._check_mode(mode)
+    row = int(row)
+    size = grid.mode_sizes[mode - 1]
+    if not 1 <= row <= size:
+        raise IndexError(f"row {row} out of range [1, {size}] in mode {mode}")
+    return np.flatnonzero(grid.mode_indices[:, mode - 1] == row - 1) + 1
+
+
+def feature_dim(kernel: KernelSpec, n_features: int) -> int:
+    """Width of the kernel's finite feature map for inputs of n_features."""
+    if not kernel.has_feature_map:
+        raise UnsupportedOperation(f"{kernel.family} kernel has no finite feature map")
+    return n_features
+
+
+def evaluate_objective(
+    data: MtlDataset,
+    shared: SharedFactor | None,
+    factors: ModeFactors,
+    biases: np.ndarray,
+    C: float,
+    kernel: KernelSpec,
+    gram_matrix: np.ndarray | None = None,
+) -> float:
+    """Training objective: C/2 * sum of squared residuals plus the factor penalties.
+
+    `shared=None` stands for a zero shared factor (the state before the
+    first shared-step). Residuals use the current mode factors against the
+    shared factor's stored representation.
+    """
+    tid = data.sample_task_ids()
+    biases = np.asarray(biases, dtype=float)
+    if shared is None:
+        yhat = biases[tid]
+        pen_shared = 0.0
+    else:
+        on_train = shared.train_data is data
+        projection = shared_projection(
+            shared, kernel, data.stacked_inputs(), gram_matrix if on_train else None
+        )
+        if on_train:
+            pen_shared = _shared_penalty(shared, projection)
+        else:
+            train = shared.train_data.stacked_inputs()
+            pen_shared = _shared_penalty(shared, shared_projection(shared, kernel, train, gram_matrix))
+        yhat = _predictions(projection, task_vector_table(factors), biases, tid)
+    return _objective(data.stacked_targets(), yhat, C, pen_shared, factors.factors)[0]
 
 
 def random_dataset(seed: int, mode_sizes=(2, 2), d: int = 3, m_t: int = 5) -> MtlDataset:

@@ -14,8 +14,8 @@ from tlssvm.data import (
     save_csv,
 )
 from tlssvm.errors import ConfigError, DataError
-from tlssvm.taskgrid import TaskGrid, coslice_tasks, delinearize, task_vector
-from conftest import load_csv_by_rows
+from tlssvm.taskgrid import TaskGrid, delinearize, task_vector
+from conftest import coslice_tasks, load_csv_by_rows
 
 
 class TestMtlDataset:

@@ -7,6 +7,7 @@ import pytest
 
 from tlssvm.errors import ConfigError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec, feature_map, gram, kernel_eval
+from conftest import feature_dim
 
 
 class TestKernelSpec:
@@ -140,6 +141,6 @@ class TestFeatureMap:
             feature_map(KernelSpec("rbf", gamma=1.0), [1.0])
 
     def test_feature_dim(self):
-        assert KernelSpec("linear").feature_dim(6) == 6
+        assert feature_dim(KernelSpec("linear"), 6) == 6
         with pytest.raises(UnsupportedOperation):
-            KernelSpec("rbf", gamma=1.0).feature_dim(6)
+            feature_dim(KernelSpec("rbf", gamma=1.0), 6)

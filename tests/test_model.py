@@ -10,13 +10,8 @@ from tlssvm.errors import DataError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.model import TrainedModel, load_model, predict_dual, predict_primal, save_model
 from tlssvm.solver import FitConfig, fit
-from tlssvm.taskgrid import (
-    ModeFactors,
-    TaskGrid,
-    coslice_tasks,
-    delinearize,
-    task_vector_table,
-)
+from tlssvm.taskgrid import ModeFactors, TaskGrid, delinearize, task_vector_table
+from conftest import coslice_tasks
 
 LINEAR = KernelSpec("linear")
 
@@ -44,13 +39,13 @@ def hand_model(explicit, factors, biases, duals=None, train=None, kernel=LINEAR)
     )
 
 
-def fitted_model(kernel=LINEAR, seed=0, snr=float("inf")):
+def fitted_model(kernel=LINEAR, seed=0, snr=float("inf"), C=100.0, max_iters=30):
     spec = SyntheticSpec(
         d=4, mode_sizes=(2, 2), k_true=2, train_per_task=10, test_per_task=5,
         snr=snr, seed=seed,
     )
     train, test, _ = generate_synthetic(spec)
-    state = fit(train, FitConfig(K=2, C=100.0, kernel=kernel, max_iters=30, tol=1e-6, seed=seed))
+    state = fit(train, FitConfig(K=2, C=C, kernel=kernel, max_iters=max_iters, tol=1e-6, seed=seed))
     return TrainedModel.from_fit(train, state, kernel), train, test
 
 
@@ -131,16 +126,19 @@ class TestPrecomputedDualTerms:
     @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("rbf", gamma=0.4)])
     def test_predictions_bit_identical_to_per_call_assembly(self, kernel):
         model, _, test = fitted_model(kernel=kernel, seed=2, snr=5.0)
+        X = test.stacked_inputs()
         # the per-call assembly the model used before caching these terms
         train_X = np.concatenate(model.train_inputs, axis=0)
         tid = np.repeat(np.arange(model.grid.n_tasks), [b.shape[0] for b in model.train_inputs])
         weighted = model.duals[:, None] * model.task_vector_snapshot[tid]
-        projection = gram(kernel, train_X, test.stacked_inputs()).T @ weighted
+        projection = gram(kernel, train_X, X).T @ weighted
         query = test.sample_task_ids()
-        expected = (
-            np.sum(projection * task_vector_table(model.factors)[query], axis=1)
-            + model.biases[query]
-        )
+        u_query = task_vector_table(model.factors)[query]
+        expected = np.sum(projection * u_query, axis=1) + model.biases[query]
+        np.testing.assert_array_equal(model._dual_rows(query, X), expected)
+        if model.explicit is not None:
+            # batch prediction of a linear model is the per-call primal assembly
+            expected = np.sum((X @ model.explicit) * u_query, axis=1) + model.biases[query]
         np.testing.assert_array_equal(np.concatenate(model.predict_dataset(test)), expected)
         for j in (0, 7, 19):
             idx = delinearize(model.grid, int(query[j]) + 1)
@@ -182,6 +180,41 @@ class TestFormsAgree:
         np.testing.assert_allclose(
             flat, model.predict_rows(indices, test.stacked_inputs()), atol=1e-12
         )
+
+
+class TestBatchDispatch:
+    @pytest.mark.parametrize("C", [1e-2, 1.0, 1e3])
+    def test_linear_batch_agrees_with_predict_dual(self, C):
+        # at C=1e-2 the factors shrink until a row degenerates after 5 iterations
+        model, _, test = fitted_model(seed=18, snr=5.0, C=C, max_iters=4)
+        assert model.explicit is not None
+        X = test.stacked_inputs()
+        indices = [delinearize(model.grid, int(t) + 1) for t in test.sample_task_ids()]
+        dual = np.array([predict_dual(model, idx, x) for idx, x in zip(indices, X)])
+        scale = np.maximum(1.0, np.abs(dual))
+        for batch in (np.concatenate(model.predict_dataset(test)), model.predict_rows(indices, X)):
+            assert np.all(np.abs(batch - dual) <= 1e-9 * scale)
+
+    def test_rbf_batch_keeps_the_dual_bits(self):
+        model, _, test = fitted_model(kernel=KernelSpec("rbf", gamma=0.4), seed=19, snr=5.0)
+        X = test.stacked_inputs()
+        query = test.sample_task_ids()
+        indices = [delinearize(model.grid, int(t) + 1) for t in query]
+        dual = model._dual_rows(query, X)
+        np.testing.assert_array_equal(model.predict_rows(indices, X), dual)
+        np.testing.assert_array_equal(np.concatenate(model.predict_dataset(test)), dual)
+
+    def test_reloaded_linear_model_predicts_bit_identically(self, tmp_path):
+        model, _, test = fitted_model(seed=20, snr=5.0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.explicit, model.explicit)
+        X = test.stacked_inputs()
+        indices = [delinearize(model.grid, int(t) + 1) for t in test.sample_task_ids()]
+        np.testing.assert_array_equal(loaded.predict_rows(indices, X), model.predict_rows(indices, X))
+        for a, b in zip(loaded.predict_dataset(test), model.predict_dataset(test)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestModelStructure:

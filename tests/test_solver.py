@@ -20,7 +20,6 @@ from tlssvm.model import TrainedModel
 from tlssvm.solver import (
     FitConfig,
     coherence_weighted_gram,
-    evaluate_objective,
     fit,
     init_factors,
     reduced_features,
@@ -32,12 +31,18 @@ from tlssvm.taskgrid import (
     ModeFactors,
     SharedFactor,
     TaskGrid,
-    coslice_tasks,
     delinearize,
     task_vector,
     task_vector_table,
 )
-from conftest import block_constraint_matrix, random_dataset, saddle_oracle, without_explicit
+from conftest import (
+    block_constraint_matrix,
+    coslice_tasks,
+    evaluate_objective,
+    random_dataset,
+    saddle_oracle,
+    without_explicit,
+)
 
 LINEAR = KernelSpec("linear")
 

@@ -10,14 +10,13 @@ from tlssvm.taskgrid import (
     ModeFactors,
     SharedFactor,
     TaskGrid,
-    coslice_tasks,
     delinearize,
     exclusion_table,
     linearize,
     task_vector,
     task_vector_table,
 )
-from conftest import task_vector_excluding, with_updated_row, without_explicit
+from conftest import coslice_tasks, task_vector_excluding, with_updated_row, without_explicit
 
 
 def enumerate_multi_indices(sizes):
