@@ -5,16 +5,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .linsys import Blocks, TaskMoments
 from .taskgrid import ModeFactors, TaskGrid, delinearize, linearize, task_vector_table
 from .textio import csv_line, csv_rows
 
 __all__ = [
     "MtlDataset",
     "ModeLayout",
+    "FitPlan",
     "SyntheticSpec",
     "SyntheticTruth",
     "generate_synthetic",
@@ -61,6 +64,41 @@ class ModeLayout:
         return self.row_starts.shape[0] - 1
 
 
+@dataclass(frozen=True, eq=False)
+class FitPlan:
+    """What every fit of one dataset needs and only the dataset determines.
+
+    `shared` is the block structure of the shared step (one block per
+    task), `modes[n-1]` that of mode n's row subproblems (the layout's
+    tasks, one group per row) and `mode_targets[n-1]` the targets in that
+    layout's order. `moments`, the inputs' per-task moments that a linear
+    shared step is built from, is computed on first use. Arrays are
+    read-only.
+    """
+
+    shared: Blocks
+    modes: tuple[Blocks, ...]
+    mode_targets: tuple[np.ndarray, ...]
+    inputs: np.ndarray
+
+    @classmethod
+    def of(cls, data: "MtlDataset") -> "FitPlan":
+        layouts = data._mode_layouts
+        targets = tuple(data.stacked_targets()[lay.samples] for lay in layouts)
+        for arr in targets:
+            arr.flags.writeable = False
+        return cls(
+            Blocks(data.task_sizes),
+            tuple(Blocks(lay.block_sizes, (lay.per_row,) * lay.n_rows) for lay in layouts),
+            targets,
+            data.stacked_inputs(),
+        )
+
+    @cached_property
+    def moments(self) -> TaskMoments:
+        return TaskMoments.of(self.shared, self.inputs)
+
+
 @dataclass(frozen=True)
 class MtlDataset:
     """Per-task sample blocks (X^t, y^t) over a task grid.
@@ -93,14 +131,28 @@ class MtlDataset:
             targets.append(y)
         if len(dims) != 1:
             raise ValueError(f"tasks disagree on feature dimension: {sorted(dims)}")
-        # The stacked arrays are copies, built once and read-only, so freezing
-        # never flips a caller array's writeable flag; the task blocks are
-        # views of them.
-        sizes = tuple(X.shape[0] for X in inputs)
+        # The stacked arrays are copies, so freezing them never flips a
+        # caller array's writeable flag.
+        self._own_stacked(
+            np.concatenate(inputs, axis=0),
+            np.concatenate(targets),
+            tuple(X.shape[0] for X in inputs),
+        )
+
+    @classmethod
+    def _from_stacked(cls, grid: TaskGrid, X: np.ndarray, y: np.ndarray, sizes) -> "MtlDataset":
+        """A dataset that takes over finite arrays already stacked task by task."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "grid", grid)
+        data._own_stacked(X, y, tuple(int(n) for n in sizes))
+        return data
+
+    def _own_stacked(self, X: np.ndarray, y: np.ndarray, sizes: tuple[int, ...]) -> None:
+        """Freeze the stacked arrays and derive the task blocks (views) and bookkeeping."""
         ends = np.cumsum(sizes)
         stacked = {
-            "_stacked_inputs": np.concatenate(inputs, axis=0),
-            "_stacked_targets": np.concatenate(targets),
+            "_stacked_inputs": X,
+            "_stacked_targets": y,
             "_sample_task_ids": np.repeat(np.arange(len(sizes)), sizes),
             "_task_offsets": ends - sizes,
         }
@@ -113,8 +165,8 @@ class MtlDataset:
             for mode in range(1, self.grid.n_modes + 1)
         )
         object.__setattr__(self, "_mode_layouts", layouts)
-        object.__setattr__(self, "inputs", tuple(np.split(self._stacked_inputs, ends[:-1])))
-        object.__setattr__(self, "targets", tuple(np.split(self._stacked_targets, ends[:-1])))
+        object.__setattr__(self, "inputs", tuple(np.split(X, ends[:-1])))
+        object.__setattr__(self, "targets", tuple(np.split(y, ends[:-1])))
 
     @property
     def n_features(self) -> int:
@@ -147,6 +199,11 @@ class MtlDataset:
     def mode_layout(self, mode: int) -> ModeLayout:
         """Sample layout of the 1-based mode's row subproblems (built at construction)."""
         return self._mode_layouts[self.grid._check_mode(mode) - 1]
+
+    @cached_property
+    def fit_plan(self) -> FitPlan:
+        """The dataset's `FitPlan`, built by its first fit and kept."""
+        return FitPlan.of(self)
 
     def require_nonempty_tasks(self) -> None:
         empty = [t + 1 for t, m in enumerate(self.task_sizes) if m == 0]
@@ -331,9 +388,8 @@ def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDatase
     strides = np.concatenate([[1], np.cumprod(sizes[:-1])])
     task = (idx - 1) @ strides  # 0-based linear task ids
     order = np.argsort(task, kind="stable")
-    ends = np.cumsum(np.bincount(task, minlength=grid.n_tasks))[:-1]
-    values = values[order]
-    data = MtlDataset(grid, tuple(np.split(values[:, :-1], ends)), tuple(np.split(values[:, -1], ends)))
+    counts = np.bincount(task, minlength=grid.n_tasks)
+    data = MtlDataset._from_stacked(grid, values[order, :-1], values[order, -1], counts)
     if not allow_empty_tasks:
         data.require_nonempty_tasks()
     return data

@@ -6,12 +6,15 @@ all reduce to the same symmetric indefinite saddle-point system
     [[0, A^T], [A, Q + I/C + jitter*I]] [b; coef] = [0; y]
 
 with A the block-of-ones constraint matrix pairing samples to tasks.
-`solve_dual_system` is the entry point. Q is either a dense m x m matrix
-or a `FeatureGram`, Q = Phi Phi^T held as its m x p feature matrix Phi,
-and the system is solved in one of two forms, both by Cholesky:
+`solve_dual_system` is the entry point. Q is a dense m x m matrix, a
+`FeatureGram` (Q = Phi Phi^T held as its m x p feature matrix Phi), or a
+`KroneckerGram` (Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j of
+a linear shared step, held as the task vectors, the inputs and their
+per-task moments, so Phi is never formed). The system is solved in one of
+two forms, both by Cholesky:
 
 * Dense with a Schur complement, for a dense Q (kernels without a finite
-  feature map, the single-task baseline) and for a FeatureGram with more
+  feature map, the single-task baseline) and for feature forms with more
   columns than rows. H = Q + (1/C + jitter) I is positive definite for a
   PSD Q, and its Cholesky factor gives H^-1 y and H^-1 A in one triangular
   solve. The biases come from the T x T Schur complement A^T H^-1 A, also
@@ -19,24 +22,35 @@ and the system is solved in one of two forms, both by Cholesky:
   classic LS-SVM solve, Suykens & Vandewalle 1999). A failed factorization
   flags a Q that is not PSD. One refinement step, reusing both factors,
   follows when the residual misses the acceptance bound.
-* Centered ridge (`solve_feature_system`), for a FeatureGram with p <= m.
+* Centered ridge (`solve_feature_system`), for feature forms with p <= m.
   Centering Phi and y per block eliminates the biases, which leaves a
   p x p ridge system in the primal weights w, solved by Cholesky. Biases
   and duals are recovered from w. One refinement step always follows.
+  The ridge reaches the features only through the centered Gram of each
+  group, Phi^T v and Phi w. A FeatureGram does these with its matrix; a
+  KroneckerGram builds the centered Gram as sum_t (u_t u_t^T) kron S_t
+  from the per-task centered moments S_t = X~_t^T X~_t (T K^2 d^2 flops
+  instead of m (dK)^2), gets Phi^T v from the per-task sums X_t^T v_t and
+  Phi w row by row from X W^T.
 
 Both evaluate the residual of the saddle system above with the original
 Q (never with a factor), and raise SolverError when it exceeds
 RESIDUAL_RTOL * (1 + ||y||).
 
-A FeatureGram may also carry `groups`, which makes the system a stack of
+The block structure is a `Blocks`: the block sizes, validated once, with
+everything the solvers derive from them. The solvers accept plain block
+sizes too and validate them on every call; callers that solve the same
+structure many times (a fit) build the Blocks once and pass it instead.
+Blocks may also carry groups, which make the system a stack of
 independent subsystems (all rows of one mode, say): group g is the next
 groups[g] blocks, and its samples' rows of Phi form Phi_g, so that
-Q = blockdiag(Phi_g Phi_g^T). Each group takes the form it would take on
-its own: the centered ridge when p <= m_g, with one p x p factor per
-group, else the dense form on its m_g x m_g block. Every group's residual
-is checked against its own bound RESIDUAL_RTOL * (1 + ||y_g||), and the
-reported residual is the largest group residual. A SolverError carries
-the 0-based index of the lowest failing group in its `group` attribute.
+Q = blockdiag(Phi_g Phi_g^T). A FeatureGram names the same groups. Each
+group takes the form it would take on its own: the centered ridge when
+p <= m_g, with one p x p factor per group, else the dense form on its
+m_g x m_g block. Every group's residual is checked against its own bound
+RESIDUAL_RTOL * (1 + ||y_g||), and the reported residual is the largest
+group residual. A SolverError carries the 0-based index of the lowest
+failing group in its `group` attribute.
 
 LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
 factorization rather than with this module: only training solves systems,
@@ -53,9 +67,85 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["RESIDUAL_RTOL", "FeatureGram", "solve_dual_system", "solve_feature_system"]
+__all__ = [
+    "RESIDUAL_RTOL",
+    "Blocks",
+    "FeatureGram",
+    "KroneckerGram",
+    "TaskMoments",
+    "solve_dual_system",
+    "solve_feature_system",
+]
 
 RESIDUAL_RTOL = 1e-8
+
+
+class Blocks(tuple):
+    """Validated block structure of a saddle system: the block sizes, as a tuple.
+
+    Samples are stacked block by block and blocks group by group; `groups`
+    gives the blocks of each group (None is one group of every block). The
+    derived index arrays are read-only and built once.
+    """
+
+    def __new__(cls, block_sizes, groups=None) -> "Blocks":
+        sizes = np.array(block_sizes, dtype=np.intp).reshape(-1)
+        if (sizes < 1).any():
+            raise ValueError(f"every block needs at least one sample, got sizes {sizes.tolist()}")
+        self = super().__new__(cls, sizes.tolist())
+        n_blocks = len(self)
+        counts = (n_blocks,) if groups is None else tuple(int(g) for g in groups)
+        if not counts or min(counts) < 1:
+            raise ValueError(f"groups must be positive block counts, got {counts}")
+        if sum(counts) != n_blocks:
+            raise ValueError(f"groups hold {sum(counts)} blocks, the system has {n_blocks}")
+        group_counts = np.array(counts, dtype=np.intp)
+        starts = sizes.cumsum() - sizes
+        group_blocks = group_counts.cumsum() - group_counts  # first block of each group
+        group_starts = starts[group_blocks]  # first sample of each group
+        group_sizes = np.add.reduceat(sizes, group_blocks)  # samples of each group
+        self.m = int(sizes.sum())
+        self.counts = counts
+        self.sizes = sizes
+        self.starts = starts
+        self.of = np.arange(n_blocks).repeat(sizes)  # block of each sample
+        self.groups = group_counts
+        self.group_blocks = group_blocks
+        self.group_starts = group_starts
+        self.group_sizes = group_sizes
+        for arr in (sizes, starts, self.of, group_counts, group_blocks, group_starts, group_sizes):
+            arr.flags.writeable = False
+        # (samples, blocks) of each group
+        self.group_slices = tuple(
+            (slice(s, s + n), slice(k, k + c))
+            for s, n, k, c in zip(
+                group_starts.tolist(), group_sizes.tolist(), group_blocks.tolist(), counts
+            )
+        )
+        return self
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-block sums along the sample axis (A^T values)."""
+        return np.add.reduceat(values, self.starts, axis=0)
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Per-block means along the sample axis."""
+        return self.sums(values) / self.sizes.reshape((-1,) + (1,) * (values.ndim - 1))
+
+
+def _checked(block_sizes, m: int, C: float, jitter: float, groups=None) -> Blocks:
+    """The Blocks of a solve: `block_sizes` itself when it is a Blocks with these groups."""
+    blocks = block_sizes
+    counts = None if groups is None else tuple(int(g) for g in groups)
+    if not (isinstance(blocks, Blocks) and blocks.counts == (counts or (len(blocks),))):
+        blocks = Blocks(block_sizes, counts)
+    if blocks.m != m:
+        raise ValueError(f"inconsistent system shapes: blocks {blocks.m}, y {m}")
+    if not C > 0:
+        raise ValueError(f"C must be positive, got {C}")
+    if jitter < 0:
+        raise ValueError(f"jitter must be nonnegative, got {jitter}")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -81,45 +171,120 @@ class FeatureGram:
             object.__setattr__(self, "groups", groups)
 
 
-class _Blocks:
-    """Validated block structure of a saddle system: samples stacked block by
-    block, blocks stacked group by group."""
+@dataclass(frozen=True)
+class TaskMoments:
+    """Per-task input moments: the means x_bar_t (T x d) and S_t = X~_t^T X~_t (T x d x d).
 
-    def __init__(self, block_sizes, m: int, C: float, jitter: float, groups=None) -> None:
-        sizes = np.array(block_sizes, dtype=np.intp)
-        if sizes.sum() != m:
-            raise ValueError(f"inconsistent system shapes: blocks {sizes.sum()}, y {m}")
-        if not C > 0:
-            raise ValueError(f"C must be positive, got {C}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be nonnegative, got {jitter}")
-        if (sizes < 1).any():
-            raise ValueError(f"every block needs at least one sample, got sizes {sizes.tolist()}")
-        n_blocks = sizes.shape[0]
-        groups = np.array((n_blocks,) if groups is None else groups, dtype=np.intp)
-        if groups.sum() != n_blocks:
-            raise ValueError(f"groups hold {groups.sum()} blocks, the system has {n_blocks}")
-        self.sizes = sizes
-        self.starts = sizes.cumsum() - sizes
-        self.of = np.arange(n_blocks).repeat(sizes)
-        self.groups = groups
-        self.group_blocks = groups.cumsum() - groups  # first block of each group
-        self.group_starts = self.starts[self.group_blocks]  # first sample of each group
-        self.group_sizes = np.add.reduceat(sizes, self.group_blocks)  # samples of each group
+    X~_t is task t's block of inputs less its mean; a task of one sample
+    has S_t = 0. Both arrays are read-only.
+    """
 
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-block sums along the sample axis (A^T values)."""
-        return np.add.reduceat(values, self.starts, axis=0)
+    means: np.ndarray
+    scatter: np.ndarray
 
-    def group_slices(self) -> list[tuple[slice, slice]]:
-        """(samples, blocks) of each group."""
-        return [
-            (slice(s, s + n), slice(k, k + c))
-            for s, n, k, c in zip(
-                self.group_starts.tolist(), self.group_sizes.tolist(),
-                self.group_blocks.tolist(), self.groups.tolist(),
+    @classmethod
+    def of(cls, blocks: Blocks, inputs: np.ndarray) -> "TaskMoments":
+        """Moments of the m x d inputs, one block per task."""
+        means = blocks.means(inputs)
+        centered = inputs - means[blocks.of]
+        scatter = np.empty((len(blocks), inputs.shape[1], inputs.shape[1]))
+        for t, (s, n) in enumerate(zip(blocks.starts.tolist(), blocks)):
+            own = centered[s : s + n]
+            scatter[t] = own.T @ own
+        means.flags.writeable = False
+        scatter.flags.writeable = False
+        return cls(means, scatter)
+
+
+@dataclass(frozen=True)
+class KroneckerGram:
+    """Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j, never formed.
+
+    `task_vectors` is T x K, `inputs` m x d with every task a block of the
+    system, and `moments` the inputs' `TaskMoments`. Feature k*d + i of
+    sample j is u_t(j),k x_j,i.
+    """
+
+    task_vectors: np.ndarray
+    inputs: np.ndarray
+    moments: TaskMoments
+
+    @property
+    def n_features(self) -> int:
+        return self.task_vectors.shape[1] * self.inputs.shape[1]
+
+    def check(self, blocks: Blocks) -> None:
+        if len(blocks.counts) != 1:
+            raise ValueError("a KroneckerGram system has a single group")
+        T = self.task_vectors.shape[0]
+        if len(blocks) != T or self.inputs.shape[0] != blocks.m or self.moments.means.shape[0] != T:
+            raise ValueError(
+                f"inconsistent system shapes: {T} task vectors, inputs {self.inputs.shape}, "
+                f"{len(blocks)} blocks of {blocks.m} samples"
             )
+
+    def dense(self, blocks: Blocks) -> np.ndarray:
+        """The m x m matrix Q: task-vector coherence times the linear Gram."""
+        U = self.task_vectors[blocks.of]
+        return (U @ U.T) * (self.inputs @ self.inputs.T)
+
+
+class _MatrixFeatures:
+    """The ridge operations of a FeatureGram's explicit matrix, group by group."""
+
+    def __init__(self, Phi: np.ndarray, blocks: Blocks) -> None:
+        self.Phi = Phi
+        self.bar = blocks.means(Phi)
+        self.centered = Phi - self.bar[blocks.of]
+        self.parts = blocks.group_slices
+
+    def grams(self) -> list[np.ndarray]:
+        return [self.centered[rows].T @ self.centered[rows] for rows, _ in self.parts]
+
+    def rmatvec(self, v: np.ndarray, g: np.ndarray | None = None, inv_c: float = 0.0) -> list:
+        if g is None:
+            return [self.Phi[rows].T @ v[rows] for rows, _ in self.parts]
+        return [
+            self.centered[rows].T @ v[rows] + inv_c * (self.bar[own].T @ g[own])
+            for rows, own in self.parts
         ]
+
+    def matvec(self, weights: list) -> np.ndarray:
+        out = np.empty(self.Phi.shape[0])
+        for w, (rows, _) in zip(weights, self.parts):
+            out[rows] = self.Phi[rows] @ w
+        return out
+
+
+class _KroneckerFeatures:
+    """The ridge operations of a KroneckerGram, from per-task sums (one group)."""
+
+    def __init__(self, Q: KroneckerGram, blocks: Blocks) -> None:
+        Q.check(blocks)
+        self.Q = Q
+        self.blocks = blocks
+        self.sample_vectors = Q.task_vectors[blocks.of]  # m x K
+
+    def grams(self) -> list[np.ndarray]:
+        U, S = self.Q.task_vectors, self.Q.moments.scatter
+        T, K = U.shape
+        d = S.shape[1]
+        outer = (U[:, :, None] * U[:, None, :]).reshape(T, K * K)
+        H = (outer.T @ S.reshape(T, d * d)).reshape(K, K, d, d)
+        return [H.transpose(0, 2, 1, 3).reshape(K * d, K * d)]
+
+    def rmatvec(self, v: np.ndarray, g: np.ndarray | None = None, inv_c: float = 0.0) -> list:
+        # Phi^T v = sum_j v_j u_t(j) kron x_j, which for a block-centered v is
+        # Phi~^T v, and Phi_bar^T g = sum_t g_t u_t kron x_bar_t
+        out = (self.sample_vectors * v[:, None]).T @ self.Q.inputs
+        if g is not None:
+            out += inv_c * ((self.Q.task_vectors * g[:, None]).T @ self.Q.moments.means)
+        return [out.reshape(-1)]
+
+    def matvec(self, weights: list) -> np.ndarray:
+        (w,) = weights
+        W = w.reshape(self.sample_vectors.shape[1], -1)
+        return np.einsum("jk,jk->j", self.Q.inputs @ W.T, self.sample_vectors)
 
 
 @cache
@@ -154,7 +319,7 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _refined(blocks: _Blocks, y, inv_c: float, apply_q, solve, biases, duals, always: bool):
+def _refined(blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, always: bool):
     """Residual of the saddle system at (biases, duals), one refinement step, and the check.
 
     `apply_q(v)` is Q v for the original Q and `solve(g, h)` solves the
@@ -165,17 +330,19 @@ def _refined(blocks: _Blocks, y, inv_c: float, apply_q, solve, biases, duals, al
     bounds = RESIDUAL_RTOL * (1.0 + np.sqrt(np.add.reduceat(y * y, blocks.group_starts)))
 
     def saddle_residuals(b: np.ndarray, alpha: np.ndarray):
-        top = blocks.sums(alpha)
-        bottom = b[blocks.of] + apply_q(alpha) + inv_c * alpha - y
+        return blocks.sums(alpha), b[blocks.of] + apply_q(alpha) + inv_c * alpha - y
+
+    def norms(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
         per_group = np.add.reduceat(top * top, blocks.group_blocks)
         per_group += np.add.reduceat(bottom * bottom, blocks.group_starts)
-        return top, bottom, np.sqrt(per_group)
+        return np.sqrt(per_group)
 
-    top, bottom, residuals = saddle_residuals(biases, duals)
+    top, bottom = saddle_residuals(biases, duals)
+    residuals = None if always else norms(top, bottom)
     if always or not (residuals <= bounds).all():
         db, dduals = solve(-top, -bottom)
         biases, duals = biases + db, duals + dduals
-        _, _, residuals = saddle_residuals(biases, duals)
+        residuals = norms(*saddle_residuals(biases, duals))
     # every bias and dual enters its group's residual, so a non-finite
     # solution leaves a non-finite residual and fails here too
     failed = np.flatnonzero(~(residuals <= bounds))
@@ -190,20 +357,29 @@ def _refined(blocks: _Blocks, y, inv_c: float, apply_q, solve, biases, duals, al
 
 
 def solve_dual_system(
-    block_sizes, Q: np.ndarray | FeatureGram, y: np.ndarray, C: float, jitter: float = 0.0
+    block_sizes, Q: np.ndarray | FeatureGram | KroneckerGram, y: np.ndarray, C: float, jitter: float = 0.0
 ):
     """Solve the saddle-point system above.
 
-    A FeatureGram goes to :func:`solve_feature_system` for every group
-    whose rows outnumber Phi's columns, whose p x p factor is then the
-    smaller one; any other group, and a dense Q, is solved in the dense
-    form with a Schur complement. Returns (biases, coefficients,
-    residual_norm) where biases has one entry per block, coefficients one
-    per sample, and the residual is the largest group residual. Raises
-    SolverError if Q + I/C is not positive definite or a group's residual
-    exceeds RESIDUAL_RTOL * (1 + ||y_g||) even after refinement, and
-    ValueError on inconsistent shapes, an empty block, C <= 0 or jitter < 0.
+    `block_sizes` is a sequence of block sizes or a `Blocks`. A feature
+    form (FeatureGram or KroneckerGram) goes to
+    :func:`solve_feature_system` for every group whose rows outnumber Phi's
+    columns, whose p x p factor is then the smaller one; any other group,
+    and a dense Q, is solved in the dense form with a Schur complement.
+    Returns (biases, coefficients, residual_norm) where biases has one
+    entry per block, coefficients one per sample, and the residual is the
+    largest group residual. Raises SolverError if Q + I/C is not positive
+    definite or a group's residual exceeds RESIDUAL_RTOL * (1 + ||y_g||)
+    even after refinement, and ValueError on inconsistent shapes, an empty
+    block, C <= 0 or jitter < 0.
     """
+    if isinstance(Q, KroneckerGram):
+        y = np.asarray(y, dtype=float)
+        blocks = _checked(block_sizes, y.shape[0], C, jitter)
+        if blocks.m >= Q.n_features:
+            return solve_feature_system(blocks, Q, y, C, jitter)
+        Q.check(blocks)
+        return _solve_dense(blocks, Q.dense(blocks), y, C, jitter)
     if not isinstance(Q, FeatureGram):
         return _solve_dense(block_sizes, Q, y, C, jitter)
     Phi = Q.features
@@ -211,15 +387,15 @@ def solve_dual_system(
     m = y.shape[0]
     if Phi.shape[0] != m:
         raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
-    blocks = _Blocks(block_sizes, m, C, jitter, Q.groups)
+    blocks = _checked(block_sizes, m, C, jitter, Q.groups)
     ridge = blocks.group_sizes >= Phi.shape[1]
     if ridge.all():
-        return solve_feature_system(block_sizes, Phi, y, C, jitter, Q.groups)
+        return solve_feature_system(blocks, Phi, y, C, jitter, Q.groups)
 
     # The ridge groups are solved together, every other group on its own.
     units = [np.flatnonzero(ridge)] if ridge.any() else []
     units += [np.array([g]) for g in np.flatnonzero(~ridge)]
-    biases, duals = np.empty(blocks.sizes.shape[0]), np.empty(m)
+    biases, duals = np.empty(len(blocks)), np.empty(m)
     residual, failures = 0.0, []
     for ids in units:
         in_unit = np.zeros(blocks.groups.shape[0], dtype=bool)
@@ -253,7 +429,7 @@ def _solve_dense(block_sizes, Q: np.ndarray, y: np.ndarray, C: float, jitter: fl
     m = y.shape[0]
     if Q.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
-    blocks = _Blocks(block_sizes, m, C, jitter)
+    blocks = _checked(block_sizes, m, C, jitter)
     inv_c = 1.0 / C + jitter
 
     H = np.array(Q, order="C")  # a copy: the residual needs Q itself
@@ -261,7 +437,7 @@ def _solve_dense(block_sizes, Q: np.ndarray, y: np.ndarray, C: float, jitter: fl
     # H.T is Fortran-ordered, so LAPACK factors it in place; its lower
     # triangle is H's upper one, the same for a symmetric Q.
     factor = _cholesky(H.T, "Q + I/C")
-    rhs = np.zeros((m, 1 + blocks.sizes.shape[0]), order="F")
+    rhs = np.zeros((m, 1 + len(blocks)), order="F")
     rhs[:, 0] = y
     rhs[np.arange(m), 1 + blocks.of] = 1.0  # columns 1.. hold A
     first = _cho_solve(factor, rhs)
@@ -272,7 +448,7 @@ def _solve_dense(block_sizes, Q: np.ndarray, y: np.ndarray, C: float, jitter: fl
         b = _cho_solve(schur, blocks.sums(Hinv_h) - g)
         return b, Hinv_h - Hinv_A @ b
 
-    biases, duals = from_hinv(np.zeros(blocks.sizes.shape[0]), first[:, 0])
+    biases, duals = from_hinv(np.zeros(len(blocks)), first[:, 0])
     return _refined(
         blocks, y, inv_c, lambda v: Q @ v,
         lambda g, h: from_hinv(g, _cho_solve(factor, h)),
@@ -281,15 +457,17 @@ def _solve_dense(block_sizes, Q: np.ndarray, y: np.ndarray, C: float, jitter: fl
 
 
 def solve_feature_system(
-    block_sizes, Phi: np.ndarray, y: np.ndarray, C: float, jitter: float = 0.0, groups=None
+    block_sizes, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float, jitter: float = 0.0,
+    groups=None,
 ):
     """Solve the saddle-point system with Q = Phi Phi^T as a centered ridge.
 
     Same contract as :func:`solve_dual_system`, which calls this for the
-    groups of a FeatureGram with p <= m_g; `groups` is the FeatureGram's.
-    With 1/C_eff = 1/C + jitter, the p x p matrix Phi~^T Phi~ + I/C_eff of
-    the block-centered features Phi~ is Cholesky-factored once per group.
-    A right-hand side [g; h] of the saddle system then solves in closed
+    groups of a feature form with p <= m_g; `groups` is the FeatureGram's.
+    Phi is an m x p matrix or a KroneckerGram (one group). With
+    1/C_eff = 1/C + jitter, the p x p matrix Phi~^T Phi~ + I/C_eff of the
+    block-centered features Phi~ is Cholesky-factored once per group. A
+    right-hand side [g; h] of the saddle system then solves in closed
     form, group by group:
 
         w   = (Phi~^T Phi~ + I/C_eff)^-1 (Phi~^T h~ + Phi_bar^T g / C_eff)
@@ -302,41 +480,33 @@ def solve_feature_system(
     while p stays below the group's sample count.
     """
     y = np.asarray(y, dtype=float)
-    Phi = np.asarray(Phi, dtype=float)
     m = y.shape[0]
-    if Phi.ndim != 2 or Phi.shape[0] != m:
-        raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
-    blocks = _Blocks(block_sizes, m, C, jitter, groups)
+    blocks = _checked(block_sizes, m, C, jitter, groups)
+    if isinstance(Phi, KroneckerGram):
+        features = _KroneckerFeatures(Phi, blocks)
+    else:
+        Phi = np.asarray(Phi, dtype=float)
+        if Phi.ndim != 2 or Phi.shape[0] != m:
+            raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
+        features = _MatrixFeatures(Phi, blocks)
     sizes = blocks.sizes
     inv_c = 1.0 / C + jitter
 
-    def block_means(values: np.ndarray) -> np.ndarray:
-        return blocks.sums(values) / sizes.reshape((-1,) + (1,) * (values.ndim - 1))
-
-    Phi_bar = block_means(Phi)
-    Phi_c = Phi - Phi_bar[blocks.of]
-    parts = blocks.group_slices()
     factors = []
-    for group, (rows, _) in enumerate(parts):
-        H = Phi_c[rows].T @ Phi_c[rows]
+    for group, H in enumerate(features.grams()):
         H.reshape(-1)[:: H.shape[0] + 1] += inv_c
         # Non-finite entries fail the factorization or the final residual check.
         factors.append(_cholesky(H, "feature system", group))
 
     def solve(g: np.ndarray, h: np.ndarray):
-        h_c = h - block_means(h)[blocks.of]
-        fitted = np.empty_like(h)
-        for factor, (rows, own) in zip(factors, parts):
-            w = _cho_solve(factor, Phi_c[rows].T @ h_c[rows] + inv_c * (Phi_bar[own].T @ g[own]))
-            fitted[rows] = Phi[rows] @ w
-        b = block_means(h - fitted) - inv_c * g / sizes
+        h_c = h - blocks.means(h)[blocks.of]
+        rhs = features.rmatvec(h_c, g, inv_c)
+        fitted = features.matvec([_cho_solve(f, r) for f, r in zip(factors, rhs)])
+        b = blocks.means(h - fitted) - inv_c * g / sizes
         return b, (h - b[blocks.of] - fitted) / inv_c
 
-    def apply_q(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        for rows, _ in parts:
-            out[rows] = Phi[rows] @ (Phi[rows].T @ v[rows])
-        return out
-
-    biases, duals = solve(np.zeros(sizes.shape[0]), y)
-    return _refined(blocks, y, inv_c, apply_q, solve, biases, duals, always=True)
+    biases, duals = solve(np.zeros(len(blocks)), y)
+    return _refined(
+        blocks, y, inv_c, lambda v: features.matvec(features.rmatvec(v)), solve,
+        biases, duals, always=True,
+    )

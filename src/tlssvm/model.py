@@ -8,8 +8,9 @@ works for every kernel. Batch prediction (`predict_dataset`,
 `predict_rows`) takes the primal form whenever the model carries the
 explicit matrix, and the dual form otherwise. `predict_primal` and
 `predict_dual` always take their own form, so the two stay an independent
-check on each other. Models embed their training inputs so a saved file is
-self-contained.
+check on each other. The dual contraction (`dual_projection`) is the one
+the solver projects training samples with. Models embed their training
+inputs so a saved file is self-contained.
 """
 
 from __future__ import annotations
@@ -29,6 +30,34 @@ from .textio import write_json
 __all__ = ["TrainedModel", "predict_primal", "predict_dual", "save_model", "load_model"]
 
 FORMAT_VERSION = 1
+
+
+def dual_weights(duals: np.ndarray, task_vectors: np.ndarray, task_ids: np.ndarray) -> np.ndarray:
+    """m x K weights of a shared factor's dual form: each sample's dual times its task vector."""
+    return duals[:, None] * task_vectors[task_ids]
+
+
+def dual_projection(
+    kernel: KernelSpec,
+    train_inputs: np.ndarray,
+    weights: np.ndarray,
+    query_inputs: np.ndarray,
+    cross_gram: np.ndarray | None = None,
+) -> np.ndarray:
+    """Image of each query sample through a shared factor in dual form.
+
+    Row j is sum_i k(x_i, q_j) W_i over the training samples x_i, for the
+    dual weights W (`dual_weights`). `cross_gram`, if given, is the
+    (m_train x n_query) kernel block, which is otherwise computed here.
+    """
+    if cross_gram is None:
+        cross_gram = gram(kernel, train_inputs, query_inputs)
+    return cross_gram.T @ weights
+
+
+def task_predictions(projection, u_table, biases, task_ids) -> np.ndarray:
+    """Predictions of samples from their shared projections, task vectors and biases."""
+    return np.sum(projection * u_table[task_ids], axis=1) + biases[task_ids]
 
 
 @dataclass(frozen=True)
@@ -90,7 +119,7 @@ class TrainedModel:
         tid = np.repeat(np.arange(T), [b.shape[0] for b in blocks])
         derived = {
             "_train_X": np.concatenate(blocks, axis=0),
-            "_weighted_duals": duals[:, None] * snap[tid],
+            "_weighted_duals": dual_weights(duals, snap, tid),
             "_u_table": task_vector_table(self.factors),
         }
         for name, arr in derived.items():
@@ -121,13 +150,11 @@ class TrainedModel:
         return self.train_inputs[0].shape[1]
 
     def _dual_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        cross = gram(self.kernel, self._train_X, X)
-        projection = cross.T @ self._weighted_duals
-        return np.sum(projection * self._u_table[task_ids], axis=1) + self.biases[task_ids]
+        projection = dual_projection(self.kernel, self._train_X, self._weighted_duals, X)
+        return task_predictions(projection, self._u_table, self.biases, task_ids)
 
     def _primal_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        projection = X @ self.explicit
-        return np.sum(projection * self._u_table[task_ids], axis=1) + self.biases[task_ids]
+        return task_predictions(X @ self.explicit, self._u_table, self.biases, task_ids)
 
     def _rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Batch predictions: primal form when the explicit matrix exists, else dual."""

@@ -9,11 +9,13 @@ steps.
 
 Every block step is the saddle-point system of `linsys` with a system
 matrix Q = Phi Phi^T whenever the step has a finite feature matrix Phi:
-the reduced features Z of a mode-row step (K columns), and for kernels with
-a finite feature map the shared-step features u_t(j) kron phi(x_j) (d_h K
-columns). Such a step hands Q to `linsys.solve_dual_system` as a
-FeatureGram, which solves it as a centered ridge in the primal weights
-when Phi has no more columns than rows. RBF shared steps hand it the dense
+the reduced features Z of a mode-row step (K columns, handed to
+`linsys.solve_dual_system` as a FeatureGram), and for the linear kernel
+the shared-step features u_t(j) kron x_j (d K columns, handed over as a
+KroneckerGram: the task vectors with the inputs' per-task moments, from
+which the task-Kronecker ridge is assembled without forming Phi). Either
+is solved as a centered ridge in the primal weights when Phi has no more
+columns than rows. RBF shared steps hand the solver the dense
 coherence-weighted Gram, solved by Cholesky with a T x T Schur complement
 for the biases.
 
@@ -23,9 +25,15 @@ one block-diagonal system: `solve_mode_row_step` hands all of them to the
 solver in a single call, as a FeatureGram of Z whose groups are the rows.
 Each row is still factored and checked on its own, so a mode with many
 rows costs what the rows would cost one by one, less the per-call
-overhead. The sample order of each mode (`data.ModeLayout`) is built with
-the dataset. `fit` then applies the rows in order and records one trace
-entry per row, exactly as if they had been solved one by one.
+overhead. `fit` then applies the rows in order and records one trace
+entry per row, exactly as if they had been solved one by one; a trace
+entry updates only the predictions of its row's samples.
+
+What depends only on the dataset is built once per dataset, on its first
+fit, and kept on it (`data.FitPlan`): the block structure of every step,
+each mode's targets in its sample order (`data.ModeLayout`), and for the
+linear kernel the per-task input moments. Inside `fit` the factors stay
+plain matrices; they are validated once, when the fit returns.
 """
 
 from __future__ import annotations
@@ -38,15 +46,9 @@ import numpy as np
 from .data import ModeLayout, MtlDataset
 from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, gram
-from .linsys import FeatureGram, solve_dual_system
-from .taskgrid import (
-    ModeFactors,
-    SharedFactor,
-    TaskGrid,
-    exclusion_table,
-    row_product_table,
-    task_vector_table,
-)
+from .linsys import FeatureGram, KroneckerGram, solve_dual_system
+from .model import dual_projection, dual_weights, task_predictions
+from .taskgrid import ModeFactors, SharedFactor, TaskGrid, row_product_table
 
 __all__ = [
     "FitConfig",
@@ -170,6 +172,21 @@ def init_factors(grid: TaskGrid, rank: int, seed: int) -> ModeFactors:
     return ModeFactors(tuple(mats))
 
 
+def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
+    """The factor matrices of a ModeFactors on the data's grid, or the matrices as given.
+
+    A step function takes its factors as a ModeFactors, checked here, or as
+    the bare T_n x K matrices, which `fit` passes for the matrices it owns.
+    """
+    if not isinstance(factors, ModeFactors):
+        return factors
+    if factors.grid != data.grid:
+        raise ValueError(
+            f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
+        )
+    return factors.factors
+
+
 def coherence_weighted_gram(
     data: MtlDataset,
     factors: ModeFactors,
@@ -181,12 +198,12 @@ def coherence_weighted_gram(
     Entry (j, j') couples sample i of task t with sample p of task q, where
     j runs over the global sample order.
     """
-    if factors.grid != data.grid:
-        raise ValueError(
-            f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
-        )
+    u_table = row_product_table(_factor_mats(data, factors), data.grid.mode_indices)
+    return _coherence_weighted(data, u_table, kernel, gram_matrix)
+
+
+def _coherence_weighted(data: MtlDataset, u_table, kernel: KernelSpec, gram_matrix) -> np.ndarray:
     G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
-    u_table = task_vector_table(factors)
     coherence = u_table @ u_table.T
     coherence = 0.5 * (coherence + coherence.T)
     # samples are stacked task by task, so the coherence expands block by block
@@ -194,11 +211,6 @@ def coherence_weighted_gram(
     Q = np.repeat(np.repeat(coherence, sizes, axis=0), sizes, axis=1)
     Q *= G
     return Q
-
-
-def _block_sums(values: np.ndarray, block_sizes) -> np.ndarray:
-    ends = np.cumsum(block_sizes)
-    return np.add.reduceat(values, np.concatenate([[0], ends[:-1]]))
 
 
 @dataclass(frozen=True)
@@ -211,7 +223,7 @@ class SharedStepResult:
 
 def solve_shared_step(
     data: MtlDataset,
-    factors: ModeFactors,
+    factors: ModeFactors | tuple[np.ndarray, ...],
     kernel: KernelSpec,
     C: float,
     jitter: float = 0.0,
@@ -219,28 +231,30 @@ def solve_shared_step(
 ) -> SharedStepResult:
     """Exactly minimize over the shared factor, biases, and residuals.
 
-    With a finite feature map the system matrix is Phi Phi^T for the m x dK
-    features Phi_j = u_t(j) kron x_j (the linear kernel's map is the
-    identity), solved through the smaller of its two forms. Other kernels
-    solve the (T+m)-dimensional dual system with the coherence-weighted
-    Gram matrix. The updated shared factor is returned in dual form (plus
-    the explicit matrix whenever the kernel has a finite feature map).
+    With the linear kernel the system matrix is Phi Phi^T for the m x dK
+    features Phi_j = u_t(j) kron x_j, handed to the solver as a
+    KroneckerGram over the dataset's per-task moments and solved through
+    the smaller of its two forms. Other kernels solve the
+    (T+m)-dimensional dual system with the coherence-weighted Gram matrix.
+    The updated shared factor is returned in dual form (plus the explicit
+    matrix whenever the kernel has a finite feature map). `factors` is a
+    ModeFactors on the data's grid, or its factor matrices.
     """
     data.require_nonempty_tasks()
+    plan = data.fit_plan
     y = data.stacked_targets()
-    u_table = task_vector_table(factors)
-    task_vectors = u_table[data.sample_task_ids()]
+    u_table = row_product_table(_factor_mats(data, factors), data.grid.mode_indices)
     explicit = None
     if kernel.has_feature_map:
         X = data.stacked_inputs()
-        Phi = (task_vectors[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-        biases, duals, residual = solve_dual_system(data.task_sizes, FeatureGram(Phi), y, C, jitter)
-        explicit = X.T @ (duals[:, None] * task_vectors)
+        Q = KroneckerGram(u_table, X, plan.moments)
+        biases, duals, residual = solve_dual_system(plan.shared, Q, y, C, jitter)
+        explicit = X.T @ dual_weights(duals, u_table, data.sample_task_ids())
     else:
-        Q = coherence_weighted_gram(data, factors, kernel, gram_matrix=gram_matrix)
-        biases, duals, residual = solve_dual_system(data.task_sizes, Q, y, C, jitter)
-    constraint = float(np.max(np.abs(_block_sums(duals, data.task_sizes))))
-    shared = SharedFactor(duals, u_table, data, explicit)
+        Q = _coherence_weighted(data, u_table, kernel, gram_matrix)
+        biases, duals, residual = solve_dual_system(plan.shared, Q, y, C, jitter)
+    constraint = float(np.max(np.abs(plan.shared.sums(duals))))
+    shared = SharedFactor._of_solve(duals, u_table, data, explicit)
     return SharedStepResult(shared, biases, residual, constraint)
 
 
@@ -261,21 +275,19 @@ def shared_projection(
     query_inputs = np.asarray(query_inputs, dtype=float)
     if shared.explicit is not None:
         return query_inputs @ shared.explicit
-    if cross_gram is None:
-        cross_gram = gram(kernel, shared.train_data.stacked_inputs(), query_inputs)
-    return cross_gram.T @ _weighted_duals(shared)
+    train = shared.train_data.stacked_inputs()
+    return dual_projection(kernel, train, _weighted_duals(shared), query_inputs, cross_gram)
 
 
 def _weighted_duals(shared: SharedFactor) -> np.ndarray:
     """m x K dual weights W: each training sample's dual times its task vector snapshot."""
-    tid = shared.train_data.sample_task_ids()
-    return shared.duals[:, None] * shared.task_vector_snapshot[tid]
+    return dual_weights(shared.duals, shared.task_vector_snapshot, shared.train_data.sample_task_ids())
 
 
 def reduced_features(
     data: MtlDataset,
     shared: SharedFactor,
-    factors: ModeFactors,
+    factors: ModeFactors | tuple[np.ndarray, ...],
     kernel: KernelSpec,
     mode: int,
     projection: np.ndarray | None = None,
@@ -283,11 +295,14 @@ def reduced_features(
     """m x K reduced features for one mode's row subproblems.
 
     Each sample's row is its shared projection Hadamard-multiplied with the
-    task's exclusion product over all other modes.
+    task's exclusion product over all other modes. `factors` is a
+    ModeFactors on the data's grid, or its factor matrices.
     """
+    mode = data.grid._check_mode(mode)
+    mats = _factor_mats(data, factors)
     if projection is None:
         projection = shared_projection(shared, kernel, data.stacked_inputs())
-    excl = exclusion_table(factors, mode)
+    excl = row_product_table(mats, data.grid.mode_indices, mode)
     return projection * excl[data.sample_task_ids()]
 
 
@@ -349,17 +364,18 @@ def solve_mode_row_step(
     """
     data.require_nonempty_tasks()
     layout = data.mode_layout(mode)
+    blocks = data.fit_plan.modes[mode - 1]
     Z = np.asarray(z, dtype=float)[layout.samples]
     rows = layout.n_rows
     row_starts = layout.row_starts[:-1]
-    y = data.stacked_targets()[layout.samples]
+    y = data.fit_plan.mode_targets[mode - 1]
     # A row with all-zero features still solves (its ridge block is I/C), so
     # the error raised is that of the lowest failing row, degenerate or not.
     nonzero = np.logical_or.reduceat(np.any(Z != 0, axis=1), row_starts)
     degenerate = int(np.argmin(nonzero)) if not nonzero.all() else rows
     try:
         biases, duals, residual = solve_dual_system(
-            layout.block_sizes, FeatureGram(Z, (layout.per_row,) * rows), y, C, jitter
+            blocks, FeatureGram(Z, blocks.counts), y, C, jitter
         )
     except SolverError as exc:
         if exc.group is None:
@@ -373,7 +389,7 @@ def solve_mode_row_step(
             "subproblem is degenerate (row would vanish and biases reduce to task means)",
             degenerate,
         )
-    task_sums = np.abs(_block_sums(duals, layout.block_sizes)).reshape(rows, layout.per_row)
+    task_sums = np.abs(blocks.sums(duals)).reshape(rows, layout.per_row)
     return ModeStepResult(
         layout,
         np.add.reduceat(Z * duals[:, None], row_starts, axis=0),
@@ -395,16 +411,18 @@ def _shared_penalty(shared: SharedFactor, train_projection: np.ndarray) -> float
     return float(np.sum(_weighted_duals(shared) * train_projection))
 
 
-def _predictions(projection, u_table, biases, tid) -> np.ndarray:
-    return np.sum(projection * u_table[tid], axis=1) + biases[tid]
+def _squared_norm(f: np.ndarray) -> float:
+    return float(np.sum(f**2))
 
 
-def _objective(y, yhat, C: float, pen_shared: float, factor_mats) -> tuple[float, float]:
-    """Training objective for predictions yhat, and the residual sum of squares."""
+def _objective(y, yhat, C: float, pen_shared: float, mode_norms) -> tuple[float, float]:
+    """Training objective for predictions yhat, and the residual sum of squares.
+
+    `mode_norms` are the squared norms of the mode factors, in mode order.
+    """
     residuals = y - yhat
     sse = float(residuals @ residuals)
-    pen_modes = sum(float(np.sum(f**2)) for f in factor_mats)
-    return 0.5 * C * sse + 0.5 * pen_shared + 0.5 * pen_modes, sse
+    return 0.5 * C * sse + 0.5 * pen_shared + 0.5 * sum(mode_norms), sse
 
 
 def _factor_change(new_mats, old_mats) -> float:
@@ -431,11 +449,13 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
     grid = data.grid
     kernel = config.kernel
     y = data.stacked_targets()
+    X = data.stacked_inputs()
     tid = data.sample_task_ids()
     m = data.n_samples
+    mode_indices = grid.mode_indices
 
     # Only kernels without a feature map solve through the m x m Gram.
-    G = None if kernel.has_feature_map else gram(kernel, data.stacked_inputs())
+    G = None if kernel.has_feature_map else gram(kernel, X)
     factor_mats = [f.copy() for f in init_factors(grid, config.K, config.seed).factors]
     biases = np.zeros(grid.n_tasks)
     shared = None
@@ -445,16 +465,21 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
     max_sys = 0.0
     max_con = 0.0
 
-    def record(iteration: int, step: str, projection, pen_shared: float) -> None:
-        if projection is None:
-            yhat = biases[tid]
-        else:
-            u_table = row_product_table(factor_mats, grid.mode_indices)
-            yhat = _predictions(projection, u_table, biases, tid)
-        obj, sse = _objective(y, yhat, config.C, pen_shared, factor_mats)
+    # The trace is kept incrementally. Row r of a mode changes one factor
+    # row and the biases of its own tasks, so the entry after row r differs
+    # from the previous one only in those tasks' predictions and in that
+    # factor's norm. A sweep therefore computes each sample's new prediction
+    # once, by the arithmetic of a full recomputation, and each row's entry
+    # takes over its own samples' values.
+    yhat = biases[tid]
+    mode_norms = [_squared_norm(f) for f in factor_mats]
+    pen_shared = 0.0
+
+    def record(iteration: int, step: str) -> None:
+        obj, sse = _objective(y, yhat, config.C, pen_shared, mode_norms)
         trace.append(TraceEntry(iteration, step, obj, math.sqrt(sse / m), None))
 
-    record(0, "init", None, 0.0)
+    record(0, "init")
 
     converged = False
     iterations = 0
@@ -462,34 +487,42 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
         iterations = it
         prev_mats = [f.copy() for f in factor_mats]
 
-        factors_now = ModeFactors(tuple(factor_mats))
         try:
-            step = solve_shared_step(data, factors_now, kernel, config.C, config.jitter, gram_matrix=G)
+            step = solve_shared_step(data, factor_mats, kernel, config.C, config.jitter, gram_matrix=G)
         except SolverError as exc:
             raise SolverError(f"iteration {it}, shared step: {exc}") from exc
         shared = step.shared
         biases = step.biases.copy()
         max_sys = max(max_sys, step.system_residual)
         max_con = max(max_con, step.constraint_residual)
-        projection = shared_projection(shared, kernel, data.stacked_inputs(), G)
+        projection = shared_projection(shared, kernel, X, G)
         pen_shared = _shared_penalty(shared, projection)
-        record(it, "shared", projection, pen_shared)
+        yhat = task_predictions(projection, row_product_table(factor_mats, mode_indices), biases, tid)
+        record(it, "shared")
 
         for mode in range(1, grid.n_modes + 1):
-            factors_now = ModeFactors(tuple(factor_mats))
-            z = reduced_features(data, shared, factors_now, kernel, mode, projection=projection)
+            z = reduced_features(data, shared, factor_mats, kernel, mode, projection=projection)
             try:
-                step_rows = solve_mode_row_step(data, z, mode, config.C, config.jitter)
+                sweep = solve_mode_row_step(data, z, mode, config.C, config.jitter)
             except SolverError as exc:
                 where = f"mode {mode}" if exc.group is None else f"mode {mode}/row {exc.group + 1}"
                 raise SolverError(f"iteration {it}, {where}: {exc}") from exc
-            max_sys = max(max_sys, step_rows.system_residual)
-            for row in range(1, step_rows.layout.n_rows + 1):
-                result = step_rows.row(row)
-                factor_mats[mode - 1][row - 1, :] = result.row_values
-                biases[result.tasks - 1] = result.biases
-                max_con = max(max_con, result.constraint_residual)
-                record(it, f"mode{mode}/row{row}", projection, pen_shared)
+            max_sys = max(max_sys, sweep.system_residual)
+            max_con = max(max_con, float(sweep.constraint_residuals.max()))
+            lay = sweep.layout
+            mat = factor_mats[mode - 1]
+            norms = []  # of the factor with rows 1..r replaced
+            for r in range(lay.n_rows):
+                mat[r, :] = sweep.row_values[r]
+                norms.append(_squared_norm(mat))
+            biases[lay.tasks - 1] = sweep.biases
+            u_table = row_product_table(factor_mats, mode_indices)
+            swept = task_predictions(projection[lay.samples], u_table, biases, tid[lay.samples])
+            for r in range(lay.n_rows):
+                rows = slice(lay.row_starts[r], lay.row_starts[r + 1])
+                yhat[lay.samples[rows]] = swept[rows]
+                mode_norms[mode - 1] = norms[r]
+                record(it, f"mode{mode}/row{r + 1}")
 
         change = _factor_change(factor_mats, prev_mats)
         trace[-1] = replace(trace[-1], factor_change=change)
@@ -507,6 +540,7 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
             converged = True
             break
 
+    shared = SharedFactor(shared.duals, shared.task_vector_snapshot, data, shared.explicit)
     return FitState(
         factors=ModeFactors(tuple(factor_mats)),
         shared=shared,

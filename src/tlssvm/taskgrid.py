@@ -28,7 +28,6 @@ __all__ = [
     "task_vector",
     "task_vector_table",
     "row_product_table",
-    "exclusion_table",
 ]
 
 
@@ -167,13 +166,6 @@ def task_vector_table(factors: ModeFactors) -> np.ndarray:
     return row_product_table(factors.factors, factors.grid.mode_indices)
 
 
-def exclusion_table(factors: ModeFactors, skip_mode: int) -> np.ndarray:
-    """(T, K) matrix of per-task exclusion products for one mode."""
-    grid = factors.grid
-    skip_mode = grid._check_mode(skip_mode)
-    return row_product_table(factors.factors, grid.mode_indices, skip_mode)
-
-
 @dataclass(frozen=True)
 class SharedFactor:
     """The factor common to all tasks, kept in dual form.
@@ -221,6 +213,23 @@ class SharedFactor:
         object.__setattr__(self, "duals", duals)
         object.__setattr__(self, "task_vector_snapshot", snap)
         object.__setattr__(self, "explicit", explicit)
+
+    @classmethod
+    def _of_solve(cls, duals, task_vector_snapshot, train_data: MtlDataset, explicit=None) -> "SharedFactor":
+        """A shared factor over arrays a solve has just made, frozen in place unchecked.
+
+        A solve's duals passed its residual check, so they are finite; the
+        arrays are fresh, so freezing them affects no caller.
+        """
+        self = object.__new__(cls)
+        for name, arr in (
+            ("duals", duals), ("task_vector_snapshot", task_vector_snapshot),
+            ("train_data", train_data), ("explicit", explicit),
+        ):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        return self
 
     @property
     def rank(self) -> int:

@@ -9,8 +9,9 @@ import pytest
 from tlssvm import MtlDataset, TaskGrid
 from tlssvm.errors import DataError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec
-from tlssvm.solver import _objective, _predictions, _shared_penalty, shared_projection
-from tlssvm.taskgrid import ModeFactors, SharedFactor, linearize, task_vector_table
+from tlssvm.model import task_predictions
+from tlssvm.solver import _objective, _shared_penalty, _squared_norm, init_factors, shared_projection
+from tlssvm.taskgrid import ModeFactors, SharedFactor, linearize, row_product_table, task_vector_table
 
 
 def block_constraint_matrix(block_sizes) -> np.ndarray:
@@ -30,6 +31,26 @@ def saddle_oracle(block_sizes, Q, y, C, jitter=0.0):
     m, T = A.shape
     full = np.block([[np.zeros((T, T)), A.T], [A, Q + (1.0 / C + jitter) * np.eye(m)]])
     sol = np.linalg.solve(full, np.concatenate([np.zeros(T), y]))
+    return sol[:T], sol[T:]
+
+
+def high_precision_saddle_solution(block_sizes, Phi, y, C, jitter=0.0, digits=40):
+    """(biases, duals) of the saddle system with Q = Phi Phi^T, solved in `digits`-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    A = block_constraint_matrix(block_sizes)
+    m, T = A.shape
+    with mpmath.workdps(digits):
+        P = mpmath.matrix(np.asarray(Phi).tolist())
+        Q = P * P.T
+        M = mpmath.zeros(T + m)
+        ridge = mpmath.mpf(1) / C + mpmath.mpf(jitter)
+        for i in range(m):
+            for t in range(T):
+                M[T + i, t] = M[t, T + i] = A[i, t]
+            for j in range(m):
+                M[T + i, T + j] = Q[i, j] + (ridge if i == j else 0)
+        exact = mpmath.lu_solve(M, mpmath.matrix([0] * T + np.asarray(y).tolist()))
+        sol = np.array([float(v) for v in exact])
     return sol[:T], sol[T:]
 
 
@@ -54,6 +75,13 @@ def task_vector_excluding(factors: ModeFactors, idx, skip_mode: int) -> np.ndarr
         if n != skip_mode:
             out = out * f[i - 1, :]
     return out
+
+
+def exclusion_table(factors: ModeFactors, skip_mode: int) -> np.ndarray:
+    """(T, K) matrix of per-task exclusion products for one mode."""
+    grid = factors.grid
+    skip_mode = grid._check_mode(skip_mode)
+    return row_product_table(factors.factors, grid.mode_indices, skip_mode)
 
 
 def without_explicit(shared: SharedFactor) -> SharedFactor:
@@ -112,8 +140,59 @@ def evaluate_objective(
         else:
             train = shared.train_data.stacked_inputs()
             pen_shared = _shared_penalty(shared, shared_projection(shared, kernel, train, gram_matrix))
-        yhat = _predictions(projection, task_vector_table(factors), biases, tid)
-    return _objective(data.stacked_targets(), yhat, C, pen_shared, factors.factors)[0]
+        yhat = task_predictions(projection, task_vector_table(factors), biases, tid)
+    mode_norms = [_squared_norm(f) for f in factors.factors]
+    return _objective(data.stacked_targets(), yhat, C, pen_shared, mode_norms)[0]
+
+
+def full_recompute_trace(data: MtlDataset, config, shared_steps, projections, sweeps) -> list:
+    """Reference for `fit`'s trace: every entry recomputed in full.
+
+    Replays a fit from its step results (the shared steps, the training
+    projections of their shared factors and the mode sweeps, in the order
+    `fit` made them) and recomputes, after every step, all task vectors,
+    all predictions and every factor norm. Returns (iteration, step,
+    objective, train_rmse) per entry.
+    """
+    y, tid, m = data.stacked_targets(), data.sample_task_ids(), data.n_samples
+    mode_indices = data.grid.mode_indices
+    mats = [f.copy() for f in init_factors(data.grid, config.K, config.seed).factors]
+    biases = np.zeros(data.grid.n_tasks)
+    entries = []
+
+    def record(iteration, step, projection, pen_shared):
+        if projection is None:
+            yhat = biases[tid]
+        else:
+            u_table = np.ones((data.grid.n_tasks, config.K))
+            for n, f in enumerate(mats):
+                u_table *= f[mode_indices[:, n], :]
+            yhat = np.sum(projection * u_table[tid], axis=1) + biases[tid]
+        residuals = y - yhat
+        sse = float(residuals @ residuals)
+        pen_modes = sum(float(np.sum(f**2)) for f in mats)
+        objective = 0.5 * config.C * sse + 0.5 * pen_shared + 0.5 * pen_modes
+        entries.append((iteration, step, objective, math.sqrt(sse / m)))
+
+    record(0, "init", None, 0.0)
+    sweeps = iter(sweeps)
+    for it, (step, projection) in enumerate(zip(shared_steps, projections), start=1):
+        biases = step.biases.copy()
+        shared = step.shared
+        if shared.explicit is not None:
+            pen_shared = float(np.sum(shared.explicit**2))
+        else:
+            weights = shared.duals[:, None] * shared.task_vector_snapshot[tid]
+            pen_shared = float(np.sum(weights * projection))
+        record(it, "shared", projection, pen_shared)
+        for mode in range(1, data.grid.n_modes + 1):
+            sweep = next(sweeps)
+            for row in range(1, sweep.layout.n_rows + 1):
+                result = sweep.row(row)
+                mats[mode - 1][row - 1, :] = result.row_values
+                biases[result.tasks - 1] = result.biases
+                record(it, f"mode{mode}/row{row}", projection, pen_shared)
+    return entries
 
 
 def random_dataset(seed: int, mode_sizes=(2, 2), d: int = 3, m_t: int = 5) -> MtlDataset:

@@ -12,7 +12,10 @@ from tlssvm.errors import ConfigError, SolverError
 from tlssvm.kernels import KernelSpec, gram, kernel_eval
 from tlssvm.linsys import (
     RESIDUAL_RTOL,
+    Blocks,
     FeatureGram,
+    KroneckerGram,
+    TaskMoments,
     solve_dual_system,
     solve_feature_system,
 )
@@ -39,6 +42,7 @@ from conftest import (
     block_constraint_matrix,
     coslice_tasks,
     evaluate_objective,
+    high_precision_saddle_solution,
     random_dataset,
     saddle_oracle,
     without_explicit,
@@ -399,6 +403,128 @@ class TestSharedStep:
         assert max(abs(s) for s in sums) < 1e-8
 
 
+def kronecker_system(data, K, seed):
+    """Random T x K task vectors, the KroneckerGram of the data over them, and its explicit Phi."""
+    U = np.random.default_rng(seed).normal(size=(data.grid.n_tasks, K))
+    X = data.stacked_inputs()
+    blocks = Blocks(data.task_sizes)
+    Q = KroneckerGram(U, X, TaskMoments.of(blocks, X))
+    Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+    return blocks, Q, Phi
+
+
+class TestKroneckerSharedStep:
+    @pytest.mark.parametrize("mode_sizes", [(6,), (2, 3), (2, 3, 2)])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
+    def test_matches_explicit_features_and_oracle(self, mode_sizes, K, C, jitter):
+        # uneven tasks of 1..5 samples, task 1 holding one (its S_t is zero)
+        data = uneven_dataset(80 + len(mode_sizes), mode_sizes, max_size=5)
+        data = MtlDataset(data.grid, (data.inputs[0][:1],) + data.inputs[1:], (data.targets[0][:1],) + data.targets[1:])
+        blocks, Q, Phi = kronecker_system(data, K, seed=K)
+        y = data.stacked_targets()
+        assert data.n_samples >= Phi.shape[1]  # the ridge form
+        got = solve_dual_system(blocks, Q, y, C, jitter)
+        assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
+        assert_same_solution(got, solve_dual_system(data.task_sizes, FeatureGram(Phi), y, C, jitter))
+        if C < 1e6:
+            expected = saddle_oracle(data.task_sizes, Phi @ Phi.T, y, C, jitter)
+        else:  # the assembled oracle's own error exceeds the tolerance here
+            expected = high_precision_saddle_solution(data.task_sizes, Phi, y, C, jitter)
+        assert_same_solution(got, expected)
+
+    def test_operations_equal_those_of_the_explicit_matrix(self):
+        # the centered Gram, Phi^T v (plain, and block-centered with the mean
+        # term of a right-hand side [g; h]) and Phi w, as the ridge uses them
+        data = uneven_dataset(85, (2, 3), d=4)
+        blocks, Q, Phi = kronecker_system(data, 3, seed=85)
+        kron, explicit = linsys._KroneckerFeatures(Q, blocks), linsys._MatrixFeatures(Phi, blocks)
+        rng = np.random.default_rng(85)
+        v, g, w = rng.normal(size=data.n_samples), rng.normal(size=len(blocks)), rng.normal(size=12)
+        v_c = v - blocks.means(v)[blocks.of]
+        for got, expected in (
+            (kron.grams(), explicit.grams()),
+            (kron.rmatvec(v), explicit.rmatvec(v)),
+            (kron.rmatvec(v_c, g, 0.3), explicit.rmatvec(v_c, g, 0.3)),
+            ([kron.matvec([w])], [explicit.matvec([w])]),
+        ):
+            (got,), (expected,) = got, expected
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("C", [1.0, 1e3, 1e6])
+    def test_duplicated_samples_and_a_one_sample_task(self, C):
+        rng = np.random.default_rng(81)
+        base = rng.normal(size=(4, 3))
+        picks = ([2], [0, 0, 1, 3], [1, 1, 2], [3, 0, 0, 2, 2])  # repeats within and across tasks
+        data = MtlDataset(
+            TaskGrid((2, 2)), tuple(base[p] for p in picks), tuple(rng.normal(size=len(p)) for p in picks)
+        )
+        blocks, Q, Phi = kronecker_system(data, 2, seed=81)
+        np.testing.assert_array_equal(Q.moments.scatter[0], 0.0)
+        y = data.stacked_targets()
+        got = solve_dual_system(blocks, Q, y, C)
+        assert_same_solution(got, solve_dual_system(data.task_sizes, FeatureGram(Phi), y, C))
+        assert_same_solution(got, high_precision_saddle_solution(data.task_sizes, Phi, y, C))
+
+    @pytest.mark.parametrize("C", [1.0, 1e3])
+    def test_more_features_than_samples_takes_the_dense_form(self, monkeypatch, C):
+        data = uneven_dataset(82, (2, 2), d=4, max_size=2)
+        blocks, Q, Phi = kronecker_system(data, 3, seed=82)
+        assert data.n_samples < Phi.shape[1]
+        monkeypatch.setattr(linsys, "solve_feature_system", None)
+        y = data.stacked_targets()
+        got = solve_dual_system(blocks, Q, y, C)
+        assert_same_solution(got, saddle_oracle(data.task_sizes, Phi @ Phi.T, y, C))
+
+    def test_shared_step_matches_explicit_features(self):
+        data = uneven_dataset(83, (3, 2), d=4)
+        factors = init_factors(data.grid, 2, seed=83)
+        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        U = task_vector_table(factors)
+        X, y = data.stacked_inputs(), data.stacked_targets()
+        Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+        expected = solve_dual_system(data.task_sizes, FeatureGram(Phi), y, 10.0)
+        assert_same_solution((step.biases, step.shared.duals), expected)
+        # the explicit matrix is Phi^T alpha, column k of L holding features k*d..k*d+d-1
+        np.testing.assert_allclose(step.shared.explicit, (Phi.T @ step.shared.duals).reshape(2, 4).T, atol=1e-12)
+
+    def test_linear_fit_builds_no_feature_matrix_of_the_shared_step(self, monkeypatch):
+        widths = []
+
+        def recording(features, groups=None):
+            widths.append(np.shape(features)[1])
+            return FeatureGram(features, groups)
+
+        monkeypatch.setattr(solver, "FeatureGram", recording)
+        state = fit(snr10_dataset(), FitConfig(K=3, C=10.0, kernel=LINEAR, max_iters=3, seed=0))
+        assert state.iterations == 3
+        assert set(widths) == {3}  # only the K reduced features of the row steps
+
+    def test_shared_step_allocates_less_than_one_feature_matrix(self):
+        tracemalloc = pytest.importorskip("tracemalloc")
+        spec = SyntheticSpec(
+            d=20, mode_sizes=(2, 3), k_true=2, train_per_task=300, test_per_task=1, snr=10.0, seed=84
+        )
+        data, _, _ = generate_synthetic(spec)
+        factors = init_factors(data.grid, 3, seed=84)
+        solve_shared_step(data, factors, LINEAR, 10.0)  # builds the plan and loads LAPACK
+        tracemalloc.start()
+        try:
+            solve_shared_step(data, factors, LINEAR, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        phi_bytes = data.n_samples * 20 * 3 * 8
+        assert peak < phi_bytes / 2
+
+    def test_failed_solve_names_iteration_and_shared_step(self, monkeypatch):
+        monkeypatch.setattr(linsys._KroneckerFeatures, "grams", lambda self: [-np.eye(self.Q.n_features)])
+        cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=3, seed=0)
+        with pytest.raises(SolverError, match=r"^iteration 1, shared step: feature system is not positive definite"):
+            fit(snr10_dataset(), cfg)
+
+
 class TestReducedFeatures:
     def test_single_mode_equals_projection(self):
         data = random_dataset(9, mode_sizes=(3,), d=3, m_t=4)
@@ -742,12 +868,11 @@ class TestGroupedSystems:
         duals = duals + 1e-8 * (group_of == 1)  # group 1 (0-based) misses its own bound
         apply_q = lambda v: block_diagonal_gram(Phi, group_of) @ v  # noqa: E731
         no_step = lambda g, h: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
-        m = len(y)
-        pooled = linsys._Blocks(block_sizes, m, C, 0.0)
+        pooled = linsys.Blocks(block_sizes)
         _, _, residual = linsys._refined(pooled, y, 1 / C, apply_q, no_step, biases, duals, False)
         own_bound = RESIDUAL_RTOL * (1 + np.linalg.norm(y[group_of == 1]))
         assert own_bound < residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
-        grouped = linsys._Blocks(block_sizes, m, C, 0.0, (2, 2))
+        grouped = linsys.Blocks(block_sizes, (2, 2))
         with pytest.raises(SolverError, match="residual .* exceeds") as info:
             linsys._refined(grouped, y, 1 / C, apply_q, no_step, biases, duals, False)
         assert info.value.group == 1

@@ -11,12 +11,17 @@ from tlssvm.taskgrid import (
     SharedFactor,
     TaskGrid,
     delinearize,
-    exclusion_table,
     linearize,
     task_vector,
     task_vector_table,
 )
-from conftest import coslice_tasks, task_vector_excluding, with_updated_row, without_explicit
+from conftest import (
+    coslice_tasks,
+    exclusion_table,
+    task_vector_excluding,
+    with_updated_row,
+    without_explicit,
+)
 
 
 def enumerate_multi_indices(sizes):
