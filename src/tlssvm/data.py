@@ -71,15 +71,15 @@ class FitPlan:
     `shared` is the block structure of the shared step (one block per
     task), `modes[n-1]` that of mode n's row subproblems (the layout's
     tasks, one group per row) and `mode_targets[n-1]` the targets in that
-    layout's order. `moments`, the inputs' per-task moments that a linear
-    shared step is built from, is computed on first use. Arrays are
-    read-only.
+    layout's order. `moments` are the inputs' per-task moments, which a
+    linear shared step in the ridge form computes on first use. Arrays
+    are read-only.
     """
 
     shared: Blocks
     modes: tuple[Blocks, ...]
     mode_targets: tuple[np.ndarray, ...]
-    inputs: np.ndarray
+    moments: TaskMoments
 
     @classmethod
     def of(cls, data: "MtlDataset") -> "FitPlan":
@@ -87,16 +87,13 @@ class FitPlan:
         targets = tuple(data.stacked_targets()[lay.samples] for lay in layouts)
         for arr in targets:
             arr.flags.writeable = False
+        shared = Blocks(data.task_sizes)
         return cls(
-            Blocks(data.task_sizes),
+            shared,
             tuple(Blocks(lay.block_sizes, (lay.per_row,) * lay.n_rows) for lay in layouts),
             targets,
-            data.stacked_inputs(),
+            TaskMoments(shared, data.stacked_inputs()),
         )
-
-    @cached_property
-    def moments(self) -> TaskMoments:
-        return TaskMoments.of(self.shared, self.inputs)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ with A the block-of-ones constraint matrix pairing samples to tasks.
 `solve_dual_system` is the entry point. Q is a dense m x m matrix, a
 `FeatureGram` (Q = Phi Phi^T held as its m x p feature matrix Phi), or a
 `KroneckerGram` (Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j of
-a linear shared step, held as the task vectors, the inputs and their
-per-task moments, so Phi is never formed). The system is solved in one of
+a linear shared step, held as the task vectors and the inputs' per-task
+moments, so Phi is never formed). The system is solved in one of
 two forms, both by Cholesky:
 
 * Dense with a Schur complement, for a dense Q (kernels without a finite
@@ -31,7 +31,10 @@ two forms, both by Cholesky:
   KroneckerGram builds the centered Gram as sum_t (u_t u_t^T) kron S_t
   from the per-task centered moments S_t = X~_t^T X~_t (T K^2 d^2 flops
   instead of m (dK)^2), gets Phi^T v from the per-task sums X_t^T v_t and
-  Phi w row by row from X W^T.
+  Phi w row by row from X W^T. The S_t are computed on the first ridge
+  solve and kept while all of them together take no more memory than Phi
+  and its centered copy (2 m dK floats); otherwise each solve sums them
+  in runs of tasks that fit that bound. The dense form reads no moments.
 
 Both evaluate the residual of the saddle system above with the original
 Q (never with a factor), and raise SolverError when it exceeds
@@ -61,7 +64,7 @@ prediction, evaluation and CSV or model IO run without ever loading it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -171,62 +174,96 @@ class FeatureGram:
             object.__setattr__(self, "groups", groups)
 
 
-@dataclass(frozen=True)
 class TaskMoments:
-    """Per-task input moments: the means x_bar_t (T x d) and S_t = X~_t^T X~_t (T x d x d).
+    """Per-task moments of m x d inputs stacked one block per task, computed on first use.
 
-    X~_t is task t's block of inputs less its mean; a task of one sample
-    has S_t = 0. Both arrays are read-only.
+    `means` is T x d (the x_bar_t) and `scatter` T x d x d (the S_t =
+    X~_t^T X~_t, X~_t being task t's block less its mean, so a task of one
+    sample has S_t = 0). Both are read-only and kept once computed.
+    `weighted_scatter` sums the S_t without holding more of them at once
+    than a budget allows.
     """
 
-    means: np.ndarray
-    scatter: np.ndarray
+    def __init__(self, blocks: Blocks, inputs: np.ndarray) -> None:
+        self.blocks = blocks
+        self.inputs = inputs
 
-    @classmethod
-    def of(cls, blocks: Blocks, inputs: np.ndarray) -> "TaskMoments":
-        """Moments of the m x d inputs, one block per task."""
-        means = blocks.means(inputs)
-        centered = inputs - means[blocks.of]
-        scatter = np.empty((len(blocks), inputs.shape[1], inputs.shape[1]))
-        for t, (s, n) in enumerate(zip(blocks.starts.tolist(), blocks)):
+    @cached_property
+    def means(self) -> np.ndarray:
+        means = self.blocks.means(self.inputs)
+        means.flags.writeable = False
+        return means
+
+    @cached_property
+    def scatter(self) -> np.ndarray:
+        scatter = self._scatter(0, len(self.blocks))
+        scatter.flags.writeable = False
+        return scatter
+
+    def _scatter(self, first: int, stop: int) -> np.ndarray:
+        """The S_t of tasks first..stop-1."""
+        b = self.blocks
+        lo = int(b.starts[first])
+        sizes = b.sizes[first:stop]
+        rows = self.inputs[lo : lo + int(sizes.sum())]
+        centered = rows - self.means[first:stop].repeat(sizes, axis=0)
+        d = rows.shape[1]
+        scatter = np.empty((stop - first, d, d))
+        for t, (s, n) in enumerate(zip((b.starts[first:stop] - lo).tolist(), sizes.tolist())):
             own = centered[s : s + n]
             scatter[t] = own.T @ own
-        means.flags.writeable = False
-        scatter.flags.writeable = False
-        return cls(means, scatter)
+        return scatter
+
+    def weighted_scatter(self, weights: np.ndarray, budget: int) -> np.ndarray:
+        """sum_t weights[t, r] S_t for every column r of the T x R weights, as R x d^2.
+
+        All S_t are taken from `scatter` (computed and kept) when they fit
+        in `budget` floats; otherwise they are computed and dropped run by
+        run, each run of tasks fitting the budget. The choice depends only
+        on the sizes, so the sums do not depend on what ran before.
+        """
+        T, d = len(self.blocks), self.inputs.shape[1]
+        per = max(1, budget // max(1, d * d))  # tasks per run
+        if per >= T:
+            return weights.T @ self.scatter.reshape(T, d * d)
+        total = np.zeros((weights.shape[1], d * d))
+        for first in range(0, T, per):
+            stop = min(first + per, T)
+            total += weights[first:stop].T @ self._scatter(first, stop).reshape(stop - first, d * d)
+        return total
 
 
 @dataclass(frozen=True)
 class KroneckerGram:
     """Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j, never formed.
 
-    `task_vectors` is T x K, `inputs` m x d with every task a block of the
-    system, and `moments` the inputs' `TaskMoments`. Feature k*d + i of
-    sample j is u_t(j),k x_j,i.
+    `task_vectors` is T x K and `moments` the `TaskMoments` of the m x d
+    inputs, every task a block of the system. Feature k*d + i of sample j
+    is u_t(j),k x_j,i. Only the ridge form reads the moments.
     """
 
     task_vectors: np.ndarray
-    inputs: np.ndarray
     moments: TaskMoments
 
     @property
     def n_features(self) -> int:
-        return self.task_vectors.shape[1] * self.inputs.shape[1]
+        return self.task_vectors.shape[1] * self.moments.inputs.shape[1]
 
     def check(self, blocks: Blocks) -> None:
         if len(blocks.counts) != 1:
             raise ValueError("a KroneckerGram system has a single group")
         T = self.task_vectors.shape[0]
-        if len(blocks) != T or self.inputs.shape[0] != blocks.m or self.moments.means.shape[0] != T:
+        if len(blocks) != T or self.moments.blocks != blocks:
             raise ValueError(
-                f"inconsistent system shapes: {T} task vectors, inputs {self.inputs.shape}, "
-                f"{len(blocks)} blocks of {blocks.m} samples"
+                f"inconsistent system shapes: {T} task vectors, moments of blocks "
+                f"{list(self.moments.blocks)}, system blocks {list(blocks)}"
             )
 
     def dense(self, blocks: Blocks) -> np.ndarray:
         """The m x m matrix Q: task-vector coherence times the linear Gram."""
         U = self.task_vectors[blocks.of]
-        return (U @ U.T) * (self.inputs @ self.inputs.T)
+        X = self.moments.inputs
+        return (U @ U.T) * (X @ X.T)
 
 
 class _MatrixFeatures:
@@ -241,11 +278,12 @@ class _MatrixFeatures:
     def grams(self) -> list[np.ndarray]:
         return [self.centered[rows].T @ self.centered[rows] for rows, _ in self.parts]
 
-    def rmatvec(self, v: np.ndarray, g: np.ndarray | None = None, inv_c: float = 0.0) -> list:
-        if g is None:
-            return [self.Phi[rows].T @ v[rows] for rows, _ in self.parts]
+    def rmatvec(self, v: np.ndarray) -> list:
+        return [self.Phi[rows].T @ v[rows] for rows, _ in self.parts]
+
+    def rhs(self, h_c: np.ndarray, g: np.ndarray, inv_c: float) -> list:
         return [
-            self.centered[rows].T @ v[rows] + inv_c * (self.bar[own].T @ g[own])
+            self.centered[rows].T @ h_c[rows] + inv_c * (self.bar[own].T @ g[own])
             for rows, own in self.parts
         ]
 
@@ -262,29 +300,33 @@ class _KroneckerFeatures:
     def __init__(self, Q: KroneckerGram, blocks: Blocks) -> None:
         Q.check(blocks)
         self.Q = Q
-        self.blocks = blocks
+        self.X = Q.moments.inputs
         self.sample_vectors = Q.task_vectors[blocks.of]  # m x K
 
     def grams(self) -> list[np.ndarray]:
-        U, S = self.Q.task_vectors, self.Q.moments.scatter
+        U = self.Q.task_vectors
         T, K = U.shape
-        d = S.shape[1]
+        d = self.X.shape[1]
         outer = (U[:, :, None] * U[:, None, :]).reshape(T, K * K)
-        H = (outer.T @ S.reshape(T, d * d)).reshape(K, K, d, d)
+        # the S_t held at once never outgrow Phi and its centered copy, the
+        # two m x dK arrays that the explicit form of this ridge would hold
+        H = self.Q.moments.weighted_scatter(outer, 2 * self.X.shape[0] * K * d).reshape(K, K, d, d)
         return [H.transpose(0, 2, 1, 3).reshape(K * d, K * d)]
 
-    def rmatvec(self, v: np.ndarray, g: np.ndarray | None = None, inv_c: float = 0.0) -> list:
-        # Phi^T v = sum_j v_j u_t(j) kron x_j, which for a block-centered v is
-        # Phi~^T v, and Phi_bar^T g = sum_t g_t u_t kron x_bar_t
-        out = (self.sample_vectors * v[:, None]).T @ self.Q.inputs
-        if g is not None:
-            out += inv_c * ((self.Q.task_vectors * g[:, None]).T @ self.Q.moments.means)
-        return [out.reshape(-1)]
+    def rmatvec(self, v: np.ndarray) -> list:
+        # Phi^T v = sum_j v_j u_t(j) kron x_j
+        return [((self.sample_vectors * v[:, None]).T @ self.X).reshape(-1)]
+
+    def rhs(self, h_c: np.ndarray, g: np.ndarray, inv_c: float) -> list:
+        # Phi~^T h~ equals Phi^T h~ for a block-centered h~, and
+        # Phi_bar^T g = sum_t g_t u_t kron x_bar_t
+        (out,) = self.rmatvec(h_c)
+        return [out + inv_c * ((self.Q.task_vectors * g[:, None]).T @ self.Q.moments.means).reshape(-1)]
 
     def matvec(self, weights: list) -> np.ndarray:
         (w,) = weights
         W = w.reshape(self.sample_vectors.shape[1], -1)
-        return np.einsum("jk,jk->j", self.Q.inputs @ W.T, self.sample_vectors)
+        return np.einsum("jk,jk->j", self.X @ W.T, self.sample_vectors)
 
 
 @cache
@@ -500,7 +542,7 @@ def solve_feature_system(
 
     def solve(g: np.ndarray, h: np.ndarray):
         h_c = h - blocks.means(h)[blocks.of]
-        rhs = features.rmatvec(h_c, g, inv_c)
+        rhs = features.rhs(h_c, g, inv_c)
         fitted = features.matvec([_cho_solve(f, r) for f, r in zip(factors, rhs)])
         b = blocks.means(h - fitted) - inv_c * g / sizes
         return b, (h - b[blocks.of] - fitted) / inv_c

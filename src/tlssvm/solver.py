@@ -31,8 +31,8 @@ entry updates only the predictions of its row's samples.
 
 What depends only on the dataset is built once per dataset, on its first
 fit, and kept on it (`data.FitPlan`): the block structure of every step,
-each mode's targets in its sample order (`data.ModeLayout`), and for the
-linear kernel the per-task input moments. Inside `fit` the factors stay
+each mode's targets in its sample order (`data.ModeLayout`), and the
+per-task input moments, which a linear shared step computes on first use. Inside `fit` the factors stay
 plain matrices; they are validated once, when the fit returns.
 """
 
@@ -48,7 +48,7 @@ from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, gram
 from .linsys import FeatureGram, KroneckerGram, solve_dual_system
 from .model import dual_projection, dual_weights, task_predictions
-from .taskgrid import ModeFactors, SharedFactor, TaskGrid, row_product_table
+from .taskgrid import ModeFactors, SharedFactor, TaskGrid, row_product_table, task_vector_table
 
 __all__ = [
     "FitConfig",
@@ -172,19 +172,30 @@ def init_factors(grid: TaskGrid, rank: int, seed: int) -> ModeFactors:
     return ModeFactors(tuple(mats))
 
 
-def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
-    """The factor matrices of a ModeFactors on the data's grid, or the matrices as given.
-
-    A step function takes its factors as a ModeFactors, checked here, or as
-    the bare T_n x K matrices, which `fit` passes for the matrices it owns.
-    """
-    if not isinstance(factors, ModeFactors):
-        return factors
+def _check_grid(data: MtlDataset, factors: ModeFactors) -> None:
     if factors.grid != data.grid:
         raise ValueError(
             f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
         )
-    return factors.factors
+
+
+def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
+    """The factor matrices of a ModeFactors on the data's grid, or the matrices as given.
+
+    A step function takes its factors as a ModeFactors or as the bare
+    T_n x K matrices, which `fit` passes for the matrices it owns. Either
+    must fit the data's grid; bare matrices must also be finite.
+    """
+    if isinstance(factors, ModeFactors):
+        _check_grid(data, factors)
+        return factors.factors
+    mats = tuple(factors)
+    shapes = [np.shape(f) for f in mats]
+    if not shapes or len(shapes[0]) != 2 or shapes != [(n, shapes[0][1]) for n in data.grid.mode_sizes]:
+        raise ValueError(f"factor matrices of shapes {shapes} do not fit data grid {data.grid.mode_sizes}")
+    if not all(np.isfinite(f).all() for f in mats):
+        raise ValueError("factor matrices contain non-finite entries")
+    return mats
 
 
 def coherence_weighted_gram(
@@ -198,8 +209,8 @@ def coherence_weighted_gram(
     Entry (j, j') couples sample i of task t with sample p of task q, where
     j runs over the global sample order.
     """
-    u_table = row_product_table(_factor_mats(data, factors), data.grid.mode_indices)
-    return _coherence_weighted(data, u_table, kernel, gram_matrix)
+    _check_grid(data, factors)
+    return _coherence_weighted(data, task_vector_table(factors), kernel, gram_matrix)
 
 
 def _coherence_weighted(data: MtlDataset, u_table, kernel: KernelSpec, gram_matrix) -> np.ndarray:
@@ -246,10 +257,9 @@ def solve_shared_step(
     u_table = row_product_table(_factor_mats(data, factors), data.grid.mode_indices)
     explicit = None
     if kernel.has_feature_map:
-        X = data.stacked_inputs()
-        Q = KroneckerGram(u_table, X, plan.moments)
+        Q = KroneckerGram(u_table, plan.moments)
         biases, duals, residual = solve_dual_system(plan.shared, Q, y, C, jitter)
-        explicit = X.T @ dual_weights(duals, u_table, data.sample_task_ids())
+        explicit = data.stacked_inputs().T @ dual_weights(duals, u_table, data.sample_task_ids())
     else:
         Q = _coherence_weighted(data, u_table, kernel, gram_matrix)
         biases, duals, residual = solve_dual_system(plan.shared, Q, y, C, jitter)

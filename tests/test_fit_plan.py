@@ -45,15 +45,16 @@ class TestFitPlan:
     def test_moments_only_for_the_linear_kernel(self):
         data = synthetic((2, 2))
         fit(data, FitConfig(K=2, C=10.0, kernel=RBF, max_iters=1))
-        assert "moments" not in vars(data.fit_plan)
+        assert vars(data.fit_plan.moments).keys().isdisjoint({"means", "scatter"})
         fit(data, FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=1))
-        assert "moments" in vars(data.fit_plan)
+        assert {"means", "scatter"} <= vars(data.fit_plan.moments).keys()
 
     def test_second_fit_builds_no_structure_or_moments(self, monkeypatch):
         data = synthetic((3, 2, 2))
         cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=2)
         first = fit(data, cfg)
         plan, moments = data.fit_plan, data.fit_plan.moments
+        scatter = moments.scatter
         built = []
         real_new = linsys.Blocks.__new__
 
@@ -61,11 +62,12 @@ class TestFitPlan:
             built.append("Blocks")
             return real_new(cls, *args, **kwargs)
 
-        real_moments = linsys.TaskMoments.of.__func__
+        real_scatter = linsys.TaskMoments._scatter
         monkeypatch.setattr(linsys.Blocks, "__new__", counting_new)
+        monkeypatch.setattr(linsys.TaskMoments, "__init__", lambda self, *a: built.append("moments"))
         monkeypatch.setattr(
-            linsys.TaskMoments, "of",
-            classmethod(lambda cls, *a: built.append("moments") or real_moments(cls, *a)),
+            linsys.TaskMoments, "_scatter",
+            lambda self, *a: built.append("scatter") or real_scatter(self, *a),
         )
         monkeypatch.setattr(
             data_module.FitPlan, "of",
@@ -74,7 +76,7 @@ class TestFitPlan:
         second = fit(data, cfg)
         fit(data, dataclasses.replace(cfg, kernel=RBF))
         assert built == []
-        assert data.fit_plan is plan and plan.moments is moments
+        assert data.fit_plan is plan and plan.moments is moments and moments.scatter is scatter
         assert [e.objective for e in second.trace] == [e.objective for e in first.trace]
 
     def test_matches_the_layouts_and_is_read_only(self):

@@ -408,7 +408,7 @@ def kronecker_system(data, K, seed):
     U = np.random.default_rng(seed).normal(size=(data.grid.n_tasks, K))
     X = data.stacked_inputs()
     blocks = Blocks(data.task_sizes)
-    Q = KroneckerGram(U, X, TaskMoments.of(blocks, X))
+    Q = KroneckerGram(U, TaskMoments(blocks, X))
     Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
     return blocks, Q, Phi
 
@@ -446,7 +446,7 @@ class TestKroneckerSharedStep:
         for got, expected in (
             (kron.grams(), explicit.grams()),
             (kron.rmatvec(v), explicit.rmatvec(v)),
-            (kron.rmatvec(v_c, g, 0.3), explicit.rmatvec(v_c, g, 0.3)),
+            (kron.rhs(v_c, g, 0.3), explicit.rhs(v_c, g, 0.3)),
             ([kron.matvec([w])], [explicit.matvec([w])]),
         ):
             (got,), (expected,) = got, expected
@@ -517,6 +517,87 @@ class TestKroneckerSharedStep:
             tracemalloc.stop()
         phi_bytes = data.n_samples * 20 * 3 * 8
         assert peak < phi_bytes / 2
+
+    def test_dense_form_computes_no_moments(self):
+        data = uneven_dataset(86, (2, 2), d=6, max_size=2)
+        factors = init_factors(data.grid, 2, seed=86)
+        assert data.n_samples < 12  # dK > m: the dense form
+        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        U = task_vector_table(factors)
+        X, y = data.stacked_inputs(), data.stacked_targets()
+        Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+        assert_same_solution((step.biases, step.shared.duals), saddle_oracle(data.task_sizes, Phi @ Phi.T, y, 10.0))
+        assert vars(data.fit_plan.moments).keys().isdisjoint({"means", "scatter"})
+
+    def test_wide_inputs_sum_the_moments_in_runs(self):
+        # 12 tasks of 8 samples and d=20 > 2 m_t K: the S_t of all tasks would
+        # outgrow Phi and its centered copy, so they are summed 9 tasks at a time
+        data = random_dataset(87, mode_sizes=(3, 4), d=20, m_t=8)
+        factors = init_factors(data.grid, 1, seed=87)
+        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        U = task_vector_table(factors)
+        X, y = data.stacked_inputs(), data.stacked_targets()
+        Phi = U[data.sample_task_ids()] * X
+        assert data.n_samples >= Phi.shape[1]  # the ridge form
+        assert_same_solution((step.biases, step.shared.duals), solve_dual_system(data.task_sizes, FeatureGram(Phi), y, 10.0))
+        assert_same_solution((step.biases, step.shared.duals), saddle_oracle(data.task_sizes, Phi @ Phi.T, y, 10.0))
+        assert "scatter" not in vars(data.fit_plan.moments)
+
+    @pytest.mark.parametrize("budget", [1, 2 * 25, 5 * 25, 7 * 25, 10**6])
+    def test_weighted_scatter_in_runs_equals_the_full_sum(self, budget):
+        data = uneven_dataset(88, (7,), d=5)
+        moments = TaskMoments(Blocks(data.task_sizes), data.stacked_inputs())
+        weights = np.random.default_rng(88).normal(size=(7, 4))
+        got = moments.weighted_scatter(weights, budget)
+        expected = np.einsum("tr,tij->rij", weights, moments.scatter).reshape(4, 25)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_wide_inputs_allocate_less_than_the_explicit_features(self):
+        tracemalloc = pytest.importorskip("tracemalloc")
+        # 50 tasks of 20 samples, d=200 and K=3: Phi is 1000 x 600 (4.8 MB), all
+        # S_t together 16 MB
+        data = random_dataset(89, mode_sizes=(5, 10), d=200, m_t=20)
+        factors = init_factors(data.grid, 3, seed=89)
+        X, y = data.stacked_inputs(), data.stacked_targets()
+        tid = data.sample_task_ids()
+
+        def explicit_step():
+            U = task_vector_table(factors)
+            Phi = (U[tid][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+            return solve_dual_system(data.task_sizes, FeatureGram(Phi), y, 10.0)
+
+        peaks = []
+        for step in (explicit_step, lambda: solve_shared_step(data, factors, LINEAR, 10.0)):
+            step()  # loads LAPACK, builds the plan
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0]
+        assert "scatter" not in vars(data.fit_plan.moments)
+
+    def test_bare_factor_matrices_must_fit_the_grid(self):
+        data = random_dataset(90, mode_sizes=(2, 3), d=3, m_t=4)
+        mats = init_factors(data.grid, 2, seed=90).factors
+        step = solve_shared_step(data, mats, LINEAR, 10.0)
+        bad = (
+            (mats[0],),  # one matrix on a 2-mode grid
+            (mats[0], mats[1], mats[1]),
+            (mats[0], mats[1][:2]),  # mode 2 has 3 rows
+            (mats[0], mats[1][:, :1]),  # ranks disagree
+            (mats[0][0], mats[1]),
+        )
+        for mats_bad in bad:
+            with pytest.raises(ValueError, match="do not fit data grid"):
+                solve_shared_step(data, mats_bad, LINEAR, 10.0)
+            with pytest.raises(ValueError, match="do not fit data grid"):
+                reduced_features(data, step.shared, mats_bad, LINEAR, mode=1)
+        nan = mats[1].copy()
+        nan[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_shared_step(data, (mats[0], nan), LINEAR, 10.0)
 
     def test_failed_solve_names_iteration_and_shared_step(self, monkeypatch):
         monkeypatch.setattr(linsys._KroneckerFeatures, "grams", lambda self: [-np.eye(self.Q.n_features)])
