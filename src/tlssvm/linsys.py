@@ -321,7 +321,8 @@ class _KroneckerFeatures:
         # Phi~^T h~ equals Phi^T h~ for a block-centered h~, and
         # Phi_bar^T g = sum_t g_t u_t kron x_bar_t
         (out,) = self.rmatvec(h_c)
-        return [out + inv_c * ((self.Q.task_vectors * g[:, None]).T @ self.Q.moments.means).reshape(-1)]
+        bar = (self.Q.task_vectors * g[:, None]).T @ self.Q.moments.means
+        return [out + inv_c * bar.reshape(-1)]
 
     def matvec(self, weights: list) -> np.ndarray:
         (w,) = weights

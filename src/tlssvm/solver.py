@@ -32,8 +32,9 @@ entry updates only the predictions of its row's samples.
 What depends only on the dataset is built once per dataset, on its first
 fit, and kept on it (`data.FitPlan`): the block structure of every step,
 each mode's targets in its sample order (`data.ModeLayout`), and the
-per-task input moments, which a linear shared step computes on first use. Inside `fit` the factors stay
-plain matrices; they are validated once, when the fit returns.
+per-task input moments, which a linear shared step computes on first
+use. Inside `fit` the factors stay plain matrices; they are validated
+once, when the fit returns.
 """
 
 from __future__ import annotations
