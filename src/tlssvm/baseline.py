@@ -17,7 +17,7 @@ import numpy as np
 from .data import MtlDataset
 from .errors import DataError
 from .kernels import KernelSpec, gram
-from .linsys import solve_dual_system
+from .linsys import Blocks, solve_dual_system
 from .taskgrid import TaskGrid, linearize
 
 __all__ = ["SingleTaskLssvm", "LssvmModel", "fit_single", "fit_independent", "predict_single"]
@@ -53,14 +53,37 @@ def fit_single(X, y, C: float, kernel: KernelSpec, jitter: float = 0.0) -> Singl
     if X.shape[0] < 1:
         raise ValueError("need at least one training sample")
     G = gram(kernel, X)
-    biases, duals, _ = solve_dual_system([X.shape[0]], G, y, C, jitter)
+    biases, duals, _ = solve_dual_system(Blocks([X.shape[0]]), G, y, C, jitter)
     return SingleTaskLssvm(duals, float(biases[0]), X, kernel)
 
 
 def predict_single(model: SingleTaskLssvm, x) -> float:
     """sum_i alpha_i k(x, x_i) + b."""
-    k = gram(model.kernel, model.inputs, np.asarray(x, dtype=float)[None, :])[:, 0]
+    x = query_inputs(x, 1, model.inputs.shape[1])
+    k = gram(model.kernel, model.inputs, x[None, :])[:, 0]
     return float(model.duals @ k + model.bias)
+
+
+def query_inputs(x, ndim: int, n_features: int) -> np.ndarray:
+    """Query inputs of a model as a float array: one row (ndim 1) or a matrix of rows (ndim 2).
+
+    Raises DataError for the wrong shape or a NaN or infinite value.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.shape[-1] != n_features:
+        expected = f"a length-{n_features} input" if ndim == 1 else f"n x {n_features} inputs"
+        raise DataError(f"expected {expected}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("inputs contain NaN or infinite values")
+    return x
+
+
+def check_query_dataset(data: MtlDataset, grid: TaskGrid, n_features: int) -> None:
+    """Raise DataError unless a dataset fits a model's task grid and feature count."""
+    if data.grid != grid:
+        raise DataError(f"dataset grid {data.grid.mode_sizes} does not match model grid {grid.mode_sizes}")
+    if data.n_features != n_features:
+        raise DataError(f"dataset has {data.n_features} features, model expects {n_features}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +106,9 @@ class LssvmModel:
 
     def predict_rows(self, multi_indices, X) -> np.ndarray:
         """Predictions for rows of X, each addressed to its own task; one Gram per task."""
-        X = np.asarray(X, dtype=float)
+        X = query_inputs(X, 2, self.n_features)
         task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices], dtype=int)
-        if X.ndim != 2 or task_ids.shape[0] != X.shape[0]:
+        if task_ids.shape[0] != X.shape[0]:
             raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
         out = np.empty(X.shape[0])
         for t in np.unique(task_ids):
@@ -96,10 +119,7 @@ class LssvmModel:
 
     def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
         """Per-task prediction blocks for a dataset on the same grid."""
-        if data.grid != self.grid:
-            raise DataError(
-                f"dataset grid {data.grid.mode_sizes} does not match model grid {self.grid.mode_sizes}"
-            )
+        check_query_dataset(data, self.grid, self.n_features)
         out = []
         for task, X in zip(self.tasks, data.inputs):
             if X.shape[0] == 0:

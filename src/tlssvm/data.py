@@ -29,39 +29,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """The samples of one mode's row subproblems, laid out row by row.
+    """One mode's row subproblems: their tasks and samples, laid out row by row.
 
     `tasks` (1-based ids) run row by row, ascending within a row, and
-    `samples` are the global sample indices in that task order, with
-    `block_sizes` the tasks' sample counts. Row r owns
-    tasks[(r-1)*per_row : r*per_row] and samples[row_starts[r-1] : row_starts[r]].
+    `samples` are the global sample indices in that task order. `blocks`
+    has one block per task in that order and one group per row, so row r
+    owns the tasks and samples of `blocks.group_slices[r - 1]`. `targets`
+    are the targets in sample order.
     """
 
     tasks: np.ndarray
     samples: np.ndarray
-    block_sizes: np.ndarray
-    row_starts: np.ndarray
-    per_row: int
+    blocks: Blocks
+    targets: np.ndarray
 
     @classmethod
-    def of(cls, grid: TaskGrid, sample_task_ids: np.ndarray, task_sizes, mode: int) -> "ModeLayout":
+    def of(cls, data: "MtlDataset", mode: int) -> "ModeLayout":
+        grid = data.grid
         row_of_task = grid.mode_indices[:, mode - 1]
-        row_of_sample = row_of_task[sample_task_ids]
         # samples are stacked task by task, so a stable sort by row keeps
         # tasks ascending, and each task's samples in order, within a row
         tasks = np.argsort(row_of_task, kind="stable")
-        samples = np.argsort(row_of_sample, kind="stable")
-        counts = np.bincount(row_of_sample, minlength=grid.mode_sizes[mode - 1])
-        row_starts = np.concatenate([[0], np.cumsum(counts)])
-        block_sizes = np.asarray(task_sizes, dtype=np.intp)[tasks]
+        samples = np.argsort(row_of_task[data.sample_task_ids()], kind="stable")
+        n_rows = grid.mode_sizes[mode - 1]
+        blocks = Blocks(np.asarray(data.task_sizes)[tasks], (grid.n_tasks // n_rows,) * n_rows)
+        targets = data.stacked_targets()[samples]
         tasks += 1
-        for arr in (tasks, samples, block_sizes, row_starts):
+        for arr in (tasks, samples, targets):
             arr.flags.writeable = False
-        return cls(tasks, samples, block_sizes, row_starts, grid.n_tasks // grid.mode_sizes[mode - 1])
-
-    @property
-    def n_rows(self) -> int:
-        return self.row_starts.shape[0] - 1
+        return cls(tasks, samples, blocks, targets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,29 +65,21 @@ class FitPlan:
     """What every fit of one dataset needs and only the dataset determines.
 
     `shared` is the block structure of the shared step (one block per
-    task), `modes[n-1]` that of mode n's row subproblems (the layout's
-    tasks, one group per row) and `mode_targets[n-1]` the targets in that
-    layout's order. `moments` are the inputs' per-task moments, which a
-    linear shared step in the ridge form computes on first use. Arrays
-    are read-only.
+    task) and `layouts[n-1]` the layout of mode n's row subproblems.
+    `moments` are the inputs' per-task moments, which a linear shared step
+    in the ridge form computes on first use. Arrays are read-only.
     """
 
     shared: Blocks
-    modes: tuple[Blocks, ...]
-    mode_targets: tuple[np.ndarray, ...]
+    layouts: tuple[ModeLayout, ...]
     moments: TaskMoments
 
     @classmethod
     def of(cls, data: "MtlDataset") -> "FitPlan":
-        layouts = data._mode_layouts
-        targets = tuple(data.stacked_targets()[lay.samples] for lay in layouts)
-        for arr in targets:
-            arr.flags.writeable = False
         shared = Blocks(data.task_sizes)
         return cls(
             shared,
-            tuple(Blocks(lay.block_sizes, (lay.per_row,) * lay.n_rows) for lay in layouts),
-            targets,
+            tuple(ModeLayout.of(data, mode) for mode in range(1, data.grid.n_modes + 1)),
             TaskMoments(shared, data.stacked_inputs()),
         )
 
@@ -128,6 +116,8 @@ class MtlDataset:
             targets.append(y)
         if len(dims) != 1:
             raise ValueError(f"tasks disagree on feature dimension: {sorted(dims)}")
+        if dims == {0}:
+            raise ValueError("inputs must have at least one feature")
         # The stacked arrays are copies, so freezing them never flips a
         # caller array's writeable flag.
         self._own_stacked(
@@ -157,11 +147,6 @@ class MtlDataset:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_task_sizes", sizes)
-        layouts = tuple(
-            ModeLayout.of(self.grid, self._sample_task_ids, sizes, mode)
-            for mode in range(1, self.grid.n_modes + 1)
-        )
-        object.__setattr__(self, "_mode_layouts", layouts)
         object.__setattr__(self, "inputs", tuple(np.split(X, ends[:-1])))
         object.__setattr__(self, "targets", tuple(np.split(y, ends[:-1])))
 
@@ -192,10 +177,6 @@ class MtlDataset:
     def task_offsets(self) -> np.ndarray:
         """Start of each task's block in the global sample order (read-only)."""
         return self._task_offsets
-
-    def mode_layout(self, mode: int) -> ModeLayout:
-        """Sample layout of the 1-based mode's row subproblems (built at construction)."""
-        return self._mode_layouts[self.grid._check_mode(mode) - 1]
 
     @cached_property
     def fit_plan(self) -> FitPlan:

@@ -40,20 +40,18 @@ Both evaluate the residual of the saddle system above with the original
 Q (never with a factor), and raise SolverError when it exceeds
 RESIDUAL_RTOL * (1 + ||y||).
 
-The block structure is a `Blocks`: the block sizes, validated once, with
-everything the solvers derive from them. The solvers accept plain block
-sizes too and validate them on every call; callers that solve the same
-structure many times (a fit) build the Blocks once and pass it instead.
-Blocks may also carry groups, which make the system a stack of
-independent subsystems (all rows of one mode, say): group g is the next
-groups[g] blocks, and its samples' rows of Phi form Phi_g, so that
-Q = blockdiag(Phi_g Phi_g^T). A FeatureGram names the same groups. Each
-group takes the form it would take on its own: the centered ridge when
-p <= m_g, with one p x p factor per group, else the dense form on its
-m_g x m_g block. Every group's residual is checked against its own bound
-RESIDUAL_RTOL * (1 + ||y_g||), and the reported residual is the largest
-group residual. A SolverError carries the 0-based index of the lowest
-failing group in its `group` attribute.
+Every solver takes the block structure as a `Blocks`: the block sizes,
+validated once, with everything the solvers derive from them, so a caller
+that solves the same structure many times (a fit) builds it once. Blocks
+may also carry groups, which make the system a stack of independent
+subsystems (all rows of one mode, say): group g is the next groups[g]
+blocks, and its samples' rows of Phi form Phi_g, so that for a feature
+form Q = blockdiag(Phi_g Phi_g^T). Each group takes the form it would take
+on its own: the centered ridge when p <= m_g, with one p x p factor per
+group, else the dense form on its m_g x m_g block. Every group's residual
+is checked against its own bound RESIDUAL_RTOL * (1 + ||y_g||), and the
+reported residual is the largest group residual. A SolverError carries
+the 0-based index of the lowest failing group in its `group` attribute.
 
 LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
 factorization rather than with this module: only training solves systems,
@@ -87,8 +85,10 @@ class Blocks(tuple):
     """Validated block structure of a saddle system: the block sizes, as a tuple.
 
     Samples are stacked block by block and blocks group by group; `groups`
-    gives the blocks of each group (None is one group of every block). The
-    derived index arrays are read-only and built once.
+    gives the blocks of each group (None is one group of every block) and
+    is kept as an array. It and the derived index arrays are read-only and
+    built once; `group_slices` holds the (samples, blocks) slices of each
+    group.
     """
 
     def __new__(cls, block_sizes, groups=None) -> "Blocks":
@@ -108,7 +108,6 @@ class Blocks(tuple):
         group_starts = starts[group_blocks]  # first sample of each group
         group_sizes = np.add.reduceat(sizes, group_blocks)  # samples of each group
         self.m = int(sizes.sum())
-        self.counts = counts
         self.sizes = sizes
         self.starts = starts
         self.of = np.arange(n_blocks).repeat(sizes)  # block of each sample
@@ -118,7 +117,6 @@ class Blocks(tuple):
         self.group_sizes = group_sizes
         for arr in (sizes, starts, self.of, group_counts, group_blocks, group_starts, group_sizes):
             arr.flags.writeable = False
-        # (samples, blocks) of each group
         self.group_slices = tuple(
             (slice(s, s + n), slice(k, k + c))
             for s, n, k, c in zip(
@@ -136,42 +134,33 @@ class Blocks(tuple):
         return self.sums(values) / self.sizes.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
-def _checked(block_sizes, m: int, C: float, jitter: float, groups=None) -> Blocks:
-    """The Blocks of a solve: `block_sizes` itself when it is a Blocks with these groups."""
-    blocks = block_sizes
-    counts = None if groups is None else tuple(int(g) for g in groups)
-    if not (isinstance(blocks, Blocks) and blocks.counts == (counts or (len(blocks),))):
-        blocks = Blocks(block_sizes, counts)
+def _check(blocks: Blocks, m: int, C: float, jitter: float) -> None:
+    """The checks every solve makes on its arguments."""
+    if not isinstance(blocks, Blocks):
+        raise TypeError(f"the block structure must be a linsys.Blocks, got {type(blocks).__name__}")
     if blocks.m != m:
         raise ValueError(f"inconsistent system shapes: blocks {blocks.m}, y {m}")
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
-    return blocks
 
 
 @dataclass(frozen=True)
 class FeatureGram:
     """The system matrix Q = Phi Phi^T, held as its m x p feature matrix Phi.
 
-    With `groups` (blocks per independent subsystem, see the module
-    docstring) Q is blockdiag(Phi_g Phi_g^T) instead; None is one group.
+    Solved with grouped `Blocks`, Q is blockdiag(Phi_g Phi_g^T) instead
+    (see the module docstring).
     """
 
     features: np.ndarray
-    groups: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=float)
         if features.ndim != 2:
             raise ValueError(f"features must be an m x p matrix, got shape {features.shape}")
         object.__setattr__(self, "features", features)
-        if self.groups is not None:
-            groups = tuple(int(g) for g in self.groups)
-            if not groups or min(groups) < 1:
-                raise ValueError(f"groups must be positive block counts, got {groups}")
-            object.__setattr__(self, "groups", groups)
 
 
 class TaskMoments:
@@ -250,7 +239,7 @@ class KroneckerGram:
         return self.task_vectors.shape[1] * self.moments.inputs.shape[1]
 
     def check(self, blocks: Blocks) -> None:
-        if len(blocks.counts) != 1:
+        if len(blocks.groups) != 1:
             raise ValueError("a KroneckerGram system has a single group")
         T = self.task_vectors.shape[0]
         if len(blocks) != T or self.moments.blocks != blocks:
@@ -400,12 +389,11 @@ def _refined(blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, alw
 
 
 def solve_dual_system(
-    block_sizes, Q: np.ndarray | FeatureGram | KroneckerGram, y: np.ndarray, C: float, jitter: float = 0.0
+    blocks: Blocks, Q: np.ndarray | FeatureGram | KroneckerGram, y: np.ndarray, C: float, jitter: float = 0.0
 ):
-    """Solve the saddle-point system above.
+    """Solve the saddle-point system above for the block structure `blocks`.
 
-    `block_sizes` is a sequence of block sizes or a `Blocks`. A feature
-    form (FeatureGram or KroneckerGram) goes to
+    A feature form (FeatureGram or KroneckerGram) goes to
     :func:`solve_feature_system` for every group whose rows outnumber Phi's
     columns, whose p x p factor is then the smaller one; any other group,
     and a dense Q, is solved in the dense form with a Schur complement.
@@ -413,27 +401,27 @@ def solve_dual_system(
     entry per block, coefficients one per sample, and the residual is the
     largest group residual. Raises SolverError if Q + I/C is not positive
     definite or a group's residual exceeds RESIDUAL_RTOL * (1 + ||y_g||)
-    even after refinement, and ValueError on inconsistent shapes, an empty
-    block, C <= 0 or jitter < 0.
+    even after refinement, TypeError when `blocks` is not a Blocks, and
+    ValueError on inconsistent shapes, C <= 0 or jitter < 0.
     """
     if isinstance(Q, KroneckerGram):
         y = np.asarray(y, dtype=float)
-        blocks = _checked(block_sizes, y.shape[0], C, jitter)
+        _check(blocks, y.shape[0], C, jitter)
         if blocks.m >= Q.n_features:
             return solve_feature_system(blocks, Q, y, C, jitter)
         Q.check(blocks)
         return _solve_dense(blocks, Q.dense(blocks), y, C, jitter)
     if not isinstance(Q, FeatureGram):
-        return _solve_dense(block_sizes, Q, y, C, jitter)
+        return _solve_dense(blocks, Q, y, C, jitter)
     Phi = Q.features
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     if Phi.shape[0] != m:
         raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
-    blocks = _checked(block_sizes, m, C, jitter, Q.groups)
+    _check(blocks, m, C, jitter)
     ridge = blocks.group_sizes >= Phi.shape[1]
     if ridge.all():
-        return solve_feature_system(blocks, Phi, y, C, jitter, Q.groups)
+        return solve_feature_system(blocks, Phi, y, C, jitter)
 
     # The ridge groups are solved together, every other group on its own.
     units = [np.flatnonzero(ridge)] if ridge.any() else []
@@ -445,13 +433,14 @@ def solve_dual_system(
         in_unit[ids] = True
         own_blocks = in_unit.repeat(blocks.groups)
         own = own_blocks.repeat(blocks.sizes)
-        sizes, Phi_u, y_u = blocks.sizes[own_blocks], Phi[own], y[own]
+        unit = Blocks(blocks.sizes[own_blocks], blocks.groups[ids])
+        Phi_u, y_u = Phi[own], y[own]
         try:
             if ridge[ids[0]]:
-                b, a, r = solve_feature_system(sizes, Phi_u, y_u, C, jitter, blocks.groups[ids])
+                b, a, r = solve_feature_system(unit, Phi_u, y_u, C, jitter)
             else:
                 Q_u = Phi_u @ Phi_u.T
-                b, a, r = _solve_dense(sizes, 0.5 * (Q_u + Q_u.T), y_u, C, jitter)
+                b, a, r = _solve_dense(unit, 0.5 * (Q_u + Q_u.T), y_u, C, jitter)
         except SolverError as exc:
             if exc.group is None:
                 raise
@@ -465,14 +454,14 @@ def solve_dual_system(
     return biases, duals, residual
 
 
-def _solve_dense(block_sizes, Q: np.ndarray, y: np.ndarray, C: float, jitter: float):
+def _solve_dense(blocks: Blocks, Q: np.ndarray, y: np.ndarray, C: float, jitter: float):
     """The dense form with a Schur complement, for one group."""
     y = np.asarray(y, dtype=float)
     Q = np.asarray(Q, dtype=float)
     m = y.shape[0]
     if Q.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
-    blocks = _checked(block_sizes, m, C, jitter)
+    _check(blocks, m, C, jitter)
     inv_c = 1.0 / C + jitter
 
     H = np.array(Q, order="C")  # a copy: the residual needs Q itself
@@ -500,18 +489,16 @@ def _solve_dense(block_sizes, Q: np.ndarray, y: np.ndarray, C: float, jitter: fl
 
 
 def solve_feature_system(
-    block_sizes, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float, jitter: float = 0.0,
-    groups=None,
+    blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float, jitter: float = 0.0
 ):
     """Solve the saddle-point system with Q = Phi Phi^T as a centered ridge.
 
     Same contract as :func:`solve_dual_system`, which calls this for the
-    groups of a feature form with p <= m_g; `groups` is the FeatureGram's.
-    Phi is an m x p matrix or a KroneckerGram (one group). With
-    1/C_eff = 1/C + jitter, the p x p matrix Phi~^T Phi~ + I/C_eff of the
-    block-centered features Phi~ is Cholesky-factored once per group. A
-    right-hand side [g; h] of the saddle system then solves in closed
-    form, group by group:
+    groups of a feature form with p <= m_g. Phi is an m x p matrix or a
+    KroneckerGram (one group). With 1/C_eff = 1/C + jitter, the p x p
+    matrix Phi~^T Phi~ + I/C_eff of the block-centered features Phi~ is
+    Cholesky-factored once per group. A right-hand side [g; h] of the
+    saddle system then solves in closed form, group by group:
 
         w   = (Phi~^T Phi~ + I/C_eff)^-1 (Phi~^T h~ + Phi_bar^T g / C_eff)
         b_t = mean_t(h - Phi w) - g_t / (C_eff n_t)
@@ -524,7 +511,7 @@ def solve_feature_system(
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
-    blocks = _checked(block_sizes, m, C, jitter, groups)
+    _check(blocks, m, C, jitter)
     if isinstance(Phi, KroneckerGram):
         features = _KroneckerFeatures(Phi, blocks)
     else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import LssvmModel, SingleTaskLssvm
+from .baseline import LssvmModel, SingleTaskLssvm, check_query_dataset, query_inputs
 from .data import MtlDataset
 from .errors import DataError, UnsupportedOperation
 from .kernels import KernelSpec, feature_map, gram
@@ -164,7 +164,7 @@ class TrainedModel:
 
     def predict_rows(self, multi_indices, X) -> np.ndarray:
         """Predictions for rows of X, each addressed to its own task."""
-        X = _finite_inputs(X, 2, self.n_features)
+        X = query_inputs(X, 2, self.n_features)
         task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices], dtype=int)
         if task_ids.shape[0] != X.shape[0]:
             raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
@@ -172,14 +172,7 @@ class TrainedModel:
 
     def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
         """Per-task prediction blocks for a dataset on the same grid, in the batch form."""
-        if data.grid != self.grid:
-            raise DataError(
-                f"dataset grid {data.grid.mode_sizes} does not match model grid {self.grid.mode_sizes}"
-            )
-        if data.n_features != self.n_features:
-            raise DataError(
-                f"dataset has {data.n_features} features, model expects {self.n_features}"
-            )
+        check_query_dataset(data, self.grid, self.n_features)
         flat = self._rows(data.sample_task_ids(), data.stacked_inputs())
         out = []
         start = 0
@@ -187,17 +180,6 @@ class TrainedModel:
             out.append(flat[start : start + m])
             start += m
         return out
-
-
-def _finite_inputs(x, ndim: int, n_features: int) -> np.ndarray:
-    """Query inputs as a float array: one row (ndim 1) or a matrix of rows (ndim 2)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != ndim or x.shape[-1] != n_features:
-        expected = f"a length-{n_features} input" if ndim == 1 else f"n x {n_features} inputs"
-        raise DataError(f"expected {expected}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("inputs contain NaN or infinite values")
-    return x
 
 
 def predict_primal(model: TrainedModel, idx, x) -> float:
@@ -211,7 +193,7 @@ def predict_primal(model: TrainedModel, idx, x) -> float:
         )
     t = linearize(model.grid, idx)
     u_t = task_vector(model.factors, idx)
-    phi = feature_map(model.kernel, _finite_inputs(x, 1, model.n_features))
+    phi = feature_map(model.kernel, query_inputs(x, 1, model.n_features))
     return float((model.explicit @ u_t) @ phi + model.biases[t - 1])
 
 
@@ -222,7 +204,7 @@ def predict_dual(model: TrainedModel, idx, x) -> float:
     the primal batch form of linear models.
     """
     t = linearize(model.grid, idx)
-    x = _finite_inputs(x, 1, model.n_features)
+    x = query_inputs(x, 1, model.n_features)
     return float(model._dual_rows(np.array([t - 1]), x[None, :])[0])
 
 

@@ -22,18 +22,20 @@ for the biases.
 Rows within a mode touch disjoint task sets, and their reduced features
 are computed once per mode sweep, so the T_n row subproblems of a mode are
 one block-diagonal system: `solve_mode_row_step` hands all of them to the
-solver in a single call, as a FeatureGram of Z whose groups are the rows.
-Each row is still factored and checked on its own, so a mode with many
-rows costs what the rows would cost one by one, less the per-call
-overhead. `fit` then applies the rows in order and records one trace
-entry per row, exactly as if they had been solved one by one; a trace
-entry updates only the predictions of its row's samples.
+solver in a single call, as a FeatureGram of Z with the mode layout's
+Blocks, whose groups are the rows. Each row is still factored and checked
+on its own, so a mode with many rows costs what the rows would cost one
+by one, less the per-call overhead. `fit` then applies the rows in order
+and records one trace entry per row, exactly as if they had been solved
+one by one; a trace entry updates only the predictions of its row's
+samples.
 
 What depends only on the dataset is built once per dataset, on its first
-fit, and kept on it (`data.FitPlan`): the block structure of every step,
-each mode's targets in its sample order (`data.ModeLayout`), and the
-per-task input moments, which a linear shared step computes on first
-use. Inside `fit` the factors stay plain matrices; they are validated
+fit, and kept on it (`data.FitPlan`): the block structure of the shared
+step, each mode's layout (its tasks and samples row by row, as a
+`linsys.Blocks` with one group per row, and its targets in that order),
+and the per-task input moments, which a linear shared step computes on
+first use. Inside `fit` the factors stay plain matrices; they are validated
 once, when the fit returns.
 """
 
@@ -49,14 +51,13 @@ from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, gram
 from .linsys import FeatureGram, KroneckerGram, solve_dual_system
 from .model import dual_projection, dual_weights, task_predictions
-from .taskgrid import ModeFactors, SharedFactor, TaskGrid, row_product_table, task_vector_table
+from .taskgrid import ModeFactors, SharedFactor, TaskGrid, row_product_table
 
 __all__ = [
     "FitConfig",
     "FitState",
     "TraceEntry",
     "init_factors",
-    "coherence_weighted_gram",
     "solve_shared_step",
     "shared_projection",
     "reduced_features",
@@ -173,13 +174,6 @@ def init_factors(grid: TaskGrid, rank: int, seed: int) -> ModeFactors:
     return ModeFactors(tuple(mats))
 
 
-def _check_grid(data: MtlDataset, factors: ModeFactors) -> None:
-    if factors.grid != data.grid:
-        raise ValueError(
-            f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
-        )
-
-
 def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
     """The factor matrices of a ModeFactors on the data's grid, or the matrices as given.
 
@@ -188,7 +182,10 @@ def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
     must fit the data's grid; bare matrices must also be finite.
     """
     if isinstance(factors, ModeFactors):
-        _check_grid(data, factors)
+        if factors.grid != data.grid:
+            raise ValueError(
+                f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
+            )
         return factors.factors
     mats = tuple(factors)
     shapes = [np.shape(f) for f in mats]
@@ -199,22 +196,12 @@ def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
     return mats
 
 
-def coherence_weighted_gram(
-    data: MtlDataset,
-    factors: ModeFactors,
-    kernel: KernelSpec,
-    gram_matrix: np.ndarray | None = None,
-) -> np.ndarray:
+def _coherence_weighted(data: MtlDataset, u_table, kernel: KernelSpec, gram_matrix) -> np.ndarray:
     """m x m system matrix: task-vector coherence <u_t, u_q> times the kernel Gram.
 
     Entry (j, j') couples sample i of task t with sample p of task q, where
     j runs over the global sample order.
     """
-    _check_grid(data, factors)
-    return _coherence_weighted(data, task_vector_table(factors), kernel, gram_matrix)
-
-
-def _coherence_weighted(data: MtlDataset, u_table, kernel: KernelSpec, gram_matrix) -> np.ndarray:
     G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
     coherence = u_table @ u_table.T
     coherence = 0.5 * (coherence + coherence.T)
@@ -318,24 +305,14 @@ def reduced_features(
 
 
 @dataclass(frozen=True)
-class ModeRowResult:
-    """One row of a mode step; `system_residual` is the mode solve's largest row residual."""
-
-    row_values: np.ndarray
-    biases: np.ndarray
-    duals: np.ndarray
-    tasks: np.ndarray
-    system_residual: float
-    constraint_residual: float
-
-
-@dataclass(frozen=True)
 class ModeStepResult:
-    """All rows of one mode, solved together; `row(r)` is row r's result.
+    """All rows of one mode, solved together.
 
     Arrays follow the layout's order: `row_values` is T_n x K, `biases`
-    has one entry per task, `duals` one per sample. `system_residual` is
-    the largest row residual, each row having met its own bound.
+    has one entry per task, `duals` one per sample; row r's tasks and
+    samples are those of `layout.blocks.group_slices[r - 1]`.
+    `system_residual` is the largest row residual, each row having met its
+    own bound.
     """
 
     layout: ModeLayout
@@ -344,19 +321,6 @@ class ModeStepResult:
     duals: np.ndarray
     system_residual: float
     constraint_residuals: np.ndarray
-
-    def row(self, r: int) -> ModeRowResult:
-        """Result of row r (1-based) as a single-row step."""
-        lay = self.layout
-        tasks = slice((r - 1) * lay.per_row, r * lay.per_row)
-        return ModeRowResult(
-            self.row_values[r - 1],
-            self.biases[tasks],
-            self.duals[lay.row_starts[r - 1] : lay.row_starts[r]],
-            lay.tasks[tasks],
-            self.system_residual,
-            float(self.constraint_residuals[r - 1]),
-        )
 
 
 def solve_mode_row_step(
@@ -367,27 +331,23 @@ def solve_mode_row_step(
     Row r's subproblem involves only the tasks whose mode index equals r;
     its system matrix is the Gram of their reduced features Z_r. The rows
     are independent, so they go to the solver as one FeatureGram of Z with
-    one group per row, each row solved through the smaller of its two
-    forms (a K x K ridge unless K exceeds the row's sample count). Each
-    row's optimum is the dual-weighted sum of its features. A SolverError
-    names the lowest failing row, in its message and as its `group`
-    (row - 1).
+    the layout's Blocks (one group per row), each row solved through the
+    smaller of its two forms (a K x K ridge unless K exceeds the row's
+    sample count). Each row's optimum is the dual-weighted sum of its
+    features. A SolverError names the lowest failing row, in its message
+    and as its `group` (row - 1).
     """
     data.require_nonempty_tasks()
-    layout = data.mode_layout(mode)
-    blocks = data.fit_plan.modes[mode - 1]
+    layout = data.fit_plan.layouts[data.grid._check_mode(mode) - 1]
+    blocks = layout.blocks
     Z = np.asarray(z, dtype=float)[layout.samples]
-    rows = layout.n_rows
-    row_starts = layout.row_starts[:-1]
-    y = data.fit_plan.mode_targets[mode - 1]
+    rows = len(blocks.groups)
     # A row with all-zero features still solves (its ridge block is I/C), so
     # the error raised is that of the lowest failing row, degenerate or not.
-    nonzero = np.logical_or.reduceat(np.any(Z != 0, axis=1), row_starts)
+    nonzero = np.logical_or.reduceat(np.any(Z != 0, axis=1), blocks.group_starts)
     degenerate = int(np.argmin(nonzero)) if not nonzero.all() else rows
     try:
-        biases, duals, residual = solve_dual_system(
-            blocks, FeatureGram(Z, blocks.counts), y, C, jitter
-        )
+        biases, duals, residual = solve_dual_system(blocks, FeatureGram(Z), layout.targets, C, jitter)
     except SolverError as exc:
         if exc.group is None:
             raise SolverError(f"mode {mode}: {exc}") from exc
@@ -400,10 +360,10 @@ def solve_mode_row_step(
             "subproblem is degenerate (row would vanish and biases reduce to task means)",
             degenerate,
         )
-    task_sums = np.abs(blocks.sums(duals)).reshape(rows, layout.per_row)
+    task_sums = np.abs(blocks.sums(duals)).reshape(rows, -1)
     return ModeStepResult(
         layout,
-        np.add.reduceat(Z * duals[:, None], row_starts, axis=0),
+        np.add.reduceat(Z * duals[:, None], blocks.group_starts, axis=0),
         biases,
         duals,
         residual,
@@ -523,14 +483,13 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
             lay = sweep.layout
             mat = factor_mats[mode - 1]
             norms = []  # of the factor with rows 1..r replaced
-            for r in range(lay.n_rows):
-                mat[r, :] = sweep.row_values[r]
+            for r, values in enumerate(sweep.row_values):
+                mat[r, :] = values
                 norms.append(_squared_norm(mat))
             biases[lay.tasks - 1] = sweep.biases
             u_table = row_product_table(factor_mats, mode_indices)
             swept = task_predictions(projection[lay.samples], u_table, biases, tid[lay.samples])
-            for r in range(lay.n_rows):
-                rows = slice(lay.row_starts[r], lay.row_starts[r + 1])
+            for r, (rows, _) in enumerate(lay.blocks.group_slices):
                 yhat[lay.samples[rows]] = swept[rows]
                 mode_norms[mode - 1] = norms[r]
                 record(it, f"mode{mode}/row{r + 1}")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,15 @@ from tlssvm import MtlDataset, TaskGrid
 from tlssvm.errors import DataError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec
 from tlssvm.model import task_predictions
-from tlssvm.solver import _objective, _shared_penalty, _squared_norm, init_factors, shared_projection
+from tlssvm.solver import (
+    ModeStepResult,
+    _coherence_weighted,
+    _objective,
+    _shared_penalty,
+    _squared_norm,
+    init_factors,
+    shared_projection,
+)
 from tlssvm.taskgrid import ModeFactors, SharedFactor, linearize, row_product_table, task_vector_table
 
 
@@ -187,12 +196,56 @@ def full_recompute_trace(data: MtlDataset, config, shared_steps, projections, sw
         record(it, "shared", projection, pen_shared)
         for mode in range(1, data.grid.n_modes + 1):
             sweep = next(sweeps)
-            for row in range(1, sweep.layout.n_rows + 1):
-                result = sweep.row(row)
+            for row in range(1, len(sweep.row_values) + 1):
+                result = sweep_row(sweep, row)
                 mats[mode - 1][row - 1, :] = result.row_values
                 biases[result.tasks - 1] = result.biases
                 record(it, f"mode{mode}/row{row}", projection, pen_shared)
     return entries
+
+
+@dataclass(frozen=True)
+class ModeRowResult:
+    """One row of a mode step; `system_residual` is the mode solve's largest row residual."""
+
+    row_values: np.ndarray
+    biases: np.ndarray
+    duals: np.ndarray
+    tasks: np.ndarray
+    system_residual: float
+    constraint_residual: float
+
+
+def sweep_row(sweep: ModeStepResult, r: int) -> ModeRowResult:
+    """Result of row r (1-based) of a mode sweep, as a single-row step."""
+    lay = sweep.layout
+    rows, tasks = lay.blocks.group_slices[r - 1]
+    return ModeRowResult(
+        sweep.row_values[r - 1],
+        sweep.biases[tasks],
+        sweep.duals[rows],
+        lay.tasks[tasks],
+        sweep.system_residual,
+        float(sweep.constraint_residuals[r - 1]),
+    )
+
+
+def coherence_weighted_gram(
+    data: MtlDataset,
+    factors: ModeFactors,
+    kernel: KernelSpec,
+    gram_matrix: np.ndarray | None = None,
+) -> np.ndarray:
+    """m x m system matrix: task-vector coherence <u_t, u_q> times the kernel Gram.
+
+    Entry (j, j') couples sample i of task t with sample p of task q, where
+    j runs over the global sample order.
+    """
+    if factors.grid != data.grid:
+        raise ValueError(
+            f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
+        )
+    return _coherence_weighted(data, task_vector_table(factors), kernel, gram_matrix)
 
 
 def random_dataset(seed: int, mode_sizes=(2, 2), d: int = 3, m_t: int = 5) -> MtlDataset:

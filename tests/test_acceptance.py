@@ -37,7 +37,7 @@ from tlssvm.realdata import load_student_performance
 from tlssvm.solver import FitConfig, fit, init_factors, solve_mode_row_step, solve_shared_step
 from tlssvm.taskgrid import ModeFactors, TaskGrid, delinearize
 
-from conftest import random_dataset
+from conftest import random_dataset, sweep_row
 from test_solver import shared_step_normal_equations
 
 LINEAR = KernelSpec("linear")
@@ -132,7 +132,7 @@ def test_criterion_02_subproblem_oracles(capsys):
     )
     z = np.array([[0.8], [-0.3], [0.1], [0.2]])
     C = 4.0
-    row = solve_mode_row_step(data, z, mode=1, C=C).row(1)
+    row = sweep_row(solve_mode_row_step(data, z, mode=1, C=C), 1)
     M = np.array(
         [
             [0.0, 1.0, 1.0],

@@ -131,6 +131,32 @@ class TestFitIndependent:
         with pytest.raises(DataError, match="task indices"):
             model.predict_rows([(1, 1)], np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.array([0.5, np.nan, 1.0]), "NaN or infinite"),
+            (np.array([0.5, np.inf, 1.0]), "NaN or infinite"),
+            (np.ones(2), "expected a length-3 input"),
+            (np.ones(4), "expected a length-3 input"),
+        ],
+    )
+    def test_bad_query_inputs_raise_data_error(self, x, message):
+        model = fit_independent(grid_dataset(2), 10.0, RBF)
+        with pytest.raises(DataError, match=message):
+            predict_single(model.tasks[0], x)
+        rows = message.replace("a length-3 input", "n x 3 inputs")
+        with pytest.raises(DataError, match=rows):
+            model.predict_rows([(1, 1), (2, 2)], np.vstack([np.ones_like(x), x]))
+
+    def test_wrong_feature_count_dataset(self):
+        model = fit_independent(grid_dataset(), 1.0, LINEAR)
+        rng = np.random.default_rng(0)
+        narrow = MtlDataset(
+            TaskGrid((2, 2)), tuple(rng.normal(size=(2, 2)) for _ in range(4)), (np.zeros(2),) * 4
+        )
+        with pytest.raises(DataError, match="dataset has 2 features, model expects 3"):
+            model.predict_dataset(narrow)
+
     def test_grid_mismatch(self):
         model = fit_independent(grid_dataset(), 1.0, LINEAR)
         rng = np.random.default_rng(0)

@@ -273,6 +273,33 @@ class TestEvaluate:
         assert code == 3
 
 
+class TestFeatureWidth:
+    @pytest.mark.parametrize("method", ["tlssvm", "lssvm-independent"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_wrong_width_is_data_error(self, pipeline, tmp_path, capsys, method, command):
+        model = pipeline["model"]
+        if method == "lssvm-independent":
+            cfg = write_json(tmp_path / "base.json", {"C": 10.0, "kernel": {"family": "linear"}})
+            assert main(
+                [
+                    "train", "--train", pipeline["train_csv"], "--grid", "2,2", "--method", method,
+                    "--config", cfg, "--out-dir", str(tmp_path / "base"),
+                ]
+            ) == 0
+            model = str(tmp_path / "base" / "model.json")
+        rng = np.random.default_rng(2)
+        narrow = MtlDataset(
+            TaskGrid((2, 2)), tuple(rng.normal(size=(3, 2)) for _ in range(4)),
+            tuple(rng.normal(size=3) for _ in range(4)),
+        )
+        narrow_csv = tmp_path / "narrow.csv"
+        save_csv(narrow, str(narrow_csv))
+        capsys.readouterr()
+        code = main([command, "--model", model, "--data", str(narrow_csv), "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: dataset has 2 features, model expects 3\n"
+
+
 class TestCv:
     def test_single_cell_grid_is_selected(self, pipeline, tmp_path, capsys):
         cfg = write_json(

@@ -14,6 +14,7 @@ from tlssvm.data import (
     save_csv,
 )
 from tlssvm.errors import ConfigError, DataError
+from tlssvm.solver import solve_mode_row_step
 from tlssvm.taskgrid import TaskGrid, delinearize, task_vector
 from conftest import coslice_tasks, load_csv_by_rows
 
@@ -80,31 +81,46 @@ class TestMtlDataset:
         rng = np.random.default_rng(3)
         grid = TaskGrid((2, 3))
         sizes = [2, 1, 3, 1, 2, 4]
+        y = rng.normal(size=sum(sizes))
+        ends = np.cumsum(sizes)
         data = MtlDataset(
-            grid, tuple(rng.normal(size=(n, 2)) for n in sizes), tuple(np.ones(n) for n in sizes)
+            grid, tuple(rng.normal(size=(n, 2)) for n in sizes), tuple(np.split(y, ends[:-1]))
         )
         offsets = data.task_offsets()
+        layouts = data.fit_plan.layouts
+        assert len(layouts) == grid.n_modes
         for mode in (1, 2):
-            layout = data.mode_layout(mode)
-            assert data.mode_layout(mode) is layout
-            assert layout.n_rows == grid.mode_sizes[mode - 1]
-            assert layout.per_row == 6 // layout.n_rows
-            for r in range(1, layout.n_rows + 1):
+            layout = layouts[mode - 1]
+            assert data.fit_plan.layouts[mode - 1] is layout
+            n_rows = grid.mode_sizes[mode - 1]
+            per_row = 6 // n_rows
+            np.testing.assert_array_equal(layout.blocks.groups, [per_row] * n_rows)
+            assert len(layout.blocks.group_slices) == n_rows
+            for r in range(1, n_rows + 1):
+                rows, own = layout.blocks.group_slices[r - 1]
+                assert own == slice((r - 1) * per_row, r * per_row)
                 tasks = coslice_tasks(grid, mode, r)
-                own = slice((r - 1) * layout.per_row, r * layout.per_row)
                 np.testing.assert_array_equal(layout.tasks[own], tasks)
-                np.testing.assert_array_equal(layout.block_sizes[own], [sizes[t - 1] for t in tasks])
+                assert layout.blocks[own] == tuple(sizes[t - 1] for t in tasks)
                 samples = np.concatenate(
                     [np.arange(offsets[t - 1], offsets[t - 1] + sizes[t - 1]) for t in tasks]
                 )
-                np.testing.assert_array_equal(
-                    layout.samples[layout.row_starts[r - 1] : layout.row_starts[r]], samples
-                )
-            for arr in (layout.tasks, layout.samples, layout.block_sizes, layout.row_starts):
+                np.testing.assert_array_equal(layout.samples[rows], samples)
+                np.testing.assert_array_equal(layout.targets[rows], y[samples])
+            blocks = layout.blocks
+            for arr in (layout.tasks, layout.samples, layout.targets, blocks.sizes, blocks.starts,
+                        blocks.of, blocks.groups, blocks.group_blocks, blocks.group_starts,
+                        blocks.group_sizes):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
-        with pytest.raises(IndexError):
-            data.mode_layout(3)
+        for mode in (0, 3):
+            with pytest.raises(IndexError):
+                solve_mode_row_step(data, np.ones((data.n_samples, 1)), mode, 1.0)
+
+    def test_zero_features_rejected(self):
+        grid = TaskGrid((2,))
+        with pytest.raises(ValueError, match="at least one feature"):
+            MtlDataset(grid, (np.ones((3, 0)), np.ones((2, 0))), (np.ones(3), np.ones(2)))
 
     def test_empty_task_flagged(self):
         grid = TaskGrid((2,))

@@ -42,6 +42,26 @@ class TestFitPlan:
         assert data.fit_plan is plan
         assert "fit_plan" not in vars(loaded)
 
+    def test_datasets_never_fit_hold_no_layout(self, tmp_path, monkeypatch):
+        built = []
+        real_of = data_module.ModeLayout.of.__func__
+        monkeypatch.setattr(
+            data_module.ModeLayout, "of",
+            classmethod(lambda cls, *a: built.append(a) or real_of(cls, *a)),
+        )
+        train, test, _ = generate_synthetic(SyntheticSpec(
+            d=4, mode_sizes=(2, 3), k_true=2, train_per_task=9, test_per_task=3, snr=10.0, seed=5,
+        ))
+        save_csv(test, tmp_path / "test.csv")
+        loaded = load_csv(tmp_path / "test.csv", train.grid, allow_empty_tasks=True)
+        validation = [val for _, val in kfold_split(train, 3, seed=0)]
+        model = TrainedModel.from_fit(train, fit(train, FitConfig(K=2, C=10.0, kernel=RBF, max_iters=1)), RBF)
+        assert len(built) == train.grid.n_modes and all(a[0] is train for a in built)
+        for d in (test, loaded, *validation):
+            model.predict_dataset(d)
+            assert "fit_plan" not in vars(d)
+        assert len(built) == train.grid.n_modes
+
     def test_moments_only_for_the_linear_kernel(self):
         data = synthetic((2, 2))
         fit(data, FitConfig(K=2, C=10.0, kernel=RBF, max_iters=1))
@@ -82,14 +102,21 @@ class TestFitPlan:
     def test_matches_the_layouts_and_is_read_only(self):
         data = synthetic((3, 2, 2), d=4)
         plan = data.fit_plan
-        assert plan.shared == data.task_sizes and plan.shared.counts == (data.grid.n_tasks,)
-        y = data.stacked_targets()
-        for mode in (1, 2, 3):
-            layout = data.mode_layout(mode)
-            blocks = plan.modes[mode - 1]
-            assert blocks == tuple(layout.block_sizes.tolist())
-            assert blocks.counts == (layout.per_row,) * layout.n_rows
-            np.testing.assert_array_equal(plan.mode_targets[mode - 1], y[layout.samples])
+        assert plan.shared == data.task_sizes and plan.shared.groups.tolist() == [data.grid.n_tasks]
+        y, tid = data.stacked_targets(), data.sample_task_ids()
+        assert len(plan.layouts) == 3
+        for mode, layout in enumerate(plan.layouts, start=1):
+            n_rows = data.grid.mode_sizes[mode - 1]
+            row_of_task = data.grid.mode_indices[:, mode - 1]
+            blocks = layout.blocks
+            assert blocks == tuple(data.task_sizes[t - 1] for t in layout.tasks)
+            assert blocks.groups.tolist() == [data.grid.n_tasks // n_rows] * n_rows
+            np.testing.assert_array_equal(np.sort(layout.tasks), np.arange(1, data.grid.n_tasks + 1))
+            np.testing.assert_array_equal(np.sort(layout.samples), np.arange(data.n_samples))
+            np.testing.assert_array_equal(tid[layout.samples], (layout.tasks - 1)[blocks.of])
+            for r, (rows, own) in enumerate(blocks.group_slices):
+                np.testing.assert_array_equal(row_of_task[layout.tasks[own] - 1], r)
+            np.testing.assert_array_equal(layout.targets, y[layout.samples])
         X = data.stacked_inputs()
         for t, (s, n) in enumerate(zip(data.task_offsets(), data.task_sizes)):
             own = X[s : s + n]
@@ -99,8 +126,10 @@ class TestFitPlan:
             np.testing.assert_allclose(
                 plan.moments.scatter[t], (own - mean).T @ (own - mean), rtol=0, atol=1e-13 * n * scale**2
             )
-        arrays = [plan.moments.means, plan.moments.scatter, *plan.mode_targets]
-        for blocks in (plan.shared, *plan.modes):
+        arrays = [plan.moments.means, plan.moments.scatter]
+        for layout in plan.layouts:
+            arrays += [layout.tasks, layout.samples, layout.targets]
+        for blocks in (plan.shared, *(layout.blocks for layout in plan.layouts)):
             arrays += [blocks.sizes, blocks.starts, blocks.of, blocks.groups,
                        blocks.group_blocks, blocks.group_starts, blocks.group_sizes]
         for arr in arrays:

@@ -22,7 +22,6 @@ from tlssvm.linsys import (
 from tlssvm.model import TrainedModel
 from tlssvm.solver import (
     FitConfig,
-    coherence_weighted_gram,
     fit,
     init_factors,
     reduced_features,
@@ -40,11 +39,13 @@ from tlssvm.taskgrid import (
 )
 from conftest import (
     block_constraint_matrix,
+    coherence_weighted_gram,
     coslice_tasks,
     evaluate_objective,
     high_precision_saddle_solution,
     random_dataset,
     saddle_oracle,
+    sweep_row,
     without_explicit,
 )
 
@@ -98,7 +99,7 @@ class TestSolveDualSystem:
             Q = M @ M.T
             y = rng.normal(size=m)
             C = 5.0
-            biases, duals, residual = solve_dual_system(sizes, Q, y, C)
+            biases, duals, residual = solve_dual_system(Blocks(sizes), Q, y, C)
             A = block_constraint_matrix(sizes)
             full = np.block([[np.zeros((T, T)), A.T], [A, Q + np.eye(m) / C]])
             expected = np.linalg.solve(full, np.concatenate([np.zeros(T), y]))
@@ -115,7 +116,7 @@ class TestSolveDualSystem:
         for trial in range(3):
             Q = dense_psd(kind, sum(sizes), rng)
             y = rng.normal(size=sum(sizes))
-            got = solve_dual_system(sizes, Q, y, C, jitter)
+            got = solve_dual_system(Blocks(sizes), Q, y, C, jitter)
             assert_same_solution(got, saddle_oracle(sizes, Q, y, C, jitter))
             assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
 
@@ -126,7 +127,7 @@ class TestSolveDualSystem:
         Q = dense_psd("rbf", m, rng)
         y = rng.normal(size=m)
         C, jitter = 50.0, 1e-4
-        biases, duals, residual = solve_dual_system(sizes, Q, y, C, jitter)
+        biases, duals, residual = solve_dual_system(Blocks(sizes), Q, y, C, jitter)
         A = block_constraint_matrix(sizes)
         M = np.block([[np.zeros((T, T)), A.T], [A, Q + (1 / C + jitter) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
@@ -137,15 +138,30 @@ class TestSolveDualSystem:
         U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         Q = U @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2, -4.0]) @ U.T
         with pytest.raises(SolverError, match="not positive definite.*jitter"):
-            solve_dual_system([2, 4], Q, rng.normal(size=6), 1.0)
+            solve_dual_system(Blocks([2, 4]), Q, rng.normal(size=6), 1.0)
+
+    @pytest.mark.parametrize("sizes", [[2, 3], (2, 3), np.array([2, 3])])
+    def test_plain_sizes_raise_type_error_naming_blocks(self, sizes):
+        rng = np.random.default_rng(5)
+        X, U, y = rng.normal(size=(5, 2)), rng.normal(size=(2, 1)), rng.normal(size=5)
+        kron = KroneckerGram(U, TaskMoments(Blocks([2, 3]), X))
+        for solve, Q in (
+            (solve_dual_system, X @ X.T),
+            (solve_dual_system, FeatureGram(X)),
+            (solve_dual_system, kron),
+            (solve_feature_system, X),
+            (solve_feature_system, kron),
+        ):
+            with pytest.raises(TypeError, match="must be a linsys.Blocks"):
+                solve(sizes, Q, y, 1.0)
 
     def test_empty_block_raises_value_error(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            solve_dual_system([3, 0], np.eye(3), np.ones(3), 1.0)
+            solve_dual_system(Blocks([3, 0]), np.eye(3), np.ones(3), 1.0)
 
     def test_zero_targets_give_zero_solution(self):
         Q = np.eye(4)
-        biases, duals, _ = solve_dual_system([2, 2], Q, np.zeros(4), 10.0)
+        biases, duals, _ = solve_dual_system(Blocks([2, 2]), Q, np.zeros(4), 10.0)
         np.testing.assert_allclose(biases, 0.0, atol=1e-12)
         np.testing.assert_allclose(duals, 0.0, atol=1e-12)
 
@@ -153,7 +169,7 @@ class TestSolveDualSystem:
         rng = np.random.default_rng(1)
         sizes = [4, 3]
         M = rng.normal(size=(7, 7))
-        _, duals, _ = solve_dual_system(sizes, M @ M.T, rng.normal(size=7), 2.0)
+        _, duals, _ = solve_dual_system(Blocks(sizes), M @ M.T, rng.normal(size=7), 2.0)
         assert abs(duals[:4].sum()) < 1e-9
         assert abs(duals[4:].sum()) < 1e-9
 
@@ -163,8 +179,8 @@ class TestSolveDualSystem:
         Q = np.array([[0.0, 1.0], [1.0, 0.0]])
         y = np.array([1.0, 2.0])
         with pytest.raises(SolverError, match="jitter"):
-            solve_dual_system([2], Q, y, 1.0)
-        biases, duals, _ = solve_dual_system([2], Q, y, 1.0, jitter=0.5)
+            solve_dual_system(Blocks([2]), Q, y, 1.0)
+        biases, duals, _ = solve_dual_system(Blocks([2]), Q, y, 1.0, jitter=0.5)
         assert np.all(np.isfinite(biases)) and np.all(np.isfinite(duals))
 
 
@@ -188,8 +204,8 @@ class TestSolveFeatureSystem:
         sizes = [1, 6, 3, 9]
         Phi = rng.normal(size=(sum(sizes), 3))
         y = rng.normal(size=sum(sizes))
-        got = solve_feature_system(sizes, Phi, y, C, jitter)
-        assert_same_solution(got, solve_dual_system(sizes, Phi @ Phi.T, y, C, jitter))
+        got = solve_feature_system(Blocks(sizes), Phi, y, C, jitter)
+        assert_same_solution(got, solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C, jitter))
         assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
 
     @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
@@ -198,9 +214,9 @@ class TestSolveFeatureSystem:
         sizes = [2, 3]
         Phi = rng.normal(size=(5, 8))
         y = rng.normal(size=5)
-        expected = solve_dual_system(sizes, Phi @ Phi.T, y, C)
-        assert_same_solution(solve_feature_system(sizes, Phi, y, C), expected)
-        assert_same_solution(solve_dual_system(sizes, FeatureGram(Phi), y, C), expected)
+        expected = solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C)
+        assert_same_solution(solve_feature_system(Blocks(sizes), Phi, y, C), expected)
+        assert_same_solution(solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C), expected)
 
     @pytest.mark.parametrize("C", [1.0, 1e3, 1e6])
     def test_duplicated_samples(self, C):
@@ -210,8 +226,8 @@ class TestSolveFeatureSystem:
         Phi = base[[0, 0, 1, 2, 1, 1, 3, 0, 3]]
         sizes = [3, 4, 2]
         y = rng.normal(size=9)
-        got = solve_feature_system(sizes, Phi, y, C)
-        assert_same_solution(got, solve_dual_system(sizes, Phi @ Phi.T, y, C))
+        got = solve_feature_system(Blocks(sizes), Phi, y, C)
+        assert_same_solution(got, solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C))
 
     def test_residual_is_that_of_the_saddle_system(self):
         rng = np.random.default_rng(43)
@@ -220,7 +236,7 @@ class TestSolveFeatureSystem:
         Phi = rng.normal(size=(m, 3))
         y = rng.normal(size=m)
         C, jitter = 50.0, 1e-4
-        biases, duals, residual = solve_feature_system(sizes, Phi, y, C, jitter)
+        biases, duals, residual = solve_feature_system(Blocks(sizes), Phi, y, C, jitter)
         A = block_constraint_matrix(sizes)
         M = np.block([[np.zeros((T, T)), A.T], [A, Phi @ Phi.T + (1 / C + jitter) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
@@ -246,13 +262,13 @@ class TestSolveFeatureSystem:
                     M[T + i, T + j] = Q[i, j] + (mpmath.mpf(1) / C if i == j else 0)
             exact = mpmath.lu_solve(M, mpmath.matrix([0] * T + y.tolist()))
             expected = np.array([float(v) for v in exact])
-        biases, duals, _ = solve_feature_system(sizes, Phi, y, C)
+        biases, duals, _ = solve_feature_system(Blocks(sizes), Phi, y, C)
         scale = float(np.max(np.abs(expected)))
         assert np.max(np.abs(np.concatenate([biases, duals]) - expected)) <= 1e-12 * scale
 
     def test_zero_targets_give_zero_solution(self):
         Phi = np.random.default_rng(45).normal(size=(6, 2))
-        biases, duals, residual = solve_feature_system([2, 4], Phi, np.zeros(6), 10.0)
+        biases, duals, residual = solve_feature_system(Blocks([2, 4]), Phi, np.zeros(6), 10.0)
         np.testing.assert_array_equal(biases, 0.0)
         np.testing.assert_array_equal(duals, 0.0)
         assert residual == 0.0
@@ -260,11 +276,11 @@ class TestSolveFeatureSystem:
     def test_shape_and_value_validation(self):
         Phi = np.ones((4, 2))
         with pytest.raises(ValueError, match="inconsistent"):
-            solve_feature_system([2, 2], Phi, np.zeros(3), 1.0)
+            solve_feature_system(Blocks([2, 2]), Phi, np.zeros(3), 1.0)
         with pytest.raises(ValueError, match="C must be positive"):
-            solve_feature_system([2, 2], Phi, np.zeros(4), 0.0)
+            solve_feature_system(Blocks([2, 2]), Phi, np.zeros(4), 0.0)
         with pytest.raises(ValueError, match="at least one sample"):
-            solve_feature_system([4, 0], Phi, np.zeros(4), 1.0)
+            solve_feature_system(Blocks([4, 0]), Phi, np.zeros(4), 1.0)
 
     def test_feature_gram_selects_form_by_shape(self, monkeypatch):
         rng = np.random.default_rng(46)
@@ -276,10 +292,10 @@ class TestSolveFeatureSystem:
 
         monkeypatch.setattr(linsys, "solve_feature_system", recording)
         tall, wide = rng.normal(size=(6, 6)), rng.normal(size=(6, 7))
-        got = solve_dual_system([3, 3], FeatureGram(tall), np.arange(6.0), 2.0)
+        got = solve_dual_system(Blocks([3, 3]), FeatureGram(tall), np.arange(6.0), 2.0)
         assert calls == [(6, 6)]
-        assert_same_solution(got, solve_feature_system([3, 3], tall, np.arange(6.0), 2.0), rtol=0)
-        solve_dual_system([3, 3], FeatureGram(wide), np.arange(6.0), 2.0)
+        assert_same_solution(got, solve_feature_system(Blocks([3, 3]), tall, np.arange(6.0), 2.0), rtol=0)
+        solve_dual_system(Blocks([3, 3]), FeatureGram(wide), np.arange(6.0), 2.0)
         assert calls == [(6, 6)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -287,7 +303,7 @@ class TestSolveFeatureSystem:
         Phi = np.ones((4, 2))
         Phi[1, 0] = np.inf
         with pytest.raises(SolverError, match="jitter"):
-            solve_feature_system([2, 2], Phi, np.ones(4), 1.0)
+            solve_feature_system(Blocks([2, 2]), Phi, np.ones(4), 1.0)
 
 
 class TestInitFactors:
@@ -366,7 +382,7 @@ class TestSharedStep:
         factors = init_factors(data.grid, 2, seed=4)
         step = solve_shared_step(data, factors, LINEAR, C)
         Q = coherence_weighted_gram(data, factors, LINEAR)
-        expected = solve_dual_system(data.task_sizes, Q, data.stacked_targets(), C)
+        expected = solve_dual_system(Blocks(data.task_sizes), Q, data.stacked_targets(), C)
         assert_same_solution((step.biases, step.shared.duals), expected)
 
     def test_more_features_than_samples_uses_dense_path(self, monkeypatch):
@@ -427,7 +443,7 @@ class TestKroneckerSharedStep:
         assert data.n_samples >= Phi.shape[1]  # the ridge form
         got = solve_dual_system(blocks, Q, y, C, jitter)
         assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
-        assert_same_solution(got, solve_dual_system(data.task_sizes, FeatureGram(Phi), y, C, jitter))
+        assert_same_solution(got, solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, C, jitter))
         if C < 1e6:
             expected = saddle_oracle(data.task_sizes, Phi @ Phi.T, y, C, jitter)
         else:  # the assembled oracle's own error exceeds the tolerance here
@@ -464,7 +480,7 @@ class TestKroneckerSharedStep:
         np.testing.assert_array_equal(Q.moments.scatter[0], 0.0)
         y = data.stacked_targets()
         got = solve_dual_system(blocks, Q, y, C)
-        assert_same_solution(got, solve_dual_system(data.task_sizes, FeatureGram(Phi), y, C))
+        assert_same_solution(got, solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, C))
         assert_same_solution(got, high_precision_saddle_solution(data.task_sizes, Phi, y, C))
 
     @pytest.mark.parametrize("C", [1.0, 1e3])
@@ -484,7 +500,7 @@ class TestKroneckerSharedStep:
         U = task_vector_table(factors)
         X, y = data.stacked_inputs(), data.stacked_targets()
         Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-        expected = solve_dual_system(data.task_sizes, FeatureGram(Phi), y, 10.0)
+        expected = solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0)
         assert_same_solution((step.biases, step.shared.duals), expected)
         # the explicit matrix is Phi^T alpha, column k of L holding features k*d..k*d+d-1
         np.testing.assert_allclose(step.shared.explicit, (Phi.T @ step.shared.duals).reshape(2, 4).T, atol=1e-12)
@@ -492,9 +508,9 @@ class TestKroneckerSharedStep:
     def test_linear_fit_builds_no_feature_matrix_of_the_shared_step(self, monkeypatch):
         widths = []
 
-        def recording(features, groups=None):
+        def recording(features):
             widths.append(np.shape(features)[1])
-            return FeatureGram(features, groups)
+            return FeatureGram(features)
 
         monkeypatch.setattr(solver, "FeatureGram", recording)
         state = fit(snr10_dataset(), FitConfig(K=3, C=10.0, kernel=LINEAR, max_iters=3, seed=0))
@@ -539,7 +555,7 @@ class TestKroneckerSharedStep:
         X, y = data.stacked_inputs(), data.stacked_targets()
         Phi = U[data.sample_task_ids()] * X
         assert data.n_samples >= Phi.shape[1]  # the ridge form
-        assert_same_solution((step.biases, step.shared.duals), solve_dual_system(data.task_sizes, FeatureGram(Phi), y, 10.0))
+        assert_same_solution((step.biases, step.shared.duals), solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0))
         assert_same_solution((step.biases, step.shared.duals), saddle_oracle(data.task_sizes, Phi @ Phi.T, y, 10.0))
         assert "scatter" not in vars(data.fit_plan.moments)
 
@@ -564,7 +580,7 @@ class TestKroneckerSharedStep:
         def explicit_step():
             U = task_vector_table(factors)
             Phi = (U[tid][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-            return solve_dual_system(data.task_sizes, FeatureGram(Phi), y, 10.0)
+            return solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0)
 
         peaks = []
         for step in (explicit_step, lambda: solve_shared_step(data, factors, LINEAR, 10.0)):
@@ -645,7 +661,7 @@ class TestModeRowStep:
         )
         z = np.array([[0.8], [-0.3], [0.1], [0.2]])
         C = 4.0
-        result = solve_mode_row_step(data, z, mode=1, C=C).row(1)
+        result = sweep_row(solve_mode_row_step(data, z, mode=1, C=C), 1)
         M = np.array(
             [
                 [0.0, 1.0, 1.0],
@@ -662,7 +678,7 @@ class TestModeRowStep:
     def test_all_zero_features_degenerate(self, tiny_dataset):
         z = np.zeros((tiny_dataset.n_samples, 2))
         with pytest.raises(SolverError, match="degenerate"):
-            solve_mode_row_step(tiny_dataset, z, mode=1, C=1.0).row(1)
+            sweep_row(solve_mode_row_step(tiny_dataset, z, mode=1, C=1.0), 1)
 
     def test_row_subproblem_objective_decreases(self):
         data = random_dataset(11, mode_sizes=(2, 3), d=4, m_t=6)
@@ -673,7 +689,7 @@ class TestModeRowStep:
         for mode in (1, 2):
             z = reduced_features(data, step.shared, factors, LINEAR, mode)
             for row in range(1, data.grid.mode_sizes[mode - 1] + 1):
-                result = solve_mode_row_step(data, z, mode, C).row(row)
+                result = sweep_row(solve_mode_row_step(data, z, mode, C), row)
 
                 def sub_objective(u_row, b_of_task):
                     total = 0.5 * float(u_row @ u_row)
@@ -698,10 +714,10 @@ class TestModeRowStep:
         data = random_dataset(14, mode_sizes=(2, 2), d=3, m_t=2)
         z = np.random.default_rng(14).normal(size=(data.n_samples, 6))
         monkeypatch.setattr(linsys, "solve_feature_system", None)
-        result = solve_mode_row_step(data, z, mode=1, C=10.0).row(1)
+        result = sweep_row(solve_mode_row_step(data, z, mode=1, C=10.0), 1)
         sel = np.array([0, 1, 4, 5])  # tasks 1 and 3 in linear order
         Z = z[sel]
-        biases, duals, _ = solve_dual_system([2, 2], Z @ Z.T, data.stacked_targets()[sel], 10.0)
+        biases, duals, _ = solve_dual_system(Blocks([2, 2]), Z @ Z.T, data.stacked_targets()[sel], 10.0)
         np.testing.assert_allclose(result.biases, biases, atol=1e-12)
         np.testing.assert_allclose(result.duals, duals, atol=1e-12)
 
@@ -709,12 +725,12 @@ class TestModeRowStep:
     def test_primal_row_solve_matches_dense_oracle(self, C):
         data = random_dataset(15, mode_sizes=(3, 2), d=3, m_t=6)
         z = np.random.default_rng(15).normal(size=(data.n_samples, 2))
-        result = solve_mode_row_step(data, z, mode=2, C=C).row(2)
+        result = sweep_row(solve_mode_row_step(data, z, mode=2, C=C), 2)
         sel = np.concatenate(
             [np.arange(data.task_offsets()[t - 1], data.task_offsets()[t - 1] + 6) for t in result.tasks]
         )
         Z = z[sel]
-        expected = solve_dual_system([6, 6, 6], Z @ Z.T, data.stacked_targets()[sel], C)
+        expected = solve_dual_system(Blocks([6, 6, 6]), Z @ Z.T, data.stacked_targets()[sel], C)
         assert_same_solution((result.biases, result.duals), expected)
 
     def test_stationarity_row_is_dual_weighted_sum(self):
@@ -722,7 +738,7 @@ class TestModeRowStep:
         factors = init_factors(data.grid, 2, 1)
         step = solve_shared_step(data, factors, LINEAR, 10.0)
         z = reduced_features(data, step.shared, factors, LINEAR, 1)
-        result = solve_mode_row_step(data, z, 1, 10.0).row(2)
+        result = sweep_row(solve_mode_row_step(data, z, 1, 10.0), 2)
         sel = np.concatenate(
             [
                 np.arange(data.task_offsets()[t - 1], data.task_offsets()[t - 1] + 4)
@@ -758,7 +774,7 @@ def row_oracle(data, z, mode, row, C):
 def assert_rows_match_oracle(data, z, mode, C):
     step = solve_mode_row_step(data, z, mode, C)
     for row in range(1, data.grid.mode_sizes[mode - 1] + 1):
-        got = step.row(row)
+        got = sweep_row(step, row)
         biases, duals, tasks, Z = row_oracle(data, z, mode, row, C)
         np.testing.assert_array_equal(got.tasks, tasks)
         assert_same_solution((got.biases, got.duals), (biases, duals))
@@ -791,7 +807,7 @@ class TestBatchedModeStep:
         C = 1e6
         step = solve_mode_row_step(data, z, 2, C)
         for row in (1, 2):
-            got = step.row(row)
+            got = sweep_row(step, row)
             _, _, tasks, Z = row_oracle(data, z, 2, row, C)
             sizes = [data.task_sizes[t - 1] for t in tasks]
             y = np.concatenate([data.targets[t - 1] for t in tasks])
@@ -825,9 +841,9 @@ class TestBatchedModeStep:
         z = np.random.default_rng(63).normal(size=(data.n_samples, 2))
         calls = []
 
-        def recording(block_sizes, Q, y, C, jitter=0.0):
-            calls.append((len(block_sizes), Q.features.shape, Q.groups))
-            return solve_dual_system(block_sizes, Q, y, C, jitter)
+        def recording(blocks, Q, y, C, jitter=0.0):
+            calls.append((len(blocks), Q.features.shape, tuple(blocks.groups.tolist())))
+            return solve_dual_system(blocks, Q, y, C, jitter)
 
         monkeypatch.setattr(solver, "solve_dual_system", recording)
         solve_mode_row_step(data, z, 2, 10.0)
@@ -840,7 +856,7 @@ class TestBatchedModeStep:
         step = solve_mode_row_step(data, z, 1, C)
         worst = 0.0
         for row in (1, 2, 3):
-            got = step.row(row)
+            got = sweep_row(step, row)
             tasks = got.tasks
             sizes = [data.task_sizes[t - 1] for t in tasks]
             _, _, _, Z = row_oracle(data, z, 1, row, C)
@@ -856,9 +872,9 @@ class TestBatchedModeStep:
 
     def test_degenerate_error_names_lowest_zero_row(self):
         data = uneven_dataset(65, (3, 2))
-        layout = data.mode_layout(1)
+        layout = data.fit_plan.layouts[0]
         z = np.random.default_rng(65).normal(size=(data.n_samples, 2))
-        z[layout.samples[layout.row_starts[1] :]] = 0.0  # rows 2 and 3
+        z[layout.samples[layout.blocks.group_starts[1] :]] = 0.0  # rows 2 and 3
         with pytest.raises(SolverError, match=r"^mode 1 row 2: .*degenerate") as info:
             solve_mode_row_step(data, z, 1, 10.0)
         assert info.value.group == 1
@@ -867,18 +883,18 @@ class TestBatchedModeStep:
     @pytest.mark.parametrize("K", [2, 8])  # the ridge form, then the dense one
     def test_non_finite_error_names_lowest_failing_row(self, K):
         data = uneven_dataset(66, (3, 2), max_size=3 if K == 8 else 7)
-        layout = data.mode_layout(1)
+        layout = data.fit_plan.layouts[0]
         z = np.random.default_rng(66).normal(size=(data.n_samples, K))
-        z[layout.samples[layout.row_starts[1] :], 0] = np.inf  # rows 2 and 3
+        z[layout.samples[layout.blocks.group_starts[1] :], 0] = np.inf  # rows 2 and 3
         with pytest.raises(SolverError, match=r"^mode 1 row 2: .*jitter") as info:
             solve_mode_row_step(data, z, 1, 10.0)
         assert info.value.group == 1
 
     def test_fit_names_the_failing_row(self, monkeypatch):
-        def fail_row_two(block_sizes, Q, y, C, jitter=0.0):
-            if isinstance(Q, FeatureGram) and Q.groups is not None:
+        def fail_row_two(blocks, Q, y, C, jitter=0.0):
+            if isinstance(Q, FeatureGram):
                 raise SolverError("residual too large; increase jitter", group=1)
-            return solve_dual_system(block_sizes, Q, y, C, jitter)
+            return solve_dual_system(blocks, Q, y, C, jitter)
 
         monkeypatch.setattr(solver, "solve_dual_system", fail_row_two)
         cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=3, seed=0)
@@ -890,13 +906,13 @@ class TestBatchedModeStep:
         # K = 8: rows of mode 1 hold 6 to 11 samples, so two take the dense form
         data = uneven_dataset(67, (6, 2))
         z = np.random.default_rng(67).normal(size=(data.n_samples, 8))
-        counts = np.diff(data.mode_layout(1).row_starts)
+        counts = data.fit_plan.layouts[0].blocks.group_sizes
         assert (counts < 8).sum() == 2
         ridge_groups = []
 
-        def recording(block_sizes, Phi, y, C, jitter=0.0, groups=None):
-            ridge_groups.append(len(groups))
-            return solve_feature_system(block_sizes, Phi, y, C, jitter, groups)
+        def recording(blocks, Phi, y, C, jitter=0.0):
+            ridge_groups.append(len(blocks.groups))
+            return solve_feature_system(blocks, Phi, y, C, jitter)
 
         monkeypatch.setattr(linsys, "solve_feature_system", recording)
         assert_rows_match_oracle(data, z, 1, C)
@@ -945,7 +961,7 @@ class TestGroupedSystems:
         block_sizes = [3, 4, 2, 5]
         Phi, y, group_of = two_group_system(rng, block_sizes, 2)
         C = 1.0
-        biases, duals, _ = solve_dual_system(block_sizes, FeatureGram(Phi, (2, 2)), y, C)
+        biases, duals, _ = solve_dual_system(Blocks(block_sizes, (2, 2)), FeatureGram(Phi), y, C)
         duals = duals + 1e-8 * (group_of == 1)  # group 1 (0-based) misses its own bound
         apply_q = lambda v: block_diagonal_gram(Phi, group_of) @ v  # noqa: E731
         no_step = lambda g, h: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
@@ -990,8 +1006,8 @@ class TestGroupedSystems:
     def test_grouped_matches_block_diagonal_dense_solve(self, block_sizes, width):
         rng = np.random.default_rng(72)
         Phi, y, group_of = two_group_system(rng, block_sizes, width)
-        grouped = solve_dual_system(block_sizes, FeatureGram(Phi, (2, 2, 2)), y, 10.0)
-        expected = solve_dual_system(block_sizes, block_diagonal_gram(Phi, group_of), y, 10.0)
+        grouped = solve_dual_system(Blocks(block_sizes, (2, 2, 2)), FeatureGram(Phi), y, 10.0)
+        expected = solve_dual_system(Blocks(block_sizes), block_diagonal_gram(Phi, group_of), y, 10.0)
         assert_same_solution(grouped, expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1002,15 +1018,15 @@ class TestGroupedSystems:
         Phi, y, group_of = two_group_system(rng, block_sizes, 3)
         Phi[group_of >= 1, 0] = np.inf
         with pytest.raises(SolverError, match="jitter") as info:
-            solve_dual_system(block_sizes, FeatureGram(Phi, (2, 2, 2)), y, 1.0)
+            solve_dual_system(Blocks(block_sizes, (2, 2, 2)), FeatureGram(Phi), y, 1.0)
         assert info.value.group == 1
 
     def test_group_validation(self):
         Phi = np.ones((4, 2))
         with pytest.raises(ValueError, match="positive"):
-            FeatureGram(Phi, (2, 0))
+            solve_dual_system(Blocks([1, 1, 2], (2, 0)), FeatureGram(Phi), np.ones(4), 1.0)
         with pytest.raises(ValueError, match="groups hold 2 blocks"):
-            solve_dual_system([1, 1, 2], FeatureGram(Phi, (1, 1)), np.ones(4), 1.0)
+            solve_dual_system(Blocks([1, 1, 2], (1, 1)), FeatureGram(Phi), np.ones(4), 1.0)
 
 
 class TestEvaluateObjective:
