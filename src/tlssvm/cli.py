@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -68,7 +69,9 @@ def _plan_from_config(cfg: dict) -> CvPlan:
             kwargs[key] = tuple(kwargs[key])
     try:
         return CvPlan(**kwargs)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # a grid value that is not a number
         raise ConfigError(f"bad cv config: {exc}") from exc
 
 
@@ -125,7 +128,13 @@ def cmd_train(args) -> int:
         if "C" not in cfg or "kernel" not in cfg:
             raise ConfigError("baseline config needs 'C' and 'kernel'")
         kernel = KernelSpec.from_config(cfg["kernel"])
-        model = fit_independent(data, float(cfg["C"]), kernel, jitter=float(cfg.get("jitter", 0.0)))
+        C, jitter = float(cfg["C"]), float(cfg.get("jitter", 0.0))
+        if not (0 < C < math.inf and 0 <= jitter < math.inf):
+            raise ConfigError(
+                f"baseline config needs a positive finite C and a nonnegative finite jitter, "
+                f"got C={C}, jitter={jitter}"
+            )
+        model = fit_independent(data, C, kernel, jitter=jitter)
         save_model(model, os.path.join(out, "model.json"))
         print(f"fit {data.grid.n_tasks} independent tasks; wrote model.json in {out}")
         return 0

@@ -72,6 +72,14 @@ class CvPlan:
                 raise ConfigError(f"{name} grid must be non-empty")
         if self.folds < 2:
             raise ConfigError(f"cross-validation needs at least 2 folds, got {self.folds}")
+        if not all(0 < float(c) < math.inf for c in self.costs):
+            raise ConfigError(f"costs must be positive and finite, got {list(self.costs)}")
+        if not all(int(r) == r >= 1 for r in self.ranks):
+            raise ConfigError(f"ranks must be whole numbers >= 1, got {list(self.ranks)}")
+        if not 0 <= float(self.jitter) < math.inf:
+            raise ConfigError(f"jitter must be nonnegative and finite, got {self.jitter}")
+        for gamma in self._gamma_axis():
+            self.kernel(gamma)  # KernelSpec rejects a gamma that is not finite and positive
 
     def _gamma_axis(self) -> tuple[float | None, ...]:
         return self.gammas if self.kernel_family == "rbf" else (None,)

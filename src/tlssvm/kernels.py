@@ -29,8 +29,8 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}, expected one of {_FAMILIES}")
         if self.family == "rbf":
-            if self.gamma is None or not float(self.gamma) > 0:
-                raise ConfigError(f"rbf kernel needs gamma > 0, got {self.gamma!r}")
+            if self.gamma is None or not 0 < float(self.gamma) < np.inf:
+                raise ConfigError(f"rbf kernel needs a finite gamma > 0, got {self.gamma!r}")
             object.__setattr__(self, "gamma", float(self.gamma))
         elif self.gamma is not None:
             raise ConfigError("gamma is only meaningful for the rbf kernel")

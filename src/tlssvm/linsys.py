@@ -6,22 +6,33 @@ all reduce to the same symmetric indefinite saddle-point system
     [[0, A^T], [A, Q + I/C + jitter*I]] [b; coef] = [0; y]
 
 with A the block-of-ones constraint matrix pairing samples to tasks.
-`solve_dual_system` is the entry point. Q is a dense m x m matrix, a
-`FeatureGram` (Q = Phi Phi^T held as its m x p feature matrix Phi), or a
-`KroneckerGram` (Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j of
-a linear shared step, held as the task vectors and the inputs' per-task
-moments, so Phi is never formed). The system is solved in one of
-two forms, both by Cholesky:
+`solve_dual_system` is the entry point. Q is a dense m x m matrix (the
+single-task baseline) or one of three structured forms:
 
-* Dense with a Schur complement, for a dense Q (kernels without a finite
-  feature map, the single-task baseline) and for feature forms with more
-  columns than rows. H = Q + (1/C + jitter) I is positive definite for a
-  PSD Q, and its Cholesky factor gives H^-1 y and H^-1 A in one triangular
-  solve. The biases come from the T x T Schur complement A^T H^-1 A, also
+* `FeatureGram`: Q = Phi Phi^T, held as its m x p feature matrix Phi;
+* `KroneckerGram`: Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j
+  of a linear shared step, held as the task vectors and the inputs'
+  per-task moments, so Phi is never formed;
+* `CoherenceGram`: Q_jp = <u_t(j), u_t(p)> G_jp, the task coherence times
+  a kernel Gram G, for a shared step whose kernel has no finite feature
+  map, held as the task vectors and G.
+
+The system is solved in one of two forms, both by Cholesky:
+
+* Dense with a Schur complement, for a CoherenceGram, a dense Q and
+  feature forms with more columns than rows. The form builds
+  H = Q + (1/C + jitter) I = Q + I/C_eff in one fresh m x m buffer that the
+  solve owns and factors in place; only a plain ndarray Q is copied into
+  it, because Q is the caller's. H is positive definite for a PSD Q, and
+  its Cholesky factor gives H^-1 y and H^-1 A in one triangular solve.
+  The biases come from the T x T Schur complement A^T H^-1 A, also
   Cholesky-factored, and the duals from alpha = H^-1 (y - A b) (the
   classic LS-SVM solve, Suykens & Vandewalle 1999). A failed factorization
   flags a Q that is not PSD. One refinement step, reusing both factors,
-  follows when the residual misses the acceptance bound.
+  follows when the residual misses the acceptance bound. The residual
+  goes through Q's operator, never through a kept Q: G (U o v) summed
+  against U row by row for a CoherenceGram (U the m x K task vectors of
+  the samples), Phi (Phi^T v) for the feature forms.
 * Centered ridge (`solve_feature_system`), for feature forms with p <= m.
   Centering Phi and y per block eliminates the biases, which leaves a
   p x p ridge system in the primal weights w, solved by Cholesky. Biases
@@ -36,8 +47,8 @@ two forms, both by Cholesky:
   and its centered copy (2 m dK floats); otherwise each solve sums them
   in runs of tasks that fit that bound. The dense form reads no moments.
 
-Both evaluate the residual of the saddle system above with the original
-Q (never with a factor), and raise SolverError when it exceeds
+Both evaluate the residual of the saddle system above with Q itself
+(never with a factor), and raise SolverError when it exceeds
 RESIDUAL_RTOL * (1 + ||y||).
 
 Every solver takes the block structure as a `Blocks`: the block sizes,
@@ -71,6 +82,7 @@ from .errors import SolverError
 __all__ = [
     "RESIDUAL_RTOL",
     "Blocks",
+    "CoherenceGram",
     "FeatureGram",
     "KroneckerGram",
     "TaskMoments",
@@ -92,12 +104,12 @@ class Blocks(tuple):
     """
 
     def __new__(cls, block_sizes, groups=None) -> "Blocks":
-        sizes = np.array(block_sizes, dtype=np.intp).reshape(-1)
+        sizes = _whole(block_sizes, "block sizes")
         if (sizes < 1).any():
             raise ValueError(f"every block needs at least one sample, got sizes {sizes.tolist()}")
         self = super().__new__(cls, sizes.tolist())
         n_blocks = len(self)
-        counts = (n_blocks,) if groups is None else tuple(int(g) for g in groups)
+        counts = (n_blocks,) if groups is None else tuple(_whole(groups, "groups").tolist())
         if not counts or min(counts) < 1:
             raise ValueError(f"groups must be positive block counts, got {counts}")
         if sum(counts) != n_blocks:
@@ -134,16 +146,26 @@ class Blocks(tuple):
         return self.sums(values) / self.sizes.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
+def _whole(values, what: str) -> np.ndarray:
+    """`values` as a flat intp array; ValueError unless every value is a whole number."""
+    given = np.asarray(values)
+    if given.dtype.kind not in "iu":
+        exact = np.asarray(given, dtype=float)
+        if not (np.isfinite(exact) & (np.trunc(exact) == exact)).all():
+            raise ValueError(f"{what} must be whole numbers, got {given.reshape(-1).tolist()}")
+    return given.astype(np.intp).reshape(-1)
+
+
 def _check(blocks: Blocks, m: int, C: float, jitter: float) -> None:
     """The checks every solve makes on its arguments."""
     if not isinstance(blocks, Blocks):
         raise TypeError(f"the block structure must be a linsys.Blocks, got {type(blocks).__name__}")
     if blocks.m != m:
         raise ValueError(f"inconsistent system shapes: blocks {blocks.m}, y {m}")
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be nonnegative, got {jitter}")
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
+    if not 0 <= jitter < np.inf:
+        raise ValueError(f"jitter must be nonnegative and finite, got {jitter}")
 
 
 @dataclass(frozen=True)
@@ -248,11 +270,53 @@ class KroneckerGram:
                 f"{list(self.moments.blocks)}, system blocks {list(blocks)}"
             )
 
-    def dense(self, blocks: Blocks) -> np.ndarray:
-        """The m x m matrix Q: task-vector coherence times the linear Gram."""
+    def dense(self, blocks: Blocks, shift: float = 0.0) -> np.ndarray:
+        """Q + shift I, as a fresh m x m array: task-vector coherence times the linear Gram."""
         U = self.task_vectors[blocks.of]
         X = self.moments.inputs
-        return (U @ U.T) * (X @ X.T)
+        H = U @ U.T
+        H *= X @ X.T
+        H.reshape(-1)[:: H.shape[0] + 1] += shift
+        return H
+
+
+@dataclass(frozen=True)
+class CoherenceGram:
+    """Q_jp = <u_t(j), u_t(p)> G_jp: the task coherence times an m x m kernel Gram G.
+
+    `task_vectors` is T x K, every task a block of the system. This is the
+    shared step's system matrix for a kernel without a finite feature map.
+    Q is formed only as the buffer H that the dense solve factors; its
+    residual goes through `matvec`, G (U o v) summed against U row by row.
+    """
+
+    task_vectors: np.ndarray
+    gram: np.ndarray
+
+    def check(self, blocks: Blocks) -> None:
+        T, m = self.task_vectors.shape[0], blocks.m
+        if len(blocks.groups) != 1:
+            raise ValueError("a CoherenceGram system has a single group")
+        if len(blocks) != T or self.gram.shape != (m, m):
+            raise ValueError(
+                f"inconsistent system shapes: {T} task vectors, Gram {self.gram.shape}, "
+                f"system blocks {list(blocks)}"
+            )
+
+    def dense(self, blocks: Blocks, shift: float = 0.0) -> np.ndarray:
+        """Q + shift I, as a fresh C-ordered m x m array."""
+        coherence = self.task_vectors @ self.task_vectors.T
+        coherence = 0.5 * (coherence + coherence.T)
+        # samples are stacked task by task, so the coherence expands block by block
+        H = np.repeat(np.repeat(coherence, blocks.sizes, axis=0), blocks.sizes, axis=1)
+        H *= self.gram
+        H.reshape(-1)[:: blocks.m + 1] += shift
+        return H
+
+    def matvec(self, blocks: Blocks, v: np.ndarray) -> np.ndarray:
+        """Q v, without forming Q."""
+        U = self.task_vectors[blocks.of]  # m x K
+        return np.einsum("jk,jk->j", self.gram @ (U * v[:, None]), U)
 
 
 class _MatrixFeatures:
@@ -389,36 +453,51 @@ def _refined(blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, alw
 
 
 def solve_dual_system(
-    blocks: Blocks, Q: np.ndarray | FeatureGram | KroneckerGram, y: np.ndarray, C: float, jitter: float = 0.0
+    blocks: Blocks,
+    Q: np.ndarray | FeatureGram | KroneckerGram | CoherenceGram,
+    y: np.ndarray,
+    C: float,
+    jitter: float = 0.0,
 ):
     """Solve the saddle-point system above for the block structure `blocks`.
 
     A feature form (FeatureGram or KroneckerGram) goes to
     :func:`solve_feature_system` for every group whose rows outnumber Phi's
     columns, whose p x p factor is then the smaller one; any other group,
-    and a dense Q, is solved in the dense form with a Schur complement.
-    Returns (biases, coefficients, residual_norm) where biases has one
-    entry per block, coefficients one per sample, and the residual is the
-    largest group residual. Raises SolverError if Q + I/C is not positive
-    definite or a group's residual exceeds RESIDUAL_RTOL * (1 + ||y_g||)
-    even after refinement, TypeError when `blocks` is not a Blocks, and
-    ValueError on inconsistent shapes, C <= 0 or jitter < 0.
+    a CoherenceGram and a dense Q are solved in the dense form with a Schur
+    complement. Returns (biases, coefficients, residual_norm) where biases
+    has one entry per block, coefficients one per sample, and the residual
+    is the largest group residual. Raises SolverError if Q + I/C is not
+    positive definite or a group's residual exceeds
+    RESIDUAL_RTOL * (1 + ||y_g||) even after refinement, TypeError when
+    `blocks` is not a Blocks, and ValueError on inconsistent shapes, a C
+    that is not positive and finite, or a jitter that is negative or not
+    finite.
     """
-    if isinstance(Q, KroneckerGram):
-        y = np.asarray(y, dtype=float)
-        _check(blocks, y.shape[0], C, jitter)
-        if blocks.m >= Q.n_features:
-            return solve_feature_system(blocks, Q, y, C, jitter)
-        Q.check(blocks)
-        return _solve_dense(blocks, Q.dense(blocks), y, C, jitter)
-    if not isinstance(Q, FeatureGram):
-        return _solve_dense(blocks, Q, y, C, jitter)
-    Phi = Q.features
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
+    _check(blocks, m, C, jitter)
+    inv_c = 1.0 / C + jitter
+    if isinstance(Q, CoherenceGram):
+        Q.check(blocks)
+        return _solve_dense(blocks, Q.dense(blocks, inv_c), y, inv_c, lambda v: Q.matvec(blocks, v))
+    if isinstance(Q, KroneckerGram):
+        if blocks.m >= Q.n_features:
+            return solve_feature_system(blocks, Q, y, C, jitter)
+        features = _KroneckerFeatures(Q, blocks)
+        return _solve_dense(
+            blocks, Q.dense(blocks, inv_c), y, inv_c, lambda v: features.matvec(features.rmatvec(v))
+        )
+    if not isinstance(Q, FeatureGram):
+        Q = np.asarray(Q, dtype=float)
+        if Q.shape != (m, m):
+            raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
+        H = np.array(Q, order="C")  # a copy: the residual needs Q itself
+        H.reshape(-1)[:: m + 1] += inv_c
+        return _solve_dense(blocks, H, y, inv_c, lambda v: Q @ v)
+    Phi = Q.features
     if Phi.shape[0] != m:
         raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
-    _check(blocks, m, C, jitter)
     ridge = blocks.group_sizes >= Phi.shape[1]
     if ridge.all():
         return solve_feature_system(blocks, Phi, y, C, jitter)
@@ -439,8 +518,10 @@ def solve_dual_system(
             if ridge[ids[0]]:
                 b, a, r = solve_feature_system(unit, Phi_u, y_u, C, jitter)
             else:
-                Q_u = Phi_u @ Phi_u.T
-                b, a, r = _solve_dense(unit, 0.5 * (Q_u + Q_u.T), y_u, C, jitter)
+                H = Phi_u @ Phi_u.T
+                H = 0.5 * (H + H.T)
+                H.reshape(-1)[:: unit.m + 1] += inv_c
+                b, a, r = _solve_dense(unit, H, y_u, inv_c, lambda v: Phi_u @ (Phi_u.T @ v))
         except SolverError as exc:
             if exc.group is None:
                 raise
@@ -454,18 +535,13 @@ def solve_dual_system(
     return biases, duals, residual
 
 
-def _solve_dense(blocks: Blocks, Q: np.ndarray, y: np.ndarray, C: float, jitter: float):
-    """The dense form with a Schur complement, for one group."""
-    y = np.asarray(y, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    m = y.shape[0]
-    if Q.shape != (m, m):
-        raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
-    _check(blocks, m, C, jitter)
-    inv_c = 1.0 / C + jitter
+def _solve_dense(blocks: Blocks, H: np.ndarray, y: np.ndarray, inv_c: float, apply_q):
+    """The dense form with a Schur complement, for one group.
 
-    H = np.array(Q, order="C")  # a copy: the residual needs Q itself
-    H.reshape(-1)[:: m + 1] += inv_c
+    H is Q + inv_c I as a C-ordered m x m array, which the solve factors in
+    place; `apply_q(v)` is Q v, by which the residual is checked.
+    """
+    m = y.shape[0]
     # H.T is Fortran-ordered, so LAPACK factors it in place; its lower
     # triangle is H's upper one, the same for a symmetric Q.
     factor = _cholesky(H.T, "Q + I/C")
@@ -482,7 +558,7 @@ def _solve_dense(blocks: Blocks, Q: np.ndarray, y: np.ndarray, C: float, jitter:
 
     biases, duals = from_hinv(np.zeros(len(blocks)), first[:, 0])
     return _refined(
-        blocks, y, inv_c, lambda v: Q @ v,
+        blocks, y, inv_c, apply_q,
         lambda g, h: from_hinv(g, _cho_solve(factor, h)),
         biases, duals, always=False,
     )

@@ -15,9 +15,12 @@ the shared-step features u_t(j) kron x_j (d K columns, handed over as a
 KroneckerGram: the task vectors with the inputs' per-task moments, from
 which the task-Kronecker ridge is assembled without forming Phi). Either
 is solved as a centered ridge in the primal weights when Phi has no more
-columns than rows. RBF shared steps hand the solver the dense
-coherence-weighted Gram, solved by Cholesky with a T x T Schur complement
-for the biases.
+columns than rows. RBF shared steps hand the solver a CoherenceGram: the
+task vectors with the fit's kernel Gram G, Q being their coherence times
+G. The solver forms Q + I/C_eff once, in the buffer it factors by
+Cholesky (with a T x T Schur complement for the biases), and checks the
+residual through G rather than a copy of Q, so the step holds one m x m
+array beside G.
 
 Rows within a mode touch disjoint task sets, and their reduced features
 are computed once per mode sweep, so the T_n row subproblems of a mode are
@@ -49,7 +52,7 @@ import numpy as np
 from .data import ModeLayout, MtlDataset
 from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, gram
-from .linsys import FeatureGram, KroneckerGram, solve_dual_system
+from .linsys import CoherenceGram, FeatureGram, KroneckerGram, solve_dual_system
 from .model import dual_projection, dual_weights, task_predictions
 from .taskgrid import ModeFactors, SharedFactor, TaskGrid, row_product_table
 
@@ -79,16 +82,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.K) < 1:
-            raise ConfigError(f"rank K must be >= 1, got {self.K}")
-        if not float(self.C) > 0:
-            raise ConfigError(f"C must be positive, got {self.C}")
+        if not int(self.K) == self.K >= 1:
+            raise ConfigError(f"rank K must be a whole number >= 1, got {self.K!r}")
+        if not 0 < float(self.C) < math.inf:
+            raise ConfigError(f"C must be positive and finite, got {self.C}")
         if int(self.max_iters) < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not float(self.tol) > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if float(self.jitter) < 0:
-            raise ConfigError(f"jitter must be nonnegative, got {self.jitter}")
+        if not 0 <= float(self.jitter) < math.inf:
+            raise ConfigError(f"jitter must be nonnegative and finite, got {self.jitter}")
         object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "C", float(self.C))
         object.__setattr__(self, "max_iters", int(self.max_iters))
@@ -119,15 +122,20 @@ class FitConfig:
         extra = set(cfg) - known
         if extra:
             raise ConfigError(f"unknown fit config keys: {sorted(extra)}")
-        return cls(
-            K=int(cfg["K"]),
-            C=float(cfg["C"]),
-            kernel=KernelSpec.from_config(cfg["kernel"]),
-            max_iters=int(cfg.get("max_iters", 100)),
-            tol=float(cfg.get("tol", 1e-3)),
-            jitter=float(cfg.get("jitter", 0.0)),
-            seed=int(cfg.get("seed", 0)),
-        )
+        try:
+            return cls(
+                K=cfg["K"],
+                C=float(cfg["C"]),
+                kernel=KernelSpec.from_config(cfg["kernel"]),
+                max_iters=int(cfg.get("max_iters", 100)),
+                tol=float(cfg.get("tol", 1e-3)),
+                jitter=float(cfg.get("jitter", 0.0)),
+                seed=int(cfg.get("seed", 0)),
+            )
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:  # a value that is not a number
+            raise ConfigError(f"bad fit config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -196,22 +204,6 @@ def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
     return mats
 
 
-def _coherence_weighted(data: MtlDataset, u_table, kernel: KernelSpec, gram_matrix) -> np.ndarray:
-    """m x m system matrix: task-vector coherence <u_t, u_q> times the kernel Gram.
-
-    Entry (j, j') couples sample i of task t with sample p of task q, where
-    j runs over the global sample order.
-    """
-    G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
-    coherence = u_table @ u_table.T
-    coherence = 0.5 * (coherence + coherence.T)
-    # samples are stacked task by task, so the coherence expands block by block
-    sizes = data.task_sizes
-    Q = np.repeat(np.repeat(coherence, sizes, axis=0), sizes, axis=1)
-    Q *= G
-    return Q
-
-
 @dataclass(frozen=True)
 class SharedStepResult:
     shared: SharedFactor
@@ -234,7 +226,8 @@ def solve_shared_step(
     features Phi_j = u_t(j) kron x_j, handed to the solver as a
     KroneckerGram over the dataset's per-task moments and solved through
     the smaller of its two forms. Other kernels solve the
-    (T+m)-dimensional dual system with the coherence-weighted Gram matrix.
+    (T+m)-dimensional dual system of a CoherenceGram: the task vectors
+    with the kernel Gram, `gram_matrix` if given.
     The updated shared factor is returned in dual form (plus the explicit
     matrix whenever the kernel has a finite feature map). `factors` is a
     ModeFactors on the data's grid, or its factor matrices.
@@ -249,8 +242,8 @@ def solve_shared_step(
         biases, duals, residual = solve_dual_system(plan.shared, Q, y, C, jitter)
         explicit = data.stacked_inputs().T @ dual_weights(duals, u_table, data.sample_task_ids())
     else:
-        Q = _coherence_weighted(data, u_table, kernel, gram_matrix)
-        biases, duals, residual = solve_dual_system(plan.shared, Q, y, C, jitter)
+        G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
+        biases, duals, residual = solve_dual_system(plan.shared, CoherenceGram(u_table, G), y, C, jitter)
     constraint = float(np.max(np.abs(plan.shared.sums(duals))))
     shared = SharedFactor._of_solve(duals, u_table, data, explicit)
     return SharedStepResult(shared, biases, residual, constraint)

@@ -9,11 +9,11 @@ import pytest
 
 from tlssvm import MtlDataset, TaskGrid
 from tlssvm.errors import DataError, UnsupportedOperation
-from tlssvm.kernels import KernelSpec
+from tlssvm.kernels import KernelSpec, gram
+from tlssvm.linsys import Blocks, CoherenceGram
 from tlssvm.model import task_predictions
 from tlssvm.solver import (
     ModeStepResult,
-    _coherence_weighted,
     _objective,
     _shared_penalty,
     _squared_norm,
@@ -245,7 +245,8 @@ def coherence_weighted_gram(
         raise ValueError(
             f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
         )
-    return _coherence_weighted(data, task_vector_table(factors), kernel, gram_matrix)
+    G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
+    return CoherenceGram(task_vector_table(factors), G).dense(Blocks(data.task_sizes))
 
 
 def random_dataset(seed: int, mode_sizes=(2, 2), d: int = 3, m_t: int = 5) -> MtlDataset:

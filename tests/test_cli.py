@@ -129,6 +129,28 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "method, config",
+        [("tlssvm", {**FIT, "C": float("inf")}),
+         ("tlssvm", {**FIT, "jitter": float("nan")}),
+         ("lssvm-independent", {"C": float("inf"), "kernel": {"family": "linear"}}),
+         ("lssvm-independent", {"C": -1.0, "kernel": {"family": "linear"}}),
+         ("lssvm-independent", {"C": 1.0, "kernel": {"family": "linear"}, "jitter": float("nan")}),
+         ("tlssvm", {**FIT, "C": "abc"}),
+         ("tlssvm", {**FIT, "K": 1.5})],
+    )
+    def test_bad_hyperparameter_is_usage_error(self, pipeline, tmp_path, capsys, method, config):
+        cfg = write_json(tmp_path / "fit.json", config)
+        code = main(
+            [
+                "train", "--train", pipeline["train_csv"], "--grid", "2,2", "--method", method,
+                "--config", cfg, "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "model.json").exists()
+
     def test_grid_mismatch_is_data_error(self, pipeline, tmp_path, capsys):
         code = main(
             [
@@ -353,6 +375,28 @@ class TestCv:
             )
             blobs.append((tmp_path / sub / "cv.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize(
+        "method, config",
+        [("tlssvm", {"jitter": float("nan")}),
+         ("lssvm-independent", {"costs": [-1.0]}),
+         ("tlssvm", {"costs": [1.0, float("inf")]}),
+         ("tlssvm", {"ranks": [0]}),
+         ("tlssvm", {"costs": ["x"]}),
+         ("tlssvm", {"ranks": [1.5]}),
+         ("tlssvm", {"ranks": [float("inf")]})],
+    )
+    def test_out_of_range_plan_is_usage_error(self, pipeline, tmp_path, capsys, method, config):
+        cfg = write_json(tmp_path / "cv.json.in", {"ranks": [1], "costs": [1.0], "folds": 2, **config})
+        code = main(
+            [
+                "cv", "--train", pipeline["train_csv"], "--grid", "2,2", "--method", method,
+                "--config", cfg, "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "cv.json").exists()
 
     def test_unknown_config_key_is_usage_error(self, pipeline, tmp_path, capsys):
         cfg = write_json(tmp_path / "cv.json.in", {"n_jobs": 4})

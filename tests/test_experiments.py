@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,24 @@ class TestCvPlan:
             CvPlan(costs=())
         with pytest.raises(ConfigError, match="folds"):
             CvPlan(folds=1)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"costs": (1.0, math.inf)}, "costs must be positive and finite"),
+         ({"costs": (math.nan,)}, "costs must be positive and finite"),
+         ({"costs": (-1.0,)}, "costs must be positive and finite"),
+         ({"costs": (0.0,)}, "costs must be positive and finite"),
+         ({"ranks": (1, 0)}, "ranks must be whole numbers >= 1"),
+         ({"ranks": (1.5,)}, "ranks must be whole numbers >= 1"),
+         ({"jitter": -1e-3}, "jitter must be nonnegative and finite"),
+         ({"jitter": math.nan}, "jitter must be nonnegative and finite"),
+         ({"jitter": math.inf}, "jitter must be nonnegative and finite"),
+         ({"kernel_family": "rbf", "gammas": (0.1, math.nan)}, "finite gamma > 0"),
+         ({"kernel_family": "rbf", "gammas": (math.inf,)}, "finite gamma > 0")],
+    )
+    def test_rejects_out_of_range_costs_ranks_and_jitter(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            CvPlan(**bad)
 
     def test_axes_by_method_and_family(self):
         linear = CvPlan(kernel_family="linear", ranks=(2,), costs=(1.0,), gammas=(0.1, 1.0))

@@ -16,6 +16,9 @@ class TestKernelSpec:
             KernelSpec("rbf")
         with pytest.raises(ValueError):
             KernelSpec("rbf", gamma=-1.0)
+        for gamma in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="finite gamma > 0"):
+                KernelSpec("rbf", gamma=gamma)
 
     def test_linear_forbids_gamma(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from tlssvm.kernels import KernelSpec, gram, kernel_eval
 from tlssvm.linsys import (
     RESIDUAL_RTOL,
     Blocks,
+    CoherenceGram,
     FeatureGram,
     KroneckerGram,
     TaskMoments,
@@ -154,6 +155,35 @@ class TestSolveDualSystem:
         ):
             with pytest.raises(TypeError, match="must be a linsys.Blocks"):
                 solve(sizes, Q, y, 1.0)
+
+    @pytest.mark.parametrize("C, jitter, message", [
+        (math.inf, 0.0, "C must be positive and finite"),
+        (math.nan, 0.0, "C must be positive and finite"),
+        (1.0, math.nan, "jitter must be nonnegative and finite"),
+        (1.0, math.inf, "jitter must be nonnegative and finite"),
+    ])
+    def test_non_finite_cost_or_jitter_raises_value_error(self, C, jitter, message):
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(5, 2)), rng.normal(size=5)
+        U = rng.normal(size=(2, 1))
+        blocks = Blocks([2, 3])
+        for Q in (X @ X.T, FeatureGram(X), KroneckerGram(U, TaskMoments(blocks, X)),
+                  CoherenceGram(U, X @ X.T)):
+            with pytest.raises(ValueError, match=message):
+                solve_dual_system(blocks, Q, y, C, jitter)
+        with pytest.raises(ValueError, match=message):
+            solve_feature_system(blocks, X, y, C, jitter)
+
+    def test_blocks_reject_fractional_sizes_and_group_counts(self):
+        with pytest.raises(ValueError, match=r"block sizes must be whole numbers, got \[2\.7, 3\.0\]"):
+            Blocks([2.7, 3])
+        with pytest.raises(ValueError, match=r"groups must be whole numbers, got \[1\.5, 0\.5\]"):
+            Blocks([1, 1], (1.5, 0.5))
+        with pytest.raises(ValueError, match="whole numbers"):
+            Blocks([2, np.nan])
+        whole = Blocks(np.array([2.0, 3.0]), (1.0, 1.0))
+        assert whole == Blocks([2, 3], (1, 1)) == (2, 3)
+        assert whole.groups.tolist() == [1, 1]
 
     def test_empty_block_raises_value_error(self):
         with pytest.raises(ValueError, match="at least one sample"):
@@ -1145,6 +1175,7 @@ class TestFit:
         def lu_reference(block_sizes, Q, y, C, jitter=0.0):
             if isinstance(Q, FeatureGram):
                 return solve_dual_system(block_sizes, Q, y, C, jitter)
+            Q = Q.dense(block_sizes)
             dense_solves.append(Q.shape)
             biases, duals = saddle_oracle(block_sizes, Q, y, C, jitter)
             return biases, duals, 0.0
@@ -1215,6 +1246,28 @@ class TestFit:
         )
         with pytest.raises(SolverError):
             fit(data, FitConfig(K=1, C=10.0, kernel=LINEAR, max_iters=5, tol=1e-3, seed=0))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"C": math.inf}, "C must be positive and finite"),
+         ({"C": math.nan}, "C must be positive and finite"),
+         ({"jitter": math.nan}, "jitter must be nonnegative and finite"),
+         ({"jitter": math.inf}, "jitter must be nonnegative and finite")],
+    )
+    def test_config_rejects_non_finite_cost_and_jitter(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            FitConfig(**{"K": 1, "C": 1.0, "kernel": LINEAR, **bad})
+        assert FitConfig(K=1, C=1.0, kernel=LINEAR, tol=math.inf).tol == math.inf
+
+    def test_config_rejects_fractional_rank_and_non_numeric_values(self):
+        with pytest.raises(ConfigError, match="whole number"):
+            FitConfig(K=1.7, C=1.0, kernel=LINEAR)
+        assert FitConfig(K=2.0, C=1.0, kernel=LINEAR).K == 2
+        cfg = {"K": 2, "C": 1.0, "kernel": {"family": "linear"}}
+        for bad, message in (({"K": 1.7}, "whole number"), ({"C": "abc"}, "bad fit config"),
+                             ({"tol": None}, "bad fit config"), ({"K": math.inf}, "bad fit config")):
+            with pytest.raises(ConfigError, match=message):
+                FitConfig.from_config({**cfg, **bad})
 
     def test_config_validation_and_roundtrip(self):
         with pytest.raises(ConfigError):
