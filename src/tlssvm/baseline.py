@@ -44,7 +44,7 @@ class SingleTaskLssvm:
         object.__setattr__(self, "bias", float(self.bias))
 
 
-def fit_single(X, y, C: float, kernel: KernelSpec, jitter: float = 0.0) -> SingleTaskLssvm:
+def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
     """Fit one task; the dual coefficients sum to zero by the bias stationarity."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -53,7 +53,7 @@ def fit_single(X, y, C: float, kernel: KernelSpec, jitter: float = 0.0) -> Singl
     if X.shape[0] < 1:
         raise ValueError("need at least one training sample")
     G = gram(kernel, X)
-    biases, duals, _ = solve_dual_system(Blocks([X.shape[0]]), G, y, C, jitter)
+    biases, duals, _ = solve_dual_system(Blocks([X.shape[0]]), G, y, C)
     return SingleTaskLssvm(duals, float(biases[0]), X, kernel)
 
 
@@ -130,10 +130,8 @@ class LssvmModel:
         return out
 
 
-def fit_independent(data: MtlDataset, C: float, kernel: KernelSpec, jitter: float = 0.0) -> LssvmModel:
+def fit_independent(data: MtlDataset, C: float, kernel: KernelSpec) -> LssvmModel:
     """Fit every task separately with shared hyperparameters."""
     data.require_nonempty_tasks()
-    tasks = tuple(
-        fit_single(X, y, C, kernel, jitter) for X, y in zip(data.inputs, data.targets)
-    )
+    tasks = tuple(fit_single(X, y, C, kernel) for X, y in zip(data.inputs, data.targets))
     return LssvmModel(data.grid, kernel, tasks)

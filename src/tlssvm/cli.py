@@ -11,7 +11,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -59,7 +58,7 @@ def _parse_grid(text: str) -> TaskGrid:
 
 
 def _plan_from_config(cfg: dict) -> CvPlan:
-    allowed = {"kernel_family", "ranks", "costs", "gammas", "folds", "max_iters", "tol", "jitter"}
+    allowed = {"kernel_family", "ranks", "costs", "gammas", "folds", "max_iters", "tol"}
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown cv config keys: {sorted(unknown)}")
@@ -122,19 +121,16 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     if args.method == METHOD_BASELINE:
         cfg = _load_json_config(args.config)
-        unknown = set(cfg) - {"C", "kernel", "jitter"}
+        unknown = set(cfg) - {"C", "kernel"}
         if unknown:
             raise ConfigError(f"unknown baseline config keys: {sorted(unknown)}")
         if "C" not in cfg or "kernel" not in cfg:
             raise ConfigError("baseline config needs 'C' and 'kernel'")
         kernel = KernelSpec.from_config(cfg["kernel"])
-        C, jitter = float(cfg["C"]), float(cfg.get("jitter", 0.0))
-        if not (0 < C < math.inf and 0 <= jitter < math.inf):
-            raise ConfigError(
-                f"baseline config needs a positive finite C and a nonnegative finite jitter, "
-                f"got C={C}, jitter={jitter}"
-            )
-        model = fit_independent(data, C, kernel, jitter=jitter)
+        C = float(cfg["C"])
+        if not 0 < C < math.inf:
+            raise ConfigError(f"baseline config needs a positive finite C, got C={C}")
+        model = fit_independent(data, C, kernel)
         save_model(model, os.path.join(out, "model.json"))
         print(f"fit {data.grid.n_tasks} independent tasks; wrote model.json in {out}")
         return 0
@@ -253,21 +249,10 @@ def cmd_benchmark(args) -> int:
         name = f"run_s{snr_index}_r{run.rep}_{run.method}.json"
         write_json(os.path.join(runs_dir, name), run.to_dict())
     write_json(os.path.join(out, "benchmark.json"), result.to_dict())
-    summary_path = os.path.join(out, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr", "method", "reps", "rmse", "q2", "correlation"])
-        for row in result.summary_rows():
-            writer.writerow(
-                [
-                    repr(row["snr"]),
-                    row["method"],
-                    row["reps"],
-                    repr(row["rmse"]),
-                    repr(row["q2"]),
-                    repr(row["correlation"]),
-                ]
-            )
+    columns = ["snr", "method", "reps", "rmse", "q2", "correlation"]
+    lines = [csv_line(columns)] + [csv_line(row[c] for c in columns) for row in result.summary_rows()]
+    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
     print(
         f"benchmark finished: {len(result.runs)} runs over snrs={list(result.snrs)} x "
         f"{list(result.methods)}; wrote benchmark.json, summary.csv, runs/ in {out}"

@@ -141,7 +141,6 @@ class MtlDataset:
             "_stacked_inputs": X,
             "_stacked_targets": y,
             "_sample_task_ids": np.repeat(np.arange(len(sizes)), sizes),
-            "_task_offsets": ends - sizes,
         }
         for name, arr in stacked.items():
             arr.flags.writeable = False
@@ -173,10 +172,6 @@ class MtlDataset:
     def sample_task_ids(self) -> np.ndarray:
         """0-based task index of every sample in global order (read-only)."""
         return self._sample_task_ids
-
-    def task_offsets(self) -> np.ndarray:
-        """Start of each task's block in the global sample order (read-only)."""
-        return self._task_offsets
 
     @cached_property
     def fit_plan(self) -> FitPlan:

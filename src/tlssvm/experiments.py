@@ -62,7 +62,6 @@ class CvPlan:
     folds: int = 5
     max_iters: int = 100
     tol: float = 1e-3
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kernel_family not in ("linear", "rbf"):
@@ -76,8 +75,6 @@ class CvPlan:
             raise ConfigError(f"costs must be positive and finite, got {list(self.costs)}")
         if not all(int(r) == r >= 1 for r in self.ranks):
             raise ConfigError(f"ranks must be whole numbers >= 1, got {list(self.ranks)}")
-        if not 0 <= float(self.jitter) < math.inf:
-            raise ConfigError(f"jitter must be nonnegative and finite, got {self.jitter}")
         for gamma in self._gamma_axis():
             self.kernel(gamma)  # KernelSpec rejects a gamma that is not finite and positive
 
@@ -140,18 +137,15 @@ def fit_method(
     *,
     max_iters: int = 100,
     tol: float = 1e-3,
-    jitter: float = 0.0,
     seed: int = 0,
 ):
     """Fit one method at fixed hyperparameters; returns a predict-capable model."""
     if method == METHOD_BASELINE:
-        return fit_independent(data, cost, kernel, jitter=jitter)
+        return fit_independent(data, cost, kernel)
     if method == METHOD_TENSOR:
         if rank is None:
             raise ConfigError("tensorized method needs a rank")
-        config = FitConfig(
-            K=rank, C=cost, kernel=kernel, max_iters=max_iters, tol=tol, jitter=jitter, seed=seed
-        )
+        config = FitConfig(K=rank, C=cost, kernel=kernel, max_iters=max_iters, tol=tol, seed=seed)
         return TrainedModel.from_fit(data, fit(data, config), kernel)
     raise ConfigError(f"unknown method {method!r}")
 
@@ -191,7 +185,6 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
                                 kernel,
                                 max_iters=plan.max_iters,
                                 tol=plan.tol,
-                                jitter=plan.jitter,
                                 seed=seed,
                             ),
                             fold_val,
@@ -222,7 +215,6 @@ def fit_best(data: MtlDataset, result: CvResult, plan: CvPlan, seed: int = 0):
         plan.kernel(result.best.gamma),
         max_iters=plan.max_iters,
         tol=plan.tol,
-        jitter=plan.jitter,
         seed=seed,
     )
 

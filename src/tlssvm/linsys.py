@@ -3,9 +3,13 @@
 The shared-factor step, the mode-row steps, and the single-task baseline
 all reduce to the same symmetric indefinite saddle-point system
 
-    [[0, A^T], [A, Q + I/C + jitter*I]] [b; coef] = [0; y]
+    [[0, A^T], [A, Q + I/C]] [b; coef] = [0; y]
 
-with A the block-of-ones constraint matrix pairing samples to tasks.
+with A the block-of-ones constraint matrix pairing samples to tasks. The
+cost C is the only regularization: the ridge I/C is the dual of the
+LS-SVM penalty C/2 ||e||^2 (Suykens & Vandewalle 1999), so each solve
+minimizes the objective that a fit records.
+
 `solve_dual_system` is the entry point. Q is a dense m x m matrix (the
 single-task baseline) or one of three structured forms:
 
@@ -21,9 +25,9 @@ The system is solved in one of two forms, both by Cholesky:
 
 * Dense with a Schur complement, for a CoherenceGram, a dense Q and
   feature forms with more columns than rows. The form builds
-  H = Q + (1/C + jitter) I = Q + I/C_eff in one fresh m x m buffer that the
-  solve owns and factors in place; only a plain ndarray Q is copied into
-  it, because Q is the caller's. H is positive definite for a PSD Q, and
+  H = Q + I/C in one fresh m x m buffer that the solve owns and factors
+  in place; only a plain ndarray Q is copied into it, because Q is the
+  caller's. H is positive definite for a PSD Q, and
   its Cholesky factor gives H^-1 y and H^-1 A in one triangular solve.
   The biases come from the T x T Schur complement A^T H^-1 A, also
   Cholesky-factored, and the duals from alpha = H^-1 (y - A b) (the
@@ -156,7 +160,7 @@ def _whole(values, what: str) -> np.ndarray:
     return given.astype(np.intp).reshape(-1)
 
 
-def _check(blocks: Blocks, m: int, C: float, jitter: float) -> None:
+def _check(blocks: Blocks, m: int, C: float) -> None:
     """The checks every solve makes on its arguments."""
     if not isinstance(blocks, Blocks):
         raise TypeError(f"the block structure must be a linsys.Blocks, got {type(blocks).__name__}")
@@ -164,8 +168,6 @@ def _check(blocks: Blocks, m: int, C: float, jitter: float) -> None:
         raise ValueError(f"inconsistent system shapes: blocks {blocks.m}, y {m}")
     if not 0 < C < np.inf:
         raise ValueError(f"C must be positive and finite, got {C}")
-    if not 0 <= jitter < np.inf:
-        raise ValueError(f"jitter must be nonnegative and finite, got {jitter}")
 
 
 @dataclass(frozen=True)
@@ -400,7 +402,7 @@ def _cholesky(H: np.ndarray, what: str, group: int = 0) -> np.ndarray:
     factor, info = dpotrf(H, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise SolverError(
-            f"{what} is not positive definite (dpotrf info {info}); increase jitter or adjust C",
+            f"{what} is not positive definite (dpotrf info {info}); decrease C",
             group,
         )
     return factor
@@ -445,8 +447,7 @@ def _refined(blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, alw
     if failed.size:
         g = int(failed[0])
         raise SolverError(
-            f"dual system solve residual {residuals[g]:.3e} exceeds {bounds[g]:.3e}; "
-            "increase jitter or adjust C",
+            f"dual system solve residual {residuals[g]:.3e} exceeds {bounds[g]:.3e}; decrease C",
             g,
         )
     return biases, duals, float(residuals.max())
@@ -457,7 +458,6 @@ def solve_dual_system(
     Q: np.ndarray | FeatureGram | KroneckerGram | CoherenceGram,
     y: np.ndarray,
     C: float,
-    jitter: float = 0.0,
 ):
     """Solve the saddle-point system above for the block structure `blocks`.
 
@@ -470,20 +470,19 @@ def solve_dual_system(
     is the largest group residual. Raises SolverError if Q + I/C is not
     positive definite or a group's residual exceeds
     RESIDUAL_RTOL * (1 + ||y_g||) even after refinement, TypeError when
-    `blocks` is not a Blocks, and ValueError on inconsistent shapes, a C
-    that is not positive and finite, or a jitter that is negative or not
-    finite.
+    `blocks` is not a Blocks, and ValueError on inconsistent shapes or a C
+    that is not positive and finite.
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
-    _check(blocks, m, C, jitter)
-    inv_c = 1.0 / C + jitter
+    _check(blocks, m, C)
+    inv_c = 1.0 / C
     if isinstance(Q, CoherenceGram):
         Q.check(blocks)
         return _solve_dense(blocks, Q.dense(blocks, inv_c), y, inv_c, lambda v: Q.matvec(blocks, v))
     if isinstance(Q, KroneckerGram):
         if blocks.m >= Q.n_features:
-            return solve_feature_system(blocks, Q, y, C, jitter)
+            return solve_feature_system(blocks, Q, y, C)
         features = _KroneckerFeatures(Q, blocks)
         return _solve_dense(
             blocks, Q.dense(blocks, inv_c), y, inv_c, lambda v: features.matvec(features.rmatvec(v))
@@ -500,7 +499,7 @@ def solve_dual_system(
         raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
     ridge = blocks.group_sizes >= Phi.shape[1]
     if ridge.all():
-        return solve_feature_system(blocks, Phi, y, C, jitter)
+        return solve_feature_system(blocks, Phi, y, C)
 
     # The ridge groups are solved together, every other group on its own.
     units = [np.flatnonzero(ridge)] if ridge.any() else []
@@ -516,7 +515,7 @@ def solve_dual_system(
         Phi_u, y_u = Phi[own], y[own]
         try:
             if ridge[ids[0]]:
-                b, a, r = solve_feature_system(unit, Phi_u, y_u, C, jitter)
+                b, a, r = solve_feature_system(unit, Phi_u, y_u, C)
             else:
                 H = Phi_u @ Phi_u.T
                 H = 0.5 * (H + H.T)
@@ -564,21 +563,19 @@ def _solve_dense(blocks: Blocks, H: np.ndarray, y: np.ndarray, inv_c: float, app
     )
 
 
-def solve_feature_system(
-    blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float, jitter: float = 0.0
-):
+def solve_feature_system(blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float):
     """Solve the saddle-point system with Q = Phi Phi^T as a centered ridge.
 
     Same contract as :func:`solve_dual_system`, which calls this for the
     groups of a feature form with p <= m_g. Phi is an m x p matrix or a
-    KroneckerGram (one group). With 1/C_eff = 1/C + jitter, the p x p
-    matrix Phi~^T Phi~ + I/C_eff of the block-centered features Phi~ is
-    Cholesky-factored once per group. A right-hand side [g; h] of the
-    saddle system then solves in closed form, group by group:
+    KroneckerGram (one group). The p x p matrix Phi~^T Phi~ + I/C of the
+    block-centered features Phi~ is Cholesky-factored once per group. A
+    right-hand side [g; h] of the saddle system then solves in closed
+    form, group by group:
 
-        w   = (Phi~^T Phi~ + I/C_eff)^-1 (Phi~^T h~ + Phi_bar^T g / C_eff)
-        b_t = mean_t(h - Phi w) - g_t / (C_eff n_t)
-        a   = C_eff (h - A b - Phi w)
+        w   = (Phi~^T Phi~ + I/C)^-1 (Phi~^T h~ + Phi_bar^T g / C)
+        b_t = mean_t(h - Phi w) - g_t / (C n_t)
+        a   = C (h - A b - Phi w)
 
     where Phi_bar holds the block means of Phi. The solve for [0; y] is
     always followed by one refinement step on the saddle residual, reusing
@@ -587,7 +584,7 @@ def solve_feature_system(
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
-    _check(blocks, m, C, jitter)
+    _check(blocks, m, C)
     if isinstance(Phi, KroneckerGram):
         features = _KroneckerFeatures(Phi, blocks)
     else:
@@ -596,7 +593,7 @@ def solve_feature_system(
             raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
         features = _MatrixFeatures(Phi, blocks)
     sizes = blocks.sizes
-    inv_c = 1.0 / C + jitter
+    inv_c = 1.0 / C
 
     factors = []
     for group, H in enumerate(features.grams()):

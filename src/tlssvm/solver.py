@@ -5,7 +5,10 @@ factor common to all tasks and one T_n x K factor per task-grid mode. Each
 outer iteration solves the shared-factor subproblem, then sweeps every row
 of every mode factor; all subproblems are equality-constrained quadratics
 solved exactly, so the training objective is non-increasing across block
-steps.
+steps. That objective, C/2 times the squared training residuals plus half
+the squared norms of the shared and mode factors, is the one every step
+minimizes and the one the trace records: the cost C is the only
+regularization, and it enters every system as the ridge I/C.
 
 Every block step is the saddle-point system of `linsys` with a system
 matrix Q = Phi Phi^T whenever the step has a finite feature matrix Phi:
@@ -17,7 +20,7 @@ which the task-Kronecker ridge is assembled without forming Phi). Either
 is solved as a centered ridge in the primal weights when Phi has no more
 columns than rows. RBF shared steps hand the solver a CoherenceGram: the
 task vectors with the fit's kernel Gram G, Q being their coherence times
-G. The solver forms Q + I/C_eff once, in the buffer it factors by
+G. The solver forms Q + I/C once, in the buffer it factors by
 Cholesky (with a T x T Schur complement for the biases), and checks the
 residual through G rather than a copy of Q, so the step holds one m x m
 array beside G.
@@ -78,7 +81,6 @@ class FitConfig:
     kernel: KernelSpec
     max_iters: int = 100
     tol: float = 1e-3
-    jitter: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,13 +92,10 @@ class FitConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not float(self.tol) > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if not 0 <= float(self.jitter) < math.inf:
-            raise ConfigError(f"jitter must be nonnegative and finite, got {self.jitter}")
         object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "C", float(self.C))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "jitter", float(self.jitter))
         object.__setattr__(self, "seed", int(self.seed))
 
     def to_config(self) -> dict:
@@ -106,7 +105,6 @@ class FitConfig:
             "kernel": self.kernel.to_config(),
             "max_iters": self.max_iters,
             "tol": self.tol,
-            "jitter": self.jitter,
             "seed": self.seed,
         }
 
@@ -118,7 +116,7 @@ class FitConfig:
         missing = required - set(cfg)
         if missing:
             raise ConfigError(f"fit config missing keys: {sorted(missing)}")
-        known = {"K", "C", "kernel", "max_iters", "tol", "jitter", "seed"}
+        known = {"K", "C", "kernel", "max_iters", "tol", "seed"}
         extra = set(cfg) - known
         if extra:
             raise ConfigError(f"unknown fit config keys: {sorted(extra)}")
@@ -129,7 +127,6 @@ class FitConfig:
                 kernel=KernelSpec.from_config(cfg["kernel"]),
                 max_iters=int(cfg.get("max_iters", 100)),
                 tol=float(cfg.get("tol", 1e-3)),
-                jitter=float(cfg.get("jitter", 0.0)),
                 seed=int(cfg.get("seed", 0)),
             )
         except ConfigError:
@@ -217,7 +214,6 @@ def solve_shared_step(
     factors: ModeFactors | tuple[np.ndarray, ...],
     kernel: KernelSpec,
     C: float,
-    jitter: float = 0.0,
     gram_matrix: np.ndarray | None = None,
 ) -> SharedStepResult:
     """Exactly minimize over the shared factor, biases, and residuals.
@@ -239,11 +235,11 @@ def solve_shared_step(
     explicit = None
     if kernel.has_feature_map:
         Q = KroneckerGram(u_table, plan.moments)
-        biases, duals, residual = solve_dual_system(plan.shared, Q, y, C, jitter)
+        biases, duals, residual = solve_dual_system(plan.shared, Q, y, C)
         explicit = data.stacked_inputs().T @ dual_weights(duals, u_table, data.sample_task_ids())
     else:
         G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
-        biases, duals, residual = solve_dual_system(plan.shared, CoherenceGram(u_table, G), y, C, jitter)
+        biases, duals, residual = solve_dual_system(plan.shared, CoherenceGram(u_table, G), y, C)
     constraint = float(np.max(np.abs(plan.shared.sums(duals))))
     shared = SharedFactor._of_solve(duals, u_table, data, explicit)
     return SharedStepResult(shared, biases, residual, constraint)
@@ -316,9 +312,7 @@ class ModeStepResult:
     constraint_residuals: np.ndarray
 
 
-def solve_mode_row_step(
-    data: MtlDataset, z: np.ndarray, mode: int, C: float, jitter: float = 0.0
-) -> ModeStepResult:
+def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) -> ModeStepResult:
     """Exactly minimize over every row of one mode factor and all biases.
 
     Row r's subproblem involves only the tasks whose mode index equals r;
@@ -328,7 +322,7 @@ def solve_mode_row_step(
     smaller of its two forms (a K x K ridge unless K exceeds the row's
     sample count). Each row's optimum is the dual-weighted sum of its
     features. A SolverError names the lowest failing row, in its message
-    and as its `group` (row - 1).
+    (`mode n row r: <reason>`) and as its `group` (row - 1).
     """
     data.require_nonempty_tasks()
     layout = data.fit_plan.layouts[data.grid._check_mode(mode) - 1]
@@ -340,19 +334,19 @@ def solve_mode_row_step(
     nonzero = np.logical_or.reduceat(np.any(Z != 0, axis=1), blocks.group_starts)
     degenerate = int(np.argmin(nonzero)) if not nonzero.all() else rows
     try:
-        biases, duals, residual = solve_dual_system(blocks, FeatureGram(Z), layout.targets, C, jitter)
+        biases, duals, residual = solve_dual_system(blocks, FeatureGram(Z), layout.targets, C)
     except SolverError as exc:
         if exc.group is None:
-            raise SolverError(f"mode {mode}: {exc}") from exc
+            raise SolverError(f"mode {mode}: {exc}", reason=exc.reason) from exc
         if exc.group < degenerate:
-            raise SolverError(f"mode {mode} row {exc.group + 1}: {exc}", exc.group) from exc
+            raise SolverError(f"mode {mode} row {exc.group + 1}: {exc}", exc.group, exc.reason) from exc
         # otherwise a lower row is degenerate, which is raised next
     if degenerate < rows:
-        raise SolverError(
-            f"mode {mode} row {degenerate + 1}: all reduced features are zero, the row "
-            "subproblem is degenerate (row would vanish and biases reduce to task means)",
-            degenerate,
+        reason = (
+            "all reduced features are zero, the row subproblem is degenerate "
+            "(row would vanish and biases reduce to task means)"
         )
+        raise SolverError(f"mode {mode} row {degenerate + 1}: {reason}", degenerate, reason)
     task_sums = np.abs(blocks.sums(duals)).reshape(rows, -1)
     return ModeStepResult(
         layout,
@@ -407,7 +401,10 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
     Per outer iteration: one shared step, then for each mode in order a full
     row sweep (rows in order, reduced features refreshed per mode). Stops
     when the summed relative factor change drops below `config.tol` or
-    after `config.max_iters` iterations (then flagged, not an error).
+    after `config.max_iters` iterations (then flagged, not an error). A
+    step that cannot be solved raises SolverError naming the iteration and
+    the step once: `iteration i, shared step: <reason>` or `iteration i,
+    mode n/row r: <reason>` (`mode n` when no row is named).
     """
     data.require_nonempty_tasks()
     grid = data.grid
@@ -452,7 +449,7 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
         prev_mats = [f.copy() for f in factor_mats]
 
         try:
-            step = solve_shared_step(data, factor_mats, kernel, config.C, config.jitter, gram_matrix=G)
+            step = solve_shared_step(data, factor_mats, kernel, config.C, gram_matrix=G)
         except SolverError as exc:
             raise SolverError(f"iteration {it}, shared step: {exc}") from exc
         shared = step.shared
@@ -467,10 +464,10 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
         for mode in range(1, grid.n_modes + 1):
             z = reduced_features(data, shared, factor_mats, kernel, mode, projection=projection)
             try:
-                sweep = solve_mode_row_step(data, z, mode, config.C, config.jitter)
+                sweep = solve_mode_row_step(data, z, mode, config.C)
             except SolverError as exc:
                 where = f"mode {mode}" if exc.group is None else f"mode {mode}/row {exc.group + 1}"
-                raise SolverError(f"iteration {it}, {where}: {exc}") from exc
+                raise SolverError(f"iteration {it}, {where}: {exc.reason}") from exc
             max_sys = max(max_sys, sweep.system_residual)
             max_con = max(max_con, float(sweep.constraint_residuals.max()))
             lay = sweep.layout

@@ -34,16 +34,16 @@ def block_constraint_matrix(block_sizes) -> np.ndarray:
     return A
 
 
-def saddle_oracle(block_sizes, Q, y, C, jitter=0.0):
+def saddle_oracle(block_sizes, Q, y, C):
     """(biases, duals) of the assembled saddle system, solved by np.linalg.solve."""
     A = block_constraint_matrix(block_sizes)
     m, T = A.shape
-    full = np.block([[np.zeros((T, T)), A.T], [A, Q + (1.0 / C + jitter) * np.eye(m)]])
+    full = np.block([[np.zeros((T, T)), A.T], [A, Q + (1.0 / C) * np.eye(m)]])
     sol = np.linalg.solve(full, np.concatenate([np.zeros(T), y]))
     return sol[:T], sol[T:]
 
 
-def high_precision_saddle_solution(block_sizes, Phi, y, C, jitter=0.0, digits=40):
+def high_precision_saddle_solution(block_sizes, Phi, y, C, digits=40):
     """(biases, duals) of the saddle system with Q = Phi Phi^T, solved in `digits`-digit arithmetic."""
     mpmath = pytest.importorskip("mpmath")
     A = block_constraint_matrix(block_sizes)
@@ -52,7 +52,7 @@ def high_precision_saddle_solution(block_sizes, Phi, y, C, jitter=0.0, digits=40
         P = mpmath.matrix(np.asarray(Phi).tolist())
         Q = P * P.T
         M = mpmath.zeros(T + m)
-        ridge = mpmath.mpf(1) / C + mpmath.mpf(jitter)
+        ridge = mpmath.mpf(1) / C
         for i in range(m):
             for t in range(T):
                 M[T + i, t] = M[t, T + i] = A[i, t]
@@ -61,6 +61,12 @@ def high_precision_saddle_solution(block_sizes, Phi, y, C, jitter=0.0, digits=40
         exact = mpmath.lu_solve(M, mpmath.matrix([0] * T + np.asarray(y).tolist()))
         sol = np.array([float(v) for v in exact])
     return sol[:T], sol[T:]
+
+
+def task_offsets(data: MtlDataset) -> np.ndarray:
+    """Start of each task's block in the dataset's global sample order."""
+    sizes = np.array(data.task_sizes, dtype=np.intp)
+    return np.cumsum(sizes) - sizes
 
 
 def with_updated_row(factors: ModeFactors, mode: int, row: int, values) -> ModeFactors:

@@ -132,10 +132,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "method, config",
         [("tlssvm", {**FIT, "C": float("inf")}),
-         ("tlssvm", {**FIT, "jitter": float("nan")}),
          ("lssvm-independent", {"C": float("inf"), "kernel": {"family": "linear"}}),
          ("lssvm-independent", {"C": -1.0, "kernel": {"family": "linear"}}),
-         ("lssvm-independent", {"C": 1.0, "kernel": {"family": "linear"}, "jitter": float("nan")}),
          ("tlssvm", {**FIT, "C": "abc"}),
          ("tlssvm", {**FIT, "K": 1.5})],
     )
@@ -149,6 +147,24 @@ class TestTrain:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "method, config, kind",
+        [("tlssvm", {**FIT, "jitter": 0.1}, "fit"),
+         ("lssvm-independent", {"C": 1.0, "kernel": {"family": "linear"}, "jitter": 0.1}, "baseline")],
+    )
+    def test_jitter_key_is_unknown(self, pipeline, tmp_path, capsys, method, config, kind):
+        # C is the only regularization; what a jitter j did is the cost 1/(1/C + j)
+        cfg = write_json(tmp_path / "fit.json", config)
+        code = main(
+            [
+                "train", "--train", pipeline["train_csv"], "--grid", "2,2", "--method", method,
+                "--config", cfg, "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: unknown {kind} config keys: ['jitter']\n"
         assert not (tmp_path / "model.json").exists()
 
     def test_grid_mismatch_is_data_error(self, pipeline, tmp_path, capsys):
@@ -378,8 +394,7 @@ class TestCv:
 
     @pytest.mark.parametrize(
         "method, config",
-        [("tlssvm", {"jitter": float("nan")}),
-         ("lssvm-independent", {"costs": [-1.0]}),
+        [("lssvm-independent", {"costs": [-1.0]}),
          ("tlssvm", {"costs": [1.0, float("inf")]}),
          ("tlssvm", {"ranks": [0]}),
          ("tlssvm", {"costs": ["x"]}),
@@ -407,6 +422,18 @@ class TestCv:
             ]
         )
         assert code == 2
+
+    def test_jitter_key_is_unknown(self, pipeline, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cv.json.in", {"ranks": [1], "costs": [1.0], "folds": 2, "jitter": 0.1})
+        code = main(
+            [
+                "cv", "--train", pipeline["train_csv"], "--grid", "2,2",
+                "--config", cfg, "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown cv config keys: ['jitter']\n"
+        assert not (tmp_path / "cv.json").exists()
 
 
 BENCH = {

@@ -16,7 +16,7 @@ from tlssvm.data import (
 from tlssvm.errors import ConfigError, DataError
 from tlssvm.solver import solve_mode_row_step
 from tlssvm.taskgrid import TaskGrid, delinearize, task_vector
-from conftest import coslice_tasks, load_csv_by_rows
+from conftest import coslice_tasks, load_csv_by_rows, task_offsets
 
 
 class TestMtlDataset:
@@ -63,18 +63,15 @@ class TestMtlDataset:
         X[0, 0] = 99.0
         assert data.stacked_inputs()[0, 0] == 0.0
 
-    def test_task_bookkeeping_is_cached_and_read_only(self):
+    def test_task_bookkeeping_with_an_empty_task(self):
         X = np.arange(12.0).reshape(6, 2)
         data = MtlDataset(
             TaskGrid((3,)), (X[:1], np.ones((0, 2)), X[1:]), (np.ones(1), np.ones(0), np.ones(5))
         )
         assert data.task_sizes == (1, 0, 5)
         assert data.task_sizes is data.task_sizes
-        offsets = data.task_offsets()
-        np.testing.assert_array_equal(offsets, [0, 1, 1])
-        assert data.task_offsets() is offsets
-        with pytest.raises(ValueError, match="read-only"):
-            offsets[0] = 1
+        np.testing.assert_array_equal(data.sample_task_ids(), [0, 2, 2, 2, 2, 2])
+        np.testing.assert_array_equal(task_offsets(data), [0, 1, 1])
         assert data.n_samples == 6
 
     def test_mode_layouts_are_built_once_and_read_only(self):
@@ -86,7 +83,7 @@ class TestMtlDataset:
         data = MtlDataset(
             grid, tuple(rng.normal(size=(n, 2)) for n in sizes), tuple(np.split(y, ends[:-1]))
         )
-        offsets = data.task_offsets()
+        offsets = task_offsets(data)
         layouts = data.fit_plan.layouts
         assert len(layouts) == grid.n_modes
         for mode in (1, 2):

@@ -51,13 +51,10 @@ class TestCvPlan:
          ({"costs": (0.0,)}, "costs must be positive and finite"),
          ({"ranks": (1, 0)}, "ranks must be whole numbers >= 1"),
          ({"ranks": (1.5,)}, "ranks must be whole numbers >= 1"),
-         ({"jitter": -1e-3}, "jitter must be nonnegative and finite"),
-         ({"jitter": math.nan}, "jitter must be nonnegative and finite"),
-         ({"jitter": math.inf}, "jitter must be nonnegative and finite"),
          ({"kernel_family": "rbf", "gammas": (0.1, math.nan)}, "finite gamma > 0"),
          ({"kernel_family": "rbf", "gammas": (math.inf,)}, "finite gamma > 0")],
     )
-    def test_rejects_out_of_range_costs_ranks_and_jitter(self, bad, message):
+    def test_rejects_out_of_range_costs_ranks_and_gammas(self, bad, message):
         with pytest.raises(ConfigError, match=message):
             CvPlan(**bad)
 

@@ -47,10 +47,14 @@ from conftest import (
     random_dataset,
     saddle_oracle,
     sweep_row,
+    task_offsets,
     without_explicit,
 )
 
 LINEAR = KernelSpec("linear")
+COSTS = [1e-3, 1.0, 1e3, 1e6]
+# the costs whose ridge 1/C is that of COSTS plus 1e-3
+SHIFTED_COSTS = [1.0 / (1.0 / C + 1e-3) for C in COSTS]
 
 
 def shared_step_normal_equations(data, factors, C):
@@ -109,16 +113,15 @@ class TestSolveDualSystem:
             assert residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
 
     @pytest.mark.parametrize("kind", ["full", "rbf"])
-    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
-    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
-    def test_uneven_blocks_match_dense_oracle(self, kind, C, jitter):
+    @pytest.mark.parametrize("C", COSTS + SHIFTED_COSTS)
+    def test_uneven_blocks_match_dense_oracle(self, kind, C):
         rng = np.random.default_rng(0)
         sizes = [1, 6, 3, 9]
         for trial in range(3):
             Q = dense_psd(kind, sum(sizes), rng)
             y = rng.normal(size=sum(sizes))
-            got = solve_dual_system(Blocks(sizes), Q, y, C, jitter)
-            assert_same_solution(got, saddle_oracle(sizes, Q, y, C, jitter))
+            got = solve_dual_system(Blocks(sizes), Q, y, C)
+            assert_same_solution(got, saddle_oracle(sizes, Q, y, C))
             assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
 
     def test_residual_is_that_of_the_saddle_system(self):
@@ -127,10 +130,10 @@ class TestSolveDualSystem:
         T, m = len(sizes), sum(sizes)
         Q = dense_psd("rbf", m, rng)
         y = rng.normal(size=m)
-        C, jitter = 50.0, 1e-4
-        biases, duals, residual = solve_dual_system(Blocks(sizes), Q, y, C, jitter)
+        C = 1 / (1 / 50.0 + 1e-4)
+        biases, duals, residual = solve_dual_system(Blocks(sizes), Q, y, C)
         A = block_constraint_matrix(sizes)
-        M = np.block([[np.zeros((T, T)), A.T], [A, Q + (1 / C + jitter) * np.eye(m)]])
+        M = np.block([[np.zeros((T, T)), A.T], [A, Q + (1 / C) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
         assert residual == pytest.approx(explicit, abs=1e-13)
 
@@ -138,7 +141,7 @@ class TestSolveDualSystem:
         rng = np.random.default_rng(4)
         U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         Q = U @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2, -4.0]) @ U.T
-        with pytest.raises(SolverError, match="not positive definite.*jitter"):
+        with pytest.raises(SolverError, match="not positive definite.*decrease C"):
             solve_dual_system(Blocks([2, 4]), Q, rng.normal(size=6), 1.0)
 
     @pytest.mark.parametrize("sizes", [[2, 3], (2, 3), np.array([2, 3])])
@@ -156,13 +159,9 @@ class TestSolveDualSystem:
             with pytest.raises(TypeError, match="must be a linsys.Blocks"):
                 solve(sizes, Q, y, 1.0)
 
-    @pytest.mark.parametrize("C, jitter, message", [
-        (math.inf, 0.0, "C must be positive and finite"),
-        (math.nan, 0.0, "C must be positive and finite"),
-        (1.0, math.nan, "jitter must be nonnegative and finite"),
-        (1.0, math.inf, "jitter must be nonnegative and finite"),
-    ])
-    def test_non_finite_cost_or_jitter_raises_value_error(self, C, jitter, message):
+    @pytest.mark.parametrize("C", [math.inf, math.nan])
+    def test_non_finite_cost_raises_value_error(self, C):
+        message = "C must be positive and finite"
         rng = np.random.default_rng(6)
         X, y = rng.normal(size=(5, 2)), rng.normal(size=5)
         U = rng.normal(size=(2, 1))
@@ -170,9 +169,9 @@ class TestSolveDualSystem:
         for Q in (X @ X.T, FeatureGram(X), KroneckerGram(U, TaskMoments(blocks, X)),
                   CoherenceGram(U, X @ X.T)):
             with pytest.raises(ValueError, match=message):
-                solve_dual_system(blocks, Q, y, C, jitter)
+                solve_dual_system(blocks, Q, y, C)
         with pytest.raises(ValueError, match=message):
-            solve_feature_system(blocks, X, y, C, jitter)
+            solve_feature_system(blocks, X, y, C)
 
     def test_blocks_reject_fractional_sizes_and_group_counts(self):
         with pytest.raises(ValueError, match=r"block sizes must be whole numbers, got \[2\.7, 3\.0\]"):
@@ -204,13 +203,13 @@ class TestSolveDualSystem:
         assert abs(duals[4:].sum()) < 1e-9
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_singular_system_diagnostic_and_jitter_recovery(self):
+    def test_singular_system_diagnostic_and_smaller_cost_recovery(self):
         # Q + I/C is the all-ones matrix: rank one, saddle system singular
         Q = np.array([[0.0, 1.0], [1.0, 0.0]])
         y = np.array([1.0, 2.0])
-        with pytest.raises(SolverError, match="jitter"):
+        with pytest.raises(SolverError, match="decrease C"):
             solve_dual_system(Blocks([2]), Q, y, 1.0)
-        biases, duals, _ = solve_dual_system(Blocks([2]), Q, y, 1.0, jitter=0.5)
+        biases, duals, _ = solve_dual_system(Blocks([2]), Q, y, 1 / 1.5)  # ridge 1/C = 1.5
         assert np.all(np.isfinite(biases)) and np.all(np.isfinite(duals))
 
 
@@ -227,15 +226,14 @@ def assert_same_solution(got, expected, rtol=1e-9):
 
 
 class TestSolveFeatureSystem:
-    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
-    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
-    def test_uneven_blocks_match_dense_oracle(self, C, jitter):
+    @pytest.mark.parametrize("C", COSTS + SHIFTED_COSTS)
+    def test_uneven_blocks_match_dense_oracle(self, C):
         rng = np.random.default_rng(40)
         sizes = [1, 6, 3, 9]
         Phi = rng.normal(size=(sum(sizes), 3))
         y = rng.normal(size=sum(sizes))
-        got = solve_feature_system(Blocks(sizes), Phi, y, C, jitter)
-        assert_same_solution(got, solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C, jitter))
+        got = solve_feature_system(Blocks(sizes), Phi, y, C)
+        assert_same_solution(got, solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C))
         assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
 
     @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
@@ -265,10 +263,10 @@ class TestSolveFeatureSystem:
         T, m = len(sizes), sum(sizes)
         Phi = rng.normal(size=(m, 3))
         y = rng.normal(size=m)
-        C, jitter = 50.0, 1e-4
-        biases, duals, residual = solve_feature_system(Blocks(sizes), Phi, y, C, jitter)
+        C = 1 / (1 / 50.0 + 1e-4)
+        biases, duals, residual = solve_feature_system(Blocks(sizes), Phi, y, C)
         A = block_constraint_matrix(sizes)
-        M = np.block([[np.zeros((T, T)), A.T], [A, Phi @ Phi.T + (1 / C + jitter) * np.eye(m)]])
+        M = np.block([[np.zeros((T, T)), A.T], [A, Phi @ Phi.T + (1 / C) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
         assert residual == pytest.approx(explicit, abs=1e-13)
 
@@ -332,7 +330,7 @@ class TestSolveFeatureSystem:
     def test_non_finite_features_raise_solver_error(self):
         Phi = np.ones((4, 2))
         Phi[1, 0] = np.inf
-        with pytest.raises(SolverError, match="jitter"):
+        with pytest.raises(SolverError, match="decrease C"):
             solve_feature_system(Blocks([2, 2]), Phi, np.ones(4), 1.0)
 
 
@@ -462,22 +460,21 @@ def kronecker_system(data, K, seed):
 class TestKroneckerSharedStep:
     @pytest.mark.parametrize("mode_sizes", [(6,), (2, 3), (2, 3, 2)])
     @pytest.mark.parametrize("K", [1, 2, 3])
-    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
-    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
-    def test_matches_explicit_features_and_oracle(self, mode_sizes, K, C, jitter):
+    @pytest.mark.parametrize("C", COSTS + SHIFTED_COSTS)
+    def test_matches_explicit_features_and_oracle(self, mode_sizes, K, C):
         # uneven tasks of 1..5 samples, task 1 holding one (its S_t is zero)
         data = uneven_dataset(80 + len(mode_sizes), mode_sizes, max_size=5)
         data = MtlDataset(data.grid, (data.inputs[0][:1],) + data.inputs[1:], (data.targets[0][:1],) + data.targets[1:])
         blocks, Q, Phi = kronecker_system(data, K, seed=K)
         y = data.stacked_targets()
         assert data.n_samples >= Phi.shape[1]  # the ridge form
-        got = solve_dual_system(blocks, Q, y, C, jitter)
+        got = solve_dual_system(blocks, Q, y, C)
         assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
-        assert_same_solution(got, solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, C, jitter))
+        assert_same_solution(got, solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, C))
         if C < 1e6:
-            expected = saddle_oracle(data.task_sizes, Phi @ Phi.T, y, C, jitter)
+            expected = saddle_oracle(data.task_sizes, Phi @ Phi.T, y, C)
         else:  # the assembled oracle's own error exceeds the tolerance here
-            expected = high_precision_saddle_solution(data.task_sizes, Phi, y, C, jitter)
+            expected = high_precision_saddle_solution(data.task_sizes, Phi, y, C)
         assert_same_solution(got, expected)
 
     def test_operations_equal_those_of_the_explicit_matrix(self):
@@ -725,8 +722,8 @@ class TestModeRowStep:
                     total = 0.5 * float(u_row @ u_row)
                     for t in result.tasks:
                         sl = slice(
-                            data.task_offsets()[t - 1],
-                            data.task_offsets()[t - 1] + data.task_sizes[t - 1],
+                            task_offsets(data)[t - 1],
+                            task_offsets(data)[t - 1] + data.task_sizes[t - 1],
                         )
                         e = data.stacked_targets()[sl] - z[sl] @ u_row - b_of_task[t - 1]
                         total += 0.5 * C * float(e @ e)
@@ -757,7 +754,7 @@ class TestModeRowStep:
         z = np.random.default_rng(15).normal(size=(data.n_samples, 2))
         result = sweep_row(solve_mode_row_step(data, z, mode=2, C=C), 2)
         sel = np.concatenate(
-            [np.arange(data.task_offsets()[t - 1], data.task_offsets()[t - 1] + 6) for t in result.tasks]
+            [np.arange(task_offsets(data)[t - 1], task_offsets(data)[t - 1] + 6) for t in result.tasks]
         )
         Z = z[sel]
         expected = solve_dual_system(Blocks([6, 6, 6]), Z @ Z.T, data.stacked_targets()[sel], C)
@@ -771,7 +768,7 @@ class TestModeRowStep:
         result = sweep_row(solve_mode_row_step(data, z, 1, 10.0), 2)
         sel = np.concatenate(
             [
-                np.arange(data.task_offsets()[t - 1], data.task_offsets()[t - 1] + 4)
+                np.arange(task_offsets(data)[t - 1], task_offsets(data)[t - 1] + 4)
                 for t in result.tasks
             ]
         )
@@ -793,7 +790,7 @@ def uneven_dataset(seed: int, mode_sizes, d: int = 3, max_size: int = 7) -> MtlD
 def row_oracle(data, z, mode, row, C):
     """One row's subproblem as its own assembled saddle system: (biases, duals, tasks, Z)."""
     tasks = coslice_tasks(data.grid, mode, row)
-    offsets, sizes = data.task_offsets(), data.task_sizes
+    offsets, sizes = task_offsets(data), data.task_sizes
     sel = np.concatenate([np.arange(offsets[t - 1], offsets[t - 1] + sizes[t - 1]) for t in tasks])
     Z = z[sel]
     block_sizes = [sizes[t - 1] for t in tasks]
@@ -871,9 +868,9 @@ class TestBatchedModeStep:
         z = np.random.default_rng(63).normal(size=(data.n_samples, 2))
         calls = []
 
-        def recording(blocks, Q, y, C, jitter=0.0):
+        def recording(blocks, Q, y, C):
             calls.append((len(blocks), Q.features.shape, tuple(blocks.groups.tolist())))
-            return solve_dual_system(blocks, Q, y, C, jitter)
+            return solve_dual_system(blocks, Q, y, C)
 
         monkeypatch.setattr(solver, "solve_dual_system", recording)
         solve_mode_row_step(data, z, 2, 10.0)
@@ -916,19 +913,19 @@ class TestBatchedModeStep:
         layout = data.fit_plan.layouts[0]
         z = np.random.default_rng(66).normal(size=(data.n_samples, K))
         z[layout.samples[layout.blocks.group_starts[1] :], 0] = np.inf  # rows 2 and 3
-        with pytest.raises(SolverError, match=r"^mode 1 row 2: .*jitter") as info:
+        with pytest.raises(SolverError, match=r"^mode 1 row 2: .*decrease C") as info:
             solve_mode_row_step(data, z, 1, 10.0)
         assert info.value.group == 1
 
     def test_fit_names_the_failing_row(self, monkeypatch):
-        def fail_row_two(blocks, Q, y, C, jitter=0.0):
+        def fail_row_two(blocks, Q, y, C):
             if isinstance(Q, FeatureGram):
-                raise SolverError("residual too large; increase jitter", group=1)
-            return solve_dual_system(blocks, Q, y, C, jitter)
+                raise SolverError("residual too large; decrease C", group=1)
+            return solve_dual_system(blocks, Q, y, C)
 
         monkeypatch.setattr(solver, "solve_dual_system", fail_row_two)
         cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=3, seed=0)
-        with pytest.raises(SolverError, match=r"^iteration 1, mode 1/row 2: mode 1 row 2: .*jitter"):
+        with pytest.raises(SolverError, match=r"^iteration 1, mode 1/row 2: residual too large; decrease C$"):
             fit(snr10_dataset(), cfg)
 
     @pytest.mark.parametrize("C", [1.0, 1e3])
@@ -940,9 +937,9 @@ class TestBatchedModeStep:
         assert (counts < 8).sum() == 2
         ridge_groups = []
 
-        def recording(blocks, Phi, y, C, jitter=0.0):
+        def recording(blocks, Phi, y, C):
             ridge_groups.append(len(blocks.groups))
-            return solve_feature_system(blocks, Phi, y, C, jitter)
+            return solve_feature_system(blocks, Phi, y, C)
 
         monkeypatch.setattr(linsys, "solve_feature_system", recording)
         assert_rows_match_oracle(data, z, 1, C)
@@ -1047,7 +1044,7 @@ class TestGroupedSystems:
         block_sizes = [4, 4, 1, 1, 3, 3]
         Phi, y, group_of = two_group_system(rng, block_sizes, 3)
         Phi[group_of >= 1, 0] = np.inf
-        with pytest.raises(SolverError, match="jitter") as info:
+        with pytest.raises(SolverError, match="decrease C") as info:
             solve_dual_system(Blocks(block_sizes, (2, 2, 2)), FeatureGram(Phi), y, 1.0)
         assert info.value.group == 1
 
@@ -1141,7 +1138,7 @@ class TestFit:
         state = fit(data, cfg)
         y = data.stacked_targets()
         assert state.max_system_residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
-        offsets = data.task_offsets()
+        offsets = task_offsets(data)
         for t in range(data.grid.n_tasks):
             assert abs(state.duals[offsets[t] : offsets[t] + data.task_sizes[t]].sum()) < 1e-8
         # equality constraints: a shared solve at the final factors must
@@ -1172,12 +1169,12 @@ class TestFit:
 
         dense_solves = []
 
-        def lu_reference(block_sizes, Q, y, C, jitter=0.0):
+        def lu_reference(block_sizes, Q, y, C):
             if isinstance(Q, FeatureGram):
-                return solve_dual_system(block_sizes, Q, y, C, jitter)
+                return solve_dual_system(block_sizes, Q, y, C)
             Q = Q.dense(block_sizes)
             dense_solves.append(Q.shape)
-            biases, duals = saddle_oracle(block_sizes, Q, y, C, jitter)
+            biases, duals = saddle_oracle(block_sizes, Q, y, C)
             return biases, duals, 0.0
 
         monkeypatch.setattr(solver, "solve_dual_system", lu_reference)
@@ -1220,7 +1217,7 @@ class TestFit:
         data = MtlDataset(
             grid, (rng.normal(size=(4, 2)), rng.normal(size=(4, 2))), (np.zeros(4), np.zeros(4))
         )
-        with pytest.raises(SolverError, match=r"^iteration 1, mode 1/row 1: .*degenerate"):
+        with pytest.raises(SolverError, match=r"^iteration 1, mode 1/row 1: all reduced features are zero"):
             fit(data, FitConfig(K=1, C=10.0, kernel=LINEAR, max_iters=5, tol=1e-3, seed=0))
 
     def test_solver_error_names_iteration_and_shared_step(self, monkeypatch):
@@ -1230,12 +1227,12 @@ class TestFit:
         def fail_third(*args, **kwargs):
             calls.append(None)
             if len(calls) == 3:
-                raise SolverError("dual system solve residual too large; increase jitter")
+                raise SolverError("dual system solve residual too large; decrease C")
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(solver, "solve_shared_step", fail_third)
         cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=10, tol=1e-12, seed=0)
-        with pytest.raises(SolverError, match=r"^iteration 3, shared step: .*jitter"):
+        with pytest.raises(SolverError, match=r"^iteration 3, shared step: dual system solve residual too large; decrease C$"):
             fit(snr10_dataset(), cfg)
 
     def test_all_zero_targets_surface_solver_error(self):
@@ -1250,11 +1247,9 @@ class TestFit:
     @pytest.mark.parametrize(
         "bad, message",
         [({"C": math.inf}, "C must be positive and finite"),
-         ({"C": math.nan}, "C must be positive and finite"),
-         ({"jitter": math.nan}, "jitter must be nonnegative and finite"),
-         ({"jitter": math.inf}, "jitter must be nonnegative and finite")],
+         ({"C": math.nan}, "C must be positive and finite")],
     )
-    def test_config_rejects_non_finite_cost_and_jitter(self, bad, message):
+    def test_config_rejects_non_finite_cost(self, bad, message):
         with pytest.raises(ConfigError, match=message):
             FitConfig(**{"K": 1, "C": 1.0, "kernel": LINEAR, **bad})
         assert FitConfig(K=1, C=1.0, kernel=LINEAR, tol=math.inf).tol == math.inf
@@ -1274,7 +1269,8 @@ class TestFit:
             FitConfig(K=0, C=1.0, kernel=LINEAR)
         with pytest.raises(ConfigError):
             FitConfig(K=1, C=-1.0, kernel=LINEAR)
-        cfg = FitConfig(K=2, C=5.0, kernel=KernelSpec("rbf", gamma=0.1), max_iters=7, tol=1e-4, jitter=1e-9, seed=3)
+        C = 1 / (1 / 5.0 + 1e-9)
+        cfg = FitConfig(K=2, C=C, kernel=KernelSpec("rbf", gamma=0.1), max_iters=7, tol=1e-4, seed=3)
         assert FitConfig.from_config(cfg.to_config()) == cfg
         with pytest.raises(ConfigError):
             FitConfig.from_config({"K": 1})
