@@ -127,7 +127,10 @@ def cmd_train(args) -> int:
         if "C" not in cfg or "kernel" not in cfg:
             raise ConfigError("baseline config needs 'C' and 'kernel'")
         kernel = KernelSpec.from_config(cfg["kernel"])
-        C = float(cfg["C"])
+        try:
+            C = float(cfg["C"])
+        except (TypeError, ValueError) as exc:  # a value that is not a number
+            raise ConfigError(f"bad baseline config: {exc}") from exc
         if not 0 < C < math.inf:
             raise ConfigError(f"baseline config needs a positive finite C, got C={C}")
         model = fit_independent(data, C, kernel)

@@ -134,6 +134,8 @@ class TestTrain:
         [("tlssvm", {**FIT, "C": float("inf")}),
          ("lssvm-independent", {"C": float("inf"), "kernel": {"family": "linear"}}),
          ("lssvm-independent", {"C": -1.0, "kernel": {"family": "linear"}}),
+         ("lssvm-independent", {"C": "abc", "kernel": {"family": "linear"}}),
+         ("lssvm-independent", {"C": None, "kernel": {"family": "linear"}}),
          ("tlssvm", {**FIT, "C": "abc"}),
          ("tlssvm", {**FIT, "K": 1.5})],
     )

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from tlssvm import linsys, solver
-from tlssvm.baseline import fit_single
+from tlssvm.baseline import fit_independent, fit_single
 from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic
 from tlssvm.errors import ConfigError, SolverError
+from tlssvm.experiments import CvPlan, fit_best, fit_method, run_cv
 from tlssvm.kernels import KernelSpec, gram, kernel_eval
 from tlssvm.linsys import (
     RESIDUAL_RTOL,
@@ -55,6 +57,17 @@ LINEAR = KernelSpec("linear")
 COSTS = [1e-3, 1.0, 1e3, 1e6]
 # the costs whose ridge 1/C is that of COSTS plus 1e-3
 SHIFTED_COSTS = [1.0 / (1.0 / C + 1e-3) for C in COSTS]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [FitConfig, CvPlan, solve_dual_system, solve_feature_system, solve_shared_step,
+     solve_mode_row_step, fit, fit_single, fit_independent, fit_method, run_cv, fit_best],
+    ids=lambda entry: entry.__name__,
+)
+def test_cost_is_the_only_regularization_parameter(entry):
+    # a former jitter j is the cost 1/(1/C + j); no entry point takes it as a second knob
+    assert "jitter" not in inspect.signature(entry).parameters
 
 
 def shared_step_normal_equations(data, factors, C):
