@@ -78,7 +78,7 @@ def gram(spec: KernelSpec, X, X_other=None) -> np.ndarray:
     """Kernel matrix between the rows of X and X_other.
 
     With X_other omitted the result is the (exactly symmetrized) square
-    Gram matrix of X.
+    Gram matrix of X, symmetrized in place: no second m x m array is made.
     """
     X = np.asarray(X, dtype=float)
     symmetric = X_other is None
@@ -97,9 +97,32 @@ def gram(spec: KernelSpec, X, X_other=None) -> np.ndarray:
         G *= -spec.gamma
         np.exp(G, out=G)
     if symmetric:
-        G += G.T
-        G *= 0.5
+        _symmetrize(G)
     return G
+
+
+_STRIP = 128  # rows per strip of the in-place passes over a square matrix
+
+
+def _symmetrize(G: np.ndarray) -> None:
+    """G := (G + G^T) / 2 in place, strip by strip, without an m x m temporary.
+
+    Entries (i, j) and (j, i) both become fl(a + b) * 0.5, the bits that
+    `G += G.T; G *= 0.5` gives, since fl(a + b) = fl(b + a). A strip's
+    rectangle right of its diagonal tile and that rectangle's mirror never
+    overlap in memory, so numpy copies only the diagonal tiles.
+    """
+    m = G.shape[0]
+    for r0 in range(0, m, _STRIP):
+        r1 = min(r0 + _STRIP, m)
+        tile = G[r0:r1, r0:r1]
+        tile += tile.T
+        tile *= 0.5
+        if r1 < m:  # a Gram of one strip is its diagonal tile
+            upper = G[r0:r1, r1:]
+            upper += G[r1:, r0:r1].T
+            upper *= 0.5
+            G[r1:, r0:r1] = upper.T
 
 
 def feature_map(spec: KernelSpec, x) -> np.ndarray:

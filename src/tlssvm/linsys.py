@@ -24,19 +24,26 @@ single-task baseline) or one of three structured forms:
 The system is solved in one of two forms, both by Cholesky:
 
 * Dense with a Schur complement, for a CoherenceGram, a dense Q and
-  feature forms with more columns than rows. The form builds
-  H = Q + I/C in one fresh m x m buffer that the solve owns and factors
-  in place; only a plain ndarray Q is copied into it, because Q is the
-  caller's. H is positive definite for a PSD Q, and
-  its Cholesky factor gives H^-1 y and H^-1 A in one triangular solve.
-  The biases come from the T x T Schur complement A^T H^-1 A, also
-  Cholesky-factored, and the duals from alpha = H^-1 (y - A b) (the
-  classic LS-SVM solve, Suykens & Vandewalle 1999). A failed factorization
-  flags a Q that is not PSD. One refinement step, reusing both factors,
-  follows when the residual misses the acceptance bound. The residual
-  goes through Q's operator, never through a kept Q: G (U o v) summed
-  against U row by row for a CoherenceGram (U the m x K task vectors of
-  the samples), Phi (Phi^T v) for the feature forms.
+  feature forms with more columns than rows. The solve factors
+  H = Q + I/C in place. For a dense Q or a feature form, H is one fresh
+  m x m buffer that the solve owns; a plain ndarray Q is copied into it,
+  because Q is the caller's. For a CoherenceGram, H is written over the
+  upper triangle of the caller's Gram G, which LAPACK's dpotrf factors
+  without reading the lower one; G is restored from its lower triangle
+  and a saved diagonal right after the first solve, and also when that
+  solve raises. So it holds no m x m array besides G.
+  H is positive definite for a PSD Q, and its Cholesky factor gives
+  H^-1 y and H^-1 A in one triangular solve. The biases come from the
+  T x T Schur complement A^T H^-1 A, also Cholesky-factored, and the
+  duals from alpha = H^-1 (y - A b) (the classic LS-SVM solve, Suykens &
+  Vandewalle 1999). A failed factorization flags a Q that is not PSD.
+  One refinement step, reusing the Schur factor, follows when the
+  residual misses the acceptance bound; it reuses an owned buffer's
+  factor, and for a CoherenceGram writes and factors H in G again, which
+  gives the same factor bit for bit. The residual goes through Q's
+  operator, never through a kept Q: G (U o v) summed against U row by
+  row for a CoherenceGram (U the m x K task vectors of the samples),
+  Phi (Phi^T v) for the feature forms.
 * Centered ridge (`solve_feature_system`), for feature forms with p <= m.
   Centering Phi and y per block eliminates the biases, which leaves a
   p x p ridge system in the primal weights w, solved by Cholesky. Biases
@@ -76,6 +83,7 @@ prediction, evaluation and CSV or model IO run without ever loading it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -282,38 +290,89 @@ class KroneckerGram:
         return H
 
 
+_STRIP = 128  # rows per strip of the passes over a Gram's triangles
+_UPPER = ~np.tri(_STRIP, k=-1, dtype=bool)  # the upper triangle of a diagonal tile
+_STRICT_UPPER = ~np.tri(_STRIP, dtype=bool)
+
+
 @dataclass(frozen=True)
 class CoherenceGram:
     """Q_jp = <u_t(j), u_t(p)> G_jp: the task coherence times an m x m kernel Gram G.
 
     `task_vectors` is T x K, every task a block of the system. This is the
     shared step's system matrix for a kernel without a finite feature map.
-    Q is formed only as the buffer H that the dense solve factors; its
-    residual goes through `matvec`, G (U o v) summed against U row by row.
+
+    G is the dense solve's workspace, so it must be an exactly symmetric,
+    writable, C-contiguous float64 array, as `kernels.gram` returns it.
+    The solve writes H = Q + I/C over G's upper triangle and factors it
+    there; then it restores that triangle from the lower one and the
+    diagonal from a saved copy, also when the solve raises. The caller
+    gets G back bit for bit, and no m x m array is held beside it. The
+    residual goes through `matvec` on the restored G: G (U o v) summed
+    against U row by row.
     """
 
     task_vectors: np.ndarray
     gram: np.ndarray
 
     def check(self, blocks: Blocks) -> None:
-        T, m = self.task_vectors.shape[0], blocks.m
+        T, m, G = self.task_vectors.shape[0], blocks.m, self.gram
         if len(blocks.groups) != 1:
             raise ValueError("a CoherenceGram system has a single group")
-        if len(blocks) != T or self.gram.shape != (m, m):
+        if not (
+            isinstance(G, np.ndarray) and G.dtype == np.float64
+            and G.flags.c_contiguous and G.flags.writeable
+        ):
             raise ValueError(
-                f"inconsistent system shapes: {T} task vectors, Gram {self.gram.shape}, "
+                "the Gram of a CoherenceGram is the solve's workspace: "
+                "it must be a writable, C-contiguous float64 array"
+            )
+        if len(blocks) != T or G.shape != (m, m):
+            raise ValueError(
+                f"inconsistent system shapes: {T} task vectors, Gram {G.shape}, "
                 f"system blocks {list(blocks)}"
             )
+        # the restore copies the lower triangle over the upper one
+        bits = G.view(np.int64)
+        for r0 in range(0, m, _STRIP):
+            r1 = min(r0 + _STRIP, m)
+            if not np.array_equal(bits[r0:r1, r0:], bits[r0:, r0:r1].T):
+                raise ValueError("the Gram of a CoherenceGram must be exactly symmetric")
 
-    def dense(self, blocks: Blocks, shift: float = 0.0) -> np.ndarray:
-        """Q + shift I, as a fresh C-ordered m x m array."""
-        coherence = self.task_vectors @ self.task_vectors.T
-        coherence = 0.5 * (coherence + coherence.T)
-        # samples are stacked task by task, so the coherence expands block by block
-        H = np.repeat(np.repeat(coherence, blocks.sizes, axis=0), blocks.sizes, axis=1)
-        H *= self.gram
-        H.reshape(-1)[:: blocks.m + 1] += shift
-        return H
+    @contextmanager
+    def factored(self, blocks: Blocks, shift: float):
+        """The lower Cholesky factor of Q + shift I, held in G's upper triangle while open.
+
+        Rows are scaled strip by strip, task by task: a strip's rectangle
+        right of its diagonal tile by the coherences of the columns' tasks,
+        the tile's upper triangle by the task's own. Each entry is
+        fl(coherence G_jp), with shift added on the diagonal.
+        """
+        G = self.gram
+        m = blocks.m
+        diagonal = G.diagonal().copy()
+        try:
+            coherence = self.task_vectors @ self.task_vectors.T
+            coherence = 0.5 * (coherence + coherence.T)
+            for t, (s, n) in enumerate(zip(blocks.starts.tolist(), blocks.sizes.tolist())):
+                own = coherence[t]
+                row = own[blocks.of[s:]]  # task t's coherence with samples s..m-1
+                for r0 in range(s, s + n, _STRIP):
+                    r1 = min(r0 + _STRIP, s + n)
+                    G[r0:r1, r1:] *= row[r1 - s :]
+                    tile = G[r0:r1, r0:r1]
+                    np.multiply(tile, own[t], out=tile, where=_UPPER[: r1 - r0, : r1 - r0])
+            G.reshape(-1)[:: m + 1] += shift
+            # G.T is Fortran-ordered, so LAPACK factors it in place; its
+            # lower triangle is G's upper one
+            yield _cholesky(G.T, "Q + I/C")
+        finally:
+            for r0 in range(0, m, _STRIP):
+                r1 = min(r0 + _STRIP, m)
+                tile = G[r0:r1, r0:r1]
+                np.copyto(tile, tile.T, where=_STRICT_UPPER[: r1 - r0, : r1 - r0])
+                G[r0:r1, r1:] = G[r1:, r0:r1].T
+            G.reshape(-1)[:: m + 1] = diagonal
 
     def matvec(self, blocks: Blocks, v: np.ndarray) -> np.ndarray:
         """Q v, without forming Q."""
@@ -479,13 +538,16 @@ def solve_dual_system(
     inv_c = 1.0 / C
     if isinstance(Q, CoherenceGram):
         Q.check(blocks)
-        return _solve_dense(blocks, Q.dense(blocks, inv_c), y, inv_c, lambda v: Q.matvec(blocks, v))
+        return _solve_dense(
+            blocks, lambda: Q.factored(blocks, inv_c), y, inv_c, lambda v: Q.matvec(blocks, v)
+        )
     if isinstance(Q, KroneckerGram):
         if blocks.m >= Q.n_features:
             return solve_feature_system(blocks, Q, y, C)
         features = _KroneckerFeatures(Q, blocks)
         return _solve_dense(
-            blocks, Q.dense(blocks, inv_c), y, inv_c, lambda v: features.matvec(features.rmatvec(v))
+            blocks, _owned(Q.dense(blocks, inv_c)), y, inv_c,
+            lambda v: features.matvec(features.rmatvec(v)),
         )
     if not isinstance(Q, FeatureGram):
         Q = np.asarray(Q, dtype=float)
@@ -493,7 +555,7 @@ def solve_dual_system(
             raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
         H = np.array(Q, order="C")  # a copy: the residual needs Q itself
         H.reshape(-1)[:: m + 1] += inv_c
-        return _solve_dense(blocks, H, y, inv_c, lambda v: Q @ v)
+        return _solve_dense(blocks, _owned(H), y, inv_c, lambda v: Q @ v)
     Phi = Q.features
     if Phi.shape[0] != m:
         raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
@@ -520,7 +582,9 @@ def solve_dual_system(
                 H = Phi_u @ Phi_u.T
                 H = 0.5 * (H + H.T)
                 H.reshape(-1)[:: unit.m + 1] += inv_c
-                b, a, r = _solve_dense(unit, H, y_u, inv_c, lambda v: Phi_u @ (Phi_u.T @ v))
+                b, a, r = _solve_dense(
+                    unit, _owned(H), y_u, inv_c, lambda v: Phi_u @ (Phi_u.T @ v)
+                )
         except SolverError as exc:
             if exc.group is None:
                 raise
@@ -534,20 +598,31 @@ def solve_dual_system(
     return biases, duals, residual
 
 
-def _solve_dense(blocks: Blocks, H: np.ndarray, y: np.ndarray, inv_c: float, apply_q):
-    """The dense form with a Schur complement, for one group.
-
-    H is Q + inv_c I as a C-ordered m x m array, which the solve factors in
-    place; `apply_q(v)` is Q v, by which the residual is checked.
-    """
-    m = y.shape[0]
+def _owned(H: np.ndarray):
+    """`factored` for H = Q + I/C in a C-ordered buffer the solve owns: factored once, in place."""
     # H.T is Fortran-ordered, so LAPACK factors it in place; its lower
     # triangle is H's upper one, the same for a symmetric Q.
     factor = _cholesky(H.T, "Q + I/C")
+    return lambda: nullcontext(factor)
+
+
+def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q):
+    """The dense form with a Schur complement, for one group.
+
+    `factored()` opens the lower Cholesky factor of H = Q + inv_c I as a
+    context manager: `_owned(H)` for a buffer the solve owns, or
+    `CoherenceGram.factored`, which writes and factors H in the Gram's
+    upper triangle on every opening and restores the Gram on closing.
+    The solve uses the factor for the first solve, closes it, and opens it
+    again only for a refinement step. `apply_q(v)` is Q v, by which the
+    residual is checked.
+    """
+    m = y.shape[0]
     rhs = np.zeros((m, 1 + len(blocks)), order="F")
     rhs[:, 0] = y
     rhs[np.arange(m), 1 + blocks.of] = 1.0  # columns 1.. hold A
-    first = _cho_solve(factor, rhs)
+    with factored() as factor:
+        first = _cho_solve(factor, rhs)
     Hinv_A = first[:, 1:]
     schur = _cholesky(blocks.sums(Hinv_A), "Schur complement A^T H^-1 A")
 
@@ -555,12 +630,13 @@ def _solve_dense(blocks: Blocks, H: np.ndarray, y: np.ndarray, inv_c: float, app
         b = _cho_solve(schur, blocks.sums(Hinv_h) - g)
         return b, Hinv_h - Hinv_A @ b
 
+    def solve(g: np.ndarray, h: np.ndarray):
+        with factored() as factor:
+            Hinv_h = _cho_solve(factor, h)
+        return from_hinv(g, Hinv_h)
+
     biases, duals = from_hinv(np.zeros(len(blocks)), first[:, 0])
-    return _refined(
-        blocks, y, inv_c, apply_q,
-        lambda g, h: from_hinv(g, _cho_solve(factor, h)),
-        biases, duals, always=False,
-    )
+    return _refined(blocks, y, inv_c, apply_q, solve, biases, duals, always=False)
 
 
 def solve_feature_system(blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float):

@@ -20,10 +20,12 @@ which the task-Kronecker ridge is assembled without forming Phi). Either
 is solved as a centered ridge in the primal weights when Phi has no more
 columns than rows. RBF shared steps hand the solver a CoherenceGram: the
 task vectors with the fit's kernel Gram G, Q being their coherence times
-G. The solver forms Q + I/C once, in the buffer it factors by
-Cholesky (with a T x T Schur complement for the biases), and checks the
-residual through G rather than a copy of Q, so the step holds one m x m
-array beside G.
+G. The solver writes Q + I/C over G's upper triangle and factors it there
+by Cholesky (with a T x T Schur complement for the biases), restores G
+from its lower triangle, and checks the residual through G rather than a
+copy of Q, so the step holds no m x m array besides G. The fit's Gram
+comes from `kernels.gram`, which symmetrizes it in place, so an RBF fit
+holds one m x m array in all.
 
 Rows within a mode touch disjoint task sets, and their reduced features
 are computed once per mode sweep, so the T_n row subproblems of a mode are
@@ -97,16 +99,6 @@ class FitConfig:
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "tol", float(self.tol))
         object.__setattr__(self, "seed", int(self.seed))
-
-    def to_config(self) -> dict:
-        return {
-            "K": self.K,
-            "C": self.C,
-            "kernel": self.kernel.to_config(),
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_config(cls, cfg: dict) -> "FitConfig":

@@ -13,6 +13,7 @@ from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import Blocks, CoherenceGram
 from tlssvm.model import task_predictions
 from tlssvm.solver import (
+    FitConfig,
     ModeStepResult,
     _objective,
     _shared_penalty,
@@ -41,6 +42,33 @@ def saddle_oracle(block_sizes, Q, y, C):
     full = np.block([[np.zeros((T, T)), A.T], [A, Q + (1.0 / C) * np.eye(m)]])
     sol = np.linalg.solve(full, np.concatenate([np.zeros(T), y]))
     return sol[:T], sol[T:]
+
+
+def coherence_dense(Q: CoherenceGram, blocks: Blocks, shift: float = 0.0) -> np.ndarray:
+    """Q + shift I of a CoherenceGram, as a fresh C-ordered m x m array.
+
+    The solver never forms it: it factors Q + I/C in the Gram's own upper
+    triangle. This is the assembled matrix that oracles solve with.
+    """
+    coherence = Q.task_vectors @ Q.task_vectors.T
+    coherence = 0.5 * (coherence + coherence.T)
+    # samples are stacked task by task, so the coherence expands block by block
+    H = np.repeat(np.repeat(coherence, blocks.sizes, axis=0), blocks.sizes, axis=1)
+    H *= Q.gram
+    H.reshape(-1)[:: blocks.m + 1] += shift
+    return H
+
+
+def fit_config_dict(cfg: FitConfig) -> dict:
+    """The JSON object of a FitConfig that `FitConfig.from_config` reads back."""
+    return {
+        "K": cfg.K,
+        "C": cfg.C,
+        "kernel": cfg.kernel.to_config(),
+        "max_iters": cfg.max_iters,
+        "tol": cfg.tol,
+        "seed": cfg.seed,
+    }
 
 
 def high_precision_saddle_solution(block_sizes, Phi, y, C, digits=40):
@@ -252,7 +280,7 @@ def coherence_weighted_gram(
             f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
         )
     G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
-    return CoherenceGram(task_vector_table(factors), G).dense(Blocks(data.task_sizes))
+    return coherence_dense(CoherenceGram(task_vector_table(factors), G), Blocks(data.task_sizes))
 
 
 def random_dataset(seed: int, mode_sizes=(2, 2), d: int = 3, m_t: int = 5) -> MtlDataset:

@@ -2,9 +2,10 @@
 
 A CoherenceGram, a KroneckerGram with more features than samples, and the
 groups of a FeatureGram with more columns than rows are all solved by a
-Cholesky factorization of H = Q + I/C_eff. The solve factors H in the one
-m x m buffer the form builds and checks its residual through the form's
-own operator, so no copy of Q is kept beside it.
+Cholesky factorization of H = Q + I/C. The solve factors H in place: in
+an m x m buffer it owns, or, for a CoherenceGram, in the upper triangle
+of the caller's Gram, which it gives back bit for bit. It checks the
+residual through the form's own operator, so no copy of Q is kept.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from tlssvm.linsys import (
     TaskMoments,
     solve_dual_system,
 )
-from tlssvm.solver import init_factors, solve_shared_step
-from conftest import random_dataset, saddle_oracle
+from tlssvm import linsys
+from tlssvm.errors import SolverError
+from tlssvm.solver import FitConfig, fit, init_factors, solve_shared_step
+from conftest import coherence_dense, random_dataset, saddle_oracle
 
 RBF = KernelSpec("rbf", gamma=0.1)
 
@@ -48,12 +51,12 @@ class TestCoherenceGram:
         expected = np.repeat(np.repeat(coherence, sizes, axis=0), sizes, axis=1)
         expected *= G
         blocks = Blocks(sizes)
-        Q = CoherenceGram(U, G).dense(blocks)
+        Q = coherence_dense(CoherenceGram(U, G), blocks)
         assert Q.flags.c_contiguous
         np.testing.assert_array_equal(Q, expected)
         for shift in (0.5, 1e-3 + 1e-8):
             np.testing.assert_array_equal(
-                CoherenceGram(U, G).dense(blocks, shift), expected + shift * np.eye(10)
+                coherence_dense(CoherenceGram(U, G), blocks, shift), expected + shift * np.eye(10)
             )
 
     def test_matvec_is_q_times_v(self):
@@ -61,7 +64,9 @@ class TestCoherenceGram:
         blocks = Blocks([2, 5, 3])
         form = CoherenceGram(rng.normal(size=(3, 2)), gram(RBF, rng.normal(size=(10, 3))))
         v = rng.normal(size=10)
-        np.testing.assert_allclose(form.matvec(blocks, v), form.dense(blocks) @ v, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(
+            form.matvec(blocks, v), coherence_dense(form, blocks) @ v, rtol=1e-13, atol=1e-13
+        )
 
     def test_shape_checks(self):
         rng = np.random.default_rng(92)
@@ -73,7 +78,7 @@ class TestCoherenceGram:
         with pytest.raises(ValueError, match="single group"):
             solve_dual_system(Blocks([2, 3], (1, 1)), CoherenceGram(np.ones((2, 1)), G), np.ones(5), 1.0)
 
-    def test_rbf_shared_step_allocates_one_system_matrix(self):
+    def test_rbf_shared_step_allocates_no_system_matrix(self):
         data = random_dataset(93, mode_sizes=(2, 3), d=5, m_t=100)
         m = data.n_samples
         G = gram(RBF, data.stacked_inputs())
@@ -85,8 +90,94 @@ class TestCoherenceGram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * m * m * 8
+        assert peak <= 0.25 * m * m * 8
         np.testing.assert_array_equal(again.shared.duals, first.shared.duals)
+
+    def test_rbf_fit_allocates_one_m_by_m_array(self):
+        data = random_dataset(94, mode_sizes=(2, 3), d=5, m_t=100)
+        m = data.n_samples
+        cfg = FitConfig(K=3, C=10.0, kernel=RBF, max_iters=3, tol=1e-300, seed=2)
+        first = fit(data, cfg)  # loads LAPACK, builds the plan
+        tracemalloc.start()
+        try:
+            again = fit(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m * m * 8
+        np.testing.assert_array_equal(again.duals, first.duals)
+
+
+class TestGramWorkspace:
+    """The coherence solve factors Q + I/C in its Gram's upper triangle and gives G back."""
+
+    def system(self, seed=95, sizes=(30, 50, 20, 40)):
+        rng = np.random.default_rng(seed)
+        blocks = Blocks(sizes)
+        G = gram(RBF, rng.normal(size=(blocks.m, 3)))
+        return blocks, CoherenceGram(rng.normal(size=(len(sizes), 2)), G), rng.normal(size=blocks.m)
+
+    def test_gram_comes_back_after_a_solve(self):
+        blocks, Q, y = self.system()
+        G = Q.gram.copy()
+        got = solve_dual_system(blocks, Q, y, 10.0)
+        assert np.array_equal(Q.gram, G)
+        assert same_solution(got, saddle_oracle(blocks, coherence_dense(Q, blocks), y, 10.0))
+
+    def test_gram_comes_back_after_a_failed_factorization(self):
+        blocks, _, y = self.system()
+        G = -np.eye(blocks.m)
+        Q = CoherenceGram(np.ones((len(blocks), 1)), G)
+        with pytest.raises(SolverError, match="Q \\+ I/C is not positive definite"):
+            solve_dual_system(blocks, Q, y, 10.0)
+        assert np.array_equal(G, -np.eye(blocks.m))
+
+    def test_refinement_refactors_in_the_gram_and_gives_it_back(self, monkeypatch):
+        blocks, Q, y = self.system(sizes=(150, 110, 40))  # m = 300, three strips
+        G = Q.gram.copy()
+        factored, solves = [], 0
+        real_cholesky, real_cho_solve = linsys._cholesky, linsys._cho_solve
+
+        def counting_cholesky(H, what, group=0):
+            factored.append(what)
+            return real_cholesky(H, what, group)
+
+        def perturbed_first_solve(factor, rhs):
+            nonlocal solves
+            solution = real_cho_solve(factor, rhs)
+            solves += 1
+            if solves == 1:
+                solution[:, 0] += 1e-3  # H^-1 y, off by far more than the residual bound
+            return solution
+
+        monkeypatch.setattr(linsys, "_cholesky", counting_cholesky)
+        monkeypatch.setattr(linsys, "_cho_solve", perturbed_first_solve)
+        got = solve_dual_system(blocks, Q, y, 10.0)
+        # H, the Schur complement, then H again for the refinement step
+        assert factored == ["Q + I/C", "Schur complement A^T H^-1 A", "Q + I/C"]
+        assert np.array_equal(Q.gram, G)
+        assert same_solution(got, saddle_oracle(blocks, coherence_dense(Q, blocks), y, 10.0))
+
+    def test_gram_must_be_a_writable_c_ordered_float_array(self):
+        blocks, Q, y = self.system()
+        read_only = Q.gram.copy()
+        read_only.flags.writeable = False
+        single = Q.gram.astype(np.float32)
+        for G in (read_only, np.asfortranarray(Q.gram), single, Q.gram.tolist()):
+            with pytest.raises(ValueError, match="writable, C-contiguous float64"):
+                solve_dual_system(blocks, CoherenceGram(Q.task_vectors, G), y, 10.0)
+
+    def test_gram_must_be_exactly_symmetric(self):
+        blocks, Q, y = self.system()
+        upper, lower, signed_zero = Q.gram.copy(), Q.gram.copy(), Q.gram.copy()
+        upper[0, 139] = 0.5  # right of the first strip's diagonal tile
+        lower[77, 3] = 0.5
+        signed_zero[5, 6], signed_zero[6, 5] = 0.0, -0.0  # equal as numbers, not as bits
+        for G in (upper, lower, signed_zero):
+            before = G.tobytes()
+            with pytest.raises(ValueError, match="exactly symmetric"):
+                solve_dual_system(blocks, CoherenceGram(Q.task_vectors, G), y, 10.0)
+            assert G.tobytes() == before
 
 
 @st.composite
@@ -115,7 +206,7 @@ def dense_systems(draw):
     for rows, _ in grouped.group_slices:
         blockdiag[rows, rows] = Phi[rows] @ Phi[rows].T
     return [
-        (blocks, coherence, coherence.dense(blocks), y, C),
+        (blocks, coherence, coherence_dense(coherence, blocks), y, C),
         (blocks, kron, kron.dense(blocks), y, C),
         (grouped, FeatureGram(Phi), blockdiag, y, C),
     ]
@@ -125,6 +216,9 @@ def dense_systems(draw):
 @given(dense_systems())
 def test_dense_forms_match_the_saddle_oracle(systems):
     for blocks, form, Q, y, C in systems:
+        kept = form.gram.copy() if isinstance(form, CoherenceGram) else None
         got = solve_dual_system(blocks, form, y, C)
         assert same_solution(got, saddle_oracle(blocks, Q, y, C))
+        if kept is not None:
+            assert form.gram.tobytes() == kept.tobytes()
 

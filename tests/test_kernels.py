@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,37 @@ class TestGram:
     def test_shape_error(self):
         with pytest.raises(ValueError):
             gram(KernelSpec("linear"), np.ones((3, 2)), np.ones((3, 4)))
+
+    @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)])
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 513])
+    def test_symmetric_gram_is_the_whole_matrix_formula(self, spec, m):
+        X = np.random.default_rng(m).normal(size=(m, 4))
+        # the symmetrization as whole-matrix operations, which make an m x m temporary
+        expected = X @ X.T
+        if spec.family == "rbf":
+            expected *= -2.0
+            expected += (X * X).sum(axis=1)[:, None]
+            expected += (X * X).sum(axis=1)[None, :]
+            np.maximum(expected, 0.0, out=expected)
+            expected *= -spec.gamma
+            np.exp(expected, out=expected)
+        expected += expected.T
+        expected *= 0.5
+        assert gram(spec, X).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)])
+    def test_symmetric_gram_allocates_one_matrix(self, spec):
+        # m large enough that numpy's fixed-size ufunc buffers (about 0.26 MB)
+        # stay below the 0.1 m^2 floats of slack
+        m = 1000
+        X = np.random.default_rng(7).normal(size=(m, 4))
+        tracemalloc.start()
+        try:
+            gram(spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * m * m * 8
 
 
 class TestFeatureMap:

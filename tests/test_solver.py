@@ -42,9 +42,11 @@ from tlssvm.taskgrid import (
 )
 from conftest import (
     block_constraint_matrix,
+    coherence_dense,
     coherence_weighted_gram,
     coslice_tasks,
     evaluate_objective,
+    fit_config_dict,
     high_precision_saddle_solution,
     random_dataset,
     saddle_oracle,
@@ -1185,7 +1187,7 @@ class TestFit:
         def lu_reference(block_sizes, Q, y, C):
             if isinstance(Q, FeatureGram):
                 return solve_dual_system(block_sizes, Q, y, C)
-            Q = Q.dense(block_sizes)
+            Q = coherence_dense(Q, block_sizes)
             dense_solves.append(Q.shape)
             biases, duals = saddle_oracle(block_sizes, Q, y, C)
             return biases, duals, 0.0
@@ -1284,10 +1286,10 @@ class TestFit:
             FitConfig(K=1, C=-1.0, kernel=LINEAR)
         C = 1 / (1 / 5.0 + 1e-9)
         cfg = FitConfig(K=2, C=C, kernel=KernelSpec("rbf", gamma=0.1), max_iters=7, tol=1e-4, seed=3)
-        assert FitConfig.from_config(cfg.to_config()) == cfg
+        assert FitConfig.from_config(fit_config_dict(cfg)) == cfg
         with pytest.raises(ConfigError):
             FitConfig.from_config({"K": 1})
-        bad = cfg.to_config()
+        bad = fit_config_dict(cfg)
         bad["momentum"] = 0.9
         with pytest.raises(ConfigError):
             FitConfig.from_config(bad)
