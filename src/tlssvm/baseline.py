@@ -53,7 +53,7 @@ def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
     if X.shape[0] < 1:
         raise ValueError("need at least one training sample")
     G = gram(kernel, X)
-    biases, duals, _ = solve_dual_system(Blocks([X.shape[0]]), G, y, C)
+    biases, duals, _, _ = solve_dual_system(Blocks([X.shape[0]]), G, y, C)
     return SingleTaskLssvm(duals, float(biases[0]), X, kernel)
 
 

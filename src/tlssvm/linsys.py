@@ -47,8 +47,14 @@ The system is solved in one of two forms, both by Cholesky:
 * Centered ridge (`solve_feature_system`), for feature forms with p <= m.
   Centering Phi and y per block eliminates the biases, which leaves a
   p x p ridge system in the primal weights w, solved by Cholesky. Biases
-  and duals are recovered from w. One refinement step always follows.
-  The ridge reaches the features only through the centered Gram of each
+  and duals are recovered from w, and w itself is returned: it is the
+  primal solution (a mode row of a fit, or the linear shared factor), and
+  a Cholesky solve is backward stable, so it needs no refinement (Higham
+  2002, *Accuracy and Stability of Numerical Algorithms*, 10.1 and 12.2).
+  A matrix Phi's biases and duals take one refinement step, reusing the
+  factors, only when a group misses its residual bound, as in the dense
+  form; a KroneckerGram's always take one, because a linear model keeps
+  them as its dual form. The step never changes w. The ridge reaches the features only through the centered Gram of each
   group, Phi^T v and Phi w. A FeatureGram does these with its matrix; a
   KroneckerGram builds the centered Gram as sum_t (u_t u_t^T) kron S_t
   from the per-task centered moments S_t = X~_t^T X~_t (T K^2 d^2 flops
@@ -86,6 +92,7 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +101,7 @@ from .errors import SolverError
 __all__ = [
     "RESIDUAL_RTOL",
     "Blocks",
+    "Solution",
     "CoherenceGram",
     "FeatureGram",
     "KroneckerGram",
@@ -103,6 +111,24 @@ __all__ = [
 ]
 
 RESIDUAL_RTOL = 1e-8
+
+
+class Solution(NamedTuple):
+    """What a solve returns.
+
+    `biases` has one entry per block, `duals` one per sample, and
+    `residual` is the largest group residual. `weights` holds the primal
+    weights w of a feature form, one row per group (G x p), such that group
+    g's features give Phi_g w_g for its part of Q alpha: the first ridge
+    solve's w for a group solved as a centered ridge, Phi_g^T alpha_g for a
+    FeatureGram group solved in the dense form. It is None for a dense Q,
+    a CoherenceGram and a KroneckerGram solved in the dense form.
+    """
+
+    biases: np.ndarray
+    duals: np.ndarray
+    residual: float
+    weights: np.ndarray | None = None
 
 
 class Blocks(tuple):
@@ -481,8 +507,10 @@ def _refined(blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, alw
 
     `apply_q(v)` is Q v for the original Q and `solve(g, h)` solves the
     saddle system for the right-hand side [g; h] with the form's factors.
-    The step is taken always, or only when a group's residual misses its
-    bound. Returns the largest group residual.
+    The step is taken always (a KroneckerGram ridge), or else only when a
+    group's residual misses its bound, and then for every group. Returns
+    (biases, duals, largest group residual); the residual checked is the
+    one after the step when a step is taken.
     """
     bounds = RESIDUAL_RTOL * (1.0 + np.sqrt(np.add.reduceat(y * y, blocks.group_starts)))
 
@@ -517,20 +545,18 @@ def solve_dual_system(
     Q: np.ndarray | FeatureGram | KroneckerGram | CoherenceGram,
     y: np.ndarray,
     C: float,
-):
+) -> Solution:
     """Solve the saddle-point system above for the block structure `blocks`.
 
     A feature form (FeatureGram or KroneckerGram) goes to
     :func:`solve_feature_system` for every group whose rows outnumber Phi's
     columns, whose p x p factor is then the smaller one; any other group,
     a CoherenceGram and a dense Q are solved in the dense form with a Schur
-    complement. Returns (biases, coefficients, residual_norm) where biases
-    has one entry per block, coefficients one per sample, and the residual
-    is the largest group residual. Raises SolverError if Q + I/C is not
-    positive definite or a group's residual exceeds
-    RESIDUAL_RTOL * (1 + ||y_g||) even after refinement, TypeError when
-    `blocks` is not a Blocks, and ValueError on inconsistent shapes or a C
-    that is not positive and finite.
+    complement. Returns a `Solution` (biases, duals, residual, weights).
+    Raises SolverError if Q + I/C is not positive definite or a group's
+    residual exceeds RESIDUAL_RTOL * (1 + ||y_g||) even after refinement,
+    TypeError when `blocks` is not a Blocks, and ValueError on inconsistent
+    shapes or a C that is not positive and finite.
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
@@ -567,6 +593,7 @@ def solve_dual_system(
     units = [np.flatnonzero(ridge)] if ridge.any() else []
     units += [np.array([g]) for g in np.flatnonzero(~ridge)]
     biases, duals = np.empty(len(blocks)), np.empty(m)
+    weights = np.empty((len(blocks.groups), Phi.shape[1]))
     residual, failures = 0.0, []
     for ids in units:
         in_unit = np.zeros(blocks.groups.shape[0], dtype=bool)
@@ -577,25 +604,26 @@ def solve_dual_system(
         Phi_u, y_u = Phi[own], y[own]
         try:
             if ridge[ids[0]]:
-                b, a, r = solve_feature_system(unit, Phi_u, y_u, C)
+                b, a, r, w = solve_feature_system(unit, Phi_u, y_u, C)
             else:
                 H = Phi_u @ Phi_u.T
                 H = 0.5 * (H + H.T)
                 H.reshape(-1)[:: unit.m + 1] += inv_c
-                b, a, r = _solve_dense(
+                b, a, r, _ = _solve_dense(
                     unit, _owned(H), y_u, inv_c, lambda v: Phi_u @ (Phi_u.T @ v)
                 )
+                w = Phi_u.T @ a
         except SolverError as exc:
             if exc.group is None:
                 raise
             exc.group = int(ids[exc.group])
             failures.append(exc)
             continue
-        biases[own_blocks], duals[own] = b, a
+        biases[own_blocks], duals[own], weights[ids] = b, a, w
         residual = max(residual, r)
     if failures:
         raise min(failures, key=lambda exc: exc.group)
-    return biases, duals, residual
+    return Solution(biases, duals, residual, weights)
 
 
 def _owned(H: np.ndarray):
@@ -636,10 +664,12 @@ def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q)
         return from_hinv(g, Hinv_h)
 
     biases, duals = from_hinv(np.zeros(len(blocks)), first[:, 0])
-    return _refined(blocks, y, inv_c, apply_q, solve, biases, duals, always=False)
+    return Solution(*_refined(blocks, y, inv_c, apply_q, solve, biases, duals, always=False))
 
 
-def solve_feature_system(blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float):
+def solve_feature_system(
+    blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float
+) -> Solution:
     """Solve the saddle-point system with Q = Phi Phi^T as a centered ridge.
 
     Same contract as :func:`solve_dual_system`, which calls this for the
@@ -653,15 +683,22 @@ def solve_feature_system(blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.
         b_t = mean_t(h - Phi w) - g_t / (C n_t)
         a   = C (h - A b - Phi w)
 
-    where Phi_bar holds the block means of Phi. The solve for [0; y] is
-    always followed by one refinement step on the saddle residual, reusing
-    the factors. Exact for every p, but cheaper than the dense form only
-    while p stays below the group's sample count.
+    where Phi_bar holds the block means of Phi. The w of the solve for
+    [0; y] are returned as the Solution's weights, one row per group: they
+    are the primal solution itself, backward stable as a Cholesky solve
+    is, where Phi^T a would rebuild them as a sum that cancels. The
+    biases and duals of a matrix Phi (the mode rows of a fit, whose duals
+    only feed a constraint check) take a refinement step only when a group
+    misses its residual bound; those of a KroneckerGram, which a linear
+    model keeps as its dual form, always take one step. A refinement step
+    reuses the factors and never changes w. Exact for every p, but cheaper
+    than the dense form only while p stays below the group's sample count.
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     _check(blocks, m, C)
-    if isinstance(Phi, KroneckerGram):
+    kronecker = isinstance(Phi, KroneckerGram)
+    if kronecker:
         features = _KroneckerFeatures(Phi, blocks)
     else:
         Phi = np.asarray(Phi, dtype=float)
@@ -677,15 +714,17 @@ def solve_feature_system(blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.
         # Non-finite entries fail the factorization or the final residual check.
         factors.append(_cholesky(H, "feature system", group))
 
-    def solve(g: np.ndarray, h: np.ndarray):
+    def solve_with_weights(g: np.ndarray, h: np.ndarray):
         h_c = h - blocks.means(h)[blocks.of]
         rhs = features.rhs(h_c, g, inv_c)
-        fitted = features.matvec([_cho_solve(f, r) for f, r in zip(factors, rhs)])
+        weights = [_cho_solve(f, r) for f, r in zip(factors, rhs)]
+        fitted = features.matvec(weights)
         b = blocks.means(h - fitted) - inv_c * g / sizes
-        return b, (h - b[blocks.of] - fitted) / inv_c
+        return b, (h - b[blocks.of] - fitted) / inv_c, weights
 
-    biases, duals = solve(np.zeros(len(blocks)), y)
-    return _refined(
-        blocks, y, inv_c, lambda v: features.matvec(features.rmatvec(v)), solve,
-        biases, duals, always=True,
+    biases, duals, weights = solve_with_weights(np.zeros(len(blocks)), y)
+    biases, duals, residual = _refined(
+        blocks, y, inv_c, lambda v: features.matvec(features.rmatvec(v)),
+        lambda g, h: solve_with_weights(g, h)[:2], biases, duals, always=kronecker,
     )
+    return Solution(biases, duals, residual, np.stack(weights))

@@ -17,8 +17,11 @@ the reduced features Z of a mode-row step (K columns, handed to
 the shared-step features u_t(j) kron x_j (d K columns, handed over as a
 KroneckerGram: the task vectors with the inputs' per-task moments, from
 which the task-Kronecker ridge is assembled without forming Phi). Either
-is solved as a centered ridge in the primal weights when Phi has no more
-columns than rows. RBF shared steps hand the solver a CoherenceGram: the
+is solved as a centered ridge in the primal weights w when Phi has no more
+columns than rows, and then w is the step's result: a mode row is its w,
+and the linear shared factor's explicit d x K matrix is w reshaped, never
+the sum Phi^T alpha, which cancels. The linear shared factor also keeps
+the duals, as its dual form. RBF shared steps hand the solver a CoherenceGram: the
 task vectors with the fit's kernel Gram G, Q being their coherence times
 G. The solver writes Q + I/C over G's upper triangle and factors it there
 by Cholesky (with a T x T Schur complement for the biases), restores G
@@ -216,8 +219,10 @@ def solve_shared_step(
     the smaller of its two forms. Other kernels solve the
     (T+m)-dimensional dual system of a CoherenceGram: the task vectors
     with the kernel Gram, `gram_matrix` if given.
-    The updated shared factor is returned in dual form (plus the explicit
-    matrix whenever the kernel has a finite feature map). `factors` is a
+    The updated shared factor is returned in dual form, plus the explicit
+    matrix whenever the kernel has a finite feature map: the ridge weights
+    w in Kronecker order (feature k*d + i is u_k x_i), or X^T (alpha o U)
+    when the solve takes the dense form (dK > m). `factors` is a
     ModeFactors on the data's grid, or its factor matrices.
     """
     data.require_nonempty_tasks()
@@ -227,11 +232,17 @@ def solve_shared_step(
     explicit = None
     if kernel.has_feature_map:
         Q = KroneckerGram(u_table, plan.moments)
-        biases, duals, residual = solve_dual_system(plan.shared, Q, y, C)
-        explicit = data.stacked_inputs().T @ dual_weights(duals, u_table, data.sample_task_ids())
+        biases, duals, residual, weights = solve_dual_system(plan.shared, Q, y, C)
+        if weights is None:  # the dense form, for dK > m
+            X = data.stacked_inputs()
+            explicit = X.T @ dual_weights(duals, u_table, data.sample_task_ids())
+        else:  # feature k*d + i is u_k x_i
+            explicit = np.ascontiguousarray(weights[0].reshape(u_table.shape[1], -1).T)
     else:
         G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
-        biases, duals, residual = solve_dual_system(plan.shared, CoherenceGram(u_table, G), y, C)
+        biases, duals, residual, _ = solve_dual_system(
+            plan.shared, CoherenceGram(u_table, G), y, C
+        )
     constraint = float(np.max(np.abs(plan.shared.sums(duals))))
     shared = SharedFactor._of_solve(duals, u_table, data, explicit)
     return SharedStepResult(shared, biases, residual, constraint)
@@ -312,9 +323,10 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
     are independent, so they go to the solver as one FeatureGram of Z with
     the layout's Blocks (one group per row), each row solved through the
     smaller of its two forms (a K x K ridge unless K exceeds the row's
-    sample count). Each row's optimum is the dual-weighted sum of its
-    features. A SolverError names the lowest failing row, in its message
-    (`mode n row r: <reason>`) and as its `group` (row - 1).
+    sample count). Each row's values are the solver's primal weights for
+    its group: the ridge solution w, or Z_r^T alpha_r in the dense form. A
+    SolverError names the lowest failing row, in its message (`mode n row
+    r: <reason>`) and as its `group` (row - 1).
     """
     data.require_nonempty_tasks()
     layout = data.fit_plan.layouts[data.grid._check_mode(mode) - 1]
@@ -326,7 +338,9 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
     nonzero = np.logical_or.reduceat(np.any(Z != 0, axis=1), blocks.group_starts)
     degenerate = int(np.argmin(nonzero)) if not nonzero.all() else rows
     try:
-        biases, duals, residual = solve_dual_system(blocks, FeatureGram(Z), layout.targets, C)
+        biases, duals, residual, values = solve_dual_system(
+            blocks, FeatureGram(Z), layout.targets, C
+        )
     except SolverError as exc:
         if exc.group is None:
             raise SolverError(f"mode {mode}: {exc}", reason=exc.reason) from exc
@@ -340,14 +354,7 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
         )
         raise SolverError(f"mode {mode} row {degenerate + 1}: {reason}", degenerate, reason)
     task_sums = np.abs(blocks.sums(duals)).reshape(rows, -1)
-    return ModeStepResult(
-        layout,
-        np.add.reduceat(Z * duals[:, None], blocks.group_starts, axis=0),
-        biases,
-        duals,
-        residual,
-        task_sums.max(axis=1),
-    )
+    return ModeStepResult(layout, values, biases, duals, residual, task_sums.max(axis=1))
 
 
 def _shared_penalty(shared: SharedFactor, train_projection: np.ndarray) -> float:

@@ -336,3 +336,84 @@ def load_csv_by_rows(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> M
 @pytest.fixture
 def tiny_dataset() -> MtlDataset:
     return random_dataset(0)
+
+
+def longdouble_ridge(features, targets, block_sizes, C):
+    """(w, biases) of the centered ridge with Q = F F^T, in np.longdouble throughout.
+
+    Centering F and the targets per block eliminates the biases; w solves
+    (F~^T F~ + I/C) w = F~^T y~ by a long-double Cholesky factorization,
+    and b_t = mean_t(y - F w).
+    """
+    F = np.asarray(features, dtype=np.longdouble)
+    y = np.asarray(targets, dtype=np.longdouble)
+    sizes = np.asarray(block_sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    of = np.arange(len(sizes)).repeat(sizes)
+    F_c = F - (np.add.reduceat(F, starts, axis=0) / sizes[:, None])[of]
+    y_c = y - (np.add.reduceat(y, starts) / sizes)[of]
+    p = F.shape[1]
+    H = F_c.T @ F_c + np.eye(p, dtype=np.longdouble) / np.longdouble(C)
+    L = np.zeros_like(H)
+    for j in range(p):
+        L[j, j] = np.sqrt(H[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1 :, j] = (H[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    z = F_c.T @ y_c
+    for j in range(p):
+        z[j] = (z[j] - L[j, :j] @ z[:j]) / L[j, j]
+    for j in reversed(range(p)):
+        z[j] = (z[j] - L[j + 1 :, j] @ z[j + 1 :]) / L[j, j]
+    return z, np.add.reduceat(y - F @ z, starts) / sizes
+
+
+def longdouble_linear_trace(data: MtlDataset, config: FitConfig, iterations: int) -> list:
+    """Reference for a linear `fit`'s trace, in np.longdouble: (step, objective) per entry.
+
+    The same init and alternation as `fit` for `iterations` outer
+    iterations, every step a primal centered ridge (`longdouble_ridge`):
+    the shared step over the features u_t(j) kron x_j with one block per
+    task, then each mode's rows one by one over their reduced features,
+    the trace recorded after every step.
+    """
+    ld = np.longdouble
+    X, y = data.stacked_inputs().astype(ld), data.stacked_targets().astype(ld)
+    tid, sizes = data.sample_task_ids(), np.array(data.task_sizes)
+    mode_indices = data.grid.mode_indices
+    mats = [f.astype(ld) for f in init_factors(data.grid, config.K, config.seed).factors]
+    shared = np.zeros((X.shape[1], config.K), dtype=ld)
+    biases = np.zeros(data.grid.n_tasks, dtype=ld)
+    trace = []
+
+    def products(skip=None):
+        u = np.ones((data.grid.n_tasks, config.K), dtype=ld)
+        for n, f in enumerate(mats):
+            if n != skip:
+                u *= f[mode_indices[:, n]]
+        return u
+
+    def record(step):
+        residuals = y - np.sum((X @ shared) * products()[tid], axis=1) - biases[tid]
+        penalty = np.sum(shared**2) + sum(np.sum(f**2) for f in mats)
+        trace.append((step, float(ld(config.C) / 2 * (residuals @ residuals) + penalty / 2)))
+
+    record("init")
+    for _ in range(iterations):
+        U = products()[tid]
+        Phi = (U[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+        w, biases = longdouble_ridge(Phi, y, sizes, config.C)
+        shared = w.reshape(config.K, -1).T
+        record("shared")
+        projection = X @ shared
+        for n, f in enumerate(mats):
+            Z = projection * products(skip=n)[tid]
+            # samples are stacked task by task; each row's tasks in id order
+            solved = []
+            for r in range(f.shape[0]):
+                tasks = np.flatnonzero(mode_indices[:, n] == r)
+                rows = np.isin(tid, tasks)
+                solved.append((tasks, longdouble_ridge(Z[rows], y[rows], sizes[tasks], config.C)))
+            for r, (tasks, (w, b)) in enumerate(solved):
+                f[r] = w
+                biases[tasks] = b
+                record(f"mode{n + 1}/row{r + 1}")
+    return trace

@@ -119,7 +119,7 @@ class TestSolveDualSystem:
             Q = M @ M.T
             y = rng.normal(size=m)
             C = 5.0
-            biases, duals, residual = solve_dual_system(Blocks(sizes), Q, y, C)
+            biases, duals, residual, _ = solve_dual_system(Blocks(sizes), Q, y, C)
             A = block_constraint_matrix(sizes)
             full = np.block([[np.zeros((T, T)), A.T], [A, Q + np.eye(m) / C]])
             expected = np.linalg.solve(full, np.concatenate([np.zeros(T), y]))
@@ -146,7 +146,7 @@ class TestSolveDualSystem:
         Q = dense_psd("rbf", m, rng)
         y = rng.normal(size=m)
         C = 1 / (1 / 50.0 + 1e-4)
-        biases, duals, residual = solve_dual_system(Blocks(sizes), Q, y, C)
+        biases, duals, residual, _ = solve_dual_system(Blocks(sizes), Q, y, C)
         A = block_constraint_matrix(sizes)
         M = np.block([[np.zeros((T, T)), A.T], [A, Q + (1 / C) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
@@ -205,7 +205,7 @@ class TestSolveDualSystem:
 
     def test_zero_targets_give_zero_solution(self):
         Q = np.eye(4)
-        biases, duals, _ = solve_dual_system(Blocks([2, 2]), Q, np.zeros(4), 10.0)
+        biases, duals, _, _ = solve_dual_system(Blocks([2, 2]), Q, np.zeros(4), 10.0)
         np.testing.assert_allclose(biases, 0.0, atol=1e-12)
         np.testing.assert_allclose(duals, 0.0, atol=1e-12)
 
@@ -213,7 +213,7 @@ class TestSolveDualSystem:
         rng = np.random.default_rng(1)
         sizes = [4, 3]
         M = rng.normal(size=(7, 7))
-        _, duals, _ = solve_dual_system(Blocks(sizes), M @ M.T, rng.normal(size=7), 2.0)
+        _, duals, _, _ = solve_dual_system(Blocks(sizes), M @ M.T, rng.normal(size=7), 2.0)
         assert abs(duals[:4].sum()) < 1e-9
         assert abs(duals[4:].sum()) < 1e-9
 
@@ -224,7 +224,7 @@ class TestSolveDualSystem:
         y = np.array([1.0, 2.0])
         with pytest.raises(SolverError, match="decrease C"):
             solve_dual_system(Blocks([2]), Q, y, 1.0)
-        biases, duals, _ = solve_dual_system(Blocks([2]), Q, y, 1 / 1.5)  # ridge 1/C = 1.5
+        biases, duals, _, _ = solve_dual_system(Blocks([2]), Q, y, 1 / 1.5)  # ridge 1/C = 1.5
         assert np.all(np.isfinite(biases)) and np.all(np.isfinite(duals))
 
 
@@ -279,7 +279,7 @@ class TestSolveFeatureSystem:
         Phi = rng.normal(size=(m, 3))
         y = rng.normal(size=m)
         C = 1 / (1 / 50.0 + 1e-4)
-        biases, duals, residual = solve_feature_system(Blocks(sizes), Phi, y, C)
+        biases, duals, residual, _ = solve_feature_system(Blocks(sizes), Phi, y, C)
         A = block_constraint_matrix(sizes)
         M = np.block([[np.zeros((T, T)), A.T], [A, Phi @ Phi.T + (1 / C) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
@@ -305,13 +305,13 @@ class TestSolveFeatureSystem:
                     M[T + i, T + j] = Q[i, j] + (mpmath.mpf(1) / C if i == j else 0)
             exact = mpmath.lu_solve(M, mpmath.matrix([0] * T + y.tolist()))
             expected = np.array([float(v) for v in exact])
-        biases, duals, _ = solve_feature_system(Blocks(sizes), Phi, y, C)
+        biases, duals, _, _ = solve_feature_system(Blocks(sizes), Phi, y, C)
         scale = float(np.max(np.abs(expected)))
         assert np.max(np.abs(np.concatenate([biases, duals]) - expected)) <= 1e-12 * scale
 
     def test_zero_targets_give_zero_solution(self):
         Phi = np.random.default_rng(45).normal(size=(6, 2))
-        biases, duals, residual = solve_feature_system(Blocks([2, 4]), Phi, np.zeros(6), 10.0)
+        biases, duals, residual, _ = solve_feature_system(Blocks([2, 4]), Phi, np.zeros(6), 10.0)
         np.testing.assert_array_equal(biases, 0.0)
         np.testing.assert_array_equal(duals, 0.0)
         assert residual == 0.0
@@ -636,6 +636,31 @@ class TestKroneckerSharedStep:
         assert peaks[1] < peaks[0]
         assert "scatter" not in vars(data.fit_plan.moments)
 
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3])
+    def test_explicit_is_the_ridge_weights_in_kronecker_order(self, C):
+        data = uneven_dataset(86, (2, 3), d=4)
+        factors = init_factors(data.grid, 3, seed=86)
+        step = solve_shared_step(data, factors, LINEAR, C)
+        U, X, y = task_vector_table(factors), data.stacked_inputs(), data.stacked_targets()
+        blocks = Blocks(data.task_sizes)
+        solution = solve_dual_system(blocks, KroneckerGram(U, TaskMoments(blocks, X)), y, C)
+        assert np.array_equal(step.shared.explicit, solution.weights[0].reshape(3, 4).T)
+        # the explicit features order column k*d + i as u_k x_i
+        Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+        explicit = solve_dual_system(blocks, FeatureGram(Phi), y, C).weights[0].reshape(3, 4).T
+        scale = float(np.max(np.abs(explicit)))
+        assert np.max(np.abs(step.shared.explicit - explicit)) <= 1e-12 * scale
+        dual_sum = X.T @ (step.shared.duals[:, None] * U[data.sample_task_ids()])
+        assert np.max(np.abs(step.shared.explicit - dual_sum)) <= 1e-9 * scale
+
+    def test_dense_form_takes_the_explicit_matrix_from_the_duals(self):
+        data = random_dataset(87, mode_sizes=(2, 2), d=6, m_t=3)  # dK = 18 > m = 12
+        factors = init_factors(data.grid, 3, seed=87)
+        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        U, X = task_vector_table(factors), data.stacked_inputs()
+        dual_sum = X.T @ (step.shared.duals[:, None] * U[data.sample_task_ids()])
+        assert np.array_equal(step.shared.explicit, dual_sum)
+
     def test_bare_factor_matrices_must_fit_the_grid(self):
         data = random_dataset(90, mode_sizes=(2, 3), d=3, m_t=4)
         mats = init_factors(data.grid, 2, seed=90).factors
@@ -759,7 +784,7 @@ class TestModeRowStep:
         result = sweep_row(solve_mode_row_step(data, z, mode=1, C=10.0), 1)
         sel = np.array([0, 1, 4, 5])  # tasks 1 and 3 in linear order
         Z = z[sel]
-        biases, duals, _ = solve_dual_system(Blocks([2, 2]), Z @ Z.T, data.stacked_targets()[sel], 10.0)
+        biases, duals, _, _ = solve_dual_system(Blocks([2, 2]), Z @ Z.T, data.stacked_targets()[sel], 10.0)
         np.testing.assert_allclose(result.biases, biases, atol=1e-12)
         np.testing.assert_allclose(result.duals, duals, atol=1e-12)
 
@@ -891,6 +916,75 @@ class TestBatchedModeStep:
         solve_mode_row_step(data, z, 2, 10.0)
         assert calls == [(12, (data.n_samples, 2), (3, 3, 3, 3))]
 
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
+    def test_row_values_are_each_rows_ridge_weights(self, C):
+        data = uneven_dataset(69, (3, 4))
+        z = np.random.default_rng(69).normal(size=(data.n_samples, 2))
+        step = solve_mode_row_step(data, z, 2, C)
+        lay = step.layout
+        Z = z[lay.samples]
+        for r, (rows, tasks) in enumerate(lay.blocks.group_slices):
+            alone = solve_feature_system(Blocks(lay.blocks.sizes[tasks]), Z[rows], lay.targets[rows], C)
+            assert np.array_equal(step.row_values[r], alone.weights[0])
+
+    def test_dense_rows_take_the_dual_weighted_sum(self):
+        # K = 8: two rows of mode 1 hold fewer samples and take the dense form
+        data = uneven_dataset(67, (6, 2))
+        z = np.random.default_rng(67).normal(size=(data.n_samples, 8))
+        step = solve_mode_row_step(data, z, 1, 10.0)
+        lay = step.layout
+        dense = np.flatnonzero(lay.blocks.group_sizes < 8)
+        assert dense.size == 2
+        for r in dense:
+            rows, _ = lay.blocks.group_slices[r]
+            assert np.array_equal(step.row_values[r], z[lay.samples[rows]].T @ step.duals[rows])
+
+    def test_row_missing_its_bound_is_refined_and_keeps_its_weights(self, monkeypatch):
+        # grid (2, 2): mode 2's two rows are the two groups; tasks 3 and 4 form row 2
+        data = uneven_dataset(71, (2, 2))
+        z = np.random.default_rng(71).normal(size=(data.n_samples, 2))
+        C = 1.0
+        exact = solve_mode_row_step(data, z, 2, C)
+        real_cholesky, real_solve = linsys._cholesky, linsys._cho_solve
+        factors, solves = [], []
+
+        def recording(H, what, group=0):
+            factors.append(real_cholesky(H, what, group))
+            return factors[-1]
+
+        def perturbed_first_solve(factor, rhs):
+            group = next(g for g, f in enumerate(factors) if f is factor)
+            out = real_solve(factor, rhs)
+            solves.append(group)
+            if solves == [0, 1]:
+                out += 1e-6  # the weights of row 2, off by far more than the bound allows
+            return out
+
+        monkeypatch.setattr(linsys, "_cholesky", recording)
+        monkeypatch.setattr(linsys, "_cho_solve", perturbed_first_solve)
+        step = solve_mode_row_step(data, z, 2, C)
+        assert solves == [0, 1, 0, 1]  # one solve per row, then one refinement step
+        bound = RESIDUAL_RTOL * (1 + np.linalg.norm(step.layout.targets))
+        assert step.system_residual <= bound
+        assert_same_solution((step.biases, step.duals), (exact.biases, exact.duals))
+        # the refinement corrects the biases and duals, never the weights
+        assert np.array_equal(step.row_values[0], exact.row_values[0])
+        np.testing.assert_allclose(step.row_values[1], exact.row_values[1] + 1e-6, rtol=0, atol=1e-15)
+
+    def test_rows_within_their_bounds_take_no_refinement_step(self, monkeypatch):
+        data = uneven_dataset(63, (3, 4))
+        z = np.random.default_rng(63).normal(size=(data.n_samples, 2))
+        solves = []
+        real_solve = linsys._cho_solve
+
+        def counting(factor, rhs):
+            solves.append(factor.shape)
+            return real_solve(factor, rhs)
+
+        monkeypatch.setattr(linsys, "_cho_solve", counting)
+        solve_mode_row_step(data, z, 2, 10.0)
+        assert solves == [(2, 2)] * 4  # one K x K solve per row
+
     def test_residual_is_the_worst_row_residual(self):
         data = uneven_dataset(64, (3, 2))
         z = np.random.default_rng(64).normal(size=(data.n_samples, 2))
@@ -1003,7 +1097,7 @@ class TestGroupedSystems:
         block_sizes = [3, 4, 2, 5]
         Phi, y, group_of = two_group_system(rng, block_sizes, 2)
         C = 1.0
-        biases, duals, _ = solve_dual_system(Blocks(block_sizes, (2, 2)), FeatureGram(Phi), y, C)
+        biases, duals, _, _ = solve_dual_system(Blocks(block_sizes, (2, 2)), FeatureGram(Phi), y, C)
         duals = duals + 1e-8 * (group_of == 1)  # group 1 (0-based) misses its own bound
         apply_q = lambda v: block_diagonal_gram(Phi, group_of) @ v  # noqa: E731
         no_step = lambda g, h: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
@@ -1190,7 +1284,7 @@ class TestFit:
             Q = coherence_dense(Q, block_sizes)
             dense_solves.append(Q.shape)
             biases, duals = saddle_oracle(block_sizes, Q, y, C)
-            return biases, duals, 0.0
+            return biases, duals, 0.0, None
 
         monkeypatch.setattr(solver, "solve_dual_system", lu_reference)
         reference = fit(data, cfg)
