@@ -324,7 +324,9 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
     the layout's Blocks (one group per row), each row solved through the
     smaller of its two forms (a K x K ridge unless K exceeds the row's
     sample count). Each row's values are the solver's primal weights for
-    its group: the ridge solution w, or Z_r^T alpha_r in the dense form. A
+    its group: the ridge solution w, or Z_r^T alpha_r in the dense form.
+    A row whose features are all zero (a fit that collapsed) has the exact
+    solution 0, with its tasks' biases at their target means. A
     SolverError names the lowest failing row, in its message (`mode n row
     r: <reason>`) and as its `group` (row - 1).
     """
@@ -332,11 +334,6 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
     layout = data.fit_plan.layouts[data.grid._check_mode(mode) - 1]
     blocks = layout.blocks
     Z = np.asarray(z, dtype=float)[layout.samples]
-    rows = len(blocks.groups)
-    # A row with all-zero features still solves (its ridge block is I/C), so
-    # the error raised is that of the lowest failing row, degenerate or not.
-    nonzero = np.logical_or.reduceat(np.any(Z != 0, axis=1), blocks.group_starts)
-    degenerate = int(np.argmin(nonzero)) if not nonzero.all() else rows
     try:
         biases, duals, residual, values = solve_dual_system(
             blocks, FeatureGram(Z), layout.targets, C
@@ -344,16 +341,8 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
     except SolverError as exc:
         if exc.group is None:
             raise SolverError(f"mode {mode}: {exc}", reason=exc.reason) from exc
-        if exc.group < degenerate:
-            raise SolverError(f"mode {mode} row {exc.group + 1}: {exc}", exc.group, exc.reason) from exc
-        # otherwise a lower row is degenerate, which is raised next
-    if degenerate < rows:
-        reason = (
-            "all reduced features are zero, the row subproblem is degenerate "
-            "(row would vanish and biases reduce to task means)"
-        )
-        raise SolverError(f"mode {mode} row {degenerate + 1}: {reason}", degenerate, reason)
-    task_sums = np.abs(blocks.sums(duals)).reshape(rows, -1)
+        raise SolverError(f"mode {mode} row {exc.group + 1}: {exc}", exc.group, exc.reason) from exc
+    task_sums = np.abs(blocks.sums(duals)).reshape(len(values), -1)
     return ModeStepResult(layout, values, biases, duals, residual, task_sums.max(axis=1))
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tlssvm import experiments
 from tlssvm.baseline import LssvmModel
 from tlssvm.data import SyntheticSpec, generate_synthetic, kfold_split
 from tlssvm.errors import ConfigError, SolverError
@@ -123,14 +124,39 @@ class TestRunCv:
         assert len(result.cells) == 2
         assert all(c.rank is None for c in result.cells)
 
-    def test_failed_cells_recorded_not_fatal(self):
-        # all-zero targets break the tensor mode step but not the baseline
+    def test_failed_cells_recorded_not_fatal(self, monkeypatch):
+        train, _ = small_train()
+        real_fit = experiments.fit
+
+        def failing_at(cost):
+            def fit(data, config):
+                if config.C == cost:
+                    raise SolverError("dual system solve residual too large; decrease C")
+                return real_fit(data, config)
+
+            return fit
+
+        monkeypatch.setattr(experiments, "fit", failing_at(10.0))
+        result = run_cv(train, METHOD_TENSOR, SMALL_PLAN, seed=0)
+        failed = [cell for cell in result.cells if cell.error is not None]
+        assert [(cell.rank, cell.cost) for cell in failed] == [(1, 10.0), (2, 10.0)]
+        assert result.best.cost == 1.0
+
+        def always_failing(data, config):
+            raise SolverError("singular")
+
+        monkeypatch.setattr(experiments, "fit", always_failing)
+        with pytest.raises(SolverError, match="all 4 grid cells failed; first error: singular"):
+            run_cv(train, METHOD_TENSOR, SMALL_PLAN, seed=0)
+
+    def test_zero_targets_score_every_cell(self):
+        # every tensor fit of all-zero targets collapses to the zero model
         train, _ = small_train()
         zeroed = type(train)(
             train.grid, train.inputs, tuple(np.zeros_like(y) for y in train.targets)
         )
-        with pytest.raises(SolverError, match="grid cells failed"):
-            run_cv(zeroed, METHOD_TENSOR, SMALL_PLAN, seed=0)
+        result = run_cv(zeroed, METHOD_TENSOR, SMALL_PLAN, seed=0)
+        assert all(cell.error is None and cell.mean_rmse == 0.0 for cell in result.cells)
 
     def test_deterministic(self):
         train, _ = small_train(seed=4)

@@ -185,7 +185,7 @@ class TestFormsAgree:
 class TestBatchDispatch:
     @pytest.mark.parametrize("C", [1e-2, 1.0, 1e3])
     def test_linear_batch_agrees_with_predict_dual(self, C):
-        # at C=1e-2 the factors shrink until a row degenerates after 5 iterations
+        # at C=1e-2 the factors shrink until they collapse to zero after 5 iterations
         model, _, test = fitted_model(seed=18, snr=5.0, C=C, max_iters=4)
         assert model.explicit is not None
         X = test.stacked_inputs()

@@ -22,7 +22,7 @@ from tlssvm.linsys import (
     solve_dual_system,
     solve_feature_system,
 )
-from tlssvm.model import TrainedModel
+from tlssvm.model import TrainedModel, load_model, predict_dual, predict_primal, save_model
 from tlssvm.solver import (
     FitConfig,
     fit,
@@ -742,10 +742,14 @@ class TestModeRowStep:
         np.testing.assert_allclose(result.duals, sol[1:], atol=1e-10)
         assert abs(result.row_values[0] - (0.8 * sol[1] - 0.3 * sol[2])) < 1e-10
 
-    def test_all_zero_features_degenerate(self, tiny_dataset):
-        z = np.zeros((tiny_dataset.n_samples, 2))
-        with pytest.raises(SolverError, match="degenerate"):
-            sweep_row(solve_mode_row_step(tiny_dataset, z, mode=1, C=1.0), 1)
+    @pytest.mark.parametrize("K", [2, 12])  # the ridge form, then the dense one
+    def test_all_zero_features_give_zero_rows_and_task_mean_biases(self, tiny_dataset, K):
+        z = np.zeros((tiny_dataset.n_samples, K))
+        step = solve_mode_row_step(tiny_dataset, z, mode=1, C=1.0)
+        assert np.array_equal(step.row_values, np.zeros((2, K)))
+        means = [tiny_dataset.targets[t - 1].mean() for t in step.layout.tasks]
+        np.testing.assert_allclose(step.biases, means, rtol=1e-13, atol=1e-15)
+        assert step.system_residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(step.layout.targets))
 
     def test_row_subproblem_objective_decreases(self):
         data = random_dataset(11, mode_sizes=(2, 3), d=4, m_t=6)
@@ -1006,14 +1010,20 @@ class TestBatchedModeStep:
             assert got.constraint_residual == pytest.approx(np.max(np.abs(A.T @ got.duals)), abs=1e-12)
         assert step.system_residual == pytest.approx(worst, abs=1e-13)
 
-    def test_degenerate_error_names_lowest_zero_row(self):
+    def test_zero_rows_solve_exactly_beside_the_others(self):
         data = uneven_dataset(65, (3, 2))
         layout = data.fit_plan.layouts[0]
         z = np.random.default_rng(65).normal(size=(data.n_samples, 2))
         z[layout.samples[layout.blocks.group_starts[1] :]] = 0.0  # rows 2 and 3
-        with pytest.raises(SolverError, match=r"^mode 1 row 2: .*degenerate") as info:
-            solve_mode_row_step(data, z, 1, 10.0)
-        assert info.value.group == 1
+        step = solve_mode_row_step(data, z, 1, 10.0)
+        assert np.array_equal(step.row_values[1:], np.zeros((2, 2)))
+        for row in (2, 3):
+            got = sweep_row(step, row)
+            means = [data.targets[t - 1].mean() for t in got.tasks]
+            np.testing.assert_allclose(got.biases, means, rtol=1e-13, atol=1e-15)
+        biases, duals, _, Z = row_oracle(data, z, 1, 1, 10.0)
+        got = sweep_row(step, 1)
+        assert_same_solution((got.biases, got.duals), (biases, duals))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("K", [2, 8])  # the ridge form, then the dense one
@@ -1201,6 +1211,25 @@ def snr10_dataset():
     return train
 
 
+def assert_collapsed_model_predicts(data, state, kernel, tmp_path, biases):
+    """A fit whose mode factors are zero predicts each task's bias on every path, after a reload too."""
+    model = TrainedModel.from_fit(data, state, kernel)
+    save_model(model, str(tmp_path / "model.json"))
+    reloaded = load_model(str(tmp_path / "model.json"))
+    X = data.stacked_inputs()
+    tid = data.sample_task_ids()
+    expected = biases[tid]
+    indices = [delinearize(data.grid, int(t) + 1) for t in tid]
+    for m in (model, reloaded):
+        assert np.array_equal(np.concatenate(m.predict_dataset(data)), np.concatenate(model.predict_dataset(data)))
+        np.testing.assert_allclose(np.concatenate(m.predict_dataset(data)), expected, rtol=1e-13, atol=0)
+        dual = [predict_dual(m, idx, x) for idx, x in zip(indices, X)]
+        np.testing.assert_allclose(dual, expected, rtol=1e-13, atol=0)
+        if kernel.has_feature_map:
+            primal = [predict_primal(m, idx, x) for idx, x in zip(indices, X)]
+            np.testing.assert_allclose(primal, expected, rtol=1e-13, atol=0)
+
+
 class TestFit:
     def test_tol_inf_runs_one_iteration(self):
         data = snr10_dataset()
@@ -1320,15 +1349,6 @@ class TestFit:
         state = fit(snr10_dataset(), FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=3, seed=0))
         assert state.iterations == 3
 
-    def test_solver_error_names_iteration_and_row_step(self):
-        grid = TaskGrid((2,))
-        rng = np.random.default_rng(0)
-        data = MtlDataset(
-            grid, (rng.normal(size=(4, 2)), rng.normal(size=(4, 2))), (np.zeros(4), np.zeros(4))
-        )
-        with pytest.raises(SolverError, match=r"^iteration 1, mode 1/row 1: all reduced features are zero"):
-            fit(data, FitConfig(K=1, C=10.0, kernel=LINEAR, max_iters=5, tol=1e-3, seed=0))
-
     def test_solver_error_names_iteration_and_shared_step(self, monkeypatch):
         calls = []
         real_step = solver.solve_shared_step
@@ -1344,14 +1364,34 @@ class TestFit:
         with pytest.raises(SolverError, match=r"^iteration 3, shared step: dual system solve residual too large; decrease C$"):
             fit(snr10_dataset(), cfg)
 
-    def test_all_zero_targets_surface_solver_error(self):
+    def test_zero_targets_fit_the_zero_model(self, tmp_path):
+        # every step's right-hand side is zero, so every solve returns exact zeros
         grid = TaskGrid((2,))
         rng = np.random.default_rng(0)
         data = MtlDataset(
             grid, (rng.normal(size=(4, 2)), rng.normal(size=(4, 2))), (np.zeros(4), np.zeros(4))
         )
-        with pytest.raises(SolverError):
-            fit(data, FitConfig(K=1, C=10.0, kernel=LINEAR, max_iters=5, tol=1e-3, seed=0))
+        state = fit(data, FitConfig(K=1, C=10.0, kernel=LINEAR, max_iters=5, tol=1e-3, seed=0))
+        assert state.converged and state.iterations == 2  # the second change is 0/0 -> 0
+        assert not any(f.any() for f in state.factors.factors)
+        assert not state.shared.explicit.any() and not state.duals.any() and not state.biases.any()
+        assert [entry.objective for entry in state.trace if entry.iteration == 2] == [0.0] * 3
+        assert_collapsed_model_predicts(data, state, LINEAR, tmp_path, np.zeros(2))
+
+    @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("rbf", gamma=0.2)], ids=["linear", "rbf"])
+    def test_small_cost_fit_collapses_to_the_task_means(self, kernel, tmp_path):
+        # at C=1e-3 the factors shrink by orders of magnitude per iteration
+        # until they underflow to zero; the rows then solve to exact zeros
+        data = snr10_dataset()
+        state = fit(data, FitConfig(K=2, C=1e-3, kernel=kernel, max_iters=60, tol=1e-3, seed=0))
+        assert state.converged
+        assert not any(f.any() for f in state.factors.factors)
+        assert any("collapsed to zero" in warning for warning in state.warnings)
+        objectives = [entry.objective for entry in state.trace]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(objectives, objectives[1:]))
+        means = np.array([y.mean() for y in data.targets])
+        np.testing.assert_allclose(state.biases, means, rtol=1e-13)
+        assert_collapsed_model_predicts(data, state, kernel, tmp_path, means)
 
     @pytest.mark.parametrize(
         "bad, message",
