@@ -54,7 +54,8 @@ The system is solved in one of two forms, both by Cholesky:
   A matrix Phi's biases and duals take one refinement step, reusing the
   factors, only when a group misses its residual bound, as in the dense
   form; a KroneckerGram's always take one, because a linear model keeps
-  them as its dual form. The step never changes w. The ridge reaches the features only through the centered Gram of each
+  them as its dual form. The step never changes w.
+  The ridge reaches the features only through the centered Gram of each
   group, Phi^T v and Phi w. A FeatureGram does these with its matrix; a
   KroneckerGram builds the centered Gram as sum_t (u_t u_t^T) kron S_t
   from the per-task centered moments S_t = X~_t^T X~_t (T K^2 d^2 flops
@@ -101,10 +102,10 @@ from .errors import SolverError
 __all__ = [
     "RESIDUAL_RTOL",
     "Blocks",
-    "Solution",
     "CoherenceGram",
     "FeatureGram",
     "KroneckerGram",
+    "Solution",
     "TaskMoments",
     "solve_dual_system",
     "solve_feature_system",
@@ -117,9 +118,8 @@ class Solution(NamedTuple):
     """What a solve returns.
 
     `biases` has one entry per block, `duals` one per sample, and
-    `residual` is the largest group residual. `weights` holds the primal
-    weights w of a feature form, one row per group (G x p), such that group
-    g's features give Phi_g w_g for its part of Q alpha: the first ridge
+    `residual` is the largest group residual. `weights` holds a feature
+    form's primal weights, one row w_g per group (G x p): the first ridge
     solve's w for a group solved as a centered ridge, Phi_g^T alpha_g for a
     FeatureGram group solved in the dense form. It is None for a dense Q,
     a CoherenceGram and a KroneckerGram solved in the dense form.

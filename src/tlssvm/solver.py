@@ -21,14 +21,14 @@ is solved as a centered ridge in the primal weights w when Phi has no more
 columns than rows, and then w is the step's result: a mode row is its w,
 and the linear shared factor's explicit d x K matrix is w reshaped, never
 the sum Phi^T alpha, which cancels. The linear shared factor also keeps
-the duals, as its dual form. RBF shared steps hand the solver a CoherenceGram: the
-task vectors with the fit's kernel Gram G, Q being their coherence times
-G. The solver writes Q + I/C over G's upper triangle and factors it there
-by Cholesky (with a T x T Schur complement for the biases), restores G
-from its lower triangle, and checks the residual through G rather than a
-copy of Q, so the step holds no m x m array besides G. The fit's Gram
-comes from `kernels.gram`, which symmetrizes it in place, so an RBF fit
-holds one m x m array in all.
+the duals, as its dual form. RBF shared steps hand the solver a
+CoherenceGram: the task vectors with the fit's kernel Gram G, Q being
+their coherence times G. The solver writes Q + I/C over G's upper triangle
+and factors it there by Cholesky (with a T x T Schur complement for the
+biases), restores G from its lower triangle, and checks the residual
+through G rather than a copy of Q, so the step holds no m x m array
+besides G. The fit's Gram comes from `kernels.gram`, which symmetrizes it
+in place, so an RBF fit holds one m x m array in all.
 
 Rows within a mode touch disjoint task sets, and their reduced features
 are computed once per mode sweep, so the T_n row subproblems of a mode are

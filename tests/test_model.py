@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tlssvm.data import SyntheticSpec, generate_synthetic
+from tlssvm.baseline import fit_independent
+from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.model import TrainedModel, load_model, predict_dual, predict_primal, save_model
@@ -355,3 +358,35 @@ class TestSerialization:
         path.write_text("[1, 2, 3]")
         with pytest.raises(DataError, match="object"):
             load_model(path)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.sampled_from([KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)]),
+    st.sampled_from(["tlssvm", "lssvm-independent"]),
+    st.integers(1, 3),
+    st.floats(-2.0, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_save_load_save_is_bit_identical(tmp_path_factory, sizes, kernel, method, K, log_c, seed):
+    grid = TaskGrid(tuple(sizes))
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 6, size=grid.n_tasks)
+    data = MtlDataset(
+        grid, tuple(rng.normal(size=(n, 3)) for n in counts), tuple(rng.normal(size=n) for n in counts)
+    )
+    C = 10.0**log_c
+    if method == "tlssvm":
+        state = fit(data, FitConfig(K=K, C=C, kernel=kernel, max_iters=3, tol=1e-300, seed=seed % 7))
+        model = TrainedModel.from_fit(data, state, kernel)
+    else:
+        model = fit_independent(data, C, kernel)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, str(path))
+    saved = path.read_bytes()
+    reloaded = load_model(str(path))
+    save_model(reloaded, str(path))
+    assert path.read_bytes() == saved
+    for a, b in zip(model.predict_dataset(data), reloaded.predict_dataset(data)):
+        assert a.tobytes() == b.tobytes()

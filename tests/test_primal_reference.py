@@ -44,6 +44,10 @@ CASES = {
 FIXED = dict(max_iters=4, tol=1e-300)
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 on this platform",
+)
 @pytest.mark.parametrize("seed", [4242, 7])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_linear_objectives_match_the_longdouble_reference(case, seed):

@@ -653,6 +653,21 @@ class TestKroneckerSharedStep:
         dual_sum = X.T @ (step.shared.duals[:, None] * U[data.sample_task_ids()])
         assert np.max(np.abs(step.shared.explicit - dual_sum)) <= 1e-9 * scale
 
+    def test_ridge_always_refines_the_duals_it_keeps(self, monkeypatch):
+        # the model keeps the shared step's duals, so they always take one step
+        data = uneven_dataset(86, (2, 3), d=4)
+        factors = init_factors(data.grid, 3, seed=86)
+        solves = []
+        real_solve = linsys._cho_solve
+
+        def counting(factor, rhs):
+            solves.append(factor.shape)
+            return real_solve(factor, rhs)
+
+        monkeypatch.setattr(linsys, "_cho_solve", counting)
+        solve_shared_step(data, factors, LINEAR, 10.0)
+        assert solves == [(12, 12), (12, 12)]
+
     def test_dense_form_takes_the_explicit_matrix_from_the_duals(self):
         data = random_dataset(87, mode_sizes=(2, 2), d=6, m_t=3)  # dK = 18 > m = 12
         factors = init_factors(data.grid, 3, seed=87)
@@ -1021,7 +1036,7 @@ class TestBatchedModeStep:
             got = sweep_row(step, row)
             means = [data.targets[t - 1].mean() for t in got.tasks]
             np.testing.assert_allclose(got.biases, means, rtol=1e-13, atol=1e-15)
-        biases, duals, _, Z = row_oracle(data, z, 1, 1, 10.0)
+        biases, duals, _, _ = row_oracle(data, z, 1, 1, 10.0)
         got = sweep_row(step, 1)
         assert_same_solution((got.biases, got.duals), (biases, duals))
 

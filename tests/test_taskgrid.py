@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlssvm.taskgrid import (
     ModeFactors,
@@ -98,6 +100,19 @@ class TestDelinearize:
             assert delinearize(grid, t) == idx
             seen.add(t)
         assert seen == set(range(1, grid.n_tasks + 1))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.data())
+def test_linearize_and_delinearize_are_inverse_bijections(sizes, data):
+    grid = TaskGrid(tuple(sizes))
+    T = grid.n_tasks
+    indices = [delinearize(grid, t) for t in range(1, T + 1)]
+    assert len(set(indices)) == T  # one multi-index per task id
+    assert all(1 <= i <= n for idx in indices for i, n in zip(idx, sizes))
+    assert [linearize(grid, idx) for idx in indices] == list(range(1, T + 1))
+    idx = tuple(data.draw(st.integers(1, n)) for n in sizes)
+    assert delinearize(grid, linearize(grid, idx)) == idx
 
 
 class TestModeFactors:
