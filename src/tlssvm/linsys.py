@@ -54,7 +54,12 @@ The system is solved in one of two forms, both by Cholesky:
   A matrix Phi's biases and duals take one refinement step, reusing the
   factors, only when a group misses its residual bound, as in the dense
   form; a KroneckerGram's always take one, because a linear model keeps
-  them as its dual form. The step never changes w.
+  them as its dual form. The step never adds to w: a group that took it
+  keeps w if the residual with Phi_g w standing in for Q alpha meets the
+  bound at the refined biases and duals, and otherwise takes
+  Phi_g^T alpha_g, the weights of the duals that passed the check. So
+  every w returned meets the bound with the biases and duals returned
+  beside it.
   The ridge reaches the features only through the centered Gram of each
   group, Phi^T v and Phi w. A FeatureGram does these with its matrix; a
   KroneckerGram builds the centered Gram as sum_t (u_t u_t^T) kron S_t
@@ -121,7 +126,8 @@ class Solution(NamedTuple):
     `residual` is the largest group residual. `weights` holds a feature
     form's primal weights, one row w_g per group (G x p): the first ridge
     solve's w for a group solved as a centered ridge, Phi_g^T alpha_g for a
-    FeatureGram group solved in the dense form. It is None for a dense Q,
+    FeatureGram group solved in the dense form and for a ridge group whose
+    w misses its bound after a refinement step. It is None for a dense Q,
     a CoherenceGram and a KroneckerGram solved in the dense form.
     """
 
@@ -502,32 +508,52 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _refined(blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, always: bool):
+def _refined(
+    blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, always: bool, fitted=None
+):
     """Residual of the saddle system at (biases, duals), one refinement step, and the check.
 
     `apply_q(v)` is Q v for the original Q and `solve(g, h)` solves the
     saddle system for the right-hand side [g; h] with the form's factors.
-    The step is taken always (a KroneckerGram ridge), or else only when a
-    group's residual misses its bound, and then for every group. Returns
-    (biases, duals, largest group residual); the residual checked is the
-    one after the step when a step is taken.
+    A group that misses its bound at the first solution takes the values
+    of one refinement step; with `always` (a KroneckerGram ridge) every
+    group takes them, and otherwise the groups within their bounds keep
+    the first solution. Each group's residual is checked at the values
+    returned for it.
+
+    `fitted` is Phi w for the first solve's primal weights w, if it has
+    them. A group that took the step keeps its w only if the residual with
+    Phi_g w_g standing in for (Q alpha)_g also meets the bound at the
+    returned (biases, duals). Returns (biases, duals, largest group
+    residual, replaced), `replaced` marking the groups whose w did not,
+    which take Phi_g^T alpha_g instead.
     """
     bounds = RESIDUAL_RTOL * (1.0 + np.sqrt(np.add.reduceat(y * y, blocks.group_starts)))
 
-    def saddle_residuals(b: np.ndarray, alpha: np.ndarray):
-        return blocks.sums(alpha), b[blocks.of] + apply_q(alpha) + inv_c * alpha - y
+    def saddle_residuals(b: np.ndarray, alpha: np.ndarray, q_alpha: np.ndarray):
+        return blocks.sums(alpha), b[blocks.of] + q_alpha + inv_c * alpha - y
 
     def norms(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
         per_group = np.add.reduceat(top * top, blocks.group_blocks)
         per_group += np.add.reduceat(bottom * bottom, blocks.group_starts)
         return np.sqrt(per_group)
 
-    top, bottom = saddle_residuals(biases, duals)
+    top, bottom = saddle_residuals(biases, duals, apply_q(duals))
     residuals = None if always else norms(top, bottom)
-    if always or not (residuals <= bounds).all():
+    stepped = np.full(len(blocks.groups), True) if always else ~(residuals <= bounds)
+    replaced = np.zeros_like(stepped)
+    if stepped.any():
         db, dduals = solve(-top, -bottom)
-        biases, duals = biases + db, duals + dduals
-        residuals = norms(*saddle_residuals(biases, duals))
+        if stepped.all():
+            biases, duals = biases + db, duals + dduals
+        else:  # the groups within their bounds keep the first solution
+            stepped_blocks = stepped.repeat(blocks.groups)
+            biases = np.where(stepped_blocks, biases + db, biases)
+            duals = np.where(stepped_blocks.repeat(blocks.sizes), duals + dduals, duals)
+        checked = norms(*saddle_residuals(biases, duals, apply_q(duals)))
+        residuals = checked if stepped.all() else np.where(stepped, checked, residuals)
+        if fitted is not None:
+            replaced = stepped & ~(norms(*saddle_residuals(biases, duals, fitted)) <= bounds)
     # every bias and dual enters its group's residual, so a non-finite
     # solution leaves a non-finite residual and fails here too
     failed = np.flatnonzero(~(residuals <= bounds))
@@ -537,7 +563,7 @@ def _refined(blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, alw
             f"dual system solve residual {residuals[g]:.3e} exceeds {bounds[g]:.3e}; decrease C",
             g,
         )
-    return biases, duals, float(residuals.max())
+    return biases, duals, float(residuals.max()), replaced
 
 
 def solve_dual_system(
@@ -664,7 +690,10 @@ def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q)
         return from_hinv(g, Hinv_h)
 
     biases, duals = from_hinv(np.zeros(len(blocks)), first[:, 0])
-    return Solution(*_refined(blocks, y, inv_c, apply_q, solve, biases, duals, always=False))
+    biases, duals, residual, _ = _refined(
+        blocks, y, inv_c, apply_q, solve, biases, duals, always=False
+    )
+    return Solution(biases, duals, residual)
 
 
 def solve_feature_system(
@@ -691,8 +720,12 @@ def solve_feature_system(
     only feed a constraint check) take a refinement step only when a group
     misses its residual bound; those of a KroneckerGram, which a linear
     model keeps as its dual form, always take one step. A refinement step
-    reuses the factors and never changes w. Exact for every p, but cheaper
-    than the dense form only while p stays below the group's sample count.
+    reuses the factors and never adds to w. A group that took one keeps
+    its w only if the residual with Phi_g w standing in for Q alpha meets
+    the bound at the refined biases and duals; otherwise its weights are
+    Phi_g^T alpha_g of those duals, which the residual check passed. Exact
+    for every p, but cheaper than the dense form only while p stays below
+    the group's sample count.
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
@@ -720,11 +753,16 @@ def solve_feature_system(
         weights = [_cho_solve(f, r) for f, r in zip(factors, rhs)]
         fitted = features.matvec(weights)
         b = blocks.means(h - fitted) - inv_c * g / sizes
-        return b, (h - b[blocks.of] - fitted) / inv_c, weights
+        return b, (h - b[blocks.of] - fitted) / inv_c, weights, fitted
 
-    biases, duals, weights = solve_with_weights(np.zeros(len(blocks)), y)
-    biases, duals, residual = _refined(
+    biases, duals, weights, fitted = solve_with_weights(np.zeros(len(blocks)), y)
+    biases, duals, residual, replaced = _refined(
         blocks, y, inv_c, lambda v: features.matvec(features.rmatvec(v)),
-        lambda g, h: solve_with_weights(g, h)[:2], biases, duals, always=kronecker,
+        lambda g, h: solve_with_weights(g, h)[:2], biases, duals, kronecker, fitted,
     )
-    return Solution(biases, duals, residual, np.stack(weights))
+    weights = np.stack(weights)
+    if replaced.any():
+        checked = features.rmatvec(duals)
+        for g in np.flatnonzero(replaced).tolist():
+            weights[g] = checked[g]
+    return Solution(biases, duals, residual, weights)

@@ -19,9 +19,11 @@ KroneckerGram: the task vectors with the inputs' per-task moments, from
 which the task-Kronecker ridge is assembled without forming Phi). Either
 is solved as a centered ridge in the primal weights w when Phi has no more
 columns than rows, and then w is the step's result: a mode row is its w,
-and the linear shared factor's explicit d x K matrix is w reshaped, never
+and the linear shared factor's explicit d x K matrix is w reshaped, not
 the sum Phi^T alpha, which cancels. The linear shared factor also keeps
-the duals, as its dual form. RBF shared steps hand the solver a
+the duals, as its dual form. A w that fails the residual bound with the
+refined biases and duals of a refinement step is replaced by Phi^T alpha
+of those duals, so every step's result meets the bound. RBF shared steps hand the solver a
 CoherenceGram: the task vectors with the fit's kernel Gram G, Q being
 their coherence times G. The solver writes Q + I/C over G's upper triangle
 and factors it there by Cholesky (with a T x T Schur complement for the
@@ -222,7 +224,8 @@ def solve_shared_step(
     The updated shared factor is returned in dual form, plus the explicit
     matrix whenever the kernel has a finite feature map: the ridge weights
     w in Kronecker order (feature k*d + i is u_k x_i), or X^T (alpha o U)
-    when the solve takes the dense form (dK > m). `factors` is a
+    when the solve takes the dense form (dK > m) or w misses the residual
+    bound with the refined duals (see `linsys.solve_feature_system`). `factors` is a
     ModeFactors on the data's grid, or its factor matrices.
     """
     data.require_nonempty_tasks()
@@ -324,7 +327,8 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
     the layout's Blocks (one group per row), each row solved through the
     smaller of its two forms (a K x K ridge unless K exceeds the row's
     sample count). Each row's values are the solver's primal weights for
-    its group: the ridge solution w, or Z_r^T alpha_r in the dense form.
+    its group: the ridge solution w, or Z_r^T alpha_r in the dense form and
+    when w misses the row's bound after a refinement step.
     A row whose features are all zero (a fit that collapsed) has the exact
     solution 0, with its tasks' biases at their target means. A
     SolverError names the lowest failing row, in its message (`mode n row

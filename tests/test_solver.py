@@ -668,6 +668,49 @@ class TestKroneckerSharedStep:
         solve_shared_step(data, factors, LINEAR, 10.0)
         assert solves == [(12, 12), (12, 12)]
 
+    @staticmethod
+    def explicit_residual(data, factors, step, C):
+        """The shared system's residual at the step's biases and duals, with Phi w for Q alpha."""
+        U = task_vector_table(factors)[data.sample_task_ids()]
+        blocks, duals = Blocks(data.task_sizes), step.shared.duals
+        fitted = np.einsum("jk,jk->j", data.stacked_inputs() @ step.shared.explicit, U)
+        top = blocks.sums(duals)
+        bottom = step.biases[blocks.of] + fitted + duals / C - data.stacked_targets()
+        return np.sqrt(top @ top + bottom @ bottom)
+
+    @pytest.mark.parametrize("C", COSTS)
+    def test_explicit_meets_the_bound_with_the_duals_it_keeps(self, C):
+        data = uneven_dataset(86, (2, 3), d=4)
+        factors = init_factors(data.grid, 3, seed=86)
+        step = solve_shared_step(data, factors, LINEAR, C)
+        bound = RESIDUAL_RTOL * (1 + np.linalg.norm(data.stacked_targets()))
+        assert self.explicit_residual(data, factors, step, C) <= bound
+
+    def test_explicit_missing_the_bound_takes_the_kept_duals(self, monkeypatch):
+        data = uneven_dataset(86, (2, 3), d=4)
+        factors = init_factors(data.grid, 3, seed=86)
+        C = 10.0
+        exact = solve_shared_step(data, factors, LINEAR, C)
+        real_solve, solves = linsys._cho_solve, []
+
+        def perturbed_first_solve(factor, rhs):
+            out = real_solve(factor, rhs)
+            solves.append(factor.shape)
+            if len(solves) == 1:
+                out += 1e-6  # the ridge weights, off by far more than the bound allows
+            return out
+
+        monkeypatch.setattr(linsys, "_cho_solve", perturbed_first_solve)
+        step = solve_shared_step(data, factors, LINEAR, C)
+        assert solves == [(12, 12), (12, 12)]
+        bound = RESIDUAL_RTOL * (1 + np.linalg.norm(data.stacked_targets()))
+        assert self.explicit_residual(data, factors, step, C) <= bound
+        U, X = task_vector_table(factors)[data.sample_task_ids()], data.stacked_inputs()
+        scale = float(np.max(np.abs(exact.shared.explicit)))
+        dual_sum = X.T @ (step.shared.duals[:, None] * U)
+        assert np.max(np.abs(step.shared.explicit - dual_sum)) <= 1e-14 * scale
+        assert np.max(np.abs(step.shared.explicit - exact.shared.explicit)) <= 1e-12 * scale
+
     def test_dense_form_takes_the_explicit_matrix_from_the_duals(self):
         data = random_dataset(87, mode_sizes=(2, 2), d=6, m_t=3)  # dK = 18 > m = 12
         factors = init_factors(data.grid, 3, seed=87)
@@ -846,6 +889,26 @@ def uneven_dataset(seed: int, mode_sizes, d: int = 3, max_size: int = 7) -> MtlD
     )
 
 
+def row_residuals(step, z, C):
+    """Each row's saddle residual at the step's biases and duals, with Z_r row_r for Q alpha."""
+    lay = step.layout
+    blocks, Z = lay.blocks, z[lay.samples]
+    fitted = np.concatenate(
+        [Z[rows] @ values for values, (rows, _) in zip(step.row_values, blocks.group_slices)]
+    )
+    top = blocks.sums(step.duals)
+    bottom = step.biases[blocks.of] + fitted + step.duals / C - lay.targets
+    per_row = np.add.reduceat(top**2, blocks.group_blocks)
+    per_row += np.add.reduceat(bottom**2, blocks.group_starts)
+    return np.sqrt(per_row)
+
+
+def row_bounds(step):
+    """Each row's residual bound RESIDUAL_RTOL (1 + ||y_r||)."""
+    y = step.layout.targets
+    return RESIDUAL_RTOL * (1 + np.sqrt(np.add.reduceat(y**2, step.layout.blocks.group_starts)))
+
+
 def row_oracle(data, z, mode, row, C):
     """One row's subproblem as its own assembled saddle system: (biases, duals, tasks, Z)."""
     tasks = coslice_tasks(data.grid, mode, row)
@@ -945,6 +1008,7 @@ class TestBatchedModeStep:
         for r, (rows, tasks) in enumerate(lay.blocks.group_slices):
             alone = solve_feature_system(Blocks(lay.blocks.sizes[tasks]), Z[rows], lay.targets[rows], C)
             assert np.array_equal(step.row_values[r], alone.weights[0])
+        assert (row_residuals(step, z, C) <= row_bounds(step)).all()
 
     def test_dense_rows_take_the_dual_weighted_sum(self):
         # K = 8: two rows of mode 1 hold fewer samples and take the dense form
@@ -958,12 +1022,9 @@ class TestBatchedModeStep:
             rows, _ = lay.blocks.group_slices[r]
             assert np.array_equal(step.row_values[r], z[lay.samples[rows]].T @ step.duals[rows])
 
-    def test_row_missing_its_bound_is_refined_and_keeps_its_weights(self, monkeypatch):
-        # grid (2, 2): mode 2's two rows are the two groups; tasks 3 and 4 form row 2
-        data = uneven_dataset(71, (2, 2))
-        z = np.random.default_rng(71).normal(size=(data.n_samples, 2))
-        C = 1.0
-        exact = solve_mode_row_step(data, z, 2, C)
+    @staticmethod
+    def perturbed_second_row(monkeypatch, delta):
+        """Add `delta` to row 2's first ridge solve; returns the groups of the solves made."""
         real_cholesky, real_solve = linsys._cholesky, linsys._cho_solve
         factors, solves = [], []
 
@@ -976,19 +1037,47 @@ class TestBatchedModeStep:
             out = real_solve(factor, rhs)
             solves.append(group)
             if solves == [0, 1]:
-                out += 1e-6  # the weights of row 2, off by far more than the bound allows
+                out += delta
             return out
 
         monkeypatch.setattr(linsys, "_cholesky", recording)
         monkeypatch.setattr(linsys, "_cho_solve", perturbed_first_solve)
+        return solves
+
+    def test_row_missing_its_bound_is_refined_and_meets_it(self, monkeypatch):
+        # grid (2, 2): mode 2's two rows are the two groups; tasks 3 and 4 form row 2
+        data = uneven_dataset(71, (2, 2))
+        z = np.random.default_rng(71).normal(size=(data.n_samples, 2))
+        C = 1.0
+        exact = solve_mode_row_step(data, z, 2, C)
+        solves = self.perturbed_second_row(monkeypatch, 1e-6)  # far more than the bound allows
         step = solve_mode_row_step(data, z, 2, C)
         assert solves == [0, 1, 0, 1]  # one solve per row, then one refinement step
-        bound = RESIDUAL_RTOL * (1 + np.linalg.norm(step.layout.targets))
-        assert step.system_residual <= bound
+        assert (row_residuals(step, z, C) <= row_bounds(step)).all()
         assert_same_solution((step.biases, step.duals), (exact.biases, exact.duals))
-        # the refinement corrects the biases and duals, never the weights
+        (rows_1, tasks_1), (rows_2, _) = step.layout.blocks.group_slices
+        # row 1 met its bound and keeps its first solution
         assert np.array_equal(step.row_values[0], exact.row_values[0])
-        np.testing.assert_allclose(step.row_values[1], exact.row_values[1] + 1e-6, rtol=0, atol=1e-15)
+        assert np.array_equal(step.biases[tasks_1], exact.biases[tasks_1])
+        assert np.array_equal(step.duals[rows_1], exact.duals[rows_1])
+        # row 2's weights miss the bound with its refined duals, so it takes Z_2^T alpha_2
+        Z = z[step.layout.samples]
+        assert np.array_equal(step.row_values[1], Z[rows_2].T @ step.duals[rows_2])
+        np.testing.assert_allclose(step.row_values[1], exact.row_values[1], rtol=0, atol=1e-15)
+
+    def test_row_weights_that_meet_the_bound_survive_a_refinement_step(self, monkeypatch):
+        # alpha = C e: at C = 1e4 an error of 1e-10 in row 2's weights puts its dual
+        # residual past the bound, while the weights still meet it with the refined duals
+        data = uneven_dataset(71, (2, 2))
+        z = np.random.default_rng(71).normal(size=(data.n_samples, 2))
+        C = 1e4
+        exact = solve_mode_row_step(data, z, 2, C)
+        solves = self.perturbed_second_row(monkeypatch, 1e-10)
+        step = solve_mode_row_step(data, z, 2, C)
+        assert solves == [0, 1, 0, 1]
+        assert (row_residuals(step, z, C) <= row_bounds(step)).all()
+        assert np.array_equal(step.row_values[0], exact.row_values[0])
+        assert np.array_equal(step.row_values[1], exact.row_values[1] + 1e-10)
 
     def test_rows_within_their_bounds_take_no_refinement_step(self, monkeypatch):
         data = uneven_dataset(63, (3, 4))
@@ -1127,7 +1216,9 @@ class TestGroupedSystems:
         apply_q = lambda v: block_diagonal_gram(Phi, group_of) @ v  # noqa: E731
         no_step = lambda g, h: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
         pooled = linsys.Blocks(block_sizes)
-        _, _, residual = linsys._refined(pooled, y, 1 / C, apply_q, no_step, biases, duals, False)
+        _, _, residual, _ = linsys._refined(
+            pooled, y, 1 / C, apply_q, no_step, biases, duals, False
+        )
         own_bound = RESIDUAL_RTOL * (1 + np.linalg.norm(y[group_of == 1]))
         assert own_bound < residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
         grouped = linsys.Blocks(block_sizes, (2, 2))
