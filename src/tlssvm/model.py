@@ -1,22 +1,25 @@
-"""Trained-model container: per-task prediction and JSON (de)serialization.
+"""Trained-model container: the shared factor, per-task prediction and JSON (de)serialization.
 
-Predictions come in two algebraically equivalent forms. The primal form
-needs the explicit shared matrix and therefore a kernel with a finite
-feature map; it costs O(dK) per row. The dual form contracts kernel
-evaluations against the stored dual coefficients, costs O(md) per row and
-works for every kernel. Batch prediction (`predict_dataset`,
-`predict_rows`) takes the primal form whenever the model carries the
-explicit matrix, and the dual form otherwise. `predict_primal` and
-`predict_dual` always take their own form, so the two stay an independent
-check on each other. The dual contraction (`dual_projection`) is the one
-the solver projects training samples with. Models embed their training
-inputs so a saved file is self-contained.
+The shared factor L = sum_j alpha_j phi(x_j) u_t(j)^T is one record
+(`SharedFactor`), used by every alternating step of a fit and by
+prediction alike. It is kept in dual form, and for a kernel with a finite
+feature map also as the explicit d x K matrix. `shared_projection` is the
+one routine that projects samples through it: it takes the explicit matrix
+when the record has one, at O(dK) per row, and the dual contraction
+(`dual_projection`) otherwise, at O(md) per row and for every kernel.
+Batch prediction (`predict_dataset`, `predict_rows`) goes through
+`shared_projection`, as the solver's training projections do.
+`predict_primal` and `predict_dual` always take their own form, so the two
+stay an independent check on each other. `TrainedModel` is where a shared
+factor from outside (a caller or a model file) is validated. Models embed
+their training inputs so a saved file is self-contained.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +30,15 @@ from .kernels import KernelSpec, feature_map, gram
 from .taskgrid import ModeFactors, TaskGrid, linearize, task_vector, task_vector_table
 from .textio import write_json
 
-__all__ = ["TrainedModel", "predict_primal", "predict_dual", "save_model", "load_model"]
+__all__ = [
+    "SharedFactor",
+    "shared_projection",
+    "TrainedModel",
+    "predict_primal",
+    "predict_dual",
+    "save_model",
+    "load_model",
+]
 
 FORMAT_VERSION = 1
 
@@ -55,6 +66,57 @@ def dual_projection(
     return cross_gram.T @ weights
 
 
+@dataclass(frozen=True)
+class SharedFactor:
+    """The factor common to all tasks, in dual form and, if there is one, explicit.
+
+    The dual form is one coefficient per training sample (`duals`), the
+    T x K task vectors the coefficients were solved with
+    (`task_vector_snapshot`), the m x d stacked training inputs and each
+    sample's 0-based task. `explicit` is the d x K matrix of a kernel with
+    a finite feature map. The arrays are frozen in place and not checked:
+    a record is built from a solve's fresh arrays, finite since they met
+    the residual bound, or from arrays a `TrainedModel` has just validated.
+    """
+
+    duals: np.ndarray
+    task_vector_snapshot: np.ndarray
+    train_inputs: np.ndarray
+    task_ids: np.ndarray
+    explicit: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for arr in (self.duals, self.task_vector_snapshot, self.train_inputs, self.task_ids, self.explicit):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @cached_property
+    def weighted_duals(self) -> np.ndarray:
+        """The m x K dual weights (`dual_weights`), read-only."""
+        weights = dual_weights(self.duals, self.task_vector_snapshot, self.task_ids)
+        weights.flags.writeable = False
+        return weights
+
+
+def shared_projection(
+    shared: SharedFactor,
+    kernel: KernelSpec,
+    X: np.ndarray,
+    cross_gram: np.ndarray | None = None,
+) -> np.ndarray:
+    """Image of each query sample's features through the shared factor.
+
+    Row j is the length-K vector L^T phi(x_j): X times the explicit matrix
+    when the factor has one, else the dual contraction, which never forms a
+    feature-space object. `cross_gram`, if given, is the dual contraction's
+    (m_train x n_query) kernel block.
+    """
+    X = np.asarray(X, dtype=float)
+    if shared.explicit is not None:
+        return X @ shared.explicit
+    return dual_projection(kernel, shared.train_inputs, shared.weighted_duals, X, cross_gram)
+
+
 def task_predictions(projection, u_table, biases, task_ids) -> np.ndarray:
     """Predictions of samples from their shared projections, task vectors and biases."""
     return np.sum(projection * u_table[task_ids], axis=1) + biases[task_ids]
@@ -68,9 +130,9 @@ class TrainedModel:
     final shared-step; `factors` are the final mode factors, whose task
     vectors enter the coherence weights at prediction time. `explicit`, the
     d x K shared matrix, exists for kernels with a finite feature map and
-    serves batch prediction. The stacked training inputs, the dual-weighted
-    task vectors and the task-vector table that every prediction needs are
-    derived once, at construction.
+    serves batch prediction. Construction validates every array, then
+    builds the model's `SharedFactor` and the task-vector table that every
+    prediction needs.
     """
 
     grid: TaskGrid
@@ -107,24 +169,23 @@ class TrainedModel:
         m = sum(b.shape[0] for b in blocks)
         if duals.shape != (m,):
             raise ValueError(f"{duals.shape[0]} dual coefficients for {m} training samples")
+        arrays = [duals, snap, biases, *blocks]
         explicit = self.explicit
         if explicit is not None:
             explicit = np.array(explicit, dtype=float)
             if explicit.shape != (blocks[0].shape[1], self.factors.rank):
                 raise ValueError(f"explicit matrix shape {explicit.shape} inconsistent with model")
-        for arr in (duals, snap, biases, *blocks):
+            arrays.append(explicit)
+        for arr in arrays:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("model contains non-finite values")
             arr.flags.writeable = False
         tid = np.repeat(np.arange(T), [b.shape[0] for b in blocks])
-        derived = {
-            "_train_X": np.concatenate(blocks, axis=0),
-            "_weighted_duals": dual_weights(duals, snap, tid),
-            "_u_table": task_vector_table(self.factors),
-        }
-        for name, arr in derived.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        shared = SharedFactor(duals, snap, np.concatenate(blocks, axis=0), tid, explicit)
+        u_table = task_vector_table(self.factors)
+        u_table.flags.writeable = False
+        object.__setattr__(self, "_shared", shared)
+        object.__setattr__(self, "_u_table", u_table)
         object.__setattr__(self, "duals", duals)
         object.__setattr__(self, "task_vector_snapshot", snap)
         object.__setattr__(self, "biases", biases)
@@ -150,17 +211,14 @@ class TrainedModel:
         return self.train_inputs[0].shape[1]
 
     def _dual_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        projection = dual_projection(self.kernel, self._train_X, self._weighted_duals, X)
+        shared = self._shared
+        projection = dual_projection(self.kernel, shared.train_inputs, shared.weighted_duals, X)
         return task_predictions(projection, self._u_table, self.biases, task_ids)
 
-    def _primal_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return task_predictions(X @ self.explicit, self._u_table, self.biases, task_ids)
-
     def _rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Batch predictions: primal form when the explicit matrix exists, else dual."""
-        if self.explicit is None:
-            return self._dual_rows(task_ids, X)
-        return self._primal_rows(task_ids, X)
+        """Batch predictions, through `shared_projection`."""
+        projection = shared_projection(self._shared, self.kernel, X)
+        return task_predictions(projection, self._u_table, self.biases, task_ids)
 
     def predict_rows(self, multi_indices, X) -> np.ndarray:
         """Predictions for rows of X, each addressed to its own task."""

@@ -32,6 +32,11 @@ through G rather than a copy of Q, so the step holds no m x m array
 besides G. The fit's Gram comes from `kernels.gram`, which symmetrizes it
 in place, so an RBF fit holds one m x m array in all.
 
+Every shared step returns a `model.SharedFactor`, the record that
+prediction uses too, and the fit projects its training inputs through it
+with `model.shared_projection`, the one routine that chooses between the
+explicit matrix and the dual form.
+
 Rows within a mode touch disjoint task sets, and their reduced features
 are computed once per mode sweep, so the T_n row subproblems of a mode are
 one block-diagonal system: `solve_mode_row_step` hands all of them to the
@@ -63,8 +68,8 @@ from .data import ModeLayout, MtlDataset
 from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, gram
 from .linsys import CoherenceGram, FeatureGram, KroneckerGram, solve_dual_system
-from .model import dual_projection, dual_weights, task_predictions
-from .taskgrid import ModeFactors, SharedFactor, TaskGrid, row_product_table
+from .model import SharedFactor, dual_weights, shared_projection, task_predictions
+from .taskgrid import ModeFactors, TaskGrid, row_product_table
 
 __all__ = [
     "FitConfig",
@@ -149,12 +154,11 @@ class TraceEntry:
 
 @dataclass
 class FitState:
-    """Result of :func:`fit`."""
+    """Result of :func:`fit`; `shared` is the last shared step's factor, duals included."""
 
     factors: ModeFactors
     shared: SharedFactor
     biases: np.ndarray
-    duals: np.ndarray
     trace: list[TraceEntry]
     converged: bool
     iterations: int
@@ -221,9 +225,10 @@ def solve_shared_step(
     the smaller of its two forms. Other kernels solve the
     (T+m)-dimensional dual system of a CoherenceGram: the task vectors
     with the kernel Gram, `gram_matrix` if given.
-    The updated shared factor is returned in dual form, plus the explicit
-    matrix whenever the kernel has a finite feature map: the ridge weights
-    w in Kronecker order (feature k*d + i is u_k x_i), or X^T (alpha o U)
+    The updated shared factor is returned as a `model.SharedFactor` over
+    the data's stacked inputs and sample tasks: in dual form, plus the
+    explicit matrix whenever the kernel has a finite feature map: the
+    ridge weights w in Kronecker order (feature k*d + i is u_k x_i), or X^T (alpha o U)
     when the solve takes the dense form (dK > m) or w misses the residual
     bound with the refined duals (see `linsys.solve_feature_system`). `factors` is a
     ModeFactors on the data's grid, or its factor matrices.
@@ -247,34 +252,8 @@ def solve_shared_step(
             plan.shared, CoherenceGram(u_table, G), y, C
         )
     constraint = float(np.max(np.abs(plan.shared.sums(duals))))
-    shared = SharedFactor._of_solve(duals, u_table, data, explicit)
+    shared = SharedFactor(duals, u_table, data.stacked_inputs(), data.sample_task_ids(), explicit)
     return SharedStepResult(shared, biases, residual, constraint)
-
-
-def shared_projection(
-    shared: SharedFactor,
-    kernel: KernelSpec,
-    query_inputs: np.ndarray,
-    cross_gram: np.ndarray | None = None,
-) -> np.ndarray:
-    """Image of each query sample's features through the shared factor.
-
-    Row j is the length-K vector obtained by projecting phi(x_j) onto the
-    shared factor's columns. The dual path never materializes a feature-
-    space object: it contracts the kernel block between training and query
-    samples with the dual coefficients and the task-vector snapshot.
-    `cross_gram`, if given, is that (m_train x n_query) block.
-    """
-    query_inputs = np.asarray(query_inputs, dtype=float)
-    if shared.explicit is not None:
-        return query_inputs @ shared.explicit
-    train = shared.train_data.stacked_inputs()
-    return dual_projection(kernel, train, _weighted_duals(shared), query_inputs, cross_gram)
-
-
-def _weighted_duals(shared: SharedFactor) -> np.ndarray:
-    """m x K dual weights W: each training sample's dual times its task vector snapshot."""
-    return dual_weights(shared.duals, shared.task_vector_snapshot, shared.train_data.sample_task_ids())
 
 
 def reduced_features(
@@ -358,7 +337,7 @@ def _shared_penalty(shared: SharedFactor, train_projection: np.ndarray) -> float
     """
     if shared.explicit is not None:
         return float(np.sum(shared.explicit**2))
-    return float(np.sum(_weighted_duals(shared) * train_projection))
+    return float(np.sum(shared.weighted_duals * train_projection))
 
 
 def _squared_norm(f: np.ndarray) -> float:
@@ -492,12 +471,10 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
             converged = True
             break
 
-    shared = SharedFactor(shared.duals, shared.task_vector_snapshot, data, shared.explicit)
     return FitState(
         factors=ModeFactors(tuple(factor_mats)),
         shared=shared,
         biases=biases,
-        duals=shared.duals,
         trace=trace,
         converged=converged,
         iterations=iterations,

@@ -4,7 +4,9 @@ Tasks live on an N-mode grid of size T_1 x ... x T_N. A task is addressed
 either by its multi-index (t_1, ..., t_N) or by a linear id in {1, ..., T}.
 Both are 1-based at the API boundary; the first index varies fastest
 (generalized column-major order). All types here are immutable and all
-operations are pure.
+operations are pure. The module imports no other module of the package;
+the shared factor, which also needs the training inputs, is
+`model.SharedFactor`.
 """
 
 from __future__ import annotations
@@ -12,17 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .data import MtlDataset
 
 __all__ = [
     "TaskGrid",
     "ModeFactors",
-    "SharedFactor",
     "linearize",
     "delinearize",
     "task_vector",
@@ -164,73 +161,3 @@ def row_product_table(mats, mode_indices: np.ndarray, skip_mode: int | None = No
 def task_vector_table(factors: ModeFactors) -> np.ndarray:
     """(T, K) matrix whose row t-1 is the task vector of linear task t."""
     return row_product_table(factors.factors, factors.grid.mode_indices)
-
-
-@dataclass(frozen=True)
-class SharedFactor:
-    """The factor common to all tasks, kept in dual form.
-
-    The dual form stores one coefficient per training sample, the per-task
-    vectors in effect when those coefficients were solved, and a handle to
-    the training inputs. For kernels with a finite feature map the explicit
-    d_h x K matrix is carried as an additional fast path.
-    """
-
-    duals: np.ndarray
-    task_vector_snapshot: np.ndarray
-    train_data: MtlDataset
-    explicit: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        from .data import MtlDataset  # data imports this module
-
-        if not isinstance(self.train_data, MtlDataset):
-            raise TypeError(f"train_data must be an MtlDataset, got {type(self.train_data).__name__}")
-        duals = np.array(self.duals, dtype=float)
-        snap = np.array(self.task_vector_snapshot, dtype=float)
-        if duals.ndim != 1 or not np.all(np.isfinite(duals)):
-            raise ValueError("dual coefficients must be a finite vector")
-        if snap.ndim != 2 or not np.all(np.isfinite(snap)):
-            raise ValueError("task-vector snapshot must be a finite T x K matrix")
-        n_train = self.train_data.n_samples
-        if n_train != duals.shape[0]:
-            raise ValueError(
-                f"{duals.shape[0]} dual coefficients for {n_train} training samples"
-            )
-        n_tasks = self.train_data.grid.n_tasks
-        if snap.shape[0] != n_tasks:
-            raise ValueError(f"snapshot has {snap.shape[0]} rows for {n_tasks} tasks")
-        explicit = self.explicit
-        if explicit is not None:
-            explicit = np.array(explicit, dtype=float)
-            if explicit.ndim != 2 or explicit.shape[1] != snap.shape[1]:
-                raise ValueError("explicit matrix must be d_h x K")
-            if not np.all(np.isfinite(explicit)):
-                raise ValueError("explicit matrix contains non-finite entries")
-            explicit.flags.writeable = False
-        duals.flags.writeable = False
-        snap.flags.writeable = False
-        object.__setattr__(self, "duals", duals)
-        object.__setattr__(self, "task_vector_snapshot", snap)
-        object.__setattr__(self, "explicit", explicit)
-
-    @classmethod
-    def _of_solve(cls, duals, task_vector_snapshot, train_data: MtlDataset, explicit=None) -> "SharedFactor":
-        """A shared factor over arrays a solve has just made, frozen in place unchecked.
-
-        A solve's duals passed its residual check, so they are finite; the
-        arrays are fresh, so freezing them affects no caller.
-        """
-        self = object.__new__(cls)
-        for name, arr in (
-            ("duals", duals), ("task_vector_snapshot", task_vector_snapshot),
-            ("train_data", train_data), ("explicit", explicit),
-        ):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        return self
-
-    @property
-    def rank(self) -> int:
-        return self.task_vector_snapshot.shape[1]

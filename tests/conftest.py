@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -11,7 +12,7 @@ from tlssvm import MtlDataset, TaskGrid
 from tlssvm.errors import DataError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import Blocks, CoherenceGram
-from tlssvm.model import task_predictions
+from tlssvm.model import SharedFactor, task_predictions
 from tlssvm.solver import (
     FitConfig,
     ModeStepResult,
@@ -21,7 +22,7 @@ from tlssvm.solver import (
     init_factors,
     shared_projection,
 )
-from tlssvm.taskgrid import ModeFactors, SharedFactor, linearize, row_product_table, task_vector_table
+from tlssvm.taskgrid import ModeFactors, linearize, row_product_table, task_vector_table
 
 
 def block_constraint_matrix(block_sizes) -> np.ndarray:
@@ -129,7 +130,7 @@ def exclusion_table(factors: ModeFactors, skip_mode: int) -> np.ndarray:
 
 def without_explicit(shared: SharedFactor) -> SharedFactor:
     """Copy of a shared factor restricted to its dual representation."""
-    return SharedFactor(shared.duals, shared.task_vector_snapshot, shared.train_data, None)
+    return dataclasses.replace(shared, explicit=None)
 
 
 def coslice_tasks(grid: TaskGrid, mode: int, row: int) -> np.ndarray:
@@ -174,15 +175,15 @@ def evaluate_objective(
         yhat = biases[tid]
         pen_shared = 0.0
     else:
-        on_train = shared.train_data is data
+        on_train = shared.train_inputs is data.stacked_inputs()
         projection = shared_projection(
             shared, kernel, data.stacked_inputs(), gram_matrix if on_train else None
         )
         if on_train:
             pen_shared = _shared_penalty(shared, projection)
         else:
-            train = shared.train_data.stacked_inputs()
-            pen_shared = _shared_penalty(shared, shared_projection(shared, kernel, train, gram_matrix))
+            train_projection = shared_projection(shared, kernel, shared.train_inputs, gram_matrix)
+            pen_shared = _shared_penalty(shared, train_projection)
         yhat = task_predictions(projection, task_vector_table(factors), biases, tid)
     mode_norms = [_squared_norm(f) for f in factors.factors]
     return _objective(data.stacked_targets(), yhat, C, pen_shared, mode_norms)[0]

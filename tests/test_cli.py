@@ -240,6 +240,16 @@ class TestPredict:
         assert code == 3
 
 
+    def test_non_finite_model_is_data_error(self, pipeline, tmp_path, capsys):
+        payload = json.loads(Path(pipeline["model"]).read_text())
+        payload["explicit"][0][0] = float("nan")
+        bad = write_json(tmp_path / "model.json", payload)
+        code = main(["predict", "--model", bad, "--data", pipeline["test_csv"], "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "corrupted model file" in capsys.readouterr().err
+        assert not (tmp_path / "predictions.csv").exists()
+
+
 class TestEvaluate:
     def test_single_model_report(self, pipeline, tmp_path, capsys):
         code = main(

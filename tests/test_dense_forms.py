@@ -105,7 +105,7 @@ class TestCoherenceGram:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * m * m * 8
-        np.testing.assert_array_equal(again.duals, first.duals)
+        np.testing.assert_array_equal(again.shared.duals, first.shared.duals)
 
 
 class TestGramWorkspace:

@@ -198,8 +198,8 @@ class TestIncrementalTrace:
         state = fit(data, FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=2))
         for arr in (*state.factors.factors, state.shared.duals, state.shared.explicit):
             assert not arr.flags.writeable
-        assert state.duals is state.shared.duals
-        assert state.shared.train_data is data
+        assert state.shared.train_inputs is data.stacked_inputs()
+        assert state.shared.task_ids is data.sample_task_ids()
 
 
 class TestSharedDualContraction:

@@ -276,6 +276,11 @@ class TestModelStructure:
             TrainedModel(**{**ok, "duals": np.array([np.nan, 0.0])})
         with pytest.raises(ValueError, match="grid"):
             TrainedModel(**{**ok, "factors": ModeFactors((np.ones((3, 1)),))})
+        TrainedModel(**{**ok, "explicit": np.zeros((3, 1))})
+        with pytest.raises(ValueError, match="explicit matrix shape"):
+            TrainedModel(**{**ok, "explicit": np.zeros((2, 1))})
+        with pytest.raises(ValueError, match="non-finite"):
+            TrainedModel(**{**ok, "explicit": np.array([[np.nan], [0.0], [0.0]])})
 
 
 class TestSerialization:
@@ -315,6 +320,17 @@ class TestSerialization:
         payload["factors"] = [[row[:1] for row in f] for f in payload["factors"]]
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="corrupted"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_explicit_detected(self, tmp_path, bad):
+        model, _, _ = fitted_model(seed=14)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["explicit"][0][0] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="corrupted model file"):
             load_model(path)
 
     def test_missing_version(self, tmp_path):
@@ -390,3 +406,24 @@ def test_save_load_save_is_bit_identical(tmp_path_factory, sizes, kernel, method
     assert path.read_bytes() == saved
     for a, b in zip(model.predict_dataset(data), reloaded.predict_dataset(data)):
         assert a.tobytes() == b.tobytes()
+
+
+class TestFitAndModelShareOneProjection:
+    """A model's batch predictions on its training data are the fit's last trace entry."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("rbf", gamma=0.4)])
+    def test_training_rmse_reproduced(self, kernel, seed):
+        spec = SyntheticSpec(
+            d=4, mode_sizes=(2, 3), k_true=2, train_per_task=8, test_per_task=2, snr=5.0, seed=seed,
+        )
+        train, _, _ = generate_synthetic(spec)
+        state = fit(train, FitConfig(K=2, C=10.0, kernel=kernel, max_iters=4, tol=1e-12, seed=seed))
+        model = TrainedModel.from_fit(train, state, kernel)
+        residuals = train.stacked_targets() - np.concatenate(model.predict_dataset(train))
+        rmse = float(np.sqrt(float(residuals @ residuals) / train.n_samples))
+        expected = state.trace[-1].train_rmse
+        if kernel.has_feature_map:  # the same explicit matrix, task vectors and biases
+            assert rmse == expected
+        else:  # the model's own cross-Gram, not the fit's symmetrized Gram
+            assert abs(rmse - expected) <= 1e-12 * expected

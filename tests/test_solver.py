@@ -22,7 +22,7 @@ from tlssvm.linsys import (
     solve_dual_system,
     solve_feature_system,
 )
-from tlssvm.model import TrainedModel, load_model, predict_dual, predict_primal, save_model
+from tlssvm.model import SharedFactor, TrainedModel, load_model, predict_dual, predict_primal, save_model
 from tlssvm.solver import (
     FitConfig,
     fit,
@@ -34,7 +34,6 @@ from tlssvm.solver import (
 )
 from tlssvm.taskgrid import (
     ModeFactors,
-    SharedFactor,
     TaskGrid,
     delinearize,
     task_vector,
@@ -758,7 +757,10 @@ class TestReducedFeatures:
 
     def test_zero_duals_give_zero_features(self, tiny_dataset):
         snapshot = np.ones((4, 2))
-        shared = SharedFactor(np.zeros(tiny_dataset.n_samples), snapshot, tiny_dataset)
+        shared = SharedFactor(
+            np.zeros(tiny_dataset.n_samples), snapshot,
+            tiny_dataset.stacked_inputs(), tiny_dataset.sample_task_ids(),
+        )
         z = reduced_features(
             tiny_dataset, shared, init_factors(tiny_dataset.grid, 2, 0), LINEAR, mode=1
         )
@@ -1373,7 +1375,7 @@ class TestFit:
         for fa, fb in zip(a.factors.factors, b.factors.factors):
             np.testing.assert_array_equal(fa, fb)
         np.testing.assert_array_equal(a.biases, b.biases)
-        np.testing.assert_array_equal(a.duals, b.duals)
+        np.testing.assert_array_equal(a.shared.duals, b.shared.duals)
         assert [e.objective for e in a.trace] == [e.objective for e in b.trace]
 
     def test_kkt_conditions_after_fit(self):
@@ -1384,7 +1386,7 @@ class TestFit:
         assert state.max_system_residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
         offsets = task_offsets(data)
         for t in range(data.grid.n_tasks):
-            assert abs(state.duals[offsets[t] : offsets[t] + data.task_sizes[t]].sum()) < 1e-8
+            assert abs(state.shared.duals[offsets[t] : offsets[t] + data.task_sizes[t]].sum()) < 1e-8
         # equality constraints: a shared solve at the final factors must
         # recover its residuals as duals / C
         step = solve_shared_step(data, state.factors, LINEAR, cfg.C)
@@ -1480,7 +1482,7 @@ class TestFit:
         state = fit(data, FitConfig(K=1, C=10.0, kernel=LINEAR, max_iters=5, tol=1e-3, seed=0))
         assert state.converged and state.iterations == 2  # the second change is 0/0 -> 0
         assert not any(f.any() for f in state.factors.factors)
-        assert not state.shared.explicit.any() and not state.duals.any() and not state.biases.any()
+        assert not state.shared.explicit.any() and not state.shared.duals.any() and not state.biases.any()
         assert [entry.objective for entry in state.trace if entry.iteration == 2] == [0.0] * 3
         assert_collapsed_model_predicts(data, state, LINEAR, tmp_path, np.zeros(2))
 

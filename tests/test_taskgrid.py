@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from tlssvm.taskgrid import (
     ModeFactors,
-    SharedFactor,
     TaskGrid,
     delinearize,
     linearize,
@@ -22,7 +20,6 @@ from conftest import (
     exclusion_table,
     task_vector_excluding,
     with_updated_row,
-    without_explicit,
 )
 
 
@@ -271,29 +268,3 @@ class TestCoslice:
             coslice_tasks(TaskGrid((2, 3)), 3, 1)
         with pytest.raises(IndexError):
             coslice_tasks(TaskGrid((2, 3)), 2, 4)
-
-
-class TestSharedFactor:
-    def test_training_data_must_be_a_dataset(self, tiny_dataset):
-        n = tiny_dataset.n_samples
-        for other in (None, tiny_dataset.stacked_inputs(), SimpleNamespace(n_samples=n, grid=tiny_dataset.grid)):
-            with pytest.raises(TypeError, match="MtlDataset"):
-                SharedFactor(np.zeros(n), np.zeros((4, 2)), other)
-
-    def test_dual_count_must_match_training_data(self, tiny_dataset):
-        with pytest.raises(ValueError, match="dual"):
-            SharedFactor(np.zeros(3), np.zeros((4, 2)), tiny_dataset)
-
-    def test_snapshot_rows_must_match_tasks(self, tiny_dataset):
-        with pytest.raises(ValueError, match="snapshot"):
-            SharedFactor(np.zeros(tiny_dataset.n_samples), np.zeros((5, 2)), tiny_dataset)
-
-    def test_without_explicit(self, tiny_dataset):
-        sf = SharedFactor(
-            np.zeros(tiny_dataset.n_samples),
-            np.ones((4, 2)),
-            tiny_dataset,
-            explicit=np.ones((3, 2)),
-        )
-        assert sf.rank == 2
-        assert without_explicit(sf).explicit is None
