@@ -52,6 +52,9 @@ def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
         raise ValueError(f"bad training block shapes: X {X.shape}, y {y.shape}")
     if X.shape[0] < 1:
         raise ValueError("need at least one training sample")
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"training {name} contains NaN or infinite values")
     G = gram(kernel, X)
     biases, duals, _, _ = solve_dual_system(Blocks([X.shape[0]]), G, y, C)
     return SingleTaskLssvm(duals, float(biases[0]), X, kernel)

@@ -58,15 +58,17 @@ def _parse_grid(text: str) -> TaskGrid:
 
 
 def _plan_from_config(cfg: dict) -> CvPlan:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"cv config must be a JSON object, got {cfg!r}")
     allowed = {"kernel_family", "ranks", "costs", "gammas", "folds", "max_iters", "tol"}
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown cv config keys: {sorted(unknown)}")
     kwargs = dict(cfg)
-    for key in ("ranks", "costs", "gammas"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
     try:
+        for key in ("ranks", "costs", "gammas"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
         return CvPlan(**kwargs)
     except ConfigError:
         raise
@@ -236,12 +238,17 @@ def cmd_benchmark(args) -> int:
     if "synthetic" not in cfg or "snrs" not in cfg:
         raise ConfigError("benchmark config needs 'synthetic' and 'snrs'")
     template = SyntheticSpec.from_config(cfg["synthetic"])
-    snrs = tuple(float(s) for s in cfg["snrs"])
-    reps = int(cfg.get("reps", 10))
-    base_seed = int(cfg.get("base_seed", 0))
+    try:
+        snrs = tuple(float(s) for s in cfg["snrs"])
+        reps = int(cfg.get("reps", 10))
+        base_seed = int(cfg.get("base_seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:  # a value that is not a number
+        raise ConfigError(f"bad benchmark config: {exc}") from exc
     if args.seed is not None:
         base_seed = args.seed
     method_cfgs = cfg.get("methods", {METHOD_TENSOR: {}, METHOD_BASELINE: {}})
+    if not isinstance(method_cfgs, dict):
+        raise ConfigError("benchmark methods must be a JSON object of method names and cv plans")
     plans = {name: _plan_from_config(sub) for name, sub in method_cfgs.items()}
     result = run_benchmark(template, snrs, reps, base_seed, plans)
     out = _out_dir(args)

@@ -201,7 +201,7 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode_sizes", tuple(int(s) for s in self.mode_sizes))
+        object.__setattr__(self, "mode_sizes", TaskGrid(tuple(self.mode_sizes)).mode_sizes)
         for name in ("d", "k_true", "train_per_task", "test_per_task"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -235,15 +235,20 @@ class SyntheticSpec:
         extra = set(cfg) - required
         if extra:
             raise ConfigError(f"unknown synthetic spec keys: {sorted(extra)}")
-        return cls(
-            d=int(cfg["d"]),
-            mode_sizes=tuple(cfg["mode_sizes"]),
-            k_true=int(cfg["k_true"]),
-            train_per_task=int(cfg["train_per_task"]),
-            test_per_task=int(cfg["test_per_task"]),
-            snr=float(cfg["snr"]),
-            seed=int(cfg["seed"]),
-        )
+        try:
+            return cls(
+                d=int(cfg["d"]),
+                mode_sizes=tuple(cfg["mode_sizes"]),
+                k_true=int(cfg["k_true"]),
+                train_per_task=int(cfg["train_per_task"]),
+                test_per_task=int(cfg["test_per_task"]),
+                snr=float(cfg["snr"]),
+                seed=int(cfg["seed"]),
+            )
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:  # a value that is not a number
+            raise ConfigError(f"bad synthetic spec: {exc}") from exc
 
 
 @dataclass(frozen=True)

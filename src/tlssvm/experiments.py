@@ -69,8 +69,9 @@ class CvPlan:
         for name in ("ranks", "costs", "gammas"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} grid must be non-empty")
-        if self.folds < 2:
-            raise ConfigError(f"cross-validation needs at least 2 folds, got {self.folds}")
+        if not int(self.folds) == self.folds >= 2:
+            raise ConfigError(f"folds must be a whole number >= 2, got {self.folds!r}")
+        object.__setattr__(self, "folds", int(self.folds))
         if not all(0 < float(c) < math.inf for c in self.costs):
             raise ConfigError(f"costs must be positive and finite, got {list(self.costs)}")
         if not all(int(r) == r >= 1 for r in self.ranks):

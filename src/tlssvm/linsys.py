@@ -18,33 +18,34 @@ single-task baseline) or one of three structured forms:
   of a linear shared step, held as the task vectors and the inputs'
   per-task moments, so Phi is never formed;
 * `CoherenceGram`: Q_jp = <u_t(j), u_t(p)> G_jp, the task coherence times
-  a kernel Gram G, for a shared step whose kernel has no finite feature
-  map, held as the task vectors and G.
+  a kernel Gram G, held as the task vectors and G: the shared step of an
+  RBF kernel, or of a linear one with dK > m (G = X X^T).
 
-The system is solved in one of two forms, both by Cholesky:
+The system is solved in one of two forms, both by Cholesky. Which form a
+shared step takes is the caller's choice (`solver.solve_shared_step`):
 
-* Dense with a Schur complement, for a CoherenceGram, a dense Q and
-  feature forms with more columns than rows. The solve factors
-  H = Q + I/C in place. For a dense Q or a feature form, H is one fresh
-  m x m buffer that the solve owns; a plain ndarray Q is copied into it,
-  because Q is the caller's. For a CoherenceGram, H is written over the
-  upper triangle of the caller's Gram G, which LAPACK's dpotrf factors
-  without reading the lower one; G is restored from its lower triangle
-  and a saved diagonal right after the first solve, and also when that
-  solve raises. So it holds no m x m array besides G.
+* Dense with a Schur complement, for a CoherenceGram, a dense Q and the
+  FeatureGram groups with more columns than rows. The solve factors
+  H = Q + I/C in place, in one of two owners. For a CoherenceGram, H is
+  written over the upper triangle of the caller's Gram G, which LAPACK's
+  dpotrf factors without reading the lower one; G is restored from its
+  lower triangle and a saved diagonal right after the first solve, and
+  also when that solve raises. So it holds no m x m array besides G. For
+  a dense Q, the baseline's Gram or a FeatureGram group's Phi_g Phi_g^T,
+  H is a fresh copy that the solve owns, because the residual needs Q.
   H is positive definite for a PSD Q, and its Cholesky factor gives
   H^-1 y and H^-1 A in one triangular solve. The biases come from the
   T x T Schur complement A^T H^-1 A, also Cholesky-factored, and the
   duals from alpha = H^-1 (y - A b) (the classic LS-SVM solve, Suykens &
   Vandewalle 1999). A failed factorization flags a Q that is not PSD.
   One refinement step, reusing the Schur factor, follows when the
-  residual misses the acceptance bound; it reuses an owned buffer's
+  residual misses the acceptance bound; it reuses an owned copy's
   factor, and for a CoherenceGram writes and factors H in G again, which
   gives the same factor bit for bit. The residual goes through Q's
-  operator, never through a kept Q: G (U o v) summed against U row by
-  row for a CoherenceGram (U the m x K task vectors of the samples),
-  Phi (Phi^T v) for the feature forms.
-* Centered ridge (`solve_feature_system`), for feature forms with p <= m.
+  operator: G (U o v) summed against U row by row for a CoherenceGram
+  (U the m x K task vectors of the samples), Q v for a dense Q.
+* Centered ridge (`solve_feature_system`), for a KroneckerGram and the
+  FeatureGram groups with p <= m_g.
   Centering Phi and y per block eliminates the biases, which leaves a
   p x p ridge system in the primal weights w, solved by Cholesky. Biases
   and duals are recovered from w, and w itself is returned: it is the
@@ -68,7 +69,8 @@ The system is solved in one of two forms, both by Cholesky:
   Phi w row by row from X W^T. The S_t are computed on the first ridge
   solve and kept while all of them together take no more memory than Phi
   and its centered copy (2 m dK floats); otherwise each solve sums them
-  in runs of tasks that fit that bound. The dense form reads no moments.
+  in runs of tasks that fit that bound. A KroneckerGram is always solved
+  this way, which is exact for every dK.
 
 Both evaluate the residual of the saddle system above with Q itself
 (never with a factor), and raise SolverError when it exceeds
@@ -125,10 +127,10 @@ class Solution(NamedTuple):
     `biases` has one entry per block, `duals` one per sample, and
     `residual` is the largest group residual. `weights` holds a feature
     form's primal weights, one row w_g per group (G x p): the first ridge
-    solve's w for a group solved as a centered ridge, Phi_g^T alpha_g for a
-    FeatureGram group solved in the dense form and for a ridge group whose
-    w misses its bound after a refinement step. It is None for a dense Q,
-    a CoherenceGram and a KroneckerGram solved in the dense form.
+    solve's w for a group solved as a centered ridge (every KroneckerGram),
+    Phi_g^T alpha_g for a FeatureGram group solved in the dense form and
+    for a ridge group whose w misses its bound after a refinement step. It
+    is None for a dense Q and a CoherenceGram.
     """
 
     biases: np.ndarray
@@ -292,15 +294,11 @@ class KroneckerGram:
 
     `task_vectors` is T x K and `moments` the `TaskMoments` of the m x d
     inputs, every task a block of the system. Feature k*d + i of sample j
-    is u_t(j),k x_j,i. Only the ridge form reads the moments.
+    is u_t(j),k x_j,i. It is always solved as the centered ridge.
     """
 
     task_vectors: np.ndarray
     moments: TaskMoments
-
-    @property
-    def n_features(self) -> int:
-        return self.task_vectors.shape[1] * self.moments.inputs.shape[1]
 
     def check(self, blocks: Blocks) -> None:
         if len(blocks.groups) != 1:
@@ -311,15 +309,6 @@ class KroneckerGram:
                 f"inconsistent system shapes: {T} task vectors, moments of blocks "
                 f"{list(self.moments.blocks)}, system blocks {list(blocks)}"
             )
-
-    def dense(self, blocks: Blocks, shift: float = 0.0) -> np.ndarray:
-        """Q + shift I, as a fresh m x m array: task-vector coherence times the linear Gram."""
-        U = self.task_vectors[blocks.of]
-        X = self.moments.inputs
-        H = U @ U.T
-        H *= X @ X.T
-        H.reshape(-1)[:: H.shape[0] + 1] += shift
-        return H
 
 
 _STRIP = 128  # rows per strip of the passes over a Gram's triangles
@@ -574,9 +563,8 @@ def solve_dual_system(
 ) -> Solution:
     """Solve the saddle-point system above for the block structure `blocks`.
 
-    A feature form (FeatureGram or KroneckerGram) goes to
-    :func:`solve_feature_system` for every group whose rows outnumber Phi's
-    columns, whose p x p factor is then the smaller one; any other group,
+    A KroneckerGram, and every FeatureGram group with at least as many rows
+    as Phi has columns, go to :func:`solve_feature_system`; any other group,
     a CoherenceGram and a dense Q are solved in the dense form with a Schur
     complement. Returns a `Solution` (biases, duals, residual, weights).
     Raises SolverError if Q + I/C is not positive definite or a group's
@@ -594,20 +582,12 @@ def solve_dual_system(
             blocks, lambda: Q.factored(blocks, inv_c), y, inv_c, lambda v: Q.matvec(blocks, v)
         )
     if isinstance(Q, KroneckerGram):
-        if blocks.m >= Q.n_features:
-            return solve_feature_system(blocks, Q, y, C)
-        features = _KroneckerFeatures(Q, blocks)
-        return _solve_dense(
-            blocks, _owned(Q.dense(blocks, inv_c)), y, inv_c,
-            lambda v: features.matvec(features.rmatvec(v)),
-        )
+        return solve_feature_system(blocks, Q, y, C)
     if not isinstance(Q, FeatureGram):
         Q = np.asarray(Q, dtype=float)
         if Q.shape != (m, m):
             raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
-        H = np.array(Q, order="C")  # a copy: the residual needs Q itself
-        H.reshape(-1)[:: m + 1] += inv_c
-        return _solve_dense(blocks, _owned(H), y, inv_c, lambda v: Q @ v)
+        return _solve_dense_matrix(blocks, Q, y, inv_c)
     Phi = Q.features
     if Phi.shape[0] != m:
         raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
@@ -632,12 +612,8 @@ def solve_dual_system(
             if ridge[ids[0]]:
                 b, a, r, w = solve_feature_system(unit, Phi_u, y_u, C)
             else:
-                H = Phi_u @ Phi_u.T
-                H = 0.5 * (H + H.T)
-                H.reshape(-1)[:: unit.m + 1] += inv_c
-                b, a, r, _ = _solve_dense(
-                    unit, _owned(H), y_u, inv_c, lambda v: Phi_u @ (Phi_u.T @ v)
-                )
+                Q_u = Phi_u @ Phi_u.T
+                b, a, r, _ = _solve_dense_matrix(unit, 0.5 * (Q_u + Q_u.T), y_u, inv_c)
                 w = Phi_u.T @ a
         except SolverError as exc:
             if exc.group is None:
@@ -652,21 +628,24 @@ def solve_dual_system(
     return Solution(biases, duals, residual, weights)
 
 
-def _owned(H: np.ndarray):
-    """`factored` for H = Q + I/C in a C-ordered buffer the solve owns: factored once, in place."""
+def _solve_dense_matrix(blocks: Blocks, Q: np.ndarray, y: np.ndarray, inv_c: float) -> Solution:
+    """The dense form for an m x m matrix Q, with H = Q + I/C factored once in a copy it owns."""
+    H = np.array(Q, order="C")
+    H.reshape(-1)[:: H.shape[0] + 1] += inv_c
     # H.T is Fortran-ordered, so LAPACK factors it in place; its lower
     # triangle is H's upper one, the same for a symmetric Q.
     factor = _cholesky(H.T, "Q + I/C")
-    return lambda: nullcontext(factor)
+    return _solve_dense(blocks, lambda: nullcontext(factor), y, inv_c, lambda v: Q @ v)
 
 
 def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q):
     """The dense form with a Schur complement, for one group.
 
     `factored()` opens the lower Cholesky factor of H = Q + inv_c I as a
-    context manager: `_owned(H)` for a buffer the solve owns, or
-    `CoherenceGram.factored`, which writes and factors H in the Gram's
-    upper triangle on every opening and restores the Gram on closing.
+    context manager: the factor of a copy the solve owns
+    (`_solve_dense_matrix`), or `CoherenceGram.factored`, which writes and
+    factors H in the Gram's upper triangle on every opening and restores
+    the Gram on closing.
     The solve uses the factor for the first solve, closes it, and opens it
     again only for a refinement step. `apply_q(v)` is Q v, by which the
     residual is checked.

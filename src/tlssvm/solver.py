@@ -11,26 +11,25 @@ minimizes and the one the trace records: the cost C is the only
 regularization, and it enters every system as the ridge I/C.
 
 Every block step is the saddle-point system of `linsys` with a system
-matrix Q = Phi Phi^T whenever the step has a finite feature matrix Phi:
-the reduced features Z of a mode-row step (K columns, handed to
-`linsys.solve_dual_system` as a FeatureGram), and for the linear kernel
-the shared-step features u_t(j) kron x_j (d K columns, handed over as a
-KroneckerGram: the task vectors with the inputs' per-task moments, from
-which the task-Kronecker ridge is assembled without forming Phi). Either
-is solved as a centered ridge in the primal weights w when Phi has no more
-columns than rows, and then w is the step's result: a mode row is its w,
-and the linear shared factor's explicit d x K matrix is w reshaped, not
+matrix Q = Phi Phi^T. A mode-row step hands over its reduced features Z
+(K columns) as a FeatureGram. The shared step's form is chosen in
+`solve_shared_step` and nowhere else: a linear kernel with dK <= m hands
+over the features u_t(j) kron x_j as a KroneckerGram (the task vectors
+with the inputs' per-task moments, from which the task-Kronecker ridge is
+assembled without forming Phi); every other shared step, RBF or linear
+with dK > m, hands over a CoherenceGram: the task vectors with the fit's
+kernel Gram G (X X^T for the linear kernel), Q being their coherence
+times G. `fit` builds G once with `kernels.gram`, which symmetrizes it in
+place, and the solver factors Q + I/C in G's upper triangle and restores
+G, so such a fit holds one m x m array in all.
+
+A ridge solve's primal weights w are the step's result: a mode row is its
+w, and the linear shared factor's explicit d x K matrix is w reshaped, not
 the sum Phi^T alpha, which cancels. The linear shared factor also keeps
 the duals, as its dual form. A w that fails the residual bound with the
 refined biases and duals of a refinement step is replaced by Phi^T alpha
-of those duals, so every step's result meets the bound. RBF shared steps hand the solver a
-CoherenceGram: the task vectors with the fit's kernel Gram G, Q being
-their coherence times G. The solver writes Q + I/C over G's upper triangle
-and factors it there by Cholesky (with a T x T Schur complement for the
-biases), restores G from its lower triangle, and checks the residual
-through G rather than a copy of Q, so the step holds no m x m array
-besides G. The fit's Gram comes from `kernels.gram`, which symmetrizes it
-in place, so an RBF fit holds one m x m array in all.
+of those duals, so every step's result meets the bound; a dense solve
+gives Phi^T alpha too (X^T (alpha o U) for a linear shared step).
 
 Every shared step returns a `model.SharedFactor`, the record that
 prediction uses too, and the fit projects its training inputs through it
@@ -210,6 +209,11 @@ class SharedStepResult:
     constraint_residual: float
 
 
+def _kronecker_ridge(kernel: KernelSpec, data: MtlDataset, K: int) -> bool:
+    """Whether a rank-K shared step solves the task-Kronecker ridge (linear kernel, dK <= m)."""
+    return kernel.has_feature_map and data.n_features * K <= data.n_samples
+
+
 def solve_shared_step(
     data: MtlDataset,
     factors: ModeFactors | tuple[np.ndarray, ...],
@@ -219,40 +223,39 @@ def solve_shared_step(
 ) -> SharedStepResult:
     """Exactly minimize over the shared factor, biases, and residuals.
 
-    With the linear kernel the system matrix is Phi Phi^T for the m x dK
-    features Phi_j = u_t(j) kron x_j, handed to the solver as a
-    KroneckerGram over the dataset's per-task moments and solved through
-    the smaller of its two forms. Other kernels solve the
-    (T+m)-dimensional dual system of a CoherenceGram: the task vectors
-    with the kernel Gram, `gram_matrix` if given.
+    This is where the step's form is chosen. A linear kernel with dK <= m
+    solves Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j as a
+    KroneckerGram over the dataset's per-task moments: the dK x dK ridge.
+    Every other step solves a CoherenceGram: the task vectors with the
+    kernel Gram of the stacked inputs, `gram_matrix` if given.
     The updated shared factor is returned as a `model.SharedFactor` over
-    the data's stacked inputs and sample tasks: in dual form, plus the
-    explicit matrix whenever the kernel has a finite feature map: the
-    ridge weights w in Kronecker order (feature k*d + i is u_k x_i), or X^T (alpha o U)
-    when the solve takes the dense form (dK > m) or w misses the residual
-    bound with the refined duals (see `linsys.solve_feature_system`). `factors` is a
-    ModeFactors on the data's grid, or its factor matrices.
+    the data's stacked inputs and sample tasks: in dual form, plus for the
+    linear kernel the explicit matrix: the ridge weights w in Kronecker
+    order (feature k*d + i is u_k x_i), or X^T (alpha o U) for dK > m or
+    when w misses the residual bound with the refined duals (see
+    `linsys.solve_feature_system`). `factors` is a ModeFactors on the
+    data's grid, or its factor matrices.
     """
     data.require_nonempty_tasks()
     plan = data.fit_plan
     y = data.stacked_targets()
+    X = data.stacked_inputs()
     u_table = row_product_table(_factor_mats(data, factors), data.grid.mode_indices)
     explicit = None
-    if kernel.has_feature_map:
-        Q = KroneckerGram(u_table, plan.moments)
-        biases, duals, residual, weights = solve_dual_system(plan.shared, Q, y, C)
-        if weights is None:  # the dense form, for dK > m
-            X = data.stacked_inputs()
-            explicit = X.T @ dual_weights(duals, u_table, data.sample_task_ids())
-        else:  # feature k*d + i is u_k x_i
-            explicit = np.ascontiguousarray(weights[0].reshape(u_table.shape[1], -1).T)
+    if _kronecker_ridge(kernel, data, u_table.shape[1]):
+        biases, duals, residual, weights = solve_dual_system(
+            plan.shared, KroneckerGram(u_table, plan.moments), y, C
+        )
+        explicit = np.ascontiguousarray(weights[0].reshape(u_table.shape[1], -1).T)
     else:
-        G = gram(kernel, data.stacked_inputs()) if gram_matrix is None else gram_matrix
+        G = gram(kernel, X) if gram_matrix is None else gram_matrix
         biases, duals, residual, _ = solve_dual_system(
             plan.shared, CoherenceGram(u_table, G), y, C
         )
+        if kernel.has_feature_map:
+            explicit = X.T @ dual_weights(duals, u_table, data.sample_task_ids())
     constraint = float(np.max(np.abs(plan.shared.sums(duals))))
-    shared = SharedFactor(duals, u_table, data.stacked_inputs(), data.sample_task_ids(), explicit)
+    shared = SharedFactor(duals, u_table, X, data.sample_task_ids(), explicit)
     return SharedStepResult(shared, biases, residual, constraint)
 
 
@@ -386,8 +389,8 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
     m = data.n_samples
     mode_indices = grid.mode_indices
 
-    # Only kernels without a feature map solve through the m x m Gram.
-    G = None if kernel.has_feature_map else gram(kernel, X)
+    # Every shared step but the task-Kronecker ridge solves through the m x m Gram.
+    G = None if _kronecker_ridge(kernel, data, config.K) else gram(kernel, X)
     factor_mats = [f.copy() for f in init_factors(grid, config.K, config.seed).factors]
     biases = np.zeros(grid.n_tasks)
     shared = None

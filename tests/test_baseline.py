@@ -75,6 +75,15 @@ class TestFitSingle:
         with pytest.raises(ValueError):
             fit_single(np.zeros((0, 2)), np.zeros(0), 1.0, LINEAR)
 
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_named(self, where, value):
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(5, 2)), rng.normal(size=5)
+        (X if where == "X" else y)[2] = value
+        with pytest.raises(ValueError, match=f"training {where} contains NaN or infinite values"):
+            fit_single(X, y, 1.0, LINEAR)
+
 
 def grid_dataset(seed=0):
     rng = np.random.default_rng(seed)

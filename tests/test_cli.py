@@ -86,6 +86,13 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "snr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [{"d": "abc"}, {"mode_sizes": [0, 3]}], ids=["d", "mode_sizes"])
+    def test_bad_spec_value_is_usage_error(self, tmp_path, capsys, change):
+        cfg = write_json(tmp_path / "bad.json", {**SPEC, **change})
+        assert main(["generate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "none.json")]) == 2
         assert "not found" in capsys.readouterr().err
@@ -413,7 +420,9 @@ class TestCv:
          ("tlssvm", {"ranks": [0]}),
          ("tlssvm", {"costs": ["x"]}),
          ("tlssvm", {"ranks": [1.5]}),
-         ("tlssvm", {"ranks": [float("inf")]})],
+         ("tlssvm", {"ranks": [float("inf")]}),
+         ("tlssvm", {"costs": 5}),
+         ("tlssvm", {"folds": 2.5})],
     )
     def test_out_of_range_plan_is_usage_error(self, pipeline, tmp_path, capsys, method, config):
         cfg = write_json(tmp_path / "cv.json.in", {"ranks": [1], "costs": [1.0], "folds": 2, **config})
@@ -520,6 +529,17 @@ class TestBenchmark:
     def test_missing_sections_is_usage_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "bench.json.in", {"snrs": [1.0]})
         assert main(["benchmark", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"snrs": 5}, {"reps": "x"}, {"methods": []}, {"methods": {"tlssvm": 5}}],
+        ids=["snrs", "reps", "methods", "method-plan"],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, change):
+        cfg = write_json(tmp_path / "bench.json.in", {**BENCH, **change})
+        assert main(["benchmark", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

@@ -1,11 +1,11 @@
 """The dense form of the saddle solve: the buffer it factors and the forms that fill it.
 
-A CoherenceGram, a KroneckerGram with more features than samples, and the
-groups of a FeatureGram with more columns than rows are all solved by a
-Cholesky factorization of H = Q + I/C. The solve factors H in place: in
-an m x m buffer it owns, or, for a CoherenceGram, in the upper triangle
-of the caller's Gram, which it gives back bit for bit. It checks the
-residual through the form's own operator, so no copy of Q is kept.
+A CoherenceGram (the shared step of an RBF fit, and of a linear fit with
+more features than samples), a dense Q and the groups of a FeatureGram
+with more columns than rows are all solved by a Cholesky factorization of
+H = Q + I/C. The solve factors H in place: for a CoherenceGram in the
+upper triangle of the caller's Gram, which it gives back bit for bit, and
+otherwise in a copy of the dense Q that it owns.
 """
 
 from __future__ import annotations
@@ -22,15 +22,14 @@ from tlssvm.linsys import (
     Blocks,
     CoherenceGram,
     FeatureGram,
-    KroneckerGram,
-    TaskMoments,
     solve_dual_system,
 )
-from tlssvm import linsys
+from tlssvm import linsys, solver
 from tlssvm.errors import SolverError
 from tlssvm.solver import FitConfig, fit, init_factors, solve_shared_step
 from conftest import coherence_dense, random_dataset, saddle_oracle
 
+LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.1)
 
 
@@ -106,6 +105,31 @@ class TestCoherenceGram:
             tracemalloc.stop()
         assert peak <= 1.25 * m * m * 8
         np.testing.assert_array_equal(again.shared.duals, first.shared.duals)
+
+    def test_wide_linear_fit_builds_one_gram_and_allocates_one_m_by_m_array(self, monkeypatch):
+        # dK = 630 > m = 600: every shared step solves the coherence times X X^T
+        data = random_dataset(96, mode_sizes=(2, 3), d=210, m_t=100)
+        m = data.n_samples
+        cfg = FitConfig(K=3, C=10.0, kernel=LINEAR, max_iters=3, tol=1e-300, seed=3)
+        first = fit(data, cfg)  # loads LAPACK, builds the plan
+        grams = []
+
+        def counting_gram(*args):
+            grams.append(args)
+            return gram(*args)
+
+        monkeypatch.setattr(solver, "gram", counting_gram)
+        tracemalloc.start()
+        try:
+            again = fit(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.iterations == 3
+        assert len(grams) == 1 and grams[0][1] is data.stacked_inputs()  # once per fit
+        assert peak <= 1.25 * m * m * 8
+        np.testing.assert_array_equal(again.shared.duals, first.shared.duals)
+        assert vars(data.fit_plan.moments).keys().isdisjoint({"means", "scatter"})
 
 
 class TestGramWorkspace:
@@ -187,7 +211,7 @@ def dense_systems(draw):
     T = int(np.prod(mode_sizes))
     K = draw(st.integers(1, 4))
     C = 10.0 ** draw(st.floats(-3.0, 4.0))
-    kernel = draw(st.sampled_from([KernelSpec("linear"), RBF]))
+    kernel = draw(st.sampled_from([LINEAR, RBF]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = rng.integers(1, 5, size=T)
     blocks = Blocks(sizes)
@@ -196,9 +220,11 @@ def dense_systems(draw):
     U = rng.normal(size=(T, K))
     X = rng.normal(size=(m, 3))
     coherence = CoherenceGram(U, gram(kernel, X))
-    # more features than samples: d K > m
+    # a linear shared step with more features than samples (d K > m): the
+    # coherence times X X^T is Phi Phi^T for the features u_t(j) kron x_j
     wide = rng.normal(size=(m, m // K + 1))
-    kron = KroneckerGram(U, TaskMoments(blocks, wide))
+    kron_features = (U[blocks.of][:, :, None] * wide[:, None, :]).reshape(m, -1)
+    wide_linear = CoherenceGram(U, gram(LINEAR, wide))
     # one group per task; the smallest takes the dense form
     grouped = Blocks(sizes, (1,) * T)
     Phi = rng.normal(size=(m, K + int(sizes.min())))
@@ -207,7 +233,7 @@ def dense_systems(draw):
         blockdiag[rows, rows] = Phi[rows] @ Phi[rows].T
     return [
         (blocks, coherence, coherence_dense(coherence, blocks), y, C),
-        (blocks, kron, kron.dense(blocks), y, C),
+        (blocks, wide_linear, kron_features @ kron_features.T, y, C),
         (grouped, FeatureGram(Phi), blockdiag, y, C),
     ]
 

@@ -59,6 +59,12 @@ class TestCvPlan:
         with pytest.raises(ConfigError, match=message):
             CvPlan(**bad)
 
+    def test_folds_must_be_a_whole_number(self):
+        with pytest.raises(ConfigError, match="folds must be a whole number >= 2"):
+            CvPlan(folds=2.5)
+        plan = CvPlan(folds=3.0)
+        assert plan.folds == 3 and isinstance(plan.folds, int)
+
     def test_axes_by_method_and_family(self):
         linear = CvPlan(kernel_family="linear", ranks=(2,), costs=(1.0,), gammas=(0.1, 1.0))
         assert linear._gamma_axis() == (None,)

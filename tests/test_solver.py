@@ -525,14 +525,23 @@ class TestKroneckerSharedStep:
         assert_same_solution(got, high_precision_saddle_solution(data.task_sizes, Phi, y, C))
 
     @pytest.mark.parametrize("C", [1.0, 1e3])
-    def test_more_features_than_samples_takes_the_dense_form(self, monkeypatch, C):
+    def test_wide_shared_step_solves_a_coherence_gram(self, monkeypatch, C):
+        # dK > m: the step hands the solver the coherence times the linear Gram
         data = uneven_dataset(82, (2, 2), d=4, max_size=2)
-        blocks, Q, Phi = kronecker_system(data, 3, seed=82)
+        factors = init_factors(data.grid, 3, seed=82)
+        forms = []
+
+        def recording(blocks, Q, y, C):
+            forms.append(type(Q))
+            return solve_dual_system(blocks, Q, y, C)
+
+        monkeypatch.setattr(solver, "solve_dual_system", recording)
+        step = solve_shared_step(data, factors, LINEAR, C)
+        assert forms == [CoherenceGram]
+        U, X, y = task_vector_table(factors), data.stacked_inputs(), data.stacked_targets()
+        Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
         assert data.n_samples < Phi.shape[1]
-        monkeypatch.setattr(linsys, "solve_feature_system", None)
-        y = data.stacked_targets()
-        got = solve_dual_system(blocks, Q, y, C)
-        assert_same_solution(got, saddle_oracle(data.task_sizes, Phi @ Phi.T, y, C))
+        assert_same_solution((step.biases, step.shared.duals), saddle_oracle(data.task_sizes, Phi @ Phi.T, y, C))
 
     def test_shared_step_matches_explicit_features(self):
         data = uneven_dataset(83, (3, 2), d=4)
@@ -740,7 +749,7 @@ class TestKroneckerSharedStep:
             solve_shared_step(data, (mats[0], nan), LINEAR, 10.0)
 
     def test_failed_solve_names_iteration_and_shared_step(self, monkeypatch):
-        monkeypatch.setattr(linsys._KroneckerFeatures, "grams", lambda self: [-np.eye(self.Q.n_features)])
+        monkeypatch.setattr(linsys._KroneckerFeatures, "grams", lambda self: [-np.eye(self.X.shape[1] * self.sample_vectors.shape[1])])
         cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=3, seed=0)
         with pytest.raises(SolverError, match=r"^iteration 1, shared step: feature system is not positive definite"):
             fit(snr10_dataset(), cfg)
