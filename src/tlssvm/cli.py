@@ -2,7 +2,10 @@
 
 Subcommands: generate, train, predict, evaluate, cv, benchmark. Every
 command is deterministic for fixed flags and seed, and emitted JSON
-contains no timestamps, so reruns produce byte-identical files.
+contains no timestamps, so reruns produce byte-identical files at a fixed
+BLAS thread count. LAPACK's threaded Cholesky (`dpotrf`) sums in an order
+that depends on the thread count, so RBF outputs can differ in their last
+bits between, say, OPENBLAS_NUM_THREADS=1 and =2.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 solver
 error.

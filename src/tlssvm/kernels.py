@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedOperation
 
-__all__ = ["KernelSpec", "kernel_eval", "gram", "feature_map"]
+__all__ = ["KernelSpec", "kernel_eval", "sq_norms", "gram", "feature_map"]
 
 _FAMILIES = ("linear", "rbf")
 
@@ -74,11 +74,19 @@ def kernel_eval(spec: KernelSpec, x, x_other) -> float:
     return float(np.exp(-spec.gamma * (diff @ diff)))
 
 
-def gram(spec: KernelSpec, X, X_other=None) -> np.ndarray:
+def sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a 2-D float array: the RBF Gram's row terms."""
+    return (X * X).sum(axis=1)
+
+
+def gram(spec: KernelSpec, X, X_other=None, X_norms: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix between the rows of X and X_other.
 
     With X_other omitted the result is the (exactly symmetrized) square
     Gram matrix of X, symmetrized in place: no second m x m array is made.
+    `X_norms`, if given, must be `sq_norms` of X as a float array, so
+    that the RBF Gram has the bits it would have without it; a model that
+    predicts often computes it once. A linear Gram never reads it.
     """
     X = np.asarray(X, dtype=float)
     symmetric = X_other is None
@@ -90,9 +98,12 @@ def gram(spec: KernelSpec, X, X_other=None) -> np.ndarray:
     G = X @ Xo.T
     if spec.family == "rbf":
         # ||x||^2 + ||x'||^2 - 2 <x, x'>, then the exponential, all in G's buffer
+        norms = sq_norms(X) if X_norms is None else X_norms
+        if norms.shape != (X.shape[0],):
+            raise ValueError(f"{norms.shape} row norms for {X.shape[0]} samples")
         G *= -2.0
-        G += (X * X).sum(axis=1)[:, None]
-        G += (Xo * Xo).sum(axis=1)[None, :]
+        G += norms[:, None]
+        G += (norms if symmetric else sq_norms(Xo))[None, :]
         np.maximum(G, 0.0, out=G)
         G *= -spec.gamma
         np.exp(G, out=G)

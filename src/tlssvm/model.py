@@ -7,6 +7,10 @@ feature map also as the explicit d x K matrix. `shared_projection` is the
 one routine that projects samples through it: it takes the explicit matrix
 when the record has one, at O(dK) per row, and the dual contraction
 (`dual_projection`) otherwise, at O(md) per row and for every kernel.
+An RBF cross-Gram needs the squared norms of the training rows; the record
+computes them once, on first use (`SharedFactor.train_norms`), so a query
+builds no m x d temporary. Norms handed to `kernels.gram` must come from
+`kernels.sq_norms`, which keeps every prediction's bits.
 Batch prediction (`predict_dataset`, `predict_rows`) goes through
 `shared_projection`, as the solver's training projections do.
 `predict_primal` and `predict_dual` always take their own form, so the two
@@ -26,7 +30,7 @@ import numpy as np
 from .baseline import LssvmModel, SingleTaskLssvm, check_query_dataset, query_inputs
 from .data import MtlDataset
 from .errors import DataError, UnsupportedOperation
-from .kernels import KernelSpec, feature_map, gram
+from .kernels import KernelSpec, feature_map, gram, sq_norms
 from .taskgrid import ModeFactors, TaskGrid, linearize, task_vector, task_vector_table
 from .textio import write_json
 
@@ -48,24 +52,6 @@ def dual_weights(duals: np.ndarray, task_vectors: np.ndarray, task_ids: np.ndarr
     return duals[:, None] * task_vectors[task_ids]
 
 
-def dual_projection(
-    kernel: KernelSpec,
-    train_inputs: np.ndarray,
-    weights: np.ndarray,
-    query_inputs: np.ndarray,
-    cross_gram: np.ndarray | None = None,
-) -> np.ndarray:
-    """Image of each query sample through a shared factor in dual form.
-
-    Row j is sum_i k(x_i, q_j) W_i over the training samples x_i, for the
-    dual weights W (`dual_weights`). `cross_gram`, if given, is the
-    (m_train x n_query) kernel block, which is otherwise computed here.
-    """
-    if cross_gram is None:
-        cross_gram = gram(kernel, train_inputs, query_inputs)
-    return cross_gram.T @ weights
-
-
 @dataclass(frozen=True)
 class SharedFactor:
     """The factor common to all tasks, in dual form and, if there is one, explicit.
@@ -74,7 +60,8 @@ class SharedFactor:
     T x K task vectors the coefficients were solved with
     (`task_vector_snapshot`), the m x d stacked training inputs and each
     sample's 0-based task. `explicit` is the d x K matrix of a kernel with
-    a finite feature map. The arrays are frozen in place and not checked:
+    a finite feature map. `weighted_duals` and `train_norms` are derived on
+    first use and kept. The arrays are frozen in place and not checked:
     a record is built from a solve's fresh arrays, finite since they met
     the residual bound, or from arrays a `TrainedModel` has just validated.
     """
@@ -97,6 +84,33 @@ class SharedFactor:
         weights.flags.writeable = False
         return weights
 
+    @cached_property
+    def train_norms(self) -> np.ndarray:
+        """`sq_norms` of the training inputs, read-only; only an RBF cross-Gram reads them."""
+        norms = sq_norms(self.train_inputs)
+        norms.flags.writeable = False
+        return norms
+
+
+def dual_projection(
+    shared: SharedFactor,
+    kernel: KernelSpec,
+    X: np.ndarray,
+    cross_gram: np.ndarray | None = None,
+) -> np.ndarray:
+    """Image of each query sample through a shared factor in dual form.
+
+    Row j is sum_i k(x_i, q_j) W_i over the training samples x_i, for the
+    dual weights W (`SharedFactor.weighted_duals`). `cross_gram`, if given,
+    is the (m_train x n_query) kernel block. Otherwise it is computed here,
+    and an RBF block takes the record's cached `train_norms`, so a query
+    costs O(md) with no m x d temporary.
+    """
+    if cross_gram is None:
+        norms = shared.train_norms if kernel.family == "rbf" else None
+        cross_gram = gram(kernel, shared.train_inputs, X, norms)
+    return cross_gram.T @ shared.weighted_duals
+
 
 def shared_projection(
     shared: SharedFactor,
@@ -114,7 +128,7 @@ def shared_projection(
     X = np.asarray(X, dtype=float)
     if shared.explicit is not None:
         return X @ shared.explicit
-    return dual_projection(kernel, shared.train_inputs, shared.weighted_duals, X, cross_gram)
+    return dual_projection(shared, kernel, X, cross_gram)
 
 
 def task_predictions(projection, u_table, biases, task_ids) -> np.ndarray:
@@ -211,8 +225,7 @@ class TrainedModel:
         return self.train_inputs[0].shape[1]
 
     def _dual_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        shared = self._shared
-        projection = dual_projection(self.kernel, shared.train_inputs, shared.weighted_duals, X)
+        projection = dual_projection(self._shared, self.kernel, X)
         return task_predictions(projection, self._u_table, self.biases, task_ids)
 
     def _rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -604,3 +604,33 @@ class TestColdStart:
             [sys.executable, "-c", COLD_START, *args], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestThreadCountContract:
+    """Reruns are byte-identical at a fixed BLAS thread count (not across counts)."""
+
+    def test_rbf_train_reruns_are_byte_identical_per_thread_count(self, tmp_path):
+        # m = 160 is above the n = 128 from which threaded dpotrf splits its work;
+        # on 2 cores with OpenBLAS 0.3.31 the 1- and 2-thread outputs of this fit differ
+        spec = {**SPEC, "train_per_task": 40, "seed": 12}
+        fit_cfg = {"K": 2, "C": 10.0, "kernel": {"family": "rbf", "gamma": 0.1}, "max_iters": 3, "tol": 1e-300}
+        assert main(["generate", "--config", write_json(tmp_path / "spec.json", spec), "--out-dir", str(tmp_path / "data")]) == 0
+        args = [
+            "train", "--train", str(tmp_path / "data" / "train.csv"), "--grid", "2,2",
+            "--config", write_json(tmp_path / "fit.json", fit_cfg),
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+            )
+            runs = [tmp_path / f"t{threads}_{rerun}" for rerun in "ab"]
+            for out in runs:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "tlssvm", *args, "--out-dir", str(out)],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+            for name in ("model.json", "trace.csv"):
+                assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), (threads, name)

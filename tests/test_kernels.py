@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tlssvm.errors import ConfigError, UnsupportedOperation
-from tlssvm.kernels import KernelSpec, feature_map, gram, kernel_eval
+from tlssvm.kernels import KernelSpec, feature_map, gram, kernel_eval, sq_norms
 from conftest import feature_dim
 
 
@@ -156,6 +158,42 @@ class TestGram:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * m * m * 8
+
+
+class TestGivenNorms:
+    def test_sq_norms_is_the_row_sum_of_squares(self):
+        X = np.random.default_rng(3).normal(size=(17, 5))
+        assert sq_norms(X).tobytes() == (X * X).sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])
+    def test_norms_of_the_wrong_shape_raise(self, shape):
+        with pytest.raises(ValueError, match="row norms for 4 samples"):
+            gram(KernelSpec("rbf", gamma=0.5), np.ones((4, 2)), np.ones((3, 2)), np.ones(shape))
+
+    def test_linear_gram_never_reads_the_norms(self):
+        X = np.random.default_rng(4).normal(size=(6, 3))
+        Y = X[:2]
+        # norms with the right shape and wrong values change nothing
+        assert gram(KernelSpec("linear"), X, Y, np.zeros(6)).tobytes() == gram(KernelSpec("linear"), X, Y).tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 12),
+    st.integers(1, 8),
+    st.sampled_from([KernelSpec("linear"), KernelSpec("rbf", gamma=1e-3), KernelSpec("rbf", gamma=0.7)]),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 30, KernelSpec("rbf", gamma=0.7), 1.0, 0)
+@example(1, 0, 3, KernelSpec("rbf", gamma=0.7), 1.0, 1)
+def test_given_norms_give_the_same_bits(m, n_query, d, spec, scale, seed):
+    """n_query 0 is the symmetric Gram; m 1 is a single training row."""
+    rng = np.random.default_rng(seed)
+    X = scale * rng.normal(size=(m, d))
+    X_other = None if n_query == 0 else scale * rng.normal(size=(n_query, d))
+    assert gram(spec, X, X_other, sq_norms(X)).tobytes() == gram(spec, X, X_other).tobytes()
 
 
 class TestFeatureMap:

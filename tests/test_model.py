@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from tlssvm.baseline import fit_independent
 from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation
-from tlssvm.kernels import KernelSpec, gram
+from tlssvm.kernels import KernelSpec, gram, sq_norms
 from tlssvm.model import TrainedModel, load_model, predict_dual, predict_primal, save_model
 from tlssvm.solver import FitConfig, fit
 from tlssvm.taskgrid import ModeFactors, TaskGrid, delinearize, task_vector_table
@@ -126,27 +127,85 @@ class TestNonFiniteInputs:
 
 
 class TestPrecomputedDualTerms:
+    """Cached dual weights and RBF training-row norms keep the bits of a per-call assembly."""
+
     @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("rbf", gamma=0.4)])
     def test_predictions_bit_identical_to_per_call_assembly(self, kernel):
         model, _, test = fitted_model(kernel=kernel, seed=2, snr=5.0)
+        self.assert_per_call_bits(model, test, kernel)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("rbf", gamma=0.4)])
+    def test_reloaded_model_bit_identical_to_per_call_assembly(self, kernel, tmp_path):
+        model, _, test = fitted_model(kernel=kernel, seed=2, snr=5.0)
+        save_model(model, tmp_path / "model.json")
+        self.assert_per_call_bits(load_model(tmp_path / "model.json"), test, kernel)
+
+    @staticmethod
+    def assert_per_call_bits(model, test, kernel):
         X = test.stacked_inputs()
+        query = test.sample_task_ids()
+        u_table = task_vector_table(model.factors)
         # the per-call assembly the model used before caching these terms
         train_X = np.concatenate(model.train_inputs, axis=0)
         tid = np.repeat(np.arange(model.grid.n_tasks), [b.shape[0] for b in model.train_inputs])
         weighted = model.duals[:, None] * model.task_vector_snapshot[tid]
-        projection = gram(kernel, train_X, X).T @ weighted
-        query = test.sample_task_ids()
-        u_query = task_vector_table(model.factors)[query]
-        expected = np.sum(projection * u_query, axis=1) + model.biases[query]
+
+        def per_call(rows):
+            projection = gram(kernel, train_X, X[rows]).T @ weighted
+            return np.sum(projection * u_table[query[rows]], axis=1) + model.biases[query[rows]]
+
+        expected = per_call(slice(None))
         np.testing.assert_array_equal(model._dual_rows(query, X), expected)
         if model.explicit is not None:
             # batch prediction of a linear model is the per-call primal assembly
-            expected = np.sum((X @ model.explicit) * u_query, axis=1) + model.biases[query]
+            expected = np.sum((X @ model.explicit) * u_table[query], axis=1) + model.biases[query]
+        indices = [delinearize(model.grid, int(t) + 1) for t in query]
         np.testing.assert_array_equal(np.concatenate(model.predict_dataset(test)), expected)
-        for j in (0, 7, 19):
-            idx = delinearize(model.grid, int(query[j]) + 1)
-            one = predict_dual(model, idx, test.stacked_inputs()[j])
-            assert one == float(model._dual_rows(query[j : j + 1], test.stacked_inputs()[j : j + 1])[0])
+        np.testing.assert_array_equal(model.predict_rows(indices, X), expected)
+        for j in (0, 7, 19):  # one query row: the Gram of that row alone
+            assert predict_dual(model, indices[j], X[j]) == float(per_call(slice(j, j + 1))[0])
+
+
+class TestCachedTrainNorms:
+    RBF = KernelSpec("rbf", gamma=0.4)
+
+    def test_norms_are_read_only_and_computed_once(self):
+        model, _, test = fitted_model(kernel=self.RBF, seed=23)
+        shared = model._shared
+        predict_dual(model, (1, 2), test.stacked_inputs()[0])
+        norms = shared.train_norms
+        assert norms is shared.train_norms
+        assert not norms.flags.writeable
+        assert norms.tobytes() == sq_norms(shared.train_inputs).tobytes()
+        model.predict_dataset(test)
+        assert shared.train_norms is norms
+
+    def test_linear_model_never_computes_norms(self):
+        model, _, test = fitted_model(seed=24)
+        predict_dual(model, (2, 1), test.stacked_inputs()[0])
+        model.predict_dataset(test)
+        model._dual_rows(test.sample_task_ids(), test.stacked_inputs())
+        assert "train_norms" not in vars(model._shared)
+
+    def test_one_query_builds_no_m_by_d_temporary(self):
+        m, d = 1200, 30
+        rng = np.random.default_rng(25)
+        factors = ModeFactors((rng.normal(size=(2, 3)), rng.normal(size=(2, 3))))
+        train = tuple(rng.normal(size=(m // 4, d)) for _ in range(4))
+        model = TrainedModel(
+            grid=factors.grid, factors=factors, duals=rng.normal(size=m),
+            task_vector_snapshot=task_vector_table(factors), biases=rng.normal(size=4),
+            kernel=self.RBF, train_inputs=train,
+        )
+        x = rng.normal(size=d)
+        predict_dual(model, (1, 1), x)  # the first query computes the norms
+        tracemalloc.start()
+        try:
+            predict_dual(model, (2, 1), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * d * 8 / 4
 
 
 class TestFormsAgree:

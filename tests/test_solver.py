@@ -1450,7 +1450,8 @@ class TestFit:
         raises=SolverError,
         reason="at C=1e6 the row-step duals C*e reach 2e7 and the saddle residual of "
         "their double-precision values, about eps*||Q||*||alpha||, exceeds the absolute "
-        "bound RESIDUAL_RTOL*(1+||y||); the dense LU fails here as well",
+        "bound RESIDUAL_RTOL*(1+||y||), which does not grow with C; any backward-stable "
+        "solve of these systems, not only the Cholesky one, leaves a residual of that size",
     )
     def test_cost_1e6_linear_fit_meets_residual_bound(self):
         data = snr10_dataset()
