@@ -11,13 +11,12 @@ tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .data import MtlDataset
 from .errors import DataError
-from .kernels import KernelSpec, gram, sq_norms
+from .kernels import KernelSpec, gram
 from .linsys import Blocks, solve_dual_system
 from .taskgrid import TaskGrid, linearize
 
@@ -44,18 +43,6 @@ class SingleTaskLssvm:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "bias", float(self.bias))
 
-    @cached_property
-    def input_norms(self) -> np.ndarray:
-        """`sq_norms` of the training inputs, read-only; only an RBF cross-Gram reads them."""
-        norms = sq_norms(self.inputs)
-        norms.flags.writeable = False
-        return norms
-
-    def cross_gram(self, X: np.ndarray) -> np.ndarray:
-        """Kernel block between the training inputs and the rows of X; RBF takes the cached norms."""
-        norms = self.input_norms if self.kernel.family == "rbf" else None
-        return gram(self.kernel, self.inputs, X, norms)
-
 
 def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
     """Fit one task; the dual coefficients sum to zero by the bias stationarity."""
@@ -76,7 +63,7 @@ def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
 def predict_single(model: SingleTaskLssvm, x) -> float:
     """sum_i alpha_i k(x, x_i) + b."""
     x = query_inputs(x, 1, model.inputs.shape[1])
-    k = model.cross_gram(x[None, :])[:, 0]
+    k = gram(model.kernel, model.inputs, x[None, :])[:, 0]
     return float(model.duals @ k + model.bias)
 
 
@@ -115,8 +102,6 @@ class LssvmModel:
     def __post_init__(self) -> None:
         if len(self.tasks) != self.grid.n_tasks:
             raise ValueError(f"expected {self.grid.n_tasks} task models, got {len(self.tasks)}")
-        if any(task.kernel != self.kernel for task in self.tasks):
-            raise ValueError("every task model must use the model's kernel")
 
     @property
     def n_features(self) -> int:
@@ -132,7 +117,7 @@ class LssvmModel:
         for t in np.unique(task_ids):
             rows = np.flatnonzero(task_ids == t)
             task = self.tasks[t]
-            out[rows] = task.duals @ task.cross_gram(X[rows]) + task.bias
+            out[rows] = task.duals @ gram(self.kernel, task.inputs, X[rows]) + task.bias
         return out
 
     def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
@@ -143,7 +128,7 @@ class LssvmModel:
             if X.shape[0] == 0:
                 out.append(np.zeros(0))
                 continue
-            k = task.cross_gram(X)
+            k = gram(self.kernel, task.inputs, X)
             out.append(task.duals @ k + task.bias)
         return out
 

@@ -6,7 +6,7 @@ import pytest
 from tlssvm.baseline import LssvmModel, fit_independent, fit_single, predict_single
 from tlssvm.data import MtlDataset
 from tlssvm.errors import DataError
-from tlssvm.kernels import KernelSpec, gram, sq_norms
+from tlssvm.kernels import KernelSpec, gram
 from tlssvm.model import load_model, save_model
 from tlssvm.taskgrid import TaskGrid, linearize
 
@@ -207,51 +207,6 @@ class TestBaselineSerialization:
         model = fit_independent(data, 1.0, LINEAR)
         with pytest.raises(ValueError, match="task models"):
             LssvmModel(TaskGrid((3,)), LINEAR, model.tasks)
-
-
-class TestCachedInputNorms:
-    """An RBF task model computes its input norms once; the bits stay those of a fresh Gram."""
-
-    def test_predictions_keep_the_bits(self, tmp_path):
-        data = grid_dataset(7)
-        model = fit_independent(data, 8.0, RBF)
-        path = tmp_path / "baseline.json"
-        save_model(model, path)
-        X = np.random.default_rng(8).normal(size=(12, 3))
-        idx = [(1 + j % 2, 1 + j % 3 // 2) for j in range(12)]
-        tid = np.array([linearize(model.grid, i) - 1 for i in idx])
-        for m in (model, load_model(path)):
-            rows = m.predict_rows(idx, X)
-            for t, task in enumerate(m.tasks):
-                mine = tid == t
-                fresh = gram(RBF, task.inputs, X[mine])
-                assert rows[mine].tobytes() == (task.duals @ fresh + task.bias).tobytes()
-                for x in X[mine]:  # one query row: the Gram of that row alone
-                    k = gram(RBF, task.inputs, x[None, :])[:, 0]
-                    assert predict_single(task, x) == float(task.duals @ k + task.bias)
-            for task, block, X_t in zip(m.tasks, m.predict_dataset(data), data.inputs):
-                assert block.tobytes() == (task.duals @ gram(RBF, task.inputs, X_t) + task.bias).tobytes()
-
-    def test_norms_are_read_only_and_computed_once(self):
-        task = fit_independent(grid_dataset(9), 8.0, RBF).tasks[0]
-        predict_single(task, np.ones(3))
-        norms = task.input_norms
-        assert norms is task.input_norms
-        assert not norms.flags.writeable
-        assert norms.tobytes() == sq_norms(task.inputs).tobytes()
-
-    def test_linear_model_never_computes_norms(self):
-        data = grid_dataset(10)
-        model = fit_independent(data, 8.0, LINEAR)
-        predict_single(model.tasks[0], np.ones(3))
-        model.predict_rows([(1, 1), (2, 2)], np.ones((2, 3)))
-        model.predict_dataset(data)
-        assert all("input_norms" not in vars(task) for task in model.tasks)
-
-    def test_task_kernels_must_match_the_model(self):
-        model = fit_independent(grid_dataset(11), 1.0, RBF)
-        with pytest.raises(ValueError, match="model's kernel"):
-            LssvmModel(model.grid, KernelSpec("rbf", gamma=0.25), model.tasks)
 
 
 class TestGramHelper:
