@@ -243,12 +243,10 @@ def cmd_benchmark(args) -> int:
     template = SyntheticSpec.from_config(cfg["synthetic"])
     try:
         snrs = tuple(float(s) for s in cfg["snrs"])
-        reps = int(cfg.get("reps", 10))
-        base_seed = int(cfg.get("base_seed", 0))
     except (TypeError, ValueError, OverflowError) as exc:  # a value that is not a number
         raise ConfigError(f"bad benchmark config: {exc}") from exc
-    if args.seed is not None:
-        base_seed = args.seed
+    reps = cfg.get("reps", 10)
+    base_seed = cfg.get("base_seed", 0) if args.seed is None else args.seed
     method_cfgs = cfg.get("methods", {METHOD_TENSOR: {}, METHOD_BASELINE: {}})
     if not isinstance(method_cfgs, dict):
         raise ConfigError("benchmark methods must be a JSON object of method names and cv plans")

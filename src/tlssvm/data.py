@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, whole
 from .linsys import Blocks, TaskMoments
 from .taskgrid import ModeFactors, TaskGrid, delinearize, linearize, task_vector_table
 from .textio import csv_line, csv_rows
@@ -202,9 +202,9 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode_sizes", TaskGrid(tuple(self.mode_sizes)).mode_sizes)
-        for name in ("d", "k_true", "train_per_task", "test_per_task"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("d", "k_true", "train_per_task", "test_per_task", "seed"):
+            minimum = 0 if name == "seed" else 1
+            object.__setattr__(self, name, whole(getattr(self, name), name, minimum))
         if not float(self.snr) > 0:
             raise ConfigError(f"snr must be positive, got {self.snr}")
         object.__setattr__(self, "snr", float(self.snr))
@@ -237,13 +237,13 @@ class SyntheticSpec:
             raise ConfigError(f"unknown synthetic spec keys: {sorted(extra)}")
         try:
             return cls(
-                d=int(cfg["d"]),
+                d=cfg["d"],
                 mode_sizes=tuple(cfg["mode_sizes"]),
-                k_true=int(cfg["k_true"]),
-                train_per_task=int(cfg["train_per_task"]),
-                test_per_task=int(cfg["test_per_task"]),
+                k_true=cfg["k_true"],
+                train_per_task=cfg["train_per_task"],
+                test_per_task=cfg["test_per_task"],
                 snr=float(cfg["snr"]),
-                seed=int(cfg["seed"]),
+                seed=cfg["seed"],
             )
         except ConfigError:
             raise
@@ -402,9 +402,7 @@ def kfold_split(data: MtlDataset, folds: int, seed: int) -> list[tuple[MtlDatase
     part j over tasks. Samples keep their original relative order inside
     each resulting block.
     """
-    folds = int(folds)
-    if folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {folds}")
+    folds = whole(folds, "folds", 2)
     for t, m in enumerate(data.task_sizes, start=1):
         if m < folds:
             raise DataError(f"task {t} has {m} samples, fewer than {folds} folds")

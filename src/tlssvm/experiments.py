@@ -16,7 +16,7 @@ import numpy as np
 
 from .baseline import LssvmModel, fit_independent
 from .data import MtlDataset, SyntheticSpec, generate_synthetic, kfold_split
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, whole
 from .kernels import KernelSpec
 from .metrics import evaluate_predictions
 from .model import TrainedModel
@@ -69,13 +69,11 @@ class CvPlan:
         for name in ("ranks", "costs", "gammas"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} grid must be non-empty")
-        if not int(self.folds) == self.folds >= 2:
-            raise ConfigError(f"folds must be a whole number >= 2, got {self.folds!r}")
-        object.__setattr__(self, "folds", int(self.folds))
+        object.__setattr__(self, "folds", whole(self.folds, "folds", 2))
+        object.__setattr__(self, "max_iters", whole(self.max_iters, "max_iters", 1))
         if not all(0 < float(c) < math.inf for c in self.costs):
             raise ConfigError(f"costs must be positive and finite, got {list(self.costs)}")
-        if not all(int(r) == r >= 1 for r in self.ranks):
-            raise ConfigError(f"ranks must be whole numbers >= 1, got {list(self.ranks)}")
+        object.__setattr__(self, "ranks", tuple(whole(self.ranks, "ranks", 1).tolist()))
         for gamma in self._gamma_axis():
             self.kernel(gamma)  # KernelSpec rejects a gamma that is not finite and positive
 
@@ -293,8 +291,8 @@ def run_benchmark(
     cross-validation on the training split, refits the winner, and scores
     the test split. Rows of the summary average the repetitions.
     """
-    if reps < 1:
-        raise ConfigError(f"need at least one repetition, got {reps}")
+    reps = whole(reps, "repetitions", 1)
+    base_seed = whole(base_seed, "base_seed", 0)
     if not snrs:
         raise ConfigError("snr grid must be non-empty")
     methods = tuple(plans)

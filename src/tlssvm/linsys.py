@@ -21,18 +21,18 @@ single-task baseline) or one of three structured forms:
   a kernel Gram G, held as the task vectors and G: the shared step of an
   RBF kernel, or of a linear one with dK > m (G = X X^T).
 
-The system is solved in one of two forms, both by Cholesky. Which form a
-shared step takes is the caller's choice (`solver.solve_shared_step`):
+Each kind of system matrix is solved in one form, both forms by
+Cholesky. Which kind a shared step hands over is the caller's choice
+(`solver.solve_shared_step`):
 
-* Dense with a Schur complement, for a CoherenceGram, a dense Q and the
-  FeatureGram groups with more columns than rows. The solve factors
-  H = Q + I/C in place, in one of two owners. For a CoherenceGram, H is
-  written over the upper triangle of the caller's Gram G, which LAPACK's
-  dpotrf factors without reading the lower one; G is restored from its
-  lower triangle and a saved diagonal right after the first solve, and
-  also when that solve raises. So it holds no m x m array besides G. For
-  a dense Q, the baseline's Gram or a FeatureGram group's Phi_g Phi_g^T,
-  H is a fresh copy that the solve owns, because the residual needs Q.
+* Dense with a Schur complement, for a CoherenceGram and a dense Q. The
+  solve factors H = Q + I/C in place, in one of two owners. For a
+  CoherenceGram, H is written over the upper triangle of the caller's
+  Gram G, which LAPACK's dpotrf factors without reading the lower one; G
+  is restored from its lower triangle and a saved diagonal right after
+  the first solve, and also when that solve raises. So it holds no m x m
+  array besides G. For a dense Q (the single-task baseline's Gram), H is
+  a fresh copy that the solve owns, because the residual needs Q.
   H is positive definite for a PSD Q, and its Cholesky factor gives
   H^-1 y and H^-1 A in one triangular solve. The biases come from the
   T x T Schur complement A^T H^-1 A, also Cholesky-factored, and the
@@ -44,8 +44,8 @@ shared step takes is the caller's choice (`solver.solve_shared_step`):
   gives the same factor bit for bit. The residual goes through Q's
   operator: G (U o v) summed against U row by row for a CoherenceGram
   (U the m x K task vectors of the samples), Q v for a dense Q.
-* Centered ridge (`solve_feature_system`), for a KroneckerGram and the
-  FeatureGram groups with p <= m_g.
+* Centered ridge (`solve_feature_system`), for a FeatureGram and a
+  KroneckerGram, exact for every number of features p.
   Centering Phi and y per block eliminates the biases, which leaves a
   p x p ridge system in the primal weights w, solved by Cholesky. Biases
   and duals are recovered from w, and w itself is returned: it is the
@@ -69,8 +69,7 @@ shared step takes is the caller's choice (`solver.solve_shared_step`):
   Phi w row by row from X W^T. The S_t are computed on the first ridge
   solve and kept while all of them together take no more memory than Phi
   and its centered copy (2 m dK floats); otherwise each solve sums them
-  in runs of tasks that fit that bound. A KroneckerGram is always solved
-  this way, which is exact for every dK.
+  in runs of tasks that fit that bound.
 
 Both evaluate the residual of the saddle system above with Q itself
 (never with a factor), and raise SolverError when it exceeds
@@ -82,12 +81,12 @@ that solves the same structure many times (a fit) builds it once. Blocks
 may also carry groups, which make the system a stack of independent
 subsystems (all rows of one mode, say): group g is the next groups[g]
 blocks, and its samples' rows of Phi form Phi_g, so that for a feature
-form Q = blockdiag(Phi_g Phi_g^T). Each group takes the form it would take
-on its own: the centered ridge when p <= m_g, with one p x p factor per
-group, else the dense form on its m_g x m_g block. Every group's residual
-is checked against its own bound RESIDUAL_RTOL * (1 + ||y_g||), and the
-reported residual is the largest group residual. A SolverError carries
-the 0-based index of the lowest failing group in its `group` attribute.
+form Q = blockdiag(Phi_g Phi_g^T). The ridge factors one p x p matrix per
+group, whether the group has more samples than p or fewer. Every group's
+residual is checked against its own bound RESIDUAL_RTOL * (1 + ||y_g||),
+and the reported residual is the largest group residual. A SolverError
+carries the 0-based index of the lowest failing group in its `group`
+attribute.
 
 LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
 factorization rather than with this module: only training solves systems,
@@ -104,7 +103,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, whole
 
 __all__ = [
     "RESIDUAL_RTOL",
@@ -127,10 +126,8 @@ class Solution(NamedTuple):
     `biases` has one entry per block, `duals` one per sample, and
     `residual` is the largest group residual. `weights` holds a feature
     form's primal weights, one row w_g per group (G x p): the first ridge
-    solve's w for a group solved as a centered ridge (every KroneckerGram),
-    Phi_g^T alpha_g for a FeatureGram group solved in the dense form and
-    for a ridge group whose w misses its bound after a refinement step. It
-    is None for a dense Q and a CoherenceGram.
+    solve's w, or Phi_g^T alpha_g for a group whose w misses its bound
+    after a refinement step. It is None for a dense Q and a CoherenceGram.
     """
 
     biases: np.ndarray
@@ -150,12 +147,15 @@ class Blocks(tuple):
     """
 
     def __new__(cls, block_sizes, groups=None) -> "Blocks":
-        sizes = _whole(block_sizes, "block sizes")
+        sizes = whole(block_sizes, "block sizes", error=ValueError)
         if (sizes < 1).any():
             raise ValueError(f"every block needs at least one sample, got sizes {sizes.tolist()}")
         self = super().__new__(cls, sizes.tolist())
         n_blocks = len(self)
-        counts = (n_blocks,) if groups is None else tuple(_whole(groups, "groups").tolist())
+        if groups is None:
+            counts = (n_blocks,)
+        else:
+            counts = tuple(whole(groups, "groups", error=ValueError).tolist())
         if not counts or min(counts) < 1:
             raise ValueError(f"groups must be positive block counts, got {counts}")
         if sum(counts) != n_blocks:
@@ -190,16 +190,6 @@ class Blocks(tuple):
     def means(self, values: np.ndarray) -> np.ndarray:
         """Per-block means along the sample axis."""
         return self.sums(values) / self.sizes.reshape((-1,) + (1,) * (values.ndim - 1))
-
-
-def _whole(values, what: str) -> np.ndarray:
-    """`values` as a flat intp array; ValueError unless every value is a whole number."""
-    given = np.asarray(values)
-    if given.dtype.kind not in "iu":
-        exact = np.asarray(given, dtype=float)
-        if not (np.isfinite(exact) & (np.trunc(exact) == exact)).all():
-            raise ValueError(f"{what} must be whole numbers, got {given.reshape(-1).tolist()}")
-    return given.astype(np.intp).reshape(-1)
 
 
 def _check(blocks: Blocks, m: int, C: float) -> None:
@@ -563,8 +553,7 @@ def solve_dual_system(
 ) -> Solution:
     """Solve the saddle-point system above for the block structure `blocks`.
 
-    A KroneckerGram, and every FeatureGram group with at least as many rows
-    as Phi has columns, go to :func:`solve_feature_system`; any other group,
+    A FeatureGram and a KroneckerGram go to :func:`solve_feature_system`;
     a CoherenceGram and a dense Q are solved in the dense form with a Schur
     complement. Returns a `Solution` (biases, duals, residual, weights).
     Raises SolverError if Q + I/C is not positive definite or a group's
@@ -572,6 +561,10 @@ def solve_dual_system(
     TypeError when `blocks` is not a Blocks, and ValueError on inconsistent
     shapes or a C that is not positive and finite.
     """
+    if isinstance(Q, FeatureGram):
+        return solve_feature_system(blocks, Q.features, y, C)
+    if isinstance(Q, KroneckerGram):
+        return solve_feature_system(blocks, Q, y, C)
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     _check(blocks, m, C)
@@ -581,59 +574,15 @@ def solve_dual_system(
         return _solve_dense(
             blocks, lambda: Q.factored(blocks, inv_c), y, inv_c, lambda v: Q.matvec(blocks, v)
         )
-    if isinstance(Q, KroneckerGram):
-        return solve_feature_system(blocks, Q, y, C)
-    if not isinstance(Q, FeatureGram):
-        Q = np.asarray(Q, dtype=float)
-        if Q.shape != (m, m):
-            raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
-        return _solve_dense_matrix(blocks, Q, y, inv_c)
-    Phi = Q.features
-    if Phi.shape[0] != m:
-        raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
-    ridge = blocks.group_sizes >= Phi.shape[1]
-    if ridge.all():
-        return solve_feature_system(blocks, Phi, y, C)
-
-    # The ridge groups are solved together, every other group on its own.
-    units = [np.flatnonzero(ridge)] if ridge.any() else []
-    units += [np.array([g]) for g in np.flatnonzero(~ridge)]
-    biases, duals = np.empty(len(blocks)), np.empty(m)
-    weights = np.empty((len(blocks.groups), Phi.shape[1]))
-    residual, failures = 0.0, []
-    for ids in units:
-        in_unit = np.zeros(blocks.groups.shape[0], dtype=bool)
-        in_unit[ids] = True
-        own_blocks = in_unit.repeat(blocks.groups)
-        own = own_blocks.repeat(blocks.sizes)
-        unit = Blocks(blocks.sizes[own_blocks], blocks.groups[ids])
-        Phi_u, y_u = Phi[own], y[own]
-        try:
-            if ridge[ids[0]]:
-                b, a, r, w = solve_feature_system(unit, Phi_u, y_u, C)
-            else:
-                Q_u = Phi_u @ Phi_u.T
-                b, a, r, _ = _solve_dense_matrix(unit, 0.5 * (Q_u + Q_u.T), y_u, inv_c)
-                w = Phi_u.T @ a
-        except SolverError as exc:
-            if exc.group is None:
-                raise
-            exc.group = int(ids[exc.group])
-            failures.append(exc)
-            continue
-        biases[own_blocks], duals[own], weights[ids] = b, a, w
-        residual = max(residual, r)
-    if failures:
-        raise min(failures, key=lambda exc: exc.group)
-    return Solution(biases, duals, residual, weights)
-
-
-def _solve_dense_matrix(blocks: Blocks, Q: np.ndarray, y: np.ndarray, inv_c: float) -> Solution:
-    """The dense form for an m x m matrix Q, with H = Q + I/C factored once in a copy it owns."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape != (m, m):
+        raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
+    # H = Q + I/C is factored once in a copy the solve owns, since the
+    # residual needs Q; H.T is Fortran-ordered, so LAPACK factors it in
+    # place, and its lower triangle is H's upper one, the same for a
+    # symmetric Q.
     H = np.array(Q, order="C")
-    H.reshape(-1)[:: H.shape[0] + 1] += inv_c
-    # H.T is Fortran-ordered, so LAPACK factors it in place; its lower
-    # triangle is H's upper one, the same for a symmetric Q.
+    H.reshape(-1)[:: m + 1] += inv_c
     factor = _cholesky(H.T, "Q + I/C")
     return _solve_dense(blocks, lambda: nullcontext(factor), y, inv_c, lambda v: Q @ v)
 
@@ -642,10 +591,9 @@ def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q)
     """The dense form with a Schur complement, for one group.
 
     `factored()` opens the lower Cholesky factor of H = Q + inv_c I as a
-    context manager: the factor of a copy the solve owns
-    (`_solve_dense_matrix`), or `CoherenceGram.factored`, which writes and
-    factors H in the Gram's upper triangle on every opening and restores
-    the Gram on closing.
+    context manager: the factor of a dense Q's copy that the solve owns,
+    or `CoherenceGram.factored`, which writes and factors H in the Gram's
+    upper triangle on every opening and restores the Gram on closing.
     The solve uses the factor for the first solve, closes it, and opens it
     again only for a refinement step. `apply_q(v)` is Q v, by which the
     residual is checked.
@@ -680,9 +628,9 @@ def solve_feature_system(
 ) -> Solution:
     """Solve the saddle-point system with Q = Phi Phi^T as a centered ridge.
 
-    Same contract as :func:`solve_dual_system`, which calls this for the
-    groups of a feature form with p <= m_g. Phi is an m x p matrix or a
-    KroneckerGram (one group). The p x p matrix Phi~^T Phi~ + I/C of the
+    Same contract as :func:`solve_dual_system`, which calls this for a
+    FeatureGram's matrix and for a KroneckerGram. Phi is an m x p matrix or
+    a KroneckerGram (one group). The p x p matrix Phi~^T Phi~ + I/C of the
     block-centered features Phi~ is Cholesky-factored once per group. A
     right-hand side [g; h] of the saddle system then solves in closed
     form, group by group:
@@ -703,8 +651,8 @@ def solve_feature_system(
     its w only if the residual with Phi_g w standing in for Q alpha meets
     the bound at the refined biases and duals; otherwise its weights are
     Phi_g^T alpha_g of those duals, which the residual check passed. Exact
-    for every p, but cheaper than the dense form only while p stays below
-    the group's sample count.
+    for every p: a group with fewer samples than p still factors its p x p
+    matrix, which the ridge I/C keeps positive definite.
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]

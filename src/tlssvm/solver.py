@@ -64,7 +64,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import ModeLayout, MtlDataset
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, whole
 from .kernels import KernelSpec, gram
 from .linsys import CoherenceGram, FeatureGram, KroneckerGram, solve_dual_system
 from .model import SharedFactor, dual_weights, shared_projection, task_predictions
@@ -95,19 +95,15 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not int(self.K) == self.K >= 1:
-            raise ConfigError(f"rank K must be a whole number >= 1, got {self.K!r}")
+        object.__setattr__(self, "K", whole(self.K, "rank K", 1))
         if not 0 < float(self.C) < math.inf:
             raise ConfigError(f"C must be positive and finite, got {self.C}")
-        if int(self.max_iters) < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        object.__setattr__(self, "max_iters", whole(self.max_iters, "max_iters", 1))
         if not float(self.tol) > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "C", float(self.C))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", whole(self.seed, "seed", 0))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "FitConfig":
@@ -126,13 +122,11 @@ class FitConfig:
                 K=cfg["K"],
                 C=float(cfg["C"]),
                 kernel=KernelSpec.from_config(cfg["kernel"]),
-                max_iters=int(cfg.get("max_iters", 100)),
+                max_iters=cfg.get("max_iters", 100),
                 tol=float(cfg.get("tol", 1e-3)),
-                seed=int(cfg.get("seed", 0)),
+                seed=cfg.get("seed", 0),
             )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:  # a value that is not a number
+        except (TypeError, ValueError, OverflowError) as exc:  # ConfigError included
             raise ConfigError(f"bad fit config: {exc}") from exc
 
 
@@ -168,12 +162,11 @@ class FitState:
 
 def init_factors(grid: TaskGrid, rank: int, seed: int) -> ModeFactors:
     """Seeded standard-normal mode factors with unit-norm columns."""
-    if int(rank) < 1:
-        raise ConfigError(f"rank must be >= 1, got {rank}")
+    rank = whole(rank, "rank", 1)
     rng = np.random.default_rng(seed)
     mats = []
     for size in grid.mode_sizes:
-        f = rng.standard_normal((size, int(rank)))
+        f = rng.standard_normal((size, rank))
         f /= np.linalg.norm(f, axis=0, keepdims=True)
         mats.append(f)
     return ModeFactors(tuple(mats))
@@ -306,11 +299,10 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
     Row r's subproblem involves only the tasks whose mode index equals r;
     its system matrix is the Gram of their reduced features Z_r. The rows
     are independent, so they go to the solver as one FeatureGram of Z with
-    the layout's Blocks (one group per row), each row solved through the
-    smaller of its two forms (a K x K ridge unless K exceeds the row's
-    sample count). Each row's values are the solver's primal weights for
-    its group: the ridge solution w, or Z_r^T alpha_r in the dense form and
-    when w misses the row's bound after a refinement step.
+    the layout's Blocks (one group per row), each row solved as its own
+    K x K centered ridge, whatever its sample count. Each row's values are
+    the solver's primal weights for its group: the ridge solution w, or
+    Z_r^T alpha_r when w misses the row's bound after a refinement step.
     A row whose features are all zero (a fit that collapsed) has the exact
     solution 0, with its tasks' biases at their target means. A
     SolverError names the lowest failing row, in its message (`mode n row

@@ -4,8 +4,8 @@ Tasks live on an N-mode grid of size T_1 x ... x T_N. A task is addressed
 either by its multi-index (t_1, ..., t_N) or by a linear id in {1, ..., T}.
 Both are 1-based at the API boundary; the first index varies fastest
 (generalized column-major order). All types here are immutable and all
-operations are pure. The module imports no other module of the package;
-the shared factor, which also needs the training inputs, is
+operations are pure. The module imports no other module of the package
+but `errors`; the shared factor, which also needs the training inputs, is
 `model.SharedFactor`.
 """
 
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .errors import whole
 
 __all__ = [
     "TaskGrid",
@@ -35,11 +37,9 @@ class TaskGrid:
     mode_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.mode_sizes)
+        sizes = tuple(whole(self.mode_sizes, "mode sizes", 1).tolist())
         if len(sizes) < 1:
             raise ValueError("a task grid needs at least one mode")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"mode sizes must be positive, got {sizes}")
         object.__setattr__(self, "mode_sizes", sizes)
 
     @property

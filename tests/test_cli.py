@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 from tlssvm.cli import main
-from tlssvm.data import MtlDataset, load_csv, save_csv
+from tlssvm.data import MtlDataset, SyntheticSpec, kfold_split, load_csv, save_csv
+from tlssvm.errors import ConfigError
+from tlssvm.experiments import CvPlan, run_benchmark
+from tlssvm.kernels import KernelSpec
 from tlssvm.model import load_model
+from tlssvm.solver import FitConfig, init_factors
 from tlssvm.taskgrid import TaskGrid
 
 SPEC = {
@@ -542,6 +546,72 @@ class TestBenchmark:
         assert not (tmp_path / "out").exists()
 
 
+CV_PLAN = {"kernel_family": "linear", "ranks": [1], "costs": [1.0], "folds": 2, "max_iters": 2}
+
+
+class TestWholeNumbers:
+    """Every integer field rejects a fractional value instead of truncating it."""
+
+    @pytest.mark.parametrize(
+        "command, config, key, value",
+        [
+            pytest.param(command, config, key, value, id=f"{command}-{key}")
+            for command, config, key, value in (
+                [("generate", SPEC, key, 2.5) for key in ("d", "k_true", "train_per_task", "test_per_task", "seed")]
+                + [("generate", SPEC, "mode_sizes", [2.7, 2])]
+                + [("train", FIT, key, 2.5) for key in ("K", "max_iters", "seed")]
+                + [("cv", CV_PLAN, key, 2.5) for key in ("folds", "max_iters")]
+                + [("cv", CV_PLAN, "ranks", [1.5])]
+                + [("benchmark", BENCH, key, 2.5) for key in ("reps", "base_seed")]
+                + [("benchmark", BENCH, "synthetic", {**BENCH["synthetic"], "train_per_task": 8.5})]
+            )
+        ],
+    )
+    def test_fractional_config_value_is_usage_error(self, pipeline, tmp_path, capsys, command, config, key, value):
+        cfg = write_json(tmp_path / "config.json", {**config, key: value})
+        args = {
+            "generate": [],
+            "train": ["--train", pipeline["train_csv"], "--grid", "2,2"],
+            "cv": ["--train", pipeline["train_csv"], "--grid", "2,2"],
+            "benchmark": [],
+        }[command]
+        assert main([command, *args, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "whole number" in err
+        assert not list(tmp_path.glob("out/*"))  # nothing written
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: TaskGrid((2.7, 2)), id="TaskGrid-mode_sizes"),
+            *(
+                pytest.param(lambda key=key: SyntheticSpec(**{**SPEC, key: 2.5}), id=f"SyntheticSpec-{key}")
+                for key in ("d", "k_true", "train_per_task", "test_per_task", "seed")
+            ),
+            *(
+                pytest.param(lambda key=key: FitConfig(**{**FIT, "kernel": KernelSpec("linear"), key: 2.5}),
+                             id=f"FitConfig-{key}")
+                for key in ("K", "max_iters", "seed")
+            ),
+            *(pytest.param(lambda key=key: CvPlan(**{key: 2.5}), id=f"CvPlan-{key}") for key in ("folds", "max_iters")),
+            pytest.param(lambda: CvPlan(ranks=(1, 1.5)), id="CvPlan-ranks"),
+            pytest.param(lambda: run_benchmark(SyntheticSpec.from_config(SPEC), (5.0,), 2.5, 0, {"tlssvm": CvPlan()}),
+                         id="run_benchmark-reps"),
+            pytest.param(lambda: run_benchmark(SyntheticSpec.from_config(SPEC), (5.0,), 1, 0.5, {"tlssvm": CvPlan()}),
+                         id="run_benchmark-base_seed"),
+            pytest.param(lambda: init_factors(TaskGrid((2, 2)), 2.5, 0), id="init_factors-rank"),
+        ],
+    )
+    def test_fractional_value_raises_config_error(self, call):
+        with pytest.raises(ConfigError, match="whole number"):
+            call()
+
+    def test_fractional_folds_of_a_split_raise_config_error(self, pipeline):
+        data = load_csv(pipeline["train_csv"], TaskGrid((2, 2)))
+        with pytest.raises(ConfigError, match="whole number"):
+            kfold_split(data, 2.5, 0)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -609,28 +679,41 @@ class TestColdStart:
 class TestThreadCountContract:
     """Reruns are byte-identical at a fixed BLAS thread count (not across counts)."""
 
-    def test_rbf_train_reruns_are_byte_identical_per_thread_count(self, tmp_path):
+    @staticmethod
+    def reruns(tmp_path, kernel):
+        """Train and predict twice under 1 and twice under 2 BLAS threads: {threads: [out, out]}."""
         # m = 160 is above the n = 128 from which threaded dpotrf splits its work;
-        # on 2 cores with OpenBLAS 0.3.31 the 1- and 2-thread outputs of this fit differ
+        # on 2 cores with OpenBLAS 0.3.31 the 1- and 2-thread outputs of the RBF fit differ
         spec = {**SPEC, "train_per_task": 40, "seed": 12}
-        fit_cfg = {"K": 2, "C": 10.0, "kernel": {"family": "rbf", "gamma": 0.1}, "max_iters": 3, "tol": 1e-300}
-        assert main(["generate", "--config", write_json(tmp_path / "spec.json", spec), "--out-dir", str(tmp_path / "data")]) == 0
-        args = [
-            "train", "--train", str(tmp_path / "data" / "train.csv"), "--grid", "2,2",
+        fit_cfg = {"K": 2, "C": 10.0, "kernel": kernel, "max_iters": 3, "tol": 1e-300}
+        data = tmp_path / "data"
+        assert main(["generate", "--config", write_json(tmp_path / "spec.json", spec), "--out-dir", str(data)]) == 0
+        train = [
+            "train", "--train", str(data / "train.csv"), "--grid", "2,2",
             "--config", write_json(tmp_path / "fit.json", fit_cfg),
         ]
         src = Path(__file__).resolve().parents[1] / "src"
+        outs = {}
         for threads in ("1", "2"):
             env = dict(
                 os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                 PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
             )
-            runs = [tmp_path / f"t{threads}_{rerun}" for rerun in "ab"]
-            for out in runs:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "tlssvm", *args, "--out-dir", str(out)],
-                    env=env, capture_output=True, text=True, timeout=120,
-                )
-                assert proc.returncode == 0, proc.stderr
-            for name in ("model.json", "trace.csv"):
-                assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), (threads, name)
+            outs[threads] = [tmp_path / f"t{threads}_{rerun}" for rerun in "ab"]
+            for out in outs[threads]:
+                predict = ["predict", "--model", str(out / "model.json"), "--data", str(data / "test.csv")]
+                for args in (train, predict):
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "tlssvm", *args, "--out-dir", str(out)],
+                        env=env, capture_output=True, text=True, timeout=120,
+                    )
+                    assert proc.returncode == 0, proc.stderr
+        return outs
+
+    @pytest.mark.parametrize(
+        "kernel", [{"family": "rbf", "gamma": 0.1}, {"family": "linear"}], ids=["rbf", "linear"]
+    )
+    def test_train_reruns_are_byte_identical_per_thread_count(self, tmp_path, kernel):
+        for threads, (first, second) in self.reruns(tmp_path, kernel).items():
+            for name in ("model.json", "trace.csv", "predictions.csv"):
+                assert (first / name).read_bytes() == (second / name).read_bytes(), (threads, name)

@@ -1,11 +1,12 @@
 """The dense form of the saddle solve: the buffer it factors and the forms that fill it.
 
 A CoherenceGram (the shared step of an RBF fit, and of a linear fit with
-more features than samples), a dense Q and the groups of a FeatureGram
-with more columns than rows are all solved by a Cholesky factorization of
-H = Q + I/C. The solve factors H in place: for a CoherenceGram in the
-upper triangle of the caller's Gram, which it gives back bit for bit, and
-otherwise in a copy of the dense Q that it owns.
+more features than samples) and a dense Q (the single-task baseline) are
+solved by a Cholesky factorization of H = Q + I/C. The solve factors H in
+place: for a CoherenceGram in the upper triangle of the caller's Gram,
+which it gives back bit for bit, and for a dense Q in a copy that it owns.
+A FeatureGram never takes this form, whatever its shape (see the grouped
+ridge tests in test_solver.py).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import (
     Blocks,
     CoherenceGram,
-    FeatureGram,
     solve_dual_system,
 )
 from tlssvm import linsys, solver
@@ -225,16 +225,12 @@ def dense_systems(draw):
     wide = rng.normal(size=(m, m // K + 1))
     kron_features = (U[blocks.of][:, :, None] * wide[:, None, :]).reshape(m, -1)
     wide_linear = CoherenceGram(U, gram(LINEAR, wide))
-    # one group per task; the smallest takes the dense form
-    grouped = Blocks(sizes, (1,) * T)
-    Phi = rng.normal(size=(m, K + int(sizes.min())))
-    blockdiag = np.zeros((m, m))
-    for rows, _ in grouped.group_slices:
-        blockdiag[rows, rows] = Phi[rows] @ Phi[rows].T
+    M = rng.normal(size=(m, m))
+    dense = M @ M.T  # the single-task baseline's form, a plain matrix
     return [
         (blocks, coherence, coherence_dense(coherence, blocks), y, C),
         (blocks, wide_linear, kron_features @ kron_features.T, y, C),
-        (grouped, FeatureGram(Phi), blockdiag, y, C),
+        (blocks, dense, dense, y, C),
     ]
 
 

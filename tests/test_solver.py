@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlssvm import linsys, solver
 from tlssvm.baseline import fit_independent, fit_single
@@ -324,21 +326,16 @@ class TestSolveFeatureSystem:
         with pytest.raises(ValueError, match="at least one sample"):
             solve_feature_system(Blocks([4, 0]), Phi, np.zeros(4), 1.0)
 
-    def test_feature_gram_selects_form_by_shape(self, monkeypatch):
+    def test_feature_gram_is_the_ridge_for_every_shape(self):
         rng = np.random.default_rng(46)
-        calls = []
-
-        def recording(*args):
-            calls.append(args[1].shape)
-            return solve_feature_system(*args)
-
-        monkeypatch.setattr(linsys, "solve_feature_system", recording)
-        tall, wide = rng.normal(size=(6, 6)), rng.normal(size=(6, 7))
-        got = solve_dual_system(Blocks([3, 3]), FeatureGram(tall), np.arange(6.0), 2.0)
-        assert calls == [(6, 6)]
-        assert_same_solution(got, solve_feature_system(Blocks([3, 3]), tall, np.arange(6.0), 2.0), rtol=0)
-        solve_dual_system(Blocks([3, 3]), FeatureGram(wide), np.arange(6.0), 2.0)
-        assert calls == [(6, 6)]
+        y = np.arange(6.0)
+        # as many columns as samples, more than the samples, more than each group's
+        for blocks, p in ((Blocks([3, 3]), 6), (Blocks([3, 3]), 7), (Blocks([3, 3], (1, 1)), 4)):
+            Phi = rng.normal(size=(6, p))
+            got = solve_dual_system(blocks, FeatureGram(Phi), y, 2.0)
+            expected = solve_feature_system(blocks, Phi, y, 2.0)
+            assert_same_solution(got, expected, rtol=0)
+            assert np.array_equal(got.weights, expected.weights)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_features_raise_solver_error(self):
@@ -811,7 +808,7 @@ class TestModeRowStep:
         np.testing.assert_allclose(result.duals, sol[1:], atol=1e-10)
         assert abs(result.row_values[0] - (0.8 * sol[1] - 0.3 * sol[2])) < 1e-10
 
-    @pytest.mark.parametrize("K", [2, 12])  # the ridge form, then the dense one
+    @pytest.mark.parametrize("K", [2, 12])  # rows of more samples than K, then of fewer
     def test_all_zero_features_give_zero_rows_and_task_mean_biases(self, tiny_dataset, K):
         z = np.zeros((tiny_dataset.n_samples, K))
         step = solve_mode_row_step(tiny_dataset, z, mode=1, C=1.0)
@@ -849,17 +846,17 @@ class TestModeRowStep:
                     old_row, biases
                 ) * (1 + 1e-12)
 
-    def test_rank_above_sample_count_falls_back_to_dense(self, monkeypatch):
+    def test_rank_above_sample_count_matches_the_dense_solve(self):
         # row 1 of mode 1 sees tasks (1,1) and (1,2): 2 + 2 samples, K = 6
         data = random_dataset(14, mode_sizes=(2, 2), d=3, m_t=2)
         z = np.random.default_rng(14).normal(size=(data.n_samples, 6))
-        monkeypatch.setattr(linsys, "solve_feature_system", None)
         result = sweep_row(solve_mode_row_step(data, z, mode=1, C=10.0), 1)
         sel = np.array([0, 1, 4, 5])  # tasks 1 and 3 in linear order
         Z = z[sel]
         biases, duals, _, _ = solve_dual_system(Blocks([2, 2]), Z @ Z.T, data.stacked_targets()[sel], 10.0)
         np.testing.assert_allclose(result.biases, biases, atol=1e-12)
         np.testing.assert_allclose(result.duals, duals, atol=1e-12)
+        np.testing.assert_allclose(result.row_values, Z.T @ duals, atol=1e-12)
 
     @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
     def test_primal_row_solve_matches_dense_oracle(self, C):
@@ -900,24 +897,32 @@ def uneven_dataset(seed: int, mode_sizes, d: int = 3, max_size: int = 7) -> MtlD
     )
 
 
+def group_residuals(blocks, Phi, y, C, solution):
+    """Each group's saddle residual at the solution's biases and duals, with Phi_g w_g for Q alpha."""
+    biases, duals, _, weights = solution
+    fitted = np.concatenate([Phi[rows] @ w for w, (rows, _) in zip(weights, blocks.group_slices)])
+    top = blocks.sums(duals)
+    bottom = biases[blocks.of] + fitted + duals / C - y
+    per_group = np.add.reduceat(top**2, blocks.group_blocks)
+    per_group += np.add.reduceat(bottom**2, blocks.group_starts)
+    return np.sqrt(per_group)
+
+
+def group_bounds(blocks, y):
+    """Each group's residual bound RESIDUAL_RTOL (1 + ||y_g||)."""
+    return RESIDUAL_RTOL * (1 + np.sqrt(np.add.reduceat(y**2, blocks.group_starts)))
+
+
 def row_residuals(step, z, C):
     """Each row's saddle residual at the step's biases and duals, with Z_r row_r for Q alpha."""
     lay = step.layout
-    blocks, Z = lay.blocks, z[lay.samples]
-    fitted = np.concatenate(
-        [Z[rows] @ values for values, (rows, _) in zip(step.row_values, blocks.group_slices)]
-    )
-    top = blocks.sums(step.duals)
-    bottom = step.biases[blocks.of] + fitted + step.duals / C - lay.targets
-    per_row = np.add.reduceat(top**2, blocks.group_blocks)
-    per_row += np.add.reduceat(bottom**2, blocks.group_starts)
-    return np.sqrt(per_row)
+    solution = (step.biases, step.duals, None, step.row_values)
+    return group_residuals(lay.blocks, z[lay.samples], lay.targets, C, solution)
 
 
 def row_bounds(step):
     """Each row's residual bound RESIDUAL_RTOL (1 + ||y_r||)."""
-    y = step.layout.targets
-    return RESIDUAL_RTOL * (1 + np.sqrt(np.add.reduceat(y**2, step.layout.blocks.group_starts)))
+    return group_bounds(step.layout.blocks, step.layout.targets)
 
 
 def row_oracle(data, z, mode, row, C):
@@ -942,6 +947,29 @@ def assert_rows_match_oracle(data, z, mode, C):
         scale = max(1.0, float(np.max(np.abs(biases))), float(np.max(np.abs(duals))))
         bound = 1e-9 * scale * max(1.0, float(np.abs(Z).sum(axis=0).max()))
         assert np.max(np.abs(got.row_values - Z.T @ duals)) <= bound
+
+
+def assert_rows_are_their_own_ridges(step, z, C):
+    """Each row's values are its lone ridge's weights, bit for bit, and meet the row's bound."""
+    lay = step.layout
+    Z = z[lay.samples]
+    for r, (rows, tasks) in enumerate(lay.blocks.group_slices):
+        alone = solve_feature_system(Blocks(lay.blocks.sizes[tasks]), Z[rows], lay.targets[rows], C)
+        assert np.array_equal(step.row_values[r], alone.weights[0])
+    assert (row_residuals(step, z, C) <= row_bounds(step)).all()
+
+
+# (seed, grid, samples per task at most, mode) of mode sweeps with K = 8 where
+# rows hold fewer samples than K: every row of both modes of the first grid
+# (at most 3 * 2 samples), and two of the six rows of the second grid's mode 1
+WIDE_ROWS = [(62, (2, 3), 2, 1), (62, (2, 3), 2, 2), (67, (6, 2), 7, 1)]
+
+
+def wide_rows(seed, mode_sizes, max_size, mode):
+    """A WIDE_ROWS case's dataset and K = 8 reduced features."""
+    data = uneven_dataset(seed, mode_sizes, max_size=max_size)
+    assert (data.fit_plan.layouts[mode - 1].blocks.group_sizes < 8).any()
+    return data, np.random.default_rng(seed).normal(size=(data.n_samples, 8))
 
 
 class TestBatchedModeStep:
@@ -987,14 +1015,13 @@ class TestBatchedModeStep:
             scale = float(np.max(np.abs(expected)))
             assert np.max(np.abs(np.concatenate([got.biases, got.duals]) - expected)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
-    def test_rank_above_row_sample_counts_uses_dense_form(self, monkeypatch, C):
-        # every row sees at most 3 * 2 samples against K = 8
-        data = uneven_dataset(62, (2, 3), max_size=2)
-        z = np.random.default_rng(62).normal(size=(data.n_samples, 8))
-        monkeypatch.setattr(linsys, "solve_feature_system", None)
-        for mode in (1, 2):
-            assert_rows_match_oracle(data, z, mode, C)
+    @pytest.mark.parametrize("seed, mode_sizes, max_size, mode", WIDE_ROWS)
+    @pytest.mark.parametrize("C", COSTS)
+    def test_rows_wider_than_their_samples_match_their_assembled_oracle(
+        self, seed, mode_sizes, max_size, mode, C
+    ):
+        data, z = wide_rows(seed, mode_sizes, max_size, mode)
+        assert_rows_match_oracle(data, z, mode, C)
 
     def test_one_solve_per_mode_with_one_group_per_row(self, monkeypatch):
         data = uneven_dataset(63, (3, 4))
@@ -1013,25 +1040,15 @@ class TestBatchedModeStep:
     def test_row_values_are_each_rows_ridge_weights(self, C):
         data = uneven_dataset(69, (3, 4))
         z = np.random.default_rng(69).normal(size=(data.n_samples, 2))
-        step = solve_mode_row_step(data, z, 2, C)
-        lay = step.layout
-        Z = z[lay.samples]
-        for r, (rows, tasks) in enumerate(lay.blocks.group_slices):
-            alone = solve_feature_system(Blocks(lay.blocks.sizes[tasks]), Z[rows], lay.targets[rows], C)
-            assert np.array_equal(step.row_values[r], alone.weights[0])
-        assert (row_residuals(step, z, C) <= row_bounds(step)).all()
+        assert_rows_are_their_own_ridges(solve_mode_row_step(data, z, 2, C), z, C)
 
-    def test_dense_rows_take_the_dual_weighted_sum(self):
-        # K = 8: two rows of mode 1 hold fewer samples and take the dense form
-        data = uneven_dataset(67, (6, 2))
-        z = np.random.default_rng(67).normal(size=(data.n_samples, 8))
-        step = solve_mode_row_step(data, z, 1, 10.0)
-        lay = step.layout
-        dense = np.flatnonzero(lay.blocks.group_sizes < 8)
-        assert dense.size == 2
-        for r in dense:
-            rows, _ = lay.blocks.group_slices[r]
-            assert np.array_equal(step.row_values[r], z[lay.samples[rows]].T @ step.duals[rows])
+    @pytest.mark.parametrize("seed, mode_sizes, max_size, mode", WIDE_ROWS)
+    @pytest.mark.parametrize("C", COSTS)
+    def test_rows_wider_than_their_samples_are_their_own_ridge_weights(
+        self, seed, mode_sizes, max_size, mode, C
+    ):
+        data, z = wide_rows(seed, mode_sizes, max_size, mode)
+        assert_rows_are_their_own_ridges(solve_mode_row_step(data, z, mode, C), z, C)
 
     @staticmethod
     def perturbed_second_row(monkeypatch, delta):
@@ -1141,7 +1158,7 @@ class TestBatchedModeStep:
         assert_same_solution((got.biases, got.duals), (biases, duals))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("K", [2, 8])  # the ridge form, then the dense one
+    @pytest.mark.parametrize("K", [2, 8])  # rows of more samples than K, then of fewer
     def test_non_finite_error_names_lowest_failing_row(self, K):
         data = uneven_dataset(66, (3, 2), max_size=3 if K == 8 else 7)
         layout = data.fit_plan.layouts[0]
@@ -1162,28 +1179,15 @@ class TestBatchedModeStep:
         with pytest.raises(SolverError, match=r"^iteration 1, mode 1/row 2: residual too large; decrease C$"):
             fit(snr10_dataset(), cfg)
 
-    @pytest.mark.parametrize("C", [1.0, 1e3])
-    def test_each_row_takes_its_own_form(self, monkeypatch, C):
-        # K = 8: rows of mode 1 hold 6 to 11 samples, so two take the dense form
-        data = uneven_dataset(67, (6, 2))
-        z = np.random.default_rng(67).normal(size=(data.n_samples, 8))
-        counts = data.fit_plan.layouts[0].blocks.group_sizes
-        assert (counts < 8).sum() == 2
-        ridge_groups = []
-
-        def recording(blocks, Phi, y, C):
-            ridge_groups.append(len(blocks.groups))
-            return solve_feature_system(blocks, Phi, y, C)
-
-        monkeypatch.setattr(linsys, "solve_feature_system", recording)
-        assert_rows_match_oracle(data, z, 1, C)
-        assert ridge_groups == [4]
-
-    def test_factors_are_per_row(self, monkeypatch):
-        # 60 rows of K = 3, one task each: per row a 3 x 3 ridge factor, or for
-        # rows under 3 samples a dense one of at most 2 x 2; never one of the mode
-        data = uneven_dataset(68, (60,))
-        z = np.random.default_rng(68).normal(size=(data.n_samples, 3))
+    @pytest.mark.parametrize(
+        "seed, mode_sizes, max_size, mode, K",
+        [(68, (60,), 7, 1, 3)] + [case + (8,) for case in WIDE_ROWS],
+    )
+    def test_factors_are_per_row(self, monkeypatch, seed, mode_sizes, max_size, mode, K):
+        # one K x K ridge factor per row, for rows of more samples than K and of
+        # fewer alike (a task of 1 to max_size samples); never one of the mode
+        data = uneven_dataset(seed, mode_sizes, max_size=max_size)
+        z = np.random.default_rng(seed).normal(size=(data.n_samples, K))
         shapes = []
         real = linsys._cholesky
 
@@ -1192,10 +1196,10 @@ class TestBatchedModeStep:
             return real(H, what, group)
 
         monkeypatch.setattr(linsys, "_cholesky", recording)
-        step = solve_mode_row_step(data, z, 1, 10.0)
-        assert len(shapes) >= 60
-        assert max(s[0] for s in shapes) <= 3
-        assert step.row_values.shape == (60, 3)
+        step = solve_mode_row_step(data, z, mode, 10.0)
+        rows = data.grid.mode_sizes[mode - 1]
+        assert shapes == [(K, K)] * rows
+        assert step.row_values.shape == (rows, K)
 
 
 def two_group_system(rng, block_sizes, width):
@@ -1265,7 +1269,7 @@ class TestGroupedSystems:
 
     @pytest.mark.parametrize(
         "block_sizes, width", [([3, 4, 2, 5, 1, 3], 2), ([1, 2, 3, 4, 1, 1], 4)]
-    )  # every group ridge, then groups 0 and 2 dense
+    )  # every group of more samples than columns, then groups 0 and 2 of fewer
     def test_grouped_matches_block_diagonal_dense_solve(self, block_sizes, width):
         rng = np.random.default_rng(72)
         Phi, y, group_of = two_group_system(rng, block_sizes, width)
@@ -1274,8 +1278,8 @@ class TestGroupedSystems:
         assert_same_solution(grouped, expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_lowest_failing_group_is_named_across_forms(self):
-        # groups 1 and 2 (0-based) fail; group 1 takes the dense form, group 2 the ridge one
+    def test_lowest_failing_group_is_named_across_shapes(self):
+        # groups 1 and 2 (0-based) fail; group 1 has fewer samples than columns, group 2 more
         rng = np.random.default_rng(73)
         block_sizes = [4, 4, 1, 1, 3, 3]
         Phi, y, group_of = two_group_system(rng, block_sizes, 3)
@@ -1290,6 +1294,52 @@ class TestGroupedSystems:
             solve_dual_system(Blocks([1, 1, 2], (2, 0)), FeatureGram(Phi), np.ones(4), 1.0)
         with pytest.raises(ValueError, match="groups hold 2 blocks"):
             solve_dual_system(Blocks([1, 1, 2], (1, 1)), FeatureGram(Phi), np.ones(4), 1.0)
+
+
+@st.composite
+def wide_grouped_systems(draw):
+    """A grouped FeatureGram system with up to twice as many columns as its largest group has samples."""
+    groups = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))  # blocks per group
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = Blocks(rng.integers(1, 5, size=sum(groups)), groups)
+    p = draw(st.integers(1, 2 * int(blocks.group_sizes.max())))
+    C = 10.0 ** draw(st.floats(-3.0, 4.0))
+    return blocks, rng.normal(size=(blocks.m, p)), rng.normal(size=blocks.m), C
+
+
+# C stops at 1e4: np.linalg.solve on the assembled system is itself only
+# accurate to about 1e-9 of the solution at C = 1e6, which the 40-digit test
+# below covers instead
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(wide_grouped_systems())
+def test_grouped_ridge_matches_the_saddle_oracle_at_every_rank(system):
+    blocks, Phi, y, C = system
+    got = solve_dual_system(blocks, FeatureGram(Phi), y, C)
+    Q = np.zeros((blocks.m, blocks.m))
+    for rows, _ in blocks.group_slices:
+        Q[rows, rows] = Phi[rows] @ Phi[rows].T
+    assert_same_solution(got, saddle_oracle(blocks, Q, y, C))
+    assert (group_residuals(blocks, Phi, y, C, got) <= group_bounds(blocks, y)).all()
+
+
+def test_groups_wider_than_their_samples_at_cost_1e6_within_the_ridge_conditioning():
+    # A group with fewer samples than columns nearly interpolates: its duals are
+    # C e for residuals e of about 1/C, so the ridge's forward error is that of
+    # a solve with condition number kappa = 1 + C ||Phi~_g||^2 (Phi~_g centered
+    # per block), within p kappa eps of the solution's scale (Higham 2002, 7.1).
+    rng = np.random.default_rng(74)
+    blocks = Blocks([1, 2, 3, 1, 2, 4, 2], (2, 1, 3, 1))  # groups of 3, 3, 7 and 2 samples
+    Phi, y, C = rng.normal(size=(blocks.m, 6)), rng.normal(size=blocks.m), 1e6
+    got = solve_dual_system(blocks, FeatureGram(Phi), y, C)
+    centered = Phi - blocks.means(Phi)[blocks.of]
+    for rows, own in blocks.group_slices:
+        expected = high_precision_saddle_solution(blocks.sizes[own], Phi[rows], y[rows], C)
+        scale = max(float(np.max(np.abs(part))) for part in expected)
+        kappa = 1 + C * np.linalg.norm(centered[rows], 2) ** 2
+        tolerance = Phi.shape[1] * kappa * np.finfo(float).eps * scale
+        for part_got, part_expected in zip((got.biases[own], got.duals[rows]), expected):
+            assert np.max(np.abs(part_got - part_expected)) <= tolerance
+    assert (group_residuals(blocks, Phi, y, C, got) <= group_bounds(blocks, y)).all()
 
 
 class TestEvaluateObjective:
