@@ -28,7 +28,7 @@ from .kernels import KernelSpec, gram, kernel_eval
 from .metrics import EvalReport, correlation, evaluate_predictions, q_squared, rmse
 from .model import TrainedModel, load_model, predict_dual, predict_primal, save_model
 from .realdata import load_student_performance
-from .solver import FitConfig, FitState, fit
+from .solver import FitConfig, FitState, fit, fit_many
 from .taskgrid import ModeFactors, TaskGrid, delinearize, linearize
 
 __version__ = "0.1.0"
@@ -51,6 +51,7 @@ __all__ = [
     "FitConfig",
     "FitState",
     "fit",
+    "fit_many",
     "TrainedModel",
     "predict_primal",
     "predict_dual",

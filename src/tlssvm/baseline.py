@@ -56,7 +56,7 @@ def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
         if not np.isfinite(values).all():
             raise ValueError(f"training {name} contains NaN or infinite values")
     G = gram(kernel, X)
-    biases, duals, _, _ = solve_dual_system(Blocks([X.shape[0]]), G, y, C)
+    biases, duals = solve_dual_system(Blocks([X.shape[0]]), G, y, C)[:2]
     return SingleTaskLssvm(duals, float(biases[0]), X, kernel)
 
 

@@ -121,33 +121,43 @@ def _write_trace(path: str, trace) -> None:
         fh.write("".join(lines))
 
 
+def _baseline_config(path: str) -> tuple[float, KernelSpec]:
+    """The cost and kernel of a baseline config file, checked."""
+    cfg = _load_json_config(path)
+    unknown = set(cfg) - {"C", "kernel"}
+    if unknown:
+        raise ConfigError(f"unknown baseline config keys: {sorted(unknown)}")
+    if "C" not in cfg or "kernel" not in cfg:
+        raise ConfigError("baseline config needs 'C' and 'kernel'")
+    kernel = KernelSpec.from_config(cfg["kernel"])
+    try:
+        C = float(cfg["C"])
+    except (TypeError, ValueError) as exc:  # a value that is not a number
+        raise ConfigError(f"bad baseline config: {exc}") from exc
+    if not 0 < C < math.inf:
+        raise ConfigError(f"baseline config needs a positive finite C, got C={C}")
+    return C, kernel
+
+
 def cmd_train(args) -> int:
-    data = load_csv(args.train, _parse_grid(args.grid))
-    out = _out_dir(args)
+    # the config is checked before anything is read or written
     if args.method == METHOD_BASELINE:
-        cfg = _load_json_config(args.config)
-        unknown = set(cfg) - {"C", "kernel"}
-        if unknown:
-            raise ConfigError(f"unknown baseline config keys: {sorted(unknown)}")
-        if "C" not in cfg or "kernel" not in cfg:
-            raise ConfigError("baseline config needs 'C' and 'kernel'")
-        kernel = KernelSpec.from_config(cfg["kernel"])
-        try:
-            C = float(cfg["C"])
-        except (TypeError, ValueError) as exc:  # a value that is not a number
-            raise ConfigError(f"bad baseline config: {exc}") from exc
-        if not 0 < C < math.inf:
-            raise ConfigError(f"baseline config needs a positive finite C, got C={C}")
+        C, kernel = _baseline_config(args.config)
+    else:
+        config = FitConfig.from_config(_load_json_config(args.config))
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+        if args.max_iters is not None:
+            config = dataclasses.replace(config, max_iters=args.max_iters)
+    data = load_csv(args.train, _parse_grid(args.grid))
+    if args.method == METHOD_BASELINE:
         model = fit_independent(data, C, kernel)
+        out = _out_dir(args)
         save_model(model, os.path.join(out, "model.json"))
         print(f"fit {data.grid.n_tasks} independent tasks; wrote model.json in {out}")
         return 0
-    config = FitConfig.from_config(_load_json_config(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.max_iters is not None:
-        config = dataclasses.replace(config, max_iters=args.max_iters)
     state = fit(data, config)
+    out = _out_dir(args)
     save_model(TrainedModel.from_fit(data, state, config.kernel), os.path.join(out, "model.json"))
     _write_trace(os.path.join(out, "trace.csv"), state.trace)
     for warning in state.warnings:

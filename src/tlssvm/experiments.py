@@ -20,7 +20,7 @@ from .errors import ConfigError, SolverError, whole
 from .kernels import KernelSpec
 from .metrics import evaluate_predictions
 from .model import TrainedModel
-from .solver import FitConfig, fit
+from .solver import FitConfig, fit, fit_many
 
 __all__ = [
     "METHOD_TENSOR",
@@ -158,42 +158,49 @@ def _pooled_rmse(model, data: MtlDataset) -> float:
 def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResult:
     """Exhaustive grid search by k-fold validation RMSE.
 
-    Cells are visited rank-major, then cost, then gamma, all ascending, and
+    Cells are reported rank-major, then cost, then gamma, all ascending, and
     the best cell is the first strict minimum of mean validation RMSE, so
     ties resolve to the smallest rank, then cost, then gamma. A cell whose
-    fit fails is recorded with its error and skipped; only a fully failed
-    grid raises.
+    fit fails on a fold is recorded with that fit's error and skipped; only
+    a fully failed grid raises.
+
+    The tensorized method visits rank, then gamma, then fold, and fits the
+    costs still alive on a fold in lockstep (`solver.fit_many`, one Gram
+    for all of them): each cost's fit equals its lone fit, so the cells
+    are those of fitting every cell alone. A cost leaves its (rank, gamma)
+    at its first failing fold.
     """
     if method not in (METHOD_TENSOR, METHOD_BASELINE):
         raise ConfigError(f"unknown method {method!r}")
     splits = kfold_split(data, plan.folds, seed)
+    ranks = sorted(plan._rank_axis(method), key=lambda r: (r is not None, r))
+    costs = sorted(plan.costs)
+    gammas = sorted(plan._gamma_axis(), key=lambda g: (g is not None, g))
+    scores: dict[tuple, list[float] | str] = {}  # per cell, its fold RMSEs or its error
+    for rank in ranks:
+        for gamma in gammas:
+            kernel = plan.kernel(gamma)
+            for cost in costs:
+                scores[rank, cost, gamma] = []
+            for fold_train, fold_val in splits:
+                alive = [cost for cost in costs if not isinstance(scores[rank, cost, gamma], str)]
+                if not alive:
+                    break
+                for cost, model in zip(alive, _fold_models(fold_train, method, rank, alive, kernel, plan, seed)):
+                    if isinstance(model, SolverError):
+                        scores[rank, cost, gamma] = str(model)
+                    else:
+                        scores[rank, cost, gamma].append(_pooled_rmse(model, fold_val))
     cells = []
     best = None
-    for rank in sorted(plan._rank_axis(method), key=lambda r: (r is not None, r)):
-        for cost in sorted(plan.costs):
-            for gamma in sorted(plan._gamma_axis(), key=lambda g: (g is not None, g)):
-                kernel = plan.kernel(gamma)
-                try:
-                    fold_rmses = tuple(
-                        _pooled_rmse(
-                            fit_method(
-                                fold_train,
-                                method,
-                                rank,
-                                cost,
-                                kernel,
-                                max_iters=plan.max_iters,
-                                tol=plan.tol,
-                                seed=seed,
-                            ),
-                            fold_val,
-                        )
-                        for fold_train, fold_val in splits
-                    )
-                except SolverError as exc:
-                    cells.append(CvCell(rank, cost, gamma, None, None, str(exc)))
+    for rank in ranks:
+        for cost in costs:
+            for gamma in gammas:
+                score = scores[rank, cost, gamma]
+                if isinstance(score, str):
+                    cells.append(CvCell(rank, cost, gamma, None, None, score))
                     continue
-                cell = CvCell(rank, cost, gamma, fold_rmses, float(np.mean(fold_rmses)))
+                cell = CvCell(rank, cost, gamma, tuple(score), float(np.mean(score)))
                 cells.append(cell)
                 if best is None or cell.mean_rmse < best.mean_rmse:
                     best = cell
@@ -202,6 +209,25 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
             f"all {len(cells)} grid cells failed; first error: {cells[0].error}"
         )
     return CvResult(method, plan.kernel_family, plan.folds, seed, tuple(cells), best)
+
+
+def _fold_models(data: MtlDataset, method: str, rank, costs, kernel: KernelSpec, plan: CvPlan, seed: int):
+    """One fold's model per cost, or the SolverError its fit raised."""
+    if method == METHOD_TENSOR:
+        config = FitConfig(
+            K=rank, C=costs[0], kernel=kernel, max_iters=plan.max_iters, tol=plan.tol, seed=seed
+        )
+        return [
+            state if isinstance(state, SolverError) else TrainedModel.from_fit(data, state, kernel)
+            for state in fit_many(data, config, costs)
+        ]
+    models = []
+    for cost in costs:
+        try:
+            models.append(fit_method(data, method, rank, cost, kernel))
+        except SolverError as exc:
+            models.append(exc)
+    return models
 
 
 def fit_best(data: MtlDataset, result: CvResult, plan: CvPlan, seed: int = 0):

@@ -88,6 +88,23 @@ and the reported residual is the largest group residual. A SolverError
 carries the 0-based index of the lowest failing group in its `group`
 attribute.
 
+A structured system may also be solved for several members at once: B
+systems on the same block structure and right-hand side y that differ in
+their cost and in the features or task vectors of their Q. The costs are
+then a 1-D array C (one per member), and Q's arrays carry a leading
+member axis: a FeatureGram's features are B x m x p, a KroneckerGram's
+and a CoherenceGram's task vectors B x T x K (a CoherenceGram's members
+share one Gram, which each member's solve restores before the next one
+writes it). The result's arrays carry the member axis too, and its
+`errors` hold, per member, None or the SolverError that member's lone
+solve would raise (a `MemberSolution`); a failed member's rows are no
+solution, and the others go on without it. The ridge's passes (centering, Grams, right-hand sides,
+residuals) run over all members at once, in operations whose every
+member slice is the lone operation, so each member's result equals its
+lone solve bit for bit. Every dpotrf and dpotrs stays one LAPACK call per
+member and group. A scalar C is the one-member case, and its solve
+raises its error.
+
 LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
 factorization rather than with this module: only training solves systems,
 and importing scipy takes longer than the rest of the package together, so
@@ -111,6 +128,7 @@ __all__ = [
     "CoherenceGram",
     "FeatureGram",
     "KroneckerGram",
+    "MemberSolution",
     "Solution",
     "TaskMoments",
     "solve_dual_system",
@@ -128,12 +146,31 @@ class Solution(NamedTuple):
     form's primal weights, one row w_g per group (G x p): the first ridge
     solve's w, or Phi_g^T alpha_g for a group whose w misses its bound
     after a refinement step. It is None for a dense Q and a CoherenceGram.
+    A lone solve raises its error, so its `errors` is None.
     """
 
     biases: np.ndarray
     duals: np.ndarray
     residual: float
     weights: np.ndarray | None = None
+
+    errors = None
+
+
+class MemberSolution(NamedTuple):
+    """What a solve for members returns: a `Solution`'s fields with the member axis first.
+
+    `residual` holds each member's largest group residual, and `errors`
+    each member's SolverError, or None. The rows of a member with an error
+    are no solution: NaN where its factorization failed, else the values
+    that missed the residual bound.
+    """
+
+    biases: np.ndarray
+    duals: np.ndarray
+    residual: np.ndarray
+    weights: np.ndarray | None
+    errors: tuple[SolverError | None, ...]
 
 
 class Blocks(tuple):
@@ -183,23 +220,41 @@ class Blocks(tuple):
         )
         return self
 
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-block sums along the sample axis (A^T values)."""
-        return np.add.reduceat(values, self.starts, axis=0)
+    def sums(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Per-block sums along the sample axis `axis` (A^T values)."""
+        return np.add.reduceat(values, self.starts, axis=axis)
 
-    def means(self, values: np.ndarray) -> np.ndarray:
-        """Per-block means along the sample axis."""
-        return self.sums(values) / self.sizes.reshape((-1,) + (1,) * (values.ndim - 1))
+    def means(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Per-block means along the sample axis `axis`."""
+        trailing = values.ndim - 1 - axis % values.ndim
+        return self.sums(values, axis) / self.sizes.reshape((-1,) + (1,) * trailing)
 
 
-def _check(blocks: Blocks, m: int, C: float) -> None:
+def _costs(C) -> tuple[np.ndarray, bool]:
+    """The costs as a 1-D array, and whether C was one cost (a lone solve)."""
+    costs = np.asarray(C, dtype=float)
+    if costs.ndim > 1 or costs.size == 0:
+        raise ValueError(f"C must be one cost or a 1-D array of costs, got shape {costs.shape}")
+    return costs.reshape(-1), costs.ndim == 0
+
+
+def _check(blocks: Blocks, m: int, costs: np.ndarray) -> None:
     """The checks every solve makes on its arguments."""
     if not isinstance(blocks, Blocks):
         raise TypeError(f"the block structure must be a linsys.Blocks, got {type(blocks).__name__}")
     if blocks.m != m:
         raise ValueError(f"inconsistent system shapes: blocks {blocks.m}, y {m}")
-    if not 0 < C < np.inf:
-        raise ValueError(f"C must be positive and finite, got {C}")
+    bad = costs[~((costs > 0) & (costs < np.inf))]
+    if bad.size:
+        raise ValueError(f"C must be positive and finite, got {bad[0]}")
+
+
+def _one(solution: MemberSolution) -> Solution:
+    """The lone solve of a one-member solution: its arrays, or its error raised."""
+    if solution.errors[0] is not None:
+        raise solution.errors[0]
+    weights = None if solution.weights is None else solution.weights[0]
+    return Solution(solution.biases[0], solution.duals[0], float(solution.residual[0]), weights)
 
 
 @dataclass(frozen=True)
@@ -207,14 +262,14 @@ class FeatureGram:
     """The system matrix Q = Phi Phi^T, held as its m x p feature matrix Phi.
 
     Solved with grouped `Blocks`, Q is blockdiag(Phi_g Phi_g^T) instead
-    (see the module docstring).
+    (see the module docstring). Members stack their matrices B x m x p.
     """
 
     features: np.ndarray
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=float)
-        if features.ndim != 2:
+        if features.ndim not in (2, 3):
             raise ValueError(f"features must be an m x p matrix, got shape {features.shape}")
         object.__setattr__(self, "features", features)
 
@@ -265,16 +320,18 @@ class TaskMoments:
         All S_t are taken from `scatter` (computed and kept) when they fit
         in `budget` floats; otherwise they are computed and dropped run by
         run, each run of tasks fitting the budget. The choice depends only
-        on the sizes, so the sums do not depend on what ran before.
+        on the sizes, so the sums do not depend on what ran before. Weights
+        stacked B x T x R give the sums B x R x d^2.
         """
         T, d = len(self.blocks), self.inputs.shape[1]
         per = max(1, budget // max(1, d * d))  # tasks per run
+        columns = np.swapaxes(weights, -1, -2)
         if per >= T:
-            return weights.T @ self.scatter.reshape(T, d * d)
-        total = np.zeros((weights.shape[1], d * d))
+            return columns @ self.scatter.reshape(T, d * d)
+        total = np.zeros(columns.shape[:-1] + (d * d,))
         for first in range(0, T, per):
             stop = min(first + per, T)
-            total += weights[first:stop].T @ self._scatter(first, stop).reshape(stop - first, d * d)
+            total += columns[..., first:stop] @ self._scatter(first, stop).reshape(stop - first, d * d)
         return total
 
 
@@ -282,9 +339,10 @@ class TaskMoments:
 class KroneckerGram:
     """Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j, never formed.
 
-    `task_vectors` is T x K and `moments` the `TaskMoments` of the m x d
-    inputs, every task a block of the system. Feature k*d + i of sample j
-    is u_t(j),k x_j,i. It is always solved as the centered ridge.
+    `task_vectors` is T x K (B x T x K for members) and `moments` the
+    `TaskMoments` of the m x d inputs, every task a block of the system.
+    Feature k*d + i of sample j is u_t(j),k x_j,i. It is always solved as
+    the centered ridge.
     """
 
     task_vectors: np.ndarray
@@ -293,7 +351,7 @@ class KroneckerGram:
     def check(self, blocks: Blocks) -> None:
         if len(blocks.groups) != 1:
             raise ValueError("a KroneckerGram system has a single group")
-        T = self.task_vectors.shape[0]
+        T = self.task_vectors.shape[-2]
         if len(blocks) != T or self.moments.blocks != blocks:
             raise ValueError(
                 f"inconsistent system shapes: {T} task vectors, moments of blocks "
@@ -310,8 +368,9 @@ _STRICT_UPPER = ~np.tri(_STRIP, dtype=bool)
 class CoherenceGram:
     """Q_jp = <u_t(j), u_t(p)> G_jp: the task coherence times an m x m kernel Gram G.
 
-    `task_vectors` is T x K, every task a block of the system. This is the
-    shared step's system matrix for a kernel without a finite feature map.
+    `task_vectors` is T x K (B x T x K for members, who share G), every
+    task a block of the system. This is the shared step's system matrix
+    for a kernel without a finite feature map.
 
     G is the dense solve's workspace, so it must be an exactly symmetric,
     writable, C-contiguous float64 array, as `kernels.gram` returns it.
@@ -327,7 +386,7 @@ class CoherenceGram:
     gram: np.ndarray
 
     def check(self, blocks: Blocks) -> None:
-        T, m, G = self.task_vectors.shape[0], blocks.m, self.gram
+        T, m, G = self.task_vectors.shape[-2], blocks.m, self.gram
         if len(blocks.groups) != 1:
             raise ValueError("a CoherenceGram system has a single group")
         if not (
@@ -392,67 +451,82 @@ class CoherenceGram:
 
 
 class _MatrixFeatures:
-    """The ridge operations of a FeatureGram's explicit matrix, group by group."""
+    """The ridge operations of members' explicit matrices (B x m x p), group by group."""
 
     def __init__(self, Phi: np.ndarray, blocks: Blocks) -> None:
         self.Phi = Phi
-        self.bar = blocks.means(Phi)
-        self.centered = Phi - self.bar[blocks.of]
+        self.bar = blocks.means(Phi, axis=1)
+        self.centered = Phi - self.bar.take(blocks.of, axis=1)
         self.parts = blocks.group_slices
+        self.width = Phi.shape[2]
 
     def grams(self) -> list[np.ndarray]:
-        return [self.centered[rows].T @ self.centered[rows] for rows, _ in self.parts]
+        return [_gram_of(self.centered[:, rows]) for rows, _ in self.parts]
 
     def rmatvec(self, v: np.ndarray) -> list:
-        return [self.Phi[rows].T @ v[rows] for rows, _ in self.parts]
+        return [_columns_times(self.Phi[:, rows], v[:, rows]) for rows, _ in self.parts]
 
-    def rhs(self, h_c: np.ndarray, g: np.ndarray, inv_c: float) -> list:
+    def rhs(self, h_c: np.ndarray, g: np.ndarray, inv_c: np.ndarray) -> list:
         return [
-            self.centered[rows].T @ h_c[rows] + inv_c * (self.bar[own].T @ g[own])
+            _columns_times(self.centered[:, rows], h_c[:, rows])
+            + inv_c[:, None] * _columns_times(self.bar[:, own], g[:, own])
             for rows, own in self.parts
         ]
 
     def matvec(self, weights: list) -> np.ndarray:
-        out = np.empty(self.Phi.shape[0])
+        out = np.empty(self.Phi.shape[:2])
         for w, (rows, _) in zip(weights, self.parts):
-            out[rows] = self.Phi[rows] @ w
+            out[:, rows] = (self.Phi[:, rows] @ w[:, :, None])[..., 0]
         return out
 
 
+def _gram_of(A: np.ndarray) -> np.ndarray:
+    """A_b^T A_b for each member b of a B x n x p stack."""
+    return np.swapaxes(A, 1, 2) @ A
+
+
+def _columns_times(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A_b^T v_b for each member b of a B x n x p stack and B x n vectors."""
+    return (np.swapaxes(A, 1, 2) @ v[:, :, None])[..., 0]
+
+
 class _KroneckerFeatures:
-    """The ridge operations of a KroneckerGram, from per-task sums (one group)."""
+    """The ridge operations of members' KroneckerGrams, from per-task sums (one group)."""
 
     def __init__(self, Q: KroneckerGram, blocks: Blocks) -> None:
         Q.check(blocks)
-        self.Q = Q
+        self.task_vectors = Q.task_vectors  # B x T x K
+        self.moments = Q.moments
         self.X = Q.moments.inputs
-        self.sample_vectors = Q.task_vectors[blocks.of]  # m x K
+        self.sample_vectors = Q.task_vectors.take(blocks.of, axis=1)  # B x m x K
+        self.width = Q.task_vectors.shape[2] * self.X.shape[1]
 
     def grams(self) -> list[np.ndarray]:
-        U = self.Q.task_vectors
-        T, K = U.shape
+        U = self.task_vectors
+        B, T, K = U.shape
         d = self.X.shape[1]
-        outer = (U[:, :, None] * U[:, None, :]).reshape(T, K * K)
+        outer = (U[:, :, :, None] * U[:, :, None, :]).reshape(B, T, K * K)
         # the S_t held at once never outgrow Phi and its centered copy, the
         # two m x dK arrays that the explicit form of this ridge would hold
-        H = self.Q.moments.weighted_scatter(outer, 2 * self.X.shape[0] * K * d).reshape(K, K, d, d)
-        return [H.transpose(0, 2, 1, 3).reshape(K * d, K * d)]
+        H = self.moments.weighted_scatter(outer, 2 * self.X.shape[0] * K * d).reshape(B, K, K, d, d)
+        return [H.transpose(0, 1, 3, 2, 4).reshape(B, K * d, K * d)]
 
     def rmatvec(self, v: np.ndarray) -> list:
         # Phi^T v = sum_j v_j u_t(j) kron x_j
-        return [((self.sample_vectors * v[:, None]).T @ self.X).reshape(-1)]
+        weighted = np.swapaxes(self.sample_vectors * v[:, :, None], 1, 2)
+        return [(weighted @ self.X).reshape(len(v), -1)]
 
-    def rhs(self, h_c: np.ndarray, g: np.ndarray, inv_c: float) -> list:
+    def rhs(self, h_c: np.ndarray, g: np.ndarray, inv_c: np.ndarray) -> list:
         # Phi~^T h~ equals Phi^T h~ for a block-centered h~, and
         # Phi_bar^T g = sum_t g_t u_t kron x_bar_t
         (out,) = self.rmatvec(h_c)
-        bar = (self.Q.task_vectors * g[:, None]).T @ self.Q.moments.means
-        return [out + inv_c * bar.reshape(-1)]
+        bar = np.swapaxes(self.task_vectors * g[:, :, None], 1, 2) @ self.moments.means
+        return [out + inv_c[:, None] * bar.reshape(len(g), -1)]
 
     def matvec(self, weights: list) -> np.ndarray:
         (w,) = weights
-        W = w.reshape(self.sample_vectors.shape[1], -1)
-        return np.einsum("jk,jk->j", self.X @ W.T, self.sample_vectors)
+        W = w.reshape(len(w), self.sample_vectors.shape[2], -1)
+        return np.einsum("bjk,bjk->bj", self.X @ np.swapaxes(W, 1, 2), self.sample_vectors)
 
 
 @cache
@@ -488,12 +562,14 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _refined(
-    blocks: Blocks, y, inv_c: float, apply_q, solve, biases, duals, always: bool, fitted=None
+    blocks: Blocks, y, inv_c: np.ndarray, apply_q, solve, biases, duals, always: bool, fitted=None
 ):
     """Residual of the saddle system at (biases, duals), one refinement step, and the check.
 
-    `apply_q(v)` is Q v for the original Q and `solve(g, h)` solves the
-    saddle system for the right-hand side [g; h] with the form's factors.
+    Every array carries the member axis first: `inv_c` holds each member's
+    1/C, `biases` is B x T and `duals` B x m. `apply_q(v)` is Q v for the
+    original Q and `solve(g, h)` solves the saddle system for the
+    right-hand side [g; h] with the form's factors, member by member.
     A group that misses its bound at the first solution takes the values
     of one refinement step; with `always` (a KroneckerGram ridge) every
     group takes them, and otherwise the groups within their bounds keep
@@ -503,54 +579,57 @@ def _refined(
     `fitted` is Phi w for the first solve's primal weights w, if it has
     them. A group that took the step keeps its w only if the residual with
     Phi_g w_g standing in for (Q alpha)_g also meets the bound at the
-    returned (biases, duals). Returns (biases, duals, largest group
-    residual, replaced), `replaced` marking the groups whose w did not,
-    which take Phi_g^T alpha_g instead.
+    returned (biases, duals). Returns (biases, duals, each member's largest
+    group residual, replaced, errors), `replaced` marking the groups whose
+    w did not, which take Phi_g^T alpha_g instead, and `errors` holding
+    each member's SolverError for its lowest failing group, or None.
     """
     bounds = RESIDUAL_RTOL * (1.0 + np.sqrt(np.add.reduceat(y * y, blocks.group_starts)))
 
     def saddle_residuals(b: np.ndarray, alpha: np.ndarray, q_alpha: np.ndarray):
-        return blocks.sums(alpha), b[blocks.of] + q_alpha + inv_c * alpha - y
+        return blocks.sums(alpha, axis=1), b.take(blocks.of, axis=1) + q_alpha + inv_c[:, None] * alpha - y
 
     def norms(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-        per_group = np.add.reduceat(top * top, blocks.group_blocks)
-        per_group += np.add.reduceat(bottom * bottom, blocks.group_starts)
+        per_group = np.add.reduceat(top * top, blocks.group_blocks, axis=1)
+        per_group += np.add.reduceat(bottom * bottom, blocks.group_starts, axis=1)
         return np.sqrt(per_group)
 
     top, bottom = saddle_residuals(biases, duals, apply_q(duals))
     residuals = None if always else norms(top, bottom)
-    stepped = np.full(len(blocks.groups), True) if always else ~(residuals <= bounds)
+    stepped = np.full((len(inv_c), len(blocks.groups)), True) if always else ~(residuals <= bounds)
     replaced = np.zeros_like(stepped)
     if stepped.any():
         db, dduals = solve(-top, -bottom)
         if stepped.all():
             biases, duals = biases + db, duals + dduals
         else:  # the groups within their bounds keep the first solution
-            stepped_blocks = stepped.repeat(blocks.groups)
+            stepped_blocks = stepped.repeat(blocks.groups, axis=1)
             biases = np.where(stepped_blocks, biases + db, biases)
-            duals = np.where(stepped_blocks.repeat(blocks.sizes), duals + dduals, duals)
+            duals = np.where(stepped_blocks.repeat(blocks.sizes, axis=1), duals + dduals, duals)
         checked = norms(*saddle_residuals(biases, duals, apply_q(duals)))
         residuals = checked if stepped.all() else np.where(stepped, checked, residuals)
         if fitted is not None:
             replaced = stepped & ~(norms(*saddle_residuals(biases, duals, fitted)) <= bounds)
     # every bias and dual enters its group's residual, so a non-finite
     # solution leaves a non-finite residual and fails here too
-    failed = np.flatnonzero(~(residuals <= bounds))
-    if failed.size:
-        g = int(failed[0])
-        raise SolverError(
-            f"dual system solve residual {residuals[g]:.3e} exceeds {bounds[g]:.3e}; decrease C",
+    failed = ~(residuals <= bounds)
+    errors = [None] * len(inv_c)
+    for member in np.flatnonzero(failed.any(axis=1)).tolist():
+        g = int(np.argmax(failed[member]))
+        errors[member] = SolverError(
+            f"dual system solve residual {residuals[member, g]:.3e} exceeds {bounds[g]:.3e}; "
+            "decrease C",
             g,
         )
-    return biases, duals, float(residuals.max()), replaced
+    return biases, duals, residuals.max(axis=1), replaced, errors
 
 
 def solve_dual_system(
     blocks: Blocks,
     Q: np.ndarray | FeatureGram | KroneckerGram | CoherenceGram,
     y: np.ndarray,
-    C: float,
-) -> Solution:
+    C: float | np.ndarray,
+) -> Solution | MemberSolution:
     """Solve the saddle-point system above for the block structure `blocks`.
 
     A FeatureGram and a KroneckerGram go to :func:`solve_feature_system`;
@@ -559,7 +638,10 @@ def solve_dual_system(
     Raises SolverError if Q + I/C is not positive definite or a group's
     residual exceeds RESIDUAL_RTOL * (1 + ||y_g||) even after refinement,
     TypeError when `blocks` is not a Blocks, and ValueError on inconsistent
-    shapes or a C that is not positive and finite.
+    shapes or a C that is not positive and finite. A 1-D array C solves a
+    structured Q's members (see the module docstring) and returns a
+    `MemberSolution`, with each member's SolverError in its `errors`; a
+    dense Q takes one C.
     """
     if isinstance(Q, FeatureGram):
         return solve_feature_system(blocks, Q.features, y, C)
@@ -567,13 +649,16 @@ def solve_dual_system(
         return solve_feature_system(blocks, Q, y, C)
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
-    _check(blocks, m, C)
-    inv_c = 1.0 / C
+    costs, lone = _costs(C)
+    _check(blocks, m, costs)
     if isinstance(Q, CoherenceGram):
-        Q.check(blocks)
-        return _solve_dense(
-            blocks, lambda: Q.factored(blocks, inv_c), y, inv_c, lambda v: Q.matvec(blocks, v)
-        )
+        if lone:
+            Q = CoherenceGram(np.asarray(Q.task_vectors, dtype=float)[None], Q.gram)
+        solution = _solve_coherence(blocks, Q, y, costs)
+        return _one(solution) if lone else solution
+    if not lone:
+        raise ValueError("a dense Q is solved for one cost")
+    inv_c = 1.0 / float(costs[0])
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
@@ -587,8 +672,33 @@ def solve_dual_system(
     return _solve_dense(blocks, lambda: nullcontext(factor), y, inv_c, lambda v: Q @ v)
 
 
+def _solve_coherence(blocks: Blocks, Q: CoherenceGram, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
+    """A CoherenceGram's members, one dense solve after another in the shared Gram."""
+    Q.check(blocks)
+    B, m = len(costs), blocks.m
+    if Q.task_vectors.ndim != 3 or len(Q.task_vectors) != B:
+        raise ValueError(f"inconsistent system shapes: task vectors {Q.task_vectors.shape}, {B} costs")
+    biases, duals = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan)
+    residual = np.full(B, np.nan)
+    errors = [None] * B
+    for b, cost in enumerate(costs.tolist()):
+        member = CoherenceGram(Q.task_vectors[b], Q.gram)
+        inv_c = 1.0 / cost
+        try:
+            biases[b], duals[b], residual[b], _ = _solve_dense(
+                blocks,
+                lambda: member.factored(blocks, inv_c),
+                y,
+                inv_c,
+                lambda v: member.matvec(blocks, v),
+            )
+        except SolverError as exc:
+            errors[b] = exc
+    return MemberSolution(biases, duals, residual, None, tuple(errors))
+
+
 def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q):
-    """The dense form with a Schur complement, for one group.
+    """The dense form with a Schur complement, for one group and one cost.
 
     `factored()` opens the lower Cholesky factor of H = Q + inv_c I as a
     context manager: the factor of a dense Q's copy that the solve owns,
@@ -611,29 +721,34 @@ def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q)
         b = _cho_solve(schur, blocks.sums(Hinv_h) - g)
         return b, Hinv_h - Hinv_A @ b
 
-    def solve(g: np.ndarray, h: np.ndarray):
+    def solve(g: np.ndarray, h: np.ndarray):  # one member: 1 x T and 1 x m
         with factored() as factor:
-            Hinv_h = _cho_solve(factor, h)
-        return from_hinv(g, Hinv_h)
+            Hinv_h = _cho_solve(factor, h[0])
+        b, alpha = from_hinv(g[0], Hinv_h)
+        return b[None], alpha[None]
 
     biases, duals = from_hinv(np.zeros(len(blocks)), first[:, 0])
-    biases, duals, residual, _ = _refined(
-        blocks, y, inv_c, apply_q, solve, biases, duals, always=False
+    biases, duals, residual, _, errors = _refined(
+        blocks, y, np.array([inv_c]), lambda v: apply_q(v[0]), solve, biases[None], duals[None],
+        always=False,
     )
-    return Solution(biases, duals, residual)
+    if errors[0] is not None:
+        raise errors[0]
+    return Solution(biases[0], duals[0], float(residual[0]))
 
 
 def solve_feature_system(
-    blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float
-) -> Solution:
+    blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float | np.ndarray
+) -> Solution | MemberSolution:
     """Solve the saddle-point system with Q = Phi Phi^T as a centered ridge.
 
     Same contract as :func:`solve_dual_system`, which calls this for a
     FeatureGram's matrix and for a KroneckerGram. Phi is an m x p matrix or
-    a KroneckerGram (one group). The p x p matrix Phi~^T Phi~ + I/C of the
-    block-centered features Phi~ is Cholesky-factored once per group. A
-    right-hand side [g; h] of the saddle system then solves in closed
-    form, group by group:
+    a KroneckerGram (one group); for members (a 1-D array C) the matrices
+    are stacked B x m x p, or the KroneckerGram's task vectors B x T x K.
+    The p x p matrix Phi~^T Phi~ + I/C of the block-centered features
+    Phi~ is Cholesky-factored once per group and member. A right-hand side
+    [g; h] of the saddle system then solves in closed form, group by group:
 
         w   = (Phi~^T Phi~ + I/C)^-1 (Phi~^T h~ + Phi_bar^T g / C)
         b_t = mean_t(h - Phi w) - g_t / (C n_t)
@@ -652,44 +767,88 @@ def solve_feature_system(
     the bound at the refined biases and duals; otherwise its weights are
     Phi_g^T alpha_g of those duals, which the residual check passed. Exact
     for every p: a group with fewer samples than p still factors its p x p
-    matrix, which the ridge I/C keeps positive definite.
+    matrix, which the ridge I/C keeps positive definite. A member whose
+    factorization fails leaves the solve there, as a lone solve raises at
+    its lowest failing group.
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
-    _check(blocks, m, C)
+    costs, lone = _costs(C)
+    _check(blocks, m, costs)
+    B = len(costs)
     kronecker = isinstance(Phi, KroneckerGram)
     if kronecker:
-        features = _KroneckerFeatures(Phi, blocks)
+        U = np.asarray(Phi.task_vectors, dtype=float)
+        stacked = U[None] if lone else U
+        if stacked.ndim != 3 or len(stacked) != B:
+            raise ValueError(f"inconsistent system shapes: task vectors {U.shape}, {B} costs")
     else:
         Phi = np.asarray(Phi, dtype=float)
-        if Phi.ndim != 2 or Phi.shape[0] != m:
+        stacked = Phi[None] if lone else Phi
+        if stacked.ndim != 3 or stacked.shape[:2] != (B, m):
             raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
-        features = _MatrixFeatures(Phi, blocks)
-    sizes = blocks.sizes
-    inv_c = 1.0 / C
 
-    factors = []
+    def features_of(stacked: np.ndarray):
+        if kronecker:
+            return _KroneckerFeatures(KroneckerGram(stacked, Phi.moments), blocks)
+        return _MatrixFeatures(stacked, blocks)
+
+    features = features_of(stacked)
+    inv_c = 1.0 / costs
+
+    errors: list[SolverError | None] = [None] * B
+    factors: list[list] = [[] for _ in range(B)]
     for group, H in enumerate(features.grams()):
-        H.reshape(-1)[:: H.shape[0] + 1] += inv_c
-        # Non-finite entries fail the factorization or the final residual check.
-        factors.append(_cholesky(H, "feature system", group))
+        H.reshape(B, -1)[:, :: H.shape[-1] + 1] += inv_c[:, None]
+        for b in range(B):
+            if errors[b] is None:
+                # Non-finite entries fail the factorization or the final residual check.
+                try:
+                    factors[b].append(_cholesky(H[b], "feature system", group))
+                except SolverError as exc:
+                    errors[b] = exc
+    alive = [b for b in range(B) if errors[b] is None]
+    if len(alive) == B:
+        solution = _solve_ridge(blocks, features, factors, y, inv_c, kronecker)
+    else:  # the members whose factorization failed get NaN rows
+        biases, duals, residual = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan), np.full(B, np.nan)
+        weights = np.full((B, len(blocks.groups), features.width), np.nan)
+        if alive:
+            got = _solve_ridge(
+                blocks, features_of(stacked[alive]), [factors[b] for b in alive], y, inv_c[alive], kronecker
+            )
+            biases[alive], duals[alive], residual[alive], weights[alive] = got[:4]
+            for b, error in zip(alive, got.errors):
+                errors[b] = error
+        solution = MemberSolution(biases, duals, residual, weights, tuple(errors))
+    return _one(solution) if lone else solution
+
+
+def _solve_ridge(blocks: Blocks, features, factors: list, y: np.ndarray, inv_c: np.ndarray, kronecker: bool):
+    """The ridge solves of members whose every group factored (`factors[b][g]`), and their check."""
+    B, m = len(inv_c), blocks.m
 
     def solve_with_weights(g: np.ndarray, h: np.ndarray):
-        h_c = h - blocks.means(h)[blocks.of]
+        h_c = h - blocks.means(h, axis=1).take(blocks.of, axis=1)
         rhs = features.rhs(h_c, g, inv_c)
-        weights = [_cho_solve(f, r) for f, r in zip(factors, rhs)]
+        weights = [
+            np.stack([_cho_solve(member[group], r[b]) for b, member in enumerate(factors)])
+            for group, r in enumerate(rhs)
+        ]
         fitted = features.matvec(weights)
-        b = blocks.means(h - fitted) - inv_c * g / sizes
-        return b, (h - b[blocks.of] - fitted) / inv_c, weights, fitted
+        b = blocks.means(h - fitted, axis=1) - inv_c[:, None] * g / blocks.sizes
+        return b, (h - b.take(blocks.of, axis=1) - fitted) / inv_c[:, None], weights, fitted
 
-    biases, duals, weights, fitted = solve_with_weights(np.zeros(len(blocks)), y)
-    biases, duals, residual, replaced = _refined(
+    biases, duals, weights, fitted = solve_with_weights(
+        np.zeros((B, len(blocks))), np.repeat(y[None], B, axis=0)
+    )
+    biases, duals, residual, replaced, errors = _refined(
         blocks, y, inv_c, lambda v: features.matvec(features.rmatvec(v)),
         lambda g, h: solve_with_weights(g, h)[:2], biases, duals, kronecker, fitted,
     )
-    weights = np.stack(weights)
+    weights = np.stack(weights, axis=1)
     if replaced.any():
         checked = features.rmatvec(duals)
-        for g in np.flatnonzero(replaced).tolist():
-            weights[g] = checked[g]
-    return Solution(biases, duals, residual, weights)
+        for b, g in zip(*np.nonzero(replaced)):
+            weights[b, g] = checked[g][b]
+    return MemberSolution(biases, duals, residual, weights, tuple(errors))

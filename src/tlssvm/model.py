@@ -48,8 +48,11 @@ FORMAT_VERSION = 1
 
 
 def dual_weights(duals: np.ndarray, task_vectors: np.ndarray, task_ids: np.ndarray) -> np.ndarray:
-    """m x K weights of a shared factor's dual form: each sample's dual times its task vector."""
-    return duals[:, None] * task_vectors[task_ids]
+    """m x K weights of a shared factor's dual form: each sample's dual times its task vector.
+
+    Duals B x m and task vectors B x T x K (a fit's members) give B x m x K.
+    """
+    return duals[..., None] * task_vectors.take(task_ids, axis=-2)
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,9 @@ class SharedFactor:
     first use and kept. The arrays are frozen in place and not checked:
     a record is built from a solve's fresh arrays, finite since they met
     the residual bound, or from arrays a `TrainedModel` has just validated.
+    Inside a fit of several members (`solver.fit_many`), `duals`,
+    `task_vector_snapshot` and `explicit` carry a leading member axis, and
+    `shared_projection` projects through every member at once.
     """
 
     duals: np.ndarray
@@ -132,8 +138,11 @@ def shared_projection(
 
 
 def task_predictions(projection, u_table, biases, task_ids) -> np.ndarray:
-    """Predictions of samples from their shared projections, task vectors and biases."""
-    return np.sum(projection * u_table[task_ids], axis=1) + biases[task_ids]
+    """Predictions of samples from their shared projections, task vectors and biases.
+
+    Each argument but `task_ids` may carry a leading member axis.
+    """
+    return np.sum(projection * u_table.take(task_ids, axis=-2), axis=-1) + biases.take(task_ids, axis=-1)
 
 
 @dataclass(frozen=True)

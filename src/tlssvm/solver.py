@@ -52,8 +52,23 @@ fit, and kept on it (`data.FitPlan`): the block structure of the shared
 step, each mode's layout (its tasks and samples row by row, as a
 `linsys.Blocks` with one group per row, and its targets in that order),
 and the per-task input moments, which a linear shared step computes on
-first use. Inside `fit` the factors stay plain matrices; they are validated
-once, when the fit returns.
+first use. Inside a fit the factors stay plain matrices; they are
+validated once, when the fit returns.
+
+`fit_many` fits B members in lockstep: fits that share the data, rank,
+kernel, seed, `max_iters` and `tol` and differ only in the cost C, as a
+cross-validation cell's costs do on one fold. Every array of the
+alternation then carries a leading member axis: the factor matrices are
+B x T_n x K, the biases B x T, the predictions B x m, the shared record's
+duals, task vectors and explicit matrix B x m, B x T x K and B x d x K.
+The step functions take such stacks with a 1-D array of costs, and each
+solve passes them on to `linsys` as one system of B members, which keeps
+every member's arithmetic that of a lone solve; a step reports each
+member's SolverError instead of raising it. The trace's objectives and
+factor changes are computed for all members at once. A member leaves the
+batch when it converges or a step fails for it, so every member's
+FitState, or error, equals that of its lone fit bit for bit. `fit` is
+`fit_many` with the one cost `config.C`: there is a single code path.
 """
 
 from __future__ import annotations
@@ -80,6 +95,7 @@ __all__ = [
     "reduced_features",
     "solve_mode_row_step",
     "fit",
+    "fit_many",
 ]
 
 
@@ -176,8 +192,9 @@ def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
     """The factor matrices of a ModeFactors on the data's grid, or the matrices as given.
 
     A step function takes its factors as a ModeFactors or as the bare
-    T_n x K matrices, which `fit` passes for the matrices it owns. Either
-    must fit the data's grid; bare matrices must also be finite.
+    T_n x K matrices (stacked B x T_n x K for members), which `fit_many`
+    passes for the matrices it owns. Either must fit the data's grid;
+    bare matrices must also be finite.
     """
     if isinstance(factors, ModeFactors):
         if factors.grid != data.grid:
@@ -187,7 +204,8 @@ def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
         return factors.factors
     mats = tuple(factors)
     shapes = [np.shape(f) for f in mats]
-    if not shapes or len(shapes[0]) != 2 or shapes != [(n, shapes[0][1]) for n in data.grid.mode_sizes]:
+    fits = bool(shapes) and len(shapes[0]) in (2, 3)
+    if not fits or shapes != [shapes[0][:-2] + (n, shapes[0][-1]) for n in data.grid.mode_sizes]:
         raise ValueError(f"factor matrices of shapes {shapes} do not fit data grid {data.grid.mode_sizes}")
     if not all(np.isfinite(f).all() for f in mats):
         raise ValueError("factor matrices contain non-finite entries")
@@ -196,10 +214,13 @@ def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class SharedStepResult:
+    """A shared step's record, biases and residuals; `errors` only for members (see `solve_shared_step`)."""
+
     shared: SharedFactor
     biases: np.ndarray
-    system_residual: float
-    constraint_residual: float
+    system_residual: float | np.ndarray
+    constraint_residual: float | np.ndarray
+    errors: tuple[SolverError | None, ...] | None = None
 
 
 def _kronecker_ridge(kernel: KernelSpec, data: MtlDataset, K: int) -> bool:
@@ -211,7 +232,7 @@ def solve_shared_step(
     data: MtlDataset,
     factors: ModeFactors | tuple[np.ndarray, ...],
     kernel: KernelSpec,
-    C: float,
+    C: float | np.ndarray,
     gram_matrix: np.ndarray | None = None,
 ) -> SharedStepResult:
     """Exactly minimize over the shared factor, biases, and residuals.
@@ -228,28 +249,31 @@ def solve_shared_step(
     when w misses the residual bound with the refined duals (see
     `linsys.solve_feature_system`). `factors` is a ModeFactors on the
     data's grid, or its factor matrices.
+
+    With a 1-D array of costs C and factor matrices stacked B x T_n x K,
+    this is the step of B members: the record, biases and residuals carry
+    the member axis, and `errors` holds each member's SolverError, or None.
     """
     data.require_nonempty_tasks()
     plan = data.fit_plan
     y = data.stacked_targets()
     X = data.stacked_inputs()
+    tid = data.sample_task_ids()
     u_table = row_product_table(_factor_mats(data, factors), data.grid.mode_indices)
+    K = u_table.shape[-1]
     explicit = None
-    if _kronecker_ridge(kernel, data, u_table.shape[1]):
-        biases, duals, residual, weights = solve_dual_system(
-            plan.shared, KroneckerGram(u_table, plan.moments), y, C
-        )
-        explicit = np.ascontiguousarray(weights[0].reshape(u_table.shape[1], -1).T)
+    if _kronecker_ridge(kernel, data, K):
+        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, plan.moments), y, C)
+        weights = solution.weights[..., 0, :]
+        explicit = np.ascontiguousarray(np.swapaxes(weights.reshape(weights.shape[:-1] + (K, -1)), -1, -2))
     else:
         G = gram(kernel, X) if gram_matrix is None else gram_matrix
-        biases, duals, residual, _ = solve_dual_system(
-            plan.shared, CoherenceGram(u_table, G), y, C
-        )
+        solution = solve_dual_system(plan.shared, CoherenceGram(u_table, G), y, C)
         if kernel.has_feature_map:
-            explicit = X.T @ dual_weights(duals, u_table, data.sample_task_ids())
-    constraint = float(np.max(np.abs(plan.shared.sums(duals))))
-    shared = SharedFactor(duals, u_table, X, data.sample_task_ids(), explicit)
-    return SharedStepResult(shared, biases, residual, constraint)
+            explicit = X.T @ dual_weights(solution.duals, u_table, tid)
+    constraint = np.max(np.abs(plan.shared.sums(solution.duals, axis=-1)), axis=-1)
+    shared = SharedFactor(solution.duals, u_table, X, tid, explicit)
+    return SharedStepResult(shared, solution.biases, solution.residual, constraint, solution.errors)
 
 
 def reduced_features(
@@ -264,14 +288,15 @@ def reduced_features(
 
     Each sample's row is its shared projection Hadamard-multiplied with the
     task's exclusion product over all other modes. `factors` is a
-    ModeFactors on the data's grid, or its factor matrices.
+    ModeFactors on the data's grid, or its factor matrices; members'
+    stacked factors and record give B x m x K.
     """
     mode = data.grid._check_mode(mode)
     mats = _factor_mats(data, factors)
     if projection is None:
         projection = shared_projection(shared, kernel, data.stacked_inputs())
     excl = row_product_table(mats, data.grid.mode_indices, mode)
-    return projection * excl[data.sample_task_ids()]
+    return projection * excl.take(data.sample_task_ids(), axis=-2)
 
 
 @dataclass(frozen=True)
@@ -282,18 +307,30 @@ class ModeStepResult:
     has one entry per task, `duals` one per sample; row r's tasks and
     samples are those of `layout.blocks.group_slices[r - 1]`.
     `system_residual` is the largest row residual, each row having met its
-    own bound.
+    own bound. A step of members puts the member axis first in every
+    array and holds each member's SolverError, or None, in `errors`.
     """
 
     layout: ModeLayout
     row_values: np.ndarray
     biases: np.ndarray
     duals: np.ndarray
-    system_residual: float
+    system_residual: float | np.ndarray
     constraint_residuals: np.ndarray
+    errors: tuple[SolverError | None, ...] | None = None
 
 
-def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) -> ModeStepResult:
+def _in_mode(exc: SolverError, mode: int) -> SolverError:
+    """A row solve's error, located in its mode (and row, when the solve names one)."""
+    if exc.group is None:
+        located = SolverError(f"mode {mode}: {exc}", reason=exc.reason)
+    else:
+        located = SolverError(f"mode {mode} row {exc.group + 1}: {exc}", exc.group, exc.reason)
+    located.__cause__ = exc
+    return located
+
+
+def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float | np.ndarray) -> ModeStepResult:
     """Exactly minimize over every row of one mode factor and all biases.
 
     Row r's subproblem involves only the tasks whose mode index equals r;
@@ -306,59 +343,277 @@ def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float) ->
     A row whose features are all zero (a fit that collapsed) has the exact
     solution 0, with its tasks' biases at their target means. A
     SolverError names the lowest failing row, in its message (`mode n row
-    r: <reason>`) and as its `group` (row - 1).
+    r: <reason>`) and as its `group` (row - 1). Members (a 1-D array of
+    costs C, features z stacked B x m x K) get their errors in the
+    result's `errors` instead.
     """
     data.require_nonempty_tasks()
     layout = data.fit_plan.layouts[data.grid._check_mode(mode) - 1]
     blocks = layout.blocks
-    Z = np.asarray(z, dtype=float)[layout.samples]
+    # a gather along the sample axis that keeps each member's rows contiguous
+    Z = np.take(np.asarray(z, dtype=float), layout.samples, axis=-2)
     try:
-        biases, duals, residual, values = solve_dual_system(
-            blocks, FeatureGram(Z), layout.targets, C
-        )
+        solution = solve_dual_system(blocks, FeatureGram(Z), layout.targets, C)
     except SolverError as exc:
-        if exc.group is None:
-            raise SolverError(f"mode {mode}: {exc}", reason=exc.reason) from exc
-        raise SolverError(f"mode {mode} row {exc.group + 1}: {exc}", exc.group, exc.reason) from exc
-    task_sums = np.abs(blocks.sums(duals)).reshape(len(values), -1)
-    return ModeStepResult(layout, values, biases, duals, residual, task_sums.max(axis=1))
+        raise _in_mode(exc, mode) from exc
+    errors = solution.errors
+    if errors is not None:
+        errors = tuple(None if exc is None else _in_mode(exc, mode) for exc in errors)
+    values = solution.weights
+    task_sums = np.abs(blocks.sums(solution.duals, axis=-1)).reshape(values.shape[:-1] + (-1,))
+    return ModeStepResult(
+        layout, values, solution.biases, solution.duals, solution.residual, task_sums.max(axis=-1), errors
+    )
 
 
-def _shared_penalty(shared: SharedFactor, train_projection: np.ndarray) -> float:
-    """Squared Frobenius norm of the shared factor, tr(L L^T).
+def _shared_penalty(shared: SharedFactor, train_projection: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of the shared factor, tr(L L^T), per member.
 
     Without the explicit matrix this is tr(W^T G W) for the weighted duals
     W, read off the training inputs' shared projection G W.
     """
     if shared.explicit is not None:
-        return float(np.sum(shared.explicit**2))
-    return float(np.sum(shared.weighted_duals * train_projection))
+        return np.sum(shared.explicit**2, axis=(-2, -1))
+    return np.sum(shared.weighted_duals * train_projection, axis=(-2, -1))
 
 
-def _squared_norm(f: np.ndarray) -> float:
-    return float(np.sum(f**2))
-
-
-def _objective(y, yhat, C: float, pen_shared: float, mode_norms) -> tuple[float, float]:
+def _objective(y, yhat, C, pen_shared, mode_norms) -> tuple[np.ndarray, np.ndarray]:
     """Training objective for predictions yhat, and the residual sum of squares.
 
-    `mode_norms` are the squared norms of the mode factors, in mode order.
+    `mode_norms` are the squared norms of the mode factors, in mode order
+    along the last axis. With members, `yhat` is B x m, `mode_norms`
+    B x n_modes, and the results hold one value per member.
     """
     residuals = y - yhat
-    sse = float(residuals @ residuals)
-    return 0.5 * C * sse + 0.5 * pen_shared + 0.5 * sum(mode_norms), sse
+    sse = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0]
+    mode_norms = np.asarray(mode_norms)
+    norms = 0
+    for n in range(mode_norms.shape[-1]):
+        norms = norms + mode_norms[..., n]
+    return 0.5 * C * sse + 0.5 * pen_shared + 0.5 * norms, sse
 
 
-def _factor_change(new_mats, old_mats) -> float:
+def _squared_norm(f: np.ndarray) -> np.ndarray:
+    """The squared norm of a matrix, or of each member's in a B x r x K stack."""
+    return np.sum(f**2, axis=(-2, -1))
+
+
+def _factor_change(new_mats, old_mats) -> np.ndarray:
+    """Summed relative change of the factor matrices, per member."""
     total = 0.0
     for new, old in zip(new_mats, old_mats):
-        denom = float(np.sum(old**2))
-        num = float(np.sum((new - old) ** 2))
-        if denom == 0.0:
-            total += 0.0 if num == 0.0 else math.inf
-        else:
-            total += num / denom
+        denom = _squared_norm(old)
+        num = _squared_norm(new - old)
+        ratio = np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
+        total = total + np.where(denom == 0.0, np.where(num == 0.0, 0.0, math.inf), ratio)
     return total
+
+
+class _Members:
+    """The members of a `fit_many` still in its alternation.
+
+    Arrays carry the member axis first; `index` holds each member's
+    position among the costs. `keep` drops the members that left.
+    """
+
+    def __init__(self, costs: list[float], start: tuple[np.ndarray, ...], n_tasks: int, tid, y, m: int):
+        B = len(costs)
+        self.y, self.m = y, m
+        self.index = list(range(B))
+        self.C = np.array(costs)
+        self.factor_mats = [np.repeat(f[None], B, axis=0) for f in start]
+        self.prev_mats = None
+        self.biases = np.zeros((B, n_tasks))
+        self.yhat = self.biases.take(tid, axis=1)
+        self.mode_norms = np.stack([_squared_norm(f) for f in self.factor_mats], axis=1)
+        self.pen_shared = np.zeros(B)
+        self.max_sys = np.zeros(B)
+        self.max_con = np.zeros(B)
+        self.shared = None
+        self.projection = None
+        self.traces = [[] for _ in range(B)]
+        self.warnings = [[] for _ in range(B)]
+        self.collapsed = [set() for _ in range(B)]
+
+    def record(self, iteration: int, step: str) -> None:
+        obj, sse = _objective(self.y, self.yhat, self.C, self.pen_shared, self.mode_norms)
+        for trace, value, rmse in zip(self.traces, obj.tolist(), np.sqrt(sse / self.m).tolist()):
+            trace.append(TraceEntry(iteration, step, value, rmse, None))
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name in ("C", "biases", "yhat", "mode_norms", "pen_shared", "max_sys", "max_con", "projection"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[mask])
+        self.factor_mats = [f[mask] for f in self.factor_mats]
+        if self.prev_mats is not None:
+            self.prev_mats = [f[mask] for f in self.prev_mats]
+        if self.shared is not None:
+            s = self.shared
+            explicit = None if s.explicit is None else s.explicit[mask]
+            self.shared = SharedFactor(
+                s.duals[mask], s.task_vector_snapshot[mask], s.train_inputs, s.task_ids, explicit
+            )
+        for name in ("index", "traces", "warnings", "collapsed"):
+            setattr(self, name, [v for v, kept in zip(getattr(self, name), mask.tolist()) if kept])
+
+    def state(self, b: int, converged: bool, iterations: int) -> FitState:
+        s = self.shared
+        shared = SharedFactor(
+            s.duals[b], s.task_vector_snapshot[b], s.train_inputs, s.task_ids,
+            None if s.explicit is None else s.explicit[b],
+        )
+        return FitState(
+            factors=ModeFactors(tuple(f[b] for f in self.factor_mats)),
+            shared=shared,
+            biases=self.biases[b].copy(),
+            trace=self.traces[b],
+            converged=converged,
+            iterations=iterations,
+            warnings=self.warnings[b],
+            max_system_residual=float(self.max_sys[b]),
+            max_constraint_residual=float(self.max_con[b]),
+        )
+
+
+def _failure(message: str, cause: SolverError) -> SolverError:
+    error = SolverError(message)
+    error.__cause__ = cause
+    return error
+
+
+def fit_many(data: MtlDataset, config: FitConfig, costs) -> list[FitState | SolverError]:
+    """Fit one model per cost in lockstep, each equal to its lone `fit` bit for bit.
+
+    The members share the data and all of `config` but C: rank, kernel,
+    seed, `max_iters` and `tol`. They run one alternation, whose every
+    step solves all members still in it at once (see the module
+    docstring). A member leaves when it converges or when a step fails for
+    it. Returns, per cost in the order given, the member's FitState or the
+    SolverError its lone fit raises. `fit` is the case of one cost.
+    """
+    costs = [replace(config, C=cost).C for cost in costs]  # FitConfig checks each cost
+    if not costs:
+        raise ConfigError("fit_many needs at least one cost")
+    data.require_nonempty_tasks()
+    grid = data.grid
+    kernel = config.kernel
+    y = data.stacked_targets()
+    X = data.stacked_inputs()
+    tid = data.sample_task_ids()
+    mode_indices = grid.mode_indices
+
+    # Every shared step but the task-Kronecker ridge solves through the m x m Gram.
+    G = None if _kronecker_ridge(kernel, data, config.K) else gram(kernel, X)
+    start = init_factors(grid, config.K, config.seed).factors
+    live = _Members(costs, start, grid.n_tasks, tid, y, data.n_samples)
+    outcomes: list[FitState | SolverError | None] = [None] * len(costs)
+
+    def leave(failures, where) -> np.ndarray:
+        """Members whose failure is not None leave with it, located by `where`; the mask of the rest."""
+        kept = np.array([exc is None for exc in failures])
+        if not kept.all():
+            for b in np.flatnonzero(~kept).tolist():
+                outcomes[live.index[b]] = where(failures[b])
+            live.keep(kept)
+        return kept
+
+    # The trace is kept incrementally. Row r of a mode changes one factor
+    # row and the biases of its own tasks, so the entry after row r differs
+    # from the previous one only in those tasks' predictions and in that
+    # factor's norm. A sweep therefore computes each sample's new prediction
+    # once, by the arithmetic of a full recomputation, and each row's entry
+    # takes over its own samples' values.
+    live.record(0, "init")
+
+    for it in range(1, config.max_iters + 1):
+        live.prev_mats = [f.copy() for f in live.factor_mats]
+
+        try:
+            step = solve_shared_step(data, live.factor_mats, kernel, live.C, gram_matrix=G)
+        except SolverError as exc:
+            failures = [exc] * len(live.index)
+        else:
+            failures = step.errors
+            live.shared = step.shared
+            live.biases = step.biases.copy()
+            live.max_sys = np.maximum(live.max_sys, step.system_residual)
+            live.max_con = np.maximum(live.max_con, step.constraint_residual)
+        leave(failures, lambda exc: _failure(f"iteration {it}, shared step: {exc}", exc))
+        if not live.index:
+            break
+        live.projection = shared_projection(live.shared, kernel, X, G)
+        live.pen_shared = _shared_penalty(live.shared, live.projection)
+        u_table = row_product_table(live.factor_mats, mode_indices)
+        live.yhat = task_predictions(live.projection, u_table, live.biases, tid)
+        live.record(it, "shared")
+
+        for mode in range(1, grid.n_modes + 1):
+            z = reduced_features(data, live.shared, live.factor_mats, kernel, mode, projection=live.projection)
+            try:
+                sweep = solve_mode_row_step(data, z, mode, live.C)
+            except SolverError as exc:
+                failures = [exc] * len(live.index)
+            else:
+                failures = sweep.errors
+
+            def located(exc: SolverError) -> SolverError:
+                where = f"mode {mode}" if exc.group is None else f"mode {mode}/row {exc.group + 1}"
+                return _failure(f"iteration {it}, {where}: {exc.reason}", exc)
+
+            kept = leave(failures, located)
+            if not live.index:
+                break
+            if not kept.all():
+                sweep = replace(
+                    sweep, row_values=sweep.row_values[kept], biases=sweep.biases[kept],
+                    duals=sweep.duals[kept], system_residual=sweep.system_residual[kept],
+                    constraint_residuals=sweep.constraint_residuals[kept],
+                )
+            live.max_sys = np.maximum(live.max_sys, sweep.system_residual)
+            live.max_con = np.maximum(live.max_con, sweep.constraint_residuals.max(axis=1))
+            lay = sweep.layout
+            mat = live.factor_mats[mode - 1]
+            norms = []  # of the factor with rows 1..r replaced
+            for r in range(mat.shape[1]):
+                mat[:, r, :] = sweep.row_values[:, r]
+                norms.append(_squared_norm(mat))
+            live.biases[:, lay.tasks - 1] = sweep.biases
+            u_table = row_product_table(live.factor_mats, mode_indices)
+            swept = task_predictions(
+                live.projection.take(lay.samples, axis=1), u_table, live.biases, tid[lay.samples]
+            )
+            for r, (rows, _) in enumerate(lay.blocks.group_slices):
+                live.yhat[:, lay.samples[rows]] = swept[:, rows]
+                live.mode_norms[:, mode - 1] = norms[r]
+                live.record(it, f"mode{mode}/row{r + 1}")
+        if not live.index:
+            break
+
+        change = _factor_change(live.factor_mats, live.prev_mats)
+        for trace, value in zip(live.traces, change.tolist()):
+            trace[-1] = replace(trace[-1], factor_change=value)
+
+        for n, f in enumerate(live.factor_mats, start=1):
+            for b, k in zip(*(axis.tolist() for axis in np.nonzero(~f.any(axis=1)))):
+                if (n, k) not in live.collapsed[b]:
+                    live.collapsed[b].add((n, k))
+                    live.warnings[b].append(
+                        f"mode {n} factor column {k + 1} collapsed to zero; "
+                        "the component contributes nothing"
+                    )
+
+        converged = change < config.tol
+        for b in np.flatnonzero(converged).tolist():
+            outcomes[live.index[b]] = live.state(b, True, it)
+        if converged.any():
+            live.keep(~converged)
+            if not live.index:
+                break
+
+    for b, position in enumerate(live.index):
+        outcomes[position] = live.state(b, False, config.max_iters)
+    return outcomes
 
 
 def fit(data: MtlDataset, config: FitConfig) -> FitState:
@@ -370,110 +625,10 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
     after `config.max_iters` iterations (then flagged, not an error). A
     step that cannot be solved raises SolverError naming the iteration and
     the step once: `iteration i, shared step: <reason>` or `iteration i,
-    mode n/row r: <reason>` (`mode n` when no row is named).
+    mode n/row r: <reason>` (`mode n` when no row is named). This is
+    `fit_many` with the one cost `config.C`.
     """
-    data.require_nonempty_tasks()
-    grid = data.grid
-    kernel = config.kernel
-    y = data.stacked_targets()
-    X = data.stacked_inputs()
-    tid = data.sample_task_ids()
-    m = data.n_samples
-    mode_indices = grid.mode_indices
-
-    # Every shared step but the task-Kronecker ridge solves through the m x m Gram.
-    G = None if _kronecker_ridge(kernel, data, config.K) else gram(kernel, X)
-    factor_mats = [f.copy() for f in init_factors(grid, config.K, config.seed).factors]
-    biases = np.zeros(grid.n_tasks)
-    shared = None
-    trace: list[TraceEntry] = []
-    warnings: list[str] = []
-    seen_collapsed: set[tuple[int, int]] = set()
-    max_sys = 0.0
-    max_con = 0.0
-
-    # The trace is kept incrementally. Row r of a mode changes one factor
-    # row and the biases of its own tasks, so the entry after row r differs
-    # from the previous one only in those tasks' predictions and in that
-    # factor's norm. A sweep therefore computes each sample's new prediction
-    # once, by the arithmetic of a full recomputation, and each row's entry
-    # takes over its own samples' values.
-    yhat = biases[tid]
-    mode_norms = [_squared_norm(f) for f in factor_mats]
-    pen_shared = 0.0
-
-    def record(iteration: int, step: str) -> None:
-        obj, sse = _objective(y, yhat, config.C, pen_shared, mode_norms)
-        trace.append(TraceEntry(iteration, step, obj, math.sqrt(sse / m), None))
-
-    record(0, "init")
-
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iters + 1):
-        iterations = it
-        prev_mats = [f.copy() for f in factor_mats]
-
-        try:
-            step = solve_shared_step(data, factor_mats, kernel, config.C, gram_matrix=G)
-        except SolverError as exc:
-            raise SolverError(f"iteration {it}, shared step: {exc}") from exc
-        shared = step.shared
-        biases = step.biases.copy()
-        max_sys = max(max_sys, step.system_residual)
-        max_con = max(max_con, step.constraint_residual)
-        projection = shared_projection(shared, kernel, X, G)
-        pen_shared = _shared_penalty(shared, projection)
-        yhat = task_predictions(projection, row_product_table(factor_mats, mode_indices), biases, tid)
-        record(it, "shared")
-
-        for mode in range(1, grid.n_modes + 1):
-            z = reduced_features(data, shared, factor_mats, kernel, mode, projection=projection)
-            try:
-                sweep = solve_mode_row_step(data, z, mode, config.C)
-            except SolverError as exc:
-                where = f"mode {mode}" if exc.group is None else f"mode {mode}/row {exc.group + 1}"
-                raise SolverError(f"iteration {it}, {where}: {exc.reason}") from exc
-            max_sys = max(max_sys, sweep.system_residual)
-            max_con = max(max_con, float(sweep.constraint_residuals.max()))
-            lay = sweep.layout
-            mat = factor_mats[mode - 1]
-            norms = []  # of the factor with rows 1..r replaced
-            for r, values in enumerate(sweep.row_values):
-                mat[r, :] = values
-                norms.append(_squared_norm(mat))
-            biases[lay.tasks - 1] = sweep.biases
-            u_table = row_product_table(factor_mats, mode_indices)
-            swept = task_predictions(projection[lay.samples], u_table, biases, tid[lay.samples])
-            for r, (rows, _) in enumerate(lay.blocks.group_slices):
-                yhat[lay.samples[rows]] = swept[rows]
-                mode_norms[mode - 1] = norms[r]
-                record(it, f"mode{mode}/row{r + 1}")
-
-        change = _factor_change(factor_mats, prev_mats)
-        trace[-1] = replace(trace[-1], factor_change=change)
-
-        for n, f in enumerate(factor_mats, start=1):
-            for k in range(f.shape[1]):
-                if (n, k) not in seen_collapsed and not np.any(f[:, k]):
-                    seen_collapsed.add((n, k))
-                    warnings.append(
-                        f"mode {n} factor column {k + 1} collapsed to zero; "
-                        "the component contributes nothing"
-                    )
-
-        if change < config.tol:
-            converged = True
-            break
-
-    return FitState(
-        factors=ModeFactors(tuple(factor_mats)),
-        shared=shared,
-        biases=biases,
-        trace=trace,
-        converged=converged,
-        iterations=iterations,
-        warnings=warnings,
-        max_system_residual=max_sys,
-        max_constraint_residual=max_con,
-    )
+    (outcome,) = fit_many(data, config, (config.C,))
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome

@@ -149,12 +149,13 @@ def row_product_table(mats, mode_indices: np.ndarray, skip_mode: int | None = No
 
     `mats` are the T_n x K factor matrices, `mode_indices` the grid's
     table; the 1-based `skip_mode`, if given, is left out of the product.
+    Matrices stacked B x T_n x K give the tables B x T x K.
     """
     skip = -1 if skip_mode is None else skip_mode - 1
-    out = np.ones((mode_indices.shape[0], mats[0].shape[1]))
+    out = np.ones(mats[0].shape[:-2] + (mode_indices.shape[0], mats[0].shape[-1]))
     for n, f in enumerate(mats):
         if n != skip:
-            out *= f[mode_indices[:, n], :]
+            out *= f.take(mode_indices[:, n], axis=-2)
     return out
 
 

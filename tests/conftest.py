@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tlssvm import MtlDataset, TaskGrid
+from tlssvm.data import SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import Blocks, CoherenceGram
@@ -332,6 +333,16 @@ def load_csv_by_rows(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> M
     if not allow_empty_tasks:
         data.require_nonempty_tasks()
     return data
+
+
+def snr10_dataset() -> MtlDataset:
+    """The d=6, (2, 3)-grid SNR-10 training set on which a linear fit at C=1e6 fails."""
+    spec = SyntheticSpec(
+        d=6, mode_sizes=(2, 3), k_true=2, train_per_task=12, test_per_task=4,
+        snr=10.0, seed=21,
+    )
+    train, _, _ = generate_synthetic(spec)
+    return train
 
 
 @pytest.fixture

@@ -578,7 +578,19 @@ class TestWholeNumbers:
         assert main([command, *args, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "whole number" in err
-        assert not list(tmp_path.glob("out/*"))  # nothing written
+        assert not (tmp_path / "out").exists()  # no output directory, let alone files
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"C": 2.5}, {"C": 0.0, "kernel": {"family": "linear"}}, {"C": 1.0, "kernel": {"family": "linear"}, "K": 2}],
+        ids=["missing-kernel", "zero-cost", "unknown-key"],
+    )
+    def test_bad_baseline_config_is_usage_error(self, pipeline, tmp_path, capsys, config):
+        cfg = write_json(tmp_path / "config.json", config)
+        args = ["train", "--train", pipeline["train_csv"], "--grid", "2,2", "--method", "lssvm-independent"]
+        assert main([*args, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "call",

@@ -132,26 +132,27 @@ class TestRunCv:
 
     def test_failed_cells_recorded_not_fatal(self, monkeypatch):
         train, _ = small_train()
-        real_fit = experiments.fit
+        real_fit_many = experiments.fit_many
 
         def failing_at(cost):
-            def fit(data, config):
-                if config.C == cost:
-                    raise SolverError("dual system solve residual too large; decrease C")
-                return real_fit(data, config)
+            # the tensor grid fits its costs in lockstep; the member at `cost` fails
+            def fit_many(data, config, costs):
+                states = real_fit_many(data, config, costs)
+                error = SolverError("dual system solve residual too large; decrease C")
+                return [error if c == cost else state for c, state in zip(costs, states)]
 
-            return fit
+            return fit_many
 
-        monkeypatch.setattr(experiments, "fit", failing_at(10.0))
+        monkeypatch.setattr(experiments, "fit_many", failing_at(10.0))
         result = run_cv(train, METHOD_TENSOR, SMALL_PLAN, seed=0)
         failed = [cell for cell in result.cells if cell.error is not None]
         assert [(cell.rank, cell.cost) for cell in failed] == [(1, 10.0), (2, 10.0)]
         assert result.best.cost == 1.0
 
-        def always_failing(data, config):
-            raise SolverError("singular")
+        def always_failing(data, config, costs):
+            return [SolverError("singular") for _ in costs]
 
-        monkeypatch.setattr(experiments, "fit", always_failing)
+        monkeypatch.setattr(experiments, "fit_many", always_failing)
         with pytest.raises(SolverError, match="all 4 grid cells failed; first error: singular"):
             run_cv(train, METHOD_TENSOR, SMALL_PLAN, seed=0)
 

@@ -12,7 +12,7 @@ from tlssvm import linsys, solver
 from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic, kfold_split, load_csv, save_csv
 from tlssvm.errors import ConfigError, DataError
 from tlssvm.kernels import KernelSpec
-from tlssvm.model import TrainedModel, task_predictions
+from tlssvm.model import SharedFactor, TrainedModel, task_predictions
 from tlssvm.solver import FitConfig, fit, shared_projection
 from tlssvm.taskgrid import TaskGrid
 from conftest import full_recompute_trace, task_offsets
@@ -169,6 +169,21 @@ def fit_with_steps(monkeypatch, data, cfg):
     monkeypatch.setattr(solver, "solve_mode_row_step", recorder(solver.solve_mode_row_step, sweeps))
     state = fit(data, cfg)
     monkeypatch.undo()
+    # `fit` solves its cost as the one member of `fit_many`: every recorded
+    # array carries a leading member axis of length 1
+    for i, step in enumerate(shared_steps):
+        s = step.shared
+        shared = SharedFactor(
+            s.duals[0], s.task_vector_snapshot[0], s.train_inputs, s.task_ids,
+            None if s.explicit is None else s.explicit[0],
+        )
+        shared_steps[i] = dataclasses.replace(step, shared=shared, biases=step.biases[0])
+    projections = [projection[0] for projection in projections]
+    sweeps = [
+        dataclasses.replace(sweep, row_values=sweep.row_values[0], biases=sweep.biases[0], duals=sweep.duals[0],
+                system_residual=sweep.system_residual[0], constraint_residuals=sweep.constraint_residuals[0])
+        for sweep in sweeps
+    ]
     return state, shared_steps, projections, sweeps
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tlssvm.linsys import (
     CoherenceGram,
     FeatureGram,
     KroneckerGram,
+    MemberSolution,
     TaskMoments,
     solve_dual_system,
     solve_feature_system,
@@ -51,6 +53,7 @@ from conftest import (
     high_precision_saddle_solution,
     random_dataset,
     saddle_oracle,
+    snr10_dataset,
     sweep_row,
     task_offsets,
     without_explicit,
@@ -490,17 +493,20 @@ class TestKroneckerSharedStep:
 
     def test_operations_equal_those_of_the_explicit_matrix(self):
         # the centered Gram, Phi^T v (plain, and block-centered with the mean
-        # term of a right-hand side [g; h]) and Phi w, as the ridge uses them
+        # term of a right-hand side [g; h]) and Phi w, as the ridge uses them,
+        # for one member (the operations carry a leading member axis)
         data = uneven_dataset(85, (2, 3), d=4)
         blocks, Q, Phi = kronecker_system(data, 3, seed=85)
-        kron, explicit = linsys._KroneckerFeatures(Q, blocks), linsys._MatrixFeatures(Phi, blocks)
+        kron = linsys._KroneckerFeatures(KroneckerGram(Q.task_vectors[None], Q.moments), blocks)
+        explicit = linsys._MatrixFeatures(Phi[None], blocks)
         rng = np.random.default_rng(85)
-        v, g, w = rng.normal(size=data.n_samples), rng.normal(size=len(blocks)), rng.normal(size=12)
-        v_c = v - blocks.means(v)[blocks.of]
+        v, g, w = rng.normal(size=(1, data.n_samples)), rng.normal(size=(1, len(blocks))), rng.normal(size=(1, 12))
+        v_c = v - blocks.means(v, axis=1)[:, blocks.of]
+        inv_c = np.array([0.3])
         for got, expected in (
             (kron.grams(), explicit.grams()),
             (kron.rmatvec(v), explicit.rmatvec(v)),
-            (kron.rhs(v_c, g, 0.3), explicit.rhs(v_c, g, 0.3)),
+            (kron.rhs(v_c, g, inv_c), explicit.rhs(v_c, g, inv_c)),
             ([kron.matvec([w])], [explicit.matvec([w])]),
         ):
             (got,), (expected,) = got, expected
@@ -556,7 +562,7 @@ class TestKroneckerSharedStep:
         widths = []
 
         def recording(features):
-            widths.append(np.shape(features)[1])
+            widths.append(np.shape(features)[-1])
             return FeatureGram(features)
 
         monkeypatch.setattr(solver, "FeatureGram", recording)
@@ -746,7 +752,10 @@ class TestKroneckerSharedStep:
             solve_shared_step(data, (mats[0], nan), LINEAR, 10.0)
 
     def test_failed_solve_names_iteration_and_shared_step(self, monkeypatch):
-        monkeypatch.setattr(linsys._KroneckerFeatures, "grams", lambda self: [-np.eye(self.X.shape[1] * self.sample_vectors.shape[1])])
+        monkeypatch.setattr(
+            linsys._KroneckerFeatures, "grams",
+            lambda self: [-np.tile(np.eye(self.width), (len(self.task_vectors), 1, 1))],
+        )
         cfg = FitConfig(K=2, C=10.0, kernel=LINEAR, max_iters=3, seed=0)
         with pytest.raises(SolverError, match=r"^iteration 1, shared step: feature system is not positive definite"):
             fit(snr10_dataset(), cfg)
@@ -1220,6 +1229,82 @@ def block_diagonal_gram(Phi, group_of):
     return Q
 
 
+class TestMemberSolves:
+    """A solve for members is each member's lone solve, and a failed member leaves it alone."""
+
+    def members(self, form):
+        data = uneven_dataset(72, (3, 4), d=3)
+        rng = np.random.default_rng(72)
+        X, y = data.stacked_inputs(), data.stacked_targets()
+        U = rng.normal(size=(3, data.grid.n_tasks, 2))
+        U[1, 4] = np.nan  # member 1 fails
+        if form == "features":
+            layout = data.fit_plan.layouts[1]
+            Z = rng.normal(size=(3, data.n_samples, 2))
+            Z[1, 7] = np.inf
+            return layout.blocks, lambda b: FeatureGram(Z if b is None else Z[b]), layout.targets
+        blocks = Blocks(data.task_sizes)
+        if form == "kronecker":
+            moments = TaskMoments(blocks, X)
+            return blocks, lambda b: KroneckerGram(U if b is None else U[b], moments), y
+        G = gram(KernelSpec("rbf", gamma=0.3), X)
+        return blocks, lambda b: CoherenceGram(U if b is None else U[b], G), y
+
+    @pytest.mark.parametrize("form", ["features", "kronecker", "coherence"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the failing member's inf
+    def test_members_equal_lone_solves_and_a_failed_member_keeps_its_error(self, form):
+        blocks, system, y = self.members(form)
+        costs = np.array([0.5, 10.0, 1e3])
+        before = system(None)
+        G = getattr(before, "gram", None)
+        G_bits = None if G is None else G.copy()
+        got = solve_dual_system(blocks, before, y, costs)
+        assert isinstance(got, MemberSolution) and len(got.errors) == 3
+        if G is not None:
+            assert np.array_equal(G.view(np.int64), G_bits.view(np.int64))
+        with pytest.raises(SolverError) as lone_error:
+            solve_dual_system(blocks, system(1), y, costs[1])
+        assert str(got.errors[1]) == str(lone_error.value)
+        assert got.errors[1].group == lone_error.value.group
+        for b in (0, 2):
+            lone = solve_dual_system(blocks, system(b), y, costs[b])
+            assert got.errors[b] is None
+            assert got.biases[b].tobytes() == lone.biases.tobytes()
+            assert got.duals[b].tobytes() == lone.duals.tobytes()
+            assert got.residual[b] == lone.residual
+            if lone.weights is not None:
+                assert got.weights[b].tobytes() == lone.weights.tobytes()
+
+    def test_a_member_whose_factorization_fails_leaves_the_others_their_solves(self, monkeypatch):
+        data = uneven_dataset(74, (3, 4), d=3)
+        layout = data.fit_plan.layouts[1]
+        Z = np.random.default_rng(74).normal(size=(3, data.n_samples, 2))
+        costs = np.array([0.5, 10.0, 1e3])
+        lone = [solve_dual_system(layout.blocks, FeatureGram(Z[b]), layout.targets, costs[b]) for b in (0, 2)]
+        real_grams = linsys._MatrixFeatures.grams
+
+        def member_1_not_definite(self):
+            grams = real_grams(self)
+            if len(grams[2]) == 3:
+                grams[2][1] = -np.eye(2)  # member 1, row 3
+            return grams
+
+        monkeypatch.setattr(linsys._MatrixFeatures, "grams", member_1_not_definite)
+        got = solve_dual_system(layout.blocks, FeatureGram(Z), layout.targets, costs)
+        assert str(got.errors[1]) == "feature system is not positive definite (dpotrf info 1); decrease C"
+        assert got.errors[1].group == 2
+        assert np.isnan(got.biases[1]).all() and np.isnan(got.duals[1]).all()
+        for b, expected in zip((0, 2), lone):
+            assert got.errors[b] is None
+            for part in ("biases", "duals", "weights"):
+                assert getattr(got, part)[b].tobytes() == getattr(expected, part).tobytes()
+
+    def test_a_dense_q_takes_one_cost(self):
+        X, y = np.random.default_rng(73).normal(size=(5, 2)), np.ones(5)
+        with pytest.raises(ValueError, match="one cost"):
+            solve_dual_system(Blocks([2, 3]), X @ X.T, y, np.array([1.0, 2.0]))
+
+
 class TestGroupedSystems:
     def test_each_group_meets_its_own_bound(self):
         rng = np.random.default_rng(70)
@@ -1230,16 +1315,17 @@ class TestGroupedSystems:
         duals = duals + 1e-8 * (group_of == 1)  # group 1 (0-based) misses its own bound
         apply_q = lambda v: block_diagonal_gram(Phi, group_of) @ v  # noqa: E731
         no_step = lambda g, h: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
+        # _refined works on one member here: its arrays carry a leading member axis
+        member = (np.array([1 / C]), lambda v: apply_q(v[0]), no_step, biases[None], duals[None], False)
         pooled = linsys.Blocks(block_sizes)
-        _, _, residual, _ = linsys._refined(
-            pooled, y, 1 / C, apply_q, no_step, biases, duals, False
-        )
+        _, _, residual, _, errors = linsys._refined(pooled, y, *member)
         own_bound = RESIDUAL_RTOL * (1 + np.linalg.norm(y[group_of == 1]))
-        assert own_bound < residual <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
+        assert errors == [None]
+        assert own_bound < residual[0] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
         grouped = linsys.Blocks(block_sizes, (2, 2))
-        with pytest.raises(SolverError, match="residual .* exceeds") as info:
-            linsys._refined(grouped, y, 1 / C, apply_q, no_step, biases, duals, False)
-        assert info.value.group == 1
+        (error,) = linsys._refined(grouped, y, *member)[4]
+        assert isinstance(error, SolverError) and re.search("residual .* exceeds", str(error))
+        assert error.group == 1
 
     def test_row_missing_its_bound_is_named(self, monkeypatch):
         # grid (2, 2): mode 2's two rows are the two groups; tasks 3 and 4 form row 2
@@ -1369,15 +1455,6 @@ class TestEvaluateObjective:
             assert J >= 0.0
 
 
-def snr10_dataset():
-    spec = SyntheticSpec(
-        d=6, mode_sizes=(2, 3), k_true=2, train_per_task=12, test_per_task=4,
-        snr=10.0, seed=21,
-    )
-    train, _, _ = generate_synthetic(spec)
-    return train
-
-
 def assert_collapsed_model_predicts(data, state, kernel, tmp_path, biases):
     """A fit whose mode factors are zero predicts each task's bias on every path, after a reload too."""
     model = TrainedModel.from_fit(data, state, kernel)
@@ -1477,10 +1554,12 @@ class TestFit:
         def lu_reference(block_sizes, Q, y, C):
             if isinstance(Q, FeatureGram):
                 return solve_dual_system(block_sizes, Q, y, C)
-            Q = coherence_dense(Q, block_sizes)
+            # the fit solves its one member: task vectors 1 x T x K, costs [C]
+            (C,) = C
+            Q = coherence_dense(CoherenceGram(Q.task_vectors[0], Q.gram), block_sizes)
             dense_solves.append(Q.shape)
             biases, duals = saddle_oracle(block_sizes, Q, y, C)
-            return biases, duals, 0.0, None
+            return MemberSolution(biases[None], duals[None], np.zeros(1), None, (None,))
 
         monkeypatch.setattr(solver, "solve_dual_system", lu_reference)
         reference = fit(data, cfg)

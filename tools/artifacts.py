@@ -4,6 +4,10 @@
     python3 tools/artifacts.py CHECKOUT             # prints the combined digest
     python3 tools/artifacts.py PARENT CHANGE        # both digests and each file's change
 
+With two checkouts the exit code is 1 when any file differs or is
+present on one side only, and 0 when every file is byte-identical, so
+the comparison is a gate by itself.
+
 Each CHECKOUT is the root of a tlssvm source tree; its `src/` is put on
 PYTHONPATH and the CLI runs as `python -m tlssvm`, with one BLAS thread.
 The runs, every config file they read included (120 files):
@@ -178,6 +182,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         works = []
+        identical = True
         for i, checkout in enumerate(args.checkouts):
             work = root / f"{i}-{checkout.resolve().name}"
             run_all(checkout, work)
@@ -201,7 +206,8 @@ def main(argv=None) -> int:
                               f"{changes[1]:.3g} of the file's largest number")
             same = sum(a[path] == b.get(path) for path in a)
             print(f"{same} of {len(a)} files identical")
-    return 0
+            identical = a == b
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
