@@ -21,14 +21,11 @@ class SolverError(RuntimeError):
 
     `group` is the 0-based index of the independent subsystem that failed
     (the lowest one, when several did), or None when no subsystem is named.
-    `reason` is the message without the location a caller put in front of
-    it, so that a caller further out can name the location its own way.
     """
 
-    def __init__(self, message: str = "", group: int | None = None, reason: str | None = None) -> None:
+    def __init__(self, message: str = "", group: int | None = None) -> None:
         super().__init__(message)
         self.group = group
-        self.reason = message if reason is None else reason
 
 
 class UnsupportedOperation(RuntimeError):

@@ -10,8 +10,8 @@ cost C is the only regularization: the ridge I/C is the dual of the
 LS-SVM penalty C/2 ||e||^2 (Suykens & Vandewalle 1999), so each solve
 minimizes the objective that a fit records.
 
-`solve_dual_system` is the entry point. Q is a dense m x m matrix (the
-single-task baseline) or one of three structured forms:
+`solve_dual_system` is the one entry point. Q is a dense m x m matrix
+(the single-task baseline) or one of three structured forms:
 
 * `FeatureGram`: Q = Phi Phi^T, held as its m x p feature matrix Phi;
 * `KroneckerGram`: Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j
@@ -44,7 +44,7 @@ Cholesky. Which kind a shared step hands over is the caller's choice
   gives the same factor bit for bit. The residual goes through Q's
   operator: G (U o v) summed against U row by row for a CoherenceGram
   (U the m x K task vectors of the samples), Q v for a dense Q.
-* Centered ridge (`solve_feature_system`), for a FeatureGram and a
+* Centered ridge (`_solve_features`), for a FeatureGram and a
   KroneckerGram, exact for every number of features p.
   Centering Phi and y per block eliminates the biases, which leaves a
   p x p ridge system in the primal weights w, solved by Cholesky. Biases
@@ -88,22 +88,25 @@ and the reported residual is the largest group residual. A SolverError
 carries the 0-based index of the lowest failing group in its `group`
 attribute.
 
-A structured system may also be solved for several members at once: B
-systems on the same block structure and right-hand side y that differ in
-their cost and in the features or task vectors of their Q. The costs are
-then a 1-D array C (one per member), and Q's arrays carry a leading
-member axis: a FeatureGram's features are B x m x p, a KroneckerGram's
-and a CoherenceGram's task vectors B x T x K (a CoherenceGram's members
-share one Gram, which each member's solve restores before the next one
-writes it). The result's arrays carry the member axis too, and its
-`errors` hold, per member, None or the SolverError that member's lone
-solve would raise (a `MemberSolution`); a failed member's rows are no
-solution, and the others go on without it. The ridge's passes (centering, Grams, right-hand sides,
-residuals) run over all members at once, in operations whose every
-member slice is the lone operation, so each member's result equals its
-lone solve bit for bit. Every dpotrf and dpotrs stays one LAPACK call per
-member and group. A scalar C is the one-member case, and its solve
-raises its error.
+A structured system is solved for members: B systems on the same block
+structure and right-hand side y that differ in their cost and in the
+features or task vectors of their Q. The costs are a 1-D array C (one
+per member), and Q's arrays carry a leading member axis: a FeatureGram's
+features are B x m x p, a KroneckerGram's and a CoherenceGram's task
+vectors B x T x K (a CoherenceGram's members share one Gram, which each
+member's solve restores before the next one writes it). The result's
+arrays carry the member axis too, and its `errors` hold, per member,
+None or that member's SolverError (a `MemberSolution`); a failed
+member's rows are no solution, and the others go on without it. The
+ridge's passes (centering, Grams, right-hand sides, residuals) run over
+all members at once, in operations whose every member slice is the
+operation on that member alone, so each member's result equals that of
+its solve as the only member, bit for bit. Every dpotrf and dpotrs stays
+one LAPACK call per member and group. A lone system, one cost C with Q's
+arrays without the member axis, is the one-member case:
+`solve_dual_system`, and only it, lifts it to one member and unwraps the
+result to a `Solution`, raising the member's error. A dense Q is solved
+for one cost, as it is.
 
 LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
 factorization rather than with this module: only training solves systems,
@@ -114,7 +117,7 @@ prediction, evaluation and CSV or model IO run without ever loading it.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -132,7 +135,6 @@ __all__ = [
     "Solution",
     "TaskMoments",
     "solve_dual_system",
-    "solve_feature_system",
 ]
 
 RESIDUAL_RTOL = 1e-8
@@ -146,15 +148,12 @@ class Solution(NamedTuple):
     form's primal weights, one row w_g per group (G x p): the first ridge
     solve's w, or Phi_g^T alpha_g for a group whose w misses its bound
     after a refinement step. It is None for a dense Q and a CoherenceGram.
-    A lone solve raises its error, so its `errors` is None.
     """
 
     biases: np.ndarray
     duals: np.ndarray
     residual: float
     weights: np.ndarray | None = None
-
-    errors = None
 
 
 class MemberSolution(NamedTuple):
@@ -247,6 +246,13 @@ def _check(blocks: Blocks, m: int, costs: np.ndarray) -> None:
     bad = costs[~((costs > 0) & (costs < np.inf))]
     if bad.size:
         raise ValueError(f"C must be positive and finite, got {bad[0]}")
+
+
+def _members(Q, key):
+    """The members of a structured Q that `key` selects; `None` makes a lone Q its one member."""
+    if isinstance(Q, FeatureGram):
+        return FeatureGram(Q.features[key])
+    return replace(Q, task_vectors=np.asarray(Q.task_vectors, dtype=float)[key])
 
 
 def _one(solution: MemberSolution) -> Solution:
@@ -616,11 +622,12 @@ def _refined(
     errors = [None] * len(inv_c)
     for member in np.flatnonzero(failed.any(axis=1)).tolist():
         g = int(np.argmax(failed[member]))
-        errors[member] = SolverError(
-            f"dual system solve residual {residuals[member, g]:.3e} exceeds {bounds[g]:.3e}; "
-            "decrease C",
-            g,
-        )
+        residual = residuals[member, g]
+        if np.isfinite(residual):
+            message = f"dual system solve residual {residual:.3e} exceeds {bounds[g]:.3e}; decrease C"
+        else:  # C cannot mend a system with a non-finite entry in Q or y
+            message = f"dual system has non-finite entries (solve residual {residual:.3e})"
+        errors[member] = SolverError(message, g)
     return biases, duals, residuals.max(axis=1), replaced, errors
 
 
@@ -632,29 +639,30 @@ def solve_dual_system(
 ) -> Solution | MemberSolution:
     """Solve the saddle-point system above for the block structure `blocks`.
 
-    A FeatureGram and a KroneckerGram go to :func:`solve_feature_system`;
-    a CoherenceGram and a dense Q are solved in the dense form with a Schur
-    complement. Returns a `Solution` (biases, duals, residual, weights).
-    Raises SolverError if Q + I/C is not positive definite or a group's
-    residual exceeds RESIDUAL_RTOL * (1 + ||y_g||) even after refinement,
-    TypeError when `blocks` is not a Blocks, and ValueError on inconsistent
-    shapes or a C that is not positive and finite. A 1-D array C solves a
-    structured Q's members (see the module docstring) and returns a
-    `MemberSolution`, with each member's SolverError in its `errors`; a
-    dense Q takes one C.
+    A FeatureGram and a KroneckerGram are solved as the centered ridge, a
+    CoherenceGram and a dense Q in the dense form with a Schur complement.
+    A 1-D array C solves a structured Q's members (see the module
+    docstring) and returns a `MemberSolution`, with each member's
+    SolverError in its `errors`. One cost C solves a lone system, a
+    structured Q as its one member, and returns a `Solution` (biases,
+    duals, residual, weights); it raises SolverError if Q + I/C is not
+    positive definite or a group's residual exceeds RESIDUAL_RTOL *
+    (1 + ||y_g||) even after refinement. A dense Q takes one cost. Raises
+    TypeError when `blocks` is not a Blocks, and ValueError on
+    inconsistent shapes or a C that is not positive and finite.
     """
-    if isinstance(Q, FeatureGram):
-        return solve_feature_system(blocks, Q.features, y, C)
-    if isinstance(Q, KroneckerGram):
-        return solve_feature_system(blocks, Q, y, C)
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     costs, lone = _costs(C)
     _check(blocks, m, costs)
-    if isinstance(Q, CoherenceGram):
+    if isinstance(Q, (FeatureGram, KroneckerGram, CoherenceGram)):
         if lone:
-            Q = CoherenceGram(np.asarray(Q.task_vectors, dtype=float)[None], Q.gram)
-        solution = _solve_coherence(blocks, Q, y, costs)
+            Q = _members(Q, None)
+        stack = Q.features if isinstance(Q, FeatureGram) else Q.task_vectors
+        if stack.ndim != 3 or len(stack) != len(costs) or (isinstance(Q, FeatureGram) and stack.shape[1] != m):
+            raise ValueError(f"inconsistent system shapes: member arrays {stack.shape}, {len(costs)} costs, y {m}")
+        solve = _solve_coherence if isinstance(Q, CoherenceGram) else _solve_features
+        solution = solve(blocks, Q, y, costs)
         return _one(solution) if lone else solution
     if not lone:
         raise ValueError("a dense Q is solved for one cost")
@@ -676,13 +684,11 @@ def _solve_coherence(blocks: Blocks, Q: CoherenceGram, y: np.ndarray, costs: np.
     """A CoherenceGram's members, one dense solve after another in the shared Gram."""
     Q.check(blocks)
     B, m = len(costs), blocks.m
-    if Q.task_vectors.ndim != 3 or len(Q.task_vectors) != B:
-        raise ValueError(f"inconsistent system shapes: task vectors {Q.task_vectors.shape}, {B} costs")
     biases, duals = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan)
     residual = np.full(B, np.nan)
     errors = [None] * B
     for b, cost in enumerate(costs.tolist()):
-        member = CoherenceGram(Q.task_vectors[b], Q.gram)
+        member = _members(Q, b)
         inv_c = 1.0 / cost
         try:
             biases[b], duals[b], residual[b], _ = _solve_dense(
@@ -737,15 +743,11 @@ def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q)
     return Solution(biases[0], duals[0], float(residual[0]))
 
 
-def solve_feature_system(
-    blocks: Blocks, Phi: np.ndarray | KroneckerGram, y: np.ndarray, C: float | np.ndarray
-) -> Solution | MemberSolution:
-    """Solve the saddle-point system with Q = Phi Phi^T as a centered ridge.
+def _solve_features(
+    blocks: Blocks, Q: FeatureGram | KroneckerGram, y: np.ndarray, costs: np.ndarray
+) -> MemberSolution:
+    """The members of a FeatureGram or a KroneckerGram (one group), each solved as a centered ridge.
 
-    Same contract as :func:`solve_dual_system`, which calls this for a
-    FeatureGram's matrix and for a KroneckerGram. Phi is an m x p matrix or
-    a KroneckerGram (one group); for members (a 1-D array C) the matrices
-    are stacked B x m x p, or the KroneckerGram's task vectors B x T x K.
     The p x p matrix Phi~^T Phi~ + I/C of the block-centered features
     Phi~ is Cholesky-factored once per group and member. A right-hand side
     [g; h] of the saddle system then solves in closed form, group by group:
@@ -755,45 +757,29 @@ def solve_feature_system(
         a   = C (h - A b - Phi w)
 
     where Phi_bar holds the block means of Phi. The w of the solve for
-    [0; y] are returned as the Solution's weights, one row per group: they
-    are the primal solution itself, backward stable as a Cholesky solve
-    is, where Phi^T a would rebuild them as a sum that cancels. The
-    biases and duals of a matrix Phi (the mode rows of a fit, whose duals
-    only feed a constraint check) take a refinement step only when a group
-    misses its residual bound; those of a KroneckerGram, which a linear
-    model keeps as its dual form, always take one step. A refinement step
-    reuses the factors and never adds to w. A group that took one keeps
-    its w only if the residual with Phi_g w standing in for Q alpha meets
-    the bound at the refined biases and duals; otherwise its weights are
-    Phi_g^T alpha_g of those duals, which the residual check passed. Exact
-    for every p: a group with fewer samples than p still factors its p x p
+    [0; y] are returned as the weights, one row per group: they are the
+    primal solution itself, backward stable as a Cholesky solve is, where
+    Phi^T a would rebuild them as a sum that cancels. The biases and duals
+    of a FeatureGram (the mode rows of a fit, whose duals only feed a
+    constraint check) take a refinement step only when a group misses its
+    residual bound; those of a KroneckerGram, which a linear model keeps
+    as its dual form, always take one step. A refinement step reuses the
+    factors and never adds to w. A group that took one keeps its w only if
+    the residual with Phi_g w standing in for Q alpha meets the bound at
+    the refined biases and duals; otherwise its weights are Phi_g^T
+    alpha_g of those duals, which the residual check passed. Exact for
+    every p: a group with fewer samples than p still factors its p x p
     matrix, which the ridge I/C keeps positive definite. A member whose
-    factorization fails leaves the solve there, as a lone solve raises at
-    its lowest failing group.
+    factorization fails at its lowest failing group leaves the solve
+    there, with NaN rows.
     """
-    y = np.asarray(y, dtype=float)
-    m = y.shape[0]
-    costs, lone = _costs(C)
-    _check(blocks, m, costs)
-    B = len(costs)
-    kronecker = isinstance(Phi, KroneckerGram)
-    if kronecker:
-        U = np.asarray(Phi.task_vectors, dtype=float)
-        stacked = U[None] if lone else U
-        if stacked.ndim != 3 or len(stacked) != B:
-            raise ValueError(f"inconsistent system shapes: task vectors {U.shape}, {B} costs")
-    else:
-        Phi = np.asarray(Phi, dtype=float)
-        stacked = Phi[None] if lone else Phi
-        if stacked.ndim != 3 or stacked.shape[:2] != (B, m):
-            raise ValueError(f"inconsistent system shapes: Phi {Phi.shape}, y {m}")
+    B, m = len(costs), blocks.m
+    kronecker = isinstance(Q, KroneckerGram)
 
-    def features_of(stacked: np.ndarray):
-        if kronecker:
-            return _KroneckerFeatures(KroneckerGram(stacked, Phi.moments), blocks)
-        return _MatrixFeatures(stacked, blocks)
+    def features_of(Q):
+        return _KroneckerFeatures(Q, blocks) if kronecker else _MatrixFeatures(Q.features, blocks)
 
-    features = features_of(stacked)
+    features = features_of(Q)
     inv_c = 1.0 / costs
 
     errors: list[SolverError | None] = [None] * B
@@ -809,19 +795,18 @@ def solve_feature_system(
                     errors[b] = exc
     alive = [b for b in range(B) if errors[b] is None]
     if len(alive) == B:
-        solution = _solve_ridge(blocks, features, factors, y, inv_c, kronecker)
-    else:  # the members whose factorization failed get NaN rows
-        biases, duals, residual = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan), np.full(B, np.nan)
-        weights = np.full((B, len(blocks.groups), features.width), np.nan)
-        if alive:
-            got = _solve_ridge(
-                blocks, features_of(stacked[alive]), [factors[b] for b in alive], y, inv_c[alive], kronecker
-            )
-            biases[alive], duals[alive], residual[alive], weights[alive] = got[:4]
-            for b, error in zip(alive, got.errors):
-                errors[b] = error
-        solution = MemberSolution(biases, duals, residual, weights, tuple(errors))
-    return _one(solution) if lone else solution
+        return _solve_ridge(blocks, features, factors, y, inv_c, kronecker)
+    # the members whose factorization failed get NaN rows
+    biases, duals, residual = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan), np.full(B, np.nan)
+    weights = np.full((B, len(blocks.groups), features.width), np.nan)
+    if alive:
+        got = _solve_ridge(
+            blocks, features_of(_members(Q, alive)), [factors[b] for b in alive], y, inv_c[alive], kronecker
+        )
+        biases[alive], duals[alive], residual[alive], weights[alive] = got[:4]
+        for b, error in zip(alive, got.errors):
+            errors[b] = error
+    return MemberSolution(biases, duals, residual, weights, tuple(errors))
 
 
 def _solve_ridge(blocks: Blocks, features, factors: list, y: np.ndarray, inv_c: np.ndarray, kronecker: bool):

@@ -58,17 +58,18 @@ validated once, when the fit returns.
 `fit_many` fits B members in lockstep: fits that share the data, rank,
 kernel, seed, `max_iters` and `tol` and differ only in the cost C, as a
 cross-validation cell's costs do on one fold. Every array of the
-alternation then carries a leading member axis: the factor matrices are
+alternation carries a leading member axis: the factor matrices are
 B x T_n x K, the biases B x T, the predictions B x m, the shared record's
 duals, task vectors and explicit matrix B x m, B x T x K and B x d x K.
-The step functions take such stacks with a 1-D array of costs, and each
-solve passes them on to `linsys` as one system of B members, which keeps
-every member's arithmetic that of a lone solve; a step reports each
-member's SolverError instead of raising it. The trace's objectives and
-factor changes are computed for all members at once. A member leaves the
-batch when it converges or a step fails for it, so every member's
-FitState, or error, equals that of its lone fit bit for bit. `fit` is
-`fit_many` with the one cost `config.C`: there is a single code path.
+This is the one shape of the step functions: they take such stacks with
+a 1-D array of costs, and each solve passes them on to `linsys` as one
+system of B members, which keeps every member's arithmetic that of a
+solve of its own; a step returns each member's SolverError instead of
+raising it. The trace's objectives and factor changes are computed for
+all members at once. A member leaves the batch when it converges or a
+step fails for it, so every member's FitState, or error, equals that of
+its lone fit bit for bit. `fit` is `fit_many` with the one cost
+`config.C`: there is a single code path.
 """
 
 from __future__ import annotations
@@ -188,39 +189,37 @@ def init_factors(grid: TaskGrid, rank: int, seed: int) -> ModeFactors:
     return ModeFactors(tuple(mats))
 
 
-def _factor_mats(data: MtlDataset, factors) -> tuple[np.ndarray, ...]:
-    """The factor matrices of a ModeFactors on the data's grid, or the matrices as given.
-
-    A step function takes its factors as a ModeFactors or as the bare
-    T_n x K matrices (stacked B x T_n x K for members), which `fit_many`
-    passes for the matrices it owns. Either must fit the data's grid;
-    bare matrices must also be finite.
-    """
-    if isinstance(factors, ModeFactors):
-        if factors.grid != data.grid:
-            raise ValueError(
-                f"factor grid {factors.grid.mode_sizes} does not match data grid {data.grid.mode_sizes}"
-            )
-        return factors.factors
-    mats = tuple(factors)
+def _factor_mats(data: MtlDataset, mats) -> tuple[np.ndarray, ...]:
+    """Members' factor matrices, one B x T_n x K stack per mode, checked to fit the data's grid and be finite."""
+    mats = tuple(mats) if isinstance(mats, (tuple, list)) else (mats,)
     shapes = [np.shape(f) for f in mats]
-    fits = bool(shapes) and len(shapes[0]) in (2, 3)
-    if not fits or shapes != [shapes[0][:-2] + (n, shapes[0][-1]) for n in data.grid.mode_sizes]:
-        raise ValueError(f"factor matrices of shapes {shapes} do not fit data grid {data.grid.mode_sizes}")
+    if len(shapes[0]) != 3 or shapes != [shapes[0][:1] + (n, shapes[0][-1]) for n in data.grid.mode_sizes]:
+        raise ValueError(
+            f"factor matrices of shapes {shapes} do not fit data grid {data.grid.mode_sizes} "
+            "as members' B x T_n x K stacks"
+        )
     if not all(np.isfinite(f).all() for f in mats):
         raise ValueError("factor matrices contain non-finite entries")
     return mats
 
 
+def _member_costs(C) -> np.ndarray:
+    """A step's costs, which must be a 1-D array (one per member)."""
+    costs = np.asarray(C, dtype=float)
+    if costs.ndim != 1:
+        raise ValueError(f"a step takes a 1-D array of its members' costs, got shape {costs.shape}")
+    return costs
+
+
 @dataclass(frozen=True)
 class SharedStepResult:
-    """A shared step's record, biases and residuals; `errors` only for members (see `solve_shared_step`)."""
+    """The members' shared step: one record and B x T biases, and per member its residuals and SolverError or None."""
 
     shared: SharedFactor
     biases: np.ndarray
-    system_residual: float | np.ndarray
-    constraint_residual: float | np.ndarray
-    errors: tuple[SolverError | None, ...] | None = None
+    system_residual: np.ndarray
+    constraint_residual: np.ndarray
+    errors: tuple[SolverError | None, ...]
 
 
 def _kronecker_ridge(kernel: KernelSpec, data: MtlDataset, K: int) -> bool:
@@ -230,31 +229,31 @@ def _kronecker_ridge(kernel: KernelSpec, data: MtlDataset, K: int) -> bool:
 
 def solve_shared_step(
     data: MtlDataset,
-    factors: ModeFactors | tuple[np.ndarray, ...],
+    factors: tuple[np.ndarray, ...],
     kernel: KernelSpec,
-    C: float | np.ndarray,
+    C: np.ndarray,
     gram_matrix: np.ndarray | None = None,
 ) -> SharedStepResult:
-    """Exactly minimize over the shared factor, biases, and residuals.
+    """Exactly minimize over the shared factor, biases, and residuals of B members.
 
-    This is where the step's form is chosen. A linear kernel with dK <= m
-    solves Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j as a
-    KroneckerGram over the dataset's per-task moments: the dK x dK ridge.
-    Every other step solves a CoherenceGram: the task vectors with the
-    kernel Gram of the stacked inputs, `gram_matrix` if given.
-    The updated shared factor is returned as a `model.SharedFactor` over
-    the data's stacked inputs and sample tasks: in dual form, plus for the
-    linear kernel the explicit matrix: the ridge weights w in Kronecker
-    order (feature k*d + i is u_k x_i), or X^T (alpha o U) for dK > m or
-    when w misses the residual bound with the refined duals (see
-    `linsys.solve_feature_system`). `factors` is a ModeFactors on the
-    data's grid, or its factor matrices.
-
-    With a 1-D array of costs C and factor matrices stacked B x T_n x K,
-    this is the step of B members: the record, biases and residuals carry
-    the member axis, and `errors` holds each member's SolverError, or None.
+    `factors` are the members' factor matrices, stacked B x T_n x K, and
+    C their 1-D array of costs. This is where the step's form is chosen.
+    A linear kernel with dK <= m solves Q = Phi Phi^T for the features
+    Phi_j = u_t(j) kron x_j as a KroneckerGram over the dataset's per-task
+    moments: the dK x dK ridge. Every other step solves a CoherenceGram:
+    the task vectors with `gram_matrix`, the kernel Gram of the stacked
+    inputs, which such a step requires; the members share it and get it
+    back bit for bit. The updated shared factors are returned as one
+    `model.SharedFactor` over the data's stacked inputs and sample tasks:
+    in dual form, plus for the linear kernel the explicit matrices: the
+    ridge weights w in Kronecker order (feature k*d + i is u_k x_i), or
+    X^T (alpha o U) for dK > m or when w misses the residual bound with
+    the refined duals (see `linsys._solve_features`). The record, biases
+    and residuals carry the member axis, and `errors` holds each member's
+    SolverError, or None.
     """
     data.require_nonempty_tasks()
+    costs = _member_costs(C)
     plan = data.fit_plan
     y = data.stacked_targets()
     X = data.stacked_inputs()
@@ -263,12 +262,13 @@ def solve_shared_step(
     K = u_table.shape[-1]
     explicit = None
     if _kronecker_ridge(kernel, data, K):
-        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, plan.moments), y, C)
+        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, plan.moments), y, costs)
         weights = solution.weights[..., 0, :]
         explicit = np.ascontiguousarray(np.swapaxes(weights.reshape(weights.shape[:-1] + (K, -1)), -1, -2))
     else:
-        G = gram(kernel, X) if gram_matrix is None else gram_matrix
-        solution = solve_dual_system(plan.shared, CoherenceGram(u_table, G), y, C)
+        if gram_matrix is None:
+            raise ValueError("this shared step solves through the kernel Gram: gram_matrix is required")
+        solution = solve_dual_system(plan.shared, CoherenceGram(u_table, gram_matrix), y, costs)
         if kernel.has_feature_map:
             explicit = X.T @ dual_weights(solution.duals, u_table, tid)
     constraint = np.max(np.abs(plan.shared.sums(solution.duals, axis=-1)), axis=-1)
@@ -277,92 +277,70 @@ def solve_shared_step(
 
 
 def reduced_features(
-    data: MtlDataset,
-    shared: SharedFactor,
-    factors: ModeFactors | tuple[np.ndarray, ...],
-    kernel: KernelSpec,
-    mode: int,
-    projection: np.ndarray | None = None,
+    data: MtlDataset, factors: tuple[np.ndarray, ...], mode: int, projection: np.ndarray
 ) -> np.ndarray:
-    """m x K reduced features for one mode's row subproblems.
+    """B x m x K reduced features for one mode's row subproblems of B members.
 
-    Each sample's row is its shared projection Hadamard-multiplied with the
-    task's exclusion product over all other modes. `factors` is a
-    ModeFactors on the data's grid, or its factor matrices; members'
-    stacked factors and record give B x m x K.
+    Each sample's row is its shared projection (`projection`, B x m x K:
+    the training inputs through each member's shared factor)
+    Hadamard-multiplied with the task's exclusion product over all other
+    modes, from the members' factor matrices stacked B x T_n x K.
     """
     mode = data.grid._check_mode(mode)
-    mats = _factor_mats(data, factors)
-    if projection is None:
-        projection = shared_projection(shared, kernel, data.stacked_inputs())
-    excl = row_product_table(mats, data.grid.mode_indices, mode)
+    excl = row_product_table(_factor_mats(data, factors), data.grid.mode_indices, mode)
     return projection * excl.take(data.sample_task_ids(), axis=-2)
 
 
 @dataclass(frozen=True)
 class ModeStepResult:
-    """All rows of one mode, solved together.
+    """All rows of one mode, solved together for B members.
 
-    Arrays follow the layout's order: `row_values` is T_n x K, `biases`
-    has one entry per task, `duals` one per sample; row r's tasks and
-    samples are those of `layout.blocks.group_slices[r - 1]`.
-    `system_residual` is the largest row residual, each row having met its
-    own bound. A step of members puts the member axis first in every
-    array and holds each member's SolverError, or None, in `errors`.
+    Arrays follow the layout's order after the member axis: `row_values`
+    is B x T_n x K, `biases` has one entry per task, `duals` one per
+    sample; row r's tasks and samples are those of
+    `layout.blocks.group_slices[r - 1]`. `system_residual` holds each
+    member's largest row residual, each row having met its own bound, and
+    `constraint_residuals` each member's per row. `errors` holds each
+    member's SolverError, or None.
     """
 
     layout: ModeLayout
     row_values: np.ndarray
     biases: np.ndarray
     duals: np.ndarray
-    system_residual: float | np.ndarray
+    system_residual: np.ndarray
     constraint_residuals: np.ndarray
-    errors: tuple[SolverError | None, ...] | None = None
+    errors: tuple[SolverError | None, ...]
 
 
-def _in_mode(exc: SolverError, mode: int) -> SolverError:
-    """A row solve's error, located in its mode (and row, when the solve names one)."""
-    if exc.group is None:
-        located = SolverError(f"mode {mode}: {exc}", reason=exc.reason)
-    else:
-        located = SolverError(f"mode {mode} row {exc.group + 1}: {exc}", exc.group, exc.reason)
-    located.__cause__ = exc
-    return located
+def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: np.ndarray) -> ModeStepResult:
+    """Exactly minimize over every row of one mode factor and all biases, for B members.
 
-
-def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: float | np.ndarray) -> ModeStepResult:
-    """Exactly minimize over every row of one mode factor and all biases.
-
-    Row r's subproblem involves only the tasks whose mode index equals r;
-    its system matrix is the Gram of their reduced features Z_r. The rows
-    are independent, so they go to the solver as one FeatureGram of Z with
-    the layout's Blocks (one group per row), each row solved as its own
-    K x K centered ridge, whatever its sample count. Each row's values are
-    the solver's primal weights for its group: the ridge solution w, or
-    Z_r^T alpha_r when w misses the row's bound after a refinement step.
-    A row whose features are all zero (a fit that collapsed) has the exact
-    solution 0, with its tasks' biases at their target means. A
-    SolverError names the lowest failing row, in its message (`mode n row
-    r: <reason>`) and as its `group` (row - 1). Members (a 1-D array of
-    costs C, features z stacked B x m x K) get their errors in the
-    result's `errors` instead.
+    `z` holds the members' reduced features, stacked B x m x K, and C
+    their 1-D array of costs. Row r's subproblem involves only the tasks
+    whose mode index equals r; its system matrix is the Gram of their
+    reduced features Z_r. The rows are independent, so they go to the
+    solver as one FeatureGram of Z with the layout's Blocks (one group per
+    row), each row solved as its own K x K centered ridge, whatever its
+    sample count. Each row's values are the solver's primal weights for
+    its group: the ridge solution w, or Z_r^T alpha_r when w misses the
+    row's bound after a refinement step. A row whose features are all zero
+    (a fit that collapsed) has the exact solution 0, with its tasks'
+    biases at their target means. A member's SolverError is the solver's:
+    its `group` is the lowest failing row, less one.
     """
     data.require_nonempty_tasks()
     layout = data.fit_plan.layouts[data.grid._check_mode(mode) - 1]
     blocks = layout.blocks
+    if np.ndim(z) != 3:
+        raise ValueError(f"a row step takes its members' features stacked B x m x K, got shape {np.shape(z)}")
     # a gather along the sample axis that keeps each member's rows contiguous
     Z = np.take(np.asarray(z, dtype=float), layout.samples, axis=-2)
-    try:
-        solution = solve_dual_system(blocks, FeatureGram(Z), layout.targets, C)
-    except SolverError as exc:
-        raise _in_mode(exc, mode) from exc
-    errors = solution.errors
-    if errors is not None:
-        errors = tuple(None if exc is None else _in_mode(exc, mode) for exc in errors)
+    solution = solve_dual_system(blocks, FeatureGram(Z), layout.targets, _member_costs(C))
     values = solution.weights
     task_sums = np.abs(blocks.sums(solution.duals, axis=-1)).reshape(values.shape[:-1] + (-1,))
     return ModeStepResult(
-        layout, values, solution.biases, solution.duals, solution.residual, task_sums.max(axis=-1), errors
+        layout, values, solution.biases, solution.duals, solution.residual, task_sums.max(axis=-1), solution.errors
     )
 
 
@@ -409,6 +387,14 @@ def _factor_change(new_mats, old_mats) -> np.ndarray:
     return total
 
 
+def _member_record(shared: SharedFactor, key) -> SharedFactor:
+    """The record of the members that `key` (a mask, or one member's index) selects."""
+    explicit = None if shared.explicit is None else shared.explicit[key]
+    return SharedFactor(
+        shared.duals[key], shared.task_vector_snapshot[key], shared.train_inputs, shared.task_ids, explicit
+    )
+
+
 class _Members:
     """The members of a `fit_many` still in its alternation.
 
@@ -449,23 +435,14 @@ class _Members:
         if self.prev_mats is not None:
             self.prev_mats = [f[mask] for f in self.prev_mats]
         if self.shared is not None:
-            s = self.shared
-            explicit = None if s.explicit is None else s.explicit[mask]
-            self.shared = SharedFactor(
-                s.duals[mask], s.task_vector_snapshot[mask], s.train_inputs, s.task_ids, explicit
-            )
+            self.shared = _member_record(self.shared, mask)
         for name in ("index", "traces", "warnings", "collapsed"):
             setattr(self, name, [v for v, kept in zip(getattr(self, name), mask.tolist()) if kept])
 
     def state(self, b: int, converged: bool, iterations: int) -> FitState:
-        s = self.shared
-        shared = SharedFactor(
-            s.duals[b], s.task_vector_snapshot[b], s.train_inputs, s.task_ids,
-            None if s.explicit is None else s.explicit[b],
-        )
         return FitState(
             factors=ModeFactors(tuple(f[b] for f in self.factor_mats)),
-            shared=shared,
+            shared=_member_record(self.shared, b),
             biases=self.biases[b].copy(),
             trace=self.traces[b],
             converged=converged,
@@ -549,7 +526,7 @@ def fit_many(data: MtlDataset, config: FitConfig, costs) -> list[FitState | Solv
         live.record(it, "shared")
 
         for mode in range(1, grid.n_modes + 1):
-            z = reduced_features(data, live.shared, live.factor_mats, kernel, mode, projection=live.projection)
+            z = reduced_features(data, live.factor_mats, mode, live.projection)
             try:
                 sweep = solve_mode_row_step(data, z, mode, live.C)
             except SolverError as exc:
@@ -559,7 +536,7 @@ def fit_many(data: MtlDataset, config: FitConfig, costs) -> list[FitState | Solv
 
             def located(exc: SolverError) -> SolverError:
                 where = f"mode {mode}" if exc.group is None else f"mode {mode}/row {exc.group + 1}"
-                return _failure(f"iteration {it}, {where}: {exc.reason}", exc)
+                return _failure(f"iteration {it}, {where}: {exc}", exc)
 
             kept = leave(failures, located)
             if not live.index:
@@ -624,8 +601,9 @@ def fit(data: MtlDataset, config: FitConfig) -> FitState:
     when the summed relative factor change drops below `config.tol` or
     after `config.max_iters` iterations (then flagged, not an error). A
     step that cannot be solved raises SolverError naming the iteration and
-    the step once: `iteration i, shared step: <reason>` or `iteration i,
-    mode n/row r: <reason>` (`mode n` when no row is named). This is
+    the step once: `iteration i, shared step: <message>` or `iteration i,
+    mode n/row r: <message>` (`mode n` when no row is named), with the
+    solver's SolverError, and its message, as the cause. This is
     `fit_many` with the one cost `config.C`.
     """
     (outcome,) = fit_many(data, config, (config.C,))

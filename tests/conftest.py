@@ -17,6 +17,7 @@ from tlssvm.model import SharedFactor, task_predictions
 from tlssvm.solver import (
     FitConfig,
     ModeStepResult,
+    _member_record,
     _objective,
     _shared_penalty,
     _squared_norm,
@@ -59,6 +60,33 @@ def coherence_dense(Q: CoherenceGram, blocks: Blocks, shift: float = 0.0) -> np.
     H *= Q.gram
     H.reshape(-1)[:: blocks.m + 1] += shift
     return H
+
+
+def one_member(step, data: MtlDataset, given, *args, C: float, **kwargs):
+    """`step` (`solve_shared_step` or `solve_mode_row_step`) for one member, as a lone step.
+
+    The steps take members only: factor matrices stacked B x T_n x K,
+    reduced features B x m x K and a 1-D array of costs. The member's
+    factors (a ModeFactors) or features (m x K) are passed as the stacks
+    of one member, its cost as the array [C]. Returns member 0's result
+    without the member axis, or raises its SolverError.
+    """
+    if isinstance(given, ModeFactors):
+        given = tuple(f[None] for f in given.factors)
+    else:
+        given = np.asarray(given)[None]
+    result = step(data, given, *args, np.array([C], dtype=float), **kwargs)
+    (error,) = result.errors
+    if error is not None:
+        raise error
+    lone = {
+        field.name: getattr(result, field.name)[0]
+        for field in dataclasses.fields(result)
+        if isinstance(getattr(result, field.name), np.ndarray)
+    }
+    if hasattr(result, "shared"):
+        lone["shared"] = _member_record(result.shared, 0)
+    return dataclasses.replace(result, **lone)
 
 
 def fit_config_dict(cfg: FitConfig) -> dict:

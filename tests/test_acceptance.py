@@ -37,7 +37,7 @@ from tlssvm.realdata import load_student_performance
 from tlssvm.solver import FitConfig, fit, init_factors, solve_mode_row_step, solve_shared_step
 from tlssvm.taskgrid import ModeFactors, TaskGrid, delinearize
 
-from conftest import random_dataset, sweep_row
+from conftest import one_member, random_dataset, sweep_row
 from test_solver import shared_step_normal_equations
 
 LINEAR = KernelSpec("linear")
@@ -117,7 +117,7 @@ def test_criterion_02_subproblem_oracles(capsys):
     for seed in range(10):
         data = random_dataset(200 + seed, mode_sizes=(2, 2), d=3, m_t=5)
         factors = init_factors(data.grid, 2, seed=seed)
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
         L_oracle, b_oracle = shared_step_normal_equations(data, factors, 10.0)
         worst_shared = max(
             worst_shared,
@@ -132,7 +132,7 @@ def test_criterion_02_subproblem_oracles(capsys):
     )
     z = np.array([[0.8], [-0.3], [0.1], [0.2]])
     C = 4.0
-    row = sweep_row(solve_mode_row_step(data, z, mode=1, C=C), 1)
+    row = sweep_row(one_member(solve_mode_row_step, data, z, 1, C=C), 1)
     M = np.array(
         [
             [0.0, 1.0, 1.0],
@@ -211,7 +211,7 @@ def test_criterion_05_prediction_path_equivalence(recovery, capsys):
 def test_criterion_06_single_task_reduction(capsys):
     data = random_dataset(300, mode_sizes=(1,), d=5, m_t=12)
     factors = ModeFactors((np.ones((1, 1)),))
-    step = solve_shared_step(data, factors, LINEAR, 10.0)
+    step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
     single = fit_single(data.inputs[0], data.targets[0], 10.0, LINEAR)
     worst = max(
         float(np.max(np.abs(step.shared.duals - single.duals))),

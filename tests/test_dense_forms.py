@@ -27,7 +27,7 @@ from tlssvm.linsys import (
 from tlssvm import linsys, solver
 from tlssvm.errors import SolverError
 from tlssvm.solver import FitConfig, fit, init_factors, solve_shared_step
-from conftest import coherence_dense, random_dataset, saddle_oracle
+from conftest import coherence_dense, one_member, random_dataset, saddle_oracle
 
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.1)
@@ -82,10 +82,10 @@ class TestCoherenceGram:
         m = data.n_samples
         G = gram(RBF, data.stacked_inputs())
         factors = init_factors(data.grid, 3, seed=1)
-        first = solve_shared_step(data, factors, RBF, 10.0, gram_matrix=G)  # loads LAPACK, builds the plan
+        first = one_member(solve_shared_step, data, factors, RBF, C=10.0, gram_matrix=G)  # loads LAPACK, builds the plan
         tracemalloc.start()
         try:
-            again = solve_shared_step(data, factors, RBF, 10.0, gram_matrix=G)
+            again = one_member(solve_shared_step, data, factors, RBF, C=10.0, gram_matrix=G)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,12 +24,12 @@ from tlssvm.linsys import (
     MemberSolution,
     TaskMoments,
     solve_dual_system,
-    solve_feature_system,
 )
 from tlssvm.model import SharedFactor, TrainedModel, load_model, predict_dual, predict_primal, save_model
 from tlssvm.solver import (
     FitConfig,
     fit,
+    fit_many,
     init_factors,
     reduced_features,
     shared_projection,
@@ -51,6 +51,7 @@ from conftest import (
     evaluate_objective,
     fit_config_dict,
     high_precision_saddle_solution,
+    one_member,
     random_dataset,
     saddle_oracle,
     snr10_dataset,
@@ -67,8 +68,8 @@ SHIFTED_COSTS = [1.0 / (1.0 / C + 1e-3) for C in COSTS]
 
 @pytest.mark.parametrize(
     "entry",
-    [FitConfig, CvPlan, solve_dual_system, solve_feature_system, solve_shared_step,
-     solve_mode_row_step, fit, fit_single, fit_independent, fit_method, run_cv, fit_best],
+    [FitConfig, CvPlan, solve_dual_system, solve_shared_step, solve_mode_row_step, fit,
+     fit_many, fit_single, fit_independent, fit_method, run_cv, fit_best],
     ids=lambda entry: entry.__name__,
 )
 def test_cost_is_the_only_regularization_parameter(entry):
@@ -172,8 +173,6 @@ class TestSolveDualSystem:
             (solve_dual_system, X @ X.T),
             (solve_dual_system, FeatureGram(X)),
             (solve_dual_system, kron),
-            (solve_feature_system, X),
-            (solve_feature_system, kron),
         ):
             with pytest.raises(TypeError, match="must be a linsys.Blocks"):
                 solve(sizes, Q, y, 1.0)
@@ -189,8 +188,6 @@ class TestSolveDualSystem:
                   CoherenceGram(U, X @ X.T)):
             with pytest.raises(ValueError, match=message):
                 solve_dual_system(blocks, Q, y, C)
-        with pytest.raises(ValueError, match=message):
-            solve_feature_system(blocks, X, y, C)
 
     def test_blocks_reject_fractional_sizes_and_group_counts(self):
         with pytest.raises(ValueError, match=r"block sizes must be whole numbers, got \[2\.7, 3\.0\]"):
@@ -244,14 +241,14 @@ def assert_same_solution(got, expected, rtol=1e-9):
         assert np.max(np.abs(part_got - part_expected)) <= rtol * scale
 
 
-class TestSolveFeatureSystem:
+class TestFeatureRidge:
     @pytest.mark.parametrize("C", COSTS + SHIFTED_COSTS)
     def test_uneven_blocks_match_dense_oracle(self, C):
         rng = np.random.default_rng(40)
         sizes = [1, 6, 3, 9]
         Phi = rng.normal(size=(sum(sizes), 3))
         y = rng.normal(size=sum(sizes))
-        got = solve_feature_system(Blocks(sizes), Phi, y, C)
+        got = solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C)
         assert_same_solution(got, solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C))
         assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
 
@@ -262,7 +259,6 @@ class TestSolveFeatureSystem:
         Phi = rng.normal(size=(5, 8))
         y = rng.normal(size=5)
         expected = solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C)
-        assert_same_solution(solve_feature_system(Blocks(sizes), Phi, y, C), expected)
         assert_same_solution(solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C), expected)
 
     @pytest.mark.parametrize("C", [1.0, 1e3, 1e6])
@@ -273,7 +269,7 @@ class TestSolveFeatureSystem:
         Phi = base[[0, 0, 1, 2, 1, 1, 3, 0, 3]]
         sizes = [3, 4, 2]
         y = rng.normal(size=9)
-        got = solve_feature_system(Blocks(sizes), Phi, y, C)
+        got = solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C)
         assert_same_solution(got, solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C))
 
     def test_residual_is_that_of_the_saddle_system(self):
@@ -283,7 +279,7 @@ class TestSolveFeatureSystem:
         Phi = rng.normal(size=(m, 3))
         y = rng.normal(size=m)
         C = 1 / (1 / 50.0 + 1e-4)
-        biases, duals, residual, _ = solve_feature_system(Blocks(sizes), Phi, y, C)
+        biases, duals, residual, _ = solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C)
         A = block_constraint_matrix(sizes)
         M = np.block([[np.zeros((T, T)), A.T], [A, Phi @ Phi.T + (1 / C) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
@@ -309,13 +305,13 @@ class TestSolveFeatureSystem:
                     M[T + i, T + j] = Q[i, j] + (mpmath.mpf(1) / C if i == j else 0)
             exact = mpmath.lu_solve(M, mpmath.matrix([0] * T + y.tolist()))
             expected = np.array([float(v) for v in exact])
-        biases, duals, _, _ = solve_feature_system(Blocks(sizes), Phi, y, C)
+        biases, duals, _, _ = solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C)
         scale = float(np.max(np.abs(expected)))
         assert np.max(np.abs(np.concatenate([biases, duals]) - expected)) <= 1e-12 * scale
 
     def test_zero_targets_give_zero_solution(self):
         Phi = np.random.default_rng(45).normal(size=(6, 2))
-        biases, duals, residual, _ = solve_feature_system(Blocks([2, 4]), Phi, np.zeros(6), 10.0)
+        biases, duals, residual, _ = solve_dual_system(Blocks([2, 4]), FeatureGram(Phi), np.zeros(6), 10.0)
         np.testing.assert_array_equal(biases, 0.0)
         np.testing.assert_array_equal(duals, 0.0)
         assert residual == 0.0
@@ -323,11 +319,11 @@ class TestSolveFeatureSystem:
     def test_shape_and_value_validation(self):
         Phi = np.ones((4, 2))
         with pytest.raises(ValueError, match="inconsistent"):
-            solve_feature_system(Blocks([2, 2]), Phi, np.zeros(3), 1.0)
+            solve_dual_system(Blocks([2, 2]), FeatureGram(Phi), np.zeros(3), 1.0)
         with pytest.raises(ValueError, match="C must be positive"):
-            solve_feature_system(Blocks([2, 2]), Phi, np.zeros(4), 0.0)
+            solve_dual_system(Blocks([2, 2]), FeatureGram(Phi), np.zeros(4), 0.0)
         with pytest.raises(ValueError, match="at least one sample"):
-            solve_feature_system(Blocks([4, 0]), Phi, np.zeros(4), 1.0)
+            solve_dual_system(Blocks([4, 0]), FeatureGram(Phi), np.zeros(4), 1.0)
 
     def test_feature_gram_is_the_ridge_for_every_shape(self):
         rng = np.random.default_rng(46)
@@ -336,16 +332,60 @@ class TestSolveFeatureSystem:
         for blocks, p in ((Blocks([3, 3]), 6), (Blocks([3, 3]), 7), (Blocks([3, 3], (1, 1)), 4)):
             Phi = rng.normal(size=(6, p))
             got = solve_dual_system(blocks, FeatureGram(Phi), y, 2.0)
-            expected = solve_feature_system(blocks, Phi, y, 2.0)
-            assert_same_solution(got, expected, rtol=0)
-            assert np.array_equal(got.weights, expected.weights)
+            expected = linsys._solve_features(blocks, FeatureGram(Phi[None]), y, np.array([2.0]))
+            assert_same_solution(got, (expected.biases[0], expected.duals[0]), rtol=0)
+            assert np.array_equal(got.weights, expected.weights[0])
 
+
+def non_finite_system(case):
+    """A lone system with one non-finite entry in Q or y, and a system of two members: (blocks, Q, y, members).
+
+    Member 1 is the lone system and member 0 the same system without the
+    non-finite entry; a non-finite y is every member's.
+    """
+    rng = np.random.default_rng(75)
+    blocks = Blocks([3, 4, 2])
+    X, y, U = rng.normal(size=(9, 2)), rng.normal(size=9), rng.normal(size=(3, 2))
+    if case == "feature-inf":
+        bad = X.copy()
+        bad[1, 0] = np.inf
+        return blocks, FeatureGram(bad), y, FeatureGram(np.stack([X, bad]))
+    if case == "coherence-nan-task":
+        G = gram(KernelSpec("rbf", gamma=0.3), X)
+        bad = U.copy()
+        bad[2, 1] = np.nan
+        return blocks, CoherenceGram(bad, G), y, CoherenceGram(np.stack([U, bad]), G)
+    y = y.copy()
+    y[4] = np.nan
+    return blocks, FeatureGram(X), y, FeatureGram(np.stack([X, X]))
+
+
+class TestNonFiniteSystems:
+    """A non-finite entry in Q or y is named as such, not blamed on the cost."""
+
+    @pytest.mark.parametrize("case", ["feature-inf", "coherence-nan-task", "y-nan"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_features_raise_solver_error(self):
-        Phi = np.ones((4, 2))
-        Phi[1, 0] = np.inf
-        with pytest.raises(SolverError, match="decrease C"):
-            solve_feature_system(Blocks([2, 2]), Phi, np.ones(4), 1.0)
+    def test_lone_solve_names_non_finite_entries(self, case):
+        blocks, Q, y, _ = non_finite_system(case)
+        with pytest.raises(SolverError) as info:
+            solve_dual_system(blocks, Q, y, 10.0)
+        message = str(info.value)
+        assert message.startswith("dual system has non-finite entries")
+        assert "decrease C" not in message and "exceeds" not in message
+
+    @pytest.mark.parametrize("case", ["feature-inf", "coherence-nan-task", "y-nan"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_member_solve_names_non_finite_entries(self, case):
+        blocks, Q, y, members = non_finite_system(case)
+        got = solve_dual_system(blocks, members, y, np.array([10.0, 10.0]))
+        with pytest.raises(SolverError) as lone:
+            solve_dual_system(blocks, Q, y, 10.0)
+        assert str(got.errors[1]) == str(lone.value)
+        assert got.errors[1].group == lone.value.group
+        if case == "y-nan":  # every member shares y
+            assert str(got.errors[0]) == str(lone.value)
+        else:
+            assert got.errors[0] is None
 
 
 class TestInitFactors:
@@ -407,7 +447,7 @@ class TestSharedStep:
             data = random_dataset(100 + seed, mode_sizes=(2, 2), d=3, m_t=5)
             factors = init_factors(data.grid, 2, seed=seed)
             C = 10.0
-            step = solve_shared_step(data, factors, LINEAR, C)
+            step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
             L_oracle, b_oracle = shared_step_normal_equations(data, factors, C)
             assert np.max(np.abs(step.shared.explicit - L_oracle)) < 1e-6
             assert np.max(np.abs(step.biases - b_oracle)) < 1e-6
@@ -422,7 +462,7 @@ class TestSharedStep:
             tuple(rng.normal(size=n) for n in sizes),
         )
         factors = init_factors(data.grid, 2, seed=4)
-        step = solve_shared_step(data, factors, LINEAR, C)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         Q = coherence_weighted_gram(data, factors, LINEAR)
         expected = solve_dual_system(Blocks(data.task_sizes), Q, data.stacked_targets(), C)
         assert_same_solution((step.biases, step.shared.duals), expected)
@@ -431,8 +471,9 @@ class TestSharedStep:
         # d*K = 12 features against 8 samples
         data = random_dataset(17, mode_sizes=(2, 2), d=4, m_t=2)
         factors = init_factors(data.grid, 3, seed=5)
-        monkeypatch.setattr(linsys, "solve_feature_system", None)
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        monkeypatch.setattr(linsys, "_solve_features", None)
+        G = gram(LINEAR, data.stacked_inputs())
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0, gram_matrix=G)
         L_oracle, b_oracle = shared_step_normal_equations(data, factors, 10.0)
         assert np.max(np.abs(step.shared.explicit - L_oracle)) < 1e-6
         assert np.max(np.abs(step.biases - b_oracle)) < 1e-6
@@ -440,7 +481,7 @@ class TestSharedStep:
     def test_zero_targets(self):
         data = random_dataset(5, mode_sizes=(2,), d=3, m_t=4)
         data = MtlDataset(data.grid, data.inputs, tuple(np.zeros(4) for _ in range(2)))
-        step = solve_shared_step(data, init_factors(data.grid, 2, 0), LINEAR, 10.0)
+        step = one_member(solve_shared_step, data, init_factors(data.grid, 2, 0), LINEAR, C=10.0)
         np.testing.assert_allclose(step.shared.duals, 0.0, atol=1e-10)
         np.testing.assert_allclose(step.biases, 0.0, atol=1e-10)
 
@@ -448,14 +489,14 @@ class TestSharedStep:
         # T=1 with u=1 makes the coherence scalar 1: the standard LSSVM system
         data = random_dataset(6, mode_sizes=(1,), d=4, m_t=8)
         factors = ModeFactors((np.ones((1, 1)),))
-        step = solve_shared_step(data, factors, LINEAR, 25.0)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=25.0)
         single = fit_single(data.inputs[0], data.targets[0], 25.0, LINEAR)
         np.testing.assert_allclose(step.shared.duals, single.duals, atol=1e-9)
         assert abs(step.biases[0] - single.bias) < 1e-9
 
     def test_constraint_residual_reported(self):
         data = random_dataset(7, mode_sizes=(2, 2), d=3, m_t=5)
-        step = solve_shared_step(data, init_factors(data.grid, 2, 1), LINEAR, 100.0)
+        step = one_member(solve_shared_step, data, init_factors(data.grid, 2, 1), LINEAR, C=100.0)
         assert step.constraint_residual < 1e-8
         sums = [step.shared.duals[i * 5 : (i + 1) * 5].sum() for i in range(4)]
         assert max(abs(s) for s in sums) < 1e-8
@@ -539,7 +580,8 @@ class TestKroneckerSharedStep:
             return solve_dual_system(blocks, Q, y, C)
 
         monkeypatch.setattr(solver, "solve_dual_system", recording)
-        step = solve_shared_step(data, factors, LINEAR, C)
+        G = gram(LINEAR, data.stacked_inputs())
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=C, gram_matrix=G)
         assert forms == [CoherenceGram]
         U, X, y = task_vector_table(factors), data.stacked_inputs(), data.stacked_targets()
         Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
@@ -549,7 +591,7 @@ class TestKroneckerSharedStep:
     def test_shared_step_matches_explicit_features(self):
         data = uneven_dataset(83, (3, 2), d=4)
         factors = init_factors(data.grid, 2, seed=83)
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
         U = task_vector_table(factors)
         X, y = data.stacked_inputs(), data.stacked_targets()
         Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
@@ -577,10 +619,10 @@ class TestKroneckerSharedStep:
         )
         data, _, _ = generate_synthetic(spec)
         factors = init_factors(data.grid, 3, seed=84)
-        solve_shared_step(data, factors, LINEAR, 10.0)  # builds the plan and loads LAPACK
+        one_member(solve_shared_step, data, factors, LINEAR, C=10.0)  # builds the plan and loads LAPACK
         tracemalloc.start()
         try:
-            solve_shared_step(data, factors, LINEAR, 10.0)
+            one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -591,7 +633,8 @@ class TestKroneckerSharedStep:
         data = uneven_dataset(86, (2, 2), d=6, max_size=2)
         factors = init_factors(data.grid, 2, seed=86)
         assert data.n_samples < 12  # dK > m: the dense form
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        G = gram(LINEAR, data.stacked_inputs())
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0, gram_matrix=G)
         U = task_vector_table(factors)
         X, y = data.stacked_inputs(), data.stacked_targets()
         Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
@@ -603,7 +646,7 @@ class TestKroneckerSharedStep:
         # outgrow Phi and its centered copy, so they are summed 9 tasks at a time
         data = random_dataset(87, mode_sizes=(3, 4), d=20, m_t=8)
         factors = init_factors(data.grid, 1, seed=87)
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
         U = task_vector_table(factors)
         X, y = data.stacked_inputs(), data.stacked_targets()
         Phi = U[data.sample_task_ids()] * X
@@ -636,7 +679,7 @@ class TestKroneckerSharedStep:
             return solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0)
 
         peaks = []
-        for step in (explicit_step, lambda: solve_shared_step(data, factors, LINEAR, 10.0)):
+        for step in (explicit_step, lambda: one_member(solve_shared_step, data, factors, LINEAR, C=10.0)):
             step()  # loads LAPACK, builds the plan
             tracemalloc.start()
             try:
@@ -651,7 +694,7 @@ class TestKroneckerSharedStep:
     def test_explicit_is_the_ridge_weights_in_kronecker_order(self, C):
         data = uneven_dataset(86, (2, 3), d=4)
         factors = init_factors(data.grid, 3, seed=86)
-        step = solve_shared_step(data, factors, LINEAR, C)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         U, X, y = task_vector_table(factors), data.stacked_inputs(), data.stacked_targets()
         blocks = Blocks(data.task_sizes)
         solution = solve_dual_system(blocks, KroneckerGram(U, TaskMoments(blocks, X)), y, C)
@@ -676,7 +719,7 @@ class TestKroneckerSharedStep:
             return real_solve(factor, rhs)
 
         monkeypatch.setattr(linsys, "_cho_solve", counting)
-        solve_shared_step(data, factors, LINEAR, 10.0)
+        one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
         assert solves == [(12, 12), (12, 12)]
 
     @staticmethod
@@ -693,7 +736,7 @@ class TestKroneckerSharedStep:
     def test_explicit_meets_the_bound_with_the_duals_it_keeps(self, C):
         data = uneven_dataset(86, (2, 3), d=4)
         factors = init_factors(data.grid, 3, seed=86)
-        step = solve_shared_step(data, factors, LINEAR, C)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         bound = RESIDUAL_RTOL * (1 + np.linalg.norm(data.stacked_targets()))
         assert self.explicit_residual(data, factors, step, C) <= bound
 
@@ -701,7 +744,7 @@ class TestKroneckerSharedStep:
         data = uneven_dataset(86, (2, 3), d=4)
         factors = init_factors(data.grid, 3, seed=86)
         C = 10.0
-        exact = solve_shared_step(data, factors, LINEAR, C)
+        exact = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         real_solve, solves = linsys._cho_solve, []
 
         def perturbed_first_solve(factor, rhs):
@@ -712,7 +755,7 @@ class TestKroneckerSharedStep:
             return out
 
         monkeypatch.setattr(linsys, "_cho_solve", perturbed_first_solve)
-        step = solve_shared_step(data, factors, LINEAR, C)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         assert solves == [(12, 12), (12, 12)]
         bound = RESIDUAL_RTOL * (1 + np.linalg.norm(data.stacked_targets()))
         assert self.explicit_residual(data, factors, step, C) <= bound
@@ -725,31 +768,56 @@ class TestKroneckerSharedStep:
     def test_dense_form_takes_the_explicit_matrix_from_the_duals(self):
         data = random_dataset(87, mode_sizes=(2, 2), d=6, m_t=3)  # dK = 18 > m = 12
         factors = init_factors(data.grid, 3, seed=87)
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        G = gram(LINEAR, data.stacked_inputs())
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0, gram_matrix=G)
         U, X = task_vector_table(factors), data.stacked_inputs()
         dual_sum = X.T @ (step.shared.duals[:, None] * U[data.sample_task_ids()])
         assert np.array_equal(step.shared.explicit, dual_sum)
 
-    def test_bare_factor_matrices_must_fit_the_grid(self):
+    def test_factor_matrices_must_fit_the_grid_as_member_stacks(self):
         data = random_dataset(90, mode_sizes=(2, 3), d=3, m_t=4)
-        mats = init_factors(data.grid, 2, seed=90).factors
-        step = solve_shared_step(data, mats, LINEAR, 10.0)
+        mats = tuple(f[None] for f in init_factors(data.grid, 2, seed=90).factors)
+        costs = np.array([10.0])
+        projection = np.ones((1, data.n_samples, 2))
+        solve_shared_step(data, mats, LINEAR, costs)
         bad = (
             (mats[0],),  # one matrix on a 2-mode grid
             (mats[0], mats[1], mats[1]),
-            (mats[0], mats[1][:2]),  # mode 2 has 3 rows
-            (mats[0], mats[1][:, :1]),  # ranks disagree
+            (mats[0], mats[1][:, :2]),  # mode 2 has 3 rows
+            (mats[0], mats[1][..., :1]),  # ranks disagree
+            (mats[0], np.concatenate([mats[1], mats[1]])),  # member counts disagree
             (mats[0][0], mats[1]),
         )
         for mats_bad in bad:
             with pytest.raises(ValueError, match="do not fit data grid"):
-                solve_shared_step(data, mats_bad, LINEAR, 10.0)
+                solve_shared_step(data, mats_bad, LINEAR, costs)
             with pytest.raises(ValueError, match="do not fit data grid"):
-                reduced_features(data, step.shared, mats_bad, LINEAR, mode=1)
+                reduced_features(data, mats_bad, 1, projection)
         nan = mats[1].copy()
-        nan[1, 0] = np.nan
+        nan[0, 1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            solve_shared_step(data, (mats[0], nan), LINEAR, 10.0)
+            solve_shared_step(data, (mats[0], nan), LINEAR, costs)
+
+    def test_steps_take_members_only(self):
+        # a lone cost, a ModeFactors and lone factor matrices or features are not members
+        data = random_dataset(91, mode_sizes=(2, 3), d=3, m_t=4)
+        factors = init_factors(data.grid, 2, seed=91)
+        mats = tuple(f[None] for f in factors.factors)
+        z = np.random.default_rng(91).normal(size=(1, data.n_samples, 2))
+        costs = np.array([10.0])
+        for given, C in ((mats, 10.0), (factors, costs), (factors.factors, costs)):
+            with pytest.raises(ValueError):
+                solve_shared_step(data, given, LINEAR, C)
+        for given, C in ((z, 10.0), (factors, costs), (z[0], costs)):
+            with pytest.raises(ValueError):
+                solve_mode_row_step(data, given, 1, C)
+        for given in (factors, factors.factors):
+            with pytest.raises(ValueError):
+                reduced_features(data, given, 1, z)
+        with pytest.raises(ValueError, match="gram_matrix is required"):
+            solve_shared_step(data, mats, KernelSpec("rbf", gamma=0.5), costs)
+        assert solve_shared_step(data, mats, LINEAR, costs).errors == (None,)
+        assert solve_mode_row_step(data, z, 1, costs).errors == (None,)
 
     def test_failed_solve_names_iteration_and_shared_step(self, monkeypatch):
         monkeypatch.setattr(
@@ -761,13 +829,19 @@ class TestKroneckerSharedStep:
             fit(snr10_dataset(), cfg)
 
 
+def lone_reduced_features(data, shared, factors, mode):
+    """`reduced_features` of one member: its factors and linear shared projection, stacked as one member's."""
+    projection = shared_projection(shared, LINEAR, data.stacked_inputs())
+    return reduced_features(data, [f[None] for f in factors.factors], mode, projection[None])[0]
+
+
 class TestReducedFeatures:
     def test_single_mode_equals_projection(self):
         data = random_dataset(9, mode_sizes=(3,), d=3, m_t=4)
         factors = init_factors(data.grid, 2, 0)
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
         proj = shared_projection(step.shared, LINEAR, data.stacked_inputs())
-        z = reduced_features(data, step.shared, factors, LINEAR, mode=1)
+        z = lone_reduced_features(data, step.shared, factors, mode=1)
         np.testing.assert_array_equal(z, proj)
 
     def test_zero_duals_give_zero_features(self, tiny_dataset):
@@ -776,19 +850,15 @@ class TestReducedFeatures:
             np.zeros(tiny_dataset.n_samples), snapshot,
             tiny_dataset.stacked_inputs(), tiny_dataset.sample_task_ids(),
         )
-        z = reduced_features(
-            tiny_dataset, shared, init_factors(tiny_dataset.grid, 2, 0), LINEAR, mode=1
-        )
+        z = lone_reduced_features(tiny_dataset, shared, init_factors(tiny_dataset.grid, 2, 0), mode=1)
         np.testing.assert_array_equal(z, np.zeros_like(z))
 
     def test_dual_and_explicit_paths_agree(self):
         data = random_dataset(10, mode_sizes=(2, 3), d=4, m_t=5)
         factors = init_factors(data.grid, 2, 2)
-        step = solve_shared_step(data, factors, LINEAR, 50.0)
-        z_explicit = reduced_features(data, step.shared, factors, LINEAR, mode=2)
-        z_dual = reduced_features(
-            data, without_explicit(step.shared), factors, LINEAR, mode=2
-        )
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=50.0)
+        z_explicit = lone_reduced_features(data, step.shared, factors, mode=2)
+        z_dual = lone_reduced_features(data, without_explicit(step.shared), factors, mode=2)
         assert np.max(np.abs(z_explicit - z_dual)) < 1e-10
 
 
@@ -803,7 +873,7 @@ class TestModeRowStep:
         )
         z = np.array([[0.8], [-0.3], [0.1], [0.2]])
         C = 4.0
-        result = sweep_row(solve_mode_row_step(data, z, mode=1, C=C), 1)
+        result = sweep_row(one_member(solve_mode_row_step, data, z, 1, C=C), 1)
         M = np.array(
             [
                 [0.0, 1.0, 1.0],
@@ -820,7 +890,7 @@ class TestModeRowStep:
     @pytest.mark.parametrize("K", [2, 12])  # rows of more samples than K, then of fewer
     def test_all_zero_features_give_zero_rows_and_task_mean_biases(self, tiny_dataset, K):
         z = np.zeros((tiny_dataset.n_samples, K))
-        step = solve_mode_row_step(tiny_dataset, z, mode=1, C=1.0)
+        step = one_member(solve_mode_row_step, tiny_dataset, z, 1, C=1.0)
         assert np.array_equal(step.row_values, np.zeros((2, K)))
         means = [tiny_dataset.targets[t - 1].mean() for t in step.layout.tasks]
         np.testing.assert_allclose(step.biases, means, rtol=1e-13, atol=1e-15)
@@ -830,12 +900,12 @@ class TestModeRowStep:
         data = random_dataset(11, mode_sizes=(2, 3), d=4, m_t=6)
         factors = init_factors(data.grid, 2, 3)
         C = 20.0
-        step = solve_shared_step(data, factors, LINEAR, C)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         biases = step.biases
         for mode in (1, 2):
-            z = reduced_features(data, step.shared, factors, LINEAR, mode)
+            z = lone_reduced_features(data, step.shared, factors, mode)
             for row in range(1, data.grid.mode_sizes[mode - 1] + 1):
-                result = sweep_row(solve_mode_row_step(data, z, mode, C), row)
+                result = sweep_row(one_member(solve_mode_row_step, data, z, mode, C=C), row)
 
                 def sub_objective(u_row, b_of_task):
                     total = 0.5 * float(u_row @ u_row)
@@ -859,7 +929,7 @@ class TestModeRowStep:
         # row 1 of mode 1 sees tasks (1,1) and (1,2): 2 + 2 samples, K = 6
         data = random_dataset(14, mode_sizes=(2, 2), d=3, m_t=2)
         z = np.random.default_rng(14).normal(size=(data.n_samples, 6))
-        result = sweep_row(solve_mode_row_step(data, z, mode=1, C=10.0), 1)
+        result = sweep_row(one_member(solve_mode_row_step, data, z, 1, C=10.0), 1)
         sel = np.array([0, 1, 4, 5])  # tasks 1 and 3 in linear order
         Z = z[sel]
         biases, duals, _, _ = solve_dual_system(Blocks([2, 2]), Z @ Z.T, data.stacked_targets()[sel], 10.0)
@@ -871,7 +941,7 @@ class TestModeRowStep:
     def test_primal_row_solve_matches_dense_oracle(self, C):
         data = random_dataset(15, mode_sizes=(3, 2), d=3, m_t=6)
         z = np.random.default_rng(15).normal(size=(data.n_samples, 2))
-        result = sweep_row(solve_mode_row_step(data, z, mode=2, C=C), 2)
+        result = sweep_row(one_member(solve_mode_row_step, data, z, 2, C=C), 2)
         sel = np.concatenate(
             [np.arange(task_offsets(data)[t - 1], task_offsets(data)[t - 1] + 6) for t in result.tasks]
         )
@@ -882,9 +952,9 @@ class TestModeRowStep:
     def test_stationarity_row_is_dual_weighted_sum(self):
         data = random_dataset(12, mode_sizes=(2, 2), d=3, m_t=4)
         factors = init_factors(data.grid, 2, 1)
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
-        z = reduced_features(data, step.shared, factors, LINEAR, 1)
-        result = sweep_row(solve_mode_row_step(data, z, 1, 10.0), 2)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
+        z = lone_reduced_features(data, step.shared, factors, 1)
+        result = sweep_row(one_member(solve_mode_row_step, data, z, 1, C=10.0), 2)
         sel = np.concatenate(
             [
                 np.arange(task_offsets(data)[t - 1], task_offsets(data)[t - 1] + 4)
@@ -946,7 +1016,7 @@ def row_oracle(data, z, mode, row, C):
 
 
 def assert_rows_match_oracle(data, z, mode, C):
-    step = solve_mode_row_step(data, z, mode, C)
+    step = one_member(solve_mode_row_step, data, z, mode, C=C)
     for row in range(1, data.grid.mode_sizes[mode - 1] + 1):
         got = sweep_row(step, row)
         biases, duals, tasks, Z = row_oracle(data, z, mode, row, C)
@@ -963,7 +1033,7 @@ def assert_rows_are_their_own_ridges(step, z, C):
     lay = step.layout
     Z = z[lay.samples]
     for r, (rows, tasks) in enumerate(lay.blocks.group_slices):
-        alone = solve_feature_system(Blocks(lay.blocks.sizes[tasks]), Z[rows], lay.targets[rows], C)
+        alone = solve_dual_system(Blocks(lay.blocks.sizes[tasks]), FeatureGram(Z[rows]), lay.targets[rows], C)
         assert np.array_equal(step.row_values[r], alone.weights[0])
     assert (row_residuals(step, z, C) <= row_bounds(step)).all()
 
@@ -1002,7 +1072,7 @@ class TestBatchedModeStep:
         data = uneven_dataset(62, (12, 2))
         z = np.random.default_rng(61).normal(size=(data.n_samples, 3))
         C = 1e6
-        step = solve_mode_row_step(data, z, 2, C)
+        step = one_member(solve_mode_row_step, data, z, 2, C=C)
         for row in (1, 2):
             got = sweep_row(step, row)
             _, _, tasks, Z = row_oracle(data, z, 2, row, C)
@@ -1042,14 +1112,14 @@ class TestBatchedModeStep:
             return solve_dual_system(blocks, Q, y, C)
 
         monkeypatch.setattr(solver, "solve_dual_system", recording)
-        solve_mode_row_step(data, z, 2, 10.0)
-        assert calls == [(12, (data.n_samples, 2), (3, 3, 3, 3))]
+        one_member(solve_mode_row_step, data, z, 2, C=10.0)
+        assert calls == [(12, (1, data.n_samples, 2), (3, 3, 3, 3))]
 
     @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
     def test_row_values_are_each_rows_ridge_weights(self, C):
         data = uneven_dataset(69, (3, 4))
         z = np.random.default_rng(69).normal(size=(data.n_samples, 2))
-        assert_rows_are_their_own_ridges(solve_mode_row_step(data, z, 2, C), z, C)
+        assert_rows_are_their_own_ridges(one_member(solve_mode_row_step, data, z, 2, C=C), z, C)
 
     @pytest.mark.parametrize("seed, mode_sizes, max_size, mode", WIDE_ROWS)
     @pytest.mark.parametrize("C", COSTS)
@@ -1057,7 +1127,7 @@ class TestBatchedModeStep:
         self, seed, mode_sizes, max_size, mode, C
     ):
         data, z = wide_rows(seed, mode_sizes, max_size, mode)
-        assert_rows_are_their_own_ridges(solve_mode_row_step(data, z, mode, C), z, C)
+        assert_rows_are_their_own_ridges(one_member(solve_mode_row_step, data, z, mode, C=C), z, C)
 
     @staticmethod
     def perturbed_second_row(monkeypatch, delta):
@@ -1086,9 +1156,9 @@ class TestBatchedModeStep:
         data = uneven_dataset(71, (2, 2))
         z = np.random.default_rng(71).normal(size=(data.n_samples, 2))
         C = 1.0
-        exact = solve_mode_row_step(data, z, 2, C)
+        exact = one_member(solve_mode_row_step, data, z, 2, C=C)
         solves = self.perturbed_second_row(monkeypatch, 1e-6)  # far more than the bound allows
-        step = solve_mode_row_step(data, z, 2, C)
+        step = one_member(solve_mode_row_step, data, z, 2, C=C)
         assert solves == [0, 1, 0, 1]  # one solve per row, then one refinement step
         assert (row_residuals(step, z, C) <= row_bounds(step)).all()
         assert_same_solution((step.biases, step.duals), (exact.biases, exact.duals))
@@ -1108,9 +1178,9 @@ class TestBatchedModeStep:
         data = uneven_dataset(71, (2, 2))
         z = np.random.default_rng(71).normal(size=(data.n_samples, 2))
         C = 1e4
-        exact = solve_mode_row_step(data, z, 2, C)
+        exact = one_member(solve_mode_row_step, data, z, 2, C=C)
         solves = self.perturbed_second_row(monkeypatch, 1e-10)
-        step = solve_mode_row_step(data, z, 2, C)
+        step = one_member(solve_mode_row_step, data, z, 2, C=C)
         assert solves == [0, 1, 0, 1]
         assert (row_residuals(step, z, C) <= row_bounds(step)).all()
         assert np.array_equal(step.row_values[0], exact.row_values[0])
@@ -1127,14 +1197,14 @@ class TestBatchedModeStep:
             return real_solve(factor, rhs)
 
         monkeypatch.setattr(linsys, "_cho_solve", counting)
-        solve_mode_row_step(data, z, 2, 10.0)
+        one_member(solve_mode_row_step, data, z, 2, C=10.0)
         assert solves == [(2, 2)] * 4  # one K x K solve per row
 
     def test_residual_is_the_worst_row_residual(self):
         data = uneven_dataset(64, (3, 2))
         z = np.random.default_rng(64).normal(size=(data.n_samples, 2))
         C = 50.0
-        step = solve_mode_row_step(data, z, 1, C)
+        step = one_member(solve_mode_row_step, data, z, 1, C=C)
         worst = 0.0
         for row in (1, 2, 3):
             got = sweep_row(step, row)
@@ -1156,7 +1226,7 @@ class TestBatchedModeStep:
         layout = data.fit_plan.layouts[0]
         z = np.random.default_rng(65).normal(size=(data.n_samples, 2))
         z[layout.samples[layout.blocks.group_starts[1] :]] = 0.0  # rows 2 and 3
-        step = solve_mode_row_step(data, z, 1, 10.0)
+        step = one_member(solve_mode_row_step, data, z, 1, C=10.0)
         assert np.array_equal(step.row_values[1:], np.zeros((2, 2)))
         for row in (2, 3):
             got = sweep_row(step, row)
@@ -1166,16 +1236,60 @@ class TestBatchedModeStep:
         got = sweep_row(step, 1)
         assert_same_solution((got.biases, got.duals), (biases, duals))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("K", [2, 8])  # rows of more samples than K, then of fewer
-    def test_non_finite_error_names_lowest_failing_row(self, K):
-        data = uneven_dataset(66, (3, 2), max_size=3 if K == 8 else 7)
+    @staticmethod
+    def poison_mode_1_rows_2_and_3(monkeypatch, data):
+        """Give rows 2 and 3 of mode 1 an infinite reduced feature."""
         layout = data.fit_plan.layouts[0]
-        z = np.random.default_rng(66).normal(size=(data.n_samples, K))
-        z[layout.samples[layout.blocks.group_starts[1] :], 0] = np.inf  # rows 2 and 3
-        with pytest.raises(SolverError, match=r"^mode 1 row 2: .*decrease C") as info:
-            solve_mode_row_step(data, z, 1, 10.0)
-        assert info.value.group == 1
+        real = solver.reduced_features
+
+        def poisoned(data, factors, mode, projection):
+            z = real(data, factors, mode, projection)
+            if mode == 1:
+                z[:, layout.samples[layout.blocks.group_starts[1] :], 0] = np.inf
+            return z
+
+        monkeypatch.setattr(solver, "reduced_features", poisoned)
+
+    @staticmethod
+    def perturb_row_2_solves(monkeypatch, data):
+        """Add 1e-4 to every solve with a row-2 factor (group 1), so row 2 misses its bound."""
+        real_cholesky, real_solve = linsys._cholesky, linsys._cho_solve
+        second_row = []
+
+        def recording(H, what, group=0):
+            factor = real_cholesky(H, what, group)
+            if group == 1:
+                second_row.append(factor)
+            return factor
+
+        def perturbed(factor, rhs):
+            out = real_solve(factor, rhs)
+            if any(factor is f for f in second_row):
+                out += 1e-4
+            return out
+
+        monkeypatch.setattr(linsys, "_cholesky", recording)
+        monkeypatch.setattr(linsys, "_cho_solve", perturbed)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "failure, K, message",
+        [("non-finite", 2, "dual system has non-finite entries"),
+         ("non-finite", 8, "dual system has non-finite entries"),  # rows of fewer samples than K
+         ("missed-bound", 2, "dual system solve residual .* exceeds .*; decrease C$")],
+    )
+    def test_fit_names_the_lowest_failing_row_with_the_solvers_message(self, monkeypatch, failure, K, message):
+        data = uneven_dataset(66, (3, 2), max_size=3 if K == 8 else 7)
+        if failure == "non-finite":
+            self.poison_mode_1_rows_2_and_3(monkeypatch, data)
+        else:
+            self.perturb_row_2_solves(monkeypatch, data)
+        with pytest.raises(SolverError) as info:
+            fit(data, FitConfig(K=K, C=1.0, kernel=LINEAR, max_iters=3, seed=0))
+        cause = info.value.__cause__
+        assert str(info.value) == f"iteration 1, mode 1/row 2: {cause}"
+        assert cause.group == 1
+        assert re.match(message, str(cause))
 
     def test_fit_names_the_failing_row(self, monkeypatch):
         def fail_row_two(blocks, Q, y, C):
@@ -1205,7 +1319,7 @@ class TestBatchedModeStep:
             return real(H, what, group)
 
         monkeypatch.setattr(linsys, "_cholesky", recording)
-        step = solve_mode_row_step(data, z, mode, 10.0)
+        step = one_member(solve_mode_row_step, data, z, mode, C=10.0)
         rows = data.grid.mode_sizes[mode - 1]
         assert shapes == [(K, K)] * rows
         assert step.row_values.shape == (rows, K)
@@ -1327,32 +1441,6 @@ class TestGroupedSystems:
         assert isinstance(error, SolverError) and re.search("residual .* exceeds", str(error))
         assert error.group == 1
 
-    def test_row_missing_its_bound_is_named(self, monkeypatch):
-        # grid (2, 2): mode 2's two rows are the two groups; tasks 3 and 4 form row 2
-        rng = np.random.default_rng(71)
-        data = uneven_dataset(71, (2, 2))
-        z = rng.normal(size=(data.n_samples, 2))
-        real_cholesky, real_solve = linsys._cholesky, linsys._cho_solve
-        second_row = []
-
-        def recording(H, what, group=0):
-            factor = real_cholesky(H, what, group)
-            if group == 1:
-                second_row.append(factor)
-            return factor
-
-        def perturbed(factor, rhs):
-            out = real_solve(factor, rhs)
-            if any(factor is f for f in second_row):
-                out += 1e-4  # the weights of row 2
-            return out
-
-        monkeypatch.setattr(linsys, "_cholesky", recording)
-        monkeypatch.setattr(linsys, "_cho_solve", perturbed)
-        with pytest.raises(SolverError, match=r"^mode 2 row 2: .*exceeds") as info:
-            solve_mode_row_step(data, z, 2, 1.0)
-        assert info.value.group == 1
-
     @pytest.mark.parametrize(
         "block_sizes, width", [([3, 4, 2, 5, 1, 3], 2), ([1, 2, 3, 4, 1, 1], 4)]
     )  # every group of more samples than columns, then groups 0 and 2 of fewer
@@ -1370,7 +1458,7 @@ class TestGroupedSystems:
         block_sizes = [4, 4, 1, 1, 3, 3]
         Phi, y, group_of = two_group_system(rng, block_sizes, 3)
         Phi[group_of >= 1, 0] = np.inf
-        with pytest.raises(SolverError, match="decrease C") as info:
+        with pytest.raises(SolverError, match="non-finite entries") as info:
             solve_dual_system(Blocks(block_sizes, (2, 2, 2)), FeatureGram(Phi), y, 1.0)
         assert info.value.group == 1
 
@@ -1439,7 +1527,7 @@ class TestEvaluateObjective:
     def test_dual_and_explicit_paths_agree(self):
         data = random_dataset(13, mode_sizes=(2, 2), d=3, m_t=5)
         factors = init_factors(data.grid, 2, 0)
-        step = solve_shared_step(data, factors, LINEAR, 10.0)
+        step = one_member(solve_shared_step, data, factors, LINEAR, C=10.0)
         J_explicit = evaluate_objective(data, step.shared, factors, step.biases, 10.0, LINEAR)
         J_dual = evaluate_objective(
             data, without_explicit(step.shared), factors, step.biases, 10.0, LINEAR
@@ -1525,7 +1613,7 @@ class TestFit:
             assert abs(state.shared.duals[offsets[t] : offsets[t] + data.task_sizes[t]].sum()) < 1e-8
         # equality constraints: a shared solve at the final factors must
         # recover its residuals as duals / C
-        step = solve_shared_step(data, state.factors, LINEAR, cfg.C)
+        step = one_member(solve_shared_step, data, state.factors, LINEAR, C=cfg.C)
         proj = shared_projection(step.shared, LINEAR, data.stacked_inputs())
         tid = data.sample_task_ids()
         yhat = np.sum(proj * step.shared.task_vector_snapshot[tid], axis=1) + step.biases[tid]
