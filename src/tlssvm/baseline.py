@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MtlDataset
-from .errors import DataError
+from .errors import DataError, positive
 from .kernels import KernelSpec, gram
 from .linsys import Blocks, solve_dual_system
 from .taskgrid import TaskGrid, linearize
@@ -45,7 +45,11 @@ class SingleTaskLssvm:
 
 
 def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
-    """Fit one task; the dual coefficients sum to zero by the bias stationarity."""
+    """Fit one task; the dual coefficients sum to zero by the bias stationarity.
+
+    Raises ConfigError unless C is a positive finite number.
+    """
+    C = positive(C, "C")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:

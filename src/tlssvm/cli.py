@@ -7,6 +7,10 @@ BLAS thread count. LAPACK's threaded Cholesky (`dpotrf`) sums in an order
 that depends on the thread count, so RBF outputs can differ in their last
 bits between, say, OPENBLAS_NUM_THREADS=1 and =2.
 
+A config file is a JSON object of known keys, whose numbers are JSON
+numbers (whole where a field counts) and whose list fields are non-empty
+lists; anything else exits 2 before any file is read or written.
+
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 solver
 error.
 """
@@ -16,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .baseline import fit_independent
 from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
-from .errors import ConfigError, DataError, SolverError
+from .errors import ConfigError, DataError, SolverError, config_object, positive, whole
 from .experiments import METHOD_BASELINE, METHOD_TENSOR, CvPlan, run_benchmark, run_cv
 from .kernels import KernelSpec
 from .metrics import evaluate_predictions
@@ -36,17 +39,14 @@ from .textio import csv_line, csv_rows, write_json
 __all__ = ["main", "build_parser"]
 
 
-def _load_json_config(path: str) -> dict:
+def _load_json_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return payload
 
 
 def _parse_grid(text: str) -> TaskGrid:
@@ -54,29 +54,7 @@ def _parse_grid(text: str) -> TaskGrid:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"grid must be comma-separated integers, got {text!r}") from None
-    try:
-        return TaskGrid(sizes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _plan_from_config(cfg: dict) -> CvPlan:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"cv config must be a JSON object, got {cfg!r}")
-    allowed = {"kernel_family", "ranks", "costs", "gammas", "folds", "max_iters", "tol"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown cv config keys: {sorted(unknown)}")
-    kwargs = dict(cfg)
-    try:
-        for key in ("ranks", "costs", "gammas"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return CvPlan(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:  # a grid value that is not a number
-        raise ConfigError(f"bad cv config: {exc}") from exc
+    return TaskGrid(sizes)
 
 
 def _out_dir(args) -> str:
@@ -123,20 +101,8 @@ def _write_trace(path: str, trace) -> None:
 
 def _baseline_config(path: str) -> tuple[float, KernelSpec]:
     """The cost and kernel of a baseline config file, checked."""
-    cfg = _load_json_config(path)
-    unknown = set(cfg) - {"C", "kernel"}
-    if unknown:
-        raise ConfigError(f"unknown baseline config keys: {sorted(unknown)}")
-    if "C" not in cfg or "kernel" not in cfg:
-        raise ConfigError("baseline config needs 'C' and 'kernel'")
-    kernel = KernelSpec.from_config(cfg["kernel"])
-    try:
-        C = float(cfg["C"])
-    except (TypeError, ValueError) as exc:  # a value that is not a number
-        raise ConfigError(f"bad baseline config: {exc}") from exc
-    if not 0 < C < math.inf:
-        raise ConfigError(f"baseline config needs a positive finite C, got C={C}")
-    return C, kernel
+    cfg = config_object(_load_json_config(path), "baseline config", ("C", "kernel"))
+    return positive(cfg["C"], "C"), KernelSpec.from_config(cfg["kernel"])
 
 
 def cmd_train(args) -> int:
@@ -229,7 +195,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    plan = _plan_from_config(_load_json_config(args.config) if args.config else {})
+    plan = CvPlan.from_config(_load_json_config(args.config) if args.config else {})
     data = load_csv(args.train, _parse_grid(args.grid))
     result = run_cv(data, args.method, plan, seed=args.seed)
     out = _out_dir(args)
@@ -243,25 +209,19 @@ def cmd_cv(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_json_config(args.config)
-    allowed = {"synthetic", "snrs", "reps", "base_seed", "methods"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown benchmark config keys: {sorted(unknown)}")
-    if "synthetic" not in cfg or "snrs" not in cfg:
-        raise ConfigError("benchmark config needs 'synthetic' and 'snrs'")
+    cfg = config_object(
+        _load_json_config(args.config), "benchmark config", ("synthetic", "snrs"), ("reps", "base_seed", "methods")
+    )
     template = SyntheticSpec.from_config(cfg["synthetic"])
-    try:
-        snrs = tuple(float(s) for s in cfg["snrs"])
-    except (TypeError, ValueError, OverflowError) as exc:  # a value that is not a number
-        raise ConfigError(f"bad benchmark config: {exc}") from exc
-    reps = cfg.get("reps", 10)
-    base_seed = cfg.get("base_seed", 0) if args.seed is None else args.seed
-    method_cfgs = cfg.get("methods", {METHOD_TENSOR: {}, METHOD_BASELINE: {}})
-    if not isinstance(method_cfgs, dict):
-        raise ConfigError("benchmark methods must be a JSON object of method names and cv plans")
-    plans = {name: _plan_from_config(sub) for name, sub in method_cfgs.items()}
-    result = run_benchmark(template, snrs, reps, base_seed, plans)
+    base_seed = whole(cfg.get("base_seed", 0), "base_seed", 0)  # checked also where --seed replaces it
+    if args.seed is not None:
+        base_seed = args.seed
+    methods = config_object(
+        cfg.get("methods", {METHOD_TENSOR: {}, METHOD_BASELINE: {}}), "benchmark methods", (),
+        (METHOD_TENSOR, METHOD_BASELINE),
+    )
+    plans = {name: CvPlan.from_config(plan) for name, plan in methods.items()}
+    result = run_benchmark(template, cfg["snrs"], cfg.get("reps", 10), base_seed, plans)
     out = _out_dir(args)
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)

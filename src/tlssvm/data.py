@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, whole
+from .errors import DataError, config_object, positive, whole
 from .linsys import Blocks, TaskMoments
 from .taskgrid import ModeFactors, TaskGrid, delinearize, linearize, task_vector_table
 from .textio import csv_line, csv_rows
@@ -201,13 +201,11 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode_sizes", TaskGrid(tuple(self.mode_sizes)).mode_sizes)
+        object.__setattr__(self, "mode_sizes", TaskGrid(self.mode_sizes).mode_sizes)
         for name in ("d", "k_true", "train_per_task", "test_per_task", "seed"):
             minimum = 0 if name == "seed" else 1
             object.__setattr__(self, name, whole(getattr(self, name), name, minimum))
-        if not float(self.snr) > 0:
-            raise ConfigError(f"snr must be positive, got {self.snr}")
-        object.__setattr__(self, "snr", float(self.snr))
+        object.__setattr__(self, "snr", positive(self.snr, "snr", finite=False))
 
     @property
     def grid(self) -> TaskGrid:
@@ -226,29 +224,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SyntheticSpec":
-        required = {"d", "mode_sizes", "k_true", "train_per_task", "test_per_task", "snr", "seed"}
-        if not isinstance(cfg, dict):
-            raise ConfigError("synthetic spec must be a JSON object")
-        missing = required - set(cfg)
-        if missing:
-            raise ConfigError(f"synthetic spec missing keys: {sorted(missing)}")
-        extra = set(cfg) - required
-        if extra:
-            raise ConfigError(f"unknown synthetic spec keys: {sorted(extra)}")
-        try:
-            return cls(
-                d=cfg["d"],
-                mode_sizes=tuple(cfg["mode_sizes"]),
-                k_true=cfg["k_true"],
-                train_per_task=cfg["train_per_task"],
-                test_per_task=cfg["test_per_task"],
-                snr=float(cfg["snr"]),
-                seed=cfg["seed"],
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:  # a value that is not a number
-            raise ConfigError(f"bad synthetic spec: {exc}") from exc
+        return cls(**config_object(cfg, "synthetic spec", [f.name for f in fields(cls)]))
 
 
 @dataclass(frozen=True)

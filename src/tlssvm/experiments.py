@@ -9,14 +9,13 @@ so serialized outputs are byte-identical across reruns.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import LssvmModel, fit_independent
 from .data import MtlDataset, SyntheticSpec, generate_synthetic, kfold_split
-from .errors import ConfigError, SolverError, whole
+from .errors import ConfigError, SolverError, config_object, positive, whole
 from .kernels import KernelSpec
 from .metrics import evaluate_predictions
 from .model import TrainedModel
@@ -52,7 +51,9 @@ class CvPlan:
     """Search space and fit settings for one method's grid search.
 
     `gammas` applies only to the rbf family; `ranks` applies only to the
-    tensorized method and is ignored for the independent baseline.
+    tensorized method and is ignored for the independent baseline. Both
+    are checked all the same. `costs` and `gammas` keep their values as
+    given (an integer cost stays an integer), since a CvResult echoes them.
     """
 
     kernel_family: str = "linear"
@@ -66,16 +67,16 @@ class CvPlan:
     def __post_init__(self) -> None:
         if self.kernel_family not in ("linear", "rbf"):
             raise ConfigError(f"unknown kernel family {self.kernel_family!r}")
-        for name in ("ranks", "costs", "gammas"):
-            if len(getattr(self, name)) == 0:
-                raise ConfigError(f"{name} grid must be non-empty")
+        object.__setattr__(self, "ranks", tuple(whole(self.ranks, "ranks", 1, many=True).tolist()))
+        object.__setattr__(self, "costs", positive(self.costs, "costs", many=True))
+        object.__setattr__(self, "gammas", positive(self.gammas, "gammas", many=True, needs="each a finite gamma > 0"))
         object.__setattr__(self, "folds", whole(self.folds, "folds", 2))
         object.__setattr__(self, "max_iters", whole(self.max_iters, "max_iters", 1))
-        if not all(0 < float(c) < math.inf for c in self.costs):
-            raise ConfigError(f"costs must be positive and finite, got {list(self.costs)}")
-        object.__setattr__(self, "ranks", tuple(whole(self.ranks, "ranks", 1).tolist()))
-        for gamma in self._gamma_axis():
-            self.kernel(gamma)  # KernelSpec rejects a gamma that is not finite and positive
+        object.__setattr__(self, "tol", positive(self.tol, "tol", finite=False))
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "CvPlan":
+        return cls(**config_object(cfg, "cv config", (), [f.name for f in dataclasses.fields(cls)]))
 
     def _gamma_axis(self) -> tuple[float | None, ...]:
         return self.gammas if self.kernel_family == "rbf" else (None,)
@@ -319,8 +320,7 @@ def run_benchmark(
     """
     reps = whole(reps, "repetitions", 1)
     base_seed = whole(base_seed, "base_seed", 0)
-    if not snrs:
-        raise ConfigError("snr grid must be non-empty")
+    snrs = positive(snrs, "snrs", finite=False, many=True)
     methods = tuple(plans)
     if not methods:
         raise ConfigError("no methods to benchmark")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedOperation
+from .errors import ConfigError, UnsupportedOperation, config_object, positive
 
 __all__ = ["KernelSpec", "kernel_eval", "sq_norms", "gram", "feature_map"]
 
@@ -29,9 +29,7 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}, expected one of {_FAMILIES}")
         if self.family == "rbf":
-            if self.gamma is None or not 0 < float(self.gamma) < np.inf:
-                raise ConfigError(f"rbf kernel needs a finite gamma > 0, got {self.gamma!r}")
-            object.__setattr__(self, "gamma", float(self.gamma))
+            object.__setattr__(self, "gamma", positive(self.gamma, "rbf kernel gamma", needs="a finite gamma > 0"))
         elif self.gamma is not None:
             raise ConfigError("gamma is only meaningful for the rbf kernel")
 
@@ -47,12 +45,7 @@ class KernelSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "KernelSpec":
-        if not isinstance(cfg, dict) or "family" not in cfg:
-            raise ConfigError(f"kernel config must be a dict with a 'family' key, got {cfg!r}")
-        extra = set(cfg) - {"family", "gamma"}
-        if extra:
-            raise ConfigError(f"unknown kernel config keys: {sorted(extra)}")
-        return cls(cfg["family"], cfg.get("gamma"))
+        return cls(**config_object(cfg, "kernel config", ("family",), ("gamma",)))
 
 
 def _as_vector(x, name: str) -> np.ndarray:

@@ -183,7 +183,7 @@ class Blocks(tuple):
     """
 
     def __new__(cls, block_sizes, groups=None) -> "Blocks":
-        sizes = whole(block_sizes, "block sizes", error=ValueError)
+        sizes = whole(block_sizes, "block sizes", error=ValueError, many=True)
         if (sizes < 1).any():
             raise ValueError(f"every block needs at least one sample, got sizes {sizes.tolist()}")
         self = super().__new__(cls, sizes.tolist())
@@ -191,8 +191,8 @@ class Blocks(tuple):
         if groups is None:
             counts = (n_blocks,)
         else:
-            counts = tuple(whole(groups, "groups", error=ValueError).tolist())
-        if not counts or min(counts) < 1:
+            counts = tuple(whole(groups, "groups", error=ValueError, many=True).tolist())
+        if min(counts) < 1:
             raise ValueError(f"groups must be positive block counts, got {counts}")
         if sum(counts) != n_blocks:
             raise ValueError(f"groups hold {sum(counts)} blocks, the system has {n_blocks}")
@@ -770,16 +770,12 @@ def _solve_features(
     alpha_g of those duals, which the residual check passed. Exact for
     every p: a group with fewer samples than p still factors its p x p
     matrix, which the ridge I/C keeps positive definite. A member whose
-    factorization fails at its lowest failing group leaves the solve
-    there, with NaN rows.
+    factorization fails keeps the error of its lowest failing group and
+    solves with NaN factors, to NaN rows.
     """
-    B, m = len(costs), blocks.m
+    B = len(costs)
     kronecker = isinstance(Q, KroneckerGram)
-
-    def features_of(Q):
-        return _KroneckerFeatures(Q, blocks) if kronecker else _MatrixFeatures(Q.features, blocks)
-
-    features = features_of(Q)
+    features = _KroneckerFeatures(Q, blocks) if kronecker else _MatrixFeatures(Q.features, blocks)
     inv_c = 1.0 / costs
 
     errors: list[SolverError | None] = [None] * B
@@ -793,24 +789,16 @@ def _solve_features(
                     factors[b].append(_cholesky(H[b], "feature system", group))
                 except SolverError as exc:
                     errors[b] = exc
-    alive = [b for b in range(B) if errors[b] is None]
-    if len(alive) == B:
-        return _solve_ridge(blocks, features, factors, y, inv_c, kronecker)
-    # the members whose factorization failed get NaN rows
-    biases, duals, residual = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan), np.full(B, np.nan)
-    weights = np.full((B, len(blocks.groups), features.width), np.nan)
-    if alive:
-        got = _solve_ridge(
-            blocks, features_of(_members(Q, alive)), [factors[b] for b in alive], y, inv_c[alive], kronecker
-        )
-        biases[alive], duals[alive], residual[alive], weights[alive] = got[:4]
-        for b, error in zip(alive, got.errors):
-            errors[b] = error
-    return MemberSolution(biases, duals, residual, weights, tuple(errors))
+    nan = np.full((features.width, features.width), np.nan)
+    for b, error in enumerate(errors):
+        if error is not None:  # its solve gives NaN rows
+            factors[b] = [nan] * len(blocks.groups)
+    solution = _solve_ridge(blocks, features, factors, y, inv_c, kronecker)
+    return solution._replace(errors=tuple(own or got for own, got in zip(errors, solution.errors)))
 
 
 def _solve_ridge(blocks: Blocks, features, factors: list, y: np.ndarray, inv_c: np.ndarray, kronecker: bool):
-    """The ridge solves of members whose every group factored (`factors[b][g]`), and their check."""
+    """The ridge solves of members with the factor of every group (`factors[b][g]`), and their check."""
     B, m = len(inv_c), blocks.m
 
     def solve_with_weights(g: np.ndarray, h: np.ndarray):

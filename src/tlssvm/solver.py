@@ -80,7 +80,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import ModeLayout, MtlDataset
-from .errors import ConfigError, SolverError, whole
+from .errors import ConfigError, SolverError, config_object, positive, whole
 from .kernels import KernelSpec, gram
 from .linsys import CoherenceGram, FeatureGram, KroneckerGram, solve_dual_system
 from .model import SharedFactor, dual_weights, shared_projection, task_predictions
@@ -113,38 +113,15 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "K", whole(self.K, "rank K", 1))
-        if not 0 < float(self.C) < math.inf:
-            raise ConfigError(f"C must be positive and finite, got {self.C}")
+        object.__setattr__(self, "C", positive(self.C, "C"))
         object.__setattr__(self, "max_iters", whole(self.max_iters, "max_iters", 1))
-        if not float(self.tol) > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        object.__setattr__(self, "C", float(self.C))
-        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "tol", positive(self.tol, "tol", finite=False))
         object.__setattr__(self, "seed", whole(self.seed, "seed", 0))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "FitConfig":
-        if not isinstance(cfg, dict):
-            raise ConfigError("fit config must be a JSON object")
-        required = {"K", "C", "kernel"}
-        missing = required - set(cfg)
-        if missing:
-            raise ConfigError(f"fit config missing keys: {sorted(missing)}")
-        known = {"K", "C", "kernel", "max_iters", "tol", "seed"}
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigError(f"unknown fit config keys: {sorted(extra)}")
-        try:
-            return cls(
-                K=cfg["K"],
-                C=float(cfg["C"]),
-                kernel=KernelSpec.from_config(cfg["kernel"]),
-                max_iters=cfg.get("max_iters", 100),
-                tol=float(cfg.get("tol", 1e-3)),
-                seed=cfg.get("seed", 0),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:  # ConfigError included
-            raise ConfigError(f"bad fit config: {exc}") from exc
+        cfg = config_object(cfg, "fit config", ("K", "C", "kernel"), ("max_iters", "tol", "seed"))
+        return cls(**{**cfg, "kernel": KernelSpec.from_config(cfg["kernel"])})
 
 
 @dataclass(frozen=True)
@@ -521,8 +498,7 @@ def fit_many(data: MtlDataset, config: FitConfig, costs) -> list[FitState | Solv
             break
         live.projection = shared_projection(live.shared, kernel, X, G)
         live.pen_shared = _shared_penalty(live.shared, live.projection)
-        u_table = row_product_table(live.factor_mats, mode_indices)
-        live.yhat = task_predictions(live.projection, u_table, live.biases, tid)
+        live.yhat = task_predictions(live.projection, live.shared.task_vector_snapshot, live.biases, tid)
         live.record(it, "shared")
 
         for mode in range(1, grid.n_modes + 1):

@@ -37,10 +37,7 @@ class TaskGrid:
     mode_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(whole(self.mode_sizes, "mode sizes", 1).tolist())
-        if len(sizes) < 1:
-            raise ValueError("a task grid needs at least one mode")
-        object.__setattr__(self, "mode_sizes", sizes)
+        object.__setattr__(self, "mode_sizes", tuple(whole(self.mode_sizes, "mode sizes", 1, many=True).tolist()))
 
     @property
     def n_modes(self) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 from tlssvm.baseline import LssvmModel, fit_independent, fit_single, predict_single
 from tlssvm.data import MtlDataset
-from tlssvm.errors import DataError
+from tlssvm.errors import ConfigError, DataError
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.model import load_model, save_model
 from tlssvm.taskgrid import TaskGrid, linearize
@@ -83,6 +83,13 @@ class TestFitSingle:
         (X if where == "X" else y)[2] = value
         with pytest.raises(ValueError, match=f"training {where} contains NaN or infinite values"):
             fit_single(X, y, 1.0, LINEAR)
+
+    @pytest.mark.parametrize("C", ["10", True, None, [10.0], 0.0, -1.0, np.inf, np.nan])
+    def test_cost_must_be_a_positive_finite_number(self, C):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ConfigError, match="C must be positive and finite"):
+            fit_single(rng.normal(size=(5, 2)), rng.normal(size=5), C, LINEAR)
+        assert fit_single(rng.normal(size=(5, 2)), rng.normal(size=5), 10, LINEAR).duals.shape == (5,)
 
 
 def grid_dataset(seed=0):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlssvm.cli import main
 from tlssvm.data import MtlDataset, SyntheticSpec, kfold_split, load_csv, save_csv
@@ -545,6 +548,12 @@ class TestBenchmark:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_base_seed_is_checked_also_where_the_seed_flag_replaces_it(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "bench.json.in", {**BENCH, "base_seed": "abc"})
+        assert main(["benchmark", "--config", cfg, "--seed", "3", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: base_seed must be a whole number")
+        assert not (tmp_path / "out").exists()
+
 
 CV_PLAN = {"kernel_family": "linear", "ranks": [1], "costs": [1.0], "folds": 2, "max_iters": 2}
 
@@ -622,6 +631,96 @@ class TestWholeNumbers:
         data = load_csv(pipeline["train_csv"], TaskGrid((2, 2)))
         with pytest.raises(ConfigError, match="whole number"):
             kfold_split(data, 2.5, 0)
+
+
+JSON_VALUES = {
+    "string": "abc", "list": [1], "object": {"a": 1}, "true": True, "null": None,
+    "negative": -1, "nan": math.nan, "infinity": math.inf, "numeric-string": "10", "list-of-strings": ["1", "10"],
+}
+RBF_KERNEL = {"family": "rbf", "gamma": 0.5}
+CONFIGS = {  # command: a valid config; "kernel.<key>" names a key of its kernel object
+    "generate": SPEC,
+    "train": {**FIT, "kernel": RBF_KERNEL, "seed": 0},
+    "baseline": {"C": 10.0, "kernel": RBF_KERNEL},
+    "cv": {**CV_PLAN, "kernel_family": "rbf", "gammas": [0.5], "tol": 1e-3},
+    "benchmark": {**BENCH, "snrs": [5.0], "reps": 1},
+}
+FIELDS = {
+    command: [*config, *(f"kernel.{key}" for key in config.get("kernel", ()))]
+    for command, config in CONFIGS.items()
+}
+# The valid ones among these values: a one-element list for a list field, and an infinite snr or tol.
+ACCEPTED = {
+    ("generate", "mode_sizes", "list"), ("generate", "snr", "infinity"), ("train", "tol", "infinity"),
+    ("cv", "ranks", "list"), ("cv", "costs", "list"), ("cv", "gammas", "list"), ("cv", "tol", "infinity"),
+    ("benchmark", "snrs", "list"),
+}
+
+
+def with_value(config: dict, key: str, value) -> dict:
+    """A copy of `config` with `key` (or the kernel's key, for "kernel.<key>") set to `value`."""
+    config = json.loads(json.dumps(config))
+    outer, _, inner = key.partition(".")
+    if inner:
+        config[outer][inner] = value
+    else:
+        config[outer] = value
+    return config
+
+
+class TestConfigValues:
+    """Every config field takes only its own kind of value: a number, a list of numbers, or an object."""
+
+    @pytest.mark.parametrize(
+        "command, key, label",
+        [
+            pytest.param(command, key, label, id=f"{command}-{key}-{label}")
+            for command, keys in FIELDS.items()
+            for key in keys
+            for label in JSON_VALUES
+        ],
+    )
+    def test_a_value_of_another_kind_is_a_usage_error(self, pipeline, tmp_path, capsys, command, key, label):
+        cfg = write_json(tmp_path / "config.json", with_value(CONFIGS[command], key, JSON_VALUES[label]))
+        train = ["--train", pipeline["train_csv"], "--grid", "2,2"]
+        args = {
+            "generate": ["generate"],
+            "train": ["train", *train],
+            "baseline": ["train", *train, "--method", "lssvm-independent"],
+            "cv": ["cv", *train],
+            "benchmark": ["benchmark"],
+        }[command]
+        code = main([*args, "--config", cfg, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if (command, key, label) in ACCEPTED:
+            assert code == 0, err
+        else:
+            assert code == 2 and err.startswith("error: "), err
+            assert not (tmp_path / "out").exists()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize(
+    "read, config",
+    [(FitConfig.from_config, CONFIGS["train"]), (SyntheticSpec.from_config, SPEC),
+     (KernelSpec.from_config, RBF_KERNEL), (CvPlan.from_config, CONFIGS["cv"])],
+    ids=["FitConfig", "SyntheticSpec", "KernelSpec", "CvPlan"],
+)
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_a_reader_returns_or_raises_config_error_for_any_json_value(read, config, data):
+    key = data.draw(st.sampled_from([None, *config]), label="key")
+    value = data.draw(JSON, label="value")
+    try:
+        read(value if key is None else {**config, key: value})
+    except ConfigError:
+        pass
 
 
 class TestUsage:

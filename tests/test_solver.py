@@ -1743,8 +1743,8 @@ class TestFit:
             FitConfig(K=1.7, C=1.0, kernel=LINEAR)
         assert FitConfig(K=2.0, C=1.0, kernel=LINEAR).K == 2
         cfg = {"K": 2, "C": 1.0, "kernel": {"family": "linear"}}
-        for bad, message in (({"K": 1.7}, "whole number"), ({"C": "abc"}, "bad fit config"),
-                             ({"tol": None}, "bad fit config"), ({"K": math.inf}, "bad fit config")):
+        for bad, message in (({"K": 1.7}, "whole number"), ({"C": "abc"}, "C must be positive and finite"),
+                             ({"tol": None}, "tol must be positive"), ({"K": math.inf}, "rank K must be a whole number")):
             with pytest.raises(ConfigError, match=message):
                 FitConfig.from_config({**cfg, **bad})
 
