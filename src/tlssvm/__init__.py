@@ -7,7 +7,7 @@ and the factor rows; linear and RBF kernels are supported, with an
 independent per-task LSSVM as the comparison baseline.
 """
 
-from .baseline import LssvmModel, fit_independent, fit_single, predict_single
+from .baseline import LssvmModel, fit_independent, fit_single
 from .data import (
     MtlDataset,
     SyntheticSpec,
@@ -24,7 +24,7 @@ from .experiments import (
     run_benchmark,
     run_cv,
 )
-from .kernels import KernelSpec, gram, kernel_eval
+from .kernels import KernelSpec, gram
 from .metrics import EvalReport, correlation, evaluate_predictions, q_squared, rmse
 from .model import TrainedModel, load_model, predict_dual, predict_primal, save_model
 from .realdata import load_student_performance
@@ -39,7 +39,6 @@ __all__ = [
     "linearize",
     "delinearize",
     "KernelSpec",
-    "kernel_eval",
     "gram",
     "MtlDataset",
     "SyntheticSpec",
@@ -64,7 +63,6 @@ __all__ = [
     "evaluate_predictions",
     "LssvmModel",
     "fit_single",
-    "predict_single",
     "fit_independent",
     "CvPlan",
     "CvResult",

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MtlDataset
-from .errors import DataError, positive
+from .errors import DataError, SolverError, positive
 from .kernels import KernelSpec, gram
 from .linsys import Blocks, solve_dual_system
 from .taskgrid import TaskGrid, linearize
 
-__all__ = ["SingleTaskLssvm", "LssvmModel", "fit_single", "fit_independent", "predict_single"]
+__all__ = ["SingleTaskLssvm", "LssvmModel", "fit_single", "fit_independent"]
 
 
 @dataclass(frozen=True)
@@ -42,33 +42,6 @@ class SingleTaskLssvm:
         object.__setattr__(self, "duals", duals)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "bias", float(self.bias))
-
-
-def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
-    """Fit one task; the dual coefficients sum to zero by the bias stationarity.
-
-    Raises ConfigError unless C is a positive finite number.
-    """
-    C = positive(C, "C")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"bad training block shapes: X {X.shape}, y {y.shape}")
-    if X.shape[0] < 1:
-        raise ValueError("need at least one training sample")
-    for name, values in (("X", X), ("y", y)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"training {name} contains NaN or infinite values")
-    G = gram(kernel, X)
-    biases, duals = solve_dual_system(Blocks([X.shape[0]]), G, y, C)[:2]
-    return SingleTaskLssvm(duals, float(biases[0]), X, kernel)
-
-
-def predict_single(model: SingleTaskLssvm, x) -> float:
-    """sum_i alpha_i k(x, x_i) + b."""
-    x = query_inputs(x, 1, model.inputs.shape[1])
-    k = gram(model.kernel, model.inputs, x[None, :])[:, 0]
-    return float(model.duals @ k + model.bias)
 
 
 def query_inputs(x, ndim: int, n_features: int) -> np.ndarray:
@@ -124,21 +97,58 @@ class LssvmModel:
             out[rows] = task.duals @ gram(self.kernel, task.inputs, X[rows]) + task.bias
         return out
 
-    def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
-        """Per-task prediction blocks for a dataset on the same grid."""
+    def predict_dataset(self, data: MtlDataset, grams=None) -> list[np.ndarray]:
+        """Per-task prediction blocks for a dataset on the same grid, from its tasks' cross-Grams if given."""
         check_query_dataset(data, self.grid, self.n_features)
-        out = []
-        for task, X in zip(self.tasks, data.inputs):
-            if X.shape[0] == 0:
-                out.append(np.zeros(0))
-                continue
-            k = gram(self.kernel, task.inputs, X)
-            out.append(task.duals @ k + task.bias)
-        return out
+        if grams is None:
+            grams = [gram(self.kernel, task.inputs, X) for task, X in zip(self.tasks, data.inputs)]
+        return [task.duals @ k + task.bias for task, k in zip(self.tasks, grams)]
 
 
-def fit_independent(data: MtlDataset, C: float, kernel: KernelSpec) -> LssvmModel:
-    """Fit every task separately with shared hyperparameters."""
+def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
+    """Fit one task, as `fit_independent` does on a grid of one task; its duals sum to zero.
+
+    Raises ConfigError unless C is a positive finite number.
+    """
+    C = positive(C, "C")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError(f"bad training block shapes: X {X.shape}, y {y.shape}")
+    if X.shape[0] < 1:
+        raise ValueError("need at least one training sample")
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"training {name} contains NaN or infinite values")
+    return fit_independent(MtlDataset(TaskGrid((1,)), (X,), (y,)), C, kernel).tasks[0]
+
+
+def fit_independent(data: MtlDataset, C, kernel: KernelSpec):
+    """Fit every task separately with shared hyperparameters.
+
+    `C` is one cost, or a sequence of costs fit together, each equal to its
+    lone fit bit for bit: a task's Gram is built once and each cost solved
+    on it. A sequence gives, per cost, its LssvmModel or the SolverError of
+    its first failing task, which its lone fit raises.
+    """
     data.require_nonempty_tasks()
-    tasks = tuple(fit_single(X, y, C, kernel) for X, y in zip(data.inputs, data.targets))
-    return LssvmModel(data.grid, kernel, tasks)
+    lone = not isinstance(C, (list, tuple)) and np.ndim(C) == 0
+    costs = [positive(c, "C") for c in ([C] if lone else C)]
+    fits: list = [[] for _ in costs]  # per cost, its task fits so far or its SolverError
+    for X, y in zip(data.inputs, data.targets):
+        alive = [b for b, fit in enumerate(fits) if not isinstance(fit, SolverError)]
+        if not alive:
+            break
+        G = gram(kernel, X)
+        blocks = Blocks([X.shape[0]])
+        for b in alive:
+            try:
+                biases, duals = solve_dual_system(blocks, G, y, costs[b])[:2]
+            except SolverError as exc:
+                fits[b] = exc
+            else:
+                fits[b].append(SingleTaskLssvm(duals, float(biases[0]), X, kernel))
+    models = [fit if isinstance(fit, SolverError) else LssvmModel(data.grid, kernel, tuple(fit)) for fit in fits]
+    if lone and isinstance(models[0], SolverError):
+        raise models[0]
+    return models[0] if lone else models

@@ -2,7 +2,8 @@
 
 Every config value is read through `config_object`, `whole` and
 `positive`, which raise ConfigError (or the error type a caller names)
-with the field's name in the message.
+with the field's name in the message. With `distinct`, a list may not
+repeat a value, compared as numbers (1 equals 1.0).
 
 The CLI maps these onto exit codes (config -> 2, data -> 3, solver -> 4).
 """
@@ -84,13 +85,13 @@ def _shown(values, given: list | None, many: bool):
     return np.array(given).tolist() if many else given[0]
 
 
-def whole(values, what: str, minimum: int | None = None, error: type[ValueError] = ConfigError, many: bool = False):
+def whole(values, what: str, minimum: int | None = None, error=ConfigError, many=False, distinct=False):
     """`values` as whole numbers: an int, or with `many` a flat intp array of a non-empty list.
 
     Raises `error` unless every value is a finite whole number, at least
-    `minimum` when one is given. Only numbers pass: a string, a bool,
-    None, a dict, and a list where one number is expected (or a number
-    where a list is) raise too.
+    `minimum` when one is given, and with `distinct` no two are equal.
+    Only numbers pass: a string, a bool, None, a dict, and a list where
+    one number is expected (or a number where a list is) raise too.
     """
     given = _numbers(values, what, many, error)
     valid = given is not None and all(math.isfinite(v) and v == math.trunc(v) and abs(v) < _INTP_MAX for v in given)
@@ -99,20 +100,24 @@ def whole(values, what: str, minimum: int | None = None, error: type[ValueError]
         bound = "" if minimum is None else f" >= {minimum}"
         kind = "whole numbers" if many else "a whole number"
         raise error(f"{what} must be {kind}{bound}, got {_shown(values, given, many)!r}")
+    if distinct and len(set(ints)) < len(ints):
+        raise error(f"{what} must be distinct, got {_shown(values, given, many)!r}")
     return np.array(ints, dtype=np.intp) if many else ints[0]
 
 
-def positive(values, what: str, finite: bool = True, many: bool = False, needs: str | None = None):
+def positive(values, what: str, finite: bool = True, many=False, needs: str | None = None, distinct=False):
     """`values` checked to be positive reals, finite unless `finite` is False.
 
     Returns a float for one number and, with `many`, the values of a
     non-empty list as given, in a tuple (an int stays an int). Raises
     ConfigError "<what> must be <needs>, got ..." otherwise, `needs`
-    being "positive and finite" (or "positive") unless one is given.
-    Only numbers pass, as for `whole`.
+    being "positive and finite" (or "positive") unless one is given, and
+    with `distinct` also if two are equal. Only numbers pass, as for `whole`.
     """
     given = _numbers(values, what, many, ConfigError)
     if given is None or not all(v > 0 and (v < math.inf or not finite) for v in given):
         needs = needs or ("positive and finite" if finite else "positive")
         raise ConfigError(f"{what} must be {needs}, got {_shown(values, given, many)!r}")
+    if distinct and len(set(given)) < len(given):
+        raise ConfigError(f"{what} must be distinct, got {_shown(values, given, many)!r}")
     return tuple(values) if many else float(values)

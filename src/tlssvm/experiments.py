@@ -9,6 +9,7 @@ so serialized outputs are byte-identical across reruns.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,11 @@ import numpy as np
 from .baseline import LssvmModel, fit_independent
 from .data import MtlDataset, SyntheticSpec, generate_synthetic, kfold_split
 from .errors import ConfigError, SolverError, config_object, positive, whole
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram
 from .metrics import evaluate_predictions
-from .model import TrainedModel
-from .solver import FitConfig, fit, fit_many
+from .model import TrainedModel, shared_projection, task_predictions
+from .solver import FitConfig, FitState, fit, fit_many
+from .taskgrid import task_vector_table
 
 __all__ = [
     "METHOD_TENSOR",
@@ -53,7 +55,8 @@ class CvPlan:
     `gammas` applies only to the rbf family; `ranks` applies only to the
     tensorized method and is ignored for the independent baseline. Both
     are checked all the same. `costs` and `gammas` keep their values as
-    given (an integer cost stays an integer), since a CvResult echoes them.
+    given (an integer cost stays an integer), since a CvResult echoes them,
+    and as a cell is named by its values no list repeats one (1 equals 1.0).
     """
 
     kernel_family: str = "linear"
@@ -67,9 +70,10 @@ class CvPlan:
     def __post_init__(self) -> None:
         if self.kernel_family not in ("linear", "rbf"):
             raise ConfigError(f"unknown kernel family {self.kernel_family!r}")
-        object.__setattr__(self, "ranks", tuple(whole(self.ranks, "ranks", 1, many=True).tolist()))
-        object.__setattr__(self, "costs", positive(self.costs, "costs", many=True))
-        object.__setattr__(self, "gammas", positive(self.gammas, "gammas", many=True, needs="each a finite gamma > 0"))
+        object.__setattr__(self, "ranks", tuple(whole(self.ranks, "ranks", 1, many=True, distinct=True).tolist()))
+        object.__setattr__(self, "costs", positive(self.costs, "costs", many=True, distinct=True))
+        gammas = positive(self.gammas, "gammas", many=True, needs="each a finite gamma > 0", distinct=True)
+        object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "folds", whole(self.folds, "folds", 2))
         object.__setattr__(self, "max_iters", whole(self.max_iters, "max_iters", 1))
         object.__setattr__(self, "tol", positive(self.tol, "tol", finite=False))
@@ -150,12 +154,6 @@ def fit_method(
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _pooled_rmse(model, data: MtlDataset) -> float:
-    # plain pooled RMSE; avoids the correlation/q2 preconditions of the full report
-    predicted = np.concatenate(model.predict_dataset(data))
-    return float(np.sqrt(np.mean((data.stacked_targets() - predicted) ** 2)))
-
-
 def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResult:
     """Exhaustive grid search by k-fold validation RMSE.
 
@@ -165,11 +163,12 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
     fit fails on a fold is recorded with that fit's error and skipped; only
     a fully failed grid raises.
 
-    The tensorized method visits rank, then gamma, then fold, and fits the
-    costs still alive on a fold in lockstep (`solver.fit_many`, one Gram
-    for all of them): each cost's fit equals its lone fit, so the cells
-    are those of fitting every cell alone. A cost leaves its (rank, gamma)
-    at its first failing fold.
+    Each method visits rank, then gamma, then fold, and fits the costs
+    still alive on a fold together (`solver.fit_many`, or `fit_independent`
+    with a sequence of costs), each equal to its lone fit. Each is scored
+    straight from its fit, by the predictions its model would make, so the
+    cells are those of fitting and scoring every cell alone. A cost leaves
+    its (rank, gamma) at its first failing fold.
     """
     if method not in (METHOD_TENSOR, METHOD_BASELINE):
         raise ConfigError(f"unknown method {method!r}")
@@ -181,54 +180,63 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
     for rank in ranks:
         for gamma in gammas:
             kernel = plan.kernel(gamma)
+            if method == METHOD_TENSOR:
+                config = FitConfig(K=rank, C=costs[0], kernel=kernel, max_iters=plan.max_iters, tol=plan.tol, seed=seed)
             for cost in costs:
                 scores[rank, cost, gamma] = []
             for fold_train, fold_val in splits:
                 alive = [cost for cost in costs if not isinstance(scores[rank, cost, gamma], str)]
                 if not alive:
                     break
-                for cost, model in zip(alive, _fold_models(fold_train, method, rank, alive, kernel, plan, seed)):
-                    if isinstance(model, SolverError):
-                        scores[rank, cost, gamma] = str(model)
+                if method == METHOD_TENSOR:
+                    fits = fit_many(fold_train, config, alive)
+                else:
+                    fits = fit_independent(fold_train, alive, kernel)
+                for cost, score in zip(alive, _fold_scores(fits, fold_train, fold_val, kernel)):
+                    if isinstance(score, SolverError):
+                        scores[rank, cost, gamma] = str(score)
                     else:
-                        scores[rank, cost, gamma].append(_pooled_rmse(model, fold_val))
+                        scores[rank, cost, gamma].append(score)
     cells = []
-    best = None
-    for rank in ranks:
-        for cost in costs:
-            for gamma in gammas:
-                score = scores[rank, cost, gamma]
-                if isinstance(score, str):
-                    cells.append(CvCell(rank, cost, gamma, None, None, score))
-                    continue
-                cell = CvCell(rank, cost, gamma, tuple(score), float(np.mean(score)))
-                cells.append(cell)
-                if best is None or cell.mean_rmse < best.mean_rmse:
-                    best = cell
-    if best is None:
-        raise SolverError(
-            f"all {len(cells)} grid cells failed; first error: {cells[0].error}"
-        )
+    for rank, cost, gamma in itertools.product(ranks, costs, gammas):
+        score = scores[rank, cost, gamma]
+        if isinstance(score, str):
+            cells.append(CvCell(rank, cost, gamma, None, None, score))
+        else:
+            cells.append(CvCell(rank, cost, gamma, tuple(score), float(np.mean(score))))
+    scored = [cell for cell in cells if cell.error is None]
+    if not scored:
+        raise SolverError(f"all {len(cells)} grid cells failed; first error: {cells[0].error}")
+    best = min(scored, key=lambda cell: cell.mean_rmse)  # the first minimum
     return CvResult(method, plan.kernel_family, plan.folds, seed, tuple(cells), best)
 
 
-def _fold_models(data: MtlDataset, method: str, rank, costs, kernel: KernelSpec, plan: CvPlan, seed: int):
-    """One fold's model per cost, or the SolverError its fit raised."""
-    if method == METHOD_TENSOR:
-        config = FitConfig(
-            K=rank, C=costs[0], kernel=kernel, max_iters=plan.max_iters, tol=plan.tol, seed=seed
-        )
-        return [
-            state if isinstance(state, SolverError) else TrainedModel.from_fit(data, state, kernel)
-            for state in fit_many(data, config, costs)
-        ]
-    models = []
-    for cost in costs:
-        try:
-            models.append(fit_method(data, method, rank, cost, kernel))
-        except SolverError as exc:
-            models.append(exc)
-    return models
+def _fold_scores(fits: list, train: MtlDataset, val: MtlDataset, kernel: KernelSpec) -> list:
+    """Each fit's pooled validation RMSE, from the predictions its model makes, or its SolverError.
+
+    The fits share the fold's validation cross-Grams (the baseline's, and
+    an RBF tensorized fit's), and no model is built.
+    """
+    done = [fit for fit in fits if not isinstance(fit, SolverError)]
+    if not done:
+        return fits
+    if isinstance(done[0], LssvmModel):
+        grams = [gram(kernel, X, X_val) for X, X_val in zip(train.inputs, val.inputs)]
+
+        def predict(model: LssvmModel) -> np.ndarray:
+            return np.concatenate(model.predict_dataset(val, grams))
+
+    else:
+        X, task_ids, shared = val.stacked_inputs(), val.sample_task_ids(), done[0].shared
+        norms = shared.train_norms if kernel.family == "rbf" else None
+        cross_gram = None if shared.explicit is not None else gram(kernel, shared.train_inputs, X, norms)
+
+        def predict(state: FitState) -> np.ndarray:
+            projection = shared_projection(state.shared, kernel, X, cross_gram)
+            return task_predictions(projection, task_vector_table(state.factors), state.biases, task_ids)
+
+    y = val.stacked_targets()
+    return [fit if isinstance(fit, SolverError) else float(np.sqrt(np.mean((y - predict(fit)) ** 2))) for fit in fits]
 
 
 def fit_best(data: MtlDataset, result: CvResult, plan: CvPlan, seed: int = 0):
@@ -320,7 +328,7 @@ def run_benchmark(
     """
     reps = whole(reps, "repetitions", 1)
     base_seed = whole(base_seed, "base_seed", 0)
-    snrs = positive(snrs, "snrs", finite=False, many=True)
+    snrs = positive(snrs, "snrs", finite=False, many=True, distinct=True)
     methods = tuple(plans)
     if not methods:
         raise ConfigError("no methods to benchmark")

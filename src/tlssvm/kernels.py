@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedOperation, config_object, positive
 
-__all__ = ["KernelSpec", "kernel_eval", "sq_norms", "gram", "feature_map"]
+__all__ = ["KernelSpec", "sq_norms", "gram", "feature_map"]
 
 _FAMILIES = ("linear", "rbf")
 
@@ -46,25 +46,6 @@ class KernelSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "KernelSpec":
         return cls(**config_object(cfg, "kernel config", ("family",), ("gamma",)))
-
-
-def _as_vector(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
-    return x
-
-
-def kernel_eval(spec: KernelSpec, x, x_other) -> float:
-    """Evaluate k(x, x') for a single pair of points."""
-    x = _as_vector(x, "x")
-    x_other = _as_vector(x_other, "x_other")
-    if x.shape != x_other.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {x_other.shape[0]}")
-    if spec.family == "linear":
-        return float(x @ x_other)
-    diff = x - x_other
-    return float(np.exp(-spec.gamma * (diff @ diff)))
 
 
 def sq_norms(X: np.ndarray) -> np.ndarray:
@@ -135,4 +116,7 @@ def feature_map(spec: KernelSpec, x) -> np.ndarray:
         raise UnsupportedOperation(
             f"{spec.family} kernel has no explicit feature map; use the dual path"
         )
-    return _as_vector(x, "x").copy()
+    x = np.array(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be a 1-D vector, got shape {x.shape}")
+    return x

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tlssvm import MtlDataset, TaskGrid
+from tlssvm.baseline import SingleTaskLssvm, query_inputs
 from tlssvm.data import SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec, gram
@@ -45,6 +46,25 @@ def saddle_oracle(block_sizes, Q, y, C):
     full = np.block([[np.zeros((T, T)), A.T], [A, Q + (1.0 / C) * np.eye(m)]])
     sol = np.linalg.solve(full, np.concatenate([np.zeros(T), y]))
     return sol[:T], sol[T:]
+
+
+def kernel_eval(spec: KernelSpec, x, x_other) -> float:
+    """k(x, x') for a single pair of points, evaluated directly: the oracle for `gram`."""
+    x = np.asarray(x, dtype=float)
+    x_other = np.asarray(x_other, dtype=float)
+    if x.ndim != 1 or x.shape != x_other.shape:
+        raise ValueError(f"need two vectors of one length, got shapes {x.shape} and {x_other.shape}")
+    if spec.family == "linear":
+        return float(x @ x_other)
+    diff = x - x_other
+    return float(np.exp(-spec.gamma * (diff @ diff)))
+
+
+def predict_single(model: SingleTaskLssvm, x) -> float:
+    """sum_i alpha_i k(x, x_i) + b for one query row: the one-query oracle of a baseline task."""
+    x = query_inputs(x, 1, model.inputs.shape[1])
+    k = gram(model.kernel, model.inputs, x[None, :])[:, 0]
+    return float(model.duals @ k + model.bias)
 
 
 def coherence_dense(Q: CoherenceGram, blocks: Blocks, shift: float = 0.0) -> np.ndarray:

@@ -3,12 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tlssvm.baseline import LssvmModel, fit_independent, fit_single, predict_single
+from tlssvm import baseline
+from tlssvm.baseline import LssvmModel, fit_independent, fit_single
 from tlssvm.data import MtlDataset
-from tlssvm.errors import ConfigError, DataError
+from tlssvm.errors import ConfigError, DataError, SolverError
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.model import load_model, save_model
 from tlssvm.taskgrid import TaskGrid, linearize
+from conftest import predict_single
 
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.5)
@@ -190,6 +192,60 @@ class TestFitIndependent:
         )
         with pytest.raises(DataError, match=r"tasks without samples: \[1\]"):
             fit_independent(data, 1.0, LINEAR)
+
+
+class TestLockstepCosts:
+    """`fit_independent` with a sequence of costs: each member is its lone fit, bit for bit."""
+
+    COSTS = (1e-2, 1.0, 7.5, 1e4)
+
+    @staticmethod
+    def assert_same_fit(a: LssvmModel, b: LssvmModel) -> None:
+        assert a.grid == b.grid and a.kernel == b.kernel
+        for x, y in zip(a.tasks, b.tasks):
+            assert x.duals.tobytes() == y.duals.tobytes() and x.bias == y.bias
+            np.testing.assert_array_equal(x.inputs, y.inputs)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=["linear", "rbf"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_members_equal_lone_fits(self, kernel, seed):
+        data = grid_dataset(seed)
+        fits = fit_independent(data, list(self.COSTS), kernel)
+        assert len(fits) == len(self.COSTS)
+        for cost, fit in zip(self.COSTS, fits):
+            self.assert_same_fit(fit, fit_independent(data, cost, kernel))
+        as_array = fit_independent(data, np.array(self.COSTS[::-1]), kernel)
+        for fit, other in zip(fits[::-1], as_array):
+            self.assert_same_fit(fit, other)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=["linear", "rbf"])
+    def test_a_failing_cost_keeps_its_lone_error_and_spares_the_others(self, kernel, monkeypatch):
+        data = grid_dataset(4)
+        bad_cost, bad_task = self.COSTS[2], 2
+        real_solve = baseline.solve_dual_system
+        solved = []  # (task, cost) of every solve
+
+        def solve_dual_system(blocks, Q, y, C):
+            task = next(t for t, targets in enumerate(data.targets) if np.array_equal(targets, y))
+            solved.append((task, C))
+            if (task, C) == (bad_task, bad_cost):
+                raise SolverError(f"task {task + 1} cannot be solved at C={C}")
+            return real_solve(blocks, Q, y, C)
+
+        monkeypatch.setattr(baseline, "solve_dual_system", solve_dual_system)
+        fits = fit_independent(data, list(self.COSTS), kernel)
+        assert (bad_task + 1, bad_cost) not in solved  # a failed cost is not fit on later tasks
+        with pytest.raises(SolverError) as lone:
+            fit_independent(data, bad_cost, kernel)
+        assert isinstance(fits[2], SolverError) and str(fits[2]) == str(lone.value) == "task 3 cannot be solved at C=7.5"
+        for cost, fit in zip(self.COSTS, fits):
+            if cost != bad_cost:
+                self.assert_same_fit(fit, fit_independent(data, cost, kernel))
+
+    @pytest.mark.parametrize("costs", [[1.0, 0.0], [1.0, "10"], [1.0, [10.0]], (np.nan,)])
+    def test_every_cost_is_checked(self, costs):
+        with pytest.raises(ConfigError, match="C must be positive and finite"):
+            fit_independent(grid_dataset(), costs, LINEAR)
 
 
 class TestBaselineSerialization:

@@ -633,6 +633,45 @@ class TestWholeNumbers:
             kfold_split(data, 2.5, 0)
 
 
+REPEATS = [  # (command, config, key, a list that repeats a value)
+    ("cv", CV_PLAN, "ranks", [1, 2, 1.0]),
+    ("cv", CV_PLAN, "costs", [1, 1.0]),
+    ("cv", {**CV_PLAN, "kernel_family": "rbf"}, "gammas", [0.5, 0.1, 0.5]),
+    ("benchmark", BENCH, "snrs", [5.0, 5]),
+]
+
+
+class TestRepeatedGridValues:
+    """A grid list that repeats a value, compared as numbers, is rejected where the plan is read."""
+
+    @pytest.mark.parametrize("command, config, key, values", REPEATS, ids=[key for _, _, key, _ in REPEATS])
+    def test_repeated_value_is_usage_error(self, pipeline, tmp_path, capsys, command, config, key, values):
+        cfg = write_json(tmp_path / "config.json", {**config, key: values})
+        args = ["cv", "--train", pipeline["train_csv"], "--grid", "2,2"] if command == "cv" else ["benchmark"]
+        assert main([*args, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be distinct" in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: CvPlan(ranks=(1, 2, 1.0)), id="CvPlan-ranks"),
+            pytest.param(lambda: CvPlan(costs=(1, 1.0)), id="CvPlan-costs"),
+            pytest.param(lambda: CvPlan(kernel_family="rbf", gammas=(0.5, 0.1, 0.5)), id="CvPlan-gammas"),
+            pytest.param(lambda: run_benchmark(SyntheticSpec.from_config(SPEC), (5.0, 5), 1, 0, {"tlssvm": CvPlan()}),
+                         id="run_benchmark-snrs"),
+        ],
+    )
+    def test_repeated_value_raises_config_error(self, call):
+        with pytest.raises(ConfigError, match="must be distinct"):
+            call()
+
+    def test_distinct_values_are_kept_as_given(self):
+        plan = CvPlan(ranks=(2, 1), costs=(1, 0.5), gammas=(0.1, 1))
+        assert (plan.ranks, plan.costs, plan.gammas) == ((2, 1), (1, 0.5), (0.1, 1))
+
+
 JSON_VALUES = {
     "string": "abc", "list": [1], "object": {"a": 1}, "true": True, "null": None,
     "negative": -1, "nan": math.nan, "infinity": math.inf, "numeric-string": "10", "list-of-strings": ["1", "10"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tlssvm import experiments
-from tlssvm.baseline import LssvmModel
+from tlssvm.baseline import LssvmModel, fit_independent
 from tlssvm.data import SyntheticSpec, generate_synthetic, kfold_split
 from tlssvm.errors import ConfigError, SolverError
 from tlssvm.experiments import (
@@ -18,7 +18,9 @@ from tlssvm.experiments import (
     run_benchmark,
     run_cv,
 )
+from tlssvm.kernels import KernelSpec
 from tlssvm.model import TrainedModel
+from tlssvm.solver import FitConfig, fit_many
 
 
 def small_train(snr=10.0, seed=0):
@@ -156,6 +158,26 @@ class TestRunCv:
         with pytest.raises(SolverError, match="all 4 grid cells failed; first error: singular"):
             run_cv(train, METHOD_TENSOR, SMALL_PLAN, seed=0)
 
+    def test_failed_baseline_cost_recorded_and_not_refit(self, monkeypatch):
+        train, _ = small_train()
+        real_fit_independent = experiments.fit_independent
+        calls = []  # the costs of each fold's baseline fit
+
+        def fit_independent(data, costs, kernel):
+            # the cost 10.0 fails on the second fold
+            calls.append(list(costs))
+            fits = real_fit_independent(data, costs, kernel)
+            error = SolverError("dual system solve residual too large; decrease C")
+            return [error if len(calls) == 2 and c == 10.0 else fit for c, fit in zip(costs, fits)]
+
+        monkeypatch.setattr(experiments, "fit_independent", fit_independent)
+        result = run_cv(train, METHOD_BASELINE, SMALL_PLAN, seed=0)
+        assert calls == [[1.0, 10.0], [1.0, 10.0], [1.0]]
+        ok, failed = result.cells
+        assert (failed.cost, failed.fold_rmses, failed.mean_rmse) == (10.0, None, None)
+        assert failed.error == "dual system solve residual too large; decrease C"
+        assert ok.error is None and len(ok.fold_rmses) == 3 and result.best == ok
+
     def test_zero_targets_score_every_cell(self):
         # every tensor fit of all-zero targets collapses to the zero model
         train, _ = small_train()
@@ -182,6 +204,42 @@ class TestRunCv:
         )
         for a, b in zip(model.predict_dataset(test), direct.predict_dataset(test)):
             np.testing.assert_array_equal(a, b)
+
+
+class TestFoldScores:
+    """The scores of a fold's fits equal the pooled RMSE of the models they make, bit for bit."""
+
+    @staticmethod
+    def model_rmse(model, val) -> float:
+        predicted = np.concatenate(model.predict_dataset(val))
+        return float(np.sqrt(np.mean((val.stacked_targets() - predicted) ** 2)))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)], ids=["linear", "rbf"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scores_equal_model_path(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        train, _ = small_train(seed=seed)
+        costs = sorted(rng.choice([0.1, 1.0, 10.0, 100.0, 1e4], size=3, replace=False).tolist())
+        folds = int(rng.integers(2, 5))
+        for fold_train, fold_val in kfold_split(train, folds, int(rng.integers(100))):
+            config = FitConfig(K=2, C=costs[0], kernel=kernel, max_iters=6, seed=seed)
+            states = fit_many(fold_train, config, costs)
+            scores = experiments._fold_scores(states, fold_train, fold_val, kernel)
+            for state, score in zip(states, scores):
+                assert score == self.model_rmse(TrainedModel.from_fit(fold_train, state, kernel), fold_val)
+            models = fit_independent(fold_train, costs, kernel)
+            scores = experiments._fold_scores(models, fold_train, fold_val, kernel)
+            for model, score in zip(models, scores):
+                assert score == self.model_rmse(model, fold_val)
+
+    def test_errors_pass_through(self):
+        train, _ = small_train()
+        fold_train, fold_val = kfold_split(train, 2, 0)[0]
+        error = SolverError("singular")
+        fits = [error, *fit_independent(fold_train, [1.0], KernelSpec("linear"))]
+        scores = experiments._fold_scores(fits, fold_train, fold_val, KernelSpec("linear"))
+        assert scores[0] is error and isinstance(scores[1], float)
+        assert experiments._fold_scores([error], fold_train, fold_val, KernelSpec("linear")) == [error]
 
 
 class TestRunBenchmark:

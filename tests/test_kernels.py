@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlssvm.errors import ConfigError, UnsupportedOperation
-from tlssvm.kernels import KernelSpec, feature_map, gram, kernel_eval, sq_norms
-from conftest import feature_dim
+from tlssvm.kernels import KernelSpec, feature_map, gram, sq_norms
+from conftest import feature_dim, kernel_eval
 
 
 class TestKernelSpec:

@@ -14,7 +14,7 @@ from tlssvm.baseline import fit_independent, fit_single
 from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic
 from tlssvm.errors import ConfigError, SolverError
 from tlssvm.experiments import CvPlan, fit_best, fit_method, run_cv
-from tlssvm.kernels import KernelSpec, gram, kernel_eval
+from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import (
     RESIDUAL_RTOL,
     Blocks,
@@ -51,6 +51,7 @@ from conftest import (
     evaluate_objective,
     fit_config_dict,
     high_precision_saddle_solution,
+    kernel_eval,
     one_member,
     random_dataset,
     saddle_oracle,
