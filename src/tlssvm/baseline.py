@@ -97,12 +97,10 @@ class LssvmModel:
             out[rows] = task.duals @ gram(self.kernel, task.inputs, X[rows]) + task.bias
         return out
 
-    def predict_dataset(self, data: MtlDataset, grams=None) -> list[np.ndarray]:
-        """Per-task prediction blocks for a dataset on the same grid, from its tasks' cross-Grams if given."""
+    def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
+        """Per-task prediction blocks for a dataset on the same grid."""
         check_query_dataset(data, self.grid, self.n_features)
-        if grams is None:
-            grams = [gram(self.kernel, task.inputs, X) for task, X in zip(self.tasks, data.inputs)]
-        return [task.duals @ k + task.bias for task, k in zip(self.tasks, grams)]
+        return [task.duals @ gram(self.kernel, task.inputs, X) + task.bias for task, X in zip(self.tasks, data.inputs)]
 
 
 def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
@@ -126,10 +124,9 @@ def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
 def fit_independent(data: MtlDataset, C, kernel: KernelSpec):
     """Fit every task separately with shared hyperparameters.
 
-    `C` is one cost, or a sequence of costs fit together, each equal to its
-    lone fit bit for bit: a task's Gram is built once and each cost solved
-    on it. A sequence gives, per cost, its LssvmModel or the SolverError of
-    its first failing task, which its lone fit raises.
+    `C` is one cost, or a sequence of costs: then each task's Gram is built
+    once and every cost solved on it, and each cost gives what its lone
+    fit does bit for bit, its LssvmModel or its first failing task's SolverError.
     """
     data.require_nonempty_tasks()
     lone = not isinstance(C, (list, tuple)) and np.ndim(C) == 0

@@ -306,16 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_CODES = {ConfigError: 2, DataError: 3, SolverError: 4, OSError: 3}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except tuple(_EXIT_CODES) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        return 2
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,8 +2,7 @@
 
 Every config value is read through `config_object`, `whole` and
 `positive`, which raise ConfigError (or the error type a caller names)
-with the field's name in the message. With `distinct`, a list may not
-repeat a value, compared as numbers (1 equals 1.0).
+with the field's name in the message.
 
 The CLI maps these onto exit codes (config -> 2, data -> 3, solver -> 4).
 """
@@ -105,19 +104,19 @@ def whole(values, what: str, minimum: int | None = None, error=ConfigError, many
     return np.array(ints, dtype=np.intp) if many else ints[0]
 
 
-def positive(values, what: str, finite: bool = True, many=False, needs: str | None = None, distinct=False):
+def positive(values, what: str, finite: bool = True, many: bool = False, needs: str | None = None):
     """`values` checked to be positive reals, finite unless `finite` is False.
 
     Returns a float for one number and, with `many`, the values of a
-    non-empty list as given, in a tuple (an int stays an int). Raises
-    ConfigError "<what> must be <needs>, got ..." otherwise, `needs`
-    being "positive and finite" (or "positive") unless one is given, and
-    with `distinct` also if two are equal. Only numbers pass, as for `whole`.
+    non-empty list as given, in a tuple (an int stays an int); a list may
+    not repeat a value (1 equals 1.0). Raises ConfigError otherwise, "<what>
+    must be <needs>, got ..." with `needs` "positive and finite" (or
+    "positive") unless one is given. Only numbers pass, as for `whole`.
     """
     given = _numbers(values, what, many, ConfigError)
     if given is None or not all(v > 0 and (v < math.inf or not finite) for v in given):
         needs = needs or ("positive and finite" if finite else "positive")
         raise ConfigError(f"{what} must be {needs}, got {_shown(values, given, many)!r}")
-    if distinct and len(set(given)) < len(given):
+    if many and len(set(given)) < len(given):
         raise ConfigError(f"{what} must be distinct, got {_shown(values, given, many)!r}")
     return tuple(values) if many else float(values)

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import LssvmModel, fit_independent
+from .baseline import fit_independent
 from .data import MtlDataset, SyntheticSpec, generate_synthetic, kfold_split
 from .errors import ConfigError, SolverError, config_object, positive, whole
 from .kernels import KernelSpec, gram
 from .metrics import evaluate_predictions
-from .model import TrainedModel, shared_projection, task_predictions
-from .solver import FitConfig, FitState, fit, fit_many
+from .model import TrainedModel, query_gram, shared_projection, task_predictions
+from .solver import FitConfig, fit, fit_many
 from .taskgrid import task_vector_table
 
 __all__ = [
@@ -55,8 +55,8 @@ class CvPlan:
     `gammas` applies only to the rbf family; `ranks` applies only to the
     tensorized method and is ignored for the independent baseline. Both
     are checked all the same. `costs` and `gammas` keep their values as
-    given (an integer cost stays an integer), since a CvResult echoes them,
-    and as a cell is named by its values no list repeats one (1 equals 1.0).
+    given (an integer cost stays an integer), since a CvResult echoes them.
+    A cell is named by its values, so no list may repeat one.
     """
 
     kernel_family: str = "linear"
@@ -71,9 +71,8 @@ class CvPlan:
         if self.kernel_family not in ("linear", "rbf"):
             raise ConfigError(f"unknown kernel family {self.kernel_family!r}")
         object.__setattr__(self, "ranks", tuple(whole(self.ranks, "ranks", 1, many=True, distinct=True).tolist()))
-        object.__setattr__(self, "costs", positive(self.costs, "costs", many=True, distinct=True))
-        gammas = positive(self.gammas, "gammas", many=True, needs="each a finite gamma > 0", distinct=True)
-        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "costs", positive(self.costs, "costs", many=True))
+        object.__setattr__(self, "gammas", positive(self.gammas, "gammas", many=True, needs="each a finite gamma > 0"))
         object.__setattr__(self, "folds", whole(self.folds, "folds", 2))
         object.__setattr__(self, "max_iters", whole(self.max_iters, "max_iters", 1))
         object.__setattr__(self, "tol", positive(self.tol, "tol", finite=False))
@@ -165,10 +164,9 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
 
     Each method visits rank, then gamma, then fold, and fits the costs
     still alive on a fold together (`solver.fit_many`, or `fit_independent`
-    with a sequence of costs), each equal to its lone fit. Each is scored
-    straight from its fit, by the predictions its model would make, so the
-    cells are those of fitting and scoring every cell alone. A cost leaves
-    its (rank, gamma) at its first failing fold.
+    with a sequence of costs), each equal to its lone fit and scored from
+    it as its model would predict: the cells are those of every cell alone.
+    A cost leaves its (rank, gamma) at its first failing fold.
     """
     if method not in (METHOD_TENSOR, METHOD_BASELINE):
         raise ConfigError(f"unknown method {method!r}")
@@ -180,8 +178,6 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
     for rank in ranks:
         for gamma in gammas:
             kernel = plan.kernel(gamma)
-            if method == METHOD_TENSOR:
-                config = FitConfig(K=rank, C=costs[0], kernel=kernel, max_iters=plan.max_iters, tol=plan.tol, seed=seed)
             for cost in costs:
                 scores[rank, cost, gamma] = []
             for fold_train, fold_val in splits:
@@ -189,10 +185,13 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
                 if not alive:
                     break
                 if method == METHOD_TENSOR:
-                    fits = fit_many(fold_train, config, alive)
+                    config = FitConfig(
+                        K=rank, C=alive[0], kernel=kernel, max_iters=plan.max_iters, tol=plan.tol, seed=seed
+                    )
+                    rmses = _tensor_rmses(fit_many(fold_train, config, alive), fold_val, kernel)
                 else:
-                    fits = fit_independent(fold_train, alive, kernel)
-                for cost, score in zip(alive, _fold_scores(fits, fold_train, fold_val, kernel)):
+                    rmses = _baseline_rmses(fit_independent(fold_train, alive, kernel), fold_train, fold_val, kernel)
+                for cost, score in zip(alive, rmses):
                     if isinstance(score, SolverError):
                         scores[rank, cost, gamma] = str(score)
                     else:
@@ -211,30 +210,24 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
     return CvResult(method, plan.kernel_family, plan.folds, seed, tuple(cells), best)
 
 
-def _fold_scores(fits: list, train: MtlDataset, val: MtlDataset, kernel: KernelSpec) -> list:
-    """Each fit's pooled validation RMSE, from the predictions its model makes, or its SolverError.
+def _tensor_rmses(states: list, val: MtlDataset, kernel: KernelSpec) -> list:
+    """Each fit's pooled RMSE on `val` as its TrainedModel predicts, one RBF cross-Gram for all, or its SolverError."""
+    X, task_ids = val.stacked_inputs(), val.sample_task_ids()
+    shared = next((state.shared for state in states if not isinstance(state, SolverError)), None)
+    cross_gram = None if shared is None or shared.explicit is not None else query_gram(shared, kernel, X)
+    return _rmses(states, val, lambda state: task_predictions(
+        shared_projection(state.shared, kernel, X, cross_gram), task_vector_table(state.factors), state.biases, task_ids
+    ))
 
-    The fits share the fold's validation cross-Grams (the baseline's, and
-    an RBF tensorized fit's), and no model is built.
-    """
-    done = [fit for fit in fits if not isinstance(fit, SolverError)]
-    if not done:
-        return fits
-    if isinstance(done[0], LssvmModel):
-        grams = [gram(kernel, X, X_val) for X, X_val in zip(train.inputs, val.inputs)]
 
-        def predict(model: LssvmModel) -> np.ndarray:
-            return np.concatenate(model.predict_dataset(val, grams))
+def _baseline_rmses(models: list, train: MtlDataset, val: MtlDataset, kernel: KernelSpec) -> list:
+    """Each model's pooled RMSE on `val` as it predicts, one cross-Gram per task for all, or its SolverError."""
+    grams = [gram(kernel, X, X_val) for X, X_val in zip(train.inputs, val.inputs)]
+    return _rmses(models, val, lambda model: np.concatenate([t.duals @ k + t.bias for t, k in zip(model.tasks, grams)]))
 
-    else:
-        X, task_ids, shared = val.stacked_inputs(), val.sample_task_ids(), done[0].shared
-        norms = shared.train_norms if kernel.family == "rbf" else None
-        cross_gram = None if shared.explicit is not None else gram(kernel, shared.train_inputs, X, norms)
 
-        def predict(state: FitState) -> np.ndarray:
-            projection = shared_projection(state.shared, kernel, X, cross_gram)
-            return task_predictions(projection, task_vector_table(state.factors), state.biases, task_ids)
-
+def _rmses(fits: list, val: MtlDataset, predict) -> list:
+    """Each fit's pooled RMSE on `val` by `predict`; a SolverError stays as it is."""
     y = val.stacked_targets()
     return [fit if isinstance(fit, SolverError) else float(np.sqrt(np.mean((y - predict(fit)) ** 2))) for fit in fits]
 
@@ -328,7 +321,7 @@ def run_benchmark(
     """
     reps = whole(reps, "repetitions", 1)
     base_seed = whole(base_seed, "base_seed", 0)
-    snrs = positive(snrs, "snrs", finite=False, many=True, distinct=True)
+    snrs = positive(snrs, "snrs", finite=False, many=True)
     methods = tuple(plans)
     if not methods:
         raise ConfigError("no methods to benchmark")

@@ -108,14 +108,19 @@ def dual_projection(
 
     Row j is sum_i k(x_i, q_j) W_i over the training samples x_i, for the
     dual weights W (`SharedFactor.weighted_duals`). `cross_gram`, if given,
-    is the (m_train x n_query) kernel block. Otherwise it is computed here,
-    and an RBF block takes the record's cached `train_norms`, so a query
-    costs O(md) with no m x d temporary.
+    is the (m_train x n_query) kernel block. Otherwise `query_gram` computes
+    it from the record's cached `train_norms`, so an RBF query costs O(md)
+    with no m x d temporary.
     """
     if cross_gram is None:
-        norms = shared.train_norms if kernel.family == "rbf" else None
-        cross_gram = gram(kernel, shared.train_inputs, X, norms)
+        cross_gram = query_gram(shared, kernel, X)
     return cross_gram.T @ shared.weighted_duals
+
+
+def query_gram(shared: SharedFactor, kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """The (m_train x n_query) kernel block of a shared factor; an RBF block reads `train_norms`."""
+    norms = shared.train_norms if kernel.family == "rbf" else None
+    return gram(kernel, shared.train_inputs, X, norms)
 
 
 def shared_projection(

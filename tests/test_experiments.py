@@ -224,22 +224,28 @@ class TestFoldScores:
         for fold_train, fold_val in kfold_split(train, folds, int(rng.integers(100))):
             config = FitConfig(K=2, C=costs[0], kernel=kernel, max_iters=6, seed=seed)
             states = fit_many(fold_train, config, costs)
-            scores = experiments._fold_scores(states, fold_train, fold_val, kernel)
+            scores = experiments._tensor_rmses(states, fold_val, kernel)
             for state, score in zip(states, scores):
                 assert score == self.model_rmse(TrainedModel.from_fit(fold_train, state, kernel), fold_val)
             models = fit_independent(fold_train, costs, kernel)
-            scores = experiments._fold_scores(models, fold_train, fold_val, kernel)
+            scores = experiments._baseline_rmses(models, fold_train, fold_val, kernel)
             for model, score in zip(models, scores):
                 assert score == self.model_rmse(model, fold_val)
 
-    def test_errors_pass_through(self):
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)], ids=["linear", "rbf"])
+    def test_errors_pass_through(self, kernel):
         train, _ = small_train()
         fold_train, fold_val = kfold_split(train, 2, 0)[0]
         error = SolverError("singular")
-        fits = [error, *fit_independent(fold_train, [1.0], KernelSpec("linear"))]
-        scores = experiments._fold_scores(fits, fold_train, fold_val, KernelSpec("linear"))
-        assert scores[0] is error and isinstance(scores[1], float)
-        assert experiments._fold_scores([error], fold_train, fold_val, KernelSpec("linear")) == [error]
+        states = [error, *fit_many(fold_train, FitConfig(K=2, C=1.0, kernel=kernel, max_iters=3), [1.0])]
+        models = [error, *fit_independent(fold_train, [1.0], kernel)]
+        for scores in (
+            experiments._tensor_rmses(states, fold_val, kernel),
+            experiments._baseline_rmses(models, fold_train, fold_val, kernel),
+        ):
+            assert scores[0] is error and isinstance(scores[1], float)
+        assert experiments._tensor_rmses([error], fold_val, kernel) == [error]
+        assert experiments._baseline_rmses([error], fold_train, fold_val, kernel) == [error]
 
 
 class TestRunBenchmark:
