@@ -7,7 +7,7 @@ and the factor rows; linear and RBF kernels are supported, with an
 independent per-task LSSVM as the comparison baseline.
 """
 
-from .baseline import LssvmModel, fit_independent, fit_single
+from .baseline import LssvmModel, fit_independent
 from .data import (
     MtlDataset,
     SyntheticSpec,
@@ -62,7 +62,6 @@ __all__ = [
     "EvalReport",
     "evaluate_predictions",
     "LssvmModel",
-    "fit_single",
     "fit_independent",
     "CvPlan",
     "CvResult",

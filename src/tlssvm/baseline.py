@@ -20,7 +20,7 @@ from .kernels import KernelSpec, gram
 from .linsys import Blocks, solve_dual_system
 from .taskgrid import TaskGrid, linearize
 
-__all__ = ["SingleTaskLssvm", "LssvmModel", "fit_single", "fit_independent"]
+__all__ = ["SingleTaskLssvm", "LssvmModel", "fit_independent"]
 
 
 @dataclass(frozen=True)
@@ -101,24 +101,6 @@ class LssvmModel:
         """Per-task prediction blocks for a dataset on the same grid."""
         check_query_dataset(data, self.grid, self.n_features)
         return [task.duals @ gram(self.kernel, task.inputs, X) + task.bias for task, X in zip(self.tasks, data.inputs)]
-
-
-def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
-    """Fit one task, as `fit_independent` does on a grid of one task; its duals sum to zero.
-
-    Raises ConfigError unless C is a positive finite number.
-    """
-    C = positive(C, "C")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"bad training block shapes: X {X.shape}, y {y.shape}")
-    if X.shape[0] < 1:
-        raise ValueError("need at least one training sample")
-    for name, values in (("X", X), ("y", y)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"training {name} contains NaN or infinite values")
-    return fit_independent(MtlDataset(TaskGrid((1,)), (X,), (y,)), C, kernel).tasks[0]
 
 
 def fit_independent(data: MtlDataset, C, kernel: KernelSpec):

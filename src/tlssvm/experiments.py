@@ -162,15 +162,20 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
     fit fails on a fold is recorded with that fit's error and skipped; only
     a fully failed grid raises.
 
-    Each method visits rank, then gamma, then fold, and fits the costs
-    still alive on a fold together (`solver.fit_many`, or `fit_independent`
-    with a sequence of costs), each equal to its lone fit and scored from
-    it as its model would predict: the cells are those of every cell alone.
-    A cost leaves its (rank, gamma) at its first failing fold.
+    Each method visits rank, then gamma, then its folds, and fits the costs
+    still alive together, each fit equal to its lone fit and scored from it
+    as its model would predict: the cells are those of every cell alone.
+    The tensorized method fits the folds of one block structure (a run of
+    folds whose tasks have the same training sizes, `_lockstep_folds`) in
+    one `solver.fit_many`, every (fold, cost) pair a member; the baseline
+    fits each fold with `fit_independent` and a sequence of costs. A cost
+    leaves its (rank, gamma) after the folds in which it first failed, and
+    its cell keeps the error of its first failing fold.
     """
     if method not in (METHOD_TENSOR, METHOD_BASELINE):
         raise ConfigError(f"unknown method {method!r}")
     splits = kfold_split(data, plan.folds, seed)
+    runs = _lockstep_folds(splits) if method == METHOD_TENSOR else [[split] for split in splits]
     ranks = sorted(plan._rank_axis(method), key=lambda r: (r is not None, r))
     costs = sorted(plan.costs)
     gammas = sorted(plan._gamma_axis(), key=lambda g: (g is not None, g))
@@ -180,7 +185,7 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
             kernel = plan.kernel(gamma)
             for cost in costs:
                 scores[rank, cost, gamma] = []
-            for fold_train, fold_val in splits:
+            for folds in runs:
                 alive = [cost for cost in costs if not isinstance(scores[rank, cost, gamma], str)]
                 if not alive:
                     break
@@ -188,14 +193,21 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
                     config = FitConfig(
                         K=rank, C=alive[0], kernel=kernel, max_iters=plan.max_iters, tol=plan.tol, seed=seed
                     )
-                    rmses = _tensor_rmses(fit_many(fold_train, config, alive), fold_val, kernel)
+                    fits = fit_many([train for train, _ in folds], config, alive)
+                    rmses = [_tensor_rmses(states, val, kernel) for states, (_, val) in zip(fits, folds)]
                 else:
-                    rmses = _baseline_rmses(fit_independent(fold_train, alive, kernel), fold_train, fold_val, kernel)
-                for cost, score in zip(alive, rmses):
-                    if isinstance(score, SolverError):
-                        scores[rank, cost, gamma] = str(score)
-                    else:
-                        scores[rank, cost, gamma].append(score)
+                    rmses = [
+                        _baseline_rmses(fit_independent(train, alive, kernel), train, val, kernel)
+                        for train, val in folds
+                    ]
+                for fold in rmses:
+                    for cost, score in zip(alive, fold):
+                        if isinstance(scores[rank, cost, gamma], str):
+                            continue  # the cost failed on an earlier fold
+                        if isinstance(score, SolverError):
+                            scores[rank, cost, gamma] = str(score)
+                        else:
+                            scores[rank, cost, gamma].append(score)
     cells = []
     for rank, cost, gamma in itertools.product(ranks, costs, gammas):
         score = scores[rank, cost, gamma]
@@ -208,6 +220,16 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
         raise SolverError(f"all {len(cells)} grid cells failed; first error: {cells[0].error}")
     best = min(scored, key=lambda cell: cell.mean_rmse)  # the first minimum
     return CvResult(method, plan.kernel_family, plan.folds, seed, tuple(cells), best)
+
+
+def _lockstep_folds(splits: list) -> list[list]:
+    """The (train, validation) splits in runs of consecutive folds whose training tasks have equal sizes.
+
+    `kfold_split` gives the first folds of a task one validation sample
+    more than the last, so the folds of one block structure follow one
+    another.
+    """
+    return [list(run) for _, run in itertools.groupby(splits, key=lambda split: split[0].task_sizes)]
 
 
 def _tensor_rmses(states: list, val: MtlDataset, kernel: KernelSpec) -> list:

@@ -89,19 +89,24 @@ carries the 0-based index of the lowest failing group in its `group`
 attribute.
 
 A structured system is solved for members: B systems on the same block
-structure and right-hand side y that differ in their cost and in the
-features or task vectors of their Q. The costs are a 1-D array C (one
-per member), and Q's arrays carry a leading member axis: a FeatureGram's
-features are B x m x p, a KroneckerGram's and a CoherenceGram's task
-vectors B x T x K (a CoherenceGram's members share one Gram, which each
-member's solve restores before the next one writes it). The result's
-arrays carry the member axis too, and its `errors` hold, per member,
-None or that member's SolverError (a `MemberSolution`); a failed
-member's rows are no solution, and the others go on without it. The
-ridge's passes (centering, Grams, right-hand sides, residuals) run over
-all members at once, in operations whose every member slice is the
-operation on that member alone, so each member's result equals that of
-its solve as the only member, bit for bit. Every dpotrf and dpotrs stays
+structure that differ in their cost and in the features or task vectors
+of their Q, and may differ in their data. The costs are a 1-D array C
+(one per member), and Q's arrays carry a leading member axis: a
+FeatureGram's features are B x m x p, a KroneckerGram's and a
+CoherenceGram's task vectors B x T x K. The right-hand side y is one
+vector for every member, or B x m. What Q takes from the data, a
+KroneckerGram's moments and a CoherenceGram's Gram, is one object for
+every member or a tuple with each member's: members on one dataset hold
+the same object, which is never copied per member (`member_runs`), and
+each member's solve restores a shared Gram before the next one writes it.
+The result's arrays carry the member axis too, and its `errors` hold,
+per member, None or that member's SolverError (a `MemberSolution`); a
+failed member's rows are no solution, and the others go on without it.
+The ridge's passes (centering, Grams, right-hand sides, residuals) run
+over all members at once, or once per run of members that hold the same
+moments, in operations whose every member slice is the operation on that
+member alone, so each member's result equals that of its solve as the
+only member, bit for bit. Every dpotrf and dpotrs stays
 one LAPACK call per member and group. A lone system, one cost C with Q's
 arrays without the member axis, is the one-member case:
 `solve_dual_system`, and only it, lifts it to one member and unwraps the
@@ -134,6 +139,9 @@ __all__ = [
     "MemberSolution",
     "Solution",
     "TaskMoments",
+    "by_run",
+    "check_symmetric",
+    "member_runs",
     "solve_dual_system",
 ]
 
@@ -237,6 +245,42 @@ def _costs(C) -> tuple[np.ndarray, bool]:
     return costs.reshape(-1), costs.ndim == 0
 
 
+def member_runs(shared, B: int) -> list[tuple[slice, object]]:
+    """The runs of consecutive members that hold one object, as (members, object) pairs.
+
+    `shared` is one object that all B members hold, or a tuple with each
+    member's, in which members holding the same object (by identity) and
+    following one another form a run.
+    """
+    if not isinstance(shared, tuple):
+        return [(slice(0, B), shared)]
+    if len(shared) != B:
+        raise ValueError(f"{len(shared)} per-member objects for {B} members")
+    runs, start = [], 0
+    for b in range(1, B + 1):
+        if b == B or shared[b] is not shared[start]:
+            runs.append((slice(start, b), shared[start]))
+            start = b
+    return runs
+
+
+def by_run(runs: list, fn) -> np.ndarray:
+    """fn(members, object) for each run of `member_runs`, joined along the member axis.
+
+    Each run's result is written into the joined array as it comes, so no
+    more than one of them is held beside it.
+    """
+    first = fn(*runs[0])
+    if len(runs) == 1:
+        return first
+    out = np.empty((runs[-1][0].stop,) + first.shape[1:])
+    out[runs[0][0]] = first
+    del first
+    for members, shared in runs[1:]:
+        out[members] = fn(members, shared)
+    return out
+
+
 def _check(blocks: Blocks, m: int, costs: np.ndarray) -> None:
     """The checks every solve makes on its arguments."""
     if not isinstance(blocks, Blocks):
@@ -248,11 +292,11 @@ def _check(blocks: Blocks, m: int, costs: np.ndarray) -> None:
         raise ValueError(f"C must be positive and finite, got {bad[0]}")
 
 
-def _members(Q, key):
-    """The members of a structured Q that `key` selects; `None` makes a lone Q its one member."""
+def _lifted(Q):
+    """A lone structured Q as its one member: its arrays with a member axis of length one."""
     if isinstance(Q, FeatureGram):
-        return FeatureGram(Q.features[key])
-    return replace(Q, task_vectors=np.asarray(Q.task_vectors, dtype=float)[key])
+        return FeatureGram(Q.features[None])
+    return replace(Q, task_vectors=np.asarray(Q.task_vectors, dtype=float)[None])
 
 
 def _one(solution: MemberSolution) -> Solution:
@@ -346,23 +390,29 @@ class KroneckerGram:
     """Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j, never formed.
 
     `task_vectors` is T x K (B x T x K for members) and `moments` the
-    `TaskMoments` of the m x d inputs, every task a block of the system.
-    Feature k*d + i of sample j is u_t(j),k x_j,i. It is always solved as
-    the centered ridge.
+    `TaskMoments` of the m x d inputs, every task a block of the system,
+    or for members a tuple with each member's (`member_runs`). Feature
+    k*d + i of sample j is u_t(j),k x_j,i. It is always solved as the
+    centered ridge.
     """
 
     task_vectors: np.ndarray
-    moments: TaskMoments
+    moments: TaskMoments | tuple[TaskMoments, ...]
 
     def check(self, blocks: Blocks) -> None:
+        """Checks the members' form: task vectors B x T x K."""
         if len(blocks.groups) != 1:
             raise ValueError("a KroneckerGram system has a single group")
         T = self.task_vectors.shape[-2]
-        if len(blocks) != T or self.moments.blocks != blocks:
-            raise ValueError(
-                f"inconsistent system shapes: {T} task vectors, moments of blocks "
-                f"{list(self.moments.blocks)}, system blocks {list(blocks)}"
-            )
+        runs = member_runs(self.moments, len(self.task_vectors))
+        d = runs[0][1].inputs.shape[1]
+        for _, moments in runs:
+            if len(blocks) != T or moments.blocks != blocks or moments.inputs.shape[1] != d:
+                raise ValueError(
+                    f"inconsistent system shapes: {T} task vectors, moments of blocks "
+                    f"{list(moments.blocks)} and {moments.inputs.shape[1]} features, "
+                    f"system blocks {list(blocks)}"
+                )
 
 
 _STRIP = 128  # rows per strip of the passes over a Gram's triangles
@@ -370,13 +420,24 @@ _UPPER = ~np.tri(_STRIP, k=-1, dtype=bool)  # the upper triangle of a diagonal t
 _STRICT_UPPER = ~np.tri(_STRIP, dtype=bool)
 
 
+def check_symmetric(G: np.ndarray) -> None:
+    """Raise ValueError unless the square float64 array G equals its transpose bit for bit."""
+    m = G.shape[0]
+    bits = G.view(np.int64)
+    for r0 in range(0, m, _STRIP):
+        r1 = min(r0 + _STRIP, m)
+        if not np.array_equal(bits[r0:r1, r0:], bits[r0:, r0:r1].T):
+            raise ValueError("the Gram of a CoherenceGram must be exactly symmetric")
+
+
 @dataclass(frozen=True)
 class CoherenceGram:
     """Q_jp = <u_t(j), u_t(p)> G_jp: the task coherence times an m x m kernel Gram G.
 
-    `task_vectors` is T x K (B x T x K for members, who share G), every
-    task a block of the system. This is the shared step's system matrix
-    for a kernel without a finite feature map.
+    `task_vectors` is T x K (B x T x K for members), every task a block of
+    the system, and `gram` is G, or for members a tuple with each member's
+    G (`member_runs`). This is the shared step's system matrix for a
+    kernel without a finite feature map.
 
     G is the dense solve's workspace, so it must be an exactly symmetric,
     writable, C-contiguous float64 array, as `kernels.gram` returns it.
@@ -385,35 +446,36 @@ class CoherenceGram:
     diagonal from a saved copy, also when the solve raises. The caller
     gets G back bit for bit, and no m x m array is held beside it. The
     residual goes through `matvec` on the restored G: G (U o v) summed
-    against U row by row.
+    against U row by row. Every solve compares G's triangles
+    (`check_symmetric`), unless `symmetric` says that the caller has: a
+    fit compares each of its Grams once, when it builds it.
     """
 
     task_vectors: np.ndarray
-    gram: np.ndarray
+    gram: np.ndarray | tuple[np.ndarray, ...]
+    symmetric: bool = False
 
     def check(self, blocks: Blocks) -> None:
-        T, m, G = self.task_vectors.shape[-2], blocks.m, self.gram
+        """Checks the members' form: task vectors B x T x K."""
+        T, m = self.task_vectors.shape[-2], blocks.m
         if len(blocks.groups) != 1:
             raise ValueError("a CoherenceGram system has a single group")
-        if not (
-            isinstance(G, np.ndarray) and G.dtype == np.float64
-            and G.flags.c_contiguous and G.flags.writeable
-        ):
-            raise ValueError(
-                "the Gram of a CoherenceGram is the solve's workspace: "
-                "it must be a writable, C-contiguous float64 array"
-            )
-        if len(blocks) != T or G.shape != (m, m):
-            raise ValueError(
-                f"inconsistent system shapes: {T} task vectors, Gram {G.shape}, "
-                f"system blocks {list(blocks)}"
-            )
-        # the restore copies the lower triangle over the upper one
-        bits = G.view(np.int64)
-        for r0 in range(0, m, _STRIP):
-            r1 = min(r0 + _STRIP, m)
-            if not np.array_equal(bits[r0:r1, r0:], bits[r0:, r0:r1].T):
-                raise ValueError("the Gram of a CoherenceGram must be exactly symmetric")
+        for _, G in member_runs(self.gram, len(self.task_vectors)):
+            if not (
+                isinstance(G, np.ndarray) and G.dtype == np.float64
+                and G.flags.c_contiguous and G.flags.writeable
+            ):
+                raise ValueError(
+                    "the Gram of a CoherenceGram is the solve's workspace: "
+                    "it must be a writable, C-contiguous float64 array"
+                )
+            if len(blocks) != T or G.shape != (m, m):
+                raise ValueError(
+                    f"inconsistent system shapes: {T} task vectors, Gram {G.shape}, "
+                    f"system blocks {list(blocks)}"
+                )
+            if not self.symmetric:  # the restore copies the lower triangle over the upper one
+                check_symmetric(G)
 
     @contextmanager
     def factored(self, blocks: Blocks, shift: float):
@@ -497,42 +559,57 @@ def _columns_times(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _KroneckerFeatures:
-    """The ridge operations of members' KroneckerGrams, from per-task sums (one group)."""
+    """The ridge operations of members' KroneckerGrams, from per-task sums (one group).
+
+    Each operation runs once per run of members that share their moments,
+    in the form it takes for members on one dataset.
+    """
 
     def __init__(self, Q: KroneckerGram, blocks: Blocks) -> None:
         Q.check(blocks)
         self.task_vectors = Q.task_vectors  # B x T x K
-        self.moments = Q.moments
-        self.X = Q.moments.inputs
+        self.runs = member_runs(Q.moments, len(Q.task_vectors))
+        self.m, self.d = self.runs[0][1].inputs.shape
         self.sample_vectors = Q.task_vectors.take(blocks.of, axis=1)  # B x m x K
-        self.width = Q.task_vectors.shape[2] * self.X.shape[1]
+        self.width = Q.task_vectors.shape[2] * self.d
 
     def grams(self) -> list[np.ndarray]:
         U = self.task_vectors
         B, T, K = U.shape
-        d = self.X.shape[1]
+        d = self.d
         outer = (U[:, :, :, None] * U[:, :, None, :]).reshape(B, T, K * K)
         # the S_t held at once never outgrow Phi and its centered copy, the
         # two m x dK arrays that the explicit form of this ridge would hold
-        H = self.moments.weighted_scatter(outer, 2 * self.X.shape[0] * K * d).reshape(B, K, K, d, d)
-        return [H.transpose(0, 1, 3, 2, 4).reshape(B, K * d, K * d)]
+        budget = 2 * self.m * K * d
+
+        # entry (k*d + i, l*d + j) of a member's Gram is row (k, l), column
+        # (i, j) of its weighted sum; each member's Gram is laid out in
+        # Fortran order, as LAPACK factors it in place
+        def run(own: slice, moments: TaskMoments) -> np.ndarray:
+            H = moments.weighted_scatter(outer[own], budget).reshape(-1, K, K, d, d)
+            return H.transpose(0, 2, 4, 1, 3).reshape(-1, K * d, K * d)
+
+        return [np.swapaxes(by_run(self.runs, run), 1, 2)]
 
     def rmatvec(self, v: np.ndarray) -> list:
         # Phi^T v = sum_j v_j u_t(j) kron x_j
         weighted = np.swapaxes(self.sample_vectors * v[:, :, None], 1, 2)
-        return [(weighted @ self.X).reshape(len(v), -1)]
+        return [by_run(self.runs, lambda own, moments: weighted[own] @ moments.inputs).reshape(len(v), -1)]
 
     def rhs(self, h_c: np.ndarray, g: np.ndarray, inv_c: np.ndarray) -> list:
         # Phi~^T h~ equals Phi^T h~ for a block-centered h~, and
         # Phi_bar^T g = sum_t g_t u_t kron x_bar_t
         (out,) = self.rmatvec(h_c)
-        bar = np.swapaxes(self.task_vectors * g[:, :, None], 1, 2) @ self.moments.means
+        weighted = np.swapaxes(self.task_vectors * g[:, :, None], 1, 2)
+        bar = by_run(self.runs, lambda own, moments: weighted[own] @ moments.means)
         return [out + inv_c[:, None] * bar.reshape(len(g), -1)]
 
     def matvec(self, weights: list) -> np.ndarray:
         (w,) = weights
-        W = w.reshape(len(w), self.sample_vectors.shape[2], -1)
-        return np.einsum("bjk,bjk->bj", self.X @ np.swapaxes(W, 1, 2), self.sample_vectors)
+        W = np.swapaxes(w.reshape(len(w), self.sample_vectors.shape[2], -1), 1, 2)
+        return by_run(self.runs, lambda own, moments: np.einsum(
+            "bjk,bjk->bj", moments.inputs @ W[own], self.sample_vectors[own]
+        ))
 
 
 @cache
@@ -573,7 +650,8 @@ def _refined(
     """Residual of the saddle system at (biases, duals), one refinement step, and the check.
 
     Every array carries the member axis first: `inv_c` holds each member's
-    1/C, `biases` is B x T and `duals` B x m. `apply_q(v)` is Q v for the
+    1/C, `biases` is B x T and `duals` B x m; `y` is one vector for every
+    member or B x m, and each member's bounds are its own. `apply_q(v)` is Q v for the
     original Q and `solve(g, h)` solves the saddle system for the
     right-hand side [g; h] with the form's factors, member by member.
     A group that misses its bound at the first solution takes the values
@@ -590,7 +668,7 @@ def _refined(
     w did not, which take Phi_g^T alpha_g instead, and `errors` holding
     each member's SolverError for its lowest failing group, or None.
     """
-    bounds = RESIDUAL_RTOL * (1.0 + np.sqrt(np.add.reduceat(y * y, blocks.group_starts)))
+    bounds = RESIDUAL_RTOL * (1.0 + np.sqrt(np.add.reduceat(y * y, blocks.group_starts, axis=-1)))
 
     def saddle_residuals(b: np.ndarray, alpha: np.ndarray, q_alpha: np.ndarray):
         return blocks.sums(alpha, axis=1), b.take(blocks.of, axis=1) + q_alpha + inv_c[:, None] * alpha - y
@@ -624,7 +702,8 @@ def _refined(
         g = int(np.argmax(failed[member]))
         residual = residuals[member, g]
         if np.isfinite(residual):
-            message = f"dual system solve residual {residual:.3e} exceeds {bounds[g]:.3e}; decrease C"
+            bound = (bounds[member] if bounds.ndim == 2 else bounds)[g]
+            message = f"dual system solve residual {residual:.3e} exceeds {bound:.3e}; decrease C"
         else:  # C cannot mend a system with a non-finite entry in Q or y
             message = f"dual system has non-finite entries (solve residual {residual:.3e})"
         errors[member] = SolverError(message, g)
@@ -642,8 +721,9 @@ def solve_dual_system(
     A FeatureGram and a KroneckerGram are solved as the centered ridge, a
     CoherenceGram and a dense Q in the dense form with a Schur complement.
     A 1-D array C solves a structured Q's members (see the module
-    docstring) and returns a `MemberSolution`, with each member's
-    SolverError in its `errors`. One cost C solves a lone system, a
+    docstring), on one y or on B x m targets, and returns a
+    `MemberSolution`, with each member's SolverError in its `errors`.
+    One cost C solves a lone system, a
     structured Q as its one member, and returns a `Solution` (biases,
     duals, residual, weights); it raises SolverError if Q + I/C is not
     positive definite or a group's residual exceeds RESIDUAL_RTOL *
@@ -652,12 +732,16 @@ def solve_dual_system(
     inconsistent shapes or a C that is not positive and finite.
     """
     y = np.asarray(y, dtype=float)
-    m = y.shape[0]
+    if y.ndim not in (1, 2):
+        raise ValueError(f"y must be a vector or one per member, got shape {y.shape}")
+    m = y.shape[-1]
     costs, lone = _costs(C)
     _check(blocks, m, costs)
+    if y.ndim == 2 and (lone or len(y) != len(costs) or not isinstance(Q, (FeatureGram, KroneckerGram, CoherenceGram))):
+        raise ValueError(f"targets of shape {y.shape} are one per member of a structured Q, got {len(costs)} costs")
     if isinstance(Q, (FeatureGram, KroneckerGram, CoherenceGram)):
         if lone:
-            Q = _members(Q, None)
+            Q = _lifted(Q)
         stack = Q.features if isinstance(Q, FeatureGram) else Q.task_vectors
         if stack.ndim != 3 or len(stack) != len(costs) or (isinstance(Q, FeatureGram) and stack.shape[1] != m):
             raise ValueError(f"inconsistent system shapes: member arrays {stack.shape}, {len(costs)} costs, y {m}")
@@ -681,20 +765,21 @@ def solve_dual_system(
 
 
 def _solve_coherence(blocks: Blocks, Q: CoherenceGram, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
-    """A CoherenceGram's members, one dense solve after another in the shared Gram."""
+    """A CoherenceGram's members, one dense solve after another, each in its own Gram."""
     Q.check(blocks)
     B, m = len(costs), blocks.m
     biases, duals = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan)
     residual = np.full(B, np.nan)
     errors = [None] * B
-    for b, cost in enumerate(costs.tolist()):
-        member = _members(Q, b)
+    grams = [G for own, G in member_runs(Q.gram, B) for _ in range(own.start, own.stop)]
+    for b, (cost, G) in enumerate(zip(costs.tolist(), grams)):
+        member = CoherenceGram(np.asarray(Q.task_vectors, dtype=float)[b], G)
         inv_c = 1.0 / cost
         try:
             biases[b], duals[b], residual[b], _ = _solve_dense(
                 blocks,
                 lambda: member.factored(blocks, inv_c),
-                y,
+                y if y.ndim == 1 else y[b],
                 inv_c,
                 lambda v: member.matvec(blocks, v),
             )
@@ -773,15 +858,28 @@ def _solve_features(
     factorization fails keeps the error of its lowest failing group and
     solves with NaN factors, to NaN rows.
     """
-    B = len(costs)
     kronecker = isinstance(Q, KroneckerGram)
     features = _KroneckerFeatures(Q, blocks) if kronecker else _MatrixFeatures(Q.features, blocks)
     inv_c = 1.0 / costs
+    factors, errors = _factored(features, inv_c, len(blocks.groups))
+    solution = _solve_ridge(blocks, features, factors, y, inv_c, kronecker)
+    return solution._replace(errors=tuple(own or got for own, got in zip(errors, solution.errors)))
 
+
+def _factored(features, inv_c: np.ndarray, n_groups: int) -> tuple[list, list]:
+    """Each member's Cholesky factor of every group's Phi~^T Phi~ + I/C (`factors[b][g]`), and its failure.
+
+    A member whose factorization fails gets the error of its lowest
+    failing group and NaN factors. A member's Gram laid out in Fortran
+    order is factored in place, any other in a copy.
+    """
+    B = len(inv_c)
     errors: list[SolverError | None] = [None] * B
     factors: list[list] = [[] for _ in range(B)]
     for group, H in enumerate(features.grams()):
-        H.reshape(B, -1)[:, :: H.shape[-1] + 1] += inv_c[:, None]
+        # a member's diagonal is that of its transpose, which is C-ordered for a Fortran-ordered Gram
+        rows = H if H.flags.c_contiguous else np.swapaxes(H, 1, 2)
+        rows.reshape(B, -1)[:, :: H.shape[-1] + 1] += inv_c[:, None]
         for b in range(B):
             if errors[b] is None:
                 # Non-finite entries fail the factorization or the final residual check.
@@ -792,9 +890,8 @@ def _solve_features(
     nan = np.full((features.width, features.width), np.nan)
     for b, error in enumerate(errors):
         if error is not None:  # its solve gives NaN rows
-            factors[b] = [nan] * len(blocks.groups)
-    solution = _solve_ridge(blocks, features, factors, y, inv_c, kronecker)
-    return solution._replace(errors=tuple(own or got for own, got in zip(errors, solution.errors)))
+            factors[b] = [nan] * n_groups
+    return factors, errors
 
 
 def _solve_ridge(blocks: Blocks, features, factors: list, y: np.ndarray, inv_c: np.ndarray, kronecker: bool):
@@ -812,9 +909,8 @@ def _solve_ridge(blocks: Blocks, features, factors: list, y: np.ndarray, inv_c: 
         b = blocks.means(h - fitted, axis=1) - inv_c[:, None] * g / blocks.sizes
         return b, (h - b.take(blocks.of, axis=1) - fitted) / inv_c[:, None], weights, fitted
 
-    biases, duals, weights, fitted = solve_with_weights(
-        np.zeros((B, len(blocks))), np.repeat(y[None], B, axis=0)
-    )
+    targets = y if y.ndim == 2 else np.repeat(y[None], B, axis=0)
+    biases, duals, weights, fitted = solve_with_weights(np.zeros((B, len(blocks))), targets)
     biases, duals, residual, replaced, errors = _refined(
         blocks, y, inv_c, lambda v: features.matvec(features.rmatvec(v)),
         lambda g, h: solve_with_weights(g, h)[:2], biases, duals, kronecker, fitted,

@@ -69,18 +69,20 @@ class SharedFactor:
     the residual bound, or from arrays a `TrainedModel` has just validated.
     Inside a fit of several members (`solver.fit_many`), `duals`,
     `task_vector_snapshot` and `explicit` carry a leading member axis, and
-    `shared_projection` projects through every member at once.
+    `shared_projection` projects through every member at once. Members on
+    several datasets hold a tuple of their frozen `train_inputs`, one per
+    member, and are projected dataset by dataset.
     """
 
     duals: np.ndarray
     task_vector_snapshot: np.ndarray
-    train_inputs: np.ndarray
+    train_inputs: np.ndarray | tuple[np.ndarray, ...]
     task_ids: np.ndarray
     explicit: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         for arr in (self.duals, self.task_vector_snapshot, self.train_inputs, self.task_ids, self.explicit):
-            if arr is not None:
+            if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
 
     @cached_property

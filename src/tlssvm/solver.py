@@ -20,8 +20,9 @@ assembled without forming Phi); every other shared step, RBF or linear
 with dK > m, hands over a CoherenceGram: the task vectors with the fit's
 kernel Gram G (X X^T for the linear kernel), Q being their coherence
 times G. `fit` builds G once with `kernels.gram`, which symmetrizes it in
-place, and the solver factors Q + I/C in G's upper triangle and restores
-G, so such a fit holds one m x m array in all.
+place, and compares its triangles once (`linsys.check_symmetric`), and
+the solver factors Q + I/C in G's upper triangle and restores G, so such
+a fit holds one m x m array in all.
 
 A ridge solve's primal weights w are the step's result: a mode row is its
 w, and the linear shared factor's explicit d x K matrix is w reshaped, not
@@ -55,21 +56,35 @@ and the per-task input moments, which a linear shared step computes on
 first use. Inside a fit the factors stay plain matrices; they are
 validated once, when the fit returns.
 
-`fit_many` fits B members in lockstep: fits that share the data, rank,
-kernel, seed, `max_iters` and `tol` and differ only in the cost C, as a
-cross-validation cell's costs do on one fold. Every array of the
-alternation carries a leading member axis: the factor matrices are
-B x T_n x K, the biases B x T, the predictions B x m, the shared record's
-duals, task vectors and explicit matrix B x m, B x T x K and B x d x K.
-This is the one shape of the step functions: they take such stacks with
-a 1-D array of costs, and each solve passes them on to `linsys` as one
-system of B members, which keeps every member's arithmetic that of a
-solve of its own; a step returns each member's SolverError instead of
-raising it. The trace's objectives and factor changes are computed for
-all members at once. A member leaves the batch when it converges or a
-step fails for it, so every member's FitState, or error, equals that of
-its lone fit bit for bit. `fit` is `fit_many` with the one cost
-`config.C`: there is a single code path.
+`fit_many` fits B members in lockstep. A member is a (dataset, cost)
+pair, and the members share the rank, kernel, seed, `max_iters` and
+`tol`: a cross-validation cell's costs on every training fold of one
+block structure. Datasets may share an alternation when they have the
+same grid, the same number of samples in every task and the same number
+of features, so that every `linsys.Blocks` and mode layout is theirs in
+common; `kfold_split` gives such folds in runs, one run per structure.
+Every array of the alternation carries a leading member axis: the factor
+matrices are B x T_n x K, the biases B x T, the predictions B x m, the
+shared record's duals, task vectors and explicit matrix B x m, B x T x K
+and B x d x K, and the targets B x m when the members fit several
+datasets. What is as large as the data or larger is kept once per dataset
+and shared by its members, never copied per member: a step takes one
+dataset (and Gram) for all members, or a tuple with each member's, and
+the operations that read a dataset's inputs, moments or Gram run once per
+run of members on it. This is the one shape of the step functions: they
+take such stacks with a 1-D array of costs, and each solve passes them on
+to `linsys` as one system of B members, which keeps every member's
+arithmetic that of a solve of its own; a step returns each member's
+SolverError instead of raising it. The trace's objectives and factor
+changes are computed for all members at once. A member leaves the batch
+when it converges or a step fails for it, so every member's FitState, or
+error, equals that of its lone fit bit for bit. `fit` is `fit_many` with
+one dataset and the one cost `config.C`: there is a single code path.
+
+The memory this costs: a lockstep whose shared steps solve a
+CoherenceGram (an RBF grid, or a linear one with dK > m) holds the m x m
+Gram of every dataset in it at once, F Grams for F folds of one
+structure, where fitting the folds one by one holds one at a time.
 """
 
 from __future__ import annotations
@@ -82,7 +97,15 @@ import numpy as np
 from .data import ModeLayout, MtlDataset
 from .errors import ConfigError, SolverError, config_object, positive, whole
 from .kernels import KernelSpec, gram
-from .linsys import CoherenceGram, FeatureGram, KroneckerGram, solve_dual_system
+from .linsys import (
+    CoherenceGram,
+    FeatureGram,
+    KroneckerGram,
+    by_run,
+    check_symmetric,
+    member_runs,
+    solve_dual_system,
+)
 from .model import SharedFactor, dual_weights, shared_projection, task_predictions
 from .taskgrid import ModeFactors, TaskGrid, row_product_table
 
@@ -180,6 +203,48 @@ def _factor_mats(data: MtlDataset, mats) -> tuple[np.ndarray, ...]:
     return mats
 
 
+def _check_structure(datasets) -> None:
+    """Raise ValueError unless the datasets share the grid, the per-task sample counts and the feature count."""
+    first = datasets[0]
+    for other in datasets[1:]:
+        if (other.grid, other.task_sizes, other.n_features) != (first.grid, first.task_sizes, first.n_features):
+            raise ValueError(
+                "datasets share a lockstep only on one grid, with the same samples per task and features: "
+                f"got task sizes {first.task_sizes} and {other.task_sizes} on grids "
+                f"{first.grid.mode_sizes} and {other.grid.mode_sizes}, {first.n_features} and "
+                f"{other.n_features} features"
+            )
+
+
+def _dataset_runs(data, B: int) -> list[tuple[slice, MtlDataset]]:
+    """The runs of members on one dataset (`linsys.member_runs`), checked to share one block structure.
+
+    `data` is the dataset of all B members, or a tuple with each member's.
+    """
+    runs = member_runs(data, B)
+    _check_structure([dataset for _, dataset in runs])
+    runs[0][1].require_nonempty_tasks()
+    return runs
+
+
+def _per_member(runs, of):
+    """`of(dataset)` for the members: one value when they share a dataset, else a tuple with each member's."""
+    if len(runs) == 1:
+        return of(runs[0][1])
+    return tuple(value for own, dataset in runs for value in [of(dataset)] * (own.stop - own.start))
+
+
+def _member_targets(runs, of) -> np.ndarray:
+    """The members' targets `of(dataset)`: one vector when they share a dataset, else stacked B x m."""
+    y = _per_member(runs, of)
+    return np.stack(y) if isinstance(y, tuple) else y
+
+
+def _first(data) -> MtlDataset:
+    """The first member's dataset, whose grid and block structure every member shares."""
+    return data[0] if isinstance(data, tuple) else data
+
+
 def _member_costs(C) -> np.ndarray:
     """A step's costs, which must be a 1-D array (one per member)."""
     costs = np.asarray(C, dtype=float)
@@ -205,64 +270,76 @@ def _kronecker_ridge(kernel: KernelSpec, data: MtlDataset, K: int) -> bool:
 
 
 def solve_shared_step(
-    data: MtlDataset,
+    data: MtlDataset | tuple[MtlDataset, ...],
     factors: tuple[np.ndarray, ...],
     kernel: KernelSpec,
     C: np.ndarray,
-    gram_matrix: np.ndarray | None = None,
+    gram_matrix: np.ndarray | tuple[np.ndarray, ...] | None = None,
 ) -> SharedStepResult:
     """Exactly minimize over the shared factor, biases, and residuals of B members.
 
-    `factors` are the members' factor matrices, stacked B x T_n x K, and
-    C their 1-D array of costs. This is where the step's form is chosen.
-    A linear kernel with dK <= m solves Q = Phi Phi^T for the features
-    Phi_j = u_t(j) kron x_j as a KroneckerGram over the dataset's per-task
-    moments: the dK x dK ridge. Every other step solves a CoherenceGram:
-    the task vectors with `gram_matrix`, the kernel Gram of the stacked
-    inputs, which such a step requires; the members share it and get it
-    back bit for bit. The updated shared factors are returned as one
-    `model.SharedFactor` over the data's stacked inputs and sample tasks:
-    in dual form, plus for the linear kernel the explicit matrices: the
-    ridge weights w in Kronecker order (feature k*d + i is u_k x_i), or
-    X^T (alpha o U) for dK > m or when w misses the residual bound with
-    the refined duals (see `linsys._solve_features`). The record, biases
-    and residuals carry the member axis, and `errors` holds each member's
-    SolverError, or None.
+    `factors` are the members' factor matrices, stacked B x T_n x K, and C
+    their 1-D array of costs. `data` is the dataset of every member, or a
+    tuple with each member's, datasets that share one block structure (see
+    `fit_many`). This is where the step's form is chosen. A linear kernel with
+    dK <= m solves Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j as a
+    KroneckerGram over each dataset's per-task moments: the dK x dK ridge.
+    Every other step solves a CoherenceGram: the task vectors with
+    `gram_matrix`, the kernel Gram of the stacked inputs, which such a step
+    requires: one for every member, or a tuple with each member's, following
+    `data`. The members of a dataset share its Gram and get it back bit for
+    bit. A Gram must be exactly symmetric, as `kernels.gram` returns it; the
+    step does not compare its triangles, since a fit compares them once, when
+    it builds the Gram. The updated shared factors are returned as one
+    `model.SharedFactor` over the data's stacked inputs and sample tasks: in
+    dual form, plus for the linear kernel the explicit matrices: the ridge
+    weights w in Kronecker order (feature k*d + i is u_k x_i), or
+    X^T (alpha o U) for dK > m or when w misses the residual bound with the
+    refined duals (see `linsys._solve_features`). The record, biases and residuals carry the
+    member axis, and `errors` holds each member's SolverError, or None.
     """
-    data.require_nonempty_tasks()
     costs = _member_costs(C)
-    plan = data.fit_plan
-    y = data.stacked_targets()
-    X = data.stacked_inputs()
-    tid = data.sample_task_ids()
-    u_table = row_product_table(_factor_mats(data, factors), data.grid.mode_indices)
+    runs = _dataset_runs(data, len(costs))
+    first = runs[0][1]
+    plan = first.fit_plan
+    y = _member_targets(runs, MtlDataset.stacked_targets)
+    tid = first.sample_task_ids()
+    u_table = row_product_table(_factor_mats(first, factors), first.grid.mode_indices)
     K = u_table.shape[-1]
     explicit = None
-    if _kronecker_ridge(kernel, data, K):
-        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, plan.moments), y, costs)
+    if _kronecker_ridge(kernel, first, K):
+        moments = _per_member(runs, lambda dataset: dataset.fit_plan.moments)
+        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, moments), y, costs)
         weights = solution.weights[..., 0, :]
         explicit = np.ascontiguousarray(np.swapaxes(weights.reshape(weights.shape[:-1] + (K, -1)), -1, -2))
     else:
         if gram_matrix is None:
             raise ValueError("this shared step solves through the kernel Gram: gram_matrix is required")
-        solution = solve_dual_system(plan.shared, CoherenceGram(u_table, gram_matrix), y, costs)
+        if [own for own, _ in member_runs(gram_matrix, len(costs))] != [own for own, _ in runs]:
+            raise ValueError("the members' Grams must follow their datasets, one Gram per dataset")
+        Q = CoherenceGram(u_table, gram_matrix, symmetric=True)
+        solution = solve_dual_system(plan.shared, Q, y, costs)
         if kernel.has_feature_map:
-            explicit = X.T @ dual_weights(solution.duals, u_table, tid)
+            weights = dual_weights(solution.duals, u_table, tid)
+            explicit = by_run(runs, lambda own, dataset: dataset.stacked_inputs().T @ weights[own])
     constraint = np.max(np.abs(plan.shared.sums(solution.duals, axis=-1)), axis=-1)
+    X = _per_member(runs, MtlDataset.stacked_inputs)
     shared = SharedFactor(solution.duals, u_table, X, tid, explicit)
     return SharedStepResult(shared, solution.biases, solution.residual, constraint, solution.errors)
 
 
 def reduced_features(
-    data: MtlDataset, factors: tuple[np.ndarray, ...], mode: int, projection: np.ndarray
+    data: MtlDataset | tuple[MtlDataset, ...], factors: tuple[np.ndarray, ...], mode: int, projection: np.ndarray
 ) -> np.ndarray:
     """B x m x K reduced features for one mode's row subproblems of B members.
 
     Each sample's row is its shared projection (`projection`, B x m x K:
     the training inputs through each member's shared factor)
     Hadamard-multiplied with the task's exclusion product over all other
-    modes, from the members' factor matrices stacked B x T_n x K.
+    modes, from the members' factor matrices stacked B x T_n x K. `data`
+    is as for `solve_shared_step`; only its grid and sample tasks are read.
     """
+    data = _first(data)
     mode = data.grid._check_mode(mode)
     excl = row_product_table(_factor_mats(data, factors), data.grid.mode_indices, mode)
     return projection * excl.take(data.sample_task_ids(), axis=-2)
@@ -272,7 +349,9 @@ def reduced_features(
 class ModeStepResult:
     """All rows of one mode, solved together for B members.
 
-    Arrays follow the layout's order after the member axis: `row_values`
+    `layout` is the mode's layout, whose tasks, samples and blocks every
+    member shares (its targets are the first member's). Arrays follow the
+    layout's order after the member axis: `row_values`
     is B x T_n x K, `biases` has one entry per task, `duals` one per
     sample; row r's tasks and samples are those of
     `layout.blocks.group_slices[r - 1]`. `system_residual` holds each
@@ -290,30 +369,36 @@ class ModeStepResult:
     errors: tuple[SolverError | None, ...]
 
 
-def solve_mode_row_step(data: MtlDataset, z: np.ndarray, mode: int, C: np.ndarray) -> ModeStepResult:
+def solve_mode_row_step(
+    data: MtlDataset | tuple[MtlDataset, ...], z: np.ndarray, mode: int, C: np.ndarray
+) -> ModeStepResult:
     """Exactly minimize over every row of one mode factor and all biases, for B members.
 
-    `z` holds the members' reduced features, stacked B x m x K, and C
-    their 1-D array of costs. Row r's subproblem involves only the tasks
-    whose mode index equals r; its system matrix is the Gram of their
-    reduced features Z_r. The rows are independent, so they go to the
-    solver as one FeatureGram of Z with the layout's Blocks (one group per
-    row), each row solved as its own K x K centered ridge, whatever its
-    sample count. Each row's values are the solver's primal weights for
-    its group: the ridge solution w, or Z_r^T alpha_r when w misses the
-    row's bound after a refinement step. A row whose features are all zero
-    (a fit that collapsed) has the exact solution 0, with its tasks'
-    biases at their target means. A member's SolverError is the solver's:
-    its `group` is the lowest failing row, less one.
+    `z` holds the members' reduced features, stacked B x m x K, and C their
+    1-D array of costs; `data` is as for `solve_shared_step`, and each
+    member's targets are those of its dataset's layout. Row r's subproblem
+    involves only the tasks whose mode index equals r; its system matrix is
+    the Gram of their reduced features Z_r. The rows are independent, so they
+    go to the solver as one FeatureGram of Z with the layout's Blocks (one
+    group per row), each row solved as its own K x K centered ridge, whatever
+    its sample count. Each row's values are the solver's primal weights for
+    its group: the ridge solution w, or Z_r^T alpha_r when w misses the row's
+    bound after a refinement step. A row whose features are all zero (a fit
+    that collapsed) has the exact solution 0, with its tasks' biases at their
+    target means. A member's SolverError is the solver's: its `group` is the
+    lowest failing row, less one.
     """
-    data.require_nonempty_tasks()
-    layout = data.fit_plan.layouts[data.grid._check_mode(mode) - 1]
+    index = _first(data).grid._check_mode(mode) - 1
+    costs = _member_costs(C)
+    runs = _dataset_runs(data, len(costs))
+    layout = runs[0][1].fit_plan.layouts[index]
     blocks = layout.blocks
     if np.ndim(z) != 3:
         raise ValueError(f"a row step takes its members' features stacked B x m x K, got shape {np.shape(z)}")
     # a gather along the sample axis that keeps each member's rows contiguous
     Z = np.take(np.asarray(z, dtype=float), layout.samples, axis=-2)
-    solution = solve_dual_system(blocks, FeatureGram(Z), layout.targets, _member_costs(C))
+    targets = _member_targets(runs, lambda dataset: dataset.fit_plan.layouts[index].targets)
+    solution = solve_dual_system(blocks, FeatureGram(Z), targets, costs)
     values = solution.weights
     task_sums = np.abs(blocks.sums(solution.duals, axis=-1)).reshape(values.shape[:-1] + (-1,))
     return ModeStepResult(
@@ -364,11 +449,24 @@ def _factor_change(new_mats, old_mats) -> np.ndarray:
     return total
 
 
+def _pick(value, key):
+    """The part of a per-member tuple that `key` (a mask, a slice or one member's index) selects.
+
+    Any other value is one object that all members share, and is returned as it is.
+    """
+    if not isinstance(value, tuple):
+        return value
+    if isinstance(key, np.ndarray):
+        return tuple(v for v, kept in zip(value, key.tolist()) if kept)
+    return value[key]
+
+
 def _member_record(shared: SharedFactor, key) -> SharedFactor:
-    """The record of the members that `key` (a mask, or one member's index) selects."""
+    """The record of the members that `key` (a mask, a slice or one member's index) selects."""
     explicit = None if shared.explicit is None else shared.explicit[key]
     return SharedFactor(
-        shared.duals[key], shared.task_vector_snapshot[key], shared.train_inputs, shared.task_ids, explicit
+        shared.duals[key], shared.task_vector_snapshot[key], _pick(shared.train_inputs, key), shared.task_ids,
+        explicit,
     )
 
 
@@ -376,12 +474,17 @@ class _Members:
     """The members of a `fit_many` still in its alternation.
 
     Arrays carry the member axis first; `index` holds each member's
-    position among the costs. `keep` drops the members that left.
+    position among the members. `data` and `grams` are the dataset and
+    Gram (or None) of every member, or tuples with each member's, as the
+    steps take them, and `y` their targets (B x m for several datasets).
+    `keep` drops the members that left.
     """
 
-    def __init__(self, costs: list[float], start: tuple[np.ndarray, ...], n_tasks: int, tid, y, m: int):
+    def __init__(self, costs: list[float], start: tuple[np.ndarray, ...], n_tasks: int, tid, data, grams):
         B = len(costs)
-        self.y, self.m = y, m
+        self.data, self.grams = data, grams
+        self.y = _member_targets(member_runs(data, B), MtlDataset.stacked_targets)
+        self.m = self.y.shape[-1]
         self.index = list(range(B))
         self.C = np.array(costs)
         self.factor_mats = [np.repeat(f[None], B, axis=0) for f in start]
@@ -403,7 +506,20 @@ class _Members:
         for trace, value, rmse in zip(self.traces, obj.tolist(), np.sqrt(sse / self.m).tolist()):
             trace.append(TraceEntry(iteration, step, value, rmse, None))
 
+    def project(self, kernel: KernelSpec) -> np.ndarray:
+        """The training inputs through the members' shared factors (`shared_projection`), dataset by dataset."""
+        runs = member_runs(self.data, len(self.index))
+
+        def run(own: slice, data: MtlDataset) -> np.ndarray:
+            shared = self.shared if len(runs) == 1 else _member_record(self.shared, own)
+            return shared_projection(shared, kernel, data.stacked_inputs(), _pick(self.grams, own.start))
+
+        return by_run(runs, run)
+
     def keep(self, mask: np.ndarray) -> None:
+        if self.y.ndim == 2:
+            self.y = self.y[mask]
+        self.data, self.grams = _pick(self.data, mask), _pick(self.grams, mask)
         for name in ("C", "biases", "yhat", "mode_norms", "pen_shared", "max_sys", "max_con", "projection"):
             value = getattr(self, name)
             if value is not None:
@@ -436,32 +552,53 @@ def _failure(message: str, cause: SolverError) -> SolverError:
     return error
 
 
-def fit_many(data: MtlDataset, config: FitConfig, costs) -> list[FitState | SolverError]:
-    """Fit one model per cost in lockstep, each equal to its lone `fit` bit for bit.
+def fit_many(data, config: FitConfig, costs) -> list:
+    """Fit one model per (dataset, cost) pair in lockstep, each equal to its lone `fit` bit for bit.
 
-    The members share the data and all of `config` but C: rank, kernel,
-    seed, `max_iters` and `tol`. They run one alternation, whose every
-    step solves all members still in it at once (see the module
+    `data` is one MtlDataset, or a sequence of datasets that share the
+    grid, the number of samples in each task and the number of features,
+    as the training folds of a cross-validation split do when every task's
+    sample count divides evenly. The members are every (dataset, cost)
+    pair, dataset by dataset, and share all of `config` but C: rank,
+    kernel, seed, `max_iters` and `tol`. They run one alternation, whose
+    every step solves all members still in it at once (see the module
     docstring). A member leaves when it converges or when a step fails for
     it. Returns, per cost in the order given, the member's FitState or the
-    SolverError its lone fit raises. `fit` is the case of one cost.
+    SolverError its lone fit raises: for one dataset that list, for a
+    sequence one such list per dataset. `fit` is the case of one dataset
+    and one cost. Raises ValueError for datasets that do not share one
+    block structure.
     """
     costs = [replace(config, C=cost).C for cost in costs]  # FitConfig checks each cost
     if not costs:
         raise ConfigError("fit_many needs at least one cost")
-    data.require_nonempty_tasks()
-    grid = data.grid
+    datasets = (data,) if isinstance(data, MtlDataset) else tuple(data)
+    if not datasets:
+        raise ConfigError("fit_many needs at least one dataset")
+    _check_structure(datasets)
+    first = datasets[0]
+    first.require_nonempty_tasks()
+    grid = first.grid
     kernel = config.kernel
-    y = data.stacked_targets()
-    X = data.stacked_inputs()
-    tid = data.sample_task_ids()
+    tid = first.sample_task_ids()
     mode_indices = grid.mode_indices
 
-    # Every shared step but the task-Kronecker ridge solves through the m x m Gram.
-    G = None if _kronecker_ridge(kernel, data, config.K) else gram(kernel, X)
+    # Every shared step but the task-Kronecker ridge solves through the
+    # m x m Gram of its dataset, whose triangles are compared here, once.
+    grams = None
+    if not _kronecker_ridge(kernel, first, config.K):
+        grams = tuple(gram(kernel, dataset.stacked_inputs()) for dataset in datasets)
+        for G in grams:
+            check_symmetric(G)
+    # the members' datasets and Grams: the one of each, or a tuple with each member's
+    if len(datasets) == 1:
+        member_data, member_grams = first, None if grams is None else grams[0]
+    else:
+        member_data = tuple(dataset for dataset in datasets for _ in costs)
+        member_grams = None if grams is None else tuple(G for G in grams for _ in costs)
     start = init_factors(grid, config.K, config.seed).factors
-    live = _Members(costs, start, grid.n_tasks, tid, y, data.n_samples)
-    outcomes: list[FitState | SolverError | None] = [None] * len(costs)
+    live = _Members(costs * len(datasets), start, grid.n_tasks, tid, member_data, member_grams)
+    outcomes: list[FitState | SolverError | None] = [None] * len(live.index)
 
     def leave(failures, where) -> np.ndarray:
         """Members whose failure is not None leave with it, located by `where`; the mask of the rest."""
@@ -484,7 +621,7 @@ def fit_many(data: MtlDataset, config: FitConfig, costs) -> list[FitState | Solv
         live.prev_mats = [f.copy() for f in live.factor_mats]
 
         try:
-            step = solve_shared_step(data, live.factor_mats, kernel, live.C, gram_matrix=G)
+            step = solve_shared_step(live.data, live.factor_mats, kernel, live.C, gram_matrix=live.grams)
         except SolverError as exc:
             failures = [exc] * len(live.index)
         else:
@@ -496,15 +633,15 @@ def fit_many(data: MtlDataset, config: FitConfig, costs) -> list[FitState | Solv
         leave(failures, lambda exc: _failure(f"iteration {it}, shared step: {exc}", exc))
         if not live.index:
             break
-        live.projection = shared_projection(live.shared, kernel, X, G)
+        live.projection = live.project(kernel)
         live.pen_shared = _shared_penalty(live.shared, live.projection)
         live.yhat = task_predictions(live.projection, live.shared.task_vector_snapshot, live.biases, tid)
         live.record(it, "shared")
 
         for mode in range(1, grid.n_modes + 1):
-            z = reduced_features(data, live.factor_mats, mode, live.projection)
+            z = reduced_features(live.data, live.factor_mats, mode, live.projection)
             try:
-                sweep = solve_mode_row_step(data, z, mode, live.C)
+                sweep = solve_mode_row_step(live.data, z, mode, live.C)
             except SolverError as exc:
                 failures = [exc] * len(live.index)
             else:
@@ -566,7 +703,9 @@ def fit_many(data: MtlDataset, config: FitConfig, costs) -> list[FitState | Solv
 
     for b, position in enumerate(live.index):
         outcomes[position] = live.state(b, False, config.max_iters)
-    return outcomes
+    if isinstance(data, MtlDataset):
+        return outcomes
+    return [outcomes[i : i + len(costs)] for i in range(0, len(outcomes), len(costs))]
 
 
 def fit(data: MtlDataset, config: FitConfig) -> FitState:

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from tlssvm import MtlDataset, TaskGrid
-from tlssvm.baseline import SingleTaskLssvm, query_inputs
+from tlssvm.baseline import SingleTaskLssvm, fit_independent, query_inputs
 from tlssvm.data import SyntheticSpec, generate_synthetic
-from tlssvm.errors import DataError, UnsupportedOperation
+from tlssvm.errors import DataError, UnsupportedOperation, positive
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import Blocks, CoherenceGram
 from tlssvm.model import SharedFactor, task_predictions
@@ -65,6 +65,25 @@ def predict_single(model: SingleTaskLssvm, x) -> float:
     x = query_inputs(x, 1, model.inputs.shape[1])
     k = gram(model.kernel, model.inputs, x[None, :])[:, 0]
     return float(model.duals @ k + model.bias)
+
+
+def fit_single(X, y, C: float, kernel: KernelSpec) -> SingleTaskLssvm:
+    """One task's LSSVM, as `fit_independent` fits it on a grid of one task: the single-task oracle.
+
+    Raises ValueError for bad or non-finite training blocks and ConfigError
+    unless C is a positive finite number.
+    """
+    C = positive(C, "C")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError(f"bad training block shapes: X {X.shape}, y {y.shape}")
+    if X.shape[0] < 1:
+        raise ValueError("need at least one training sample")
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"training {name} contains NaN or infinite values")
+    return fit_independent(MtlDataset(TaskGrid((1,)), (X,), (y,)), C, kernel).tasks[0]
 
 
 def coherence_dense(Q: CoherenceGram, blocks: Blocks, shift: float = 0.0) -> np.ndarray:

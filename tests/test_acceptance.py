@@ -18,7 +18,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tlssvm.baseline import fit_single
 from tlssvm.cli import _write_trace
 from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic
 from tlssvm.experiments import (
@@ -37,7 +36,7 @@ from tlssvm.realdata import load_student_performance
 from tlssvm.solver import FitConfig, fit, init_factors, solve_mode_row_step, solve_shared_step
 from tlssvm.taskgrid import ModeFactors, TaskGrid, delinearize
 
-from conftest import one_member, random_dataset, sweep_row
+from conftest import fit_single, one_member, random_dataset, sweep_row
 from test_solver import shared_step_normal_equations
 
 LINEAR = KernelSpec("linear")

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from tlssvm import baseline
-from tlssvm.baseline import LssvmModel, fit_independent, fit_single
+from tlssvm.baseline import LssvmModel, fit_independent
 from tlssvm.data import MtlDataset
 from tlssvm.errors import ConfigError, DataError, SolverError
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.model import load_model, save_model
 from tlssvm.taskgrid import TaskGrid, linearize
-from conftest import predict_single
+from conftest import fit_single, predict_single
 
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.5)

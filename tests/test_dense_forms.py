@@ -26,7 +26,8 @@ from tlssvm.linsys import (
 )
 from tlssvm import linsys, solver
 from tlssvm.errors import SolverError
-from tlssvm.solver import FitConfig, fit, init_factors, solve_shared_step
+from tlssvm.data import kfold_split
+from tlssvm.solver import FitConfig, fit, fit_many, init_factors, solve_shared_step
 from conftest import coherence_dense, one_member, random_dataset, saddle_oracle
 
 LINEAR = KernelSpec("linear")
@@ -190,6 +191,25 @@ class TestGramWorkspace:
         for G in (read_only, np.asfortranarray(Q.gram), single, Q.gram.tolist()):
             with pytest.raises(ValueError, match="writable, C-contiguous float64"):
                 solve_dual_system(blocks, CoherenceGram(Q.task_vectors, G), y, 10.0)
+
+    def test_a_fit_compares_each_grams_triangles_once(self, monkeypatch):
+        # when it builds the Gram: its shared steps, 3 per member here, trust it
+        compared = []
+
+        def counted(G):
+            compared.append(id(G))
+            real(G)
+
+        real = linsys.check_symmetric
+        monkeypatch.setattr(linsys, "check_symmetric", counted)
+        monkeypatch.setattr(solver, "check_symmetric", counted)
+        data = random_dataset(96, mode_sizes=(2, 2), d=3, m_t=9)
+        folds = [train for train, _ in kfold_split(data, 3, 0)]  # 6 samples per task each
+        config = FitConfig(K=2, C=1.0, kernel=RBF, max_iters=3, tol=1e-300)
+        fit(data, config)
+        assert len(compared) == 1
+        fit_many(folds, config, (0.1, 10.0))
+        assert len(compared) == 4 and len(set(compared[1:])) == 3
 
     def test_gram_must_be_exactly_symmetric(self):
         blocks, Q, y = self.system()

@@ -137,11 +137,12 @@ class TestRunCv:
         real_fit_many = experiments.fit_many
 
         def failing_at(cost):
-            # the tensor grid fits its costs in lockstep; the member at `cost` fails
-            def fit_many(data, config, costs):
-                states = real_fit_many(data, config, costs)
+            # the tensor grid fits its folds and costs in lockstep, one list of
+            # costs per fold; the members at `cost` fail
+            def fit_many(folds, config, costs):
+                fits = real_fit_many(folds, config, costs)
                 error = SolverError("dual system solve residual too large; decrease C")
-                return [error if c == cost else state for c, state in zip(costs, states)]
+                return [[error if c == cost else state for c, state in zip(costs, states)] for states in fits]
 
             return fit_many
 
@@ -151,8 +152,8 @@ class TestRunCv:
         assert [(cell.rank, cell.cost) for cell in failed] == [(1, 10.0), (2, 10.0)]
         assert result.best.cost == 1.0
 
-        def always_failing(data, config, costs):
-            return [SolverError("singular") for _ in costs]
+        def always_failing(folds, config, costs):
+            return [[SolverError("singular") for _ in costs] for _ in folds]
 
         monkeypatch.setattr(experiments, "fit_many", always_failing)
         with pytest.raises(SolverError, match="all 4 grid cells failed; first error: singular"):

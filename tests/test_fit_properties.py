@@ -5,11 +5,14 @@ SolverError that names the iteration and the failing step once. A fit on
 every sample twice is the fit at twice the cost, and a fit whose steps
 can interpolate meets the residual bound up to C = 1e8. Each member of a
 lockstep fit over several costs (`fit_many`) is its lone fit, bit for bit,
-error strings included.
+error strings included, and so is each (fold, cost) member of a lockstep
+over the training folds of a cross-validation split; `run_cv`'s cells are
+those of a grid search that fits every fold and cost alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import replace
 
@@ -20,10 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlssvm import solver
-from tlssvm.data import MtlDataset
+from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic, kfold_split
 from tlssvm.errors import SolverError
+from tlssvm.experiments import METHOD_TENSOR, CvCell, CvPlan, run_cv
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import RESIDUAL_RTOL
+from tlssvm.model import TrainedModel
 from tlssvm.solver import FitConfig, FitState, fit, fit_many
 from tlssvm.taskgrid import TaskGrid
 from conftest import snr10_dataset
@@ -252,3 +257,138 @@ def test_rbf_lockstep_gives_the_gram_back_after_every_step(monkeypatch):
     assert len(checks) == 3 * (1 + data.grid.n_modes) and all(checks)
     for cost, member in zip(costs, members):
         assert_same_outcome(member, fit(data, replace(config, C=cost)))
+
+
+@st.composite
+def fold_lockstep_fits(draw):
+    """Random grids whose task sizes split into folds of two or more block structures.
+
+    Task 1's sample count is never a multiple of the fold count, so
+    `kfold_split` gives its first folds one training sample less than the
+    others. Both kernels, ranks 1-3, 2-4 costs from 1e-3 to 1e6, tol 1e-3.
+    """
+    mode_sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    grid = TaskGrid(mode_sizes)
+    folds = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(folds, 3 * folds + 1, size=grid.n_tasks)
+    sizes[0] = folds * rng.integers(1, 3) + rng.integers(1, folds)
+    d = draw(st.sampled_from([2, 4, 9]))
+    data = MtlDataset(
+        grid,
+        tuple(rng.normal(size=(n, d)) for n in sizes),
+        tuple(rng.normal(size=n) for n in sizes),
+    )
+    exponents = draw(st.lists(st.floats(-3.0, 6.0), min_size=2, max_size=4, unique_by=lambda e: 10.0**e))
+    costs = tuple(10.0**e for e in exponents)
+    kernel = draw(st.sampled_from([KernelSpec("linear"), KernelSpec("rbf", gamma=0.5)]))
+    config = FitConfig(
+        K=draw(st.integers(1, 3)), C=1.0, kernel=kernel, max_iters=draw(st.integers(1, 12)),
+        tol=1e-3, seed=draw(st.integers(0, 9)),
+    )
+    return data, config, costs, folds, draw(st.integers(0, 99))
+
+
+def structure_runs(splits) -> list[list]:
+    """The training folds in runs of consecutive folds whose tasks have the same sizes."""
+    return [[train for train, _ in run] for _, run in itertools.groupby(splits, key=lambda s: s[0].task_sizes)]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(fold_lockstep_fits())
+def test_each_fold_lockstep_member_is_its_lone_fit(case):
+    data, config, costs, folds, split_seed = case
+    runs = structure_runs(kfold_split(data, folds, split_seed))
+    assert len(runs) >= 2
+    for trains in runs:
+        fits = fit_many(trains, config, costs)
+        assert len(fits) == len(trains)
+        for train, states in zip(trains, fits):
+            assert len(states) == len(costs)
+            for cost, member in zip(costs, states):
+                assert_same_outcome(member, lone_outcome(train, replace(config, C=cost)))
+
+
+def test_fit_many_takes_datasets_of_one_block_structure_only():
+    rng = np.random.default_rng(3)
+
+    def dataset(n, d):
+        inputs = tuple(rng.normal(size=(n, d)) for _ in range(4))
+        return MtlDataset(TaskGrid((2, 2)), inputs, tuple(rng.normal(size=n) for _ in range(4)))
+
+    one, more, wider = dataset(3, 2), dataset(4, 2), dataset(3, 3)
+    config = FitConfig(K=1, C=1.0, kernel=KernelSpec("linear"), max_iters=2)
+    for other in (more, wider):
+        with pytest.raises(ValueError, match="share a lockstep only"):
+            fit_many([one, other], config, (1.0,))
+    (states,) = fit_many([one], config, (1.0, 2.0))
+    for cost, member in zip((1.0, 2.0), states):
+        assert_same_outcome(member, fit(one, replace(config, C=cost)))
+
+
+def reference_cv_cells(data, plan: CvPlan, seed: int) -> list[CvCell]:
+    """The tensorized grid search fitted fold by fold and cost by cost, each fit alone and scored by its model.
+
+    A cell stops at its first failing fold and keeps that fold's error.
+    """
+    splits = kfold_split(data, plan.folds, seed)
+    gammas = sorted(plan.gammas) if plan.kernel_family == "rbf" else [None]
+    cells = []
+    for rank, cost, gamma in itertools.product(sorted(plan.ranks), sorted(plan.costs), gammas):
+        kernel = plan.kernel(gamma)
+        config = FitConfig(K=rank, C=cost, kernel=kernel, max_iters=plan.max_iters, tol=plan.tol, seed=seed)
+        rmses, error = [], None
+        for train, val in splits:
+            try:
+                state = fit(train, config)
+            except SolverError as exc:
+                error = str(exc)
+                break
+            predicted = np.concatenate(TrainedModel.from_fit(train, state, kernel).predict_dataset(val))
+            rmses.append(float(np.sqrt(np.mean((val.stacked_targets() - predicted) ** 2))))
+        if error is None:
+            cells.append(CvCell(rank, cost, gamma, tuple(rmses), float(np.mean(rmses))))
+        else:
+            cells.append(CvCell(rank, cost, gamma, None, None, error))
+    return cells
+
+
+def assert_cv_is_the_reference(data, plan: CvPlan, seed: int) -> None:
+    result = run_cv(data, METHOD_TENSOR, plan, seed)
+    expected = reference_cv_cells(data, plan, seed)
+    assert [cell.to_dict() for cell in result.cells] == [cell.to_dict() for cell in expected]
+    scored = [cell for cell in expected if cell.error is None]
+    assert result.best == min(scored, key=lambda cell: cell.mean_rmse)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(fold_lockstep_fits())
+def test_run_cv_cells_are_those_of_fold_by_fold_lone_fits(case):
+    data, config, costs, folds, split_seed = case
+    plan = CvPlan(
+        kernel_family=config.kernel.family, ranks=(config.K, config.K + 1), costs=costs,
+        gammas=(0.5,), folds=folds, max_iters=config.max_iters, tol=config.tol,
+    )
+    try:
+        assert_cv_is_the_reference(data, plan, split_seed)
+    except SolverError as exc:  # every cell failed: so does the reference
+        assert all(cell.error is not None for cell in reference_cv_cells(data, plan, split_seed)), str(exc)
+
+
+def test_a_cost_failing_on_middle_folds_keeps_its_first_failing_folds_error():
+    # 11 samples per task in 4 folds: folds 1-3 train on 8 samples per task
+    # and share one lockstep, fold 4 trains on 9. The linear fit at C=1e6
+    # fails on folds 2 and 3 alone, and at 3e5 on fold 2 alone.
+    spec = SyntheticSpec(d=6, mode_sizes=(2, 3), k_true=2, train_per_task=11, test_per_task=4, snr=10.0, seed=5)
+    train, _, _ = generate_synthetic(spec)
+    plan = CvPlan(kernel_family="linear", ranks=(2,), costs=(10.0, 3e5, 1e6), folds=4, max_iters=6, tol=1e-3)
+    splits = kfold_split(train, 4, 0)
+    assert [len(run) for run in structure_runs(splits)] == [3, 1]
+    config = FitConfig(K=2, C=1e6, kernel=KernelSpec("linear"), max_iters=6, tol=1e-3, seed=0)
+    lone = [lone_outcome(fold, config) for fold, _ in splits]
+    assert [isinstance(outcome, SolverError) for outcome in lone] == [False, True, True, False]
+    assert str(lone[1]) != str(lone[2])
+    result = run_cv(train, METHOD_TENSOR, plan, seed=0)
+    at_3e5 = lone_outcome(splits[1][0], replace(config, C=3e5))
+    assert [cell.error for cell in result.cells] == [None, str(at_3e5), str(lone[1])]
+    assert_cv_is_the_reference(train, plan, seed=0)

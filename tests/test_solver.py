@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlssvm import linsys, solver
-from tlssvm.baseline import fit_independent, fit_single
+from tlssvm.baseline import fit_independent
 from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic
 from tlssvm.errors import ConfigError, SolverError
 from tlssvm.experiments import CvPlan, fit_best, fit_method, run_cv
@@ -50,6 +50,7 @@ from conftest import (
     coslice_tasks,
     evaluate_objective,
     fit_config_dict,
+    fit_single,
     high_precision_saddle_solution,
     kernel_eval,
     one_member,
@@ -820,6 +821,27 @@ class TestKroneckerSharedStep:
         assert solve_shared_step(data, mats, LINEAR, costs).errors == (None,)
         assert solve_mode_row_step(data, z, 1, costs).errors == (None,)
 
+    def test_members_on_several_datasets_take_one_gram_each_and_one_block_structure(self):
+        a = random_dataset(92, mode_sizes=(2, 3), d=3, m_t=4)
+        b = random_dataset(93, mode_sizes=(2, 3), d=3, m_t=4)
+        rbf = KernelSpec("rbf", gamma=0.5)
+        G_a, G_b = gram(rbf, a.stacked_inputs()), gram(rbf, b.stacked_inputs())
+        mats = tuple(np.repeat(f[None], 2, axis=0) for f in init_factors(a.grid, 2, seed=92).factors)
+        costs = np.array([1.0, 10.0])
+        for grams in (G_a, (G_a, G_a), (G_b, G_b)):
+            with pytest.raises(ValueError, match="follow their datasets"):
+                solve_shared_step((a, b), mats, rbf, costs, gram_matrix=grams)
+        step = solve_shared_step((a, b), mats, rbf, costs, gram_matrix=(G_a, G_b))
+        assert step.errors == (None, None)
+        got, expected = step.shared.train_inputs, (a.stacked_inputs(), b.stacked_inputs())
+        assert len(got) == 2 and all(x is e for x, e in zip(got, expected))
+        longer = random_dataset(94, mode_sizes=(2, 3), d=3, m_t=5)
+        z = np.ones((2, a.n_samples, 2))
+        with pytest.raises(ValueError, match="share a lockstep only"):
+            solve_shared_step((a, longer), mats, LINEAR, costs)
+        with pytest.raises(ValueError, match="share a lockstep only"):
+            solve_mode_row_step((a, longer), z, 1, costs)
+
     def test_failed_solve_names_iteration_and_shared_step(self, monkeypatch):
         monkeypatch.setattr(
             linsys._KroneckerFeatures, "grams",
@@ -1418,6 +1440,65 @@ class TestMemberSolves:
         X, y = np.random.default_rng(73).normal(size=(5, 2)), np.ones(5)
         with pytest.raises(ValueError, match="one cost"):
             solve_dual_system(Blocks([2, 3]), X @ X.T, y, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("form", ["features", "kronecker", "coherence"])
+    def test_members_on_two_datasets_equal_their_lone_solves(self, form):
+        # members 0 and 3 solve dataset a, 1 and 2 dataset b: three runs,
+        # each holding its dataset's moments or Gram, never a copy
+        a = uneven_dataset(75, (3, 4), d=3)
+        rng = np.random.default_rng(75)
+        b = MtlDataset(
+            a.grid, tuple(X + rng.normal(size=X.shape) for X in a.inputs), tuple(2.0 * y + 1.0 for y in a.targets)
+        )
+        datasets, of = (a, b), (0, 1, 1, 0)
+        blocks = Blocks(a.task_sizes)
+        costs = np.array([0.5, 10.0, 1e3, 1e5])
+        y = np.stack([datasets[k].stacked_targets() for k in of])
+        U = rng.normal(size=(4, a.grid.n_tasks, 2))
+        if form == "features":
+            blocks = a.fit_plan.layouts[1].blocks
+            y = np.stack([datasets[k].fit_plan.layouts[1].targets for k in of])
+            Z = rng.normal(size=(4, a.n_samples, 2))
+            members, lone = FeatureGram(Z), [FeatureGram(Z[i]) for i in range(4)]
+        elif form == "kronecker":
+            moments = [TaskMoments(blocks, data.stacked_inputs()) for data in datasets]
+            members = KroneckerGram(U, tuple(moments[k] for k in of))
+            lone = [KroneckerGram(U[i], moments[k]) for i, k in enumerate(of)]
+        else:
+            grams = [gram(KernelSpec("rbf", gamma=0.3), data.stacked_inputs()) for data in datasets]
+            before = [G.copy() for G in grams]
+            members = CoherenceGram(U, tuple(grams[k] for k in of))
+            lone = [CoherenceGram(U[i], grams[k]) for i, k in enumerate(of)]
+        runs = linsys.member_runs(tuple(datasets[k] for k in of), 4)
+        assert [own for own, _ in runs] == [slice(0, 1), slice(1, 3), slice(3, 4)]
+        got = solve_dual_system(blocks, members, y, costs)
+        if form == "coherence":
+            for G, bits in zip(grams, before):
+                assert np.array_equal(G.view(np.int64), bits.view(np.int64))
+        for i, Q in enumerate(lone):
+            expected = solve_dual_system(blocks, Q, y[i], costs[i])
+            assert got.errors[i] is None
+            assert got.biases[i].tobytes() == expected.biases.tobytes()
+            assert got.duals[i].tobytes() == expected.duals.tobytes()
+            assert got.residual[i] == expected.residual
+            if expected.weights is not None:
+                assert got.weights[i].tobytes() == expected.weights.tobytes()
+
+    def test_member_targets_and_objects_must_match_the_members(self):
+        data = uneven_dataset(76, (2, 2), d=3)
+        blocks = Blocks(data.task_sizes)
+        y = data.stacked_targets()
+        U = np.random.default_rng(76).normal(size=(2, data.grid.n_tasks, 2))
+        moments = TaskMoments(blocks, data.stacked_inputs())
+        costs = np.array([1.0, 10.0])
+        for targets, C in ((np.stack([y, y]), 1.0), (np.stack([y, y, y]), costs), (y[None, None], costs)):
+            with pytest.raises(ValueError):
+                solve_dual_system(blocks, KroneckerGram(U, moments), targets, C)
+        with pytest.raises(ValueError, match="3 per-member objects for 2 members"):
+            solve_dual_system(blocks, KroneckerGram(U, (moments,) * 3), y, costs)
+        G = gram(KernelSpec("linear"), data.stacked_inputs())
+        with pytest.raises(ValueError, match="one per member of a structured Q"):
+            solve_dual_system(blocks, G, np.stack([y, y]), 1.0)
 
 
 class TestGroupedSystems:
