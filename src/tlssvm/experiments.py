@@ -167,7 +167,9 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
     as its model would predict: the cells are those of every cell alone.
     The tensorized method fits the folds of one block structure (a run of
     folds whose tasks have the same training sizes, `_lockstep_folds`) in
-    one `solver.fit_many`, every (fold, cost) pair a member; the baseline
+    one `solver.fit_many` call, every (fold, cost) pair a member, which
+    runs them in one alternation when the shared step is the
+    task-Kronecker ridge and fold after fold otherwise; the baseline
     fits each fold with `fit_independent` and a sequence of costs. A cost
     leaves its (rank, gamma) after the folds in which it first failed, and
     its cell keeps the error of its first failing fold.

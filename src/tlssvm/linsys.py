@@ -94,14 +94,15 @@ of their Q, and may differ in their data. The costs are a 1-D array C
 (one per member), and Q's arrays carry a leading member axis: a
 FeatureGram's features are B x m x p, a KroneckerGram's and a
 CoherenceGram's task vectors B x T x K. The right-hand side y is one
-vector for every member, or B x m. What Q takes from the data, a
-KroneckerGram's moments and a CoherenceGram's Gram, is one object for
+vector for every member, or B x m for a FeatureGram's or a
+KroneckerGram's members. A KroneckerGram's moments are one object for
 every member or a tuple with each member's: members on one dataset hold
-the same object, which is never copied per member (`member_runs`), and
-each member's solve restores a shared Gram before the next one writes it.
-The result's arrays carry the member axis too, and its `errors` hold,
-per member, None or that member's SolverError (a `MemberSolution`); a
-failed member's rows are no solution, and the others go on without it.
+the same object, which is never copied per member (`member_runs`). A
+CoherenceGram's members share one Gram and one y, and each member's
+solve restores the Gram before the next one writes it. The result's
+arrays carry the member axis too, and its `errors` hold, per member,
+None or that member's SolverError (a `MemberSolution`); a failed
+member's rows are no solution, and the others go on without it.
 The ridge's passes (centering, Grams, right-hand sides, residuals) run
 over all members at once, or once per run of members that hold the same
 moments, in operations whose every member slice is the operation on that
@@ -122,7 +123,7 @@ prediction, evaluation and CSV or model IO run without ever loading it.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -434,10 +435,9 @@ def check_symmetric(G: np.ndarray) -> None:
 class CoherenceGram:
     """Q_jp = <u_t(j), u_t(p)> G_jp: the task coherence times an m x m kernel Gram G.
 
-    `task_vectors` is T x K (B x T x K for members), every task a block of
-    the system, and `gram` is G, or for members a tuple with each member's
-    G (`member_runs`). This is the shared step's system matrix for a
-    kernel without a finite feature map.
+    `task_vectors` is T x K (B x T x K for members, who share G), every
+    task a block of the system. This is the shared step's system matrix
+    for a kernel without a finite feature map.
 
     G is the dense solve's workspace, so it must be an exactly symmetric,
     writable, C-contiguous float64 array, as `kernels.gram` returns it.
@@ -447,35 +447,35 @@ class CoherenceGram:
     gets G back bit for bit, and no m x m array is held beside it. The
     residual goes through `matvec` on the restored G: G (U o v) summed
     against U row by row. Every solve compares G's triangles
-    (`check_symmetric`), unless `symmetric` says that the caller has: a
-    fit compares each of its Grams once, when it builds it.
+    (`check_symmetric`), since the restore copies the lower one over the
+    upper one. Only `solver.fit_many`, which compares the Gram it builds
+    once, sets the private `_compared` to skip that for its steps.
     """
 
     task_vectors: np.ndarray
-    gram: np.ndarray | tuple[np.ndarray, ...]
-    symmetric: bool = False
+    gram: np.ndarray
+    _compared: bool = field(default=False, kw_only=True, repr=False)
 
     def check(self, blocks: Blocks) -> None:
         """Checks the members' form: task vectors B x T x K."""
-        T, m = self.task_vectors.shape[-2], blocks.m
+        T, m, G = self.task_vectors.shape[-2], blocks.m, self.gram
         if len(blocks.groups) != 1:
             raise ValueError("a CoherenceGram system has a single group")
-        for _, G in member_runs(self.gram, len(self.task_vectors)):
-            if not (
-                isinstance(G, np.ndarray) and G.dtype == np.float64
-                and G.flags.c_contiguous and G.flags.writeable
-            ):
-                raise ValueError(
-                    "the Gram of a CoherenceGram is the solve's workspace: "
-                    "it must be a writable, C-contiguous float64 array"
-                )
-            if len(blocks) != T or G.shape != (m, m):
-                raise ValueError(
-                    f"inconsistent system shapes: {T} task vectors, Gram {G.shape}, "
-                    f"system blocks {list(blocks)}"
-                )
-            if not self.symmetric:  # the restore copies the lower triangle over the upper one
-                check_symmetric(G)
+        if not (
+            isinstance(G, np.ndarray) and G.dtype == np.float64
+            and G.flags.c_contiguous and G.flags.writeable
+        ):
+            raise ValueError(
+                "the Gram of a CoherenceGram is the solve's workspace: "
+                "it must be a writable, C-contiguous float64 array"
+            )
+        if len(blocks) != T or G.shape != (m, m):
+            raise ValueError(
+                f"inconsistent system shapes: {T} task vectors, Gram {G.shape}, "
+                f"system blocks {list(blocks)}"
+            )
+        if not self._compared:
+            check_symmetric(G)
 
     @contextmanager
     def factored(self, blocks: Blocks, shift: float):
@@ -737,7 +737,7 @@ def solve_dual_system(
     m = y.shape[-1]
     costs, lone = _costs(C)
     _check(blocks, m, costs)
-    if y.ndim == 2 and (lone or len(y) != len(costs) or not isinstance(Q, (FeatureGram, KroneckerGram, CoherenceGram))):
+    if y.ndim == 2 and (lone or len(y) != len(costs) or not isinstance(Q, (FeatureGram, KroneckerGram))):
         raise ValueError(f"targets of shape {y.shape} are one per member of a structured Q, got {len(costs)} costs")
     if isinstance(Q, (FeatureGram, KroneckerGram, CoherenceGram)):
         if lone:
@@ -765,26 +765,27 @@ def solve_dual_system(
 
 
 def _solve_coherence(blocks: Blocks, Q: CoherenceGram, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
-    """A CoherenceGram's members, one dense solve after another, each in its own Gram."""
+    """A CoherenceGram's members, one dense solve after another in the shared Gram."""
     Q.check(blocks)
     B, m = len(costs), blocks.m
     biases, duals = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan)
     residual = np.full(B, np.nan)
     errors = [None] * B
-    grams = [G for own, G in member_runs(Q.gram, B) for _ in range(own.start, own.stop)]
-    for b, (cost, G) in enumerate(zip(costs.tolist(), grams)):
-        member = CoherenceGram(np.asarray(Q.task_vectors, dtype=float)[b], G)
+    for b, cost in enumerate(costs.tolist()):
+        member = CoherenceGram(np.asarray(Q.task_vectors, dtype=float)[b], Q.gram)
         inv_c = 1.0 / cost
         try:
             biases[b], duals[b], residual[b], _ = _solve_dense(
                 blocks,
                 lambda: member.factored(blocks, inv_c),
-                y if y.ndim == 1 else y[b],
+                y,
                 inv_c,
                 lambda v: member.matvec(blocks, v),
             )
         except SolverError as exc:
-            errors[b] = exc
+            # without its traceback, whose frames hold the Gram: a failed
+            # member's error outlives the fit
+            errors[b] = exc.with_traceback(None)
     return MemberSolution(biases, duals, residual, None, tuple(errors))
 
 

@@ -81,10 +81,13 @@ when it converges or a step fails for it, so every member's FitState, or
 error, equals that of its lone fit bit for bit. `fit` is `fit_many` with
 one dataset and the one cost `config.C`: there is a single code path.
 
-The memory this costs: a lockstep whose shared steps solve a
-CoherenceGram (an RBF grid, or a linear one with dK > m) holds the m x m
-Gram of every dataset in it at once, F Grams for F folds of one
-structure, where fitting the folds one by one holds one at a time.
+Only the task-Kronecker ridge fits several datasets in one alternation.
+A shared step that solves a CoherenceGram (an RBF grid, or a linear one
+with dK > m) solves each member in turn in the m x m Gram of its dataset,
+at O(m^3) per member, so lockstepping datasets would save next to nothing
+there and would hold one Gram per dataset at once. `fit_many` therefore
+fits such datasets one after another, each in its own alternation over
+all the costs, and holds one Gram at a time.
 """
 
 from __future__ import annotations
@@ -274,7 +277,9 @@ def solve_shared_step(
     factors: tuple[np.ndarray, ...],
     kernel: KernelSpec,
     C: np.ndarray,
-    gram_matrix: np.ndarray | tuple[np.ndarray, ...] | None = None,
+    gram_matrix: np.ndarray | None = None,
+    *,
+    _gram_compared: bool = False,
 ) -> SharedStepResult:
     """Exactly minimize over the shared factor, biases, and residuals of B members.
 
@@ -286,16 +291,17 @@ def solve_shared_step(
     KroneckerGram over each dataset's per-task moments: the dK x dK ridge.
     Every other step solves a CoherenceGram: the task vectors with
     `gram_matrix`, the kernel Gram of the stacked inputs, which such a step
-    requires: one for every member, or a tuple with each member's, following
-    `data`. The members of a dataset share its Gram and get it back bit for
-    bit. A Gram must be exactly symmetric, as `kernels.gram` returns it; the
-    step does not compare its triangles, since a fit compares them once, when
-    it builds the Gram. The updated shared factors are returned as one
-    `model.SharedFactor` over the data's stacked inputs and sample tasks: in
-    dual form, plus for the linear kernel the explicit matrices: the ridge
-    weights w in Kronecker order (feature k*d + i is u_k x_i), or
-    X^T (alpha o U) for dK > m or when w misses the residual bound with the
-    refined duals (see `linsys._solve_features`). The record, biases and residuals carry the
+    requires, of the one dataset of every member. The members share it and
+    get it back bit for bit. It must be exactly symmetric, as `kernels.gram`
+    returns it, and the step compares its triangles (ValueError otherwise,
+    with the Gram unchanged). `fit_many`, which compares each Gram once when
+    it builds it, passes the private `_gram_compared` to skip that. The
+    updated shared factors are returned as one `model.SharedFactor` over
+    the data's stacked inputs and sample tasks: in dual form, plus for the
+    linear kernel the explicit matrices: the ridge weights w in Kronecker
+    order (feature k*d + i is u_k x_i), or X^T (alpha o U) for dK > m or
+    when w misses the residual bound with the refined duals (see
+    `linsys._solve_features`). The record, biases and residuals carry the
     member axis, and `errors` holds each member's SolverError, or None.
     """
     costs = _member_costs(C)
@@ -315,13 +321,12 @@ def solve_shared_step(
     else:
         if gram_matrix is None:
             raise ValueError("this shared step solves through the kernel Gram: gram_matrix is required")
-        if [own for own, _ in member_runs(gram_matrix, len(costs))] != [own for own, _ in runs]:
-            raise ValueError("the members' Grams must follow their datasets, one Gram per dataset")
-        Q = CoherenceGram(u_table, gram_matrix, symmetric=True)
+        if len(runs) > 1:
+            raise ValueError("a shared step through the kernel Gram takes one dataset for all members")
+        Q = CoherenceGram(u_table, gram_matrix, _compared=_gram_compared)
         solution = solve_dual_system(plan.shared, Q, y, costs)
         if kernel.has_feature_map:
-            weights = dual_weights(solution.duals, u_table, tid)
-            explicit = by_run(runs, lambda own, dataset: dataset.stacked_inputs().T @ weights[own])
+            explicit = first.stacked_inputs().T @ dual_weights(solution.duals, u_table, tid)
     constraint = np.max(np.abs(plan.shared.sums(solution.duals, axis=-1)), axis=-1)
     X = _per_member(runs, MtlDataset.stacked_inputs)
     shared = SharedFactor(solution.duals, u_table, X, tid, explicit)
@@ -474,15 +479,16 @@ class _Members:
     """The members of a `fit_many` still in its alternation.
 
     Arrays carry the member axis first; `index` holds each member's
-    position among the members. `data` and `grams` are the dataset and
-    Gram (or None) of every member, or tuples with each member's, as the
-    steps take them, and `y` their targets (B x m for several datasets).
-    `keep` drops the members that left.
+    position among the members. `data` is the dataset of every member, or
+    a tuple with each member's, as the steps take it, `gram` the Gram of
+    the one dataset of a fit through the kernel Gram (else None), and `y`
+    the targets (B x m for several datasets). `keep` drops the members
+    that left.
     """
 
-    def __init__(self, costs: list[float], start: tuple[np.ndarray, ...], n_tasks: int, tid, data, grams):
+    def __init__(self, costs: list[float], start: tuple[np.ndarray, ...], n_tasks: int, tid, data, gram_matrix):
         B = len(costs)
-        self.data, self.grams = data, grams
+        self.data, self.gram = data, gram_matrix
         self.y = _member_targets(member_runs(data, B), MtlDataset.stacked_targets)
         self.m = self.y.shape[-1]
         self.index = list(range(B))
@@ -512,14 +518,14 @@ class _Members:
 
         def run(own: slice, data: MtlDataset) -> np.ndarray:
             shared = self.shared if len(runs) == 1 else _member_record(self.shared, own)
-            return shared_projection(shared, kernel, data.stacked_inputs(), _pick(self.grams, own.start))
+            return shared_projection(shared, kernel, data.stacked_inputs(), self.gram)
 
         return by_run(runs, run)
 
     def keep(self, mask: np.ndarray) -> None:
         if self.y.ndim == 2:
             self.y = self.y[mask]
-        self.data, self.grams = _pick(self.data, mask), _pick(self.grams, mask)
+        self.data = _pick(self.data, mask)
         for name in ("C", "biases", "yhat", "mode_norms", "pen_shared", "max_sys", "max_con", "projection"):
             value = getattr(self, name)
             if value is not None:
@@ -562,12 +568,14 @@ def fit_many(data, config: FitConfig, costs) -> list:
     pair, dataset by dataset, and share all of `config` but C: rank,
     kernel, seed, `max_iters` and `tol`. They run one alternation, whose
     every step solves all members still in it at once (see the module
-    docstring). A member leaves when it converges or when a step fails for
-    it. Returns, per cost in the order given, the member's FitState or the
-    SolverError its lone fit raises: for one dataset that list, for a
-    sequence one such list per dataset. `fit` is the case of one dataset
-    and one cost. Raises ValueError for datasets that do not share one
-    block structure.
+    docstring), when the shared step is the task-Kronecker ridge; else
+    each dataset's members run one alternation, dataset after dataset, in
+    the one Gram of that dataset. A member leaves when it converges or when
+    a step fails for it. Returns, per cost in the order given, the
+    member's FitState or the SolverError its lone fit raises: for one
+    dataset that list, for a sequence one such list per dataset. `fit` is
+    the case of one dataset and one cost. Raises ValueError for datasets
+    that do not share one block structure.
     """
     costs = [replace(config, C=cost).C for cost in costs]  # FitConfig checks each cost
     if not costs:
@@ -576,28 +584,37 @@ def fit_many(data, config: FitConfig, costs) -> list:
     if not datasets:
         raise ConfigError("fit_many needs at least one dataset")
     _check_structure(datasets)
+    datasets[0].require_nonempty_tasks()
+    if _kronecker_ridge(config.kernel, datasets[0], config.K):
+        outcomes = _alternation(datasets, config, costs)
+    else:
+        outcomes = [outcome for dataset in datasets for outcome in _alternation((dataset,), config, costs)]
+    if isinstance(data, MtlDataset):
+        return outcomes
+    return [outcomes[i : i + len(costs)] for i in range(0, len(outcomes), len(costs))]
+
+
+def _alternation(datasets: tuple[MtlDataset, ...], config: FitConfig, costs: list[float]) -> list:
+    """The outcomes of one alternation of every (dataset, cost) member, dataset by dataset.
+
+    Several datasets only for the task-Kronecker ridge; any other shared
+    step solves through the m x m Gram of the one dataset, built and its
+    triangles compared here, once.
+    """
     first = datasets[0]
-    first.require_nonempty_tasks()
     grid = first.grid
     kernel = config.kernel
     tid = first.sample_task_ids()
     mode_indices = grid.mode_indices
 
-    # Every shared step but the task-Kronecker ridge solves through the
-    # m x m Gram of its dataset, whose triangles are compared here, once.
-    grams = None
+    G = None
     if not _kronecker_ridge(kernel, first, config.K):
-        grams = tuple(gram(kernel, dataset.stacked_inputs()) for dataset in datasets)
-        for G in grams:
-            check_symmetric(G)
-    # the members' datasets and Grams: the one of each, or a tuple with each member's
-    if len(datasets) == 1:
-        member_data, member_grams = first, None if grams is None else grams[0]
-    else:
-        member_data = tuple(dataset for dataset in datasets for _ in costs)
-        member_grams = None if grams is None else tuple(G for G in grams for _ in costs)
+        G = gram(kernel, first.stacked_inputs())
+        check_symmetric(G)
+    # the members' datasets: the one of all, or a tuple with each member's
+    member_data = first if len(datasets) == 1 else tuple(dataset for dataset in datasets for _ in costs)
     start = init_factors(grid, config.K, config.seed).factors
-    live = _Members(costs * len(datasets), start, grid.n_tasks, tid, member_data, member_grams)
+    live = _Members(costs * len(datasets), start, grid.n_tasks, tid, member_data, G)
     outcomes: list[FitState | SolverError | None] = [None] * len(live.index)
 
     def leave(failures, where) -> np.ndarray:
@@ -621,7 +638,9 @@ def fit_many(data, config: FitConfig, costs) -> list:
         live.prev_mats = [f.copy() for f in live.factor_mats]
 
         try:
-            step = solve_shared_step(live.data, live.factor_mats, kernel, live.C, gram_matrix=live.grams)
+            step = solve_shared_step(
+                live.data, live.factor_mats, kernel, live.C, gram_matrix=live.gram, _gram_compared=True
+            )
         except SolverError as exc:
             failures = [exc] * len(live.index)
         else:
@@ -703,9 +722,7 @@ def fit_many(data, config: FitConfig, costs) -> list:
 
     for b, position in enumerate(live.index):
         outcomes[position] = live.state(b, False, config.max_iters)
-    if isinstance(data, MtlDataset):
-        return outcomes
-    return [outcomes[i : i + len(costs)] for i in range(0, len(outcomes), len(costs))]
+    return outcomes
 
 
 def fit(data: MtlDataset, config: FitConfig) -> FitState:

@@ -12,6 +12,8 @@ ridge tests in test_solver.py).
 from __future__ import annotations
 
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,7 +199,7 @@ class TestGramWorkspace:
         compared = []
 
         def counted(G):
-            compared.append(id(G))
+            compared.append(G.tobytes())
             real(G)
 
         real = linsys.check_symmetric
@@ -210,6 +212,36 @@ class TestGramWorkspace:
         assert len(compared) == 1
         fit_many(folds, config, (0.1, 10.0))
         assert len(compared) == 4 and len(set(compared[1:])) == 3
+
+    def test_a_fit_of_several_datasets_holds_one_gram_at_a_time(self, monkeypatch):
+        # each fold's members run their own alternation, in their fold's Gram,
+        # which is let go before the next fold's is built, also by the error
+        # of a member whose factorization failed in it
+        built = []
+
+        def tracked(*args):
+            assert all(ref() is None for ref in built)
+            G = real(*args)
+            built.append(weakref.ref(G))
+            return G
+
+        real = solver.gram
+        monkeypatch.setattr(solver, "gram", tracked)
+        data = random_dataset(97, mode_sizes=(2, 2), d=3, m_t=9)
+        folds = [train for train, _ in kfold_split(data, 3, 0)]
+        wide = KernelSpec("rbf", gamma=1e-6)  # a Gram near rank one
+        config = FitConfig(K=2, C=1.0, kernel=wide, max_iters=3, tol=1e-300)
+        fits = fit_many(folds, config, (0.1, 1e16))
+        assert len(built) == 3 and all(ref() is None for ref in built)
+        assert "Q + I/C is not positive definite" in str(fits[0][1])
+        monkeypatch.undo()
+        for fold, (state, failed) in zip(folds, fits):
+            lone = fit(fold, replace(config, C=0.1))
+            assert state.biases.tobytes() == lone.biases.tobytes()
+            assert state.shared.duals.tobytes() == lone.shared.duals.tobytes()
+            with pytest.raises(SolverError) as lone_error:
+                fit(fold, replace(config, C=1e16))
+            assert str(failed) == str(lone_error.value)
 
     def test_gram_must_be_exactly_symmetric(self):
         blocks, Q, y = self.system()

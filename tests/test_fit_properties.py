@@ -326,6 +326,21 @@ def test_fit_many_takes_datasets_of_one_block_structure_only():
         assert_same_outcome(member, fit(one, replace(config, C=cost)))
 
 
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.2)])
+def test_one_dataset_given_twice_is_fitted_twice(kernel):
+    # the linear fit solves the task-Kronecker ridge (d K <= m): one
+    # alternation whose members all hold the one dataset; the RBF fit runs
+    # one alternation per dataset given
+    data = snr10_dataset()
+    config = FitConfig(K=2, C=1.0, kernel=kernel, max_iters=6, tol=1e-3, seed=0)
+    costs = (0.1, 10.0, 1e6)
+    fits = fit_many([data, data], config, costs)
+    assert len(fits) == 2
+    for states in fits:
+        for cost, member in zip(costs, states, strict=True):
+            assert_same_outcome(member, lone_outcome(data, replace(config, C=cost)))
+
+
 def reference_cv_cells(data, plan: CvPlan, seed: int) -> list[CvCell]:
     """The tensorized grid search fitted fold by fold and cost by cost, each fit alone and scored by its model.
 

@@ -821,17 +821,19 @@ class TestKroneckerSharedStep:
         assert solve_shared_step(data, mats, LINEAR, costs).errors == (None,)
         assert solve_mode_row_step(data, z, 1, costs).errors == (None,)
 
-    def test_members_on_several_datasets_take_one_gram_each_and_one_block_structure(self):
+    def test_members_on_several_datasets_share_one_block_structure_and_no_gram(self):
         a = random_dataset(92, mode_sizes=(2, 3), d=3, m_t=4)
         b = random_dataset(93, mode_sizes=(2, 3), d=3, m_t=4)
         rbf = KernelSpec("rbf", gamma=0.5)
-        G_a, G_b = gram(rbf, a.stacked_inputs()), gram(rbf, b.stacked_inputs())
+        G_a = gram(rbf, a.stacked_inputs())
         mats = tuple(np.repeat(f[None], 2, axis=0) for f in init_factors(a.grid, 2, seed=92).factors)
         costs = np.array([1.0, 10.0])
-        for grams in (G_a, (G_a, G_a), (G_b, G_b)):
-            with pytest.raises(ValueError, match="follow their datasets"):
-                solve_shared_step((a, b), mats, rbf, costs, gram_matrix=grams)
-        step = solve_shared_step((a, b), mats, rbf, costs, gram_matrix=(G_a, G_b))
+        # a step through the kernel Gram solves the members of one dataset
+        with pytest.raises(ValueError, match="takes one dataset for all members"):
+            solve_shared_step((a, b), mats, rbf, costs, gram_matrix=G_a)
+        for given in (a, (a, a)):
+            assert solve_shared_step(given, mats, rbf, costs, gram_matrix=G_a).errors == (None, None)
+        step = solve_shared_step((a, b), mats, LINEAR, costs)
         assert step.errors == (None, None)
         got, expected = step.shared.train_inputs, (a.stacked_inputs(), b.stacked_inputs())
         assert len(got) == 2 and all(x is e for x, e in zip(got, expected))
@@ -841,6 +843,21 @@ class TestKroneckerSharedStep:
             solve_shared_step((a, longer), mats, LINEAR, costs)
         with pytest.raises(ValueError, match="share a lockstep only"):
             solve_mode_row_step((a, longer), z, 1, costs)
+        with pytest.raises(ValueError, match="inconsistent system shapes"):
+            solve_shared_step(a, mats, rbf, costs, gram_matrix=gram(rbf, longer.stacked_inputs()))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", gamma=0.5), LINEAR])
+    def test_a_gram_that_is_not_exactly_symmetric_is_refused_and_left_as_it_was(self, kernel):
+        # the linear kernel with d K > m solves through the Gram too
+        data = random_dataset(95, mode_sizes=(2, 3), d=5, m_t=2)
+        mats = tuple(np.repeat(f[None], 2, axis=0) for f in init_factors(data.grid, 3, seed=95).factors)
+        costs = np.array([1.0, 10.0])
+        G = gram(kernel, data.stacked_inputs())
+        G[1, 7] = np.nextafter(G[1, 7], np.inf)
+        before = G.tobytes()
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            solve_shared_step(data, mats, kernel, costs, gram_matrix=G)
+        assert G.tobytes() == before
 
     def test_failed_solve_names_iteration_and_shared_step(self, monkeypatch):
         monkeypatch.setattr(
@@ -1441,10 +1458,10 @@ class TestMemberSolves:
         with pytest.raises(ValueError, match="one cost"):
             solve_dual_system(Blocks([2, 3]), X @ X.T, y, np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("form", ["features", "kronecker", "coherence"])
+    @pytest.mark.parametrize("form", ["features", "kronecker"])
     def test_members_on_two_datasets_equal_their_lone_solves(self, form):
         # members 0 and 3 solve dataset a, 1 and 2 dataset b: three runs,
-        # each holding its dataset's moments or Gram, never a copy
+        # each holding its dataset's moments, never a copy
         a = uneven_dataset(75, (3, 4), d=3)
         rng = np.random.default_rng(75)
         b = MtlDataset(
@@ -1460,21 +1477,13 @@ class TestMemberSolves:
             y = np.stack([datasets[k].fit_plan.layouts[1].targets for k in of])
             Z = rng.normal(size=(4, a.n_samples, 2))
             members, lone = FeatureGram(Z), [FeatureGram(Z[i]) for i in range(4)]
-        elif form == "kronecker":
+        else:
             moments = [TaskMoments(blocks, data.stacked_inputs()) for data in datasets]
             members = KroneckerGram(U, tuple(moments[k] for k in of))
             lone = [KroneckerGram(U[i], moments[k]) for i, k in enumerate(of)]
-        else:
-            grams = [gram(KernelSpec("rbf", gamma=0.3), data.stacked_inputs()) for data in datasets]
-            before = [G.copy() for G in grams]
-            members = CoherenceGram(U, tuple(grams[k] for k in of))
-            lone = [CoherenceGram(U[i], grams[k]) for i, k in enumerate(of)]
         runs = linsys.member_runs(tuple(datasets[k] for k in of), 4)
         assert [own for own, _ in runs] == [slice(0, 1), slice(1, 3), slice(3, 4)]
         got = solve_dual_system(blocks, members, y, costs)
-        if form == "coherence":
-            for G, bits in zip(grams, before):
-                assert np.array_equal(G.view(np.int64), bits.view(np.int64))
         for i, Q in enumerate(lone):
             expected = solve_dual_system(blocks, Q, y[i], costs[i])
             assert got.errors[i] is None
@@ -1499,6 +1508,9 @@ class TestMemberSolves:
         G = gram(KernelSpec("linear"), data.stacked_inputs())
         with pytest.raises(ValueError, match="one per member of a structured Q"):
             solve_dual_system(blocks, G, np.stack([y, y]), 1.0)
+        # a CoherenceGram's members share one Gram, so one dataset and one y
+        with pytest.raises(ValueError, match="one per member of a structured Q"):
+            solve_dual_system(blocks, CoherenceGram(U, G), np.stack([y, y]), costs)
 
 
 class TestGroupedSystems:
