@@ -5,71 +5,69 @@ a common matrix spans all tasks while per-mode factor rows specialize
 them. Fitting alternates dual linear-system solves over the shared matrix
 and the factor rows; linear and RBF kernels are supported, with an
 independent per-task LSSVM as the comparison baseline.
+
+Every exported name is imported from its submodule on first use, so a
+process that only reads data (`TaskGrid`, `load_csv`) loads `data`,
+`taskgrid`, `errors`, `linsys` and `textio`, and never the solver, the
+models, the kernels or scipy.
 """
 
-from .baseline import LssvmModel, fit_independent
-from .data import (
-    MtlDataset,
-    SyntheticSpec,
-    generate_synthetic,
-    kfold_split,
-    load_csv,
-    save_csv,
-)
-from .errors import ConfigError, DataError, SolverError, UnsupportedOperation
-from .experiments import (
-    BenchmarkResult,
-    CvPlan,
-    CvResult,
-    run_benchmark,
-    run_cv,
-)
-from .kernels import KernelSpec, gram
-from .metrics import EvalReport, correlation, evaluate_predictions, q_squared, rmse
-from .model import TrainedModel, load_model, predict_dual, predict_primal, save_model
-from .realdata import load_student_performance
-from .solver import FitConfig, FitState, fit, fit_many
-from .taskgrid import ModeFactors, TaskGrid, delinearize, linearize
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TaskGrid",
-    "ModeFactors",
-    "linearize",
-    "delinearize",
-    "KernelSpec",
-    "gram",
-    "MtlDataset",
-    "SyntheticSpec",
-    "generate_synthetic",
-    "save_csv",
-    "load_csv",
-    "kfold_split",
-    "load_student_performance",
-    "FitConfig",
-    "FitState",
-    "fit",
-    "fit_many",
-    "TrainedModel",
-    "predict_primal",
-    "predict_dual",
-    "save_model",
-    "load_model",
-    "rmse",
-    "q_squared",
-    "correlation",
-    "EvalReport",
-    "evaluate_predictions",
-    "LssvmModel",
-    "fit_independent",
-    "CvPlan",
-    "CvResult",
-    "run_cv",
-    "BenchmarkResult",
-    "run_benchmark",
-    "ConfigError",
-    "DataError",
-    "SolverError",
-    "UnsupportedOperation",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "TaskGrid": "taskgrid",
+    "ModeFactors": "taskgrid",
+    "linearize": "taskgrid",
+    "delinearize": "taskgrid",
+    "KernelSpec": "kernels",
+    "gram": "kernels",
+    "MtlDataset": "data",
+    "SyntheticSpec": "data",
+    "generate_synthetic": "data",
+    "save_csv": "data",
+    "load_csv": "data",
+    "kfold_split": "data",
+    "load_student_performance": "realdata",
+    "FitConfig": "solver",
+    "FitState": "solver",
+    "fit": "solver",
+    "fit_many": "solver",
+    "TrainedModel": "model",
+    "predict_primal": "model",
+    "predict_dual": "model",
+    "save_model": "model",
+    "load_model": "model",
+    "rmse": "metrics",
+    "q_squared": "metrics",
+    "correlation": "metrics",
+    "EvalReport": "metrics",
+    "evaluate_predictions": "metrics",
+    "LssvmModel": "baseline",
+    "fit_independent": "baseline",
+    "CvPlan": "experiments",
+    "CvResult": "experiments",
+    "run_cv": "experiments",
+    "BenchmarkResult": "experiments",
+    "run_benchmark": "experiments",
+    "ConfigError": "errors",
+    "DataError": "errors",
+    "SolverError": "errors",
+    "UnsupportedOperation": "errors",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

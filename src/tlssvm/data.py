@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -306,7 +307,9 @@ def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDatase
 
     Task indices read as Python's int() reads them and every other cell as
     float() does. A bad line raises DataError naming the first bad line in
-    file order.
+    file order. The data lines are converted in one C pass; a file that
+    pass cannot read exactly as those rules do (a bad line, `1_0`, a quoted
+    cell, a blank line) is read again line by line.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -314,6 +317,8 @@ def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDatase
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}:1: {exc}") from None
         n_modes = grid.n_modes
         if len(header) < n_modes + 2:
             raise DataError(f"{path}: header has {len(header)} columns, need at least {n_modes + 2}")
@@ -321,23 +326,24 @@ def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDatase
         expected = _header(grid, d)
         if header != expected:
             raise DataError(f"{path}: bad header {header[:6]}..., expected t_1..t_{n_modes},x_1..x_{d},y")
-        rows = list(reader)
+        body = fh.read()
 
-    # The cells convert in one call per kind (numpy converts strings with
-    # int() and float()), and the checks run on whole columns. A file that
-    # fails one is checked again line by line by the same rules, which
-    # raises at its first bad line.
-    width, sizes = len(expected), np.array(grid.mode_sizes)
-    valid = all(len(row) == width for row in rows)
-    try:
-        idx = np.array([row[:n_modes] for row in rows], dtype=np.int64).reshape(-1, n_modes)
-        values = np.array([row[n_modes:] for row in rows], dtype=float).reshape(-1, d + 1)
-        valid = valid and ((idx >= 1) & (idx <= sizes)).all() and np.isfinite(values).all()
-    except (ValueError, OverflowError):
-        valid = False
-    if not valid:
-        for lineno, row in enumerate(rows, start=2):
-            _check_line(path, lineno, row, grid, width)
+    # numpy's loadtxt reads a number as int() and float() do, except for
+    # syntax only Python reads (`1_0`, non-ASCII digits, quoted cells), on
+    # which it raises, and for the separators \x1c-\x1f, which only it strips
+    # as whitespace. It skips blank lines, so a row count that differs from
+    # the line count means one was there; csv rejects a cell longer than its
+    # field limit, so a longer line is left to csv too. Every file the C pass
+    # does not read, or whose values fail a check, is read line by line, which
+    # converts what only Python accepts and raises at the first bad line.
+    sizes = np.array(grid.mode_sizes)
+    table = _read_table(path, body, n_modes, d)
+    if table is not None:
+        idx, values = table["index"], table["values"]
+        if not (((idx >= 1) & (idx <= sizes)).all() and np.isfinite(values).all()):
+            table = None
+    if table is None:
+        idx, values = _read_lines(path, io.StringIO(body, newline=""), grid, len(expected))
 
     strides = np.concatenate([[1], np.cumprod(sizes[:-1])])
     task = (idx - 1) @ strides  # 0-based linear task ids
@@ -349,8 +355,62 @@ def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDatase
     return data
 
 
-def _check_line(path, lineno: int, row: list[str], grid: TaskGrid, width: int) -> None:
-    """Raise the DataError for one CSV line that fails a check."""
+def _count_lines(text: str) -> int:
+    """The lines of `text` as a file opened with newline="" yields them."""
+    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    return ends + int(text[-1:] not in ("", "\n", "\r"))
+
+
+def _needs_python(body: str) -> bool:
+    """Whether `body` holds a character or a line that only csv, int() and float() read right."""
+    if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        return True
+    limit = csv.field_size_limit()
+    # a piece between two "\n" is at least as long as every line in it
+    return len(body) > limit and max(map(len, body.split("\n"))) > limit
+
+
+def _read_table(path, body: str, n_modes: int, d: int) -> np.ndarray | None:
+    """The data lines `body` of the CSV file `path` as one record array (fields `index`, `values`).
+
+    None when `body` has no lines or needs Python's rules, loadtxt rejects
+    a line, or it returns another number of rows than `body` has lines.
+    """
+    n_lines = _count_lines(body)
+    if not n_lines or _needs_python(body):
+        return None  # loadtxt warns on a file without data
+    dtype = [("index", np.int64, (n_modes,)), ("values", np.float64, (d + 1,))]
+    # opened here, so that numpy neither guesses a compression from the name
+    # nor the encoding; universal newlines end a line where csv does
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+        except ValueError:
+            return None
+    return table if len(table) == n_lines else None
+
+
+def _read_lines(path, lines, grid: TaskGrid, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Task indices and values of the CSV data lines `lines` (file line 2 on), converted one line at a time."""
+    idx, values = [], []
+    lineno = 1
+    try:
+        for lineno, row in enumerate(csv.reader(lines), start=2):
+            line_idx, line_values = _check_line(path, lineno, row, grid, width)
+            idx.append(line_idx)
+            values.append(line_values)
+    except csv.Error as exc:
+        # the reader raised on the line after the last one it returned
+        raise DataError(f"{path}:{lineno + 1}: {exc}") from None
+    n_modes = grid.n_modes
+    return (
+        np.array(idx, dtype=np.int64).reshape(-1, n_modes),
+        np.array(values, dtype=float).reshape(-1, width - n_modes),
+    )
+
+
+def _check_line(path, lineno: int, row: list[str], grid: TaskGrid, width: int) -> tuple[list[int], list[float]]:
+    """One CSV line's task index and values; raises the DataError of the first check it fails."""
     n_modes = grid.n_modes
     if len(row) != width:
         raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
@@ -368,6 +428,7 @@ def _check_line(path, lineno: int, row: list[str], grid: TaskGrid, width: int) -
         raise DataError(f"{path}:{lineno}: non-numeric cell") from None
     if not all(math.isfinite(v) for v in values):
         raise DataError(f"{path}:{lineno}: non-finite value")
+    return idx, values
 
 
 def kfold_split(data: MtlDataset, folds: int, seed: int) -> list[tuple[MtlDataset, MtlDataset]]:

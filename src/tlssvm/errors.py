@@ -74,7 +74,10 @@ def _numbers(values, what: str, many: bool, error: type[ValueError]) -> list | N
         items = []
     if not items:
         raise error(f"{what} must be a non-empty list, got {values!r}")
-    return list(items) if all(map(_is_number, items)) else None
+    if not all(map(_is_number, items)):
+        return None
+    # a NumPy scalar as the Python number it holds: math.trunc takes no np.int64
+    return [v.item() if isinstance(v, np.generic) else v for v in items]
 
 
 def _shown(values, given: list | None, many: bool):

@@ -375,7 +375,15 @@ def load_csv_by_rows(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> M
         d = width - n_modes - 1
         xs = [[] for _ in range(grid.n_tasks)]
         ys = [[] for _ in range(grid.n_tasks)]
-        for lineno, row in enumerate(reader, start=2):
+        lineno = 1
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # a cell longer than csv's field limit
+                raise DataError(f"{path}:{lineno + 1}: {exc}") from None
+            lineno += 1
             if len(row) != width:
                 raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
             try:

@@ -192,6 +192,20 @@ class TestTrain:
         )
         assert code == 3
 
+    def test_oversized_cell_is_data_error(self, pipeline, tmp_path, capsys):
+        train = tmp_path / "big.csv"
+        lines = Path(pipeline["train_csv"]).read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",0." + "0" * 140_000 + "1"  # y, longer than csv's field limit
+        train.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "train", "--train", str(train), "--grid", "2,2",
+                "--config", pipeline["fit_cfg"], "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {train}:4: field larger than field limit (131072)\n"
+
     def test_baseline_method(self, pipeline, tmp_path, capsys):
         cfg = write_json(tmp_path / "base.json", {"C": 10.0, "kernel": {"family": "linear"}})
         code = main(
@@ -616,6 +630,8 @@ class TestWholeNumbers:
             ),
             *(pytest.param(lambda key=key: CvPlan(**{key: 2.5}), id=f"CvPlan-{key}") for key in ("folds", "max_iters")),
             pytest.param(lambda: CvPlan(ranks=(1, 1.5)), id="CvPlan-ranks"),
+            pytest.param(lambda: CvPlan(ranks=(np.int64(1), np.float64(1.5))), id="CvPlan-numpy-ranks"),
+            pytest.param(lambda: TaskGrid((np.int64(2), np.float64(2.5))), id="TaskGrid-numpy-sizes"),
             pytest.param(lambda: run_benchmark(SyntheticSpec.from_config(SPEC), (5.0,), 2.5, 0, {"tlssvm": CvPlan()}),
                          id="run_benchmark-reps"),
             pytest.param(lambda: run_benchmark(SyntheticSpec.from_config(SPEC), (5.0,), 1, 0.5, {"tlssvm": CvPlan()}),
@@ -796,12 +812,18 @@ class TestUsage:
 COLD_START = """
 import sys
 import tlssvm
+
+train_csv, test_csv, model_path, out_dir = sys.argv[1:]
+grid = tlssvm.TaskGrid((2, 2))
+tlssvm.load_csv(train_csv, grid)
+unused = ("solver", "experiments", "baseline", "model", "kernels", "metrics", "realdata")
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy" or name in [f"tlssvm.{m}" for m in unused]]
+assert not loaded, loaded
+
 from tlssvm import cli
 from tlssvm.data import load_csv
 from tlssvm.model import load_model
 
-train_csv, test_csv, model_path, out_dir = sys.argv[1:]
-grid = tlssvm.TaskGrid((2, 2))
 test = load_csv(test_csv, grid)
 load_model(model_path).predict_dataset(test)
 for command in ("predict", "evaluate"):
@@ -811,6 +833,10 @@ assert not loaded, loaded
 config = tlssvm.FitConfig(K=2, C=100.0, kernel=tlssvm.KernelSpec("linear"), max_iters=3)
 tlssvm.fit(load_csv(train_csv, grid), config)
 assert "scipy.linalg" in sys.modules
+
+names = {}
+exec("from tlssvm import *", names)
+assert set(tlssvm.__all__) <= set(names) and set(tlssvm.__all__) <= set(dir(tlssvm))
 """
 
 

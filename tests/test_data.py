@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from tlssvm import data as data_module
 from tlssvm.data import (
     MtlDataset,
     SyntheticSpec,
@@ -273,11 +276,35 @@ class TestCsv:
         np.testing.assert_array_equal(data.targets[0], [20.0, 40.0])
         np.testing.assert_array_equal(data.targets[1], [10.0, 30.0])
 
+    # Lines on which numpy's C parser and csv with int() and float() can
+    # disagree, each after a valid first data line and under the header
+    # t_1,t_2,x_1,x_2,y of a (2, 3) grid.
+    EDGE_LINES = {
+        "blank line mid-file": "\n2,3,1.0,2.0,3.0\n",
+        "two newlines at the end": "\n",
+        "whitespace-only line": "   \n",
+        "line starting with #": "#1,1,0.0,0.0,0.0\n",
+        "quoted numeric cell": '1,"2",0.5,"1.5",2\n',
+        "quoted cell with a comma": '1,2,"1,5",2\n',
+        "underscore in a number": "1_0,1,1_0,2.5_0,3\n",
+        "underscore in an index": "1,0_2,0,0,0\n",
+        "non-ASCII digits": "\u0661,\u0662,\u0661\u0662,\u0663.5,\u0660\n",
+        "non-ASCII whitespace": "\u30001\xa0,\u20032 ,\xa01.5\u3000, 2\t,\u20283\n",
+        "20-digit task index": "00000000000000000001,00000000000000000003,1,2,3\n",
+        "20-digit task index out of range": "99999999999999999999,1,1,2,3\n",
+        "separator around an index": "1\x1c,1,0,0,0\n",
+        "separator around a value": "1,1,0,\x1f0,0\n",
+        "NUL in a cell": "1,1,0,0\x00,0\n",
+        "no newline at the end": "2,2,1e-320,-0,+.5",
+        "oversized valid cell": "1,1,0." + "0" * 140_000 + "1,0,0\n",
+    }
+
     def test_matches_line_by_line_reference(self, tmp_path):
         grid = TaskGrid((2, 3))
-        path = tmp_path / "d.csv"
+        header = "t_1,t_2,x_1,x_2,y"
         bad_cells = ["zero", "", "nan", "-inf", "1e400", "0x1"]
         bad_indices = ["0", "3", "4", "1.0", "-1", "99999999999999999999"]
+        files = []
         for seed in range(12):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(0, 40))
@@ -294,16 +321,46 @@ class TestCsv:
                     line[int(rng.integers(2))] = str(rng.choice(bad_indices))
                 else:
                     line.pop()
-            path.write_text("\n".join(["t_1,t_2,x_1,x_2,y"] + [",".join(l) for l in lines]) + "\n")
+            files.append("\n".join([header] + [",".join(l) for l in lines]) + "\n")
+        first = "1,1,0.5,-1.25,3e-7\n"
+        files += [f"{header}\n{first}{line}" for line in self.EDGE_LINES.values()]
+        files += [
+            f"{header}\r{first}".replace("\n", "\r") + "2,3,1.0,2.0,3.0\r",  # CR-only line endings
+            f"{header}\r\n{first}\r\r\n",  # a CR that csv reads as a line of its own
+            f"{header}\n",  # header only
+            header,  # header only, without a newline
+        ]
+        path = tmp_path / "d.csv"
+        for text in files:
+            path.write_bytes(text.encode("utf-8"))
             for allow_empty in (False, True):
-                try:
-                    expected = load_csv_by_rows(path, grid, allow_empty)
-                except DataError as exc:
-                    with pytest.raises(DataError) as got:
-                        load_csv(path, grid, allow_empty)
-                    assert str(got.value) == str(exc)
-                else:
-                    assert_same_data(load_csv(path, grid, allow_empty), expected)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # loadtxt warns on a file without data lines
+                    try:
+                        expected = load_csv_by_rows(path, grid, allow_empty)
+                    except DataError as exc:
+                        with pytest.raises(DataError) as got:
+                            load_csv(path, grid, allow_empty)
+                        assert str(got.value) == str(exc), text[:80]
+                    else:
+                        assert_same_data(load_csv(path, grid, allow_empty), expected)
+
+    def test_files_numpy_reads_take_the_c_pass(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(d=3, mode_sizes=(2, 2), k_true=2, train_per_task=4, test_per_task=2, snr=2.0, seed=5)
+        train, _, _ = generate_synthetic(spec)
+        path = tmp_path / "d.csv"
+        save_csv(train, path)
+        read_lines, calls = data_module._read_lines, []
+        monkeypatch.setattr(data_module, "_read_lines", lambda *args: calls.append(args) or read_lines(*args))
+        text = path.read_text()
+        for newline in ("\r\n", "\n", "\r"):  # save_csv writes "\r\n"
+            path.write_bytes(text.replace("\n", newline).encode())
+            assert_same_data(load_csv(path, train.grid), train)
+        assert calls == []  # files that hold only what numpy reads take the C pass
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("1,1,1_0,0,0,0\r")
+        assert load_csv(path, train.grid).inputs[0][-1, 0] == 10.0
+        assert len(calls) == 1
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -355,6 +412,16 @@ class TestCsv:
             path.write_text("\n".join(["t_1,x_1,y", "2,0.0,0.0"] + [line for line, _ in order]) + "\n")
             with pytest.raises(DataError, match=re.escape(f"d.csv:3: {order[0][1]}")):
                 load_csv(path, TaskGrid((2,)))
+
+    def test_oversized_cell_names_line(self, tmp_path):
+        # csv's field limit holds for the header and for every data line
+        path = tmp_path / "d.csv"
+        big = "0." + "0" * csv.field_size_limit() + "1"
+        for text, line in ((f"t_1,x_1,{big}\n", 1), (f"t_1,x_1,y\n1,0.0,0.0\n1,{big},0.0\n", 3)):
+            path.write_text(text)
+            message = f"d.csv:{line}: field larger than field limit ({csv.field_size_limit()})"
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_csv(path, TaskGrid((2,)), allow_empty_tasks=True)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "d.csv"

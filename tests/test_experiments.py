@@ -54,6 +54,8 @@ class TestCvPlan:
          ({"costs": (0.0,)}, "costs must be positive and finite"),
          ({"ranks": (1, 0)}, "ranks must be whole numbers >= 1"),
          ({"ranks": (1.5,)}, "ranks must be whole numbers >= 1"),
+         ({"ranks": (np.float64(1.5),)}, "ranks must be whole numbers >= 1"),
+         ({"ranks": (np.int64(2), np.int64(0))}, "ranks must be whole numbers >= 1"),
          ({"kernel_family": "rbf", "gammas": (0.1, math.nan)}, "finite gamma > 0"),
          ({"kernel_family": "rbf", "gammas": (math.inf,)}, "finite gamma > 0")],
     )
@@ -66,6 +68,10 @@ class TestCvPlan:
             CvPlan(folds=2.5)
         plan = CvPlan(folds=3.0)
         assert plan.folds == 3 and isinstance(plan.folds, int)
+        # NumPy integers are whole numbers, alone or inside a list
+        plan = CvPlan(folds=np.int64(3), ranks=(np.int64(2), 1), max_iters=np.float64(4.0))
+        assert (plan.folds, plan.ranks, plan.max_iters) == (3, (2, 1), 4)
+        assert all(type(v) is int for v in (plan.folds, *plan.ranks, plan.max_iters))
 
     def test_axes_by_method_and_family(self):
         linear = CvPlan(kernel_family="linear", ranks=(2,), costs=(1.0,), gammas=(0.1, 1.0))

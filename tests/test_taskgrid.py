@@ -35,6 +35,9 @@ class TestTaskGrid:
         grid = TaskGrid((3, 4, 5))
         assert grid.n_modes == 3
         assert grid.n_tasks == 60
+        # NumPy integers, and floats without a fraction, are whole numbers
+        numpy_sizes = TaskGrid((np.int64(3), 4, np.float64(5.0)))
+        assert numpy_sizes == grid and all(type(s) is int for s in numpy_sizes.mode_sizes)
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
