@@ -106,27 +106,26 @@ class LssvmModel:
 def fit_independent(data: MtlDataset, C, kernel: KernelSpec):
     """Fit every task separately with shared hyperparameters.
 
-    `C` is one cost, or a sequence of costs: then each task's Gram is built
-    once and every cost solved on it, and each cost gives what its lone
-    fit does bit for bit, its LssvmModel or its first failing task's SolverError.
+    `C` is one cost, or a sequence of costs. Each task's Gram is built once
+    and every cost still alive is one member of a single
+    `solve_dual_system` call on it; a cost whose member fails on a task is
+    not fit on the later ones. Each cost gives what its lone fit does bit
+    for bit, its LssvmModel or its first failing task's SolverError.
     """
     data.require_nonempty_tasks()
     lone = not isinstance(C, (list, tuple)) and np.ndim(C) == 0
-    costs = [positive(c, "C") for c in ([C] if lone else C)]
+    costs = np.array([positive(c, "C") for c in ([C] if lone else C)])
     fits: list = [[] for _ in costs]  # per cost, its task fits so far or its SolverError
     for X, y in zip(data.inputs, data.targets):
         alive = [b for b, fit in enumerate(fits) if not isinstance(fit, SolverError)]
         if not alive:
             break
-        G = gram(kernel, X)
-        blocks = Blocks([X.shape[0]])
-        for b in alive:
-            try:
-                biases, duals = solve_dual_system(blocks, G, y, costs[b])[:2]
-            except SolverError as exc:
-                fits[b] = exc
-            else:
+        solution = solve_dual_system(Blocks([X.shape[0]]), gram(kernel, X), y, costs[alive])
+        for b, biases, duals, error in zip(alive, solution.biases, solution.duals, solution.errors):
+            if error is None:
                 fits[b].append(SingleTaskLssvm(duals, float(biases[0]), X, kernel))
+            else:
+                fits[b] = error
     models = [fit if isinstance(fit, SolverError) else LssvmModel(data.grid, kernel, tuple(fit)) for fit in fits]
     if lone and isinstance(models[0], SolverError):
         raise models[0]

@@ -437,7 +437,9 @@ def kfold_split(data: MtlDataset, folds: int, seed: int) -> list[tuple[MtlDatase
     Every task's samples are partitioned into `folds` near-equal parts
     (sizes differ by at most one); fold j's validation set is the union of
     part j over tasks. Samples keep their original relative order inside
-    each resulting block.
+    each resulting block. Each fold's training and validation sets take
+    their rows from the stacked arrays in one gather each, and are not
+    checked again, since `data` was.
     """
     folds = whole(folds, "folds", 2)
     for t, m in enumerate(data.task_sizes, start=1):
@@ -445,26 +447,26 @@ def kfold_split(data: MtlDataset, folds: int, seed: int) -> list[tuple[MtlDatase
             raise DataError(f"task {t} has {m} samples, fewer than {folds} folds")
 
     rng = np.random.default_rng(seed)
-    assignments = []  # per task: list of folds-many sorted index arrays
-    for m in data.task_sizes:
-        perm = rng.permutation(m)
-        assignments.append([np.sort(part) for part in np.array_split(perm, folds)])
+    fold_of = np.empty(data.n_samples, dtype=np.intp)  # the validation fold of each sample
+    counts = np.empty((folds, data.grid.n_tasks), dtype=np.intp)  # validation samples per fold and task
+    start = 0
+    for t, m in enumerate(data.task_sizes):
+        # the parts of np.array_split: the first m % folds take one sample more
+        parts = np.full(folds, m // folds)
+        parts[: m % folds] += 1
+        fold_of[start + rng.permutation(m)] = np.arange(folds).repeat(parts)
+        counts[:, t] = parts
+        start += m
 
+    X, y = data.stacked_inputs(), data.stacked_targets()
     out = []
     for j in range(folds):
-        train_x, train_y, val_x, val_y = [], [], [], []
-        for t in range(data.grid.n_tasks):
-            val_idx = assignments[t][j]
-            mask = np.ones(data.task_sizes[t], dtype=bool)
-            mask[val_idx] = False
-            train_x.append(data.inputs[t][mask])
-            train_y.append(data.targets[t][mask])
-            val_x.append(data.inputs[t][val_idx])
-            val_y.append(data.targets[t][val_idx])
+        val = fold_of == j
+        train = ~val
         out.append(
             (
-                MtlDataset(data.grid, tuple(train_x), tuple(train_y)),
-                MtlDataset(data.grid, tuple(val_x), tuple(val_y)),
+                MtlDataset._from_stacked(data.grid, X[train], y[train], np.subtract(data.task_sizes, counts[j])),
+                MtlDataset._from_stacked(data.grid, X[val], y[val], counts[j]),
             )
         )
     return out

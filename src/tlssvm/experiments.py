@@ -170,7 +170,8 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
     one `solver.fit_many` call, every (fold, cost) pair a member, which
     runs them in one alternation when the shared step is the
     task-Kronecker ridge and fold after fold otherwise; the baseline
-    fits each fold with `fit_independent` and a sequence of costs. A cost
+    fits each fold with `fit_independent` and a sequence of costs, which
+    solves every alive cost of a task in one dense member solve. A cost
     leaves its (rank, gamma) after the folds in which it first failed, and
     its cell keeps the error of its first failing fold.
     """

@@ -25,25 +25,27 @@ Each kind of system matrix is solved in one form, both forms by
 Cholesky. Which kind a shared step hands over is the caller's choice
 (`solver.solve_shared_step`):
 
-* Dense with a Schur complement, for a CoherenceGram and a dense Q. The
-  solve factors H = Q + I/C in place, in one of two owners. For a
-  CoherenceGram, H is written over the upper triangle of the caller's
-  Gram G, which LAPACK's dpotrf factors without reading the lower one; G
-  is restored from its lower triangle and a saved diagonal right after
-  the first solve, and also when that solve raises. So it holds no m x m
-  array besides G. For a dense Q (the single-task baseline's Gram), H is
-  a fresh copy that the solve owns, because the residual needs Q.
+* Dense with a Schur complement (`_solve_dense`), for a CoherenceGram
+  and a dense Q. The solve factors H = Q + I/C in place, in one of two
+  owners. For a CoherenceGram, H is written over the upper triangle of
+  the caller's Gram G, which LAPACK's dpotrf factors without reading the
+  lower one; G is restored from its lower triangle and a saved diagonal
+  right after the first solve, and also when that solve raises. So it
+  holds no m x m array besides G. For a dense Q (the single-task
+  baseline's Gram), each member's H is a fresh copy that it owns,
+  because the residual needs Q.
   H is positive definite for a PSD Q, and its Cholesky factor gives
   H^-1 y and H^-1 A in one triangular solve. The biases come from the
   T x T Schur complement A^T H^-1 A, also Cholesky-factored, and the
   duals from alpha = H^-1 (y - A b) (the classic LS-SVM solve, Suykens &
   Vandewalle 1999). A failed factorization flags a Q that is not PSD.
-  One refinement step, reusing the Schur factor, follows when the
-  residual misses the acceptance bound; it reuses an owned copy's
-  factor, and for a CoherenceGram writes and factors H in G again, which
-  gives the same factor bit for bit. The residual goes through Q's
-  operator: G (U o v) summed against U row by row for a CoherenceGram
-  (U the m x K task vectors of the samples), Q v for a dense Q.
+  One refinement step, reusing the Schur factor, follows for a member
+  whose residual misses the acceptance bound, and only for it; it reuses
+  an owned copy's factor, and for a CoherenceGram writes and factors H
+  in G again, which gives the same factor bit for bit. The residual goes
+  through Q's operator: G (U o v) summed against U row by row for a
+  CoherenceGram (U the m x K task vectors of the samples), Q v for a
+  dense Q, one matrix-vector product per member.
 * Centered ridge (`_solve_features`), for a FeatureGram and a
   KroneckerGram, exact for every number of features p.
   Centering Phi and y per block eliminates the biases, which leaves a
@@ -88,31 +90,34 @@ and the reported residual is the largest group residual. A SolverError
 carries the 0-based index of the lowest failing group in its `group`
 attribute.
 
-A structured system is solved for members: B systems on the same block
-structure that differ in their cost and in the features or task vectors
-of their Q, and may differ in their data. The costs are a 1-D array C
-(one per member), and Q's arrays carry a leading member axis: a
-FeatureGram's features are B x m x p, a KroneckerGram's and a
-CoherenceGram's task vectors B x T x K. The right-hand side y is one
-vector for every member, or B x m for a FeatureGram's or a
-KroneckerGram's members. A KroneckerGram's moments are one object for
-every member or a tuple with each member's: members on one dataset hold
-the same object, which is never copied per member (`member_runs`). A
-CoherenceGram's members share one Gram and one y, and each member's
-solve restores the Gram before the next one writes it. The result's
-arrays carry the member axis too, and its `errors` hold, per member,
-None or that member's SolverError (a `MemberSolution`); a failed
-member's rows are no solution, and the others go on without it.
-The ridge's passes (centering, Grams, right-hand sides, residuals) run
-over all members at once, or once per run of members that hold the same
-moments, in operations whose every member slice is the operation on that
-member alone, so each member's result equals that of its solve as the
-only member, bit for bit. Every dpotrf and dpotrs stays
-one LAPACK call per member and group. A lone system, one cost C with Q's
-arrays without the member axis, is the one-member case:
-`solve_dual_system`, and only it, lifts it to one member and unwraps the
-result to a `Solution`, raising the member's error. A dense Q is solved
-for one cost, as it is.
+Every system is solved for members: B systems on the same block
+structure that differ in their cost, and for a structured Q in the
+features or task vectors of their Q, and may differ in their data. The
+costs are a 1-D array C (one per member), and a structured Q's arrays
+carry a leading member axis: a FeatureGram's features are B x m x p, a
+KroneckerGram's and a CoherenceGram's task vectors B x T x K. The
+right-hand side y is one vector for every member, or B x m for a
+FeatureGram's or a KroneckerGram's members. A KroneckerGram's moments
+are one object for every member or a tuple with each member's: members
+on one dataset hold the same object, which is never copied per member
+(`member_runs`). A CoherenceGram's members share one Gram and one y, and
+each member's solve restores the Gram before the next one writes it. A
+dense Q's members share Q and y, and each factors its own copy of H:
+the single-task baseline solves every cost of a task in one call. The
+result's arrays carry the member axis too, and its `errors` hold, per
+member, None or that member's SolverError (a `MemberSolution`); a
+failed member's rows are no solution, and the others go on without it.
+The ridge's passes (centering, Grams, right-hand sides, residuals) and
+the dense form's residual checks run over all members at once, or once
+per run of members that hold the same moments, in operations whose
+every member slice is the operation on that member alone, so each
+member's result equals that of its solve as the only member, bit for
+bit. Every dpotrf and dpotrs stays one LAPACK call per member and
+group, and every product with a dense Q one per member. A lone system,
+one cost C (with a structured Q's arrays without the member axis), is
+the one-member case: `solve_dual_system`, and only it, lifts it to one
+member and unwraps the result to a `Solution`, raising the member's
+error.
 
 LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
 factorization rather than with this module: only training solves systems,
@@ -651,14 +656,15 @@ def _refined(
 
     Every array carries the member axis first: `inv_c` holds each member's
     1/C, `biases` is B x T and `duals` B x m; `y` is one vector for every
-    member or B x m, and each member's bounds are its own. `apply_q(v)` is Q v for the
-    original Q and `solve(g, h)` solves the saddle system for the
-    right-hand side [g; h] with the form's factors, member by member.
-    A group that misses its bound at the first solution takes the values
-    of one refinement step; with `always` (a KroneckerGram ridge) every
-    group takes them, and otherwise the groups within their bounds keep
-    the first solution. Each group's residual is checked at the values
-    returned for it.
+    member or B x m, and each member's bounds are its own. `apply_q(v)` is
+    Q v for the original Q and `solve(g, h, stepped)` solves the saddle
+    system for the right-hand side [g; h] with the form's factors, member
+    by member; only the groups that `stepped` (B x G) marks are read from
+    it, so a form may solve no others. A group that misses its bound at
+    the first solution takes the values of one refinement step; with
+    `always` (a KroneckerGram ridge) every group takes them, and otherwise
+    the groups within their bounds keep the first solution. Each group's
+    residual is checked at the values returned for it.
 
     `fitted` is Phi w for the first solve's primal weights w, if it has
     them. A group that took the step keeps its w only if the residual with
@@ -683,7 +689,7 @@ def _refined(
     stepped = np.full((len(inv_c), len(blocks.groups)), True) if always else ~(residuals <= bounds)
     replaced = np.zeros_like(stepped)
     if stepped.any():
-        db, dduals = solve(-top, -bottom)
+        db, dduals = solve(-top, -bottom, stepped)
         if stepped.all():
             biases, duals = biases + db, duals + dduals
         else:  # the groups within their bounds keep the first solution
@@ -720,16 +726,16 @@ def solve_dual_system(
 
     A FeatureGram and a KroneckerGram are solved as the centered ridge, a
     CoherenceGram and a dense Q in the dense form with a Schur complement.
-    A 1-D array C solves a structured Q's members (see the module
-    docstring), on one y or on B x m targets, and returns a
-    `MemberSolution`, with each member's SolverError in its `errors`.
-    One cost C solves a lone system, a
-    structured Q as its one member, and returns a `Solution` (biases,
-    duals, residual, weights); it raises SolverError if Q + I/C is not
-    positive definite or a group's residual exceeds RESIDUAL_RTOL *
-    (1 + ||y_g||) even after refinement. A dense Q takes one cost. Raises
-    TypeError when `blocks` is not a Blocks, and ValueError on
-    inconsistent shapes or a C that is not positive and finite.
+    A 1-D array C solves members (see the module docstring), on one y, or
+    on B x m targets for a FeatureGram or a KroneckerGram, and returns a
+    `MemberSolution`, with each member's SolverError in its `errors`; a
+    dense Q's members share Q and y and differ in their cost. One cost C
+    solves a lone system as its one member and returns a `Solution`
+    (biases, duals, residual, weights); it raises SolverError if Q + I/C
+    is not positive definite or a group's residual exceeds RESIDUAL_RTOL *
+    (1 + ||y_g||) even after refinement. Raises TypeError when `blocks` is
+    not a Blocks, and ValueError on inconsistent shapes or a C that is not
+    positive and finite.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
@@ -746,87 +752,103 @@ def solve_dual_system(
         if stack.ndim != 3 or len(stack) != len(costs) or (isinstance(Q, FeatureGram) and stack.shape[1] != m):
             raise ValueError(f"inconsistent system shapes: member arrays {stack.shape}, {len(costs)} costs, y {m}")
         solve = _solve_coherence if isinstance(Q, CoherenceGram) else _solve_features
-        solution = solve(blocks, Q, y, costs)
-        return _one(solution) if lone else solution
-    if not lone:
-        raise ValueError("a dense Q is solved for one cost")
-    inv_c = 1.0 / float(costs[0])
+    else:
+        solve = _solve_matrix
+    solution = solve(blocks, Q, y, costs)
+    return _one(solution) if lone else solution
+
+
+def _solve_matrix(blocks: Blocks, Q, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
+    """A dense Q's members, each factoring its own H = Q + I/C, which it keeps for a refinement step."""
+    m = blocks.m
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
-    # H = Q + I/C is factored once in a copy the solve owns, since the
-    # residual needs Q; H.T is Fortran-ordered, so LAPACK factors it in
-    # place, and its lower triangle is H's upper one, the same for a
-    # symmetric Q.
-    H = np.array(Q, order="C")
-    H.reshape(-1)[:: m + 1] += inv_c
-    factor = _cholesky(H.T, "Q + I/C")
-    return _solve_dense(blocks, lambda: nullcontext(factor), y, inv_c, lambda v: Q @ v)
+    inv_c = 1.0 / costs
+    factors = {}
+
+    def factored(b: int):
+        if b not in factors:
+            # the copy is the solve's, since the residual needs Q; H.T is
+            # Fortran-ordered, so LAPACK factors it in place, and its lower
+            # triangle is H's upper one, the same for a symmetric Q
+            H = np.array(Q, order="C")
+            H.reshape(-1)[:: m + 1] += inv_c[b]
+            factors[b] = _cholesky(H.T, "Q + I/C")
+        return nullcontext(factors[b])
+
+    return _solve_dense(blocks, factored, y, inv_c, lambda v: Q @ v)
 
 
 def _solve_coherence(blocks: Blocks, Q: CoherenceGram, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
     """A CoherenceGram's members, one dense solve after another in the shared Gram."""
     Q.check(blocks)
-    B, m = len(costs), blocks.m
-    biases, duals = np.full((B, len(blocks)), np.nan), np.full((B, m), np.nan)
-    residual = np.full(B, np.nan)
-    errors = [None] * B
-    for b, cost in enumerate(costs.tolist()):
-        member = CoherenceGram(np.asarray(Q.task_vectors, dtype=float)[b], Q.gram)
-        inv_c = 1.0 / cost
-        try:
-            biases[b], duals[b], residual[b], _ = _solve_dense(
-                blocks,
-                lambda: member.factored(blocks, inv_c),
-                y,
-                inv_c,
-                lambda v: member.matvec(blocks, v),
-            )
-        except SolverError as exc:
-            # without its traceback, whose frames hold the Gram: a failed
-            # member's error outlives the fit
-            errors[b] = exc.with_traceback(None)
-    return MemberSolution(biases, duals, residual, None, tuple(errors))
+    U = np.asarray(Q.task_vectors, dtype=float)
+    inv_c = 1.0 / costs
+    solutions = []
+    for b in range(len(costs)):
+        member = CoherenceGram(U[b], Q.gram)
+        solutions.append(_solve_dense(
+            blocks, lambda _: member.factored(blocks, inv_c[b]), y, inv_c[b : b + 1],
+            lambda v: member.matvec(blocks, v),
+        ))
+    return MemberSolution(
+        *(np.concatenate(parts) for parts in zip(*(s[:3] for s in solutions))),
+        None,
+        tuple(s.errors[0] for s in solutions),
+    )
 
 
-def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: float, apply_q):
-    """The dense form with a Schur complement, for one group and one cost.
+def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: np.ndarray, apply_q) -> MemberSolution:
+    """The dense form with a Schur complement, for members of one group that share Q and y.
 
-    `factored()` opens the lower Cholesky factor of H = Q + inv_c I as a
-    context manager: the factor of a dense Q's copy that the solve owns,
-    or `CoherenceGram.factored`, which writes and factors H in the Gram's
-    upper triangle on every opening and restores the Gram on closing.
-    The solve uses the factor for the first solve, closes it, and opens it
-    again only for a refinement step. `apply_q(v)` is Q v, by which the
-    residual is checked.
+    `factored(b)` opens member b's lower Cholesky factor of H_b = Q +
+    inv_c[b] I as a context manager: a factor that a dense Q's member
+    owns, or `CoherenceGram.factored`, which writes and factors H in the
+    Gram's upper triangle on every opening and restores the Gram on
+    closing. Each member uses its factor for the first solve, closes it,
+    and opens it again only for a refinement step, which only the members
+    that missed their bound take. `apply_q(v)` is Q v, by which the
+    residual is checked. A member whose factorization fails gets NaN rows
+    and keeps its SolverError without the traceback: the error may
+    outlive the solve, and the traceback's frames hold the Gram.
     """
-    m = y.shape[0]
-    rhs = np.zeros((m, 1 + len(blocks)), order="F")
+    B, m, T = len(inv_c), blocks.m, len(blocks)
+    rhs = np.zeros((m, 1 + T), order="F")
     rhs[:, 0] = y
     rhs[np.arange(m), 1 + blocks.of] = 1.0  # columns 1.. hold A
-    with factored() as factor:
-        first = _cho_solve(factor, rhs)
-    Hinv_A = first[:, 1:]
-    schur = _cholesky(blocks.sums(Hinv_A), "Schur complement A^T H^-1 A")
+    biases, duals = np.full((B, T), np.nan), np.full((B, m), np.nan)
+    hinv_a, schur = [None] * B, [None] * B
+    errors: list[SolverError | None] = [None] * B
 
-    def from_hinv(g: np.ndarray, Hinv_h: np.ndarray):
-        b = _cho_solve(schur, blocks.sums(Hinv_h) - g)
-        return b, Hinv_h - Hinv_A @ b
+    def from_hinv(b: int, g: np.ndarray, Hinv_h: np.ndarray):
+        bias = _cho_solve(schur[b], blocks.sums(Hinv_h) - g)
+        return bias, Hinv_h - hinv_a[b] @ bias
 
-    def solve(g: np.ndarray, h: np.ndarray):  # one member: 1 x T and 1 x m
-        with factored() as factor:
-            Hinv_h = _cho_solve(factor, h[0])
-        b, alpha = from_hinv(g[0], Hinv_h)
-        return b[None], alpha[None]
+    for b in range(B):
+        try:
+            with factored(b) as factor:
+                first = _cho_solve(factor, rhs.copy(order="F"))
+            hinv_a[b] = first[:, 1:]
+            schur[b] = _cholesky(blocks.sums(hinv_a[b]), "Schur complement A^T H^-1 A")
+            biases[b], duals[b] = from_hinv(b, np.zeros(T), first[:, 0])
+        except SolverError as exc:
+            errors[b] = exc.with_traceback(None)
 
-    biases, duals = from_hinv(np.zeros(len(blocks)), first[:, 0])
-    biases, duals, residual, _, errors = _refined(
-        blocks, y, np.array([inv_c]), lambda v: apply_q(v[0]), solve, biases[None], duals[None],
+    def solve(g: np.ndarray, h: np.ndarray, stepped: np.ndarray):
+        db, dduals = np.zeros((B, T)), np.zeros((B, m))
+        for b in np.flatnonzero(stepped[:, 0]).tolist():
+            if errors[b] is None:  # a failed member's rows stay NaN
+                with factored(b) as factor:
+                    Hinv_h = _cho_solve(factor, h[b])
+                db[b], dduals[b] = from_hinv(b, g[b], Hinv_h)
+        return db, dduals
+
+    biases, duals, residual, _, checked = _refined(
+        blocks, y, inv_c, lambda v: np.stack([apply_q(row) for row in v]), solve, biases, duals,
         always=False,
     )
-    if errors[0] is not None:
-        raise errors[0]
-    return Solution(biases[0], duals[0], float(residual[0]))
+    return MemberSolution(biases, duals, residual, None, tuple(own or got for own, got in zip(errors, checked)))
 
 
 def _solve_features(
@@ -914,7 +936,7 @@ def _solve_ridge(blocks: Blocks, features, factors: list, y: np.ndarray, inv_c: 
     biases, duals, weights, fitted = solve_with_weights(np.zeros((B, len(blocks))), targets)
     biases, duals, residual, replaced, errors = _refined(
         blocks, y, inv_c, lambda v: features.matvec(features.rmatvec(v)),
-        lambda g, h: solve_with_weights(g, h)[:2], biases, duals, kronecker, fitted,
+        lambda g, h, _: solve_with_weights(g, h)[:2], biases, duals, kronecker, fitted,
     )
     weights = np.stack(weights, axis=1)
     if replaced.any():

@@ -223,18 +223,26 @@ class TestLockstepCosts:
         data = grid_dataset(4)
         bad_cost, bad_task = self.COSTS[2], 2
         real_solve = baseline.solve_dual_system
-        solved = []  # (task, cost) of every solve
+        solved = []  # (task, cost) of every member solved
 
         def solve_dual_system(blocks, Q, y, C):
+            # one call per task, every alive cost a member; the bad cost's
+            # member fails on the bad task, as a factorization would
             task = next(t for t, targets in enumerate(data.targets) if np.array_equal(targets, y))
-            solved.append((task, C))
-            if (task, C) == (bad_task, bad_cost):
-                raise SolverError(f"task {task + 1} cannot be solved at C={C}")
-            return real_solve(blocks, Q, y, C)
+            solved.extend((task, cost) for cost in C.tolist())
+            solution = real_solve(blocks, Q, y, C)
+            if task == bad_task and bad_cost in C:
+                b = C.tolist().index(bad_cost)
+                errors = list(solution.errors)
+                errors[b] = SolverError(f"task {task + 1} cannot be solved at C={bad_cost}")
+                solution = solution._replace(errors=tuple(errors))
+            return solution
 
         monkeypatch.setattr(baseline, "solve_dual_system", solve_dual_system)
         fits = fit_independent(data, list(self.COSTS), kernel)
+        assert (bad_task, bad_cost) in solved
         assert (bad_task + 1, bad_cost) not in solved  # a failed cost is not fit on later tasks
+        assert (bad_task + 1, self.COSTS[0]) in solved
         with pytest.raises(SolverError) as lone:
             fit_independent(data, bad_cost, kernel)
         assert isinstance(fits[2], SolverError) and str(fits[2]) == str(lone.value) == "task 3 cannot be solved at C=7.5"

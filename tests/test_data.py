@@ -491,6 +491,35 @@ class TestKfold:
         with pytest.raises(DataError, match="task 1"):
             kfold_split(data, 3, 0)
 
+    @pytest.mark.parametrize("folds", [2, 3, 5])
+    def test_folds_equal_the_per_task_construction(self, folds):
+        # the folds are gathered from the stacked arrays: they equal, byte
+        # for byte, the datasets built task by task from the same parts
+        rng = np.random.default_rng(folds)
+        sizes = (5, 9, 7, 6, 11, 8)
+        data = MtlDataset(
+            TaskGrid((2, 3)),
+            tuple(rng.normal(size=(n, 4)) for n in sizes),
+            tuple(rng.normal(size=n) for n in sizes),
+        )
+        parts = np.random.default_rng(17)
+        parts = [np.array_split(parts.permutation(n), folds) for n in sizes]
+        for j, (train, val) in enumerate(kfold_split(data, folds, 17)):
+            kept = [np.setdiff1d(np.arange(n), own[j]) for n, own in zip(sizes, parts)]
+            held = [np.sort(own[j]) for own in parts]
+            for got, rows in ((train, kept), (val, held)):
+                expected = MtlDataset(
+                    data.grid,
+                    tuple(X[r] for X, r in zip(data.inputs, rows)),
+                    tuple(y[r] for y, r in zip(data.targets, rows)),
+                )
+                assert got.task_sizes == expected.task_sizes
+                assert got.stacked_inputs().tobytes() == expected.stacked_inputs().tobytes()
+                assert got.stacked_targets().tobytes() == expected.stacked_targets().tobytes()
+                assert got.stacked_inputs().flags.c_contiguous and not got.stacked_inputs().flags.writeable
+                for a, b in zip(got.inputs + got.targets, expected.inputs + expected.targets):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_deterministic_per_seed(self, tiny_dataset):
         a = kfold_split(tiny_dataset, 5, 3)
         b = kfold_split(tiny_dataset, 5, 3)

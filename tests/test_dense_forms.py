@@ -4,7 +4,8 @@ A CoherenceGram (the shared step of an RBF fit, and of a linear fit with
 more features than samples) and a dense Q (the single-task baseline) are
 solved by a Cholesky factorization of H = Q + I/C. The solve factors H in
 place: for a CoherenceGram in the upper triangle of the caller's Gram,
-which it gives back bit for bit, and for a dense Q in a copy that it owns.
+which it gives back bit for bit, and for a dense Q in a copy that each
+member (one per cost) owns.
 A FeatureGram never takes this form, whatever its shape (see the grouped
 ridge tests in test_solver.py).
 """
@@ -279,10 +280,12 @@ def dense_systems(draw):
     wide_linear = CoherenceGram(U, gram(LINEAR, wide))
     M = rng.normal(size=(m, m))
     dense = M @ M.T  # the single-task baseline's form, a plain matrix
+    # the baseline solves every cost of a task as a member of one call
+    costs = np.array([C] + [10.0**e for e in draw(st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=2))])
     return [
         (blocks, coherence, coherence_dense(coherence, blocks), y, C),
         (blocks, wide_linear, kron_features @ kron_features.T, y, C),
-        (blocks, dense, dense, y, C),
+        (blocks, dense, dense, y, costs),
     ]
 
 
@@ -292,7 +295,15 @@ def test_dense_forms_match_the_saddle_oracle(systems):
     for blocks, form, Q, y, C in systems:
         kept = form.gram.copy() if isinstance(form, CoherenceGram) else None
         got = solve_dual_system(blocks, form, y, C)
-        assert same_solution(got, saddle_oracle(blocks, Q, y, C))
+        if np.ndim(C):
+            assert all(error is None for error in got.errors)
+            for b, cost in enumerate(C):
+                member = (got.biases[b], got.duals[b])
+                assert same_solution(member, saddle_oracle(blocks, Q, y, cost))
+                lone = solve_dual_system(blocks, form, y, cost)
+                assert member[0].tobytes() == lone.biases.tobytes() and member[1].tobytes() == lone.duals.tobytes()
+        else:
+            assert same_solution(got, saddle_oracle(blocks, Q, y, C))
         if kept is not None:
             assert form.gram.tobytes() == kept.tobytes()
 

@@ -1453,10 +1453,70 @@ class TestMemberSolves:
             for part in ("biases", "duals", "weights"):
                 assert getattr(got, part)[b].tobytes() == getattr(expected, part).tobytes()
 
-    def test_a_dense_q_takes_one_cost(self):
-        X, y = np.random.default_rng(73).normal(size=(5, 2)), np.ones(5)
-        with pytest.raises(ValueError, match="one cost"):
-            solve_dual_system(Blocks([2, 3]), X @ X.T, y, np.array([1.0, 2.0]))
+    def dense(self, seed, rank=9):
+        """A dense Q = M M^T of rank `rank` on three blocks, and targets."""
+        rng = np.random.default_rng(seed)
+        blocks = Blocks([2, 3, 4])
+        M = rng.normal(size=(blocks.m, rank))
+        return blocks, M @ M.T, rng.normal(size=blocks.m)
+
+    def assert_lone(self, got, b, lone):
+        assert got.errors[b] is None
+        assert got.biases[b].tobytes() == lone.biases.tobytes()
+        assert got.duals[b].tobytes() == lone.duals.tobytes()
+        assert got.residual[b] == lone.residual
+
+    def test_dense_members_equal_their_lone_solves(self):
+        blocks, Q, y = self.dense(73)
+        costs = np.array([1e-2, 1.0, 10.0, 1e3, 1e5])
+        kept = Q.copy()
+        got = solve_dual_system(blocks, Q, y, costs)
+        assert isinstance(got, MemberSolution) and got.weights is None and len(got.errors) == 5
+        assert Q.tobytes() == kept.tobytes()
+        for b, cost in enumerate(costs):
+            self.assert_lone(got, b, solve_dual_system(blocks, Q, y, cost))
+
+    def test_a_dense_member_whose_factorization_fails_keeps_its_error(self):
+        # M M^T - eps I of rank 4 < m: H = Q + I/C is positive definite only for 1/C > eps
+        blocks, Q, y = self.dense(76, rank=4)
+        Q -= 1e-3 * np.eye(blocks.m)
+        costs = np.array([1.0, 1e4, 10.0])
+        got = solve_dual_system(blocks, Q, y, costs)
+        with pytest.raises(SolverError) as lone_error:
+            solve_dual_system(blocks, Q, y, costs[1])
+        assert str(got.errors[1]) == str(lone_error.value)
+        assert str(got.errors[1]).startswith("Q + I/C is not positive definite (dpotrf info ")
+        assert got.errors[1].group == 0 and got.errors[1].__traceback__ is None
+        assert np.isnan(got.biases[1]).all() and np.isnan(got.duals[1]).all()
+        for b in (0, 2):
+            self.assert_lone(got, b, solve_dual_system(blocks, Q, y, costs[b]))
+
+    def test_only_the_dense_member_that_misses_its_bound_takes_the_step(self, monkeypatch):
+        blocks, Q, y = self.dense(77)
+        costs = np.array([0.5, 10.0, 1e3])
+        lone = [solve_dual_system(blocks, Q, y, cost) for cost in costs]
+        real_cho_solve = linsys._cho_solve
+        first_solves = steps = 0
+
+        def member_1_off(factor, rhs):
+            nonlocal first_solves, steps
+            solution = real_cho_solve(factor, rhs)
+            if rhs.ndim == 2:  # a member's first solve, [y | A]
+                first_solves += 1
+                if first_solves == 2:
+                    solution[:, 0] += 1e-3  # H^-1 y, off by far more than the residual bound
+            elif len(rhs) == blocks.m:  # a refinement step's H^-1 h
+                steps += 1
+            return solution
+
+        monkeypatch.setattr(linsys, "_cho_solve", member_1_off)
+        got = solve_dual_system(blocks, Q, y, costs)
+        assert first_solves == 3 and steps == 1  # member 1's step alone
+        for b in (0, 2):  # no step: their first solutions, as alone
+            self.assert_lone(got, b, lone[b])
+        assert got.errors[1] is None
+        np.testing.assert_allclose(got.duals[1], lone[1].duals, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got.biases[1], lone[1].biases, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("form", ["features", "kronecker"])
     def test_members_on_two_datasets_equal_their_lone_solves(self, form):
@@ -1522,7 +1582,7 @@ class TestGroupedSystems:
         biases, duals, _, _ = solve_dual_system(Blocks(block_sizes, (2, 2)), FeatureGram(Phi), y, C)
         duals = duals + 1e-8 * (group_of == 1)  # group 1 (0-based) misses its own bound
         apply_q = lambda v: block_diagonal_gram(Phi, group_of) @ v  # noqa: E731
-        no_step = lambda g, h: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
+        no_step = lambda g, h, stepped: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
         # _refined works on one member here: its arrays carry a leading member axis
         member = (np.array([1 / C]), lambda v: apply_q(v[0]), no_step, biases[None], duals[None], False)
         pooled = linsys.Blocks(block_sizes)
