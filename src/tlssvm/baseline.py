@@ -25,23 +25,30 @@ __all__ = ["SingleTaskLssvm", "LssvmModel", "fit_independent"]
 
 @dataclass(frozen=True)
 class SingleTaskLssvm:
-    """Dual solution for one task: coefficients, bias, and its training inputs."""
+    """Dual solution for one task: coefficients, bias, and its training inputs.
+
+    Its kernel is the model's (`LssvmModel.kernel`). Construction raises
+    ValueError unless there is one dual per training row and every value
+    is finite.
+    """
 
     duals: np.ndarray
     bias: float
     inputs: np.ndarray
-    kernel: KernelSpec
 
     def __post_init__(self) -> None:
         duals = np.array(self.duals, dtype=float)
         inputs = np.array(self.inputs, dtype=float)
+        bias = float(self.bias)
         if duals.ndim != 1 or inputs.ndim != 2 or duals.shape[0] != inputs.shape[0]:
             raise ValueError("need one dual coefficient per training sample")
+        if not (np.isfinite(bias) and np.isfinite(duals).all() and np.isfinite(inputs).all()):
+            raise ValueError("model contains non-finite values")
         duals.flags.writeable = False
         inputs.flags.writeable = False
         object.__setattr__(self, "duals", duals)
         object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias", bias)
 
 
 def query_inputs(x, ndim: int, n_features: int) -> np.ndarray:
@@ -79,6 +86,9 @@ class LssvmModel:
     def __post_init__(self) -> None:
         if len(self.tasks) != self.grid.n_tasks:
             raise ValueError(f"expected {self.grid.n_tasks} task models, got {len(self.tasks)}")
+        dims = {task.inputs.shape[1] for task in self.tasks}
+        if len(dims) != 1:
+            raise ValueError(f"task inputs disagree on feature dimension: {sorted(dims)}")
 
     @property
     def n_features(self) -> int:
@@ -123,7 +133,7 @@ def fit_independent(data: MtlDataset, C, kernel: KernelSpec):
         solution = solve_dual_system(Blocks([X.shape[0]]), gram(kernel, X), y, costs[alive])
         for b, biases, duals, error in zip(alive, solution.biases, solution.duals, solution.errors):
             if error is None:
-                fits[b].append(SingleTaskLssvm(duals, float(biases[0]), X, kernel))
+                fits[b].append(SingleTaskLssvm(duals, float(biases[0]), X))
             else:
                 fits[b] = error
     models = [fit if isinstance(fit, SolverError) else LssvmModel(data.grid, kernel, tuple(fit)) for fit in fits]

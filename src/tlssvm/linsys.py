@@ -30,8 +30,8 @@ Cholesky. Which kind a shared step hands over is the caller's choice
   owners. For a CoherenceGram, H is written over the upper triangle of
   the caller's Gram G, which LAPACK's dpotrf factors without reading the
   lower one; G is restored from its lower triangle and a saved diagonal
-  right after the first solve, and also when that solve raises. So it
-  holds no m x m array besides G. For a dense Q (the single-task
+  right after each member's first solve, and also when that solve
+  raises. So it holds no m x m array besides G. For a dense Q (the single-task
   baseline's Gram), each member's H is a fresh copy that it owns,
   because the residual needs Q.
   H is positive definite for a PSD Q, and its Cholesky factor gives
@@ -74,8 +74,8 @@ Cholesky. Which kind a shared step hands over is the caller's choice
   in runs of tasks that fit that bound.
 
 Both evaluate the residual of the saddle system above with Q itself
-(never with a factor), and raise SolverError when it exceeds
-RESIDUAL_RTOL * (1 + ||y||).
+(never with a factor), and give a member a SolverError when its residual
+exceeds RESIDUAL_RTOL * (1 + ||y||).
 
 Every solver takes the block structure as a `Blocks`: the block sizes,
 validated once, with everything the solvers derive from them, so a caller
@@ -100,10 +100,13 @@ right-hand side y is one vector for every member, or B x m for a
 FeatureGram's or a KroneckerGram's members. A KroneckerGram's moments
 are one object for every member or a tuple with each member's: members
 on one dataset hold the same object, which is never copied per member
-(`member_runs`). A CoherenceGram's members share one Gram and one y, and
-each member's solve restores the Gram before the next one writes it. A
-dense Q's members share Q and y, and each factors its own copy of H:
-the single-task baseline solves every cost of a task in one call. The
+(`member_runs`). A CoherenceGram's members share one Gram and one y, a
+dense Q's members share Q and y, and both are solved in one dense pass:
+each member of a CoherenceGram writes and factors H in the Gram in turn
+and restores it before the next one writes it, and each member of a
+dense Q factors its own copy of H, so the single-task baseline solves
+every cost of a task in one call. One cost is the one-member case, C =
+[C] with the member axis on the Q's arrays; a scalar C is refused. The
 result's arrays carry the member axis too, and its `errors` hold, per
 member, None or that member's SolverError (a `MemberSolution`); a
 failed member's rows are no solution, and the others go on without it.
@@ -113,11 +116,7 @@ per run of members that hold the same moments, in operations whose
 every member slice is the operation on that member alone, so each
 member's result equals that of its solve as the only member, bit for
 bit. Every dpotrf and dpotrs stays one LAPACK call per member and
-group, and every product with a dense Q one per member. A lone system,
-one cost C (with a structured Q's arrays without the member axis), is
-the one-member case: `solve_dual_system`, and only it, lifts it to one
-member and unwraps the result to a `Solution`, raising the member's
-error.
+group, and every product with a dense Q one per member.
 
 LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
 factorization rather than with this module: only training solves systems,
@@ -128,7 +127,7 @@ prediction, evaluation and CSV or model IO run without ever loading it.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -143,7 +142,6 @@ __all__ = [
     "FeatureGram",
     "KroneckerGram",
     "MemberSolution",
-    "Solution",
     "TaskMoments",
     "by_run",
     "check_symmetric",
@@ -154,29 +152,18 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8
 
 
-class Solution(NamedTuple):
-    """What a solve returns.
-
-    `biases` has one entry per block, `duals` one per sample, and
-    `residual` is the largest group residual. `weights` holds a feature
-    form's primal weights, one row w_g per group (G x p): the first ridge
-    solve's w, or Phi_g^T alpha_g for a group whose w misses its bound
-    after a refinement step. It is None for a dense Q and a CoherenceGram.
-    """
-
-    biases: np.ndarray
-    duals: np.ndarray
-    residual: float
-    weights: np.ndarray | None = None
-
-
 class MemberSolution(NamedTuple):
-    """What a solve for members returns: a `Solution`'s fields with the member axis first.
+    """What a solve returns, every array with the member axis first.
 
-    `residual` holds each member's largest group residual, and `errors`
-    each member's SolverError, or None. The rows of a member with an error
-    are no solution: NaN where its factorization failed, else the values
-    that missed the residual bound.
+    `biases` has one row per member of one entry per block (B x T), and
+    `duals` one of one entry per sample (B x m). `residual` holds each
+    member's largest group residual, and `errors` each member's
+    SolverError, or None. `weights` holds a feature form's primal
+    weights, one row w_g per group (B x G x p): the first ridge solve's w,
+    or Phi_g^T alpha_g for a group whose w misses its bound after a
+    refinement step. It is None for a dense Q and a CoherenceGram. The
+    rows of a member with an error are no solution: NaN where its
+    factorization failed, else the values that missed the residual bound.
     """
 
     biases: np.ndarray
@@ -243,12 +230,12 @@ class Blocks(tuple):
         return self.sums(values, axis) / self.sizes.reshape((-1,) + (1,) * trailing)
 
 
-def _costs(C) -> tuple[np.ndarray, bool]:
-    """The costs as a 1-D array, and whether C was one cost (a lone solve)."""
+def _costs(C) -> np.ndarray:
+    """The members' costs, a non-empty 1-D array."""
     costs = np.asarray(C, dtype=float)
-    if costs.ndim > 1 or costs.size == 0:
-        raise ValueError(f"C must be one cost or a 1-D array of costs, got shape {costs.shape}")
-    return costs.reshape(-1), costs.ndim == 0
+    if costs.ndim != 1 or costs.size == 0:
+        raise ValueError(f"C must be a non-empty 1-D array of costs, one per member, got shape {costs.shape}")
+    return costs
 
 
 def member_runs(shared, B: int) -> list[tuple[slice, object]]:
@@ -296,21 +283,6 @@ def _check(blocks: Blocks, m: int, costs: np.ndarray) -> None:
     bad = costs[~((costs > 0) & (costs < np.inf))]
     if bad.size:
         raise ValueError(f"C must be positive and finite, got {bad[0]}")
-
-
-def _lifted(Q):
-    """A lone structured Q as its one member: its arrays with a member axis of length one."""
-    if isinstance(Q, FeatureGram):
-        return FeatureGram(Q.features[None])
-    return replace(Q, task_vectors=np.asarray(Q.task_vectors, dtype=float)[None])
-
-
-def _one(solution: MemberSolution) -> Solution:
-    """The lone solve of a one-member solution: its arrays, or its error raised."""
-    if solution.errors[0] is not None:
-        raise solution.errors[0]
-    weights = None if solution.weights is None else solution.weights[0]
-    return Solution(solution.biases[0], solution.duals[0], float(solution.residual[0]), weights)
 
 
 @dataclass(frozen=True)
@@ -440,21 +412,23 @@ def check_symmetric(G: np.ndarray) -> None:
 class CoherenceGram:
     """Q_jp = <u_t(j), u_t(p)> G_jp: the task coherence times an m x m kernel Gram G.
 
-    `task_vectors` is T x K (B x T x K for members, who share G), every
-    task a block of the system. This is the shared step's system matrix
-    for a kernel without a finite feature map.
+    `task_vectors` is B x T x K, one T x K table per member, every task a
+    block of the system; the members share G, and `factored` and `matvec`
+    act for member b's Q. This is the shared step's system matrix for a
+    kernel without a finite feature map.
 
     G is the dense solve's workspace, so it must be an exactly symmetric,
     writable, C-contiguous float64 array, as `kernels.gram` returns it.
-    The solve writes H = Q + I/C over G's upper triangle and factors it
-    there; then it restores that triangle from the lower one and the
-    diagonal from a saved copy, also when the solve raises. The caller
-    gets G back bit for bit, and no m x m array is held beside it. The
-    residual goes through `matvec` on the restored G: G (U o v) summed
-    against U row by row. Every solve compares G's triangles
-    (`check_symmetric`), since the restore copies the lower one over the
-    upper one. Only `solver.fit_many`, which compares the Gram it builds
-    once, sets the private `_compared` to skip that for its steps.
+    Each member's solve writes its H = Q + I/C over G's upper triangle and
+    factors it there; then it restores that triangle from the lower one
+    and the diagonal from a saved copy, also when the solve raises, before
+    the next member writes it. The caller gets G back bit for bit, and no
+    m x m array is held beside it. The residual goes through `matvec` on
+    the restored G: G (U o v) summed against U row by row. Every solve
+    compares G's triangles (`check_symmetric`), since the restore copies
+    the lower one over the upper one. Only `solver.fit_many`, which
+    compares the Gram it builds once, sets the private `_compared` to skip
+    that for its steps.
     """
 
     task_vectors: np.ndarray
@@ -483,8 +457,8 @@ class CoherenceGram:
             check_symmetric(G)
 
     @contextmanager
-    def factored(self, blocks: Blocks, shift: float):
-        """The lower Cholesky factor of Q + shift I, held in G's upper triangle while open.
+    def factored(self, blocks: Blocks, b: int, shift: float):
+        """The lower Cholesky factor of member b's Q + shift I, held in G's upper triangle while open.
 
         Rows are scaled strip by strip, task by task: a strip's rectangle
         right of its diagonal tile by the coherences of the columns' tasks,
@@ -495,7 +469,8 @@ class CoherenceGram:
         m = blocks.m
         diagonal = G.diagonal().copy()
         try:
-            coherence = self.task_vectors @ self.task_vectors.T
+            U = self.task_vectors[b]
+            coherence = U @ U.T
             coherence = 0.5 * (coherence + coherence.T)
             for t, (s, n) in enumerate(zip(blocks.starts.tolist(), blocks.sizes.tolist())):
                 own = coherence[t]
@@ -517,9 +492,9 @@ class CoherenceGram:
                 G[r0:r1, r1:] = G[r1:, r0:r1].T
             G.reshape(-1)[:: m + 1] = diagonal
 
-    def matvec(self, blocks: Blocks, v: np.ndarray) -> np.ndarray:
-        """Q v, without forming Q."""
-        U = self.task_vectors[blocks.of]  # m x K
+    def matvec(self, blocks: Blocks, b: int, v: np.ndarray) -> np.ndarray:
+        """Member b's Q v, without forming Q."""
+        U = self.task_vectors[b, blocks.of]  # m x K
         return np.einsum("jk,jk->j", self.gram @ (U * v[:, None]), U)
 
 
@@ -720,42 +695,38 @@ def solve_dual_system(
     blocks: Blocks,
     Q: np.ndarray | FeatureGram | KroneckerGram | CoherenceGram,
     y: np.ndarray,
-    C: float | np.ndarray,
-) -> Solution | MemberSolution:
-    """Solve the saddle-point system above for the block structure `blocks`.
+    C: np.ndarray,
+) -> MemberSolution:
+    """Solve the saddle-point system above for the block structure `blocks`, for members.
 
     A FeatureGram and a KroneckerGram are solved as the centered ridge, a
     CoherenceGram and a dense Q in the dense form with a Schur complement.
-    A 1-D array C solves members (see the module docstring), on one y, or
-    on B x m targets for a FeatureGram or a KroneckerGram, and returns a
-    `MemberSolution`, with each member's SolverError in its `errors`; a
-    dense Q's members share Q and y and differ in their cost. One cost C
-    solves a lone system as its one member and returns a `Solution`
-    (biases, duals, residual, weights); it raises SolverError if Q + I/C
-    is not positive definite or a group's residual exceeds RESIDUAL_RTOL *
-    (1 + ||y_g||) even after refinement. Raises TypeError when `blocks` is
-    not a Blocks, and ValueError on inconsistent shapes or a C that is not
-    positive and finite.
+    C is a non-empty 1-D array, one cost per member, and a structured Q's
+    arrays carry the member axis (see the module docstring). The members
+    solve one y, or B x m targets for a FeatureGram or a KroneckerGram; a
+    dense Q's members share Q and y and differ in their cost. Returns a
+    `MemberSolution`, whose `errors` hold a member's SolverError if its Q +
+    I/C is not positive definite or a group's residual exceeds
+    RESIDUAL_RTOL * (1 + ||y_g||) even after refinement. Raises TypeError
+    when `blocks` is not a Blocks, and ValueError on inconsistent shapes,
+    a C that is not a 1-D array, or a cost that is not positive and
+    finite.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
         raise ValueError(f"y must be a vector or one per member, got shape {y.shape}")
     m = y.shape[-1]
-    costs, lone = _costs(C)
+    costs = _costs(C)
     _check(blocks, m, costs)
-    if y.ndim == 2 and (lone or len(y) != len(costs) or not isinstance(Q, (FeatureGram, KroneckerGram))):
+    if y.ndim == 2 and (len(y) != len(costs) or not isinstance(Q, (FeatureGram, KroneckerGram))):
         raise ValueError(f"targets of shape {y.shape} are one per member of a structured Q, got {len(costs)} costs")
-    if isinstance(Q, (FeatureGram, KroneckerGram, CoherenceGram)):
-        if lone:
-            Q = _lifted(Q)
-        stack = Q.features if isinstance(Q, FeatureGram) else Q.task_vectors
-        if stack.ndim != 3 or len(stack) != len(costs) or (isinstance(Q, FeatureGram) and stack.shape[1] != m):
-            raise ValueError(f"inconsistent system shapes: member arrays {stack.shape}, {len(costs)} costs, y {m}")
-        solve = _solve_coherence if isinstance(Q, CoherenceGram) else _solve_features
-    else:
-        solve = _solve_matrix
-    solution = solve(blocks, Q, y, costs)
-    return _one(solution) if lone else solution
+    if not isinstance(Q, (FeatureGram, KroneckerGram, CoherenceGram)):
+        return _solve_matrix(blocks, Q, y, costs)
+    stack = Q.features if isinstance(Q, FeatureGram) else Q.task_vectors
+    if stack.ndim != 3 or len(stack) != len(costs) or (isinstance(Q, FeatureGram) and stack.shape[1] != m):
+        raise ValueError(f"inconsistent system shapes: member arrays {stack.shape}, {len(costs)} costs, y {m}")
+    solve = _solve_coherence if isinstance(Q, CoherenceGram) else _solve_features
+    return solve(blocks, Q, y, costs)
 
 
 def _solve_matrix(blocks: Blocks, Q, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
@@ -777,25 +748,15 @@ def _solve_matrix(blocks: Blocks, Q, y: np.ndarray, costs: np.ndarray) -> Member
             factors[b] = _cholesky(H.T, "Q + I/C")
         return nullcontext(factors[b])
 
-    return _solve_dense(blocks, factored, y, inv_c, lambda v: Q @ v)
+    return _solve_dense(blocks, factored, y, inv_c, lambda _, v: Q @ v)
 
 
 def _solve_coherence(blocks: Blocks, Q: CoherenceGram, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
-    """A CoherenceGram's members, one dense solve after another in the shared Gram."""
+    """A CoherenceGram's members, each writing and factoring its H in the shared Gram in turn."""
     Q.check(blocks)
-    U = np.asarray(Q.task_vectors, dtype=float)
     inv_c = 1.0 / costs
-    solutions = []
-    for b in range(len(costs)):
-        member = CoherenceGram(U[b], Q.gram)
-        solutions.append(_solve_dense(
-            blocks, lambda _: member.factored(blocks, inv_c[b]), y, inv_c[b : b + 1],
-            lambda v: member.matvec(blocks, v),
-        ))
-    return MemberSolution(
-        *(np.concatenate(parts) for parts in zip(*(s[:3] for s in solutions))),
-        None,
-        tuple(s.errors[0] for s in solutions),
+    return _solve_dense(
+        blocks, lambda b: Q.factored(blocks, b, inv_c[b]), y, inv_c, lambda b, v: Q.matvec(blocks, b, v)
     )
 
 
@@ -806,12 +767,13 @@ def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: np.ndarray, app
     inv_c[b] I as a context manager: a factor that a dense Q's member
     owns, or `CoherenceGram.factored`, which writes and factors H in the
     Gram's upper triangle on every opening and restores the Gram on
-    closing. Each member uses its factor for the first solve, closes it,
-    and opens it again only for a refinement step, which only the members
-    that missed their bound take. `apply_q(v)` is Q v, by which the
-    residual is checked. A member whose factorization fails gets NaN rows
-    and keeps its SolverError without the traceback: the error may
-    outlive the solve, and the traceback's frames hold the Gram.
+    closing, so one member's factor is open at a time. Each member uses
+    its factor for the first solve, closes it, and opens it again only for
+    a refinement step, which only the members that missed their bound
+    take. `apply_q(b, v)` is member b's Q v, by which the residual is
+    checked. A member whose factorization fails gets NaN rows and keeps
+    its SolverError without the traceback: the error may outlive the
+    solve, and the traceback's frames hold the Gram.
     """
     B, m, T = len(inv_c), blocks.m, len(blocks)
     rhs = np.zeros((m, 1 + T), order="F")
@@ -845,7 +807,7 @@ def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: np.ndarray, app
         return db, dduals
 
     biases, duals, residual, _, checked = _refined(
-        blocks, y, inv_c, lambda v: np.stack([apply_q(row) for row in v]), solve, biases, duals,
+        blocks, y, inv_c, lambda v: np.stack([apply_q(b, row) for b, row in enumerate(v)]), solve, biases, duals,
         always=False,
     )
     return MemberSolution(biases, duals, residual, None, tuple(own or got for own, got in zip(errors, checked)))

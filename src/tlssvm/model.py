@@ -352,12 +352,14 @@ def load_model(path):
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format_version {version!r}, expected {FORMAT_VERSION}")
     method = payload.get("method")
+    if method not in ("tlssvm", "lssvm-independent"):
+        raise DataError(f"{path}: unknown method {method!r}")
     try:
         grid = TaskGrid(tuple(payload["grid"]))
         kernel = KernelSpec.from_config(payload["kernel"])
         d = int(payload["n_features"])
         if method == "tlssvm":
-            return TrainedModel(
+            model = TrainedModel(
                 grid=grid,
                 factors=ModeFactors(tuple(np.asarray(f, dtype=float) for f in payload["factors"])),
                 duals=np.asarray(payload["duals"], dtype=float),
@@ -369,17 +371,18 @@ def load_model(path):
                 if payload["explicit"] is None
                 else np.asarray(payload["explicit"], dtype=float),
             )
-        if method == "lssvm-independent":
+        else:
             tasks = tuple(
                 SingleTaskLssvm(
                     duals=np.asarray(t["duals"], dtype=float),
                     bias=float(t["bias"]),
                     inputs=_block(t["inputs"], d),
-                    kernel=kernel,
                 )
                 for t in payload["tasks"]
             )
-            return LssvmModel(grid, kernel, tasks)
+            model = LssvmModel(grid, kernel, tasks)
+        if model.n_features != d:
+            raise ValueError(f"n_features {d} does not match training inputs of {model.n_features} features")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: corrupted model file ({exc})") from exc
-    raise DataError(f"{path}: unknown method {method!r}")
+    return model

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from tlssvm.baseline import SingleTaskLssvm, fit_independent, query_inputs
 from tlssvm.data import SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation, positive
 from tlssvm.kernels import KernelSpec, gram
-from tlssvm.linsys import Blocks, CoherenceGram
+from tlssvm.linsys import Blocks, CoherenceGram, FeatureGram, KroneckerGram, solve_dual_system
 from tlssvm.model import SharedFactor, task_predictions
 from tlssvm.solver import (
     FitConfig,
@@ -60,10 +61,13 @@ def kernel_eval(spec: KernelSpec, x, x_other) -> float:
     return float(np.exp(-spec.gamma * (diff @ diff)))
 
 
-def predict_single(model: SingleTaskLssvm, x) -> float:
-    """sum_i alpha_i k(x, x_i) + b for one query row: the one-query oracle of a baseline task."""
+def predict_single(model: SingleTaskLssvm, x, kernel: KernelSpec) -> float:
+    """sum_i alpha_i k(x, x_i) + b for one query row: the one-query oracle of a baseline task.
+
+    A task carries no kernel: it is its model's (`LssvmModel.kernel`).
+    """
     x = query_inputs(x, 1, model.inputs.shape[1])
-    k = gram(model.kernel, model.inputs, x[None, :])[:, 0]
+    k = gram(kernel, model.inputs, x[None, :])[:, 0]
     return float(model.duals @ k + model.bias)
 
 
@@ -126,6 +130,37 @@ def one_member(step, data: MtlDataset, given, *args, C: float, **kwargs):
     if hasattr(result, "shared"):
         lone["shared"] = _member_record(result.shared, 0)
     return dataclasses.replace(result, **lone)
+
+
+class LoneSolution(NamedTuple):
+    """Member 0 of a one-member solve: biases (T), duals (m), residual, weights (G x p, or None)."""
+
+    biases: np.ndarray
+    duals: np.ndarray
+    residual: float
+    weights: np.ndarray | None
+
+
+def lone_solve(blocks, Q, y, C: float) -> LoneSolution:
+    """`solve_dual_system` for one cost, as a lone solve: the oracle that each member equals.
+
+    The solve takes members only: a 1-D array of costs and a structured
+    Q's arrays with a leading member axis. The cost is passed as the
+    array [C], and a FeatureGram's features or a KroneckerGram's or
+    CoherenceGram's task vectors as the stacks of one member; a dense Q
+    has no member axis. Returns member 0's biases, duals, residual and
+    weights, or raises its SolverError.
+    """
+    if isinstance(Q, FeatureGram):
+        Q = FeatureGram(Q.features[None])
+    elif isinstance(Q, (KroneckerGram, CoherenceGram)):
+        Q = dataclasses.replace(Q, task_vectors=np.asarray(Q.task_vectors, dtype=float)[None])
+    solution = solve_dual_system(blocks, Q, y, np.array([C], dtype=float))
+    (error,) = solution.errors
+    if error is not None:
+        raise error
+    weights = None if solution.weights is None else solution.weights[0]
+    return LoneSolution(solution.biases[0], solution.duals[0], float(solution.residual[0]), weights)
 
 
 def fit_config_dict(cfg: FitConfig) -> dict:

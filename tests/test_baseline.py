@@ -25,7 +25,7 @@ class TestFitSingle:
         np.testing.assert_allclose(model.duals, 0.0, atol=1e-9)
         assert model.bias == pytest.approx(4.25, abs=1e-9)
         for x in X:
-            assert predict_single(model, x) == pytest.approx(4.25, abs=1e-9)
+            assert predict_single(model, x, LINEAR) == pytest.approx(4.25, abs=1e-9)
 
     def test_duals_sum_to_zero(self):
         rng = np.random.default_rng(1)
@@ -39,7 +39,7 @@ class TestFitSingle:
         X, y = rng.normal(size=(8, 3)), rng.normal(size=8)
         C = 7.0
         model = fit_single(X, y, C, RBF)
-        preds = np.array([predict_single(model, x) for x in X])
+        preds = np.array([predict_single(model, x, RBF) for x in X])
         np.testing.assert_allclose(y - preds, model.duals / C, atol=1e-8)
 
     def test_training_error_shrinks_as_c_grows(self):
@@ -48,7 +48,7 @@ class TestFitSingle:
         errors = []
         for C in (1.0, 100.0, 10000.0):
             model = fit_single(X, y, C, RBF)
-            preds = np.array([predict_single(model, x) for x in X])
+            preds = np.array([predict_single(model, x, RBF) for x in X])
             errors.append(float(np.max(np.abs(preds - y))))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-2
@@ -57,7 +57,7 @@ class TestFitSingle:
         model = fit_single(np.array([[2.0, 1.0]]), np.array([3.5]), 5.0, LINEAR)
         assert model.duals[0] == pytest.approx(0.0, abs=1e-12)
         assert model.bias == pytest.approx(3.5, abs=1e-12)
-        assert predict_single(model, np.array([9.0, -4.0])) == pytest.approx(3.5, abs=1e-12)
+        assert predict_single(model, np.array([9.0, -4.0]), LINEAR) == pytest.approx(3.5, abs=1e-12)
 
     def test_linear_kernel_explicit_weights(self):
         # dual expansion collapses to w = X^T alpha for the linear kernel
@@ -67,7 +67,7 @@ class TestFitSingle:
         w = X.T @ model.duals
         probes = rng.normal(size=(5, 3))
         for x in probes:
-            assert predict_single(model, x) == pytest.approx(
+            assert predict_single(model, x, LINEAR) == pytest.approx(
                 float(w @ x) + model.bias, abs=1e-10
             )
 
@@ -118,7 +118,7 @@ class TestFitIndependent:
         blocks = model.predict_dataset(data)
         assert len(blocks) == 4
         for block, task, X in zip(blocks, model.tasks, data.inputs):
-            expected = np.array([predict_single(task, x) for x in X])
+            expected = np.array([predict_single(task, x, model.kernel) for x in X])
             np.testing.assert_allclose(block, expected, atol=1e-12)
 
     def test_predict_rows_routes_by_task(self):
@@ -126,8 +126,8 @@ class TestFitIndependent:
         model = fit_independent(data, 10.0, LINEAR)
         x = np.ones((2, 3))
         out = model.predict_rows([(1, 1), (2, 2)], x)
-        assert out[0] == pytest.approx(predict_single(model.tasks[0], x[0]), abs=1e-12)
-        assert out[1] == pytest.approx(predict_single(model.tasks[3], x[1]), abs=1e-12)
+        assert out[0] == pytest.approx(predict_single(model.tasks[0], x[0], model.kernel), abs=1e-12)
+        assert out[1] == pytest.approx(predict_single(model.tasks[3], x[1], model.kernel), abs=1e-12)
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF])
     def test_predict_rows_equals_per_row_loop(self, kernel):
@@ -143,6 +143,14 @@ class TestFitIndependent:
             expected[i] = task.duals @ k + task.bias
         got = model.predict_rows(idx, X)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=["linear", "rbf"])
+    def test_predict_rows_equals_predict_dataset_bit_for_bit(self, kernel):
+        model = fit_independent(grid_dataset(7), 10.0, kernel)
+        test = grid_dataset(8)
+        indices = [model.grid.mode_indices[t] + 1 for t, X in enumerate(test.inputs) for _ in X]
+        got = model.predict_rows(indices, np.concatenate(test.inputs))
+        assert got.tobytes() == np.concatenate(model.predict_dataset(test)).tobytes()
 
     def test_predict_rows_count_mismatch(self):
         model = fit_independent(grid_dataset(2), 10.0, LINEAR)
@@ -161,7 +169,7 @@ class TestFitIndependent:
     def test_bad_query_inputs_raise_data_error(self, x, message):
         model = fit_independent(grid_dataset(2), 10.0, RBF)
         with pytest.raises(DataError, match=message):
-            predict_single(model.tasks[0], x)
+            predict_single(model.tasks[0], x, model.kernel)
         rows = message.replace("a length-3 input", "n x 3 inputs")
         with pytest.raises(DataError, match=rows):
             model.predict_rows([(1, 1), (2, 2)], np.vstack([np.ones_like(x), x]))

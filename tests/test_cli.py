@@ -63,6 +63,18 @@ def pipeline(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def baseline_model(pipeline):
+    """A baseline model file trained on the pipeline's training set."""
+    out = pipeline["root"] / "baseline"
+    cfg = write_json(pipeline["root"] / "baseline.json", {"C": 10.0, "kernel": {"family": "linear"}})
+    assert main(
+        ["train", "--train", pipeline["train_csv"], "--grid", "2,2", "--method", "lssvm-independent",
+         "--config", cfg, "--out-dir", str(out)]
+    ) == 0
+    return str(out / "model.json")
+
+
 def read_trace(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -275,6 +287,37 @@ class TestPredict:
         code = main(["predict", "--model", bad, "--data", pipeline["test_csv"], "--out-dir", str(tmp_path)])
         assert code == 3
         assert "corrupted model file" in capsys.readouterr().err
+        assert not (tmp_path / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: p["tasks"][0]["duals"].__setitem__(1, float("nan")),
+            lambda p: p["tasks"][1].__setitem__("bias", float("inf")),
+            lambda p: p["tasks"][1]["inputs"][0].__setitem__(0, float("inf")),
+            lambda p: p["tasks"][2].__setitem__("inputs", [row[:2] for row in p["tasks"][2]["inputs"]]),
+            lambda p: p.__setitem__("n_features", 5),
+        ],
+        ids=["nan-dual", "infinite-bias", "infinite-input", "narrow-task", "n-features"],
+    )
+    def test_corrupted_baseline_model_is_data_error(self, baseline_model, pipeline, tmp_path, capsys, corrupt):
+        payload = json.loads(Path(baseline_model).read_text())
+        corrupt(payload)
+        bad = write_json(tmp_path / "model.json", payload)
+        code = main(["predict", "--model", bad, "--data", pipeline["test_csv"], "--out-dir", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "corrupted model file" in err
+        assert not (tmp_path / "predictions.csv").exists()
+
+    def test_n_features_must_match_the_tensor_models_inputs(self, pipeline, tmp_path, capsys):
+        payload = json.loads(Path(pipeline["model"]).read_text())
+        payload["n_features"] = 5
+        bad = write_json(tmp_path / "model.json", payload)
+        code = main(["predict", "--model", bad, "--data", pipeline["test_csv"], "--out-dir", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "corrupted model file (n_features 5 does not match" in err
         assert not (tmp_path / "predictions.csv").exists()
 
 

@@ -31,7 +31,7 @@ from tlssvm import linsys, solver
 from tlssvm.errors import SolverError
 from tlssvm.data import kfold_split
 from tlssvm.solver import FitConfig, fit, fit_many, init_factors, solve_shared_step
-from conftest import coherence_dense, one_member, random_dataset, saddle_oracle
+from conftest import coherence_dense, lone_solve, one_member, random_dataset, saddle_oracle
 
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.1)
@@ -63,23 +63,38 @@ class TestCoherenceGram:
             )
 
     def test_matvec_is_q_times_v(self):
+        # two members with their own task vectors on one Gram: matvec acts for member b's Q
         rng = np.random.default_rng(91)
         blocks = Blocks([2, 5, 3])
-        form = CoherenceGram(rng.normal(size=(3, 2)), gram(RBF, rng.normal(size=(10, 3))))
+        U, G = rng.normal(size=(2, 3, 2)), gram(RBF, rng.normal(size=(10, 3)))
+        form = CoherenceGram(U, G)
         v = rng.normal(size=10)
-        np.testing.assert_allclose(
-            form.matvec(blocks, v), coherence_dense(form, blocks) @ v, rtol=1e-13, atol=1e-13
-        )
+        for b in range(2):
+            member = coherence_dense(CoherenceGram(U[b], G), blocks)
+            np.testing.assert_allclose(form.matvec(blocks, b, v), member @ v, rtol=1e-13, atol=1e-13)
+        assert not np.allclose(form.matvec(blocks, 0, v), form.matvec(blocks, 1, v))
+
+    def test_factored_is_each_members_cholesky_factor_and_gives_the_gram_back(self):
+        rng = np.random.default_rng(98)
+        blocks = Blocks([3, 4, 2])
+        U, G = rng.normal(size=(2, 3, 2)), gram(RBF, rng.normal(size=(9, 3)))
+        form, kept = CoherenceGram(U, G), G.copy()
+        for b, shift in ((0, 0.5), (1, 1e-2), (0, 2.0)):
+            with form.factored(blocks, b, shift) as factor:
+                L = np.tril(factor)
+            H = coherence_dense(CoherenceGram(U[b], kept), blocks, shift)
+            np.testing.assert_allclose(L, np.linalg.cholesky(H), rtol=0, atol=1e-12 * np.abs(L).max())
+            assert G.tobytes() == kept.tobytes()
 
     def test_shape_checks(self):
         rng = np.random.default_rng(92)
         G = gram(RBF, rng.normal(size=(5, 2)))
         with pytest.raises(ValueError, match="inconsistent system shapes"):
-            solve_dual_system(Blocks([2, 3]), CoherenceGram(np.ones((3, 1)), G), np.ones(5), 1.0)
+            lone_solve(Blocks([2, 3]), CoherenceGram(np.ones((3, 1)), G), np.ones(5), 1.0)
         with pytest.raises(ValueError, match="inconsistent system shapes"):
-            solve_dual_system(Blocks([2, 2]), CoherenceGram(np.ones((2, 1)), G[:4, :5]), np.ones(4), 1.0)
+            lone_solve(Blocks([2, 2]), CoherenceGram(np.ones((2, 1)), G[:4, :5]), np.ones(4), 1.0)
         with pytest.raises(ValueError, match="single group"):
-            solve_dual_system(Blocks([2, 3], (1, 1)), CoherenceGram(np.ones((2, 1)), G), np.ones(5), 1.0)
+            lone_solve(Blocks([2, 3], (1, 1)), CoherenceGram(np.ones((2, 1)), G), np.ones(5), 1.0)
 
     def test_rbf_shared_step_allocates_no_system_matrix(self):
         data = random_dataset(93, mode_sizes=(2, 3), d=5, m_t=100)
@@ -148,7 +163,7 @@ class TestGramWorkspace:
     def test_gram_comes_back_after_a_solve(self):
         blocks, Q, y = self.system()
         G = Q.gram.copy()
-        got = solve_dual_system(blocks, Q, y, 10.0)
+        got = lone_solve(blocks, Q, y, 10.0)
         assert np.array_equal(Q.gram, G)
         assert same_solution(got, saddle_oracle(blocks, coherence_dense(Q, blocks), y, 10.0))
 
@@ -157,7 +172,7 @@ class TestGramWorkspace:
         G = -np.eye(blocks.m)
         Q = CoherenceGram(np.ones((len(blocks), 1)), G)
         with pytest.raises(SolverError, match="Q \\+ I/C is not positive definite"):
-            solve_dual_system(blocks, Q, y, 10.0)
+            lone_solve(blocks, Q, y, 10.0)
         assert np.array_equal(G, -np.eye(blocks.m))
 
     def test_refinement_refactors_in_the_gram_and_gives_it_back(self, monkeypatch):
@@ -180,11 +195,71 @@ class TestGramWorkspace:
 
         monkeypatch.setattr(linsys, "_cholesky", counting_cholesky)
         monkeypatch.setattr(linsys, "_cho_solve", perturbed_first_solve)
-        got = solve_dual_system(blocks, Q, y, 10.0)
+        got = lone_solve(blocks, Q, y, 10.0)
         # H, the Schur complement, then H again for the refinement step
         assert factored == ["Q + I/C", "Schur complement A^T H^-1 A", "Q + I/C"]
         assert np.array_equal(Q.gram, G)
         assert same_solution(got, saddle_oracle(blocks, coherence_dense(Q, blocks), y, 10.0))
+
+    def members(self, B=3):
+        """The system of `system` with B members, each its own task vectors, on one Gram."""
+        blocks, Q, y = self.system()
+        U = np.random.default_rng(99).normal(size=(B,) + Q.task_vectors.shape)
+        return blocks, CoherenceGram(U, Q.gram), y
+
+    def test_members_are_solved_in_one_dense_pass(self, monkeypatch):
+        blocks, Q, y = self.members()
+        costs = np.array([0.5, 10.0, 1e3])
+        passes = []
+        real_solve_dense = linsys._solve_dense
+
+        def counted(blocks, factored, y, inv_c, apply_q):
+            passes.append(inv_c.tolist())
+            return real_solve_dense(blocks, factored, y, inv_c, apply_q)
+
+        monkeypatch.setattr(linsys, "_solve_dense", counted)
+        got = solve_dual_system(blocks, Q, y, costs)
+        assert passes == [(1.0 / costs).tolist()]
+        monkeypatch.undo()
+        for b, cost in enumerate(costs):
+            lone = lone_solve(blocks, CoherenceGram(Q.task_vectors[b], Q.gram), y, cost)
+            assert got.biases[b].tobytes() == lone.biases.tobytes()
+            assert got.duals[b].tobytes() == lone.duals.tobytes()
+
+    def test_only_the_member_that_misses_its_bound_refactors_in_the_gram(self, monkeypatch):
+        blocks, Q, y = self.members()
+        costs = np.array([0.5, 10.0, 1e3])
+        G = Q.gram.copy()
+        lone = [lone_solve(blocks, CoherenceGram(Q.task_vectors[b], Q.gram), y, cost) for b, cost in enumerate(costs)]
+        real_cho_solve, real_factored = linsys._cho_solve, linsys.CoherenceGram.factored
+        first_solves, opened = 0, []
+
+        def member_1_off(factor, rhs):
+            nonlocal first_solves
+            solution = real_cho_solve(factor, rhs)
+            if rhs.ndim == 2 and len(rhs) == blocks.m:  # a member's first solve, [y | A]
+                first_solves += 1
+                if first_solves == 2:
+                    solution[:, 0] += 1e-3  # H^-1 y, off by far more than the residual bound
+            return solution
+
+        def recorded(self, blocks, b, shift):
+            opened.append(b)
+            return real_factored(self, blocks, b, shift)
+
+        monkeypatch.setattr(linsys, "_cho_solve", member_1_off)
+        monkeypatch.setattr(linsys.CoherenceGram, "factored", recorded)
+        got = solve_dual_system(blocks, Q, y, costs)
+        assert first_solves == 3 and opened == [0, 1, 2, 1]  # member 1's step alone
+        assert Q.gram.tobytes() == G.tobytes()
+        for b in (0, 2):  # no step: their first solutions, as alone
+            assert got.errors[b] is None
+            assert got.biases[b].tobytes() == lone[b].biases.tobytes()
+            assert got.duals[b].tobytes() == lone[b].duals.tobytes()
+            assert got.residual[b] == lone[b].residual
+        assert got.errors[1] is None
+        np.testing.assert_allclose(got.duals[1], lone[1].duals, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got.biases[1], lone[1].biases, rtol=1e-9, atol=1e-9)
 
     def test_gram_must_be_a_writable_c_ordered_float_array(self):
         blocks, Q, y = self.system()
@@ -193,7 +268,7 @@ class TestGramWorkspace:
         single = Q.gram.astype(np.float32)
         for G in (read_only, np.asfortranarray(Q.gram), single, Q.gram.tolist()):
             with pytest.raises(ValueError, match="writable, C-contiguous float64"):
-                solve_dual_system(blocks, CoherenceGram(Q.task_vectors, G), y, 10.0)
+                lone_solve(blocks, CoherenceGram(Q.task_vectors, G), y, 10.0)
 
     def test_a_fit_compares_each_grams_triangles_once(self, monkeypatch):
         # when it builds the Gram: its shared steps, 3 per member here, trust it
@@ -253,7 +328,7 @@ class TestGramWorkspace:
         for G in (upper, lower, signed_zero):
             before = G.tobytes()
             with pytest.raises(ValueError, match="exactly symmetric"):
-                solve_dual_system(blocks, CoherenceGram(Q.task_vectors, G), y, 10.0)
+                lone_solve(blocks, CoherenceGram(Q.task_vectors, G), y, 10.0)
             assert G.tobytes() == before
 
 
@@ -294,13 +369,13 @@ def dense_systems(draw):
 def test_dense_forms_match_the_saddle_oracle(systems):
     for blocks, form, Q, y, C in systems:
         kept = form.gram.copy() if isinstance(form, CoherenceGram) else None
-        got = solve_dual_system(blocks, form, y, C)
+        got = (solve_dual_system if np.ndim(C) else lone_solve)(blocks, form, y, C)
         if np.ndim(C):
             assert all(error is None for error in got.errors)
             for b, cost in enumerate(C):
                 member = (got.biases[b], got.duals[b])
                 assert same_solution(member, saddle_oracle(blocks, Q, y, cost))
-                lone = solve_dual_system(blocks, form, y, cost)
+                lone = lone_solve(blocks, form, y, cost)
                 assert member[0].tobytes() == lone.biases.tobytes() and member[1].tobytes() == lone.duals.tobytes()
         else:
             assert same_solution(got, saddle_oracle(blocks, Q, y, C))

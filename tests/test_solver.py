@@ -53,6 +53,7 @@ from conftest import (
     fit_single,
     high_precision_saddle_solution,
     kernel_eval,
+    lone_solve,
     one_member,
     random_dataset,
     saddle_oracle,
@@ -126,7 +127,7 @@ class TestSolveDualSystem:
             Q = M @ M.T
             y = rng.normal(size=m)
             C = 5.0
-            biases, duals, residual, _ = solve_dual_system(Blocks(sizes), Q, y, C)
+            biases, duals, residual, _ = lone_solve(Blocks(sizes), Q, y, C)
             A = block_constraint_matrix(sizes)
             full = np.block([[np.zeros((T, T)), A.T], [A, Q + np.eye(m) / C]])
             expected = np.linalg.solve(full, np.concatenate([np.zeros(T), y]))
@@ -142,7 +143,7 @@ class TestSolveDualSystem:
         for trial in range(3):
             Q = dense_psd(kind, sum(sizes), rng)
             y = rng.normal(size=sum(sizes))
-            got = solve_dual_system(Blocks(sizes), Q, y, C)
+            got = lone_solve(Blocks(sizes), Q, y, C)
             assert_same_solution(got, saddle_oracle(sizes, Q, y, C))
             assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
 
@@ -153,7 +154,7 @@ class TestSolveDualSystem:
         Q = dense_psd("rbf", m, rng)
         y = rng.normal(size=m)
         C = 1 / (1 / 50.0 + 1e-4)
-        biases, duals, residual, _ = solve_dual_system(Blocks(sizes), Q, y, C)
+        biases, duals, residual, _ = lone_solve(Blocks(sizes), Q, y, C)
         A = block_constraint_matrix(sizes)
         M = np.block([[np.zeros((T, T)), A.T], [A, Q + (1 / C) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
@@ -164,7 +165,7 @@ class TestSolveDualSystem:
         U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         Q = U @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2, -4.0]) @ U.T
         with pytest.raises(SolverError, match="not positive definite.*decrease C"):
-            solve_dual_system(Blocks([2, 4]), Q, rng.normal(size=6), 1.0)
+            lone_solve(Blocks([2, 4]), Q, rng.normal(size=6), 1.0)
 
     @pytest.mark.parametrize("sizes", [[2, 3], (2, 3), np.array([2, 3])])
     def test_plain_sizes_raise_type_error_naming_blocks(self, sizes):
@@ -172,9 +173,9 @@ class TestSolveDualSystem:
         X, U, y = rng.normal(size=(5, 2)), rng.normal(size=(2, 1)), rng.normal(size=5)
         kron = KroneckerGram(U, TaskMoments(Blocks([2, 3]), X))
         for solve, Q in (
-            (solve_dual_system, X @ X.T),
-            (solve_dual_system, FeatureGram(X)),
-            (solve_dual_system, kron),
+            (lone_solve, X @ X.T),
+            (lone_solve, FeatureGram(X)),
+            (lone_solve, kron),
         ):
             with pytest.raises(TypeError, match="must be a linsys.Blocks"):
                 solve(sizes, Q, y, 1.0)
@@ -189,7 +190,19 @@ class TestSolveDualSystem:
         for Q in (X @ X.T, FeatureGram(X), KroneckerGram(U, TaskMoments(blocks, X)),
                   CoherenceGram(U, X @ X.T)):
             with pytest.raises(ValueError, match=message):
+                lone_solve(blocks, Q, y, C)
+
+    @pytest.mark.parametrize("C", [10.0, np.float64(10.0), np.array(10.0), np.ones((1, 1)), np.array([])])
+    def test_cost_must_be_a_member_array(self, C):
+        # the solve takes members only: one cost is the array [C] of one member
+        rng = np.random.default_rng(7)
+        X, y, U = rng.normal(size=(5, 2)), rng.normal(size=5), rng.normal(size=(1, 2, 1))
+        blocks = Blocks([2, 3])
+        for Q in (X @ X.T, FeatureGram(X[None]), KroneckerGram(U, TaskMoments(blocks, X)),
+                  CoherenceGram(U, X @ X.T)):
+            with pytest.raises(ValueError, match=r"C must be a non-empty 1-D array of costs, one per member, got shape"):
                 solve_dual_system(blocks, Q, y, C)
+            assert isinstance(solve_dual_system(blocks, Q, y, np.array([10.0])), MemberSolution)
 
     def test_blocks_reject_fractional_sizes_and_group_counts(self):
         with pytest.raises(ValueError, match=r"block sizes must be whole numbers, got \[2\.7, 3\.0\]"):
@@ -204,11 +217,11 @@ class TestSolveDualSystem:
 
     def test_empty_block_raises_value_error(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            solve_dual_system(Blocks([3, 0]), np.eye(3), np.ones(3), 1.0)
+            lone_solve(Blocks([3, 0]), np.eye(3), np.ones(3), 1.0)
 
     def test_zero_targets_give_zero_solution(self):
         Q = np.eye(4)
-        biases, duals, _, _ = solve_dual_system(Blocks([2, 2]), Q, np.zeros(4), 10.0)
+        biases, duals, _, _ = lone_solve(Blocks([2, 2]), Q, np.zeros(4), 10.0)
         np.testing.assert_allclose(biases, 0.0, atol=1e-12)
         np.testing.assert_allclose(duals, 0.0, atol=1e-12)
 
@@ -216,7 +229,7 @@ class TestSolveDualSystem:
         rng = np.random.default_rng(1)
         sizes = [4, 3]
         M = rng.normal(size=(7, 7))
-        _, duals, _, _ = solve_dual_system(Blocks(sizes), M @ M.T, rng.normal(size=7), 2.0)
+        _, duals, _, _ = lone_solve(Blocks(sizes), M @ M.T, rng.normal(size=7), 2.0)
         assert abs(duals[:4].sum()) < 1e-9
         assert abs(duals[4:].sum()) < 1e-9
 
@@ -226,8 +239,8 @@ class TestSolveDualSystem:
         Q = np.array([[0.0, 1.0], [1.0, 0.0]])
         y = np.array([1.0, 2.0])
         with pytest.raises(SolverError, match="decrease C"):
-            solve_dual_system(Blocks([2]), Q, y, 1.0)
-        biases, duals, _, _ = solve_dual_system(Blocks([2]), Q, y, 1 / 1.5)  # ridge 1/C = 1.5
+            lone_solve(Blocks([2]), Q, y, 1.0)
+        biases, duals, _, _ = lone_solve(Blocks([2]), Q, y, 1 / 1.5)  # ridge 1/C = 1.5
         assert np.all(np.isfinite(biases)) and np.all(np.isfinite(duals))
 
 
@@ -250,8 +263,8 @@ class TestFeatureRidge:
         sizes = [1, 6, 3, 9]
         Phi = rng.normal(size=(sum(sizes), 3))
         y = rng.normal(size=sum(sizes))
-        got = solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C)
-        assert_same_solution(got, solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C))
+        got = lone_solve(Blocks(sizes), FeatureGram(Phi), y, C)
+        assert_same_solution(got, lone_solve(Blocks(sizes), Phi @ Phi.T, y, C))
         assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
 
     @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3, 1e6])
@@ -260,8 +273,8 @@ class TestFeatureRidge:
         sizes = [2, 3]
         Phi = rng.normal(size=(5, 8))
         y = rng.normal(size=5)
-        expected = solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C)
-        assert_same_solution(solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C), expected)
+        expected = lone_solve(Blocks(sizes), Phi @ Phi.T, y, C)
+        assert_same_solution(lone_solve(Blocks(sizes), FeatureGram(Phi), y, C), expected)
 
     @pytest.mark.parametrize("C", [1.0, 1e3, 1e6])
     def test_duplicated_samples(self, C):
@@ -271,8 +284,8 @@ class TestFeatureRidge:
         Phi = base[[0, 0, 1, 2, 1, 1, 3, 0, 3]]
         sizes = [3, 4, 2]
         y = rng.normal(size=9)
-        got = solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C)
-        assert_same_solution(got, solve_dual_system(Blocks(sizes), Phi @ Phi.T, y, C))
+        got = lone_solve(Blocks(sizes), FeatureGram(Phi), y, C)
+        assert_same_solution(got, lone_solve(Blocks(sizes), Phi @ Phi.T, y, C))
 
     def test_residual_is_that_of_the_saddle_system(self):
         rng = np.random.default_rng(43)
@@ -281,7 +294,7 @@ class TestFeatureRidge:
         Phi = rng.normal(size=(m, 3))
         y = rng.normal(size=m)
         C = 1 / (1 / 50.0 + 1e-4)
-        biases, duals, residual, _ = solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C)
+        biases, duals, residual, _ = lone_solve(Blocks(sizes), FeatureGram(Phi), y, C)
         A = block_constraint_matrix(sizes)
         M = np.block([[np.zeros((T, T)), A.T], [A, Phi @ Phi.T + (1 / C) * np.eye(m)]])
         explicit = np.linalg.norm(M @ np.concatenate([biases, duals]) - np.concatenate([np.zeros(T), y]))
@@ -307,13 +320,13 @@ class TestFeatureRidge:
                     M[T + i, T + j] = Q[i, j] + (mpmath.mpf(1) / C if i == j else 0)
             exact = mpmath.lu_solve(M, mpmath.matrix([0] * T + y.tolist()))
             expected = np.array([float(v) for v in exact])
-        biases, duals, _, _ = solve_dual_system(Blocks(sizes), FeatureGram(Phi), y, C)
+        biases, duals, _, _ = lone_solve(Blocks(sizes), FeatureGram(Phi), y, C)
         scale = float(np.max(np.abs(expected)))
         assert np.max(np.abs(np.concatenate([biases, duals]) - expected)) <= 1e-12 * scale
 
     def test_zero_targets_give_zero_solution(self):
         Phi = np.random.default_rng(45).normal(size=(6, 2))
-        biases, duals, residual, _ = solve_dual_system(Blocks([2, 4]), FeatureGram(Phi), np.zeros(6), 10.0)
+        biases, duals, residual, _ = lone_solve(Blocks([2, 4]), FeatureGram(Phi), np.zeros(6), 10.0)
         np.testing.assert_array_equal(biases, 0.0)
         np.testing.assert_array_equal(duals, 0.0)
         assert residual == 0.0
@@ -321,11 +334,11 @@ class TestFeatureRidge:
     def test_shape_and_value_validation(self):
         Phi = np.ones((4, 2))
         with pytest.raises(ValueError, match="inconsistent"):
-            solve_dual_system(Blocks([2, 2]), FeatureGram(Phi), np.zeros(3), 1.0)
+            lone_solve(Blocks([2, 2]), FeatureGram(Phi), np.zeros(3), 1.0)
         with pytest.raises(ValueError, match="C must be positive"):
-            solve_dual_system(Blocks([2, 2]), FeatureGram(Phi), np.zeros(4), 0.0)
+            lone_solve(Blocks([2, 2]), FeatureGram(Phi), np.zeros(4), 0.0)
         with pytest.raises(ValueError, match="at least one sample"):
-            solve_dual_system(Blocks([4, 0]), FeatureGram(Phi), np.zeros(4), 1.0)
+            lone_solve(Blocks([4, 0]), FeatureGram(Phi), np.zeros(4), 1.0)
 
     def test_feature_gram_is_the_ridge_for_every_shape(self):
         rng = np.random.default_rng(46)
@@ -333,7 +346,7 @@ class TestFeatureRidge:
         # as many columns as samples, more than the samples, more than each group's
         for blocks, p in ((Blocks([3, 3]), 6), (Blocks([3, 3]), 7), (Blocks([3, 3], (1, 1)), 4)):
             Phi = rng.normal(size=(6, p))
-            got = solve_dual_system(blocks, FeatureGram(Phi), y, 2.0)
+            got = lone_solve(blocks, FeatureGram(Phi), y, 2.0)
             expected = linsys._solve_features(blocks, FeatureGram(Phi[None]), y, np.array([2.0]))
             assert_same_solution(got, (expected.biases[0], expected.duals[0]), rtol=0)
             assert np.array_equal(got.weights, expected.weights[0])
@@ -370,7 +383,7 @@ class TestNonFiniteSystems:
     def test_lone_solve_names_non_finite_entries(self, case):
         blocks, Q, y, _ = non_finite_system(case)
         with pytest.raises(SolverError) as info:
-            solve_dual_system(blocks, Q, y, 10.0)
+            lone_solve(blocks, Q, y, 10.0)
         message = str(info.value)
         assert message.startswith("dual system has non-finite entries")
         assert "decrease C" not in message and "exceeds" not in message
@@ -381,7 +394,7 @@ class TestNonFiniteSystems:
         blocks, Q, y, members = non_finite_system(case)
         got = solve_dual_system(blocks, members, y, np.array([10.0, 10.0]))
         with pytest.raises(SolverError) as lone:
-            solve_dual_system(blocks, Q, y, 10.0)
+            lone_solve(blocks, Q, y, 10.0)
         assert str(got.errors[1]) == str(lone.value)
         assert got.errors[1].group == lone.value.group
         if case == "y-nan":  # every member shares y
@@ -466,7 +479,7 @@ class TestSharedStep:
         factors = init_factors(data.grid, 2, seed=4)
         step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         Q = coherence_weighted_gram(data, factors, LINEAR)
-        expected = solve_dual_system(Blocks(data.task_sizes), Q, data.stacked_targets(), C)
+        expected = lone_solve(Blocks(data.task_sizes), Q, data.stacked_targets(), C)
         assert_same_solution((step.biases, step.shared.duals), expected)
 
     def test_more_features_than_samples_uses_dense_path(self, monkeypatch):
@@ -525,9 +538,9 @@ class TestKroneckerSharedStep:
         blocks, Q, Phi = kronecker_system(data, K, seed=K)
         y = data.stacked_targets()
         assert data.n_samples >= Phi.shape[1]  # the ridge form
-        got = solve_dual_system(blocks, Q, y, C)
+        got = lone_solve(blocks, Q, y, C)
         assert got[2] <= RESIDUAL_RTOL * (1 + np.linalg.norm(y))
-        assert_same_solution(got, solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, C))
+        assert_same_solution(got, lone_solve(Blocks(data.task_sizes), FeatureGram(Phi), y, C))
         if C < 1e6:
             expected = saddle_oracle(data.task_sizes, Phi @ Phi.T, y, C)
         else:  # the assembled oracle's own error exceeds the tolerance here
@@ -566,8 +579,8 @@ class TestKroneckerSharedStep:
         blocks, Q, Phi = kronecker_system(data, 2, seed=81)
         np.testing.assert_array_equal(Q.moments.scatter[0], 0.0)
         y = data.stacked_targets()
-        got = solve_dual_system(blocks, Q, y, C)
-        assert_same_solution(got, solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, C))
+        got = lone_solve(blocks, Q, y, C)
+        assert_same_solution(got, lone_solve(Blocks(data.task_sizes), FeatureGram(Phi), y, C))
         assert_same_solution(got, high_precision_saddle_solution(data.task_sizes, Phi, y, C))
 
     @pytest.mark.parametrize("C", [1.0, 1e3])
@@ -597,7 +610,7 @@ class TestKroneckerSharedStep:
         U = task_vector_table(factors)
         X, y = data.stacked_inputs(), data.stacked_targets()
         Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-        expected = solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0)
+        expected = lone_solve(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0)
         assert_same_solution((step.biases, step.shared.duals), expected)
         # the explicit matrix is Phi^T alpha, column k of L holding features k*d..k*d+d-1
         np.testing.assert_allclose(step.shared.explicit, (Phi.T @ step.shared.duals).reshape(2, 4).T, atol=1e-12)
@@ -653,7 +666,7 @@ class TestKroneckerSharedStep:
         X, y = data.stacked_inputs(), data.stacked_targets()
         Phi = U[data.sample_task_ids()] * X
         assert data.n_samples >= Phi.shape[1]  # the ridge form
-        assert_same_solution((step.biases, step.shared.duals), solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0))
+        assert_same_solution((step.biases, step.shared.duals), lone_solve(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0))
         assert_same_solution((step.biases, step.shared.duals), saddle_oracle(data.task_sizes, Phi @ Phi.T, y, 10.0))
         assert "scatter" not in vars(data.fit_plan.moments)
 
@@ -678,7 +691,7 @@ class TestKroneckerSharedStep:
         def explicit_step():
             U = task_vector_table(factors)
             Phi = (U[tid][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-            return solve_dual_system(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0)
+            return lone_solve(Blocks(data.task_sizes), FeatureGram(Phi), y, 10.0)
 
         peaks = []
         for step in (explicit_step, lambda: one_member(solve_shared_step, data, factors, LINEAR, C=10.0)):
@@ -699,11 +712,11 @@ class TestKroneckerSharedStep:
         step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         U, X, y = task_vector_table(factors), data.stacked_inputs(), data.stacked_targets()
         blocks = Blocks(data.task_sizes)
-        solution = solve_dual_system(blocks, KroneckerGram(U, TaskMoments(blocks, X)), y, C)
+        solution = lone_solve(blocks, KroneckerGram(U, TaskMoments(blocks, X)), y, C)
         assert np.array_equal(step.shared.explicit, solution.weights[0].reshape(3, 4).T)
         # the explicit features order column k*d + i as u_k x_i
         Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-        explicit = solve_dual_system(blocks, FeatureGram(Phi), y, C).weights[0].reshape(3, 4).T
+        explicit = lone_solve(blocks, FeatureGram(Phi), y, C).weights[0].reshape(3, 4).T
         scale = float(np.max(np.abs(explicit)))
         assert np.max(np.abs(step.shared.explicit - explicit)) <= 1e-12 * scale
         dual_sum = X.T @ (step.shared.duals[:, None] * U[data.sample_task_ids()])
@@ -972,7 +985,7 @@ class TestModeRowStep:
         result = sweep_row(one_member(solve_mode_row_step, data, z, 1, C=10.0), 1)
         sel = np.array([0, 1, 4, 5])  # tasks 1 and 3 in linear order
         Z = z[sel]
-        biases, duals, _, _ = solve_dual_system(Blocks([2, 2]), Z @ Z.T, data.stacked_targets()[sel], 10.0)
+        biases, duals, _, _ = lone_solve(Blocks([2, 2]), Z @ Z.T, data.stacked_targets()[sel], 10.0)
         np.testing.assert_allclose(result.biases, biases, atol=1e-12)
         np.testing.assert_allclose(result.duals, duals, atol=1e-12)
         np.testing.assert_allclose(result.row_values, Z.T @ duals, atol=1e-12)
@@ -986,7 +999,7 @@ class TestModeRowStep:
             [np.arange(task_offsets(data)[t - 1], task_offsets(data)[t - 1] + 6) for t in result.tasks]
         )
         Z = z[sel]
-        expected = solve_dual_system(Blocks([6, 6, 6]), Z @ Z.T, data.stacked_targets()[sel], C)
+        expected = lone_solve(Blocks([6, 6, 6]), Z @ Z.T, data.stacked_targets()[sel], C)
         assert_same_solution((result.biases, result.duals), expected)
 
     def test_stationarity_row_is_dual_weighted_sum(self):
@@ -1073,7 +1086,7 @@ def assert_rows_are_their_own_ridges(step, z, C):
     lay = step.layout
     Z = z[lay.samples]
     for r, (rows, tasks) in enumerate(lay.blocks.group_slices):
-        alone = solve_dual_system(Blocks(lay.blocks.sizes[tasks]), FeatureGram(Z[rows]), lay.targets[rows], C)
+        alone = lone_solve(Blocks(lay.blocks.sizes[tasks]), FeatureGram(Z[rows]), lay.targets[rows], C)
         assert np.array_equal(step.row_values[r], alone.weights[0])
     assert (row_residuals(step, z, C) <= row_bounds(step)).all()
 
@@ -1417,11 +1430,11 @@ class TestMemberSolves:
         if G is not None:
             assert np.array_equal(G.view(np.int64), G_bits.view(np.int64))
         with pytest.raises(SolverError) as lone_error:
-            solve_dual_system(blocks, system(1), y, costs[1])
+            lone_solve(blocks, system(1), y, costs[1])
         assert str(got.errors[1]) == str(lone_error.value)
         assert got.errors[1].group == lone_error.value.group
         for b in (0, 2):
-            lone = solve_dual_system(blocks, system(b), y, costs[b])
+            lone = lone_solve(blocks, system(b), y, costs[b])
             assert got.errors[b] is None
             assert got.biases[b].tobytes() == lone.biases.tobytes()
             assert got.duals[b].tobytes() == lone.duals.tobytes()
@@ -1434,7 +1447,7 @@ class TestMemberSolves:
         layout = data.fit_plan.layouts[1]
         Z = np.random.default_rng(74).normal(size=(3, data.n_samples, 2))
         costs = np.array([0.5, 10.0, 1e3])
-        lone = [solve_dual_system(layout.blocks, FeatureGram(Z[b]), layout.targets, costs[b]) for b in (0, 2)]
+        lone = [lone_solve(layout.blocks, FeatureGram(Z[b]), layout.targets, costs[b]) for b in (0, 2)]
         real_grams = linsys._MatrixFeatures.grams
 
         def member_1_not_definite(self):
@@ -1474,7 +1487,7 @@ class TestMemberSolves:
         assert isinstance(got, MemberSolution) and got.weights is None and len(got.errors) == 5
         assert Q.tobytes() == kept.tobytes()
         for b, cost in enumerate(costs):
-            self.assert_lone(got, b, solve_dual_system(blocks, Q, y, cost))
+            self.assert_lone(got, b, lone_solve(blocks, Q, y, cost))
 
     def test_a_dense_member_whose_factorization_fails_keeps_its_error(self):
         # M M^T - eps I of rank 4 < m: H = Q + I/C is positive definite only for 1/C > eps
@@ -1483,18 +1496,18 @@ class TestMemberSolves:
         costs = np.array([1.0, 1e4, 10.0])
         got = solve_dual_system(blocks, Q, y, costs)
         with pytest.raises(SolverError) as lone_error:
-            solve_dual_system(blocks, Q, y, costs[1])
+            lone_solve(blocks, Q, y, costs[1])
         assert str(got.errors[1]) == str(lone_error.value)
         assert str(got.errors[1]).startswith("Q + I/C is not positive definite (dpotrf info ")
         assert got.errors[1].group == 0 and got.errors[1].__traceback__ is None
         assert np.isnan(got.biases[1]).all() and np.isnan(got.duals[1]).all()
         for b in (0, 2):
-            self.assert_lone(got, b, solve_dual_system(blocks, Q, y, costs[b]))
+            self.assert_lone(got, b, lone_solve(blocks, Q, y, costs[b]))
 
     def test_only_the_dense_member_that_misses_its_bound_takes_the_step(self, monkeypatch):
         blocks, Q, y = self.dense(77)
         costs = np.array([0.5, 10.0, 1e3])
-        lone = [solve_dual_system(blocks, Q, y, cost) for cost in costs]
+        lone = [lone_solve(blocks, Q, y, cost) for cost in costs]
         real_cho_solve = linsys._cho_solve
         first_solves = steps = 0
 
@@ -1545,7 +1558,7 @@ class TestMemberSolves:
         assert [own for own, _ in runs] == [slice(0, 1), slice(1, 3), slice(3, 4)]
         got = solve_dual_system(blocks, members, y, costs)
         for i, Q in enumerate(lone):
-            expected = solve_dual_system(blocks, Q, y[i], costs[i])
+            expected = lone_solve(blocks, Q, y[i], costs[i])
             assert got.errors[i] is None
             assert got.biases[i].tobytes() == expected.biases.tobytes()
             assert got.duals[i].tobytes() == expected.duals.tobytes()
@@ -1560,14 +1573,14 @@ class TestMemberSolves:
         U = np.random.default_rng(76).normal(size=(2, data.grid.n_tasks, 2))
         moments = TaskMoments(blocks, data.stacked_inputs())
         costs = np.array([1.0, 10.0])
-        for targets, C in ((np.stack([y, y]), 1.0), (np.stack([y, y, y]), costs), (y[None, None], costs)):
+        for targets, C in ((np.stack([y, y]), costs[:1]), (np.stack([y, y, y]), costs), (y[None, None], costs)):
             with pytest.raises(ValueError):
                 solve_dual_system(blocks, KroneckerGram(U, moments), targets, C)
         with pytest.raises(ValueError, match="3 per-member objects for 2 members"):
             solve_dual_system(blocks, KroneckerGram(U, (moments,) * 3), y, costs)
         G = gram(KernelSpec("linear"), data.stacked_inputs())
         with pytest.raises(ValueError, match="one per member of a structured Q"):
-            solve_dual_system(blocks, G, np.stack([y, y]), 1.0)
+            solve_dual_system(blocks, G, np.stack([y, y]), costs)
         # a CoherenceGram's members share one Gram, so one dataset and one y
         with pytest.raises(ValueError, match="one per member of a structured Q"):
             solve_dual_system(blocks, CoherenceGram(U, G), np.stack([y, y]), costs)
@@ -1579,7 +1592,7 @@ class TestGroupedSystems:
         block_sizes = [3, 4, 2, 5]
         Phi, y, group_of = two_group_system(rng, block_sizes, 2)
         C = 1.0
-        biases, duals, _, _ = solve_dual_system(Blocks(block_sizes, (2, 2)), FeatureGram(Phi), y, C)
+        biases, duals, _, _ = lone_solve(Blocks(block_sizes, (2, 2)), FeatureGram(Phi), y, C)
         duals = duals + 1e-8 * (group_of == 1)  # group 1 (0-based) misses its own bound
         apply_q = lambda v: block_diagonal_gram(Phi, group_of) @ v  # noqa: E731
         no_step = lambda g, h, stepped: (np.zeros_like(g), np.zeros_like(h))  # noqa: E731
@@ -1601,8 +1614,8 @@ class TestGroupedSystems:
     def test_grouped_matches_block_diagonal_dense_solve(self, block_sizes, width):
         rng = np.random.default_rng(72)
         Phi, y, group_of = two_group_system(rng, block_sizes, width)
-        grouped = solve_dual_system(Blocks(block_sizes, (2, 2, 2)), FeatureGram(Phi), y, 10.0)
-        expected = solve_dual_system(Blocks(block_sizes), block_diagonal_gram(Phi, group_of), y, 10.0)
+        grouped = lone_solve(Blocks(block_sizes, (2, 2, 2)), FeatureGram(Phi), y, 10.0)
+        expected = lone_solve(Blocks(block_sizes), block_diagonal_gram(Phi, group_of), y, 10.0)
         assert_same_solution(grouped, expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1613,15 +1626,15 @@ class TestGroupedSystems:
         Phi, y, group_of = two_group_system(rng, block_sizes, 3)
         Phi[group_of >= 1, 0] = np.inf
         with pytest.raises(SolverError, match="non-finite entries") as info:
-            solve_dual_system(Blocks(block_sizes, (2, 2, 2)), FeatureGram(Phi), y, 1.0)
+            lone_solve(Blocks(block_sizes, (2, 2, 2)), FeatureGram(Phi), y, 1.0)
         assert info.value.group == 1
 
     def test_group_validation(self):
         Phi = np.ones((4, 2))
         with pytest.raises(ValueError, match="positive"):
-            solve_dual_system(Blocks([1, 1, 2], (2, 0)), FeatureGram(Phi), np.ones(4), 1.0)
+            lone_solve(Blocks([1, 1, 2], (2, 0)), FeatureGram(Phi), np.ones(4), 1.0)
         with pytest.raises(ValueError, match="groups hold 2 blocks"):
-            solve_dual_system(Blocks([1, 1, 2], (1, 1)), FeatureGram(Phi), np.ones(4), 1.0)
+            lone_solve(Blocks([1, 1, 2], (1, 1)), FeatureGram(Phi), np.ones(4), 1.0)
 
 
 @st.composite
@@ -1642,7 +1655,7 @@ def wide_grouped_systems(draw):
 @given(wide_grouped_systems())
 def test_grouped_ridge_matches_the_saddle_oracle_at_every_rank(system):
     blocks, Phi, y, C = system
-    got = solve_dual_system(blocks, FeatureGram(Phi), y, C)
+    got = lone_solve(blocks, FeatureGram(Phi), y, C)
     Q = np.zeros((blocks.m, blocks.m))
     for rows, _ in blocks.group_slices:
         Q[rows, rows] = Phi[rows] @ Phi[rows].T
@@ -1658,7 +1671,7 @@ def test_groups_wider_than_their_samples_at_cost_1e6_within_the_ridge_conditioni
     rng = np.random.default_rng(74)
     blocks = Blocks([1, 2, 3, 1, 2, 4, 2], (2, 1, 3, 1))  # groups of 3, 3, 7 and 2 samples
     Phi, y, C = rng.normal(size=(blocks.m, 6)), rng.normal(size=blocks.m), 1e6
-    got = solve_dual_system(blocks, FeatureGram(Phi), y, C)
+    got = lone_solve(blocks, FeatureGram(Phi), y, C)
     centered = Phi - blocks.means(Phi)[blocks.of]
     for rows, own in blocks.group_slices:
         expected = high_precision_saddle_solution(blocks.sizes[own], Phi[rows], y[rows], C)
