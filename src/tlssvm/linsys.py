@@ -97,26 +97,27 @@ costs are a 1-D array C (one per member), and a structured Q's arrays
 carry a leading member axis: a FeatureGram's features are B x m x p, a
 KroneckerGram's and a CoherenceGram's task vectors B x T x K. The
 right-hand side y is one vector for every member, or B x m for a
-FeatureGram's or a KroneckerGram's members. A KroneckerGram's moments
-are one object for every member or a tuple with each member's: members
-on one dataset hold the same object, which is never copied per member
-(`member_runs`). A CoherenceGram's members share one Gram and one y, a
-dense Q's members share Q and y, and both are solved in one dense pass:
-each member of a CoherenceGram writes and factors H in the Gram in turn
-and restores it before the next one writes it, and each member of a
-dense Q factors its own copy of H, so the single-task baseline solves
-every cost of a task in one call. One cost is the one-member case, C =
-[C] with the member axis on the Q's arrays; a scalar C is refused. The
-result's arrays carry the member axis too, and its `errors` hold, per
-member, None or that member's SolverError (a `MemberSolution`); a
-failed member's rows are no solution, and the others go on without it.
-The ridge's passes (centering, Grams, right-hand sides, residuals) and
-the dense form's residual checks run over all members at once, or once
-per run of members that hold the same moments, in operations whose
-every member slice is the operation on that member alone, so each
-member's result equals that of its solve as the only member, bit for
-bit. Every dpotrf and dpotrs stays one LAPACK call per member and
-group, and every product with a dense Q one per member.
+FeatureGram's or a KroneckerGram's members. A KroneckerGram holds the
+moments of each dataset once and an owner index, each member's position
+among them: members that follow one another with one owner form a run
+(`by_run`), and share their owner's moments, never copied per member. A
+CoherenceGram's members share one Gram and one y, a dense Q's members
+share Q and y, and both are solved in one dense pass: each member of a
+CoherenceGram writes and factors H in the Gram in turn and restores it
+before the next one writes it, and each member of a dense Q factors its
+own copy of H, so the single-task baseline solves every cost of a task
+in one call. One cost is the one-member case, C = [C] with the member
+axis on the Q's arrays; a scalar C is refused. The result's arrays carry
+the member axis too, and its `errors` hold, per member, None or that
+member's SolverError (a `MemberSolution`); a failed member's rows are no
+solution, and the others go on without it. The ridge's passes
+(centering, Grams, right-hand sides, residuals) and the dense form's
+residual checks run over all members at once, or once per run of members
+with one owner, in operations whose every member slice is the operation
+on that member alone, so each member's result equals that of its solve
+as the only member, bit for bit. Every dpotrf and dpotrs stays one
+LAPACK call per member and group, and every product with a dense Q one
+per member.
 
 LAPACK's dpotrf and dpotrs come from scipy, which is imported on the first
 factorization rather than with this module: only training solves systems,
@@ -145,7 +146,6 @@ __all__ = [
     "TaskMoments",
     "by_run",
     "check_symmetric",
-    "member_runs",
     "solve_dual_system",
 ]
 
@@ -238,39 +238,27 @@ def _costs(C) -> np.ndarray:
     return costs
 
 
-def member_runs(shared, B: int) -> list[tuple[slice, object]]:
-    """The runs of consecutive members that hold one object, as (members, object) pairs.
-
-    `shared` is one object that all B members hold, or a tuple with each
-    member's, in which members holding the same object (by identity) and
-    following one another form a run.
-    """
-    if not isinstance(shared, tuple):
-        return [(slice(0, B), shared)]
-    if len(shared) != B:
-        raise ValueError(f"{len(shared)} per-member objects for {B} members")
-    runs, start = [], 0
-    for b in range(1, B + 1):
-        if b == B or shared[b] is not shared[start]:
-            runs.append((slice(start, b), shared[start]))
-            start = b
-    return runs
+def member_runs(owner: np.ndarray) -> list[slice]:
+    """The slices of consecutive members that share an owner."""
+    cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(owner)]
+    return [slice(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
 
 
-def by_run(runs: list, fn) -> np.ndarray:
-    """fn(members, object) for each run of `member_runs`, joined along the member axis.
+def by_run(owner: np.ndarray, objects: tuple, fn) -> np.ndarray:
+    """fn(members, objects[k]) for each run of members whose owner is k, joined along the member axis.
 
     Each run's result is written into the joined array as it comes, so no
     more than one of them is held beside it.
     """
-    first = fn(*runs[0])
+    runs = member_runs(owner)
+    first = fn(runs[0], objects[owner[0]])
     if len(runs) == 1:
         return first
-    out = np.empty((runs[-1][0].stop,) + first.shape[1:])
-    out[runs[0][0]] = first
+    out = np.empty((len(owner),) + first.shape[1:])
+    out[runs[0]] = first
     del first
-    for members, shared in runs[1:]:
-        out[members] = fn(members, shared)
+    for members in runs[1:]:
+        out[members] = fn(members, objects[owner[members.start]])
     return out
 
 
@@ -367,24 +355,27 @@ class TaskMoments:
 class KroneckerGram:
     """Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j, never formed.
 
-    `task_vectors` is T x K (B x T x K for members) and `moments` the
-    `TaskMoments` of the m x d inputs, every task a block of the system,
-    or for members a tuple with each member's (`member_runs`). Feature
-    k*d + i of sample j is u_t(j),k x_j,i. It is always solved as the
-    centered ridge.
+    `task_vectors` is B x T x K, one T x K table per member. `moments`
+    holds the `TaskMoments` of each dataset's m x d inputs, every task a
+    block of the system, each dataset once, and `owner` holds each
+    member's index into it, so members on one dataset share its moments.
+    Feature k*d + i of sample j is u_t(j),k x_j,i. It is always solved as
+    the centered ridge.
     """
 
     task_vectors: np.ndarray
-    moments: TaskMoments | tuple[TaskMoments, ...]
+    moments: tuple[TaskMoments, ...]
+    owner: np.ndarray
 
     def check(self, blocks: Blocks) -> None:
-        """Checks the members' form: task vectors B x T x K."""
+        """Checks the members' form: task vectors B x T x K and one owner per member."""
         if len(blocks.groups) != 1:
             raise ValueError("a KroneckerGram system has a single group")
-        T = self.task_vectors.shape[-2]
-        runs = member_runs(self.moments, len(self.task_vectors))
-        d = runs[0][1].inputs.shape[1]
-        for _, moments in runs:
+        B, T = len(self.task_vectors), self.task_vectors.shape[-2]
+        if np.shape(self.owner) != (B,):
+            raise ValueError(f"owners of shape {np.shape(self.owner)} for {B} members")
+        d = self.moments[0].inputs.shape[1]
+        for moments in self.moments:
             if len(blocks) != T or moments.blocks != blocks or moments.inputs.shape[1] != d:
                 raise ValueError(
                     f"inconsistent system shapes: {T} task vectors, moments of blocks "
@@ -541,15 +532,15 @@ def _columns_times(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _KroneckerFeatures:
     """The ridge operations of members' KroneckerGrams, from per-task sums (one group).
 
-    Each operation runs once per run of members that share their moments,
-    in the form it takes for members on one dataset.
+    Each operation runs once per run of members that share an owner, in
+    the form it takes for members on one dataset.
     """
 
     def __init__(self, Q: KroneckerGram, blocks: Blocks) -> None:
         Q.check(blocks)
         self.task_vectors = Q.task_vectors  # B x T x K
-        self.runs = member_runs(Q.moments, len(Q.task_vectors))
-        self.m, self.d = self.runs[0][1].inputs.shape
+        self.owner, self.moments = np.asarray(Q.owner), Q.moments
+        self.m, self.d = Q.moments[0].inputs.shape
         self.sample_vectors = Q.task_vectors.take(blocks.of, axis=1)  # B x m x K
         self.width = Q.task_vectors.shape[2] * self.d
 
@@ -569,25 +560,26 @@ class _KroneckerFeatures:
             H = moments.weighted_scatter(outer[own], budget).reshape(-1, K, K, d, d)
             return H.transpose(0, 2, 4, 1, 3).reshape(-1, K * d, K * d)
 
-        return [np.swapaxes(by_run(self.runs, run), 1, 2)]
+        return [np.swapaxes(by_run(self.owner, self.moments, run), 1, 2)]
 
     def rmatvec(self, v: np.ndarray) -> list:
         # Phi^T v = sum_j v_j u_t(j) kron x_j
         weighted = np.swapaxes(self.sample_vectors * v[:, :, None], 1, 2)
-        return [by_run(self.runs, lambda own, moments: weighted[own] @ moments.inputs).reshape(len(v), -1)]
+        sums = by_run(self.owner, self.moments, lambda own, moments: weighted[own] @ moments.inputs)
+        return [sums.reshape(len(v), -1)]
 
     def rhs(self, h_c: np.ndarray, g: np.ndarray, inv_c: np.ndarray) -> list:
         # Phi~^T h~ equals Phi^T h~ for a block-centered h~, and
         # Phi_bar^T g = sum_t g_t u_t kron x_bar_t
         (out,) = self.rmatvec(h_c)
         weighted = np.swapaxes(self.task_vectors * g[:, :, None], 1, 2)
-        bar = by_run(self.runs, lambda own, moments: weighted[own] @ moments.means)
+        bar = by_run(self.owner, self.moments, lambda own, moments: weighted[own] @ moments.means)
         return [out + inv_c[:, None] * bar.reshape(len(g), -1)]
 
     def matvec(self, weights: list) -> np.ndarray:
         (w,) = weights
         W = np.swapaxes(w.reshape(len(w), self.sample_vectors.shape[2], -1), 1, 2)
-        return by_run(self.runs, lambda own, moments: np.einsum(
+        return by_run(self.owner, self.moments, lambda own, moments: np.einsum(
             "bjk,bjk->bj", moments.inputs @ W[own], self.sample_vectors[own]
         ))
 

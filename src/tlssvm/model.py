@@ -29,7 +29,7 @@ import numpy as np
 
 from .baseline import LssvmModel, SingleTaskLssvm, check_query_dataset, query_inputs
 from .data import MtlDataset
-from .errors import DataError, UnsupportedOperation
+from .errors import DataError, UnsupportedOperation, whole
 from .kernels import KernelSpec, feature_map, gram, sq_norms
 from .taskgrid import ModeFactors, TaskGrid, linearize, task_vector, task_vector_table
 from .textio import write_json
@@ -68,10 +68,10 @@ class SharedFactor:
     a record is built from a solve's fresh arrays, finite since they met
     the residual bound, or from arrays a `TrainedModel` has just validated.
     Inside a fit of several members (`solver.fit_many`), `duals`,
-    `task_vector_snapshot` and `explicit` carry a leading member axis, and
-    `shared_projection` projects through every member at once. Members on
-    several datasets hold a tuple of their frozen `train_inputs`, one per
-    member, and are projected dataset by dataset.
+    `task_vector_snapshot` and `explicit` carry a leading member axis,
+    `train_inputs` is a tuple with each member's stacked inputs, those of
+    its dataset, and `shared_projection` projects through the members of
+    one dataset at once.
     """
 
     duals: np.ndarray
@@ -357,7 +357,7 @@ def load_model(path):
     try:
         grid = TaskGrid(tuple(payload["grid"]))
         kernel = KernelSpec.from_config(payload["kernel"])
-        d = int(payload["n_features"])
+        d = whole(payload["n_features"], "n_features", 1)
         if method == "tlssvm":
             model = TrainedModel(
                 grid=grid,

@@ -64,16 +64,18 @@ same grid, the same number of samples in every task and the same number
 of features, so that every `linsys.Blocks` and mode layout is theirs in
 common; `kfold_split` gives such folds in runs, one run per structure.
 Every array of the alternation carries a leading member axis: the factor
-matrices are B x T_n x K, the biases B x T, the predictions B x m, the
-shared record's duals, task vectors and explicit matrix B x m, B x T x K
-and B x d x K, and the targets B x m when the members fit several
-datasets. What is as large as the data or larger is kept once per dataset
-and shared by its members, never copied per member: a step takes one
-dataset (and Gram) for all members, or a tuple with each member's, and
-the operations that read a dataset's inputs, moments or Gram run once per
-run of members on it. This is the one shape of the step functions: they
-take such stacks with a 1-D array of costs, and each solve passes them on
-to `linsys` as one system of B members, which keeps every member's
+matrices are B x T_n x K, the biases B x T, the predictions and the
+targets B x m, the shared record's duals, task vectors and explicit
+matrix B x m, B x T x K and B x d x K. What is as large as the data or
+larger is kept once per dataset and shared by its members, never copied
+per member. A step takes a `Members` record: the datasets, each once,
+and each member's owner, its index into them (one MtlDataset stands for
+all members on it). The members that follow one another with one owner
+form a run, and what reads a dataset's inputs or moments runs once per
+run (`linsys.by_run`); the targets are the owners' targets, gathered
+B x m. This is the one shape of the step functions: they take such
+stacks with a 1-D array of costs, and each solve passes them on to
+`linsys` as one system of B members, which keeps every member's
 arithmetic that of a solve of its own; a step returns each member's
 SolverError instead of raising it. The trace's objectives and factor
 changes are computed for all members at once. A member leaves the batch
@@ -100,21 +102,14 @@ import numpy as np
 from .data import ModeLayout, MtlDataset
 from .errors import ConfigError, SolverError, config_object, positive, whole
 from .kernels import KernelSpec, gram
-from .linsys import (
-    CoherenceGram,
-    FeatureGram,
-    KroneckerGram,
-    by_run,
-    check_symmetric,
-    member_runs,
-    solve_dual_system,
-)
+from .linsys import CoherenceGram, FeatureGram, KroneckerGram, by_run, check_symmetric, solve_dual_system
 from .model import SharedFactor, dual_weights, shared_projection, task_predictions
 from .taskgrid import ModeFactors, TaskGrid, row_product_table
 
 __all__ = [
     "FitConfig",
     "FitState",
+    "Members",
     "TraceEntry",
     "init_factors",
     "solve_shared_step",
@@ -219,33 +214,25 @@ def _check_structure(datasets) -> None:
             )
 
 
-def _dataset_runs(data, B: int) -> list[tuple[slice, MtlDataset]]:
-    """The runs of members on one dataset (`linsys.member_runs`), checked to share one block structure.
+@dataclass(frozen=True)
+class Members:
+    """Members on several datasets: the datasets, each once, and each member's owner, its index into them."""
 
-    `data` is the dataset of all B members, or a tuple with each member's.
-    """
-    runs = member_runs(data, B)
-    _check_structure([dataset for _, dataset in runs])
-    runs[0][1].require_nonempty_tasks()
-    return runs
+    datasets: tuple[MtlDataset, ...]
+    owner: np.ndarray
 
-
-def _per_member(runs, of):
-    """`of(dataset)` for the members: one value when they share a dataset, else a tuple with each member's."""
-    if len(runs) == 1:
-        return of(runs[0][1])
-    return tuple(value for own, dataset in runs for value in [of(dataset)] * (own.stop - own.start))
+    def gather(self, of) -> np.ndarray:
+        """`of(dataset)` of each member's owner, stacked along the member axis."""
+        return np.stack([of(dataset) for dataset in self.datasets]).take(self.owner, axis=0)
 
 
-def _member_targets(runs, of) -> np.ndarray:
-    """The members' targets `of(dataset)`: one vector when they share a dataset, else stacked B x m."""
-    y = _per_member(runs, of)
-    return np.stack(y) if isinstance(y, tuple) else y
-
-
-def _first(data) -> MtlDataset:
-    """The first member's dataset, whose grid and block structure every member shares."""
-    return data[0] if isinstance(data, tuple) else data
+def _members(data: MtlDataset | Members, B: int) -> Members:
+    """A step's `data` as Members of one block structure; one MtlDataset is the dataset of all B members."""
+    if isinstance(data, MtlDataset):
+        data = Members((data,), np.zeros(B, dtype=np.intp))
+    _check_structure(data.datasets)
+    data.datasets[0].require_nonempty_tasks()
+    return data
 
 
 def _member_costs(C) -> np.ndarray:
@@ -273,7 +260,7 @@ def _kronecker_ridge(kernel: KernelSpec, data: MtlDataset, K: int) -> bool:
 
 
 def solve_shared_step(
-    data: MtlDataset | tuple[MtlDataset, ...],
+    data: MtlDataset | Members,
     factors: tuple[np.ndarray, ...],
     kernel: KernelSpec,
     C: np.ndarray,
@@ -284,57 +271,58 @@ def solve_shared_step(
     """Exactly minimize over the shared factor, biases, and residuals of B members.
 
     `factors` are the members' factor matrices, stacked B x T_n x K, and C
-    their 1-D array of costs. `data` is the dataset of every member, or a
-    tuple with each member's, datasets that share one block structure (see
-    `fit_many`). This is where the step's form is chosen. A linear kernel with
-    dK <= m solves Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j as a
+    their 1-D array of costs. `data` is the dataset of every member, or
+    `Members` on datasets that share one block structure (see `fit_many`).
+    This is where the step's form is chosen. A linear kernel with dK <= m
+    solves Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j as a
     KroneckerGram over each dataset's per-task moments: the dK x dK ridge.
     Every other step solves a CoherenceGram: the task vectors with
     `gram_matrix`, the kernel Gram of the stacked inputs, which such a step
-    requires, of the one dataset of every member. The members share it and
-    get it back bit for bit. It must be exactly symmetric, as `kernels.gram`
-    returns it, and the step compares its triangles (ValueError otherwise,
-    with the Gram unchanged). `fit_many`, which compares each Gram once when
-    it builds it, passes the private `_gram_compared` to skip that. The
-    updated shared factors are returned as one `model.SharedFactor` over
-    the data's stacked inputs and sample tasks: in dual form, plus for the
-    linear kernel the explicit matrices: the ridge weights w in Kronecker
-    order (feature k*d + i is u_k x_i), or X^T (alpha o U) for dK > m or
-    when w misses the residual bound with the refined duals (see
+    requires, of the one dataset of every member; they share it and its
+    targets, and get the Gram back bit for bit. It must be exactly
+    symmetric, as `kernels.gram` returns it, and the step compares its
+    triangles (ValueError otherwise, with the Gram unchanged). `fit_many`,
+    which compares each Gram once when it builds it, passes the private
+    `_gram_compared` to skip that. The updated shared factors are returned
+    as one `model.SharedFactor` over the sample tasks and, in a tuple, each
+    member's owner's stacked inputs: in dual form, plus for the linear
+    kernel the explicit matrices: the ridge weights w in Kronecker order
+    (feature k*d + i is u_k x_i), or X^T (alpha o U) for dK > m or when w
+    misses the residual bound with the refined duals (see
     `linsys._solve_features`). The record, biases and residuals carry the
     member axis, and `errors` holds each member's SolverError, or None.
     """
     costs = _member_costs(C)
-    runs = _dataset_runs(data, len(costs))
-    first = runs[0][1]
+    data = _members(data, len(costs))
+    first = data.datasets[0]
     plan = first.fit_plan
-    y = _member_targets(runs, MtlDataset.stacked_targets)
     tid = first.sample_task_ids()
     u_table = row_product_table(_factor_mats(first, factors), first.grid.mode_indices)
     K = u_table.shape[-1]
     explicit = None
     if _kronecker_ridge(kernel, first, K):
-        moments = _per_member(runs, lambda dataset: dataset.fit_plan.moments)
-        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, moments), y, costs)
+        moments = tuple(dataset.fit_plan.moments for dataset in data.datasets)
+        y = data.gather(MtlDataset.stacked_targets)
+        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, moments, data.owner), y, costs)
         weights = solution.weights[..., 0, :]
         explicit = np.ascontiguousarray(np.swapaxes(weights.reshape(weights.shape[:-1] + (K, -1)), -1, -2))
     else:
         if gram_matrix is None:
             raise ValueError("this shared step solves through the kernel Gram: gram_matrix is required")
-        if len(runs) > 1:
+        if len(data.datasets) > 1:
             raise ValueError("a shared step through the kernel Gram takes one dataset for all members")
         Q = CoherenceGram(u_table, gram_matrix, _compared=_gram_compared)
-        solution = solve_dual_system(plan.shared, Q, y, costs)
+        solution = solve_dual_system(plan.shared, Q, first.stacked_targets(), costs)
         if kernel.has_feature_map:
             explicit = first.stacked_inputs().T @ dual_weights(solution.duals, u_table, tid)
     constraint = np.max(np.abs(plan.shared.sums(solution.duals, axis=-1)), axis=-1)
-    X = _per_member(runs, MtlDataset.stacked_inputs)
+    X = tuple(data.datasets[k].stacked_inputs() for k in data.owner.tolist())
     shared = SharedFactor(solution.duals, u_table, X, tid, explicit)
     return SharedStepResult(shared, solution.biases, solution.residual, constraint, solution.errors)
 
 
 def reduced_features(
-    data: MtlDataset | tuple[MtlDataset, ...], factors: tuple[np.ndarray, ...], mode: int, projection: np.ndarray
+    data: MtlDataset | Members, factors: tuple[np.ndarray, ...], mode: int, projection: np.ndarray
 ) -> np.ndarray:
     """B x m x K reduced features for one mode's row subproblems of B members.
 
@@ -344,7 +332,7 @@ def reduced_features(
     modes, from the members' factor matrices stacked B x T_n x K. `data`
     is as for `solve_shared_step`; only its grid and sample tasks are read.
     """
-    data = _first(data)
+    data = _members(data, len(projection)).datasets[0]
     mode = data.grid._check_mode(mode)
     excl = row_product_table(_factor_mats(data, factors), data.grid.mode_indices, mode)
     return projection * excl.take(data.sample_task_ids(), axis=-2)
@@ -374,14 +362,12 @@ class ModeStepResult:
     errors: tuple[SolverError | None, ...]
 
 
-def solve_mode_row_step(
-    data: MtlDataset | tuple[MtlDataset, ...], z: np.ndarray, mode: int, C: np.ndarray
-) -> ModeStepResult:
+def solve_mode_row_step(data: MtlDataset | Members, z: np.ndarray, mode: int, C: np.ndarray) -> ModeStepResult:
     """Exactly minimize over every row of one mode factor and all biases, for B members.
 
     `z` holds the members' reduced features, stacked B x m x K, and C their
     1-D array of costs; `data` is as for `solve_shared_step`, and each
-    member's targets are those of its dataset's layout. Row r's subproblem
+    member's targets are those of its owner's layout. Row r's subproblem
     involves only the tasks whose mode index equals r; its system matrix is
     the Gram of their reduced features Z_r. The rows are independent, so they
     go to the solver as one FeatureGram of Z with the layout's Blocks (one
@@ -393,16 +379,16 @@ def solve_mode_row_step(
     target means. A member's SolverError is the solver's: its `group` is the
     lowest failing row, less one.
     """
-    index = _first(data).grid._check_mode(mode) - 1
+    data = _members(data, np.size(C))
+    index = data.datasets[0].grid._check_mode(mode) - 1
     costs = _member_costs(C)
-    runs = _dataset_runs(data, len(costs))
-    layout = runs[0][1].fit_plan.layouts[index]
+    layout = data.datasets[0].fit_plan.layouts[index]
     blocks = layout.blocks
     if np.ndim(z) != 3:
         raise ValueError(f"a row step takes its members' features stacked B x m x K, got shape {np.shape(z)}")
     # a gather along the sample axis that keeps each member's rows contiguous
     Z = np.take(np.asarray(z, dtype=float), layout.samples, axis=-2)
-    targets = _member_targets(runs, lambda dataset: dataset.fit_plan.layouts[index].targets)
+    targets = data.gather(lambda dataset: dataset.fit_plan.layouts[index].targets)
     solution = solve_dual_system(blocks, FeatureGram(Z), targets, costs)
     values = solution.weights
     task_sums = np.abs(blocks.sums(solution.duals, axis=-1)).reshape(values.shape[:-1] + (-1,))
@@ -454,42 +440,34 @@ def _factor_change(new_mats, old_mats) -> np.ndarray:
     return total
 
 
-def _pick(value, key):
-    """The part of a per-member tuple that `key` (a mask, a slice or one member's index) selects.
-
-    Any other value is one object that all members share, and is returned as it is.
-    """
-    if not isinstance(value, tuple):
-        return value
-    if isinstance(key, np.ndarray):
-        return tuple(v for v, kept in zip(value, key.tolist()) if kept)
-    return value[key]
-
-
 def _member_record(shared: SharedFactor, key) -> SharedFactor:
-    """The record of the members that `key` (a mask, a slice or one member's index) selects."""
+    """The record of the members that `key` (a mask or a slice) selects, or of the one member at index `key`.
+
+    A batch record holds a tuple with each member's training inputs, and
+    one member's record that member's own array.
+    """
     explicit = None if shared.explicit is None else shared.explicit[key]
-    return SharedFactor(
-        shared.duals[key], shared.task_vector_snapshot[key], _pick(shared.train_inputs, key), shared.task_ids,
-        explicit,
-    )
+    picked = np.arange(len(shared.train_inputs))[key]
+    X = shared.train_inputs[picked] if picked.ndim == 0 else tuple(shared.train_inputs[b] for b in picked.tolist())
+    return SharedFactor(shared.duals[key], shared.task_vector_snapshot[key], X, shared.task_ids, explicit)
 
 
 class _Members:
     """The members of a `fit_many` still in its alternation.
 
     Arrays carry the member axis first; `index` holds each member's
-    position among the members. `data` is the dataset of every member, or
-    a tuple with each member's, as the steps take it, `gram` the Gram of
-    the one dataset of a fit through the kernel Gram (else None), and `y`
-    the targets (B x m for several datasets). `keep` drops the members
-    that left.
+    position among the members. `data` holds the datasets and each
+    member's owner, as the steps take them, `gram` the Gram of the one
+    dataset of a fit through the kernel Gram (else None), and `y` the
+    owners' targets, B x m. `keep` drops the members that left.
     """
 
-    def __init__(self, costs: list[float], start: tuple[np.ndarray, ...], n_tasks: int, tid, data, gram_matrix):
+    def __init__(
+        self, costs: list[float], start: tuple[np.ndarray, ...], n_tasks: int, tid, data: Members, gram_matrix
+    ):
         B = len(costs)
         self.data, self.gram = data, gram_matrix
-        self.y = _member_targets(member_runs(data, B), MtlDataset.stacked_targets)
+        self.y = data.gather(MtlDataset.stacked_targets)
         self.m = self.y.shape[-1]
         self.index = list(range(B))
         self.C = np.array(costs)
@@ -514,19 +492,15 @@ class _Members:
 
     def project(self, kernel: KernelSpec) -> np.ndarray:
         """The training inputs through the members' shared factors (`shared_projection`), dataset by dataset."""
-        runs = member_runs(self.data, len(self.index))
 
         def run(own: slice, data: MtlDataset) -> np.ndarray:
-            shared = self.shared if len(runs) == 1 else _member_record(self.shared, own)
-            return shared_projection(shared, kernel, data.stacked_inputs(), self.gram)
+            return shared_projection(_member_record(self.shared, own), kernel, data.stacked_inputs(), self.gram)
 
-        return by_run(runs, run)
+        return by_run(self.data.owner, self.data.datasets, run)
 
     def keep(self, mask: np.ndarray) -> None:
-        if self.y.ndim == 2:
-            self.y = self.y[mask]
-        self.data = _pick(self.data, mask)
-        for name in ("C", "biases", "yhat", "mode_norms", "pen_shared", "max_sys", "max_con", "projection"):
+        self.data = replace(self.data, owner=self.data.owner[mask])
+        for name in ("y", "C", "biases", "yhat", "mode_norms", "pen_shared", "max_sys", "max_con", "projection"):
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, value[mask])
@@ -611,8 +585,7 @@ def _alternation(datasets: tuple[MtlDataset, ...], config: FitConfig, costs: lis
     if not _kronecker_ridge(kernel, first, config.K):
         G = gram(kernel, first.stacked_inputs())
         check_symmetric(G)
-    # the members' datasets: the one of all, or a tuple with each member's
-    member_data = first if len(datasets) == 1 else tuple(dataset for dataset in datasets for _ in costs)
+    member_data = Members(datasets, np.repeat(np.arange(len(datasets)), len(costs)))
     start = init_factors(grid, config.K, config.seed).factors
     live = _Members(costs * len(datasets), start, grid.n_tasks, tid, member_data, G)
     outcomes: list[FitState | SolverError | None] = [None] * len(live.index)

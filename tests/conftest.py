@@ -147,9 +147,10 @@ def lone_solve(blocks, Q, y, C: float) -> LoneSolution:
     The solve takes members only: a 1-D array of costs and a structured
     Q's arrays with a leading member axis. The cost is passed as the
     array [C], and a FeatureGram's features or a KroneckerGram's or
-    CoherenceGram's task vectors as the stacks of one member; a dense Q
-    has no member axis. Returns member 0's biases, duals, residual and
-    weights, or raises its SolverError.
+    CoherenceGram's task vectors as the stacks of one member; a
+    KroneckerGram's owner already holds that member's one entry, and a
+    dense Q has no member axis. Returns member 0's biases, duals,
+    residual and weights, or raises its SolverError.
     """
     if isinstance(Q, FeatureGram):
         Q = FeatureGram(Q.features[None])

@@ -297,8 +297,10 @@ class TestPredict:
             lambda p: p["tasks"][1]["inputs"][0].__setitem__(0, float("inf")),
             lambda p: p["tasks"][2].__setitem__("inputs", [row[:2] for row in p["tasks"][2]["inputs"]]),
             lambda p: p.__setitem__("n_features", 5),
+            lambda p: p.__setitem__("n_features", 3.9),
+            lambda p: p.__setitem__("n_features", True),
         ],
-        ids=["nan-dual", "infinite-bias", "infinite-input", "narrow-task", "n-features"],
+        ids=["nan-dual", "infinite-bias", "infinite-input", "narrow-task", "n-features", "3.9", "true"],
     )
     def test_corrupted_baseline_model_is_data_error(self, baseline_model, pipeline, tmp_path, capsys, corrupt):
         payload = json.loads(Path(baseline_model).read_text())
@@ -310,14 +312,24 @@ class TestPredict:
         assert err.startswith("error: ") and "corrupted model file" in err
         assert not (tmp_path / "predictions.csv").exists()
 
-    def test_n_features_must_match_the_tensor_models_inputs(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "n_features, message",
+        [
+            (5, "n_features 5 does not match"),
+            # the inputs are 3 wide: 3.9 is not read as 3, nor true as 1
+            (3.9, "n_features must be a whole number >= 1, got 3.9"),
+            (True, "n_features must be a whole number >= 1, got True"),
+        ],
+        ids=["5", "3.9", "true"],
+    )
+    def test_n_features_must_match_the_tensor_models_inputs(self, pipeline, tmp_path, capsys, n_features, message):
         payload = json.loads(Path(pipeline["model"]).read_text())
-        payload["n_features"] = 5
+        payload["n_features"] = n_features
         bad = write_json(tmp_path / "model.json", payload)
         code = main(["predict", "--model", bad, "--data", pipeline["test_csv"], "--out-dir", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "corrupted model file (n_features 5 does not match" in err
+        assert err.startswith("error: ") and f"corrupted model file ({message}" in err
         assert not (tmp_path / "predictions.csv").exists()
 
 

@@ -174,7 +174,7 @@ def fit_with_steps(monkeypatch, data, cfg):
     for i, step in enumerate(shared_steps):
         s = step.shared
         shared = SharedFactor(
-            s.duals[0], s.task_vector_snapshot[0], s.train_inputs, s.task_ids,
+            s.duals[0], s.task_vector_snapshot[0], s.train_inputs[0], s.task_ids,
             None if s.explicit is None else s.explicit[0],
         )
         shared_steps[i] = dataclasses.replace(step, shared=shared, biases=step.biases[0])

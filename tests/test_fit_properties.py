@@ -407,3 +407,19 @@ def test_a_cost_failing_on_middle_folds_keeps_its_first_failing_folds_error():
     at_3e5 = lone_outcome(splits[1][0], replace(config, C=3e5))
     assert [cell.error for cell in result.cells] == [None, str(at_3e5), str(lone[1])]
     assert_cv_is_the_reference(train, plan, seed=0)
+
+
+def test_members_whose_owners_leave_a_gap_equal_their_lone_fits():
+    # on the fixture above, fold 2 fails alone at C=1e6: its member leaves
+    # at iteration 2, and the members of fold 1 before and after it (owners
+    # 0 and 2 of the datasets [f1, f2, f1]) run on as two runs of owners
+    spec = SyntheticSpec(d=6, mode_sizes=(2, 3), k_true=2, train_per_task=11, test_per_task=4, snr=10.0, seed=5)
+    train, _, _ = generate_synthetic(spec)
+    (f1, _), (f2, _) = kfold_split(train, 4, 0)[:2]
+    config = FitConfig(K=2, C=1e6, kernel=KernelSpec("linear"), max_iters=6, tol=1e-3, seed=0)
+    lone = [lone_outcome(fold, config) for fold in (f1, f2, f1)]
+    assert str(lone[1]).startswith("iteration 2, ")
+    assert [lone[0].iterations, lone[2].iterations] == [3, 3] and lone[0].converged
+    members = fit_many([f1, f2, f1], config, (1e6,))
+    for (member,), expected in zip(members, lone, strict=True):
+        assert_same_outcome(member, expected)

@@ -99,3 +99,8 @@ def test_package_imports_form_no_cycle():
     graph = import_graph()
     assert {"data", "model", "solver", "taskgrid", "linsys"} <= set(graph)
     assert find_cycle(graph) is None, " -> ".join(find_cycle(graph))
+
+
+def test_the_solve_layer_imports_no_package_module_but_errors():
+    # linsys solves block structures and member arrays; it knows no dataset
+    assert import_graph()["linsys"] == {"errors"}

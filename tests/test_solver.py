@@ -28,6 +28,7 @@ from tlssvm.linsys import (
 from tlssvm.model import SharedFactor, TrainedModel, load_model, predict_dual, predict_primal, save_model
 from tlssvm.solver import (
     FitConfig,
+    Members,
     fit,
     fit_many,
     init_factors,
@@ -171,7 +172,7 @@ class TestSolveDualSystem:
     def test_plain_sizes_raise_type_error_naming_blocks(self, sizes):
         rng = np.random.default_rng(5)
         X, U, y = rng.normal(size=(5, 2)), rng.normal(size=(2, 1)), rng.normal(size=5)
-        kron = KroneckerGram(U, TaskMoments(Blocks([2, 3]), X))
+        kron = KroneckerGram(U, (TaskMoments(Blocks([2, 3]), X),), (0,))
         for solve, Q in (
             (lone_solve, X @ X.T),
             (lone_solve, FeatureGram(X)),
@@ -187,7 +188,7 @@ class TestSolveDualSystem:
         X, y = rng.normal(size=(5, 2)), rng.normal(size=5)
         U = rng.normal(size=(2, 1))
         blocks = Blocks([2, 3])
-        for Q in (X @ X.T, FeatureGram(X), KroneckerGram(U, TaskMoments(blocks, X)),
+        for Q in (X @ X.T, FeatureGram(X), KroneckerGram(U, (TaskMoments(blocks, X),), (0,)),
                   CoherenceGram(U, X @ X.T)):
             with pytest.raises(ValueError, match=message):
                 lone_solve(blocks, Q, y, C)
@@ -198,7 +199,7 @@ class TestSolveDualSystem:
         rng = np.random.default_rng(7)
         X, y, U = rng.normal(size=(5, 2)), rng.normal(size=5), rng.normal(size=(1, 2, 1))
         blocks = Blocks([2, 3])
-        for Q in (X @ X.T, FeatureGram(X[None]), KroneckerGram(U, TaskMoments(blocks, X)),
+        for Q in (X @ X.T, FeatureGram(X[None]), KroneckerGram(U, (TaskMoments(blocks, X),), (0,)),
                   CoherenceGram(U, X @ X.T)):
             with pytest.raises(ValueError, match=r"C must be a non-empty 1-D array of costs, one per member, got shape"):
                 solve_dual_system(blocks, Q, y, C)
@@ -522,7 +523,7 @@ def kronecker_system(data, K, seed):
     U = np.random.default_rng(seed).normal(size=(data.grid.n_tasks, K))
     X = data.stacked_inputs()
     blocks = Blocks(data.task_sizes)
-    Q = KroneckerGram(U, TaskMoments(blocks, X))
+    Q = KroneckerGram(U, (TaskMoments(blocks, X),), (0,))
     Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
     return blocks, Q, Phi
 
@@ -553,7 +554,7 @@ class TestKroneckerSharedStep:
         # for one member (the operations carry a leading member axis)
         data = uneven_dataset(85, (2, 3), d=4)
         blocks, Q, Phi = kronecker_system(data, 3, seed=85)
-        kron = linsys._KroneckerFeatures(KroneckerGram(Q.task_vectors[None], Q.moments), blocks)
+        kron = linsys._KroneckerFeatures(KroneckerGram(Q.task_vectors[None], Q.moments, Q.owner), blocks)
         explicit = linsys._MatrixFeatures(Phi[None], blocks)
         rng = np.random.default_rng(85)
         v, g, w = rng.normal(size=(1, data.n_samples)), rng.normal(size=(1, len(blocks))), rng.normal(size=(1, 12))
@@ -577,7 +578,7 @@ class TestKroneckerSharedStep:
             TaskGrid((2, 2)), tuple(base[p] for p in picks), tuple(rng.normal(size=len(p)) for p in picks)
         )
         blocks, Q, Phi = kronecker_system(data, 2, seed=81)
-        np.testing.assert_array_equal(Q.moments.scatter[0], 0.0)
+        np.testing.assert_array_equal(Q.moments[0].scatter[0], 0.0)
         y = data.stacked_targets()
         got = lone_solve(blocks, Q, y, C)
         assert_same_solution(got, lone_solve(Blocks(data.task_sizes), FeatureGram(Phi), y, C))
@@ -712,7 +713,7 @@ class TestKroneckerSharedStep:
         step = one_member(solve_shared_step, data, factors, LINEAR, C=C)
         U, X, y = task_vector_table(factors), data.stacked_inputs(), data.stacked_targets()
         blocks = Blocks(data.task_sizes)
-        solution = lone_solve(blocks, KroneckerGram(U, TaskMoments(blocks, X)), y, C)
+        solution = lone_solve(blocks, KroneckerGram(U, (TaskMoments(blocks, X),), (0,)), y, C)
         assert np.array_equal(step.shared.explicit, solution.weights[0].reshape(3, 4).T)
         # the explicit features order column k*d + i as u_k x_i
         Phi = (U[data.sample_task_ids()][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
@@ -843,19 +844,22 @@ class TestKroneckerSharedStep:
         costs = np.array([1.0, 10.0])
         # a step through the kernel Gram solves the members of one dataset
         with pytest.raises(ValueError, match="takes one dataset for all members"):
-            solve_shared_step((a, b), mats, rbf, costs, gram_matrix=G_a)
-        for given in (a, (a, a)):
+            solve_shared_step(Members((a, b), np.array([0, 1])), mats, rbf, costs, gram_matrix=G_a)
+        for given in (a, Members((a,), np.array([0, 0]))):
             assert solve_shared_step(given, mats, rbf, costs, gram_matrix=G_a).errors == (None, None)
-        step = solve_shared_step((a, b), mats, LINEAR, costs)
+        # member 0 is b's, member 1 a's: each member's record holds its own
+        # dataset's inputs, never a copy
+        step = solve_shared_step(Members((a, b), np.array([1, 0])), mats, LINEAR, costs)
         assert step.errors == (None, None)
-        got, expected = step.shared.train_inputs, (a.stacked_inputs(), b.stacked_inputs())
-        assert len(got) == 2 and all(x is e for x, e in zip(got, expected))
+        assert len(step.shared.train_inputs) == 2
+        for member, own in enumerate((b, a)):
+            assert solver._member_record(step.shared, member).train_inputs is own.stacked_inputs()
         longer = random_dataset(94, mode_sizes=(2, 3), d=3, m_t=5)
         z = np.ones((2, a.n_samples, 2))
         with pytest.raises(ValueError, match="share a lockstep only"):
-            solve_shared_step((a, longer), mats, LINEAR, costs)
+            solve_shared_step(Members((a, longer), np.array([0, 1])), mats, LINEAR, costs)
         with pytest.raises(ValueError, match="share a lockstep only"):
-            solve_mode_row_step((a, longer), z, 1, costs)
+            solve_mode_row_step(Members((a, longer), np.array([0, 1])), z, 1, costs)
         with pytest.raises(ValueError, match="inconsistent system shapes"):
             solve_shared_step(a, mats, rbf, costs, gram_matrix=gram(rbf, longer.stacked_inputs()))
 
@@ -1412,8 +1416,10 @@ class TestMemberSolves:
             return layout.blocks, lambda b: FeatureGram(Z if b is None else Z[b]), layout.targets
         blocks = Blocks(data.task_sizes)
         if form == "kronecker":
-            moments = TaskMoments(blocks, X)
-            return blocks, lambda b: KroneckerGram(U if b is None else U[b], moments), y
+            moments, owner = (TaskMoments(blocks, X),), np.zeros(3, int)
+            return blocks, lambda b: (
+                KroneckerGram(U, moments, owner) if b is None else KroneckerGram(U[b], moments, owner[:1])
+            ), y
         G = gram(KernelSpec("rbf", gamma=0.3), X)
         return blocks, lambda b: CoherenceGram(U if b is None else U[b], G), y
 
@@ -1533,14 +1539,14 @@ class TestMemberSolves:
 
     @pytest.mark.parametrize("form", ["features", "kronecker"])
     def test_members_on_two_datasets_equal_their_lone_solves(self, form):
-        # members 0 and 3 solve dataset a, 1 and 2 dataset b: three runs,
-        # each holding its dataset's moments, never a copy
+        # members 0 and 3 solve dataset a, 1 and 2 dataset b: three runs of
+        # owners, each reading its owner's moments, never a copy
         a = uneven_dataset(75, (3, 4), d=3)
         rng = np.random.default_rng(75)
         b = MtlDataset(
             a.grid, tuple(X + rng.normal(size=X.shape) for X in a.inputs), tuple(2.0 * y + 1.0 for y in a.targets)
         )
-        datasets, of = (a, b), (0, 1, 1, 0)
+        datasets, of = (a, b), np.array([0, 1, 1, 0])
         blocks = Blocks(a.task_sizes)
         costs = np.array([0.5, 10.0, 1e3, 1e5])
         y = np.stack([datasets[k].stacked_targets() for k in of])
@@ -1551,11 +1557,10 @@ class TestMemberSolves:
             Z = rng.normal(size=(4, a.n_samples, 2))
             members, lone = FeatureGram(Z), [FeatureGram(Z[i]) for i in range(4)]
         else:
-            moments = [TaskMoments(blocks, data.stacked_inputs()) for data in datasets]
-            members = KroneckerGram(U, tuple(moments[k] for k in of))
-            lone = [KroneckerGram(U[i], moments[k]) for i, k in enumerate(of)]
-        runs = linsys.member_runs(tuple(datasets[k] for k in of), 4)
-        assert [own for own, _ in runs] == [slice(0, 1), slice(1, 3), slice(3, 4)]
+            moments = tuple(TaskMoments(blocks, data.stacked_inputs()) for data in datasets)
+            members = KroneckerGram(U, moments, of)
+            lone = [KroneckerGram(U[i], moments, of[i : i + 1]) for i in range(4)]
+        assert linsys.member_runs(of) == [slice(0, 1), slice(1, 3), slice(3, 4)]
         got = solve_dual_system(blocks, members, y, costs)
         for i, Q in enumerate(lone):
             expected = lone_solve(blocks, Q, y[i], costs[i])
@@ -1566,18 +1571,19 @@ class TestMemberSolves:
             if expected.weights is not None:
                 assert got.weights[i].tobytes() == expected.weights.tobytes()
 
-    def test_member_targets_and_objects_must_match_the_members(self):
+    def test_member_targets_and_owners_must_match_the_members(self):
         data = uneven_dataset(76, (2, 2), d=3)
         blocks = Blocks(data.task_sizes)
         y = data.stacked_targets()
         U = np.random.default_rng(76).normal(size=(2, data.grid.n_tasks, 2))
-        moments = TaskMoments(blocks, data.stacked_inputs())
+        moments = (TaskMoments(blocks, data.stacked_inputs()),)
         costs = np.array([1.0, 10.0])
         for targets, C in ((np.stack([y, y]), costs[:1]), (np.stack([y, y, y]), costs), (y[None, None], costs)):
             with pytest.raises(ValueError):
-                solve_dual_system(blocks, KroneckerGram(U, moments), targets, C)
-        with pytest.raises(ValueError, match="3 per-member objects for 2 members"):
-            solve_dual_system(blocks, KroneckerGram(U, (moments,) * 3), y, costs)
+                solve_dual_system(blocks, KroneckerGram(U, moments, np.zeros(2, int)), targets, C)
+        for owner in (np.zeros(3, int), np.zeros(1, int), np.zeros((2, 1), int)):
+            with pytest.raises(ValueError, match=rf"owners of shape \({owner.shape[0]},.*\) for 2 members"):
+                solve_dual_system(blocks, KroneckerGram(U, moments, owner), y, costs)
         G = gram(KernelSpec("linear"), data.stacked_inputs())
         with pytest.raises(ValueError, match="one per member of a structured Q"):
             solve_dual_system(blocks, G, np.stack([y, y]), costs)
