@@ -18,7 +18,7 @@ from .data import MtlDataset
 from .errors import DataError, SolverError, positive
 from .kernels import KernelSpec, gram
 from .linsys import Blocks, solve_dual_system
-from .taskgrid import TaskGrid, linearize
+from .taskgrid import TaskGrid
 
 __all__ = ["SingleTaskLssvm", "LssvmModel", "fit_independent"]
 
@@ -29,7 +29,8 @@ class SingleTaskLssvm:
 
     Its kernel is the model's (`LssvmModel.kernel`). Construction raises
     ValueError unless there is one dual per training row and every value
-    is finite.
+    is finite. Read-only float64 inputs are kept as given, so the fits of
+    one task at several costs share its inputs; others are copied.
     """
 
     duals: np.ndarray
@@ -38,7 +39,9 @@ class SingleTaskLssvm:
 
     def __post_init__(self) -> None:
         duals = np.array(self.duals, dtype=float)
-        inputs = np.array(self.inputs, dtype=float)
+        inputs = self.inputs
+        if not (isinstance(inputs, np.ndarray) and inputs.dtype == np.float64 and not inputs.flags.writeable):
+            inputs = np.array(inputs, dtype=float)
         bias = float(self.bias)
         if duals.ndim != 1 or inputs.ndim != 2 or duals.shape[0] != inputs.shape[0]:
             raise ValueError("need one dual coefficient per training sample")
@@ -60,7 +63,7 @@ def query_inputs(x, ndim: int, n_features: int) -> np.ndarray:
     if x.ndim != ndim or x.shape[-1] != n_features:
         expected = f"a length-{n_features} input" if ndim == 1 else f"n x {n_features} inputs"
         raise DataError(f"expected {expected}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DataError("inputs contain NaN or infinite values")
     return x
 
@@ -97,7 +100,7 @@ class LssvmModel:
     def predict_rows(self, multi_indices, X) -> np.ndarray:
         """Predictions for rows of X, each addressed to its own task; one Gram per task."""
         X = query_inputs(X, 2, self.n_features)
-        task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices], dtype=int)
+        task_ids = np.array([self.grid.task_row(idx) for idx in multi_indices], dtype=int)
         if task_ids.shape[0] != X.shape[0]:
             raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
         out = np.empty(X.shape[0])
@@ -116,21 +119,23 @@ class LssvmModel:
 def fit_independent(data: MtlDataset, C, kernel: KernelSpec):
     """Fit every task separately with shared hyperparameters.
 
-    `C` is one cost, or a sequence of costs. Each task's Gram is built once
-    and every cost still alive is one member of a single
-    `solve_dual_system` call on it; a cost whose member fails on a task is
-    not fit on the later ones. Each cost gives what its lone fit does bit
-    for bit, its LssvmModel or its first failing task's SolverError.
+    `C` is one cost, or a sequence of costs. Each task's Gram is built once,
+    the block structure once per task size, and every cost still alive is
+    one member of a single `solve_dual_system` call on it; a cost whose
+    member fails on a task is not fit on the later ones. Each cost gives
+    what its lone fit does bit for bit, its LssvmModel or its first failing
+    task's SolverError.
     """
     data.require_nonempty_tasks()
     lone = not isinstance(C, (list, tuple)) and np.ndim(C) == 0
     costs = np.array([positive(c, "C") for c in ([C] if lone else C)])
     fits: list = [[] for _ in costs]  # per cost, its task fits so far or its SolverError
+    blocks = {m: Blocks([m]) for m in set(data.task_sizes)}
     for X, y in zip(data.inputs, data.targets):
         alive = [b for b, fit in enumerate(fits) if not isinstance(fit, SolverError)]
         if not alive:
             break
-        solution = solve_dual_system(Blocks([X.shape[0]]), gram(kernel, X), y, costs[alive])
+        solution = solve_dual_system(blocks[X.shape[0]], gram(kernel, X), y, costs[alive])
         for b, biases, duals, error in zip(alive, solution.biases, solution.duals, solution.errors):
             if error is None:
                 fits[b].append(SingleTaskLssvm(duals, float(biases[0]), X))

@@ -13,6 +13,9 @@ lists; anything else exits 2 before any file is read or written.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 solver
 error.
+
+Each command imports what it needs: predict and evaluate load neither the
+solver nor the experiments.
 """
 
 from __future__ import annotations
@@ -25,18 +28,33 @@ import sys
 
 import numpy as np
 
-from .baseline import fit_independent
+from .baseline import LssvmModel, fit_independent
 from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, DataError, SolverError, config_object, positive, whole
-from .experiments import METHOD_BASELINE, METHOD_TENSOR, CvPlan, run_benchmark, run_cv
 from .kernels import KernelSpec
 from .metrics import evaluate_predictions
 from .model import TrainedModel, load_model, save_model
-from .solver import FitConfig, fit
 from .taskgrid import TaskGrid, delinearize
 from .textio import csv_line, csv_rows, write_json
 
 __all__ = ["main", "build_parser"]
+
+METHODS = (TrainedModel.method, LssvmModel.method)
+
+
+# The train and cv commands call the solver and the experiments through
+# these names of this module (benchmarks/tracing.py wraps them here). Each
+# imports its module on the first call, so predict and evaluate load neither.
+def fit(data, config):
+    from . import solver
+
+    return solver.fit(data, config)
+
+
+def run_cv(data, method, plan, seed):
+    from . import experiments
+
+    return experiments.run_cv(data, method, plan, seed=seed)
 
 
 def _load_json_config(path: str):
@@ -107,16 +125,18 @@ def _baseline_config(path: str) -> tuple[float, KernelSpec]:
 
 def cmd_train(args) -> int:
     # the config is checked before anything is read or written
-    if args.method == METHOD_BASELINE:
+    if args.method == LssvmModel.method:
         C, kernel = _baseline_config(args.config)
     else:
+        from .solver import FitConfig
+
         config = FitConfig.from_config(_load_json_config(args.config))
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         if args.max_iters is not None:
             config = dataclasses.replace(config, max_iters=args.max_iters)
     data = load_csv(args.train, _parse_grid(args.grid))
-    if args.method == METHOD_BASELINE:
+    if args.method == LssvmModel.method:
         model = fit_independent(data, C, kernel)
         out = _out_dir(args)
         save_model(model, os.path.join(out, "model.json"))
@@ -195,6 +215,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    from .experiments import CvPlan
+
     plan = CvPlan.from_config(_load_json_config(args.config) if args.config else {})
     data = load_csv(args.train, _parse_grid(args.grid))
     result = run_cv(data, args.method, plan, seed=args.seed)
@@ -209,6 +231,8 @@ def cmd_cv(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from .experiments import CvPlan, run_benchmark
+
     cfg = config_object(
         _load_json_config(args.config), "benchmark config", ("synthetic", "snrs"), ("reps", "base_seed", "methods")
     )
@@ -216,10 +240,7 @@ def cmd_benchmark(args) -> int:
     base_seed = whole(cfg.get("base_seed", 0), "base_seed", 0)  # checked also where --seed replaces it
     if args.seed is not None:
         base_seed = args.seed
-    methods = config_object(
-        cfg.get("methods", {METHOD_TENSOR: {}, METHOD_BASELINE: {}}), "benchmark methods", (),
-        (METHOD_TENSOR, METHOD_BASELINE),
-    )
+    methods = config_object(cfg.get("methods", {method: {} for method in METHODS}), "benchmark methods", (), METHODS)
     plans = {name: CvPlan.from_config(plan) for name, plan in methods.items()}
     result = run_benchmark(template, cfg["snrs"], cfg.get("reps", 10), base_seed, plans)
     out = _out_dir(args)
@@ -257,12 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model on a training CSV")
     p.add_argument("--train", required=True, help="training CSV")
     p.add_argument("--grid", required=True, help="task grid sizes, e.g. 2,3")
-    p.add_argument(
-        "--method",
-        choices=[METHOD_TENSOR, METHOD_BASELINE],
-        default=METHOD_TENSOR,
-        help="model family to fit",
-    )
+    p.add_argument("--method", choices=METHODS, default=TrainedModel.method, help="model family to fit")
     p.add_argument("--config", required=True, help="fit config JSON")
     p.add_argument("--max-iters", type=int, default=None, help="override max iterations")
     p.add_argument("--seed", type=int, default=None, help="override factor init seed")
@@ -286,12 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="grid-search hyperparameters by k-fold RMSE")
     p.add_argument("--train", required=True, help="training CSV")
     p.add_argument("--grid", required=True, help="task grid sizes, e.g. 2,3")
-    p.add_argument(
-        "--method",
-        choices=[METHOD_TENSOR, METHOD_BASELINE],
-        default=METHOD_TENSOR,
-        help="method to tune",
-    )
+    p.add_argument("--method", choices=METHODS, default=TrainedModel.method, help="method to tune")
     p.add_argument("--config", default=None, help="cv plan JSON (defaults apply)")
     p.add_argument("--seed", type=int, default=0, help="fold and init seed")
     p.add_argument("--out-dir", default=".", help="output directory")

@@ -345,8 +345,7 @@ def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDatase
     if table is None:
         idx, values = _read_lines(path, io.StringIO(body, newline=""), grid, len(expected))
 
-    strides = np.concatenate([[1], np.cumprod(sizes[:-1])])
-    task = (idx - 1) @ strides  # 0-based linear task ids
+    task = (idx - 1) @ np.array(grid.strides)  # 0-based linear task ids
     order = np.argsort(task, kind="stable")
     counts = np.bincount(task, minlength=grid.n_tasks)
     data = MtlDataset._from_stacked(grid, values[order, :-1], values[order, -1], counts)

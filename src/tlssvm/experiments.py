@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import fit_independent
+from .baseline import LssvmModel, fit_independent
 from .data import MtlDataset, SyntheticSpec, generate_synthetic, kfold_split
 from .errors import ConfigError, SolverError, config_object, positive, whole
 from .kernels import KernelSpec, gram
@@ -40,8 +40,8 @@ __all__ = [
     "run_benchmark",
 ]
 
-METHOD_TENSOR = "tlssvm"
-METHOD_BASELINE = "lssvm-independent"
+METHOD_TENSOR = TrainedModel.method
+METHOD_BASELINE = LssvmModel.method
 
 DEFAULT_RANKS = (1, 2, 3, 5)
 DEFAULT_COSTS = tuple(float(c) for c in np.logspace(-2, 3, 6))

@@ -31,7 +31,7 @@ from .baseline import LssvmModel, SingleTaskLssvm, check_query_dataset, query_in
 from .data import MtlDataset
 from .errors import DataError, UnsupportedOperation, whole
 from .kernels import KernelSpec, feature_map, gram, sq_norms
-from .taskgrid import ModeFactors, TaskGrid, linearize, task_vector, task_vector_table
+from .taskgrid import ModeFactors, TaskGrid, task_vector_table
 from .textio import write_json
 
 __all__ = [
@@ -240,10 +240,6 @@ class TrainedModel:
     def n_features(self) -> int:
         return self.train_inputs[0].shape[1]
 
-    def _dual_rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
-        projection = dual_projection(self._shared, self.kernel, X)
-        return task_predictions(projection, self._u_table, self.biases, task_ids)
-
     def _rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Batch predictions, through `shared_projection`."""
         projection = shared_projection(self._shared, self.kernel, X)
@@ -252,7 +248,7 @@ class TrainedModel:
     def predict_rows(self, multi_indices, X) -> np.ndarray:
         """Predictions for rows of X, each addressed to its own task."""
         X = query_inputs(X, 2, self.n_features)
-        task_ids = np.array([linearize(self.grid, idx) - 1 for idx in multi_indices], dtype=int)
+        task_ids = np.array([self.grid.task_row(idx) for idx in multi_indices], dtype=int)
         if task_ids.shape[0] != X.shape[0]:
             raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
         return self._rows(task_ids, X)
@@ -278,51 +274,46 @@ def predict_primal(model: TrainedModel, idx, x) -> float:
         raise UnsupportedOperation(
             f"{model.kernel.family} kernel admits no explicit feature map; use predict_dual"
         )
-    t = linearize(model.grid, idx)
-    u_t = task_vector(model.factors, idx)
+    t = model.grid.task_row(idx)
     phi = feature_map(model.kernel, query_inputs(x, 1, model.n_features))
-    return float((model.explicit @ u_t) @ phi + model.biases[t - 1])
+    return float((model.explicit @ model._u_table[t]) @ phi + model.biases[t])
 
 
 def predict_dual(model: TrainedModel, idx, x) -> float:
     """Kernel prediction: dual coefficients times kernel values times task coherence.
 
     Always the dual form, for every kernel; it is the independent check on
-    the primal batch form of linear models.
+    the primal batch form of linear models. One call checks the index and
+    the row once each, then makes the batch dual form's operations on a
+    1-row block: the m x 1 kernel column and its 1 x K contraction.
     """
-    t = linearize(model.grid, idx)
+    t = model.grid.task_row(idx)
     x = query_inputs(x, 1, model.n_features)
-    return float(model._dual_rows(np.array([t - 1]), x[None, :])[0])
+    projection = dual_projection(model._shared, model.kernel, x[None, :])
+    return float((projection[0] * model._u_table[t]).sum() + model.biases[t])
 
 
 def _model_payload(model) -> dict:
-    if isinstance(model, TrainedModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "method": model.method,
-            "grid": list(model.grid.mode_sizes),
-            "kernel": model.kernel.to_config(),
-            "n_features": model.n_features,
-            "factors": [f.tolist() for f in model.factors.factors],
-            "task_vector_snapshot": model.task_vector_snapshot.tolist(),
-            "duals": model.duals.tolist(),
-            "biases": model.biases.tolist(),
-            "train_inputs": [b.tolist() for b in model.train_inputs],
-            "explicit": None if model.explicit is None else model.explicit.tolist(),
-        }
+    """The JSON object of a model file: the keys both model kinds share, then the kind's own."""
+    if not isinstance(model, (TrainedModel, LssvmModel)):
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "method": model.method,
+        "grid": list(model.grid.mode_sizes),
+        "kernel": model.kernel.to_config(),
+        "n_features": model.n_features,
+    }
     if isinstance(model, LssvmModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "method": model.method,
-            "grid": list(model.grid.mode_sizes),
-            "kernel": model.kernel.to_config(),
-            "n_features": model.n_features,
-            "tasks": [
-                {"duals": t.duals.tolist(), "bias": t.bias, "inputs": t.inputs.tolist()}
-                for t in model.tasks
-            ],
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+        payload["tasks"] = [{"duals": t.duals.tolist(), "bias": t.bias, "inputs": t.inputs.tolist()} for t in model.tasks]
+        return payload
+    payload["factors"] = [f.tolist() for f in model.factors.factors]
+    payload["task_vector_snapshot"] = model.task_vector_snapshot.tolist()
+    payload["duals"] = model.duals.tolist()
+    payload["biases"] = model.biases.tolist()
+    payload["train_inputs"] = [b.tolist() for b in model.train_inputs]
+    payload["explicit"] = None if model.explicit is None else model.explicit.tolist()
+    return payload
 
 
 def save_model(model, path) -> None:
@@ -352,13 +343,13 @@ def load_model(path):
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format_version {version!r}, expected {FORMAT_VERSION}")
     method = payload.get("method")
-    if method not in ("tlssvm", "lssvm-independent"):
+    if method not in (TrainedModel.method, LssvmModel.method):
         raise DataError(f"{path}: unknown method {method!r}")
     try:
         grid = TaskGrid(tuple(payload["grid"]))
         kernel = KernelSpec.from_config(payload["kernel"])
         d = whole(payload["n_features"], "n_features", 1)
-        if method == "tlssvm":
+        if method == TrainedModel.method:
             model = TrainedModel(
                 grid=grid,
                 factors=ModeFactors(tuple(np.asarray(f, dtype=float) for f in payload["factors"])),

@@ -11,6 +11,7 @@ but `errors`; the shared factor, which also needs the training inputs, is
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +25,6 @@ __all__ = [
     "ModeFactors",
     "linearize",
     "delinearize",
-    "task_vector",
     "task_vector_table",
     "row_product_table",
 ]
@@ -55,18 +55,30 @@ class TaskGrid:
         table.flags.writeable = False
         return table
 
-    def _check_multi_index(self, idx) -> tuple[int, ...]:
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != self.n_modes:
-            raise IndexError(
-                f"multi-index {idx} has {len(idx)} entries, grid has {self.n_modes} modes"
-            )
-        for n, (i, size) in enumerate(zip(idx, self.mode_sizes), start=1):
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """How far the linear id moves per step in each mode: 1, T_1, T_1 T_2, ..."""
+        return tuple(math.prod(self.mode_sizes[:n]) for n in range(self.n_modes))
+
+    def task_row(self, idx) -> int:
+        """0-based linear id of a 1-based multi-index: the row of its task in every (T, ...) table.
+
+        The one check of a multi-index: it raises IndexError unless every
+        entry is a Python or NumPy integer (not a bool) in its mode's range.
+        """
+        idx = tuple(idx)
+        if len(idx) != len(self.mode_sizes):
+            raise IndexError(f"multi-index {idx} has {len(idx)} entries, grid has {self.n_modes} modes")
+        t = 0
+        for n, i, size, stride in zip(itertools.count(1), idx, self.mode_sizes, self.strides):
+            if type(i) is not int:
+                if isinstance(i, bool) or not isinstance(i, np.integer):
+                    raise IndexError(f"index {i!r} in mode {n} is not an integer")
+                i = int(i)
             if not 1 <= i <= size:
-                raise IndexError(
-                    f"index {i} out of range [1, {size}] in mode {n} of grid {self.mode_sizes}"
-                )
-        return idx
+                raise IndexError(f"index {i} out of range [1, {size}] in mode {n} of grid {self.mode_sizes}")
+            t += (i - 1) * stride
+        return t
 
     def _check_mode(self, mode: int) -> int:
         mode = int(mode)
@@ -76,16 +88,11 @@ class TaskGrid:
 
 
 def linearize(grid: TaskGrid, idx) -> int:
-    """Map a 1-based multi-index to its 1-based linear task id.
+    """Map a 1-based multi-index to its 1-based linear task id (`TaskGrid.task_row` plus one).
 
     The first index varies fastest: (1,1,1) -> 1, (2,1,1) -> 2, ...
     """
-    idx = grid._check_multi_index(idx)
-    t, stride = 1, 1
-    for i, size in zip(idx, grid.mode_sizes):
-        t += (i - 1) * stride
-        stride *= size
-    return t
+    return grid.task_row(idx) + 1
 
 
 def delinearize(grid: TaskGrid, t: int) -> tuple[int, ...]:
@@ -93,11 +100,7 @@ def delinearize(grid: TaskGrid, t: int) -> tuple[int, ...]:
     t = int(t)
     if not 1 <= t <= grid.n_tasks:
         raise IndexError(f"task id {t} out of range [1, {grid.n_tasks}]")
-    rem, idx = t - 1, []
-    for size in grid.mode_sizes:
-        idx.append(rem % size + 1)
-        rem //= size
-    return tuple(idx)
+    return tuple(i + 1 for i in grid.mode_indices[t - 1].tolist())
 
 
 @dataclass(frozen=True)
@@ -130,15 +133,6 @@ class ModeFactors:
     @cached_property
     def grid(self) -> TaskGrid:
         return TaskGrid(tuple(f.shape[0] for f in self.factors))
-
-
-def task_vector(factors: ModeFactors, idx) -> np.ndarray:
-    """Length-K Hadamard product of the factor rows selected by the multi-index."""
-    idx = factors.grid._check_multi_index(idx)
-    out = np.ones(factors.rank)
-    for f, i in zip(factors.factors, idx):
-        out = out * f[i - 1, :]
-    return out
 
 
 def row_product_table(mats, mode_indices: np.ndarray, skip_mode: int | None = None) -> np.ndarray:

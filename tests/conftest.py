@@ -15,7 +15,7 @@ from tlssvm.data import SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation, positive
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import Blocks, CoherenceGram, FeatureGram, KroneckerGram, solve_dual_system
-from tlssvm.model import SharedFactor, task_predictions
+from tlssvm.model import SharedFactor, dual_projection, task_predictions
 from tlssvm.solver import (
     FitConfig,
     ModeStepResult,
@@ -210,13 +210,22 @@ def with_updated_row(factors: ModeFactors, mode: int, row: int, values) -> ModeF
     return ModeFactors(tuple(mats))
 
 
+def task_vector(factors: ModeFactors, idx) -> np.ndarray:
+    """Length-K Hadamard product of the factor rows of one multi-index: a row of `task_vector_table`, alone."""
+    factors.grid.task_row(idx)  # IndexError for a bad multi-index
+    out = np.ones(factors.rank)
+    for f, i in zip(factors.factors, idx):
+        out = out * f[i - 1, :]
+    return out
+
+
 def task_vector_excluding(factors: ModeFactors, idx, skip_mode: int) -> np.ndarray:
     """Task vector of one multi-index with one mode left out of the product.
 
     With a single mode the product is empty and the all-ones vector is returned.
     """
     grid = factors.grid
-    idx = grid._check_multi_index(idx)
+    grid.task_row(idx)
     skip_mode = grid._check_mode(skip_mode)
     out = np.ones(factors.rank)
     for n, (f, i) in enumerate(zip(factors.factors, idx), start=1):
@@ -235,6 +244,15 @@ def exclusion_table(factors: ModeFactors, skip_mode: int) -> np.ndarray:
 def without_explicit(shared: SharedFactor) -> SharedFactor:
     """Copy of a shared factor restricted to its dual representation."""
     return dataclasses.replace(shared, explicit=None)
+
+
+def dual_rows(model, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Batch dual-form predictions of a TrainedModel: rows of X at 0-based task ids.
+
+    The oracle of `predict_dual`, which makes these operations on a 1-row block.
+    """
+    projection = dual_projection(model._shared, model.kernel, X)
+    return task_predictions(projection, model._u_table, model.biases, task_ids)
 
 
 def coslice_tasks(grid: TaskGrid, mode: int, row: int) -> np.ndarray:

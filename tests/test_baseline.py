@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tlssvm import baseline
-from tlssvm.baseline import LssvmModel, fit_independent
+from tlssvm.baseline import LssvmModel, SingleTaskLssvm, fit_independent
 from tlssvm.data import MtlDataset
 from tlssvm.errors import ConfigError, DataError, SolverError
 from tlssvm.kernels import KernelSpec, gram
@@ -225,6 +225,42 @@ class TestLockstepCosts:
         as_array = fit_independent(data, np.array(self.COSTS[::-1]), kernel)
         for fit, other in zip(fits[::-1], as_array):
             self.assert_same_fit(fit, other)
+
+    def test_the_costs_of_a_task_share_its_inputs(self, tmp_path):
+        data = grid_dataset(3)
+        fits = fit_independent(data, list(self.COSTS), RBF)
+        for t, X in enumerate(data.inputs):
+            assert all(fit.tasks[t].inputs is X for fit in fits)
+        # a model whose inputs are private copies writes the same file
+        copied = LssvmModel(
+            data.grid, RBF, tuple(SingleTaskLssvm(t.duals, t.bias, t.inputs.copy()) for t in fits[1].tasks)
+        )
+        assert all(a.inputs is not b.inputs for a, b in zip(copied.tasks, fits[1].tasks))
+        save_model(fits[1], tmp_path / "shared.json")
+        save_model(copied, tmp_path / "copied.json")
+        assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "copied.json").read_bytes()
+
+    def test_writable_or_other_dtype_inputs_are_copied(self):
+        X = np.ones((2, 3))
+        task = SingleTaskLssvm(np.zeros(2), 0.0, X)
+        assert task.inputs is not X and X.flags.writeable and not task.inputs.flags.writeable
+        frozen = np.ones((2, 3), dtype=np.float32)
+        frozen.flags.writeable = False
+        task = SingleTaskLssvm(np.zeros(2), 0.0, frozen)
+        assert task.inputs is not frozen and task.inputs.dtype == np.float64
+
+    def test_one_block_structure_per_task_size(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        sizes = (5, 3, 5, 3)
+        data = MtlDataset(
+            TaskGrid((2, 2)), tuple(rng.normal(size=(m, 3)) for m in sizes), tuple(rng.normal(size=m) for m in sizes)
+        )
+        seen = []
+        solve = baseline.solve_dual_system
+        monkeypatch.setattr(baseline, "solve_dual_system", lambda blocks, *args: seen.append(blocks) or solve(blocks, *args))
+        fit_independent(data, list(self.COSTS), LINEAR)
+        assert [tuple(b) for b in seen] == [(m,) for m in sizes]
+        assert seen[0] is seen[2] and seen[1] is seen[3]
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=["linear", "rbf"])
     def test_a_failing_cost_keeps_its_lone_error_and_spares_the_others(self, kernel, monkeypatch):

@@ -883,7 +883,8 @@ test = load_csv(test_csv, grid)
 load_model(model_path).predict_dataset(test)
 for command in ("predict", "evaluate"):
     assert cli.main([command, "--model", model_path, "--data", test_csv, "--out-dir", out_dir]) == 0
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+# predicting and scoring load neither the solver nor the experiments, nor scipy
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy" or name in ("tlssvm.solver", "tlssvm.experiments"))
 assert not loaded, loaded
 config = tlssvm.FitConfig(K=2, C=100.0, kernel=tlssvm.KernelSpec("linear"), max_iters=3)
 tlssvm.fit(load_csv(train_csv, grid), config)

@@ -18,8 +18,8 @@ from tlssvm.data import (
 )
 from tlssvm.errors import ConfigError, DataError
 from tlssvm.solver import solve_mode_row_step
-from tlssvm.taskgrid import TaskGrid, delinearize, task_vector
-from conftest import coslice_tasks, load_csv_by_rows, task_offsets
+from tlssvm.taskgrid import TaskGrid, delinearize
+from conftest import coslice_tasks, load_csv_by_rows, task_offsets, task_vector
 
 
 class TestMtlDataset:

@@ -15,7 +15,7 @@ from tlssvm.kernels import KernelSpec
 from tlssvm.model import SharedFactor, TrainedModel, task_predictions
 from tlssvm.solver import FitConfig, fit, shared_projection
 from tlssvm.taskgrid import TaskGrid
-from conftest import full_recompute_trace, task_offsets
+from conftest import dual_rows, full_recompute_trace, task_offsets
 
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.2)
@@ -226,4 +226,4 @@ class TestSharedDualContraction:
         X, tid = query.stacked_inputs(), query.sample_task_ids()
         projection = shared_projection(state.shared, RBF, X)
         expected = task_predictions(projection, model._u_table, model.biases, tid)
-        np.testing.assert_array_equal(model._dual_rows(tid, X), expected)
+        np.testing.assert_array_equal(dual_rows(model, tid, X), expected)

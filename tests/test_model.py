@@ -15,7 +15,7 @@ from tlssvm.kernels import KernelSpec, gram, sq_norms
 from tlssvm.model import TrainedModel, load_model, predict_dual, predict_primal, save_model
 from tlssvm.solver import FitConfig, fit
 from tlssvm.taskgrid import ModeFactors, TaskGrid, delinearize, task_vector_table
-from conftest import coslice_tasks
+from conftest import coslice_tasks, dual_rows, task_vector
 
 LINEAR = KernelSpec("linear")
 
@@ -126,6 +126,83 @@ class TestNonFiniteInputs:
             predict_dual(model, (2, 1), np.array([0.0, np.nan, 0.0, 0.0]))
 
 
+def random_model(sizes, K, kernel, seed, d=3):
+    """A TrainedModel of random arrays on a grid of `sizes` (no fit): duals, factors and biases drawn at once."""
+    rng = np.random.default_rng(seed)
+    factors = ModeFactors(tuple(rng.normal(size=(n, K)) for n in sizes))
+    T = factors.grid.n_tasks
+    train = tuple(rng.normal(size=(int(m), d)) for m in rng.integers(1, 4, size=T))
+    return TrainedModel(
+        grid=factors.grid, factors=factors, duals=rng.normal(size=sum(b.shape[0] for b in train)),
+        task_vector_snapshot=rng.normal(size=(T, K)), biases=rng.normal(size=T), kernel=kernel,
+        train_inputs=train, explicit=rng.normal(size=(d, K)) if kernel.has_feature_map else None,
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(1, 3),
+    st.sampled_from([LINEAR, KernelSpec("rbf", gamma=0.3)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_single_row_predictions_keep_the_bits_of_their_forms(sizes, K, kernel, seed):
+    """predict_dual is the batch dual form on one row; predict_primal is (explicit u_t) . x + b_t."""
+    model = random_model(sizes, K, kernel, seed)
+    rng = np.random.default_rng(seed + 1)
+    X = rng.normal(size=(model.grid.n_tasks, 3))
+    for t, x in enumerate(X):
+        idx = delinearize(model.grid, t + 1)
+        assert predict_dual(model, idx, x) == float(dual_rows(model, np.array([t]), x[None, :])[0])
+        if kernel.has_feature_map:
+            u_t = task_vector(model.factors, idx)
+            assert predict_primal(model, idx, x) == float((model.explicit @ u_t) @ x + model.biases[t])
+
+
+class TestSingleRowErrors:
+    """Each single-row path checks the index (IndexError) and the row (DataError) once, before any arithmetic."""
+
+    @pytest.mark.parametrize("predict", [predict_dual, predict_primal])
+    @pytest.mark.parametrize(
+        "idx, match",
+        [((1, 1, 1), "3 entries"), ((1,), "1 entries"), ((3, 1), "out of range"), ((1, 0), "out of range"),
+         ((1.9, 1), "not an integer"), ((True, 1), "not an integer"), (("1", "2"), "not an integer")],
+    )
+    def test_bad_index_raises_index_error(self, predict, idx, match):
+        model = random_model((2, 2), 2, LINEAR, seed=3)
+        with pytest.raises(IndexError, match=match):
+            predict(model, idx, np.zeros(3))
+
+    @pytest.mark.parametrize("predict", [predict_dual, predict_primal])
+    @pytest.mark.parametrize(
+        "x, match",
+        [(np.array([0.0, np.nan, 0.0]), "NaN or infinite"), (np.array([np.inf, 0.0, 0.0]), "NaN or infinite"),
+         (np.zeros(4), "length-3"), (np.zeros((1, 3)), "length-3"), (np.zeros(()), "length-3")],
+    )
+    def test_bad_row_raises_data_error(self, predict, x, match):
+        model = random_model((2, 2), 2, LINEAR, seed=3)
+        with pytest.raises(DataError, match=match):
+            predict(model, (1, 2), x)
+
+    def test_numpy_integer_index_predicts_its_task(self):
+        model = random_model((2, 3), 2, KernelSpec("rbf", gamma=0.3), seed=4)
+        x = np.ones(3)
+        assert predict_dual(model, (np.int64(2), np.uint8(3)), x) == predict_dual(model, (2, 3), x)
+
+    def test_rbf_primal_is_unsupported(self):
+        model = random_model((2, 2), 2, KernelSpec("rbf", gamma=0.3), seed=5)
+        with pytest.raises(UnsupportedOperation, match="predict_dual"):
+            predict_primal(model, (1, 1), np.zeros(3))
+
+    @pytest.mark.parametrize("kind", ["tlssvm", "lssvm-independent"])
+    def test_predict_rows_refuses_a_non_integer_index(self, kind):
+        model, train, _ = fitted_model(max_iters=2)
+        if kind == "lssvm-independent":
+            model = fit_independent(train, 10.0, LINEAR)
+        with pytest.raises(IndexError, match="not an integer"):
+            model.predict_rows([(1, 1), (1.9, 1)], np.zeros((2, 4)))
+
+
 class TestPrecomputedDualTerms:
     """Cached dual weights and RBF training-row norms keep the bits of a per-call assembly."""
 
@@ -155,7 +232,7 @@ class TestPrecomputedDualTerms:
             return np.sum(projection * u_table[query[rows]], axis=1) + model.biases[query[rows]]
 
         expected = per_call(slice(None))
-        np.testing.assert_array_equal(model._dual_rows(query, X), expected)
+        np.testing.assert_array_equal(dual_rows(model, query, X), expected)
         if model.explicit is not None:
             # batch prediction of a linear model is the per-call primal assembly
             expected = np.sum((X @ model.explicit) * u_table[query], axis=1) + model.biases[query]
@@ -184,7 +261,7 @@ class TestCachedTrainNorms:
         model, _, test = fitted_model(seed=24)
         predict_dual(model, (2, 1), test.stacked_inputs()[0])
         model.predict_dataset(test)
-        model._dual_rows(test.sample_task_ids(), test.stacked_inputs())
+        dual_rows(model, test.sample_task_ids(), test.stacked_inputs())
         assert "train_norms" not in vars(model._shared)
 
     def test_one_query_builds_no_m_by_d_temporary(self):
@@ -262,7 +339,7 @@ class TestBatchDispatch:
         X = test.stacked_inputs()
         query = test.sample_task_ids()
         indices = [delinearize(model.grid, int(t) + 1) for t in query]
-        dual = model._dual_rows(query, X)
+        dual = dual_rows(model, query, X)
         np.testing.assert_array_equal(model.predict_rows(indices, X), dual)
         np.testing.assert_array_equal(np.concatenate(model.predict_dataset(test)), dual)
 

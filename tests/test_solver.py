@@ -41,7 +41,6 @@ from tlssvm.taskgrid import (
     ModeFactors,
     TaskGrid,
     delinearize,
-    task_vector,
     task_vector_table,
 )
 from conftest import (

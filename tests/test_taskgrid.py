@@ -12,12 +12,12 @@ from tlssvm.taskgrid import (
     TaskGrid,
     delinearize,
     linearize,
-    task_vector,
     task_vector_table,
 )
 from conftest import (
     coslice_tasks,
     exclusion_table,
+    task_vector,
     task_vector_excluding,
     with_updated_row,
 )
@@ -66,6 +66,48 @@ class TestLinearize:
     def test_wrong_arity(self):
         with pytest.raises(IndexError):
             linearize(TaskGrid((3, 4)), (1, 1, 1))
+
+
+class TestTaskRow:
+    """`TaskGrid.task_row` is the one check of a multi-index; linearize and the predict functions go through it."""
+
+    def test_is_linearize_minus_one(self):
+        grid = TaskGrid((3, 4, 5))
+        for idx in enumerate_multi_indices((3, 4, 5)):
+            assert grid.task_row(idx) == linearize(grid, idx) - 1
+
+    def test_strides_are_the_column_major_steps(self):
+        assert TaskGrid((3, 4, 5)).strides == (1, 3, 12)
+        assert TaskGrid((7,)).strides == (1,)
+
+    @pytest.mark.parametrize(
+        "idx",
+        [(1.9, 1), (2.5, 3.99), (2.0, 3), (True, 2), (2, False), (np.True_, 2),
+         ("2", "3"), (None, 1), (np.float64(2.0), 1), (2, [3])],
+        ids=["float", "floats", "whole-float", "bool", "false", "numpy-bool", "str", "none", "numpy-float", "list"],
+    )
+    def test_non_integer_entries_raise(self, idx):
+        grid = TaskGrid((3, 4))
+        with pytest.raises(IndexError, match="is not an integer"):
+            grid.task_row(idx)
+        with pytest.raises(IndexError, match="is not an integer"):
+            linearize(grid, idx)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.intp])
+    def test_numpy_integers_are_accepted(self, kind):
+        grid = TaskGrid((3, 4))
+        assert linearize(grid, (kind(2), kind(3))) == linearize(grid, (2, 3)) == 8
+        assert grid.task_row(np.array([2, 3], dtype=kind)) == 7
+        assert type(grid.task_row((kind(2), kind(3)))) is int
+
+    def test_any_iterable_of_integers(self):
+        grid = TaskGrid((3, 4))
+        assert grid.task_row([2, 3]) == grid.task_row(i for i in (2, 3)) == 7
+
+    @pytest.mark.parametrize("idx, match", [((1, 1, 1), "3 entries"), ((1,), "1 entries"), ((0, 1), "mode 1"), ((1, 5), "mode 2")])
+    def test_wrong_length_and_range_raise(self, idx, match):
+        with pytest.raises(IndexError, match=match):
+            TaskGrid((3, 4)).task_row(idx)
 
 
 class TestDelinearize:
