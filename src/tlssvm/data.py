@@ -7,13 +7,16 @@ import io
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError, config_object, positive, whole
-from .linsys import Blocks, TaskMoments
 from .taskgrid import ModeFactors, TaskGrid, delinearize, linearize, task_vector_table
 from .textio import csv_line, csv_rows
+
+if TYPE_CHECKING:  # linsys loads with the first fit (`FitPlan.of`), not with a dataset
+    from .linsys import Blocks, TaskMoments
 
 __all__ = [
     "MtlDataset",
@@ -46,6 +49,8 @@ class ModeLayout:
 
     @classmethod
     def of(cls, data: "MtlDataset", mode: int) -> "ModeLayout":
+        from .linsys import Blocks
+
         grid = data.grid
         row_of_task = grid.mode_indices[:, mode - 1]
         # samples are stacked task by task, so a stable sort by row keeps
@@ -77,6 +82,8 @@ class FitPlan:
 
     @classmethod
     def of(cls, data: "MtlDataset") -> "FitPlan":
+        from .linsys import Blocks, TaskMoments
+
         shared = Blocks(data.task_sizes)
         return cls(
             shared,
@@ -91,6 +98,8 @@ class MtlDataset:
 
     Blocks are ordered by linear task id; the global sample order is tasks
     ascending, samples in file/generation order within a task.
+    `task_slices[t]` selects task t + 1's samples in that order; the
+    slices are computed once.
     """
 
     grid: TaskGrid
@@ -137,7 +146,8 @@ class MtlDataset:
 
     def _own_stacked(self, X: np.ndarray, y: np.ndarray, sizes: tuple[int, ...]) -> None:
         """Freeze the stacked arrays and derive the task blocks (views) and bookkeeping."""
-        ends = np.cumsum(sizes)
+        ends = np.cumsum(sizes).tolist()
+        slices = tuple(map(slice, [0] + ends[:-1], ends))
         stacked = {
             "_stacked_inputs": X,
             "_stacked_targets": y,
@@ -147,8 +157,9 @@ class MtlDataset:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_task_sizes", sizes)
-        object.__setattr__(self, "inputs", tuple(np.split(X, ends[:-1])))
-        object.__setattr__(self, "targets", tuple(np.split(y, ends[:-1])))
+        object.__setattr__(self, "task_slices", slices)
+        object.__setattr__(self, "inputs", tuple(X[s] for s in slices))
+        object.__setattr__(self, "targets", tuple(y[s] for s in slices))
 
     @property
     def n_features(self) -> int:

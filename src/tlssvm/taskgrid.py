@@ -64,7 +64,7 @@ class TaskGrid:
         """0-based linear id of a 1-based multi-index: the row of its task in every (T, ...) table.
 
         The one check of a multi-index: it raises IndexError unless every
-        entry is a Python or NumPy integer (not a bool) in its mode's range.
+        entry is an integer (`_integer`) in its mode's range.
         """
         idx = tuple(idx)
         if len(idx) != len(self.mode_sizes):
@@ -72,19 +72,24 @@ class TaskGrid:
         t = 0
         for n, i, size, stride in zip(itertools.count(1), idx, self.mode_sizes, self.strides):
             if type(i) is not int:
-                if isinstance(i, bool) or not isinstance(i, np.integer):
-                    raise IndexError(f"index {i!r} in mode {n} is not an integer")
-                i = int(i)
+                i = _integer(i, f"index {i!r} in mode {n}")
             if not 1 <= i <= size:
                 raise IndexError(f"index {i} out of range [1, {size}] in mode {n} of grid {self.mode_sizes}")
             t += (i - 1) * stride
         return t
 
     def _check_mode(self, mode: int) -> int:
-        mode = int(mode)
+        mode = _integer(mode, f"mode {mode!r}")
         if not 1 <= mode <= self.n_modes:
             raise IndexError(f"mode {mode} out of range [1, {self.n_modes}]")
         return mode
+
+
+def _integer(value, what: str) -> int:
+    """A task index, mode or id as an int: a Python or NumPy integer, not a bool; else IndexError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise IndexError(f"{what} is not an integer")
+    return int(value)
 
 
 def linearize(grid: TaskGrid, idx) -> int:
@@ -97,7 +102,7 @@ def linearize(grid: TaskGrid, idx) -> int:
 
 def delinearize(grid: TaskGrid, t: int) -> tuple[int, ...]:
     """Inverse of :func:`linearize`."""
-    t = int(t)
+    t = _integer(t, f"task id {t!r}")
     if not 1 <= t <= grid.n_tasks:
         raise IndexError(f"task id {t} out of range [1, {grid.n_tasks}]")
     return tuple(i + 1 for i in grid.mode_indices[t - 1].tolist())

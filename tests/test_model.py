@@ -12,7 +12,9 @@ from tlssvm.baseline import fit_independent
 from tlssvm.data import MtlDataset, SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation
 from tlssvm.kernels import KernelSpec, gram, sq_norms
-from tlssvm.model import TrainedModel, load_model, predict_dual, predict_primal, save_model
+from tlssvm.model import (
+    TrainedModel, load_model, predict_dual, predict_primal, row_sums, save_model, task_predictions,
+)
 from tlssvm.solver import FitConfig, fit
 from tlssvm.taskgrid import ModeFactors, TaskGrid, delinearize, task_vector_table
 from conftest import coslice_tasks, dual_rows, task_vector
@@ -354,6 +356,44 @@ class TestBatchDispatch:
         np.testing.assert_array_equal(loaded.predict_rows(indices, X), model.predict_rows(indices, X))
         for a, b in zip(loaded.predict_dataset(test), model.predict_dataset(test)):
             np.testing.assert_array_equal(a, b)
+
+
+TERM_COUNTS = [*range(1, 21), 127, 128, 129, 130, 257]
+
+
+class TestRowSums:
+    """`row_sums` keeps `np.sum(terms, axis=-1)`'s bits, which every prediction had before it."""
+
+    @pytest.mark.parametrize("K", TERM_COUNTS)
+    @pytest.mark.parametrize("shape", [(37,), (3, 11)], ids=["n x K", "B x m x K"])
+    def test_equals_np_sum(self, K, shape):
+        rng = np.random.default_rng(K)
+        # magnitudes over 16 decades, so that the order of the additions shows in the bits
+        terms = rng.standard_normal(shape + (K,)) * 10.0 ** rng.integers(-8, 8, shape + (K,))
+        assert row_sums(terms).tobytes() == np.sum(terms, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("K", TERM_COUNTS)
+    def test_rows_of_signed_zeros(self, K):
+        rng = np.random.default_rng(K)
+        terms = np.where(rng.random((64, K)) < 0.5, -0.0, 0.0)
+        terms[0] = -0.0
+        assert row_sums(terms).tobytes() == np.sum(terms, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("K", TERM_COUNTS)
+    @pytest.mark.parametrize("bias", [0.0, -0.0])
+    def test_zero_terms_through_task_predictions(self, K, bias):
+        # all-(-0.0) terms sum to +0.0 in numpy's order; a -0.0 sum would keep a -0.0 bias
+        projection = np.full((6, K), -0.0)
+        u_table = np.ones((3, K))
+        biases = np.full(3, bias)
+        task_ids = np.array([0, 1, 2, 0, 1, 2])
+        got = task_predictions(projection, u_table, biases, task_ids)
+        expected = np.sum(projection * u_table.take(task_ids, axis=-2), axis=-1) + biases.take(task_ids)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.signbit(got).any()
+
+    def test_no_terms_sum_to_zero(self):
+        assert row_sums(np.zeros((4, 0))).tobytes() == np.sum(np.zeros((4, 0)), axis=-1).tobytes()
 
 
 class TestModelStructure:

@@ -132,6 +132,16 @@ class TestDelinearize:
         with pytest.raises(IndexError):
             delinearize(TaskGrid((2, 3)), 0)
 
+    @pytest.mark.parametrize("t", [2.7, "5", True], ids=["float", "str", "bool"])
+    def test_non_integer_task_id_raises(self, t):
+        # int() would read these as 2, 5 and 1
+        with pytest.raises(IndexError, match="is not an integer"):
+            delinearize(TaskGrid((3, 4)), t)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_task_id_is_accepted(self, kind):
+        assert delinearize(TaskGrid((3, 4)), kind(5)) == delinearize(TaskGrid((3, 4)), 5) == (2, 2)
+
     @pytest.mark.parametrize("sizes", [(1,), (7,), (2, 3), (3, 4, 5), (20, 25), (10, 10, 10), (2, 2, 2, 2)])
     def test_roundtrip_exhaustive(self, sizes):
         grid = TaskGrid(sizes)
@@ -155,6 +165,20 @@ def test_linearize_and_delinearize_are_inverse_bijections(sizes, data):
     assert [linearize(grid, idx) for idx in indices] == list(range(1, T + 1))
     idx = tuple(data.draw(st.integers(1, n)) for n in sizes)
     assert delinearize(grid, linearize(grid, idx)) == idx
+
+
+class TestCheckMode:
+    def test_modes_in_range(self):
+        grid = TaskGrid((3, 4))
+        assert grid._check_mode(1) == 1 and grid._check_mode(np.int64(2)) == 2
+        with pytest.raises(IndexError, match="out of range"):
+            grid._check_mode(3)
+
+    @pytest.mark.parametrize("mode", [1.9, "1", True], ids=["float", "str", "bool"])
+    def test_non_integer_mode_raises(self, mode):
+        # int() would read each of these as mode 1
+        with pytest.raises(IndexError, match="is not an integer"):
+            TaskGrid((3, 4))._check_mode(mode)
 
 
 class TestModeFactors:

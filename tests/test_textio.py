@@ -78,8 +78,8 @@ class TestJsonWriter:
         for _ in range(300):
             payload = _random_payload(rng)
             assert dumps_json(payload) == json.dumps(payload, indent=2)
-        write_json(path, payload)
-        assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+            write_json(path, payload)
+            assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
 
     def test_non_finite_and_keys_like_json_dumps(self):
         payload = {"v": [float("nan"), float("inf"), -float("inf")], "m": {1: [[2]], None: [True]},
@@ -89,6 +89,13 @@ class TestJsonWriter:
             dumps_json({(1, 2): [[1]]})
         with pytest.raises(TypeError):
             dumps_json([object(), [1]])
+
+    def test_write_json_raises_for_an_unsupported_key(self, tmp_path):
+        # the writer streams, so the items before the bad key are already written
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError, match="keys must be"):
+            write_json(path, {"a": [[1.0]], "b": {(1, 2): [[1]]}})
+        assert path.read_text(encoding="utf-8").startswith('{\n  "a": [')
 
 
 def _csv_writer_text(rows) -> str:
