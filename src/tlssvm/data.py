@@ -459,14 +459,12 @@ def kfold_split(data: MtlDataset, folds: int, seed: int) -> list[tuple[MtlDatase
     rng = np.random.default_rng(seed)
     fold_of = np.empty(data.n_samples, dtype=np.intp)  # the validation fold of each sample
     counts = np.empty((folds, data.grid.n_tasks), dtype=np.intp)  # validation samples per fold and task
-    start = 0
-    for t, m in enumerate(data.task_sizes):
+    for t, (rows, m) in enumerate(zip(data.task_slices, data.task_sizes)):
         # the parts of np.array_split: the first m % folds take one sample more
         parts = np.full(folds, m // folds)
         parts[: m % folds] += 1
-        fold_of[start + rng.permutation(m)] = np.arange(folds).repeat(parts)
+        fold_of[rows.start + rng.permutation(m)] = np.arange(folds).repeat(parts)
         counts[:, t] = parts
-        start += m
 
     X, y = data.stacked_inputs(), data.stacked_targets()
     out = []

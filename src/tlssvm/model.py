@@ -13,8 +13,8 @@ builds no m x d temporary. Norms handed to `kernels.gram` must come from
 `kernels.sq_norms`, which keeps every prediction's bits.
 Batch prediction (`predict_dataset`, `predict_rows`) goes through
 `shared_projection`, as the solver's training projections do, and
-`task_predictions` then adds each sample's K terms in numpy's pairwise
-order (`row_sums`), one column at a time, so every bit is `np.sum`'s.
+`task_predictions` then adds each sample's K terms in numpy's order
+(`row_sums`): below 8 terms one column at a time, so every bit is `np.sum`'s.
 `predict_primal` and `predict_dual` always take their own form, so the two
 stay an independent check on each other. `TrainedModel` is where a shared
 factor from outside (a caller or a model file) is validated. Models embed
@@ -156,41 +156,19 @@ def task_predictions(projection, u_table, biases, task_ids) -> np.ndarray:
 
 
 def row_sums(terms: np.ndarray) -> np.ndarray:
-    """`np.sum(terms, axis=-1)` of a C-contiguous array, bit for bit, one column at a time.
+    """`np.sum(terms, axis=-1)` of a C-contiguous array, bit for bit.
 
-    numpy adds the n terms of a contiguous row to +0.0 as a pairwise sum
-    (Higham 2002, Accuracy and Stability of Numerical Algorithms, 4.2):
-    below 8 terms one by one; up to 128 terms in eight running sums, added
-    pairwise, then the leftover terms; above 128 terms as the sums of two
-    halves split at a multiple of 8. Here each step is one vector
-    operation over all rows, which on rows of a few terms costs a fraction
-    of numpy's per-row reduction.
+    numpy adds fewer than 8 terms of a contiguous row one by one, starting
+    from +0.0; here each of those steps is one vector operation over all
+    rows, which on rows of a few terms costs a fraction of numpy's per-row
+    reduction. From 8 terms on numpy sums pairwise, and `np.sum` is called.
     """
-    total = _pairwise(terms, 0, terms.shape[-1])
     if terms.shape[-1] >= 8:
-        total += 0.0  # numpy's +0.0 start; it turns a -0.0 sum into +0.0
+        return np.sum(terms, axis=-1)
+    total = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        total += terms[..., k]
     return total
-
-
-def _pairwise(terms: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """numpy's pairwise sum of the columns lo, ..., lo + n - 1 of `terms`."""
-    if n < 8:
-        total = np.zeros(terms.shape[:-1])
-        for i in range(lo, lo + n):
-            total += terms[..., i]
-        return total
-    if n <= 128:
-        end = lo + n - n % 8
-        runs = terms[..., lo : lo + 8]
-        for i in range(lo + 8, end, 8):
-            runs = runs + terms[..., i : i + 8]
-        r = [runs[..., j] for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            total += terms[..., i]
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise(terms, lo, half) + _pairwise(terms, lo + half, n - half)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Byte-stable text writers for model files, CLI reports and CSV tables.
 
-`dumps_json(obj)` returns exactly what `json.dumps(obj, indent=2)` returns.
-With an indent, `json.dumps` falls back to CPython's pure-Python encoder;
-here every list or dict that holds only scalars, and every matrix (a list
-of non-empty lists of numbers), goes through json's C encoder, whose item
-separator is set to the indent=2 separator of its depth. Only the
-structure around those leaves is assembled in Python, and `write_json`
-writes the pieces as they are made.
+`write_json(path, obj)` writes exactly what `json.dumps(obj, indent=2)`
+returns, and a newline. With an indent, `json.dumps` falls back to
+CPython's pure-Python encoder; here every list or dict that holds only
+scalars, and every matrix (a list of non-empty lists of numbers), goes
+through json's C encoder, whose item separator is set to the indent=2
+separator of its depth. Only the structure around those leaves is
+assembled in Python. The whole text is encoded before the file is
+opened, so a value json cannot write raises TypeError and leaves an
+existing file as it was.
 
 `csv_line` and `csv_rows` write what `csv.writer` writes for cells that
 need no quoting: numbers, and the fixed labels of this package's tables.
@@ -18,60 +20,27 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-__all__ = ["dumps_json", "write_json", "csv_line", "csv_rows"]
+__all__ = ["write_json", "csv_line", "csv_rows"]
 
 _NUMBERS = frozenset({float, int, bool, type(None)})
 _SCALARS = _NUMBERS | {str}
 
 
-def dumps_json(obj) -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte."""
-    return "".join(_pieces(obj, 0))
-
-
 def write_json(path, obj) -> None:
-    """Write `obj` as indent=2 JSON with a trailing newline, piece by piece as it is encoded.
-
-    No more than one leaf or matrix is held as text at a time. A value or
-    key that json cannot write raises TypeError, and the file is then left
-    partly written.
-    """
+    """Write `obj` as indent=2 JSON with a trailing newline, in one write."""
+    text = _encode(obj, 0) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_pieces(obj, 0))
-        fh.write("\n")
+        fh.write(text)
 
 
-def _pieces(obj, depth: int):
-    """The text of `obj` at `depth`: a leaf or matrix in one piece, else its structure and items in turn."""
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    leaf = _leaf(obj, outer, inner)
-    if leaf is not None:
-        yield leaf
-        return
-    sep = inner
-    if isinstance(obj, dict):
-        yield "{"
-        for k, v in obj.items():
-            yield sep + _key(k) + ": "
-            yield from _pieces(v, depth + 1)
-            sep = "," + inner
-        yield outer + "}"
-    else:
-        yield "["
-        for v in obj:
-            yield sep
-            yield from _pieces(v, depth + 1)
-            sep = "," + inner
-        yield outer + "]"
-
-
-def _leaf(obj, outer: str, inner: str) -> str | None:
-    """The text of a scalar, an empty or scalar-only list or dict, or a matrix; None for anything else."""
+def _encode(obj, depth: int) -> str:
+    """`json.dumps(obj, indent=2)` of `obj` at `depth`, byte for byte."""
     if not isinstance(obj, (list, tuple, dict)):
         return json.dumps(obj)
     if not obj:
         return "[]" if isinstance(obj, (list, tuple)) else "{}"
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
     if set(map(type, obj.values() if isinstance(obj, dict) else obj)) <= _SCALARS:
         # "[a,<inner>b]": the C encoder writes the separators of this depth
         text = json.dumps(obj, separators=("," + inner, ": "))
@@ -79,7 +48,11 @@ def _leaf(obj, outer: str, inner: str) -> str | None:
     if type(obj) is list and all(type(row) is list and row for row in obj):
         if set(map(type, chain.from_iterable(obj))) <= _NUMBERS:
             return _matrix(obj, outer, inner)
-    return None
+    if isinstance(obj, dict):
+        items = [_key(k) + ": " + _encode(v, depth + 1) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    items = [_encode(v, depth + 1) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
 
 
 def _matrix(rows: list, outer: str, inner: str) -> str:

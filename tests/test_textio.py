@@ -14,7 +14,7 @@ from tlssvm.kernels import KernelSpec
 from tlssvm.model import TrainedModel, _model_payload, save_model
 from tlssvm.solver import FitConfig, TraceEntry, fit
 from tlssvm.taskgrid import TaskGrid, delinearize
-from tlssvm.textio import dumps_json, write_json
+from tlssvm.textio import write_json
 
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
             2.2250738585072014e-308, 0.1, 1 / 3, -123456789.12345678]
@@ -68,34 +68,42 @@ class TestJsonWriter:
         save_model(model, path)
         assert path.read_text(encoding="utf-8") == json.dumps(_model_payload(model), indent=2) + "\n"
 
-    def test_empty_task_blocks(self):
+    def test_empty_task_blocks(self, tmp_path):
         payload = {"train_inputs": [[], [[1.0, -0.0]], []], "tasks": [{"duals": [], "inputs": []}]}
-        assert dumps_json(payload) == json.dumps(payload, indent=2)
+        assert _written(tmp_path, payload) == json.dumps(payload, indent=2) + "\n"
 
     def test_random_payloads_equal_json_dumps(self, tmp_path):
         rng = np.random.default_rng(5)
         path = tmp_path / "out.json"
         for _ in range(300):
             payload = _random_payload(rng)
-            assert dumps_json(payload) == json.dumps(payload, indent=2)
             write_json(path, payload)
             assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
 
-    def test_non_finite_and_keys_like_json_dumps(self):
+    def test_non_finite_and_keys_like_json_dumps(self, tmp_path):
         payload = {"v": [float("nan"), float("inf"), -float("inf")], "m": {1: [[2]], None: [True]},
                    "t": (1, (2.5, "a")), "f": np.float64(0.1)}
-        assert dumps_json(payload) == json.dumps(payload, indent=2)
+        assert _written(tmp_path, payload) == json.dumps(payload, indent=2) + "\n"
         with pytest.raises(TypeError):
-            dumps_json({(1, 2): [[1]]})
+            _written(tmp_path, {(1, 2): [[1]]})
         with pytest.raises(TypeError):
-            dumps_json([object(), [1]])
+            _written(tmp_path, [object(), [1]])
 
-    def test_write_json_raises_for_an_unsupported_key(self, tmp_path):
-        # the writer streams, so the items before the bad key are already written
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path):
+        # the text is encoded before the file is opened
         path = tmp_path / "out.json"
+        write_json(path, {"a": [[1.0]]})
+        before = path.read_text(encoding="utf-8")
         with pytest.raises(TypeError, match="keys must be"):
             write_json(path, {"a": [[1.0]], "b": {(1, 2): [[1]]}})
-        assert path.read_text(encoding="utf-8").startswith('{\n  "a": [')
+        assert path.read_text(encoding="utf-8") == before
+
+
+def _written(tmp_path, payload) -> str:
+    """The text that `write_json` writes for `payload`."""
+    path = tmp_path / "written.json"
+    write_json(path, payload)
+    return path.read_text(encoding="utf-8")
 
 
 def _csv_writer_text(rows) -> str:
