@@ -53,6 +53,21 @@ class SingleTaskLssvm:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "bias", bias)
 
+    @classmethod
+    def _solved(cls, duals: np.ndarray, bias, inputs: np.ndarray) -> "SingleTaskLssvm":
+        """A solved task's model, without the constructor's checks.
+
+        `inputs` is an MtlDataset's read-only, finite block; `duals` (copied)
+        and `bias` met the solver's residual bound, which no non-finite value meets.
+        """
+        task = object.__new__(cls)
+        duals = duals.copy()
+        duals.flags.writeable = False
+        object.__setattr__(task, "duals", duals)
+        object.__setattr__(task, "bias", float(bias))
+        object.__setattr__(task, "inputs", inputs)
+        return task
+
 
 def query_inputs(x, ndim: int, n_features: int) -> np.ndarray:
     """Query inputs of a model as a float array: one row (ndim 1) or a matrix of rows (ndim 2).
@@ -138,7 +153,7 @@ def fit_independent(data: MtlDataset, C, kernel: KernelSpec):
         solution = solve_dual_system(blocks[X.shape[0]], gram(kernel, X), y, costs[alive])
         for b, biases, duals, error in zip(alive, solution.biases, solution.duals, solution.errors):
             if error is None:
-                fits[b].append(SingleTaskLssvm(duals, float(biases[0]), X))
+                fits[b].append(SingleTaskLssvm._solved(duals, biases[0], X))
             else:
                 fits[b] = error
     models = [fit if isinstance(fit, SolverError) else LssvmModel(data.grid, kernel, tuple(fit)) for fit in fits]

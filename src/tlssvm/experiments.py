@@ -21,7 +21,7 @@ from .kernels import KernelSpec, gram
 from .metrics import evaluate_predictions
 from .model import TrainedModel, query_gram, shared_projection, task_predictions
 from .solver import FitConfig, fit, fit_many
-from .taskgrid import task_vector_table
+from .taskgrid import row_product_table
 
 __all__ = [
     "METHOD_TENSOR",
@@ -237,11 +237,12 @@ def _lockstep_folds(splits: list) -> list[list]:
 
 def _tensor_rmses(states: list, val: MtlDataset, kernel: KernelSpec) -> list:
     """Each fit's pooled RMSE on `val` as its TrainedModel predicts, one RBF cross-Gram for all, or its SolverError."""
-    X, task_ids = val.stacked_inputs(), val.sample_task_ids()
+    X, task_ids, mode_indices = val.stacked_inputs(), val.sample_task_ids(), val.grid.mode_indices
     shared = next((state.shared for state in states if not isinstance(state, SolverError)), None)
     cross_gram = None if shared is None or shared.explicit is not None else query_gram(shared, kernel, X)
     return _rmses(states, val, lambda state: task_predictions(
-        shared_projection(state.shared, kernel, X, cross_gram), task_vector_table(state.factors), state.biases, task_ids
+        shared_projection(state.shared, kernel, X, cross_gram), row_product_table(state.factors.factors, mode_indices),
+        state.biases, task_ids,
     ))
 
 

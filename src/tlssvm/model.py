@@ -212,12 +212,14 @@ class TrainedModel:
         if len(self.train_inputs) != T:
             raise ValueError(f"expected {T} training blocks, got {len(self.train_inputs)}")
         blocks = tuple(np.array(b, dtype=float) for b in self.train_inputs)
+        if any(b.ndim != 2 for b in blocks):
+            raise ValueError("every training block must be a matrix of input rows")
         dims = {b.shape[1] for b in blocks}
         if len(dims) != 1:
             raise ValueError(f"training blocks disagree on feature dimension: {sorted(dims)}")
         m = sum(b.shape[0] for b in blocks)
         if duals.shape != (m,):
-            raise ValueError(f"{duals.shape[0]} dual coefficients for {m} training samples")
+            raise ValueError(f"dual coefficients of shape {duals.shape} for {m} training samples")
         arrays = [duals, snap, biases, *blocks]
         explicit = self.explicit
         if explicit is not None:

@@ -45,8 +45,8 @@ Blocks, whose groups are the rows. Each row is still factored and checked
 on its own, so a mode with many rows costs what the rows would cost one
 by one, less the per-call overhead. `fit` then applies the rows in order
 and records one trace entry per row, exactly as if they had been solved
-one by one; a trace entry updates only the predictions of its row's
-samples.
+one by one: the entry after row r takes the new predictions of the
+samples of rows 1..r only.
 
 What depends only on the dataset is built once per dataset, on its first
 fit, and kept on it (`data.FitPlan`): the block structure of the shared
@@ -77,11 +77,17 @@ B x m. This is the one shape of the step functions: they take such
 stacks with a 1-D array of costs, and each solve passes them on to
 `linsys` as one system of B members, which keeps every member's
 arithmetic that of a solve of its own; a step returns each member's
-SolverError instead of raising it. The trace's objectives and factor
-changes are computed for all members at once. A member leaves the batch
-when it converges or a step fails for it, so every member's FitState, or
-error, equals that of its lone fit bit for bit. `fit` is `fit_many` with
-one dataset and the one cost `config.C`: there is a single code path.
+SolverError instead of raising it. The trace is one table per
+alternation, which holds each step's objectives and training RMSEs over
+the members then in it and each iteration's factor changes, never
+predictions; the shared step adds one evaluation of all members, and a
+mode sweep one for all its rows. A member's FitState builds its list of
+TraceEntry rows from the table on first read, so a fit whose trace is
+never read, a cross-validation member's, builds none. A member leaves the
+batch when it converges or a step fails for it, so every member's
+FitState, or error, equals that of its lone fit bit for bit. `fit` is
+`fit_many` with one dataset and the one cost `config.C`: there is a
+single code path.
 
 Only the task-Kronecker ridge fits several datasets in one alternation.
 A shared step that solves a CoherenceGram (an RBF grid, or a linear one
@@ -96,6 +102,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -160,19 +167,61 @@ class TraceEntry:
     factor_change: float | None = None
 
 
+@dataclass(slots=True)
+class _TraceRows:
+    """Consecutive steps of one iteration: a row per member then in the alternation, a column per step.
+
+    `members` are those members' positions, and `changes` their factor
+    changes once the steps end the iteration.
+    """
+
+    iteration: int
+    steps: tuple[str, ...]
+    members: list[int]
+    objectives: np.ndarray
+    rmses: np.ndarray
+    changes: np.ndarray | None = None
+
+
+def _trace_entries(table: list[_TraceRows], member: int) -> list[TraceEntry]:
+    """The trace of the member at position `member`: its column of the table's rows, up to the step it left after."""
+    entries = []
+    for rows in table:
+        if member not in rows.members:
+            break
+        b = rows.members.index(member)
+        changes = [None] * len(rows.steps)
+        if rows.changes is not None:
+            changes[-1] = float(rows.changes[b])
+        entries += map(
+            TraceEntry, [rows.iteration] * len(rows.steps), rows.steps, rows.objectives[b].tolist(),
+            rows.rmses[b].tolist(), changes,
+        )
+    return entries
+
+
 @dataclass
 class FitState:
-    """Result of :func:`fit`; `shared` is the last shared step's factor, duals included."""
+    """Result of :func:`fit`; `shared` is the last shared step's factor, duals included.
+
+    `trace`, a TraceEntry per block step, is built on first read from the
+    alternation's trace table, where the fit is the member at `_member`.
+    """
 
     factors: ModeFactors
     shared: SharedFactor
     biases: np.ndarray
-    trace: list[TraceEntry]
     converged: bool
     iterations: int
     warnings: list[str] = field(default_factory=list)
     max_system_residual: float = 0.0
     max_constraint_residual: float = 0.0
+    _trace_table: list[_TraceRows] = field(default_factory=list, repr=False, compare=False)
+    _member: int = field(default=0, repr=False, compare=False)
+
+    @cached_property
+    def trace(self) -> list[TraceEntry]:
+        return _trace_entries(self._trace_table, self._member)
 
 
 def init_factors(grid: TaskGrid, rank: int, seed: int) -> ModeFactors:
@@ -412,8 +461,10 @@ def _objective(y, yhat, C, pen_shared, mode_norms) -> tuple[np.ndarray, np.ndarr
     """Training objective for predictions yhat, and the residual sum of squares.
 
     `mode_norms` are the squared norms of the mode factors, in mode order
-    along the last axis. With members, `yhat` is B x m, `mode_norms`
-    B x n_modes, and the results hold one value per member.
+    along the last axis. Leading axes (members, and a sweep's rows) carry
+    over: with `yhat` B x R x m and `mode_norms` B x R x n_modes, `y` is
+    B x 1 x m, `C` and `pen_shared` B x 1, and the results are B x R. Each
+    value is that of the one-row evaluation bit for bit.
     """
     residuals = y - yhat
     sse = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0]
@@ -459,7 +510,9 @@ class _Members:
     position among the members. `data` holds the datasets and each
     member's owner, as the steps take them, `gram` the Gram of the one
     dataset of a fit through the kernel Gram (else None), and `y` the
-    owners' targets, B x m. `keep` drops the members that left.
+    owners' targets, B x m. `trace` is the alternation's trace table, which
+    `record` extends and every member's FitState shares. `keep` drops the
+    members that left.
     """
 
     def __init__(
@@ -481,14 +534,14 @@ class _Members:
         self.max_con = np.zeros(B)
         self.shared = None
         self.projection = None
-        self.traces = [[] for _ in range(B)]
+        self.trace: list[_TraceRows] = []
         self.warnings = [[] for _ in range(B)]
         self.collapsed = [set() for _ in range(B)]
 
-    def record(self, iteration: int, step: str) -> None:
-        obj, sse = _objective(self.y, self.yhat, self.C, self.pen_shared, self.mode_norms)
-        for trace, value, rmse in zip(self.traces, obj.tolist(), np.sqrt(sse / self.m).tolist()):
-            trace.append(TraceEntry(iteration, step, value, rmse, None))
+    def record(self, iteration: int, steps: tuple[str, ...], yhat: np.ndarray, mode_norms: np.ndarray) -> None:
+        """Trace rows of `steps` from the predictions (B x R x m) and mode-factor norms (B x R x n_modes) after each."""
+        obj, sse = _objective(self.y[:, None], yhat, self.C[:, None], self.pen_shared[:, None], mode_norms)
+        self.trace.append(_TraceRows(iteration, steps, self.index, obj, np.sqrt(sse / self.m)))
 
     def project(self, kernel: KernelSpec) -> np.ndarray:
         """The training inputs through the members' shared factors (`shared_projection`), dataset by dataset."""
@@ -509,7 +562,7 @@ class _Members:
             self.prev_mats = [f[mask] for f in self.prev_mats]
         if self.shared is not None:
             self.shared = _member_record(self.shared, mask)
-        for name in ("index", "traces", "warnings", "collapsed"):
+        for name in ("index", "warnings", "collapsed"):
             setattr(self, name, [v for v, kept in zip(getattr(self, name), mask.tolist()) if kept])
 
     def state(self, b: int, converged: bool, iterations: int) -> FitState:
@@ -517,12 +570,13 @@ class _Members:
             factors=ModeFactors(tuple(f[b] for f in self.factor_mats)),
             shared=_member_record(self.shared, b),
             biases=self.biases[b].copy(),
-            trace=self.traces[b],
             converged=converged,
             iterations=iterations,
             warnings=self.warnings[b],
             max_system_residual=float(self.max_sys[b]),
             max_constraint_residual=float(self.max_con[b]),
+            _trace_table=self.trace,
+            _member=self.index[b],
         )
 
 
@@ -547,9 +601,11 @@ def fit_many(data, config: FitConfig, costs) -> list:
     the one Gram of that dataset. A member leaves when it converges or when
     a step fails for it. Returns, per cost in the order given, the
     member's FitState or the SolverError its lone fit raises: for one
-    dataset that list, for a sequence one such list per dataset. `fit` is
-    the case of one dataset and one cost. Raises ValueError for datasets
-    that do not share one block structure.
+    dataset that list, for a sequence one such list per dataset. The
+    FitStates of one alternation share its trace table, from which each
+    builds its `trace` when it is first read. `fit` is the case of one
+    dataset and one cost. Raises ValueError for datasets that do not share
+    one block structure.
     """
     costs = [replace(config, C=cost).C for cost in costs]  # FitConfig checks each cost
     if not costs:
@@ -599,13 +655,17 @@ def _alternation(datasets: tuple[MtlDataset, ...], config: FitConfig, costs: lis
             live.keep(kept)
         return kept
 
-    # The trace is kept incrementally. Row r of a mode changes one factor
-    # row and the biases of its own tasks, so the entry after row r differs
-    # from the previous one only in those tasks' predictions and in that
-    # factor's norm. A sweep therefore computes each sample's new prediction
-    # once, by the arithmetic of a full recomputation, and each row's entry
-    # takes over its own samples' values.
-    live.record(0, "init")
+    # Row r of a mode changes one factor row and the biases of its own
+    # tasks, so the predictions after row r differ from those before the
+    # sweep only in the samples of rows 1..r. A sweep computes each sample's
+    # new prediction once, by the arithmetic of a full recomputation, stacks
+    # the predictions after each row (`swept_by_row` marks the samples they
+    # take over) and records all its rows with one objective evaluation.
+    swept_by_row = [mode_indices[tid, n] <= np.arange(size)[:, None] for n, size in enumerate(grid.mode_sizes)]
+    row_steps = [
+        tuple(f"mode{n}/row{r}" for r in range(1, size + 1)) for n, size in enumerate(grid.mode_sizes, start=1)
+    ]
+    live.record(0, ("init",), live.yhat[:, None], live.mode_norms[:, None])
 
     for it in range(1, config.max_iters + 1):
         live.prev_mats = [f.copy() for f in live.factor_mats]
@@ -628,7 +688,7 @@ def _alternation(datasets: tuple[MtlDataset, ...], config: FitConfig, costs: lis
         live.projection = live.project(kernel)
         live.pen_shared = _shared_penalty(live.shared, live.projection)
         live.yhat = task_predictions(live.projection, live.shared.task_vector_snapshot, live.biases, tid)
-        live.record(it, "shared")
+        live.record(it, ("shared",), live.yhat[:, None], live.mode_norms[:, None])
 
         for mode in range(1, grid.n_modes + 1):
             z = reduced_features(live.data, live.factor_mats, mode, live.projection)
@@ -656,25 +716,24 @@ def _alternation(datasets: tuple[MtlDataset, ...], config: FitConfig, costs: lis
             live.max_con = np.maximum(live.max_con, sweep.constraint_residuals.max(axis=1))
             lay = sweep.layout
             mat = live.factor_mats[mode - 1]
-            norms = []  # of the factor with rows 1..r replaced
+            norms = np.repeat(live.mode_norms[:, None], mat.shape[1], axis=1)  # after each row r
             for r in range(mat.shape[1]):
                 mat[:, r, :] = sweep.row_values[:, r]
-                norms.append(_squared_norm(mat))
+                norms[:, r, mode - 1] = _squared_norm(mat)
+            live.mode_norms = norms[:, -1]
             live.biases[:, lay.tasks - 1] = sweep.biases
             u_table = row_product_table(live.factor_mats, mode_indices)
-            swept = task_predictions(
+            before, live.yhat = live.yhat, np.empty_like(live.yhat)
+            live.yhat[:, lay.samples] = task_predictions(
                 live.projection.take(lay.samples, axis=1), u_table, live.biases, tid[lay.samples]
             )
-            for r, (rows, _) in enumerate(lay.blocks.group_slices):
-                live.yhat[:, lay.samples[rows]] = swept[:, rows]
-                live.mode_norms[:, mode - 1] = norms[r]
-                live.record(it, f"mode{mode}/row{r + 1}")
+            after_rows = np.where(swept_by_row[mode - 1], live.yhat[:, None], before[:, None])
+            live.record(it, row_steps[mode - 1], after_rows, norms)
         if not live.index:
             break
 
         change = _factor_change(live.factor_mats, live.prev_mats)
-        for trace, value in zip(live.traces, change.tolist()):
-            trace[-1] = replace(trace[-1], factor_change=value)
+        live.trace[-1].changes = change
 
         for n, f in enumerate(live.factor_mats, start=1):
             for b, k in zip(*(axis.tolist() for axis in np.nonzero(~f.any(axis=1)))):

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlssvm.baseline import fit_independent
 from tlssvm.cli import main
 from tlssvm.data import MtlDataset, SyntheticSpec, kfold_split, load_csv, save_csv
-from tlssvm.errors import ConfigError
+from tlssvm.errors import ConfigError, DataError
 from tlssvm.experiments import CvPlan, run_benchmark
 from tlssvm.kernels import KernelSpec
-from tlssvm.model import load_model
-from tlssvm.solver import FitConfig, init_factors
+from tlssvm.model import TrainedModel, load_model, save_model
+from tlssvm.solver import FitConfig, fit, init_factors
 from tlssvm.taskgrid import TaskGrid
 
 SPEC = {
@@ -831,6 +832,68 @@ def test_a_reader_returns_or_raises_config_error_for_any_json_value(read, config
         read(value if key is None else {**config, key: value})
     except ConfigError:
         pass
+
+
+# Leaf values for model files: JSON_VALUES, plus numbers and lists of the shapes a model file holds.
+MODEL_VALUES = [
+    *JSON_VALUES.values(), 0, 5, 2.5, 1e308, [], [[]], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], [[[1.0]]],
+]
+DELETED = object()
+
+
+def json_paths(node, path=()):
+    """The path (keys and indices) of every value inside a JSON document, the document itself excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def with_leaf(document, path, value):
+    """A copy of `document` with the value at `path` replaced by `value`, or removed for DELETED."""
+    document = json.loads(json.dumps(document))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+@pytest.fixture(scope="module")
+def small_model_files(tmp_path_factory):
+    """Model files of a linear tensor, an RBF tensor and a baseline model: d = 3, grid (2, 2), 1-2 samples per task."""
+    rng = np.random.default_rng(3)
+    sizes = (1, 2, 1, 2)
+    data = MtlDataset(
+        TaskGrid((2, 2)), tuple(rng.normal(size=(n, 3)) for n in sizes), tuple(rng.normal(size=n) for n in sizes)
+    )
+    root = tmp_path_factory.mktemp("model_files")
+    models = {"baseline": fit_independent(data, 10.0, KernelSpec("linear"))}
+    for name, kernel in (("linear", KernelSpec("linear")), ("rbf", KernelSpec("rbf", gamma=0.5))):
+        state = fit(data, FitConfig(K=2, C=10.0, kernel=kernel, max_iters=3, seed=0))
+        models[name] = TrainedModel.from_fit(data, state, kernel)
+    for name, model in models.items():
+        save_model(model, root / f"{name}.json")
+    return {name: json.loads((root / f"{name}.json").read_text()) for name in models}
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf", "baseline"])
+def test_a_model_file_with_any_one_value_changed_loads_or_raises_data_error(small_model_files, tmp_path, kind):
+    document = small_model_files[kind]
+    path = tmp_path / "model.json"
+    tried = 0
+    for where in json_paths(document):
+        for value in (*MODEL_VALUES, DELETED):
+            path.write_text(json.dumps(with_leaf(document, where, value)))
+            try:
+                load_model(path)
+            except DataError:
+                pass
+            tried += 1
+    assert tried > 1000
 
 
 class TestUsage:

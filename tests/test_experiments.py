@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tlssvm import experiments
+from tlssvm import experiments, solver
 from tlssvm.baseline import LssvmModel, fit_independent
 from tlssvm.data import SyntheticSpec, generate_synthetic, kfold_split
 from tlssvm.errors import ConfigError, SolverError
@@ -199,6 +199,16 @@ class TestRunCv:
         a = run_cv(train, METHOD_TENSOR, SMALL_PLAN, seed=9)
         b = run_cv(train, METHOD_TENSOR, SMALL_PLAN, seed=9)
         assert a.to_dict() == b.to_dict()
+
+    def test_builds_no_trace_entry(self, monkeypatch):
+        # run_cv never reads a member's trace, so no member builds one
+        built, entry = [], solver.TraceEntry
+        monkeypatch.setattr(solver, "TraceEntry", lambda *fields: built.append(fields) or entry(*fields))
+        train, _ = small_train(seed=2)
+        result = run_cv(train, METHOD_TENSOR, SMALL_PLAN, seed=0)
+        assert all(cell.error is None for cell in result.cells) and built == []
+        config = FitConfig(K=1, C=1.0, kernel=KernelSpec("linear"), max_iters=2)
+        assert len(fit_many(train, config, (1.0,))[0].trace) == len(built) > 0  # the count sees a read
 
     def test_fit_best_refits_winner(self):
         train, test = small_train(seed=6)

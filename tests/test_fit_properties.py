@@ -200,6 +200,14 @@ def test_members_stop_at_different_iterations():
         assert_same_outcome(member, fit(data, replace(config, C=cost)))
 
 
+def test_a_members_trace_is_built_on_first_read_and_kept():
+    data = snr10_dataset()
+    config = FitConfig(K=2, C=1.0, kernel=KernelSpec("linear"), max_iters=3, seed=0)
+    member = fit_many(data, config, (0.1, 10.0))[1]
+    first = member.trace
+    assert member.trace is first
+
+
 def test_member_at_cost_1e6_fails_with_its_lone_error_while_the_others_finish():
     # the C=1e6 fit is the strict xfail of test_solver.py (its row-step duals
     # outgrow the absolute residual bound); in lockstep it leaves with the same

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Hash every file that a fixed set of tlssvm CLI runs writes, and compare checkouts.
 
-    python3 tools/artifacts.py CHECKOUT             # prints the combined digest
-    python3 tools/artifacts.py PARENT CHANGE        # both digests and each file's change
+    python3 tools/artifacts.py CHECKOUT                   # prints the combined digest
+    python3 tools/artifacts.py CHECKOUT --expect DIGEST   # and exits 1 unless it is DIGEST
+    python3 tools/artifacts.py PARENT CHANGE              # both digests and each file's change
 
 With two checkouts the exit code is 1 when any file differs or is
 present on one side only, and 0 when every file is byte-identical, so
-the comparison is a gate by itself.
+the comparison is a gate by itself. `--expect DIGEST` makes one run the
+same gate against a digest recorded before: the exit code is 1 when a
+checkout's combined digest does not start with DIGEST (a full digest or
+a prefix of it, such as the 8 digits a document quotes).
 
 Each CHECKOUT is the root of a tlssvm source tree; its `src/` is put on
 PYTHONPATH and the CLI runs as `python -m tlssvm`, with one BLAS thread.
@@ -176,18 +180,25 @@ def largest_changes(a: str, b: str) -> tuple[float, float] | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+", type=Path, help="one or two source trees")
+    parser.add_argument("--expect", metavar="DIGEST", help="exit 1 unless each combined digest starts with DIGEST")
     args = parser.parse_args(argv)
     if len(args.checkouts) > 2:
         parser.error("give one or two checkouts")
+    if args.expect is not None and not re.fullmatch(r"[0-9a-f]{8,64}", args.expect):
+        parser.error("--expect takes 8 to 64 lowercase hex digits of a sha256 digest")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         works = []
-        identical = True
+        passed = True
         for i, checkout in enumerate(args.checkouts):
             work = root / f"{i}-{checkout.resolve().name}"
             run_all(checkout, work)
             hashes = file_hashes(work)
-            print(f"{checkout}: {len(hashes)} files, sha256 {digest(hashes)}")
+            combined = digest(hashes)
+            print(f"{checkout}: {len(hashes)} files, sha256 {combined}")
+            if args.expect is not None and not combined.startswith(args.expect):
+                print(f"  expected sha256 {args.expect}")
+                passed = False
             works.append((work, hashes))
         if len(works) == 2:
             (work_a, a), (work_b, b) = works
@@ -206,8 +217,8 @@ def main(argv=None) -> int:
                               f"{changes[1]:.3g} of the file's largest number")
             same = sum(a[path] == b.get(path) for path in a)
             print(f"{same} of {len(a)} files identical")
-            identical = a == b
-    return 0 if identical else 1
+            passed = passed and a == b
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
