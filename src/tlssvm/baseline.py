@@ -17,7 +17,7 @@ import numpy as np
 from .data import MtlDataset
 from .errors import DataError, SolverError, positive
 from .kernels import KernelSpec, gram
-from .linsys import Blocks, solve_dual_system
+from .linsys import Blocks, DenseGram, solve_dual_system
 from .taskgrid import TaskGrid
 
 __all__ = ["SingleTaskLssvm", "LssvmModel", "fit_independent"]
@@ -57,15 +57,11 @@ class SingleTaskLssvm:
     def _solved(cls, duals: np.ndarray, bias, inputs: np.ndarray) -> "SingleTaskLssvm":
         """A solved task's model, without the constructor's checks.
 
-        `inputs` is an MtlDataset's read-only, finite block; `duals` (copied)
-        and `bias` met the solver's residual bound, which no non-finite value meets.
+        `inputs` is an MtlDataset's read-only, finite block; `duals` (read-only,
+        kept as given) and `bias` met the solver's residual bound, which no non-finite value meets.
         """
         task = object.__new__(cls)
-        duals = duals.copy()
-        duals.flags.writeable = False
-        object.__setattr__(task, "duals", duals)
-        object.__setattr__(task, "bias", float(bias))
-        object.__setattr__(task, "inputs", inputs)
+        task.__dict__.update(duals=duals, bias=float(bias), inputs=inputs)
         return task
 
 
@@ -134,29 +130,35 @@ class LssvmModel:
 def fit_independent(data: MtlDataset, C, kernel: KernelSpec):
     """Fit every task separately with shared hyperparameters.
 
-    `C` is one cost, or a sequence of costs. Each task's Gram is built once,
-    the block structure once per task size, and every cost still alive is
-    one member of a single `solve_dual_system` call on it; a cost whose
-    member fails on a task is not fit on the later ones. Each cost gives
-    what its lone fit does bit for bit, its LssvmModel or its first failing
-    task's SolverError.
+    `C` is one cost, or a sequence of costs. Every task of one size and
+    every cost is a member of a single `solve_dual_system` call on the
+    size's block structure and task Grams (a `DenseGram`, each Gram built
+    once), so a cost whose member fails on a task is still solved on the
+    others. Each cost gives what its lone fit does bit for bit, its
+    LssvmModel or its first failing task's SolverError.
     """
     data.require_nonempty_tasks()
     lone = not isinstance(C, (list, tuple)) and np.ndim(C) == 0
     costs = np.array([positive(c, "C") for c in ([C] if lone else C)])
-    fits: list = [[] for _ in costs]  # per cost, its task fits so far or its SolverError
-    blocks = {m: Blocks([m]) for m in set(data.task_sizes)}
-    for X, y in zip(data.inputs, data.targets):
-        alive = [b for b, fit in enumerate(fits) if not isinstance(fit, SolverError)]
-        if not alive:
-            break
-        solution = solve_dual_system(blocks[X.shape[0]], gram(kernel, X), y, costs[alive])
-        for b, biases, duals, error in zip(alive, solution.biases, solution.duals, solution.errors):
-            if error is None:
-                fits[b].append(SingleTaskLssvm._solved(duals, biases[0], X))
-            else:
-                fits[b] = error
-    models = [fit if isinstance(fit, SolverError) else LssvmModel(data.grid, kernel, tuple(fit)) for fit in fits]
+    fits = [[None] * data.grid.n_tasks for _ in costs]  # per cost, each task's fit or SolverError
+    for m in dict.fromkeys(data.task_sizes):
+        tasks = [t for t, size in enumerate(data.task_sizes) if size == m]
+        grams = tuple(gram(kernel, data.inputs[t]) for t in tasks)
+        owner = np.arange(len(tasks)).repeat(len(costs))
+        y = np.stack([data.targets[t] for t in tasks]).repeat(len(costs), axis=0)
+        solution = solve_dual_system(Blocks([m]), DenseGram(grams, owner), y, np.tile(costs, len(tasks)))
+        solution.duals.flags.writeable = False
+        biases = solution.biases[:, 0].tolist()
+        for member, error in enumerate(solution.errors):
+            b, t = member % len(costs), tasks[member // len(costs)]
+            fits[b][t] = error or SingleTaskLssvm._solved(solution.duals[member], biases[member], data.inputs[t])
+    failed = [next((fit for fit in task_fits if isinstance(fit, SolverError)), None) for task_fits in fits]
+    models = [error or LssvmModel(data.grid, kernel, tuple(task_fits)) for error, task_fits in zip(failed, fits)]
     if lone and isinstance(models[0], SolverError):
         raise models[0]
     return models[0] if lone else models
+
+
+def cross_grams(kernel: KernelSpec, train: MtlDataset, query: MtlDataset) -> list[np.ndarray]:
+    """Each task's Gram between its training inputs in `train` and its inputs in `query`, as its fits predict with."""
+    return [gram(kernel, X, X_query) for X, X_query in zip(train.inputs, query.inputs)]

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import LssvmModel, fit_independent
+from .baseline import LssvmModel, cross_grams, fit_independent
 from .data import MtlDataset, SyntheticSpec, generate_synthetic, kfold_split
 from .errors import ConfigError, SolverError, config_object, positive, whole
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec
 from .metrics import evaluate_predictions
 from .model import TrainedModel, query_gram, shared_projection, task_predictions
 from .solver import FitConfig, fit, fit_many
@@ -171,7 +171,8 @@ def run_cv(data: MtlDataset, method: str, plan: CvPlan, seed: int = 0) -> CvResu
     runs them in one alternation when the shared step is the
     task-Kronecker ridge and fold after fold otherwise; the baseline
     fits each fold with `fit_independent` and a sequence of costs, which
-    solves every alive cost of a task in one dense member solve. A cost
+    solves every task and alive cost of one task size in one dense member
+    solve, and scores them on `cross_grams`. A cost
     leaves its (rank, gamma) after the folds in which it first failed, and
     its cell keeps the error of its first failing fold.
     """
@@ -248,7 +249,7 @@ def _tensor_rmses(states: list, val: MtlDataset, kernel: KernelSpec) -> list:
 
 def _baseline_rmses(models: list, train: MtlDataset, val: MtlDataset, kernel: KernelSpec) -> list:
     """Each model's pooled RMSE on `val` as it predicts, one cross-Gram per task for all, or its SolverError."""
-    grams = [gram(kernel, X, X_val) for X, X_val in zip(train.inputs, val.inputs)]
+    grams = cross_grams(kernel, train, val)
     return _rmses(models, val, lambda model: np.concatenate([t.duals @ k + t.bias for t, k in zip(model.tasks, grams)]))
 
 

@@ -10,8 +10,9 @@ cost C is the only regularization: the ridge I/C is the dual of the
 LS-SVM penalty C/2 ||e||^2 (Suykens & Vandewalle 1999), so each solve
 minimizes the objective that a fit records.
 
-`solve_dual_system` is the one entry point. Q is a dense m x m matrix
-(the single-task baseline) or one of three structured forms:
+`solve_dual_system` is the one entry point. Q is dense, an m x m matrix
+or a `DenseGram` of one per owner (the single-task baseline), or one of
+three structured forms:
 
 * `FeatureGram`: Q = Phi Phi^T, held as its m x p feature matrix Phi;
 * `KroneckerGram`: Q = Phi Phi^T for the features Phi_j = u_t(j) kron x_j
@@ -27,22 +28,23 @@ Cholesky. Which kind a shared step hands over is the caller's choice
 
 * Dense with a Schur complement (`_solve_dense`), for a CoherenceGram
   and a dense Q. The solve factors H = Q + I/C in place, in one of two
-  owners. For a CoherenceGram, H is written over the upper triangle of
+  buffers. For a CoherenceGram, H is written over the upper triangle of
   the caller's Gram G, which LAPACK's dpotrf factors without reading the
   lower one; G is restored from its lower triangle and a saved diagonal
   right after each member's first solve, and also when that solve
-  raises. So it holds no m x m array besides G. For a dense Q (the single-task
-  baseline's Gram), each member's H is a fresh copy that it owns,
-  because the residual needs Q.
+  raises. So it holds no m x m array besides G. For a dense Q (the
+  single-task baseline's Gram), each member's H is a fresh copy of Q,
+  because the residual needs Q, and is dropped after that first solve,
+  so the pass holds no m x m array besides the Q's and one H.
   H is positive definite for a PSD Q, and its Cholesky factor gives
   H^-1 y and H^-1 A in one triangular solve. The biases come from the
   T x T Schur complement A^T H^-1 A, also Cholesky-factored, and the
   duals from alpha = H^-1 (y - A b) (the classic LS-SVM solve, Suykens &
   Vandewalle 1999). A failed factorization flags a Q that is not PSD.
   One refinement step, reusing the Schur factor, follows for a member
-  whose residual misses the acceptance bound, and only for it; it reuses
-  an owned copy's factor, and for a CoherenceGram writes and factors H
-  in G again, which gives the same factor bit for bit. The residual goes
+  whose residual misses the acceptance bound, and only for it; it copies
+  and factors a dense Q's H again, and for a CoherenceGram writes and
+  factors H in G again, which gives the same factor bit for bit. The residual goes
   through Q's operator: G (U o v) summed against U row by row for a
   CoherenceGram (U the m x K task vectors of the samples), Q v for a
   dense Q, one matrix-vector product per member.
@@ -96,23 +98,26 @@ features or task vectors of their Q, and may differ in their data. The
 costs are a 1-D array C (one per member), and a structured Q's arrays
 carry a leading member axis: a FeatureGram's features are B x m x p, a
 KroneckerGram's and a CoherenceGram's task vectors B x T x K. The
-right-hand side y is one vector for every member, or B x m for a
-FeatureGram's or a KroneckerGram's members. A KroneckerGram holds the
-moments of each dataset once and an owner index, each member's position
-among them: members that follow one another with one owner form a run
-(`by_run`), and share their owner's moments, never copied per member. A
-CoherenceGram's members share one Gram and one y, a dense Q's members
-share Q and y, and both are solved in one dense pass: each member of a
-CoherenceGram writes and factors H in the Gram in turn and restores it
-before the next one writes it, and each member of a dense Q factors its
-own copy of H, so the single-task baseline solves every cost of a task
-in one call. One cost is the one-member case, C = [C] with the member
-axis on the Q's arrays; a scalar C is refused. The result's arrays carry
+right-hand side y is one vector for every member, or B x m for the
+members of a FeatureGram, a KroneckerGram or a DenseGram. A
+KroneckerGram holds the moments of each dataset once and an owner index,
+each member's position among them: members that follow one another with
+one owner form a run (`by_run`), and share their owner's moments, never
+copied per member. A DenseGram holds one dense Q per owner and the same
+index, and a bare m x m Q is its one-owner case, whose members share Q
+and y; a CoherenceGram's members share one Gram and one y. Both are
+solved in one dense pass: each member of a CoherenceGram writes and
+factors H in the Gram in turn and restores it before the next one writes
+it, and each member of a dense Q factors a fresh copy of its owner's Q,
+so the single-task baseline solves every task and cost of a task size in
+one call. One cost is the one-member case, C = [C] with the member axis
+on the Q's arrays; a scalar C is refused. The result's arrays carry
 the member axis too, and its `errors` hold, per member, None or that
 member's SolverError (a `MemberSolution`); a failed member's rows are no
 solution, and the others go on without it. The ridge's passes
 (centering, Grams, right-hand sides, residuals) and the dense form's
-residual checks run over all members at once, or once per run of members
+Schur sums, biases, duals and residual checks run over all members at
+once, or once per run of members
 with one owner, in operations whose every member slice is the operation
 on that member alone, so each member's result equals that of its solve
 as the only member, bit for bit. Every dpotrf and dpotrs stays one
@@ -127,7 +132,7 @@ prediction, evaluation and CSV or model IO run without ever loading it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -140,6 +145,7 @@ __all__ = [
     "RESIDUAL_RTOL",
     "Blocks",
     "CoherenceGram",
+    "DenseGram",
     "FeatureGram",
     "KroneckerGram",
     "MemberSolution",
@@ -382,6 +388,14 @@ class KroneckerGram:
                     f"{list(moments.blocks)} and {moments.inputs.shape[1]} features, "
                     f"system blocks {list(blocks)}"
                 )
+
+
+@dataclass(frozen=True)
+class DenseGram:
+    """Members' dense m x m system matrices, each held once in `grams`, and each member's index into them (`owner`)."""
+
+    grams: tuple[np.ndarray, ...]
+    owner: np.ndarray
 
 
 _STRIP = 128  # rows per strip of the passes over a Gram's triangles
@@ -685,7 +699,7 @@ def _refined(
 
 def solve_dual_system(
     blocks: Blocks,
-    Q: np.ndarray | FeatureGram | KroneckerGram | CoherenceGram,
+    Q: np.ndarray | DenseGram | FeatureGram | KroneckerGram | CoherenceGram,
     y: np.ndarray,
     C: np.ndarray,
 ) -> MemberSolution:
@@ -695,8 +709,9 @@ def solve_dual_system(
     CoherenceGram and a dense Q in the dense form with a Schur complement.
     C is a non-empty 1-D array, one cost per member, and a structured Q's
     arrays carry the member axis (see the module docstring). The members
-    solve one y, or B x m targets for a FeatureGram or a KroneckerGram; a
-    dense Q's members share Q and y and differ in their cost. Returns a
+    solve one y, or B x m targets for a FeatureGram, a KroneckerGram or a
+    DenseGram, whose members solve their owner's Q; a bare m x m Q is the
+    DenseGram of one owner, whose members share Q and y. Returns a
     `MemberSolution`, whose `errors` hold a member's SolverError if its Q +
     I/C is not positive definite or a group's residual exceeds
     RESIDUAL_RTOL * (1 + ||y_g||) even after refinement. Raises TypeError
@@ -710,10 +725,11 @@ def solve_dual_system(
     m = y.shape[-1]
     costs = _costs(C)
     _check(blocks, m, costs)
-    if y.ndim == 2 and (len(y) != len(costs) or not isinstance(Q, (FeatureGram, KroneckerGram))):
+    if y.ndim == 2 and (len(y) != len(costs) or not isinstance(Q, (FeatureGram, KroneckerGram, DenseGram))):
         raise ValueError(f"targets of shape {y.shape} are one per member of a structured Q, got {len(costs)} costs")
     if not isinstance(Q, (FeatureGram, KroneckerGram, CoherenceGram)):
-        return _solve_matrix(blocks, Q, y, costs)
+        one_owner = not isinstance(Q, DenseGram)
+        return _solve_matrix(blocks, DenseGram((Q,), np.zeros(len(costs), np.intp)) if one_owner else Q, y, costs)
     stack = Q.features if isinstance(Q, FeatureGram) else Q.task_vectors
     if stack.ndim != 3 or len(stack) != len(costs) or (isinstance(Q, FeatureGram) and stack.shape[1] != m):
         raise ValueError(f"inconsistent system shapes: member arrays {stack.shape}, {len(costs)} costs, y {m}")
@@ -721,81 +737,87 @@ def solve_dual_system(
     return solve(blocks, Q, y, costs)
 
 
-def _solve_matrix(blocks: Blocks, Q, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
-    """A dense Q's members, each factoring its own H = Q + I/C, which it keeps for a refinement step."""
+def _solve_matrix(blocks: Blocks, Q: DenseGram, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
+    """A DenseGram's members, each factoring H = Q + I/C of its owner's Q in a copy that lives for one solve."""
     m = blocks.m
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (m, m):
-        raise ValueError(f"inconsistent system shapes: Q {Q.shape}, y {m}")
+    grams = [np.asarray(G, dtype=float) for G in Q.grams]
+    owner = np.asarray(Q.owner)
+    if owner.shape != costs.shape or not ((0 <= owner) & (owner < len(grams))).all():
+        raise ValueError(f"owners {owner.tolist()} for {len(costs)} members of {len(grams)} Grams")
+    owner = owner.tolist()
+    if any(G.shape != (m, m) for G in grams):
+        raise ValueError(f"inconsistent system shapes: Q {[G.shape for G in grams]}, y {m}")
     inv_c = 1.0 / costs
-    factors = {}
 
-    def factored(b: int):
-        if b not in factors:
-            # the copy is the solve's, since the residual needs Q; H.T is
-            # Fortran-ordered, so LAPACK factors it in place, and its lower
-            # triangle is H's upper one, the same for a symmetric Q
-            H = np.array(Q, order="C")
-            H.reshape(-1)[:: m + 1] += inv_c[b]
-            factors[b] = _cholesky(H.T, "Q + I/C")
-        return nullcontext(factors[b])
+    def solved(b: int, rhs: np.ndarray) -> np.ndarray:
+        # the copy is the solve's, since the residual needs Q; H.T is
+        # Fortran-ordered, so LAPACK factors it in place, and its lower
+        # triangle is H's upper one, the same for a symmetric Q
+        H = np.array(grams[owner[b]], order="C")
+        H.reshape(-1)[:: m + 1] += inv_c[b]
+        return _cho_solve(_cholesky(H.T, "Q + I/C"), rhs)
 
-    return _solve_dense(blocks, factored, y, inv_c, lambda _, v: Q @ v)
+    return _solve_dense(blocks, solved, y, inv_c, lambda b, v: grams[owner[b]] @ v)
 
 
 def _solve_coherence(blocks: Blocks, Q: CoherenceGram, y: np.ndarray, costs: np.ndarray) -> MemberSolution:
     """A CoherenceGram's members, each writing and factoring its H in the shared Gram in turn."""
     Q.check(blocks)
     inv_c = 1.0 / costs
-    return _solve_dense(
-        blocks, lambda b: Q.factored(blocks, b, inv_c[b]), y, inv_c, lambda b, v: Q.matvec(blocks, b, v)
-    )
+
+    def solved(b: int, rhs: np.ndarray) -> np.ndarray:
+        with Q.factored(blocks, b, inv_c[b]) as factor:
+            return _cho_solve(factor, rhs)
+
+    return _solve_dense(blocks, solved, y, inv_c, lambda b, v: Q.matvec(blocks, b, v))
 
 
-def _solve_dense(blocks: Blocks, factored, y: np.ndarray, inv_c: np.ndarray, apply_q) -> MemberSolution:
-    """The dense form with a Schur complement, for members of one group that share Q and y.
+def _solve_dense(blocks: Blocks, solved, y: np.ndarray, inv_c: np.ndarray, apply_q) -> MemberSolution:
+    """The dense form with a Schur complement, for members of one group, on one y or one each.
 
-    `factored(b)` opens member b's lower Cholesky factor of H_b = Q +
-    inv_c[b] I as a context manager: a factor that a dense Q's member
-    owns, or `CoherenceGram.factored`, which writes and factors H in the
-    Gram's upper triangle on every opening and restores the Gram on
-    closing, so one member's factor is open at a time. Each member uses
-    its factor for the first solve, closes it, and opens it again only for
-    a refinement step, which only the members that missed their bound
-    take. `apply_q(b, v)` is member b's Q v, by which the residual is
+    `solved(b, rhs)` is H_b^-1 rhs for member b's H_b = Q_b + inv_c[b] I,
+    with a factor made for that one solve only: in a fresh copy of a
+    DenseGram member's Q, or by `CoherenceGram.factored` in the Gram. Each
+    member makes it for the first solve, and again only for a refinement
+    step, which only the members that missed their bound take. The biases
+    and duals of all members come from those solves in one pass
+    (`from_hinv`). `apply_q(b, v)` is member b's Q v, by which the residual is
     checked. A member whose factorization fails gets NaN rows and keeps
     its SolverError without the traceback: the error may outlive the
     solve, and the traceback's frames hold the Gram.
     """
     B, m, T = len(inv_c), blocks.m, len(blocks)
-    rhs = np.zeros((m, 1 + T), order="F")
-    rhs[:, 0] = y
-    rhs[np.arange(m), 1 + blocks.of] = 1.0  # columns 1.. hold A
-    biases, duals = np.full((B, T), np.nan), np.full((B, m), np.nan)
-    hinv_a, schur = [None] * B, [None] * B
+    # each member's right-hand side [y | A], transposed, and then its H^-1 [y | A]
+    first = np.zeros((B, 1 + T, m))
+    first[:, 0] = y
+    first[:, 1 + blocks.of, np.arange(m)] = 1.0
+    hinv_a = np.swapaxes(first[:, 1:], 1, 2)  # each member's H^-1 A, in Fortran order
     errors: list[SolverError | None] = [None] * B
-
-    def from_hinv(b: int, g: np.ndarray, Hinv_h: np.ndarray):
-        bias = _cho_solve(schur[b], blocks.sums(Hinv_h) - g)
-        return bias, Hinv_h - hinv_a[b] @ bias
-
+    schur: list = [None] * B
     for b in range(B):
         try:
-            with factored(b) as factor:
-                first = _cho_solve(factor, rhs.copy(order="F"))
-            hinv_a[b] = first[:, 1:]
+            first[b] = solved(b, first[b].T).T
             schur[b] = _cholesky(blocks.sums(hinv_a[b]), "Schur complement A^T H^-1 A")
-            biases[b], duals[b] = from_hinv(b, np.zeros(T), first[:, 0])
         except SolverError as exc:
             errors[b] = exc.with_traceback(None)
 
+    def from_hinv(members: list, g: np.ndarray, Hinv_h: np.ndarray):
+        # the members' biases and duals for [g; h], from H^-1 h
+        sums = blocks.sums(Hinv_h, axis=1) - g
+        bias = np.stack([_cho_solve(schur[b], r) for b, r in zip(members, sums)])
+        return bias, Hinv_h - (hinv_a[members] @ bias[:, :, None])[..., 0]
+
+    biases, duals = np.full((B, T), np.nan), np.full((B, m), np.nan)
+    ok = [b for b, error in enumerate(errors) if error is None]  # a failed member's rows stay NaN
+    if ok:
+        biases[ok], duals[ok] = from_hinv(ok, np.zeros((len(ok), T)), first[ok, 0])
+
     def solve(g: np.ndarray, h: np.ndarray, stepped: np.ndarray):
         db, dduals = np.zeros((B, T)), np.zeros((B, m))
-        for b in np.flatnonzero(stepped[:, 0]).tolist():
-            if errors[b] is None:  # a failed member's rows stay NaN
-                with factored(b) as factor:
-                    Hinv_h = _cho_solve(factor, h[b])
-                db[b], dduals[b] = from_hinv(b, g[b], Hinv_h)
+        members = [b for b in np.flatnonzero(stepped[:, 0]).tolist() if errors[b] is None]
+        if members:
+            Hinv_h = np.stack([solved(b, h[b]) for b in members])
+            db[members], dduals[members] = from_hinv(members, g[members], Hinv_h)
         return db, dduals
 
     biases, duals, residual, _, checked = _refined(

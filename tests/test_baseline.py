@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,10 +259,18 @@ class TestLockstepCosts:
         )
         seen = []
         solve = baseline.solve_dual_system
-        monkeypatch.setattr(baseline, "solve_dual_system", lambda blocks, *args: seen.append(blocks) or solve(blocks, *args))
-        fit_independent(data, list(self.COSTS), LINEAR)
-        assert [tuple(b) for b in seen] == [(m,) for m in sizes]
-        assert seen[0] is seen[2] and seen[1] is seen[3]
+        monkeypatch.setattr(baseline, "solve_dual_system", lambda *args: seen.append(args) or solve(*args))
+        fits = fit_independent(data, list(self.COSTS), LINEAR)
+        # one call per task size, every task of that size and every cost a member
+        assert [tuple(blocks) for blocks, *_ in seen] == [(5,), (3,)]
+        for (blocks, Q, y, C), tasks in zip(seen, ([0, 2], [1, 3])):
+            assert [G.shape for G in Q.grams] == [(blocks.m, blocks.m)] * 2
+            assert Q.owner.tolist() == [0] * 4 + [1] * 4
+            assert C.tolist() == list(self.COSTS) * 2
+            for row, owner in zip(y, Q.owner):
+                assert row.tobytes() == data.targets[tasks[owner]].tobytes()
+        for cost, fit in zip(self.COSTS, fits):
+            self.assert_same_fit(fit, fit_independent(data, cost, LINEAR))
 
     @pytest.mark.parametrize("kernel", [LINEAR, RBF], ids=["linear", "rbf"])
     def test_a_failing_cost_keeps_its_lone_error_and_spares_the_others(self, kernel, monkeypatch):
@@ -270,22 +280,24 @@ class TestLockstepCosts:
         solved = []  # (task, cost) of every member solved
 
         def solve_dual_system(blocks, Q, y, C):
-            # one call per task, every alive cost a member; the bad cost's
-            # member fails on the bad task, as a factorization would
-            task = next(t for t, targets in enumerate(data.targets) if np.array_equal(targets, y))
-            solved.extend((task, cost) for cost in C.tolist())
+            # one call per task size, every (task, cost) a member with its
+            # task's targets; the bad cost's members fail on the bad task and
+            # the next one, as a factorization would
+            tasks = [next(t for t, targets in enumerate(data.targets) if np.array_equal(targets, row)) for row in y]
+            solved.extend(zip(tasks, C.tolist()))
             solution = real_solve(blocks, Q, y, C)
-            if task == bad_task and bad_cost in C:
-                b = C.tolist().index(bad_cost)
-                errors = list(solution.errors)
-                errors[b] = SolverError(f"task {task + 1} cannot be solved at C={bad_cost}")
-                solution = solution._replace(errors=tuple(errors))
-            return solution
+            errors = list(solution.errors)
+            for b, (task, cost) in enumerate(zip(tasks, C.tolist())):
+                if task in (bad_task, bad_task + 1) and cost == bad_cost:
+                    errors[b] = SolverError(f"task {task + 1} cannot be solved at C={bad_cost}")
+            return solution._replace(errors=tuple(errors))
 
         monkeypatch.setattr(baseline, "solve_dual_system", solve_dual_system)
         fits = fit_independent(data, list(self.COSTS), kernel)
         assert (bad_task, bad_cost) in solved
-        assert (bad_task + 1, bad_cost) not in solved  # a failed cost is not fit on later tasks
+        # a failed cost is still solved on the later tasks of its call, and
+        # keeps the error of its first failing task
+        assert (bad_task + 1, bad_cost) in solved
         assert (bad_task + 1, self.COSTS[0]) in solved
         with pytest.raises(SolverError) as lone:
             fit_independent(data, bad_cost, kernel)
@@ -293,6 +305,55 @@ class TestLockstepCosts:
         for cost, fit in zip(self.COSTS, fits):
             if cost != bad_cost:
                 self.assert_same_fit(fit, fit_independent(data, cost, kernel))
+
+    def test_members_of_random_grids_equal_lone_fits(self):
+        # 2-3 mode grids with two or more task sizes, both kernels, and 1-4
+        # costs, one of them 1e10, which misses its bound in every linear
+        # case and in a quarter of the RBF ones (a wide RBF's Gram is close
+        # to all ones)
+        kernels = (LINEAR, KernelSpec("rbf", gamma=0.01))
+        failed = {kernel.family: 0 for kernel in kernels}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            grid = TaskGrid((int(rng.integers(2, 4)),) + tuple(rng.integers(1, 4, size=rng.integers(1, 3)).tolist()))
+            sizes = rng.integers(3, 9, size=grid.n_tasks)
+            sizes[1] = sizes[0] % 6 + 3
+            d = int(rng.integers(1, 5))
+            data = MtlDataset(
+                grid, tuple(rng.normal(size=(m, d)) for m in sizes), tuple(rng.normal(size=m) for m in sizes)
+            )
+            costs = [10.0 ** e for e in rng.uniform(-3.0, 4.0, size=rng.integers(0, 4))]
+            costs.insert(int(rng.integers(0, len(costs) + 1)), 1e10)
+            for kernel in kernels:
+                for cost, fit in zip(costs, fit_independent(data, costs, kernel)):
+                    try:
+                        lone = fit_independent(data, cost, kernel)
+                    except SolverError as error:
+                        assert isinstance(fit, SolverError) and str(fit) == str(error)
+                        failed[kernel.family] += cost == 1e10
+                    else:
+                        self.assert_same_fit(fit, lone)
+        assert failed["linear"] >= 20 and failed["rbf"] >= 5, failed
+
+    def test_a_task_size_holds_its_grams_and_a_few_more_task_squares(self):
+        rng = np.random.default_rng(5)
+        m = 250
+        data = MtlDataset(
+            TaskGrid((3, 4)), tuple(rng.normal(size=(m, 4)) for _ in range(12)), tuple(rng.normal(size=m) for _ in range(12))
+        )
+        costs = [1e-2, 0.1, 1.0, 10.0, 100.0, 1e3]
+        for kernel in (LINEAR, RBF):
+            first = fit_independent(data, costs, kernel)  # loads LAPACK
+            tracemalloc.start()
+            try:
+                again = fit_independent(data, costs, kernel)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the 12 Grams, one H = Q + I/C and the members' m-vectors (72 x 250 each)
+            assert peak <= (12 + 3) * m * m * 8
+            for a, b in zip(first, again):
+                self.assert_same_fit(a, b)
 
     @pytest.mark.parametrize("costs", [[1.0, 0.0], [1.0, "10"], [1.0, [10.0]], (np.nan,)])
     def test_every_cost_is_checked(self, costs):

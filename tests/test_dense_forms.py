@@ -4,8 +4,8 @@ A CoherenceGram (the shared step of an RBF fit, and of a linear fit with
 more features than samples) and a dense Q (the single-task baseline) are
 solved by a Cholesky factorization of H = Q + I/C. The solve factors H in
 place: for a CoherenceGram in the upper triangle of the caller's Gram,
-which it gives back bit for bit, and for a dense Q in a copy that each
-member (one per cost) owns.
+which it gives back bit for bit, and for a dense Q (one per owner of a
+DenseGram) in a fresh copy per member that lives for one solve with it.
 A FeatureGram never takes this form, whatever its shape (see the grouped
 ridge tests in test_solver.py).
 """
@@ -25,6 +25,7 @@ from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import (
     Blocks,
     CoherenceGram,
+    DenseGram,
     solve_dual_system,
 )
 from tlssvm import linsys, solver
@@ -330,6 +331,71 @@ class TestGramWorkspace:
             with pytest.raises(ValueError, match="exactly symmetric"):
                 lone_solve(blocks, CoherenceGram(Q.task_vectors, G), y, 10.0)
             assert G.tobytes() == before
+
+
+class TestDenseGram:
+    """Members of a DenseGram: one dense Q per owner, each member's own y, one pass for all."""
+
+    def members(self):
+        rng = np.random.default_rng(31)
+        blocks = Blocks([7])
+        grams = tuple(gram(kernel, rng.normal(size=(7, 2))) for kernel in (LINEAR, RBF, RBF))
+        owner = np.array([0, 0, 1, 2, 2, 2])
+        costs = np.array([0.5, 1e3, 10.0, 1e-2, 1.0, 1e2])
+        y = rng.normal(size=(3, 7))[owner]
+        return blocks, DenseGram(grams, owner), y, costs
+
+    def test_each_member_is_its_lone_solve_on_its_owners_gram(self):
+        blocks, Q, y, costs = self.members()
+        got = solve_dual_system(blocks, Q, y, costs)
+        for b, (owner, cost) in enumerate(zip(Q.owner, costs)):
+            lone = lone_solve(blocks, Q.grams[owner], y[b], cost)
+            assert got.errors[b] is None and got.residual[b] == lone.residual
+            assert got.biases[b].tobytes() == lone.biases.tobytes()
+            assert got.duals[b].tobytes() == lone.duals.tobytes()
+
+    def test_a_factor_lives_for_one_solve_and_a_step_refactors(self, monkeypatch):
+        blocks, Q, y, costs = self.members()
+        lone = [lone_solve(blocks, Q.grams[owner], y[b], cost) for b, (owner, cost) in enumerate(zip(Q.owner, costs))]
+        real_cholesky, real_cho_solve = linsys._cholesky, linsys._cho_solve
+        factors, first_solves = [], 0
+
+        def recorded(H, what, group=0):
+            factor = real_cholesky(H, what, group)
+            if what == "Q + I/C":
+                factors.append(weakref.ref(factor.base if factor.base is not None else factor))
+                # the factors of the members before are gone
+                assert all(ref() is None for ref in factors[:-1])
+            return factor
+
+        def member_4_off(factor, rhs):
+            nonlocal first_solves
+            solution = real_cho_solve(factor, rhs)
+            if rhs.ndim == 2 and len(rhs) == blocks.m:  # a member's first solve, [y | A]
+                first_solves += 1
+                if first_solves == 5:
+                    solution[:, 0] += 1e-3  # H^-1 y, off by far more than the residual bound
+            return solution
+
+        monkeypatch.setattr(linsys, "_cholesky", recorded)
+        monkeypatch.setattr(linsys, "_cho_solve", member_4_off)
+        got = solve_dual_system(blocks, Q, y, costs)
+        assert first_solves == 6 and len(factors) == 7  # member 4 factors again for its step
+        for b in (0, 1, 2, 3, 5):  # no step: their first solutions, as alone
+            assert got.biases[b].tobytes() == lone[b].biases.tobytes()
+            assert got.duals[b].tobytes() == lone[b].duals.tobytes()
+        assert all(error is None for error in got.errors)
+        assert same_solution((got.biases[4], got.duals[4]), lone[4][:2])
+
+    def test_owners_must_index_the_grams_one_per_member(self):
+        blocks, Q, y, costs = self.members()
+        for owner in (Q.owner[:-1], np.append(Q.owner[:-1], 3), np.append(Q.owner[:-1], -1)):
+            with pytest.raises(ValueError, match="owners"):
+                solve_dual_system(blocks, replace(Q, owner=owner), y, costs)
+        with pytest.raises(ValueError, match="inconsistent system shapes"):
+            solve_dual_system(blocks, replace(Q, grams=Q.grams[:2] + (np.eye(6),)), y, costs)
+        with pytest.raises(ValueError, match="one per member"):
+            solve_dual_system(blocks, Q, y[:-1], costs)
 
 
 @st.composite
