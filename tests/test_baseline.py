@@ -308,9 +308,8 @@ class TestLockstepCosts:
 
     def test_members_of_random_grids_equal_lone_fits(self):
         # 2-3 mode grids with two or more task sizes, both kernels, and 1-4
-        # costs, one of them 1e10, which misses its bound in every linear
-        # case and in a quarter of the RBF ones (a wide RBF's Gram is close
-        # to all ones)
+        # costs, one of them 1e10, which misses its bound in most linear cases
+        # and in some RBF ones (a wide RBF's Gram is close to all ones)
         kernels = (LINEAR, KernelSpec("rbf", gamma=0.01))
         failed = {kernel.family: 0 for kernel in kernels}
         for seed in range(40):
