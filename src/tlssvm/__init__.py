@@ -8,8 +8,8 @@ independent per-task LSSVM as the comparison baseline.
 
 Every exported name is imported from its submodule on first use, so a
 process that only reads data (`TaskGrid`, `load_csv`) loads `data`,
-`taskgrid`, `errors`, `linsys` and `textio`, and never the solver, the
-models, the kernels or scipy.
+`taskgrid`, `errors` and `textio`, and never the solver, the models, the
+kernels or scipy.
 """
 
 import importlib
@@ -45,7 +45,7 @@ _EXPORTS = {
     "correlation": "metrics",
     "EvalReport": "metrics",
     "evaluate_predictions": "metrics",
-    "LssvmModel": "baseline",
+    "LssvmModel": "model",
     "fit_independent": "baseline",
     "CvPlan": "experiments",
     "CvResult": "experiments",

@@ -14,8 +14,8 @@ lists; anything else exits 2 before any file is read or written.
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 solver
 error.
 
-Each command imports what it needs: predict and evaluate load neither the
-solver nor the experiments.
+Each command imports what it needs: predict and evaluate load no fitting
+code (`solver`, `baseline`, `linsys`) and no experiments.
 """
 
 from __future__ import annotations
@@ -28,27 +28,32 @@ import sys
 
 import numpy as np
 
-from .baseline import LssvmModel, fit_independent
 from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, DataError, SolverError, config_object, positive, whole
 from .kernels import KernelSpec
 from .metrics import evaluate_predictions
-from .model import TrainedModel, load_model, save_model
+from .model import LssvmModel, TrainedModel, load_model, save_model
 from .taskgrid import TaskGrid, delinearize
-from .textio import csv_line, csv_rows, write_json
+from .textio import csv_line, csv_rows, write_csv, write_json
 
 __all__ = ["main", "build_parser"]
 
 METHODS = (TrainedModel.method, LssvmModel.method)
 
 
-# The train and cv commands call the solver and the experiments through
-# these names of this module (benchmarks/tracing.py wraps them here). Each
-# imports its module on the first call, so predict and evaluate load neither.
+# The train and cv commands call the solver, the baseline and the experiments
+# through these names of this module (benchmarks/tracing.py wraps them here).
+# Each imports its module on the first call, so predict and evaluate load none.
 def fit(data, config):
     from . import solver
 
     return solver.fit(data, config)
+
+
+def fit_independent(data, C, kernel):
+    from . import baseline
+
+    return baseline.fit_independent(data, C, kernel)
 
 
 def run_cv(data, method, plan, seed):
@@ -113,8 +118,7 @@ def _write_trace(path: str, trace) -> None:
                 [entry.iteration, entry.step, repr(entry.objective), repr(entry.train_rmse), change]
             )
         )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(lines))
+    write_csv(path, lines)
 
 
 def _baseline_config(path: str) -> tuple[float, KernelSpec]:
@@ -173,8 +177,7 @@ def cmd_predict(args) -> int:
     for t, block in enumerate(blocks, start=1):
         rows = np.column_stack((data.inputs[t - 1], block))
         lines.append(csv_rows(delinearize(model.grid, t), rows))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(lines))
+    write_csv(path, lines)
     print(f"wrote {path} ({data.n_samples} predictions)")
     return 0
 
@@ -253,8 +256,7 @@ def cmd_benchmark(args) -> int:
     write_json(os.path.join(out, "benchmark.json"), result.to_dict())
     columns = ["snr", "method", "reps", "rmse", "q2", "correlation"]
     lines = [csv_line(columns)] + [csv_line(row[c] for c in columns) for row in result.summary_rows()]
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(lines))
+    write_csv(os.path.join(out, "summary.csv"), lines)
     print(
         f"benchmark finished: {len(result.runs)} runs over snrs={list(result.snrs)} x "
         f"{list(result.methods)}; wrote benchmark.json, summary.csv, runs/ in {out}"

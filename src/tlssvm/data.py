@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, config_object, positive, whole
 from .taskgrid import ModeFactors, TaskGrid, delinearize, linearize, task_vector_table
-from .textio import csv_line, csv_rows
+from .textio import csv_line, csv_rows, write_csv
 
 if TYPE_CHECKING:  # linsys loads with the first fit (`FitPlan.of`), not with a dataset
     from .linsys import Blocks, TaskMoments
@@ -309,8 +309,7 @@ def save_csv(data: MtlDataset, path) -> None:
     for t in range(data.grid.n_tasks):
         rows = np.column_stack((data.inputs[t], data.targets[t]))
         lines.append(csv_rows(delinearize(data.grid, t + 1), rows))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    write_csv(path, lines)
 
 
 def load_csv(path, grid: TaskGrid, allow_empty_tasks: bool = False) -> MtlDataset:

@@ -89,7 +89,7 @@ class EvalReport:
             ],
         }
 
-    def format_table(self, label: str = "pooled") -> str:
+    def format_table(self) -> str:
         header = f"{'scope':>12}  {'n':>6}  {'rmse':>12}  {'q2':>12}  {'correlation':>12}"
         lines = [header, "-" * len(header)]
 
@@ -97,7 +97,7 @@ class EvalReport:
             return f"{v:12.6f}" if v is not None else f"{'n/a':>12}"
 
         lines.append(
-            f"{label:>12}  {self.n_samples:>6}  {fmt(self.rmse)}  {fmt(self.q2)}  {fmt(self.correlation)}"
+            f"{'pooled':>12}  {self.n_samples:>6}  {fmt(self.rmse)}  {fmt(self.q2)}  {fmt(self.correlation)}"
         )
         for s in self.per_task:
             scope = "(" + ",".join(str(i) for i in s.multi_index) + ")"

@@ -1,4 +1,4 @@
-"""Trained-model container: the shared factor, per-task prediction and JSON (de)serialization.
+"""Trained models of both kinds: the shared factor, per-task prediction and JSON (de)serialization.
 
 The shared factor L = sum_j alpha_j phi(x_j) u_t(j)^T is one record
 (`SharedFactor`), used by every alternating step of a fit and by
@@ -17,8 +17,10 @@ Batch prediction (`predict_dataset`, `predict_rows`) goes through
 (`row_sums`): below 8 terms one column at a time, so every bit is `np.sum`'s.
 `predict_primal` and `predict_dual` always take their own form, so the two
 stay an independent check on each other. `TrainedModel` is where a shared
-factor from outside (a caller or a model file) is validated. Models embed
-their training inputs so a saved file is self-contained.
+factor from outside (a caller or a model file) is validated. `LssvmModel`
+holds the independent per-task baseline's dual solutions, which
+`baseline.fit_independent` solves; both kinds check their queries alike.
+Models embed their training inputs so a saved file is self-contained.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .baseline import LssvmModel, SingleTaskLssvm, check_query_dataset, query_inputs
 from .data import MtlDataset
 from .errors import DataError, UnsupportedOperation, whole
 from .kernels import KernelSpec, feature_map, gram, sq_norms
@@ -40,6 +41,8 @@ __all__ = [
     "SharedFactor",
     "shared_projection",
     "TrainedModel",
+    "SingleTaskLssvm",
+    "LssvmModel",
     "predict_primal",
     "predict_dual",
     "save_model",
@@ -171,8 +174,42 @@ def row_sums(terms: np.ndarray) -> np.ndarray:
     return total
 
 
+def query_inputs(x, ndim: int, n_features: int) -> np.ndarray:
+    """Query inputs of a model as a float array: one row (ndim 1) or a matrix of rows (ndim 2).
+
+    Raises DataError for the wrong shape or a NaN or infinite value.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.shape[-1] != n_features:
+        expected = f"a length-{n_features} input" if ndim == 1 else f"n x {n_features} inputs"
+        raise DataError(f"expected {expected}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataError("inputs contain NaN or infinite values")
+    return x
+
+
+def check_query_dataset(data: MtlDataset, grid: TaskGrid, n_features: int) -> None:
+    """Raise DataError unless a dataset fits a model's task grid and feature count."""
+    if data.grid != grid:
+        raise DataError(f"dataset grid {data.grid.mode_sizes} does not match model grid {grid.mode_sizes}")
+    if data.n_features != n_features:
+        raise DataError(f"dataset has {data.n_features} features, model expects {n_features}")
+
+
+class _RowPredictor:
+    """`predict_rows` of both model kinds, which checks the rows and their tasks before the kind's `_rows`."""
+
+    def predict_rows(self, multi_indices, X) -> np.ndarray:
+        """Predictions for rows of X, each addressed to its own task."""
+        X = query_inputs(X, 2, self.n_features)
+        task_ids = np.array([self.grid.task_row(idx) for idx in multi_indices], dtype=int)
+        if task_ids.shape[0] != X.shape[0]:
+            raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
+        return self._rows(task_ids, X)
+
+
 @dataclass(frozen=True)
-class TrainedModel:
+class TrainedModel(_RowPredictor):
     """Fitted tensorized multitask model.
 
     `duals` and `task_vector_snapshot` capture the shared factor as of the
@@ -266,14 +303,6 @@ class TrainedModel:
         projection = shared_projection(self._shared, self.kernel, X)
         return task_predictions(projection, self._u_table, self.biases, task_ids)
 
-    def predict_rows(self, multi_indices, X) -> np.ndarray:
-        """Predictions for rows of X, each addressed to its own task."""
-        X = query_inputs(X, 2, self.n_features)
-        task_ids = np.array([self.grid.task_row(idx) for idx in multi_indices], dtype=int)
-        if task_ids.shape[0] != X.shape[0]:
-            raise DataError(f"{task_ids.shape[0]} task indices for inputs of shape {X.shape}")
-        return self._rows(task_ids, X)
-
     def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
         """Per-task prediction blocks for a dataset on the same grid, in the batch form."""
         check_query_dataset(data, self.grid, self.n_features)
@@ -307,6 +336,81 @@ def predict_dual(model: TrainedModel, idx, x) -> float:
     x = query_inputs(x, 1, model.n_features)
     projection = dual_projection(model._shared, model.kernel, x[None, :])
     return float((projection[0] * model._u_table[t]).sum() + model.biases[t])
+
+
+@dataclass(frozen=True)
+class SingleTaskLssvm:
+    """Dual solution for one task: coefficients, bias, and its training inputs.
+
+    Its kernel is the model's (`LssvmModel.kernel`). Construction copies
+    the arrays and raises ValueError unless there is one dual per training
+    row and every value is finite.
+    """
+
+    duals: np.ndarray
+    bias: float
+    inputs: np.ndarray
+
+    def __post_init__(self) -> None:
+        duals = np.array(self.duals, dtype=float)
+        inputs = np.array(self.inputs, dtype=float)
+        bias = float(self.bias)
+        if duals.ndim != 1 or inputs.ndim != 2 or duals.shape[0] != inputs.shape[0]:
+            raise ValueError("need one dual coefficient per training sample")
+        if not (np.isfinite(bias) and np.isfinite(duals).all() and np.isfinite(inputs).all()):
+            raise ValueError("model contains non-finite values")
+        duals.flags.writeable = False
+        inputs.flags.writeable = False
+        object.__setattr__(self, "duals", duals)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "bias", bias)
+
+    @classmethod
+    def _solved(cls, duals: np.ndarray, bias, inputs: np.ndarray) -> "SingleTaskLssvm":
+        """A solved task's model, without the constructor's checks.
+
+        `inputs` is an MtlDataset's read-only, finite block; `duals` (read-only,
+        kept as given) and `bias` met the solver's residual bound, which no non-finite value meets.
+        """
+        task = object.__new__(cls)
+        task.__dict__.update(duals=duals, bias=float(bias), inputs=inputs)
+        return task
+
+
+@dataclass(frozen=True)
+class LssvmModel(_RowPredictor):
+    """Per-task LSSVM models over a task grid (no coupling between tasks)."""
+
+    grid: TaskGrid
+    kernel: KernelSpec
+    tasks: tuple[SingleTaskLssvm, ...]
+
+    method = "lssvm-independent"
+
+    def __post_init__(self) -> None:
+        if len(self.tasks) != self.grid.n_tasks:
+            raise ValueError(f"expected {self.grid.n_tasks} task models, got {len(self.tasks)}")
+        dims = {task.inputs.shape[1] for task in self.tasks}
+        if len(dims) != 1:
+            raise ValueError(f"task inputs disagree on feature dimension: {sorted(dims)}")
+
+    @property
+    def n_features(self) -> int:
+        return self.tasks[0].inputs.shape[1]
+
+    def _rows(self, task_ids: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Predictions of checked rows, one Gram per task."""
+        out = np.empty(X.shape[0])
+        for t in np.unique(task_ids):
+            rows = np.flatnonzero(task_ids == t)
+            task = self.tasks[t]
+            out[rows] = task.duals @ gram(self.kernel, task.inputs, X[rows]) + task.bias
+        return out
+
+    def predict_dataset(self, data: MtlDataset) -> list[np.ndarray]:
+        """Per-task prediction blocks for a dataset on the same grid."""
+        check_query_dataset(data, self.grid, self.n_features)
+        return [task.duals @ gram(self.kernel, task.inputs, X) + task.bias for task, X in zip(self.tasks, data.inputs)]
 
 
 def _model_payload(model) -> dict:

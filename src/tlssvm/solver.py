@@ -284,14 +284,6 @@ def _members(data: MtlDataset | Members, B: int) -> Members:
     return data
 
 
-def _member_costs(C) -> np.ndarray:
-    """A step's costs, which must be a 1-D array (one per member)."""
-    costs = np.asarray(C, dtype=float)
-    if costs.ndim != 1:
-        raise ValueError(f"a step takes a 1-D array of its members' costs, got shape {costs.shape}")
-    return costs
-
-
 @dataclass(frozen=True)
 class SharedStepResult:
     """The members' shared step: one record and B x T biases, and per member its residuals and SolverError or None."""
@@ -341,8 +333,7 @@ def solve_shared_step(
     `linsys._solve_features`). The record, biases and residuals carry the
     member axis, and `errors` holds each member's SolverError, or None.
     """
-    costs = _member_costs(C)
-    data = _members(data, len(costs))
+    data = _members(data, np.size(C))
     first = data.datasets[0]
     plan = first.fit_plan
     tid = first.sample_task_ids()
@@ -352,7 +343,7 @@ def solve_shared_step(
     if _kronecker_ridge(kernel, first, K):
         moments = tuple(dataset.fit_plan.moments for dataset in data.datasets)
         y = data.gather(MtlDataset.stacked_targets)
-        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, moments, data.owner), y, costs)
+        solution = solve_dual_system(plan.shared, KroneckerGram(u_table, moments, data.owner), y, C)
         weights = solution.weights[..., 0, :]
         explicit = np.ascontiguousarray(np.swapaxes(weights.reshape(weights.shape[:-1] + (K, -1)), -1, -2))
     else:
@@ -361,7 +352,7 @@ def solve_shared_step(
         if len(data.datasets) > 1:
             raise ValueError("a shared step through the kernel Gram takes one dataset for all members")
         Q = CoherenceGram(u_table, gram_matrix, _compared=_gram_compared)
-        solution = solve_dual_system(plan.shared, Q, first.stacked_targets(), costs)
+        solution = solve_dual_system(plan.shared, Q, first.stacked_targets(), C)
         if kernel.has_feature_map:
             explicit = first.stacked_inputs().T @ dual_weights(solution.duals, u_table, tid)
     constraint = np.max(np.abs(plan.shared.sums(solution.duals, axis=-1)), axis=-1)
@@ -430,7 +421,6 @@ def solve_mode_row_step(data: MtlDataset | Members, z: np.ndarray, mode: int, C:
     """
     data = _members(data, np.size(C))
     index = data.datasets[0].grid._check_mode(mode) - 1
-    costs = _member_costs(C)
     layout = data.datasets[0].fit_plan.layouts[index]
     blocks = layout.blocks
     if np.ndim(z) != 3:
@@ -438,7 +428,7 @@ def solve_mode_row_step(data: MtlDataset | Members, z: np.ndarray, mode: int, C:
     # a gather along the sample axis that keeps each member's rows contiguous
     Z = np.take(np.asarray(z, dtype=float), layout.samples, axis=-2)
     targets = data.gather(lambda dataset: dataset.fit_plan.layouts[index].targets)
-    solution = solve_dual_system(blocks, FeatureGram(Z), targets, costs)
+    solution = solve_dual_system(blocks, FeatureGram(Z), targets, C)
     values = solution.weights
     task_sums = np.abs(blocks.sums(solution.duals, axis=-1)).reshape(values.shape[:-1] + (-1,))
     return ModeStepResult(

@@ -12,7 +12,8 @@ existing file as it was.
 
 `csv_line` and `csv_rows` write what `csv.writer` writes for cells that
 need no quoting: numbers, and the fixed labels of this package's tables.
-Floats are written with their shortest round-trip `repr`.
+Floats are written with their shortest round-trip `repr`. `write_csv`
+writes such lines to a file in one write.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-__all__ = ["write_json", "csv_line", "csv_rows"]
+__all__ = ["write_json", "write_csv", "csv_line", "csv_rows"]
 
 _NUMBERS = frozenset({float, int, bool, type(None)})
 _SCALARS = _NUMBERS | {str}
@@ -71,6 +72,12 @@ def _key(key) -> str:
             raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
         key = json.dumps(key)
     return json.dumps(key)
+
+
+def write_csv(path, lines) -> None:
+    """Write CSV lines (`csv_line`, `csv_rows`) as they are, in one write."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(lines))
 
 
 def csv_line(cells) -> str:

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from tlssvm import MtlDataset, TaskGrid
-from tlssvm.baseline import SingleTaskLssvm, fit_independent, query_inputs
+from tlssvm.baseline import fit_independent
 from tlssvm.data import SyntheticSpec, generate_synthetic
 from tlssvm.errors import DataError, UnsupportedOperation, positive
 from tlssvm.kernels import KernelSpec, gram
 from tlssvm.linsys import Blocks, CoherenceGram, FeatureGram, KroneckerGram, solve_dual_system
-from tlssvm.model import SharedFactor, dual_projection, task_predictions
+from tlssvm.model import SharedFactor, SingleTaskLssvm, dual_projection, query_inputs, task_predictions
 from tlssvm.solver import (
     FitConfig,
     ModeStepResult,

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from tlssvm import baseline
-from tlssvm.baseline import LssvmModel, SingleTaskLssvm, fit_independent
+from tlssvm.baseline import fit_independent
 from tlssvm.data import MtlDataset
 from tlssvm.errors import ConfigError, DataError, SolverError
 from tlssvm.kernels import KernelSpec, gram
-from tlssvm.model import load_model, save_model
+from tlssvm.model import LssvmModel, SingleTaskLssvm, load_model, save_model
 from tlssvm.taskgrid import TaskGrid, linearize
 from conftest import fit_single, predict_single
 

@@ -931,7 +931,7 @@ COLD_START = """
 import sys
 import tlssvm
 
-train_csv, test_csv, model_path, out_dir = sys.argv[1:]
+train_csv, test_csv, model_path, baseline_path, out_dir = sys.argv[1:]
 grid = tlssvm.TaskGrid((2, 2))
 tlssvm.load_csv(train_csv, grid)
 # reading data loads no solver code: linsys loads with the first fit
@@ -944,11 +944,13 @@ from tlssvm.data import load_csv
 from tlssvm.model import load_model
 
 test = load_csv(test_csv, grid)
-load_model(model_path).predict_dataset(test)
-for command in ("predict", "evaluate"):
-    assert cli.main([command, "--model", model_path, "--data", test_csv, "--out-dir", out_dir]) == 0
-# predicting and scoring load neither the solver nor the experiments, nor scipy
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy" or name in ("tlssvm.solver", "tlssvm.experiments"))
+for path in (model_path, baseline_path):
+    load_model(path).predict_dataset(test)
+    for command in ("predict", "evaluate"):
+        assert cli.main([command, "--model", path, "--data", test_csv, "--out-dir", out_dir]) == 0
+# predicting and scoring either model kind load no fitting code, no experiments and no scipy
+fitting = ("tlssvm.baseline", "tlssvm.experiments", "tlssvm.linsys", "tlssvm.solver")
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy" or name in fitting)
 assert not loaded, loaded
 config = tlssvm.FitConfig(K=2, C=100.0, kernel=tlssvm.KernelSpec("linear"), max_iters=3)
 tlssvm.fit(load_csv(train_csv, grid), config)
@@ -961,11 +963,11 @@ assert set(tlssvm.__all__) <= set(names) and set(tlssvm.__all__) <= set(dir(tlss
 
 
 class TestColdStart:
-    def test_only_training_loads_scipy(self, pipeline, tmp_path):
+    def test_only_training_loads_scipy(self, pipeline, baseline_model, tmp_path):
         # a fresh interpreter: this one has imported scipy long ago
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        args = [pipeline["train_csv"], pipeline["test_csv"], pipeline["model"], str(tmp_path)]
+        args = [pipeline["train_csv"], pipeline["test_csv"], pipeline["model"], baseline_model, str(tmp_path)]
         proc = subprocess.run(
             [sys.executable, "-c", COLD_START, *args], env=env, capture_output=True, text=True, timeout=120
         )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tlssvm import experiments, solver
-from tlssvm.baseline import LssvmModel, fit_independent
+from tlssvm.baseline import fit_independent
 from tlssvm.data import SyntheticSpec, generate_synthetic, kfold_split
 from tlssvm.errors import ConfigError, SolverError
 from tlssvm.experiments import (
@@ -19,7 +19,7 @@ from tlssvm.experiments import (
     run_cv,
 )
 from tlssvm.kernels import KernelSpec
-from tlssvm.model import TrainedModel
+from tlssvm.model import LssvmModel, TrainedModel
 from tlssvm.solver import FitConfig, fit_many
 
 
